@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import isqrt
 
 from .lattice import Weight, eps_basis, restricted_decompose, rho
 
@@ -22,6 +21,7 @@ __all__ = [
     "IrreducibleLabel",
     "BlockContext",
     "is_odd_prime",
+    "check_index",
     "make_context",
     "block_weight",
     "mu_weight",
@@ -48,15 +48,51 @@ class BlockContext:
     lambdas: tuple[Weight, ...]
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least odd composite passing Miller-Rabin to every base in _WITNESSES
+# (Sorenson and Webster); below it the test is exact.  Without the base 41
+# the bound would be 318665857834031151167461.
+_PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_odd_prime(p: int) -> bool:
-    """Deterministic primality for odd p, by trial division.
+    """Deterministic primality for odd p, by Miller-Rabin on the primes to 41.
+
+    Raises ValueError for odd p at or above 3.3e24, where those bases no
+    longer decide primality.
 
     >>> [q for q in range(20) if is_odd_prime(q)]
     [3, 5, 7, 11, 13, 17, 19]
     """
     if p < 3 or p % 2 == 0:
         return False
-    return all(p % d for d in range(3, isqrt(p) + 1, 2))
+    if p >= _PRIME_TEST_BOUND:
+        raise ValueError(
+            f"p must be below {_PRIME_TEST_BOUND} for an exact primality test (got {p})"
+        )
+    if p in _WITNESSES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_index(ctx: BlockContext, i: int) -> None:
+    """Raise ValueError unless `i` is a block index, 0 <= i <= n."""
+    if not 0 <= i <= ctx.n:
+        raise ValueError(f"block index i must be in [0, {ctx.n}] (got {i})")
 
 
 def make_context(n: int, p: int) -> BlockContext:
@@ -88,8 +124,7 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
     coordinate i + 1 is a - 1.
     """
     n, p = ctx.n, ctx.p
-    if not 0 <= i <= n:
-        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
+    check_index(ctx, i)
     if not 1 <= a <= p - 1:
         raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
     coords = [p - 1] * n
@@ -105,10 +140,8 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
 
 def mu_weight(ctx: BlockContext, i: int) -> Weight:
     """The dot-orbit representative mu_i = eps_{i+1} - rho."""
-    n = ctx.n
-    if not 0 <= i <= n:
-        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
-    return eps_basis(n, i + 1) - rho(n)
+    check_index(ctx, i)
+    return eps_basis(ctx.n, i + 1) - rho(ctx.n)
 
 
 def nu_weight(ctx: BlockContext, i: int) -> Weight:

@@ -21,11 +21,10 @@ from scratch by `verify_certificate`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial, prod
 
-from .block import BlockContext, nu_weight
+from .block import BlockContext, check_index, nu_weight
 from .lattice import Weight, fundamental, pair, zero
 
 __all__ = [
@@ -75,7 +74,8 @@ def weyl_dim(lam: Weight) -> int:
     shifted = Weight(tuple(a + 1 for a in lam.coords))
     num = prod(pair(shifted, k, j) for k, j in positive_roots(n))
     q, r = divmod(num, superfactorial(n))
-    assert r == 0, "Weyl numerator must divide exactly"
+    if r:
+        raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {lam.coords})")
     return q
 
 
@@ -87,8 +87,7 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     numerator at nu_i over the Levi's Weyl denominator.
     """
     n, p = ctx.n, ctx.p
-    if not 0 <= i <= n:
-        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
+    check_index(ctx, i)
     nu = nu_weight(ctx, i)
     if side == "I":
         levi_roots = [(k, j) for k in range(1, n) for j in range(k + 1, n + 1)]
@@ -98,7 +97,8 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
         raise ValueError(f'side must be "I" or "J" (got {side!r})')
     num = prod(pair(nu, k, j) for k, j in levi_roots)
     q, r = divmod(p**n * num, superfactorial(n - 1))
-    assert r == 0, "Levi Weyl numerator must divide exactly"
+    if r:
+        raise RuntimeError(f"Levi Weyl numerator must divide exactly (remainder {r} at i={i})")
     return q
 
 
@@ -309,51 +309,37 @@ def certificate_dict(cert: WitnessCertificate) -> dict:
     }
 
 
-def check_block_simplicity(ctx: BlockContext, threads: int | None = None) -> dict:
+def check_block_simplicity(ctx: BlockContext) -> dict:
     """Certify every (block index, positive root) pairing, both routes.
 
     For each nu_i and each positive root, runs the greedy search and the
     closed-form builder, re-verifies both certificates from scratch, and
     reports any failures (expected: none).  The searched certificates are
-    included in the report.  `threads` > 1 fans the sweep out over a thread
-    pool; results are deterministic either way.
+    included in the report.
     """
     n, p = ctx.n, ctx.p
-    tasks = [(i, root) for i in range(n + 1) for root in positive_roots(n)]
-
-    def run(task: tuple[int, Root]) -> tuple[dict | None, dict | None, dict | None]:
-        i, root = task
+    roots = positive_roots(n)
+    certificates, failures, replay_failures = [], [], []
+    for i in range(n + 1):
         nu = nu_weight(ctx, i)
-        found = witness_search(nu, root, p)
-        searched, search_failure, replay_failure = None, None, None
-        if found is None or not verify_certificate(nu, found, p):
-            search_failure = {"i": i, "root": list(root), "reason": "search failed"}
-        else:
-            searched = {"i": i, **certificate_dict(found)}
-        built = closed_form_certificate(ctx, i, root)
-        if not verify_certificate(nu, built, p):
-            replay_failure = {
-                "i": i,
-                "root": list(root),
-                "reason": "closed-form certificate invalid",
-            }
-        return searched, search_failure, replay_failure
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    certificates = [r[0] for r in results if r[0] is not None]
-    failures = [r[1] for r in results if r[1] is not None]
-    replay_failures = [r[2] for r in results if r[2] is not None]
+        for root in roots:
+            found = witness_search(nu, root, p)
+            if found is None or not verify_certificate(nu, found, p):
+                failures.append({"i": i, "root": list(root), "reason": "search failed"})
+            else:
+                certificates.append({"i": i, **certificate_dict(found)})
+            built = closed_form_certificate(ctx, i, root)
+            if not verify_certificate(nu, built, p):
+                replay_failures.append(
+                    {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
+                )
+    checked = (n + 1) * len(roots)
     return {
         "n": n,
         "p": p,
-        "checked": len(tasks),
+        "checked": checked,
         "failures": failures,
-        "replayed": len(tasks),
+        "replayed": checked,
         "replay_failures": replay_failures,
         "certificates": certificates,
         "ok": not failures and not replay_failures,

@@ -5,16 +5,12 @@ Output is plain text by default or JSON with --format json; JSON is
 emitted with sorted keys and fixed layout, so reruns are byte-identical.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid input
 (the message names the violated hypothesis).
-
-The environment variable LOEWY_LAB_THREADS caps the thread count used by
-the certificate sweep; results do not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import product
 from math import comb
@@ -23,6 +19,7 @@ from .block import (
     BlockContext,
     IrreducibleLabel,
     block_weight,
+    check_index,
     classify,
     label_weight,
     make_context,
@@ -56,7 +53,6 @@ from .loewy import (
     rad_layers_z_g1,
     rad_layers_z_g1t,
     rad_layers_zprime_g1t,
-    soc_layers_z_g1t,
 )
 from .projective import (
     CONDITIONAL_FLAG_KEY,
@@ -162,19 +158,6 @@ def _twist(args: argparse.Namespace, n: int) -> Weight:
     return zero(n)
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("LOEWY_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        k = int(raw)
-    except ValueError:
-        raise ValueError(f"LOEWY_LAB_THREADS must be an integer (got {raw!r})")
-    if k < 1:
-        raise ValueError(f"LOEWY_LAB_THREADS must be >= 1 (got {k})")
-    return k
-
-
 def _fmt_weight(w: Weight) -> str:
     return "[" + ",".join(str(c) for c in w.coords) + "]"
 
@@ -245,11 +228,6 @@ def _object_str(kind: str, i: int, nu: Weight) -> str:
     return f"{kind}(i={i}, nu={_fmt_weight(nu)})"
 
 
-def _check_index(ctx: BlockContext, i: int) -> None:
-    if not 0 <= i <= ctx.n:
-        raise ValueError(f"block index i must be in [0, {ctx.n}] (got {i})")
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -272,7 +250,7 @@ def cmd_block(args: argparse.Namespace) -> int:
 
 def cmd_verma(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
-    _check_index(ctx, args.i)
+    check_index(ctx, args.i)
     nu = _twist(args, ctx.n)
     layers = rad_layers_z_g1t(ctx, args.i, nu)
     obj = _object_str("Zhat", args.i, nu)
@@ -285,7 +263,7 @@ def cmd_verma(args: argparse.Namespace) -> int:
 
 def cmd_verma_dual(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
-    _check_index(ctx, args.i)
+    check_index(ctx, args.i)
     nu = _twist(args, ctx.n)
     layers = rad_layers_zprime_g1t(ctx, args.i, nu)
     obj = _object_str("Zhat_dual", args.i, nu)
@@ -298,7 +276,7 @@ def cmd_verma_dual(args: argparse.Namespace) -> int:
 
 def cmd_proj(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
-    _check_index(ctx, args.i)
+    check_index(ctx, args.i)
     nu = _twist(args, ctx.n)
     layers = rad_layers_qhat(ctx, args.i, nu)
     obj = _object_str("Qhat", args.i, nu)
@@ -320,7 +298,7 @@ def cmd_ext(args: argparse.Namespace) -> int:
         payload = {"n": n, "p": ctx.p, "object": "ext-table", "kinds": table}
         _emit(args, "\n".join(lines), payload)
         return 0
-    _check_index(ctx, args.i)
+    check_index(ctx, args.i)
     nu = _twist(args, ctx.n)
     layer = rad1_qhat(ctx, args.i, nu)
     kinds = [ext1_g1(ctx, args.i, j).kind.value for j in range(n + 1)]
@@ -392,8 +370,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
 def cmd_jantzen(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
     if args.i is not None:
-        _check_index(ctx, args.i)
-    report = check_block_simplicity(ctx, threads=_threads())
+        check_index(ctx, args.i)
+    report = check_block_simplicity(ctx)
     certs = report["certificates"]
     failures = report["failures"] + report["replay_failures"]
     if args.i is not None:
@@ -422,7 +400,7 @@ def cmd_jantzen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
-    checks = _verify_checks(ctx, _threads())
+    checks = _verify_checks(ctx)
     ok = all(c["ok"] for c in checks)
     lines = []
     for c in checks:
@@ -442,7 +420,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify battery
 
 
-def _verify_checks(ctx: BlockContext, threads: int | None) -> list[dict]:
+def _verify_checks(ctx: BlockContext) -> list[dict]:
     n, p = ctx.n, ctx.p
     checks: list[dict] = []
 
@@ -517,7 +495,7 @@ def _verify_checks(ctx: BlockContext, threads: int | None) -> list[dict]:
     add("chardim.dimension_conservation", ok, "dimensions do not sum to p^(n(n+1)/2)")
 
     # Every pairing has a valid certificate, by search and by closed form.
-    report = check_block_simplicity(ctx, threads=threads)
+    report = check_block_simplicity(ctx)
     add(
         "chardim.block_simplicity",
         report["ok"],
@@ -564,10 +542,9 @@ def _verify_checks(ctx: BlockContext, threads: int | None) -> list[dict]:
     ok = True
     for i in range(n + 1):
         for t in twists:
-            rad = rad_layers_z_g1t(ctx, i, t)
-            ok = ok and soc_layers_z_g1t(ctx, i, t) == list(reversed(rad))
-            ok = ok and rad_layers_zprime_g1t(ctx, i, t) == list(reversed(rad))
-            ok = ok and soc_layers_z_g1t(ctx, i, t)[-1] == {IrreducibleLabel(i, t): 1}
+            rev = rad_layers_zprime_g1t(ctx, i, t)
+            ok = ok and rev == list(reversed(rad_layers_z_g1t(ctx, i, t)))
+            ok = ok and rev[-1] == {IrreducibleLabel(i, t): 1}
     add("loewy.rigidity", ok, "socle/dual series are not reversals")
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.

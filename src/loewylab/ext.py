@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .block import BlockContext, IrreducibleLabel
+from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_basis
 
 __all__ = [
@@ -53,14 +53,6 @@ class ExtDescriptor:
     def dim(self) -> int:
         return 0 if self.kind is ExtKind.ZERO else self.rank + 1
 
-    def weights(self) -> tuple[Weight, ...]:
-        eps = sorted(_standard_weights(self.rank))
-        if self.kind is ExtKind.STANDARD:
-            return tuple(eps)
-        if self.kind is ExtKind.DUAL:
-            return tuple(sorted(-w for w in eps))
-        return ()
-
     def multiplicity(self, w: Weight) -> int:
         if self.kind is ExtKind.STANDARD:
             return int(w in _standard_weights(self.rank))
@@ -76,8 +68,8 @@ def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtDescriptor:
     otherwise (in particular on the diagonal).
     """
     n = ctx.n
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"block indices must be in [0, {n}] (got {i}, {j})")
+    check_index(ctx, i)
+    check_index(ctx, j)
     if j == i - 1:
         return ExtDescriptor(ExtKind.STANDARD, n)
     if j == i + 1:
@@ -91,9 +83,6 @@ def ext1_g1t_dim(ctx: BlockContext, a: IrreducibleLabel, b: IrreducibleLabel) ->
     Equals the multiplicity of a.nu - b.nu in the untwisted Ext
     representation, so it is 0 or 1, and it is symmetric in (a, b).
     """
-    n = ctx.n
-    if not (0 <= a.i <= n and 0 <= b.i <= n):
-        raise ValueError(f"block indices must be in [0, {n}] (got {a.i}, {b.i})")
     return ext1_g1(ctx, a.i, b.i).multiplicity(a.nu - b.nu)
 
 
@@ -106,8 +95,7 @@ def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> dict[IrreducibleLabel, i
     falls outside the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
     """
     n = ctx.n
-    if not 0 <= i <= n:
-        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
+    check_index(ctx, i)
     if nu.rank != n:
         raise ValueError("rank mismatch")
     layer: dict[IrreducibleLabel, int] = {}

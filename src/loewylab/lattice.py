@@ -13,18 +13,17 @@ conventions are the usual type-A ones:
 * the pairing of a weight with the coroot of eps_k - eps_j is the exact
   integer `pair(w, k, j)`.
 
-Everything here is exact integer or Fraction arithmetic; no floats.
+Everything here is exact integer arithmetic; no floats.
 
 >>> pair(rho(3), 1, 4)
 3
->>> root_coords(from_eps((1, -1, 0)))
-(Fraction(1, 1), Fraction(0, 1))
+>>> in_root_lattice(from_eps((1, -1, 0)))
+True
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Iterable
 
@@ -39,13 +38,9 @@ __all__ = [
     "eps_subset",
     "eps_coords",
     "pair",
-    "root_coords",
     "in_root_lattice",
     "leq",
-    "is_dominant",
-    "is_restricted",
     "restricted_decompose",
-    "lambda_zero_dual",
 ]
 
 
@@ -198,16 +193,6 @@ def _scaled_root_coords(w: Weight) -> tuple[int, ...]:
     )
 
 
-def root_coords(w: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of `w` over the simple roots, as exact Fractions.
-
-    >>> root_coords(simple_root(3, 2))
-    (Fraction(0, 1), Fraction(1, 1), Fraction(0, 1))
-    """
-    d = w.rank + 1
-    return tuple(Fraction(num, d) for num in _scaled_root_coords(w))
-
-
 def in_root_lattice(w: Weight) -> bool:
     """Whether `w` lies in the root lattice (integral root coordinates)."""
     d = w.rank + 1
@@ -228,16 +213,6 @@ def leq(a: Weight, b: Weight) -> bool:
     return all(num >= 0 and num % d == 0 for num in _scaled_root_coords(diff))
 
 
-def is_dominant(w: Weight) -> bool:
-    """Whether all fundamental coordinates are >= 0."""
-    return all(a >= 0 for a in w.coords)
-
-
-def is_restricted(w: Weight, p: int) -> bool:
-    """Whether all fundamental coordinates lie in [0, p)."""
-    return all(0 <= a < p for a in w.coords)
-
-
 def restricted_decompose(w: Weight, p: int) -> tuple[Weight, Weight]:
     """Split `w` uniquely as mu + p * nu with mu restricted.
 
@@ -252,18 +227,3 @@ def restricted_decompose(w: Weight, p: int) -> tuple[Weight, Weight]:
         raise ValueError("p must be at least 2")
     quot, rem = zip(*(divmod(a, p) for a in w.coords))
     return Weight(rem), Weight(quot)
-
-
-def lambda_zero_dual(w: Weight, p: int) -> Weight:
-    """The weight 2(p - 1) rho + w0(w), where w0 is the longest Weyl element.
-
-    On fundamental coordinates w0 acts by reversal and negation, so this
-    needs no Weyl-group machinery.  For restricted `w` the result is the
-    highest weight of the dual of the simple module with highest weight `w`
-    twisted back into the restricted range.
-
-    >>> lambda_zero_dual(Weight((0, 4)), 5).coords
-    (4, 8)
-    """
-    reversed_neg = Weight(tuple(-a for a in reversed(w.coords)))
-    return 2 * (p - 1) * rho(w.rank) + reversed_neg

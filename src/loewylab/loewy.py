@@ -17,24 +17,17 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .block import BlockContext, IrreducibleLabel
+from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_subset, fundamental
 
 __all__ = [
     "rad_layers_z_g1",
     "rad_layers_z_g1t",
-    "soc_layers_z_g1t",
     "rad_layers_zprime_g1t",
     "composition_class_z_g1",
-    "composition_class_z_g1t",
     "parabolic_m_structure",
     "layer_sizes",
 ]
-
-
-def _check_index(ctx: BlockContext, i: int) -> None:
-    if not 0 <= i <= ctx.n:
-        raise ValueError(f"block index i must be in [0, {ctx.n}] (got {i})")
 
 
 def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
@@ -43,7 +36,7 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
     Twists are invisible here, so layers are keyed by block index:
     layer j holds lam_{i+j-2k} with multiplicity C(i, k) C(n-i, j-k).
     """
-    _check_index(ctx, i)
+    check_index(ctx, i)
     n = ctx.n
     layers: list[dict[int, int]] = []
     for j in range(n + 1):
@@ -65,7 +58,7 @@ def rad_layers_z_g1t(
     Every composition factor within a layer occurs with multiplicity one;
     summed over the twist, layer j matches `rad_layers_z_g1`.
     """
-    _check_index(ctx, i)
+    check_index(ctx, i)
     n = ctx.n
     if nu.rank != n:
         raise ValueError("rank mismatch")
@@ -80,21 +73,11 @@ def rad_layers_z_g1t(
                 shift_x = eps_subset(n, xs)
                 for ys in combinations(range(i + 2, n + 2), j - k):
                     label = IrreducibleLabel(t, nu - shift_x + eps_subset(n, ys))
-                    assert label not in layer, "layer labels must be distinct"
+                    if label in layer:
+                        raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
                     layer[label] = 1
         layers.append(layer)
     return layers
-
-
-def soc_layers_z_g1t(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Socle layers of the same baby Verma, bottom up.
-
-    Entry j is the (j+1)-st socle layer; rigidity makes it equal to
-    radical layer n - j, so the list is the radical list reversed.
-    """
-    return list(reversed(rad_layers_z_g1t(ctx, i, nu)))
 
 
 def rad_layers_zprime_g1t(
@@ -103,7 +86,9 @@ def rad_layers_zprime_g1t(
     """Radical layers of the dual (opposite) baby Verma with the same label.
 
     Its j-th radical layer equals radical layer n - j of the ordinary baby
-    Verma, so the list is again the reversal.
+    Verma, so the list is the reversal.  By rigidity the same list is the
+    socle series of the baby Verma itself, bottom up: entry j is its
+    (j+1)-st socle layer.
     """
     return list(reversed(rad_layers_z_g1t(ctx, i, nu)))
 
@@ -117,17 +102,6 @@ def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:
     return total
 
 
-def composition_class_z_g1t(
-    ctx: BlockContext, i: int, nu: Weight
-) -> dict[IrreducibleLabel, int]:
-    """Total composition multiplicities with twists tracked."""
-    total: dict[IrreducibleLabel, int] = {}
-    for layer in rad_layers_z_g1t(ctx, i, nu):
-        for label, mult in layer.items():
-            total[label] = total.get(label, 0) + mult
-    return total
-
-
 def parabolic_m_structure(
     ctx: BlockContext, i: int, nu: Weight, side: str
 ) -> list[dict[IrreducibleLabel, int]]:
@@ -138,7 +112,7 @@ def parabolic_m_structure(
     "I" with i = n, side "J" with i = 0) the cover is the full baby Verma
     and its layers are returned instead.
     """
-    _check_index(ctx, i)
+    check_index(ctx, i)
     n = ctx.n
     head = IrreducibleLabel(i, nu)
     if side == "I":

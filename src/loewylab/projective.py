@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .block import BlockContext, IrreducibleLabel
+from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_subset
 from .loewy import rad_layers_z_g1t
 
@@ -54,8 +54,7 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
     finite and multiplicity-free.
     """
     n = ctx.n
-    if not 0 <= i <= n:
-        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
+    check_index(ctx, i)
     if nu.rank != n:
         raise ValueError("rank mismatch")
     entries: list[VermaSupportEntry] = []
@@ -113,6 +112,6 @@ def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:
     """Total multiplicity of the j-th simple in the cover of the i-th,
     over the Frobenius kernel: (n + 1) C(n, i) C(n, j)."""
     n = ctx.n
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"block indices must be in [0, {n}] (got {i}, {j})")
+    check_index(ctx, i)
+    check_index(ctx, j)
     return (n + 1) * comb(n, i) * comb(n, j)

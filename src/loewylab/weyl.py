@@ -1,34 +1,20 @@
-"""The Weyl group of SL(n+1) and its dot action on weights.
+"""The Weyl group of SL(n+1) and its linear action on weights.
 
 The Weyl group is the symmetric group on the n + 1 eps-coordinate slots.
 An element is stored by its one-based image tuple: `images[k - 1]` is where
-slot k is sent.  Acting on a weight permutes eps-coefficients accordingly,
-and the dot action is the usual rho-shifted one.
+slot k is sent.  Acting on a weight permutes eps-coefficients accordingly.
 
->>> dot(simple_reflection(1, 1), zero(1)).coords
-(-2,)
+>>> act(longest(1), fundamental(1, 1)).coords
+(-1,)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Weight, eps_coords, from_eps, fundamental, rho, zero
+from .lattice import Weight, eps_coords, from_eps, fundamental
 
-__all__ = [
-    "WeylElement",
-    "identity",
-    "longest",
-    "longest_fixing_last",
-    "longest_fixing_first",
-    "simple_reflection",
-    "compose",
-    "inverse",
-    "act",
-    "dot",
-    "AffineElement",
-    "dot_affine",
-]
+__all__ = ["WeylElement", "longest", "longest_fixing_last", "act"]
 
 
 @dataclass(frozen=True)
@@ -49,10 +35,6 @@ class WeylElement:
         return self.images[k - 1]
 
 
-def identity(rank: int) -> WeylElement:
-    return WeylElement(tuple(range(1, rank + 2)))
-
-
 def longest(rank: int) -> WeylElement:
     """The longest element w0, sending slot k to n + 2 - k."""
     return WeylElement(tuple(rank + 2 - k for k in range(1, rank + 2)))
@@ -64,34 +46,6 @@ def longest_fixing_last(rank: int) -> WeylElement:
     Reverses slots 1..n; at rank 1 this is the identity.
     """
     return WeylElement(tuple(rank + 1 - k for k in range(1, rank + 1)) + (rank + 1,))
-
-
-def longest_fixing_first(rank: int) -> WeylElement:
-    """Longest element of the subgroup fixing slot 1 (reverses 2..n + 1)."""
-    return WeylElement((1,) + tuple(rank + 3 - k for k in range(2, rank + 2)))
-
-
-def simple_reflection(rank: int, t: int) -> WeylElement:
-    """The transposition of slots t and t + 1, for 1 <= t <= rank."""
-    if not 1 <= t <= rank:
-        raise ValueError(f"s_{t} undefined at rank {rank}")
-    images = list(range(1, rank + 2))
-    images[t - 1], images[t] = images[t], images[t - 1]
-    return WeylElement(tuple(images))
-
-
-def compose(u: WeylElement, v: WeylElement) -> WeylElement:
-    """The product u v (first apply v, then u)."""
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch")
-    return WeylElement(tuple(u.images[v.images[k] - 1] for k in range(u.rank + 1)))
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    out = [0] * (w.rank + 1)
-    for k, img in enumerate(w.images, start=1):
-        out[img - 1] = k
-    return WeylElement(tuple(out))
 
 
 def act(w: WeylElement, lam: Weight) -> Weight:
@@ -107,31 +61,3 @@ def act(w: WeylElement, lam: Weight) -> Weight:
     for k in range(1, w.rank + 2):
         out[w.images[k - 1] - 1] = c[k - 1]
     return from_eps(tuple(out))
-
-
-def dot(w: WeylElement, lam: Weight) -> Weight:
-    """The rho-shifted action w(lam + rho) - rho."""
-    r = rho(lam.rank)
-    return act(w, lam + r) - r
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """A p-dilated affine Weyl element: a finite part and a translation nu.
-
-    The translation field stores nu itself; the action translates by
-    p * nu, with p supplied at application time so the same element can be
-    reused across characteristics.
-    """
-
-    w: WeylElement
-    translation: Weight
-
-    def __post_init__(self) -> None:
-        if self.w.rank != self.translation.rank:
-            raise ValueError("rank mismatch")
-
-
-def dot_affine(a: AffineElement, lam: Weight, p: int) -> Weight:
-    """The dot action of the affine element: w . lam + p * nu."""
-    return dot(a.w, lam) + p * a.translation

@@ -12,13 +12,7 @@ from loewylab.block import (
     mu_weight,
     nu_weight,
 )
-from loewylab.lattice import (
-    Weight,
-    fundamental,
-    is_restricted,
-    rho,
-    zero,
-)
+from loewylab.lattice import Weight, fundamental, rho, zero
 from loewylab.weyl import act, longest, longest_fixing_last
 
 
@@ -26,6 +20,21 @@ def test_is_odd_prime():
     assert [q for q in range(2, 30) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_odd_prime(2)
     assert not is_odd_prime(121)
+
+
+def test_is_odd_prime_beyond_trial_division():
+    assert is_odd_prime(2**61 - 1)
+    assert is_odd_prime(2**31 - 1)
+    assert not is_odd_prime((2**31 - 1) ** 2)
+    assert not is_odd_prime((2**19 - 1) * (2**61 - 1))
+    # Strong pseudoprimes to every prime base up to 31, and up to 37.
+    assert not is_odd_prime(3825123056546413051)
+    assert not is_odd_prime(318665857834031151167461)
+    # The least strong pseudoprime to all bases up to 41 is out of range.
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_odd_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_odd_prime((2**31 - 1) * (2**61 - 1))
 
 
 def test_make_context_validation():
@@ -96,7 +105,7 @@ def test_general_twist_table():
         for i in range(n + 1):
             assert block_weight(ctx, i, 1) == ctx.lambdas[i]
             for a in range(1, p):
-                assert is_restricted(block_weight(ctx, i, a), p)
+                assert all(0 <= c < p for c in block_weight(ctx, i, a).coords)
     with pytest.raises(ValueError):
         block_weight(ctx, 0, 0)
     with pytest.raises(ValueError):

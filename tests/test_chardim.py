@@ -190,5 +190,3 @@ def test_check_block_simplicity_report():
     assert report["checked"] == 4 * 6
     assert report["failures"] == [] and report["replay_failures"] == []
     assert len(report["certificates"]) == report["checked"]
-    threaded = check_block_simplicity(ctx, threads=3)
-    assert threaded == report

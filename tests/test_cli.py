@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter
 
 import pytest
 
+import loewylab
 from loewylab.cli import TRUNCATE_AT, main
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -189,15 +195,30 @@ def test_verify_command(capsys):
     assert "projective.structure" in names
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("LOEWY_LAB_THREADS", "4")
-    code, out, _ = run_cli(["jantzen", "--n", "2", "--p", "5"], capsys)
+def test_python_m_loewylab(capsys):
+    argv = ["block", "--n", "2", "--p", "5", "--format", "json"]
+    src = str(Path(loewylab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "loewylab", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    for bad in ("zero", "0", "-3"):
-        monkeypatch.setenv("LOEWY_LAB_THREADS", bad)
-        code, out, err = run_cli(["jantzen", "--n", "2", "--p", "5"], capsys)
-        assert code == 2
-        assert "LOEWY_LAB_THREADS" in err
-    monkeypatch.delenv("LOEWY_LAB_THREADS", raising=False)
-    code, _, _ = run_cli(["verify", "--n", "1", "--p", "5"], capsys)
-    assert code == 0
+    assert proc.stdout == out
+
+
+def test_large_prime_is_checked_fast(capsys):
+    start = perf_counter()
+    code, out, err = run_cli(["block", "--n", "1", "--p", str(2**61 - 1)], capsys)
+    assert perf_counter() - start < 0.5
+    assert code == 0 and err == ""
+    composite = (2**31 - 1) * (2**61 - 1)
+    code, out, err = run_cli(["block", "--n", "1", "--p", str(composite)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
