@@ -236,8 +236,9 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     """
     n, p = ctx.n, ctx.p
     k, j = root
-    if not (0 <= i <= n and 1 <= k < j <= n + 1):
-        raise ValueError(f"invalid block index or root: i={i}, root={root}")
+    check_index(ctx, i)
+    if not 1 <= k < j <= n + 1:
+        raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
     nu = nu_weight(ctx, i)
     dec = jantzen_decompose(pair(nu, k, j), p)
 

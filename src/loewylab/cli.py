@@ -100,20 +100,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_block)
 
-    sp = sub.add_parser("verma", help="radical layers of a baby Verma module")
-    common(sp, twist=True, full=True)
-    sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-    sp.set_defaults(func=cmd_verma)
-
-    sp = sub.add_parser("verma-dual", help="radical layers of the dual baby Verma")
-    common(sp, twist=True, full=True)
-    sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-    sp.set_defaults(func=cmd_verma_dual)
-
-    sp = sub.add_parser("proj", help="radical layers of a projective cover (conditional)")
-    common(sp, twist=True, full=True)
-    sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-    sp.set_defaults(func=cmd_proj)
+    for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
+        sp = sub.add_parser(command, help=help_text)
+        common(sp, twist=True, full=True)
+        sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
+        sp.set_defaults(func=cmd_layers, kind=kind, layers_of=layers_of, conditional=conditional)
 
     sp = sub.add_parser("ext", help="Ext^1 table, or one simple's Ext neighbourhood")
     common(sp, twist=True, full=True)
@@ -193,6 +184,13 @@ def _layers_text(
     return "\n".join(lines)
 
 
+def _factors_json(layer: dict[IrreducibleLabel, int]) -> list[dict]:
+    return [
+        {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
+        for lab, m in sorted(layer.items(), key=_label_key)
+    ]
+
+
 def _layers_json(
     ctx: BlockContext,
     object_str: str,
@@ -203,16 +201,7 @@ def _layers_json(
         "n": ctx.n,
         "p": ctx.p,
         "object": object_str,
-        "layers": [
-            {
-                "j": j,
-                "factors": [
-                    {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
-                    for lab, m in sorted(layer.items(), key=_label_key)
-                ],
-            }
-            for j, layer in enumerate(layers)
-        ],
+        "layers": [{"j": j, "factors": _factors_json(layer)} for j, layer in enumerate(layers)],
         CONDITIONAL_FLAG_KEY: conditional,
     }
 
@@ -248,42 +237,30 @@ def cmd_block(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verma(args: argparse.Namespace) -> int:
+# The layer subcommands: (name, help, object kind, layer function, whether
+# the result is conditional on the Loewy length conjecture).  The lambdas
+# look the library function up in this module's namespace at call time, so
+# a wrapper patched in there (as `bench/spans.py` does) still sees the call.
+_LAYER_COMMANDS = (
+    ("verma", "radical layers of a baby Verma module", "Zhat",
+     lambda ctx, i, nu: rad_layers_z_g1t(ctx, i, nu), False),
+    ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
+     lambda ctx, i, nu: rad_layers_zprime_g1t(ctx, i, nu), False),
+    ("proj", "radical layers of a projective cover (conditional)", "Qhat",
+     lambda ctx, i, nu: rad_layers_qhat(ctx, i, nu), True),
+)
+
+
+def cmd_layers(args: argparse.Namespace) -> int:
     ctx = make_context(args.n, args.p)
     check_index(ctx, args.i)
     nu = _twist(args, ctx.n)
-    layers = rad_layers_z_g1t(ctx, args.i, nu)
-    obj = _object_str("Zhat", args.i, nu)
+    layers = args.layers_of(ctx, args.i, nu)
+    obj = _object_str(args.kind, args.i, nu)
     text = _layers_text(
-        f"{obj} radical layers, n={ctx.n}, p={ctx.p}", layers, args.full, conditional=False
+        f"{obj} radical layers, n={ctx.n}, p={ctx.p}", layers, args.full, args.conditional
     )
-    _emit(args, text, _layers_json(ctx, obj, layers, conditional=False))
-    return 0
-
-
-def cmd_verma_dual(args: argparse.Namespace) -> int:
-    ctx = make_context(args.n, args.p)
-    check_index(ctx, args.i)
-    nu = _twist(args, ctx.n)
-    layers = rad_layers_zprime_g1t(ctx, args.i, nu)
-    obj = _object_str("Zhat_dual", args.i, nu)
-    text = _layers_text(
-        f"{obj} radical layers, n={ctx.n}, p={ctx.p}", layers, args.full, conditional=False
-    )
-    _emit(args, text, _layers_json(ctx, obj, layers, conditional=False))
-    return 0
-
-
-def cmd_proj(args: argparse.Namespace) -> int:
-    ctx = make_context(args.n, args.p)
-    check_index(ctx, args.i)
-    nu = _twist(args, ctx.n)
-    layers = rad_layers_qhat(ctx, args.i, nu)
-    obj = _object_str("Qhat", args.i, nu)
-    text = _layers_text(
-        f"{obj} radical layers, n={ctx.n}, p={ctx.p}", layers, args.full, conditional=True
-    )
-    _emit(args, text, _layers_json(ctx, obj, layers, conditional=True))
+    _emit(args, text, _layers_json(ctx, obj, layers, args.conditional))
     return 0
 
 
@@ -315,10 +292,7 @@ def cmd_ext(args: argparse.Namespace) -> int:
         "p": ctx.p,
         "object": obj,
         "kinds": kinds,
-        "rad1_cover": [
-            {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
-            for lab, m in sorted(layer.items(), key=_label_key)
-        ],
+        "rad1_cover": _factors_json(layer),
     }
     _emit(args, "\n".join(lines), payload)
     return 0

@@ -50,9 +50,6 @@ class ExtDescriptor:
     kind: ExtKind
     rank: int
 
-    def dim(self) -> int:
-        return 0 if self.kind is ExtKind.ZERO else self.rank + 1
-
     def multiplicity(self, w: Weight) -> int:
         if self.kind is ExtKind.STANDARD:
             return int(w in _standard_weights(self.rank))

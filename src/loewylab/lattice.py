@@ -31,11 +31,9 @@ __all__ = [
     "Weight",
     "zero",
     "fundamental",
-    "simple_root",
     "rho",
     "from_eps",
     "eps_basis",
-    "eps_subset",
     "eps_coords",
     "pair",
     "in_root_lattice",
@@ -106,13 +104,6 @@ def fundamental(rank: int, k: int) -> Weight:
     return Weight(tuple(1 if t == k else 0 for t in range(1, rank + 1)))
 
 
-def simple_root(rank: int, t: int) -> Weight:
-    """The simple root alpha_t = eps_t - eps_{t+1}, for 1 <= t <= rank."""
-    if not 1 <= t <= rank:
-        raise ValueError(f"alpha_{t} undefined at rank {rank}")
-    return eps_basis(rank, t) - eps_basis(rank, t + 1)
-
-
 def rho(rank: int) -> Weight:
     """The half-sum of positive roots, w_1 + ... + w_n."""
     return Weight((1,) * rank)
@@ -138,14 +129,6 @@ def eps_basis(rank: int, k: int) -> Weight:
     if not 1 <= k <= rank + 1:
         raise ValueError(f"eps_{k} undefined at rank {rank}")
     return from_eps(tuple(1 if t == k else 0 for t in range(1, rank + 2)))
-
-
-def eps_subset(rank: int, indices: Iterable[int]) -> Weight:
-    """Sum of eps_k over a set of indices (each in [1, rank + 1])."""
-    idx = set(indices)
-    if any(not 1 <= k <= rank + 1 for k in idx):
-        raise ValueError("eps index out of range")
-    return from_eps(tuple(1 if t in idx else 0 for t in range(1, rank + 2)))
 
 
 def eps_coords(w: Weight) -> tuple[int, ...]:
@@ -203,7 +186,7 @@ def leq(a: Weight, b: Weight) -> bool:
     """The dominance order: a <= b iff b - a is a nonnegative integral
     combination of simple roots.
 
-    >>> leq(zero(2), simple_root(2, 1) + simple_root(2, 2))
+    >>> leq(zero(2), from_eps((1, 0, -1)))
     True
     >>> leq(zero(2), fundamental(2, 1))
     False

@@ -14,11 +14,12 @@ bottom index 0 = head for radical series.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import combinations
 from math import comb
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, eps_subset, fundamental
+from .lattice import Weight, from_eps, fundamental
 
 __all__ = [
     "rad_layers_z_g1",
@@ -50,6 +51,23 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
     return layers
 
 
+def _layer_shifts(n: int, i: int, x: int, y: int) -> Iterator[Weight]:
+    """The twist shifts -eps_X + eps_Y of the layer formula at block index i.
+
+    X runs over the x-subsets of [1, i] and Y over the y-subsets of
+    [i + 2, n + 1], in `combinations` order with X outermost.
+    """
+    for xs in combinations(range(1, i + 1), x):
+        head = [0] * (n + 1)
+        for k in xs:
+            head[k - 1] = -1
+        for ys in combinations(range(i + 2, n + 2), y):
+            coeffs = head.copy()
+            for k in ys:
+                coeffs[k - 1] = 1
+            yield from_eps(coeffs)
+
+
 def rad_layers_z_g1t(
     ctx: BlockContext, i: int, nu: Weight
 ) -> list[dict[IrreducibleLabel, int]]:
@@ -69,13 +87,11 @@ def rad_layers_z_g1t(
             t = i + j - 2 * k
             if t > n:
                 continue
-            for xs in combinations(range(1, i + 1), k):
-                shift_x = eps_subset(n, xs)
-                for ys in combinations(range(i + 2, n + 2), j - k):
-                    label = IrreducibleLabel(t, nu - shift_x + eps_subset(n, ys))
-                    if label in layer:
-                        raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
-                    layer[label] = 1
+            for shift in _layer_shifts(n, i, k, j - k):
+                label = IrreducibleLabel(t, nu + shift)
+                if label in layer:
+                    raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
+                layer[label] = 1
         layers.append(layer)
     return layers
 

@@ -17,12 +17,11 @@ composition multiplicities are unconditional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, eps_subset
-from .loewy import rad_layers_z_g1t
+from .lattice import Weight
+from .loewy import _layer_shifts, rad_layers_z_g1t
 
 __all__ = [
     "CONDITIONAL_FLAG_KEY",
@@ -49,8 +48,8 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
     """All baby Vermas whose layers contain the simple (i, nu), with depth.
 
     Entry (t, eta) at depth k records that the simple sits in radical layer
-    k of the baby Verma lam_t + p eta; the eta are nu + eps_X - eps_Y over
-    the same (X, Y) index sets as the Verma layer formula, so the list is
+    k of the baby Verma lam_t + p eta; the eta are nu minus the Verma layer
+    formula's twist shifts (`loewy._layer_shifts` at t), so the list is
     finite and multiplicity-free.
     """
     n = ctx.n
@@ -64,13 +63,8 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
             y_size = k - x_size
             if k < 0 or y_size < 0 or y_size > n - t:
                 continue
-            for xs in combinations(range(1, t + 1), x_size):
-                shift_x = eps_subset(n, xs)
-                for ys in combinations(range(t + 2, n + 2), y_size):
-                    eta = nu + shift_x - eps_subset(n, ys)
-                    entries.append(
-                        VermaSupportEntry(IrreducibleLabel(t, eta), k, 1)
-                    )
+            for shift in _layer_shifts(n, t, x_size, y_size):
+                entries.append(VermaSupportEntry(IrreducibleLabel(t, nu - shift), k, 1))
     return entries
 
 

@@ -169,6 +169,16 @@ def test_closed_form_certificates_verify_everywhere():
                     assert verify_certificate(nu, cert, p), (n, p, i, root)
 
 
+def test_closed_form_certificate_validation():
+    ctx = make_context(3, 5)
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=r"block index i must be in \[0, 3\]"):
+            closed_form_certificate(ctx, i, (1, 2))
+    for root in [(2, 2), (0, 1), (3, 5)]:
+        with pytest.raises(ValueError, match=r"root \(k, j\) must satisfy"):
+            closed_form_certificate(ctx, 1, root)
+
+
 def test_search_finds_certificates_everywhere():
     for n in range(1, 6):
         for p in (5, 7):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,33 @@ def test_verma_json_schema_and_frozen_layers(capsys):
         },
         {"j": 2, "factors": [{"i": 1, "mult": 1, "nu": [-1, -1]}]},
     ]
+
+
+def test_layer_commands_text_head_frozen(capsys):
+    expected = {
+        "verma": ["Zhat(i=1, nu=[0,0]) radical layers, n=2, p=5", "  rad_0 (1): (1; [0,0])"],
+        "verma-dual": [
+            "Zhat_dual(i=1, nu=[0,0]) radical layers, n=2, p=5",
+            "  rad_0 (1): (1; [-1,-1])",
+        ],
+        "proj": [
+            "Qhat(i=1, nu=[0,0]) radical layers, n=2, p=5",
+            f"note: {CONDITIONAL_FLAG_KEY} = true",
+            "  rad_0 (1): (1; [0,0])",
+        ],
+    }
+    for command, head in expected.items():
+        code, out, err = run_cli([command, "--n", "2", "--p", "5", "--i", "1"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[: len(head)] == head
+
+
+def test_help_lists_subcommands(capsys):
+    code, out, err = run_cli(["--help"], capsys)
+    assert code == 0
+    assert re.search(r"\{([^}]*)\}", out).group(1) == (
+        "block,verma,verma-dual,proj,ext,dim,jantzen,verify"
+    )
 
 
 def test_verma_dual_reverses_verma(capsys):

@@ -25,15 +25,12 @@ def test_descriptor_weights_and_dims():
     eps = [eps_basis(2, k) for k in (1, 2, 3)]
     assert eps == [Weight((1, 0)), Weight((-1, 1)), Weight((0, -1))]
     d = ExtDescriptor(ExtKind.STANDARD, 2)
-    assert d.dim() == 3
     assert all(d.multiplicity(w) == 1 for w in eps)
     assert d.multiplicity(zero(2)) == 0
 
     dual = ExtDescriptor(ExtKind.DUAL, 2)
-    assert dual.dim() == 3
     assert all(dual.multiplicity(-w) == 1 for w in eps)
     assert all(dual.multiplicity(w) == 0 for w in eps)
-    assert ExtDescriptor(ExtKind.ZERO, 2).dim() == 0
     assert all(ExtDescriptor(ExtKind.ZERO, 2).multiplicity(w) == 0 for w in eps)
 
 
@@ -84,7 +81,7 @@ def test_vanishing_off_adjacent_indices():
     for i, j in product(range(4), repeat=2):
         if abs(i - j) != 1:
             d = ext1_g1(ctx, i, j)
-            assert d.kind is ExtKind.ZERO and d.dim() == 0
+            assert d.kind is ExtKind.ZERO
 
 
 def test_rad1_qhat_frozen_rank_one():

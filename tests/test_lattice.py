@@ -6,7 +6,6 @@ from loewylab.lattice import (
     Weight,
     eps_basis,
     eps_coords,
-    eps_subset,
     from_eps,
     fundamental,
     in_root_lattice,
@@ -14,9 +13,13 @@ from loewylab.lattice import (
     pair,
     restricted_decompose,
     rho,
-    simple_root,
     zero,
 )
+
+
+def simple_root(rank, t):
+    # alpha_t = eps_t - eps_{t+1}
+    return eps_basis(rank, t) - eps_basis(rank, t + 1)
 
 
 def test_weight_arithmetic():
@@ -59,13 +62,6 @@ def test_eps_basis_vs_fundamental_differences():
         for k in range(1, n + 2):
             expected = fundamental(n, k) - fundamental(n, k - 1)
             assert eps_basis(n, k) == expected
-
-
-def test_eps_subset():
-    assert eps_subset(2, ()) == zero(2)
-    assert eps_subset(2, (1, 3)) == eps_basis(2, 1) + eps_basis(2, 3)
-    with pytest.raises(ValueError):
-        eps_subset(2, (4,))
 
 
 def test_pair_on_rho_counts_root_height():

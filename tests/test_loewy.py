@@ -4,7 +4,7 @@ from math import comb
 import pytest
 
 from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
-from loewylab.lattice import Weight, eps_basis, fundamental, rho, simple_root, zero
+from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
 from loewylab.loewy import (
     composition_class_z_g1,
     layer_sizes,
@@ -17,6 +17,11 @@ from loewylab.loewy import (
 
 def lab(i, coords):
     return IrreducibleLabel(i, Weight(coords))
+
+
+def simple_root(rank, t):
+    # alpha_t = eps_t - eps_{t+1}
+    return eps_basis(rank, t) - eps_basis(rank, t + 1)
 
 
 def test_g1_layers_frozen_rank_two():

@@ -1,4 +1,5 @@
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -92,6 +93,18 @@ def test_verma_support_against_ball_scan():
     ctx = make_context(2, 5)
     t = fundamental(2, 1)
     assert support_set(verma_support(ctx, 1, t)) == scanned_support(ctx, 1, t, 3)
+
+
+def test_verma_support_count_is_closed_form():
+    # Each baby Verma has 2^n composition factors and the cover has
+    # (n + 1) C(n, i) 2^n, so the filtration has (n + 1) C(n, i) Vermas.
+    for n in range(1, 7):
+        ctx = make_context(n, 11)
+        nu = 3 * fundamental(n, 1) - fundamental(n, n)
+        for i in range(n + 1):
+            entries = verma_support(ctx, i, nu)
+            assert len(entries) == (n + 1) * comb(n, i)
+            assert len({(e.verma, e.layer) for e in entries}) == len(entries)
 
 
 def test_rad_layers_qhat_frozen_rank_one():
