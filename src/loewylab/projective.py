@@ -37,11 +37,11 @@ CONDITIONAL_FLAG_KEY = "conditional_on_loewy_length_conjecture"
 
 @dataclass(frozen=True)
 class VermaSupportEntry:
-    """One baby Verma in the filtration: its label, depth, multiplicity."""
+    """One baby Verma in the filtration: its label and depth.  The
+    filtration is multiplicity-free, so each Verma has one entry."""
 
     verma: IrreducibleLabel
     layer: int
-    mult: int
 
 
 def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEntry]:
@@ -64,7 +64,7 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
             if k < 0 or y_size < 0 or y_size > n - t:
                 continue
             for shift in _layer_shifts(n, t, x_size, y_size):
-                entries.append(VermaSupportEntry(IrreducibleLabel(t, nu - shift), k, 1))
+                entries.append(VermaSupportEntry(IrreducibleLabel(t, nu - shift), k))
     return entries
 
 
@@ -85,7 +85,7 @@ def rad_layers_qhat(
         for depth, verma_layer in enumerate(verma_layers):
             target = layers[entry.layer + depth]
             for label, mult in verma_layer.items():
-                target[label] = target.get(label, 0) + entry.mult * mult
+                target[label] = target.get(label, 0) + mult
     while layers and not layers[-1]:
         layers.pop()
     return layers
@@ -95,11 +95,7 @@ def bgg_multiplicity(
     ctx: BlockContext, target: IrreducibleLabel, verma: IrreducibleLabel
 ) -> int:
     """Multiplicity of a baby Verma in the cover of `target` (0 or 1 here)."""
-    return sum(
-        e.mult
-        for e in verma_support(ctx, target.i, target.nu)
-        if e.verma == verma
-    )
+    return sum(1 for e in verma_support(ctx, target.i, target.nu) if e.verma == verma)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

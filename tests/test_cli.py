@@ -9,7 +9,9 @@ from time import perf_counter
 import pytest
 
 import loewylab
+import loewylab.checks
 from loewylab.cli import TRUNCATE_AT, main
+from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
 
@@ -46,10 +48,16 @@ def test_invalid_inputs_exit_2(capsys):
         ["verma", "--n", "2", "--p", "5", "--i", "1", "--nu", "1"],
         ["verma", "--n", "2", "--p", "5", "--i", "1", "--nu", "1,x"],
         ["verma", "--n", "2", "--p", "5", "--i", "1", "--eps", "1,0"],
+        ["ext", "--n", "2", "--p", "5", "--nu", "garbage"],
+        ["ext", "--n", "2", "--p", "5", "--eps", "1,0,0", "--format", "json"],
     ]:
         code, out, err = run_cli(argv, capsys)
         assert code == 2, argv
         assert err.startswith("error: "), argv
+        assert out == "", argv
+    # The Ext^1 kind table is untwisted, so a twist without --i is refused.
+    code, out, err = run_cli(["ext", "--n", "2", "--p", "5", "--nu", "1,0"], capsys)
+    assert code == 2 and "--nu" in err and "--eps" in err and "--i" in err
 
 
 def test_argparse_failures_exit_2(capsys):
@@ -205,6 +213,12 @@ def test_jantzen_command(capsys):
     payload = run_json(["jantzen", "--n", "2", "--p", "5"], capsys)
     assert payload["report"]["ok"] is True
     assert payload["report"]["failures"] == []
+    # --i filters the JSON listings too; the counts describe the full sweep.
+    report = run_json(["jantzen", "--n", "3", "--p", "5", "--i", "1"], capsys)["report"]
+    assert [c["i"] for c in report["certificates"]] == [1] * 6
+    assert report["failures"] == [] and report["replay_failures"] == []
+    assert report["checked"] == report["replayed"] == 24
+    assert report["ok"] is True
 
 
 def test_verify_command(capsys):
@@ -221,6 +235,94 @@ def test_verify_command(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "chardim.block_simplicity" in names
     assert "projective.structure" in names
+
+
+DIM_3_5_TEXT = """\
+dimensions in the block, n=3, p=5 (baby Verma dimension 15625)
+  i=0: dim L=1375  M_I=1875 (ok)  M_J=-
+  i=1: dim L=500  M_I=1250 (ok)  M_J=1875 (ok)
+  i=2: dim L=750  M_I=11250 (ok)  M_J=1250 (ok)
+  i=3: dim L=10500  M_I=-  M_J=11250 (ok)
+  per-Verma dimension conservation: ok
+"""
+
+DIM_3_5_JSON = {
+    "conservation_ok": True,
+    "n": 3,
+    "object": "dim",
+    "p": 5,
+    "rows": [
+        {"dim_cover_I": 1875, "dim_cover_J": None, "dim_simple": 1375, "i": 0,
+         "identity_I": True, "identity_J": None},
+        {"dim_cover_I": 1250, "dim_cover_J": 1875, "dim_simple": 500, "i": 1,
+         "identity_I": True, "identity_J": True},
+        {"dim_cover_I": 11250, "dim_cover_J": 1250, "dim_simple": 750, "i": 2,
+         "identity_I": True, "identity_J": True},
+        {"dim_cover_I": None, "dim_cover_J": 11250, "dim_simple": 10500, "i": 3,
+         "identity_I": None, "identity_J": True},
+    ],
+    "verma_dimension": 15625,
+}
+
+VERIFY_NAMES = [
+    "lattice.round_trip",
+    "lattice.twist_order",
+    "lattice.coset_minimality",
+    "block.weight_table",
+    "block.lowest_weight_identity",
+    "chardim.dim_identities",
+    "chardim.dimension_conservation",
+    "chardim.block_simplicity",
+    "loewy.layer_counts",
+    "loewy.rad1_parabolic_forms",
+    "loewy.rigidity",
+    "ext.rules",
+    "projective.structure",
+]
+
+
+def test_dim_and_verify_output_frozen(capsys):
+    # Full stdout at (3, 5), recorded before the battery left the CLI.
+    def frozen_json(payload):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    assert run_cli(["dim", "--n", "3", "--p", "5"], capsys) == (0, DIM_3_5_TEXT, "")
+    argv = ["dim", "--n", "3", "--p", "5", "--format", "json"]
+    assert run_cli(argv, capsys) == (0, frozen_json(DIM_3_5_JSON), "")
+    verify_text = "".join(
+        f"PASS {name}{' [conditional]' if name.startswith('projective') else ''}\n"
+        for name in VERIFY_NAMES
+    ) + "all checks passed at n=3, p=5 (13 checks)\n"
+    assert run_cli(["verify", "--n", "3", "--p", "5"], capsys) == (0, verify_text, "")
+    verify_json = {
+        "checks": [
+            {"conditional": name.startswith("projective"), "detail": "", "name": name, "ok": True}
+            for name in VERIFY_NAMES
+        ],
+        "n": 3,
+        "object": "verify",
+        "ok": True,
+        "p": 5,
+    }
+    argv = ["verify", "--n", "3", "--p", "5", "--format", "json"]
+    assert run_cli(argv, capsys) == (0, frozen_json(verify_json), "")
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    # Dual Vermas that are not reversals must fail exactly the rigidity check.
+    monkeypatch.setattr(loewylab.checks, "rad_layers_zprime_g1t", rad_layers_z_g1t)
+    code, out, err = run_cli(["verify", "--n", "2", "--p", "5"], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL loewy.rigidity: socle/dual series are not reversals"
+    ]
+    assert lines[-1] == "CHECKS FAILED at n=2, p=5 (13 checks)"
+    code, out, err = run_cli(["verify", "--n", "2", "--p", "5", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["loewy.rigidity"]
 
 
 def test_python_m_loewylab(capsys):

@@ -22,7 +22,7 @@ def lab(i, coords):
 
 
 def support_set(entries):
-    return {(e.verma.i, e.verma.nu, e.layer, e.mult) for e in entries}
+    return {(e.verma.i, e.verma.nu, e.layer) for e in entries}
 
 
 def test_conditional_flag_key_is_stable():
@@ -32,20 +32,20 @@ def test_conditional_flag_key_is_stable():
 def test_verma_support_frozen_rank_one():
     ctx = make_context(1, 5)
     assert support_set(verma_support(ctx, 0, zero(1))) == {
-        (0, Weight((0,)), 0, 1),
-        (1, Weight((1,)), 1, 1),
+        (0, Weight((0,)), 0),
+        (1, Weight((1,)), 1),
     }
 
 
 def test_verma_support_frozen_rank_two():
     ctx = make_context(2, 5)
     assert support_set(verma_support(ctx, 1, zero(2))) == {
-        (1, Weight((0, 0)), 0, 1),
-        (0, Weight((1, -1)), 1, 1),
-        (0, Weight((0, 1)), 1, 1),
-        (2, Weight((1, 0)), 1, 1),
-        (2, Weight((-1, 1)), 1, 1),
-        (1, Weight((1, 1)), 2, 1),
+        (1, Weight((0, 0)), 0),
+        (0, Weight((1, -1)), 1),
+        (0, Weight((0, 1)), 1),
+        (2, Weight((1, 0)), 1),
+        (2, Weight((-1, 1)), 1),
+        (1, Weight((1, 1)), 2),
     }
 
 
@@ -80,7 +80,9 @@ def scanned_support(ctx, i, nu, radius):
         for eta in twists:
             for k, layer in enumerate(rad_layers_z_g1t(ctx, t, eta)):
                 if target in layer:
-                    found.add((t, eta, k, layer[target]))
+                    # BGG reciprocity: the Verma's multiplicity in the cover.
+                    assert layer[target] == 1
+                    found.add((t, eta, k))
     return found
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import loewylab
 
 SOURCES = sorted(Path(loewylab.__file__).parent.glob("*.py"))
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def test_library_has_no_assert_statements():
@@ -30,3 +31,20 @@ def test_every_public_name_has_a_library_caller():
                 for name in ast.literal_eval(node.value):
                     exported[name] = f"{path.stem}.{name}"
     assert sorted(dotted for name, dotted in exported.items() if name not in used) == []
+
+
+def test_acceptance_keeps_independent_expectations():
+    # The acceptance criteria state their own expectations; they must not
+    # reuse the verify battery or the command line that renders it.
+    tree = ast.parse(ACCEPTANCE.read_text(), filename=str(ACCEPTANCE))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    banned = ("loewylab.checks", "loewylab.cli")
+    assert sorted(
+        name for name in imported if any(name == b or name.startswith(b + ".") for b in banned)
+    ) == []
