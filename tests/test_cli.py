@@ -1,8 +1,11 @@
+import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
 
@@ -10,6 +13,7 @@ import pytest
 
 import loewylab
 import loewylab.checks
+import loewylab.cli
 from loewylab.cli import TRUNCATE_AT, main
 from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
@@ -29,13 +33,16 @@ def run_json(argv, capsys):
     return json.loads(out)
 
 
+BLOCK_2_5_TEXT = """\
+singular block for SL(3), p = 5: 3 restricted weights
+  i=0: lambda=[0,4]  mu=[0,-1]  lambda+rho=[1,5]
+  i=1: lambda=[3,0]  mu=[-2,0]  lambda+rho=[4,1]
+  i=2: lambda=[4,3]  mu=[-1,-2]  lambda+rho=[5,4]
+"""
+
+
 def test_block_text_frozen(capsys):
-    code, out, err = run_cli(["block", "--n", "2", "--p", "5"], capsys)
-    assert code == 0 and err == ""
-    assert "singular block for SL(3), p = 5: 3 restricted weights" in out
-    assert "i=0: lambda=[0,4]  mu=[0,-1]  lambda+rho=[1,5]" in out
-    assert "i=1: lambda=[3,0]  mu=[-2,0]  lambda+rho=[4,1]" in out
-    assert "i=2: lambda=[4,3]  mu=[-1,-2]  lambda+rho=[5,4]" in out
+    assert run_cli(["block", "--n", "2", "--p", "5"], capsys) == (0, BLOCK_2_5_TEXT, "")
 
 
 def test_invalid_inputs_exit_2(capsys):
@@ -99,6 +106,18 @@ def test_verma_json_schema_and_frozen_layers(capsys):
     ]
 
 
+PROJ_2_5_1_TEXT = f"""\
+Qhat(i=1, nu=[0,0]) radical layers, n=2, p=5
+note: {CONDITIONAL_FLAG_KEY} = true
+  rad_0 (1): (1; [0,0])
+  rad_1 (6): (0; [-1,0])  (0; [0,1])  (0; [1,-1])  (2; [-1,1])  (2; [0,-1])  (2; [1,0])
+  rad_2 (10): (1; [-2,1])  (1; [-1,-1])  (1; [-1,2])  4*(1; [0,0])  (1; [1,-2])  (1; [1,1])  \
+(1; [2,-1])
+  rad_3 (6): (0; [-1,0])  (0; [0,1])  (0; [1,-1])  (2; [-1,1])  (2; [0,-1])  (2; [1,0])
+  rad_4 (1): (1; [0,0])
+"""
+
+
 def test_layer_commands_text_head_frozen(capsys):
     expected = {
         "verma": ["Zhat(i=1, nu=[0,0]) radical layers, n=2, p=5", "  rad_0 (1): (1; [0,0])"],
@@ -106,16 +125,14 @@ def test_layer_commands_text_head_frozen(capsys):
             "Zhat_dual(i=1, nu=[0,0]) radical layers, n=2, p=5",
             "  rad_0 (1): (1; [-1,-1])",
         ],
-        "proj": [
-            "Qhat(i=1, nu=[0,0]) radical layers, n=2, p=5",
-            f"note: {CONDITIONAL_FLAG_KEY} = true",
-            "  rad_0 (1): (1; [0,0])",
-        ],
     }
     for command, head in expected.items():
         code, out, err = run_cli([command, "--n", "2", "--p", "5", "--i", "1"], capsys)
         assert code == 0 and err == ""
         assert out.splitlines()[: len(head)] == head
+    # The whole cover listing: multiplicity prefix and conditional note.
+    argv = ["proj", "--n", "2", "--p", "5", "--i", "1"]
+    assert run_cli(argv, capsys) == (0, PROJ_2_5_1_TEXT, "")
 
 
 def test_help_lists_subcommands(capsys):
@@ -174,7 +191,38 @@ def test_ext_single_index_json(capsys):
     ]
 
 
+EXT_2_5_1_NU_TEXT = """\
+ext(i=1, nu=[1,0]), n=2, p=5
+  Ext^1 kind toward each j: j=0:standard  j=1:zero  j=2:dual
+  Ext^1-neighbour labels (= rad_1 of the projective cover, 6 labels):
+    (0; [0,0])  (0; [1,1])  (0; [2,-1])  (2; [0,1])  (2; [1,-1])  (2; [2,0])
+"""
+
+
+def test_ext_single_index_text_frozen(capsys):
+    argv = ["ext", "--n", "2", "--p", "5", "--i", "1", "--nu", "1,0"]
+    assert run_cli(argv, capsys) == (0, EXT_2_5_1_NU_TEXT, "")
+
+
+# sha256 of the whole stdout of `verma --n 10 --p 7 --i 5` (29783 bytes).
+VERMA_10_7_5_SHA256 = "889272ce93946738ecab2b7b96eb507af3f61ff88eb160e411056d18ee2cf3de"
+
+
 def test_text_truncation_and_full(capsys):
+    # A layer listing: rad_5 of the Verma at n=10 holds C(10,5) = 252 labels.
+    argv = ["verma", "--n", "10", "--p", "7", "--i", "5"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERMA_10_7_5_SHA256
+    rad5 = out.splitlines()[6]
+    assert rad5.startswith("  rad_5 (252): (0; [0,0,0,0,-1,0,0,0,0,0])  (2; ")
+    assert rad5.endswith(f"  ... ({252 - TRUNCATE_AT} more)")
+    assert rad5.count("; [") == TRUNCATE_AT
+    code, out, _ = run_cli(argv + ["--full"], capsys)
+    assert code == 0
+    assert "more)" not in out
+    assert out.splitlines()[6].count("; [") == 252
+    # The Ext^1 neighbour listing.
     argv = ["ext", "--n", "100", "--p", "7", "--i", "50"]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
@@ -352,3 +400,75 @@ def test_large_prime_is_checked_fast(capsys):
     code, out, err = run_cli(["block", "--n", "1", "--p", str(composite)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+# ------------------------------------------------------- byte-identity grid
+
+GRID_FIXTURE = Path(__file__).with_name("cli_grid.json")
+
+
+def cli_grid():
+    """Every subcommand at n = 1..3 and p = 5, 7, in text and JSON.
+
+    The module commands run at every block index and at the first invalid
+    one (n + 1), untwisted, twisted by w_1 (`--nu`) and by -eps_{n+1}
+    (`--eps`), and with a malformed `--nu x`; `jantzen` runs with and
+    without `--i`.
+    """
+    for n in (1, 2, 3):
+        for p in (5, 7):
+            twists = [
+                [],
+                ["--nu", ",".join(["1"] + ["0"] * (n - 1))],
+                ["--eps", ",".join(["0"] * n + ["-1"])],
+                ["--nu", "x"],
+            ]
+            runs = [["block"], ["dim"], ["verify"], ["jantzen"]]
+            runs += [["jantzen", "--i", str(i)] for i in range(n + 2)]
+            runs += [["ext", *twist] for twist in twists]
+            runs += [
+                [command, "--i", str(i), *twist]
+                for command in ("verma", "verma-dual", "proj", "ext")
+                for i in range(n + 2)
+                for twist in twists
+            ]
+            for command, *rest in runs:
+                for fmt in ("text", "json"):
+                    yield [command, "--n", str(n), "--p", str(p), *rest, "--format", fmt]
+
+
+def grid_digest(argv: list[str]) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [
+        0 if code is None else code,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    ]
+
+
+def record_grid() -> None:
+    """Write the grid's digests to the fixture; run only on a reference commit."""
+    digests = {" ".join(argv): grid_digest(argv) for argv in cli_grid()}
+    GRID_FIXTURE.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+
+
+def test_cli_output_byte_identical_on_grid(monkeypatch):
+    # Stdout, stderr and exit code of every grid run match the recorded
+    # reference (record with `PYTHONPATH=src python tests/test_cli.py`).
+    monkeypatch.setenv("COLUMNS", "100")
+    expected = json.loads(GRID_FIXTURE.read_text())
+    got = {" ".join(argv): grid_digest(argv) for argv in cli_grid()}
+    assert sorted(got) == sorted(expected)
+    assert [argv for argv in got if got[argv] != expected[argv]] == []
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "100"
+    record_grid()
