@@ -1,10 +1,11 @@
 """Command line front end: parses arguments, renders results, sets exit codes.
 
 The library computes and checks; `main` builds the block context (and
-checks `--i`) once, and each subcommand renders what the library returns.
+checks `--i`) once. Each subcommand returns one JSON payload, which `main`
+prints with --format json (sorted keys, fixed layout, so reruns are
+byte-identical) or else renders as text from that payload, n and p alone:
+the text is a view of the JSON.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
-Output is plain text by default or JSON with --format json; JSON is
-emitted with sorted keys and fixed layout, so reruns are byte-identical.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid input
 (the message names the violated hypothesis).
 """
@@ -41,10 +42,14 @@ def main(argv: list[str] | None = None) -> None:
         ctx = make_context(args.n, args.p)
         if getattr(args, "i", None) is not None:
             check_index(ctx, args.i)
-        code = args.func(ctx, args)
+        payload, code = args.func(ctx, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
+    if args.format == "json":
+        print(json.dumps({"n": ctx.n, "p": ctx.p, **payload}, sort_keys=True, indent=2))
+    else:
+        print(args.render(ctx, payload, getattr(args, "full", False)))
     raise SystemExit(code)
 
 
@@ -55,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp: argparse.ArgumentParser, twist: bool = False, full: bool = False) -> None:
+    def common(name, help_text, func, render, twist=False, full=False) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--n", type=int, required=True, help="rank; the group is SL(n+1)")
         sp.add_argument("--p", type=int, required=True, help="odd prime not dividing n+1")
         if twist:
@@ -65,34 +71,27 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if full:
             sp.add_argument("--full", action="store_true", help="never truncate long listings")
+        sp.set_defaults(func=func, render=render)
+        return sp
 
-    sp = sub.add_parser("block", help="the block's weight table")
-    common(sp)
-    sp.set_defaults(func=cmd_block)
+    common("block", "the block's weight table", cmd_block, _block_text)
 
     for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
-        sp = sub.add_parser(command, help=help_text)
-        common(sp, twist=True, full=True)
+        sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
         sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-        sp.set_defaults(func=cmd_layers, kind=kind, layers_of=layers_of, conditional=conditional)
+        sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
 
-    sp = sub.add_parser("ext", help="Ext^1 table, or one simple's Ext neighbourhood")
-    common(sp, twist=True, full=True)
+    sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
+                twist=True, full=True)
     sp.add_argument("--i", type=int, help="block index; omit for the full table")
-    sp.set_defaults(func=cmd_ext)
 
-    sp = sub.add_parser("dim", help="dimensions of simples and parabolic covers")
-    common(sp)
-    sp.set_defaults(func=cmd_dim)
+    common("dim", "dimensions of simples and parabolic covers", cmd_dim, _dim_text)
 
-    sp = sub.add_parser("jantzen", help="witness certificates for block simplicity")
-    common(sp, full=True)
+    sp = common("jantzen", "witness certificates for block simplicity", cmd_jantzen, _jantzen_text,
+                full=True)
     sp.add_argument("--i", type=int, help="restrict the listing to one block index")
-    sp.set_defaults(func=cmd_jantzen)
 
-    sp = sub.add_parser("verify", help="machine-check every library invariant at (n, p)")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+    common("verify", "machine-check every library invariant at (n, p)", cmd_verify, _verify_text)
 
     return parser
 
@@ -119,16 +118,24 @@ def _twist(args: argparse.Namespace, n: int) -> Weight:
     return zero(n)
 
 
-def _fmt_weight(w: Weight) -> str:
-    return "[" + ",".join(str(c) for c in w.coords) + "]"
+def _fmt_coords(coords: tuple[int, ...] | list[int]) -> str:
+    return "[" + ",".join(str(c) for c in coords) + "]"
 
 
-def _fmt_label(label: IrreducibleLabel) -> str:
-    return f"({label.i}; {_fmt_weight(label.nu)})"
+def _object_str(kind: str, i: int, nu: Weight) -> str:
+    return f"{kind}(i={i}, nu={_fmt_coords(nu.coords)})"
 
 
-def _label_key(item: tuple[IrreducibleLabel, int]) -> tuple[int, tuple[int, ...]]:
-    return (item[0].i, item[0].nu.coords)
+def _factors(layer: dict[IrreducibleLabel, int]) -> list[dict]:
+    """One layer as factor dicts, sorted by (i, nu): the order both renderings show."""
+    return [
+        {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
+        for lab, m in sorted(layer.items(), key=lambda item: (item[0].i, item[0].nu.coords))
+    ]
+
+
+def _fmt_factor(factor: dict) -> str:
+    return f"({factor['i']}; {_fmt_coords(factor['nu'])})"
 
 
 def _truncate(parts: list[str], full: bool) -> list[str]:
@@ -137,59 +144,26 @@ def _truncate(parts: list[str], full: bool) -> list[str]:
     return parts[:TRUNCATE_AT] + [f"... ({len(parts) - TRUNCATE_AT} more)"]
 
 
-def _layers_text(
-    title: str, layers: list[dict[IrreducibleLabel, int]], full: bool, conditional: bool
-) -> str:
-    lines = [title]
-    if conditional:
-        lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
-    for j, layer in enumerate(layers):
-        parts = [
-            _fmt_label(lab) if m == 1 else f"{m}*{_fmt_label(lab)}"
-            for lab, m in sorted(layer.items(), key=_label_key)
-        ]
-        total = sum(layer.values())
-        body = "  ".join(_truncate(parts, full))
-        lines.append(f"  rad_{j} ({total}): {body}")
-    return "\n".join(lines)
-
-
-def _factors_json(layer: dict[IrreducibleLabel, int]) -> list[dict]:
-    return [
-        {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
-        for lab, m in sorted(layer.items(), key=_label_key)
-    ]
-
-
-def _emit(args: argparse.Namespace, ctx: BlockContext, obj: str, text: str, payload: dict) -> None:
-    """Print the text, or the payload in JSON with its n, p and object."""
-    if args.format == "json":
-        envelope = {"n": ctx.n, "p": ctx.p, "object": obj, **payload}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
-        print(text)
-
-
-def _object_str(kind: str, i: int, nu: Weight) -> str:
-    return f"{kind}(i={i}, nu={_fmt_weight(nu)})"
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_block(ctx: BlockContext, args: argparse.Namespace) -> int:
-    rows = []
+def cmd_block(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+    rows = [
+        {"i": i, "lambda": list(ctx.lambdas[i].coords), "mu": list(mu_weight(ctx, i).coords),
+         "rho_shifted": list(nu_weight(ctx, i).coords)}
+        for i in range(ctx.n + 1)
+    ]
+    return {"object": "block", "weights": rows}, 0
+
+
+def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     lines = [f"singular block for SL({ctx.n + 1}), p = {ctx.p}: {ctx.n + 1} restricted weights"]
-    for i in range(ctx.n + 1):
-        lam, mu, nu = ctx.lambdas[i], mu_weight(ctx, i), nu_weight(ctx, i)
-        rows.append(
-            {"i": i, "lambda": list(lam.coords), "mu": list(mu.coords), "rho_shifted": list(nu.coords)}
-        )
+    for row in payload["weights"]:
         lines.append(
-            f"  i={i}: lambda={_fmt_weight(lam)}  mu={_fmt_weight(mu)}  lambda+rho={_fmt_weight(nu)}"
+            f"  i={row['i']}: lambda={_fmt_coords(row['lambda'])}  mu={_fmt_coords(row['mu'])}"
+            f"  lambda+rho={_fmt_coords(row['rho_shifted'])}"
         )
-    _emit(args, ctx, "block", "\n".join(lines), {"weights": rows})
-    return 0
+    return "\n".join(lines)
 
 
 # The layer subcommands: (name, help, object kind, layer function, whether
@@ -206,71 +180,90 @@ _LAYER_COMMANDS = (
 )
 
 
-def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> int:
+def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     nu = _twist(args, ctx.n)
     layers = args.layers_of(ctx, args.i, nu)
-    obj = _object_str(args.kind, args.i, nu)
-    text = _layers_text(
-        f"{obj} radical layers, n={ctx.n}, p={ctx.p}", layers, args.full, args.conditional
-    )
-    payload = {
-        "layers": [{"j": j, "factors": _factors_json(layer)} for j, layer in enumerate(layers)],
+    return {
+        "object": _object_str(args.kind, args.i, nu),
+        "layers": [{"j": j, "factors": _factors(layer)} for j, layer in enumerate(layers)],
         CONDITIONAL_FLAG_KEY: args.conditional,
-    }
-    _emit(args, ctx, obj, text, payload)
-    return 0
+    }, 0
 
 
-def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> int:
+def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+    lines = [f"{payload['object']} radical layers, n={ctx.n}, p={ctx.p}"]
+    if payload[CONDITIONAL_FLAG_KEY]:
+        lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
+    for layer in payload["layers"]:
+        factors = layer["factors"]
+        total = sum(f["mult"] for f in factors)
+        parts = [_fmt_factor(f) if f["mult"] == 1 else f"{f['mult']}*{_fmt_factor(f)}" for f in factors]
+        body = "  ".join(_truncate(parts, full))
+        lines.append(f"  rad_{layer['j']} ({total}): {body}")
+    return "\n".join(lines)
+
+
+def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     n = ctx.n
     if args.i is None:
         if args.nu is not None or args.eps is not None:
             raise ValueError("--nu and --eps need --i: the Ext^1 kind table takes no twist")
         table = [[ext1_g1(ctx, i, j).kind.value for j in range(n + 1)] for i in range(n + 1)]
-        lines = [f"Ext^1 kinds between block simples, n={n}, p={ctx.p} (rows i, columns j)"]
-        for i, row in enumerate(table):
-            lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
-        _emit(args, ctx, "ext-table", "\n".join(lines), {"kinds": table})
-        return 0
+        return {"object": "ext-table", "kinds": table}, 0
     nu = _twist(args, ctx.n)
-    layer = rad1_qhat(ctx, args.i, nu)
-    kinds = [ext1_g1(ctx, args.i, j).kind.value for j in range(n + 1)]
-    obj = _object_str("ext", args.i, nu)
-    parts = [_fmt_label(lab) for lab, _ in sorted(layer.items(), key=_label_key)]
-    lines = [
-        f"{obj}, n={n}, p={ctx.p}",
-        "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(kinds)),
+    return {
+        "object": _object_str("ext", args.i, nu),
+        "kinds": [ext1_g1(ctx, args.i, j).kind.value for j in range(n + 1)],
+        "rad1_cover": _factors(rad1_qhat(ctx, args.i, nu)),
+    }, 0
+
+
+def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+    if payload["object"] == "ext-table":
+        lines = [f"Ext^1 kinds between block simples, n={ctx.n}, p={ctx.p} (rows i, columns j)"]
+        for i, row in enumerate(payload["kinds"]):
+            lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
+        return "\n".join(lines)
+    parts = [_fmt_factor(f) for f in payload["rad1_cover"]]
+    return "\n".join([
+        f"{payload['object']}, n={ctx.n}, p={ctx.p}",
+        "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),
         f"  Ext^1-neighbour labels (= rad_1 of the projective cover, {len(parts)} labels):",
-        "    " + "  ".join(_truncate(parts, args.full)),
-    ]
-    payload = {"kinds": kinds, "rad1_cover": _factors_json(layer)}
-    _emit(args, ctx, obj, "\n".join(lines), payload)
-    return 0
+        "    " + "  ".join(_truncate(parts, full)),
+    ])
 
 
-def cmd_dim(ctx: BlockContext, args: argparse.Namespace) -> int:
+def cmd_dim(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     table = dimension_table(ctx)
+    return {"object": "dim", **table}, 0 if table["conservation_ok"] else 1
+
+
+def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     lines = [
         f"dimensions in the block, n={ctx.n}, p={ctx.p} "
-        f"(baby Verma dimension {table['verma_dimension']})"
+        f"(baby Verma dimension {payload['verma_dimension']})"
     ]
-    for row in table["rows"]:
+    for row in payload["rows"]:
         d_i, d_j = row["dim_cover_I"], row["dim_cover_J"]
         cover_i = "M_I=-" if d_i is None else f"M_I={d_i} ({'ok' if row['identity_I'] else 'FAIL'})"
         cover_j = "M_J=-" if d_j is None else f"M_J={d_j} ({'ok' if row['identity_J'] else 'FAIL'})"
         lines.append(f"  i={row['i']}: dim L={row['dim_simple']}  {cover_i}  {cover_j}")
-    conservation = table["conservation_ok"]
-    lines.append(f"  per-Verma dimension conservation: {'ok' if conservation else 'FAIL'}")
-    _emit(args, ctx, "dim", "\n".join(lines), table)
-    return 0 if conservation else 1
+    conservation = "ok" if payload["conservation_ok"] else "FAIL"
+    lines.append(f"  per-Verma dimension conservation: {conservation}")
+    return "\n".join(lines)
 
 
-def cmd_jantzen(ctx: BlockContext, args: argparse.Namespace) -> int:
+def cmd_jantzen(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     report = check_block_simplicity(ctx)
     if args.i is not None:
         # The listings follow --i; the counts and status describe the sweep.
         for key in ("certificates", "failures", "replay_failures"):
             report[key] = [entry for entry in report[key] if entry["i"] == args.i]
+    return {"object": "jantzen", "report": report}, 0 if report["ok"] else 1
+
+
+def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+    report = payload["report"]
     status = "OK" if report["ok"] else "FAILURES"
     lines = [
         f"simplicity certificates, n={ctx.n}, p={ctx.p}: checked {report['checked']} pairs, "
@@ -284,25 +277,27 @@ def cmd_jantzen(ctx: BlockContext, args: argparse.Namespace) -> int:
             f"m={c['m']} = {c['a']}*{ctx.p}^{c['s']} + {c['b']}*{ctx.p}^{c['s'] + 1}, "
             f"beta0=({c['beta0'][0]},{c['beta0'][1]}), betas: {betas}"
         )
-    lines.extend(_truncate(cert_lines, args.full))
+    lines.extend(_truncate(cert_lines, full))
     for f in report["failures"] + report["replay_failures"]:
         lines.append(f"  FAIL i={f['i']} root={f['root']}: {f['reason']}")
-    _emit(args, ctx, "jantzen", "\n".join(lines), {"report": report})
-    return 0 if report["ok"] else 1
+    return "\n".join(lines)
 
 
-def cmd_verify(ctx: BlockContext, args: argparse.Namespace) -> int:
+def cmd_verify(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     checks = verify_checks(ctx)
     ok = all(c["ok"] for c in checks)
+    return {"object": "verify", "checks": checks, "ok": ok}, 0 if ok else 1
+
+
+def _verify_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     lines = []
-    for c in checks:
+    for c in payload["checks"]:
         tag = "PASS" if c["ok"] else "FAIL"
         cond = " [conditional]" if c["conditional"] else ""
         detail = f": {c['detail']}" if c["detail"] else ""
         lines.append(f"{tag} {c['name']}{cond}{detail}")
     lines.append(
-        f"{'all checks passed' if ok else 'CHECKS FAILED'} at n={ctx.n}, p={ctx.p} "
-        f"({len(checks)} checks)"
+        f"{'all checks passed' if payload['ok'] else 'CHECKS FAILED'} at n={ctx.n}, p={ctx.p} "
+        f"({len(payload['checks'])} checks)"
     )
-    _emit(args, ctx, "verify", "\n".join(lines), {"checks": checks, "ok": ok})
-    return 0 if ok else 1
+    return "\n".join(lines)

@@ -402,6 +402,29 @@ def test_large_prime_is_checked_fast(capsys):
     assert err.startswith("error: ")
 
 
+def test_json_mode_renders_no_text(capsys, monkeypatch):
+    # JSON output is the payload itself: no text renderer runs to produce it.
+    argvs = [
+        [command, "--n", "2", "--p", "5", *extra, "--format", "json"]
+        for command, extra in [
+            ("block", []), ("verma", ["--i", "1"]), ("verma-dual", ["--i", "1"]),
+            ("proj", ["--i", "1"]), ("ext", []), ("ext", ["--i", "1"]), ("dim", []),
+            ("jantzen", []), ("verify", []),
+        ]
+    ]
+    expected = [run_cli(argv, capsys) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a text renderer ran in JSON mode")
+
+    for name in (
+        "_layers_text", "_block_text", "_ext_text", "_dim_text", "_jantzen_text", "_verify_text"
+    ):
+        monkeypatch.setattr(loewylab.cli, name, refuse)
+    assert [run_cli(argv, capsys) for argv in argvs] == expected
+    assert all(code == 0 for code, _, _ in expected)
+
+
 # ------------------------------------------------------- byte-identity grid
 
 GRID_FIXTURE = Path(__file__).with_name("cli_grid.json")
