@@ -3,8 +3,8 @@
 Two independent kinds of exact evidence live here:
 
 * Weyl-polynomial dimensions of the simple modules in the block and of the
-  two parabolic baby covers, together with the additivity identities that
-  tie them to each other.
+  two parabolic baby covers (`checks.dimension_table` ties them together
+  by the additivity identities).
 * Jantzen-style witness certificates: for every positive root, the pairing
   m of nu_i = lam_i + rho against its coroot decomposes uniquely as
   m = a p^s + b p^{s+1} with 0 < a < p, and a certificate exhibits one root
@@ -32,7 +32,6 @@ __all__ = [
     "superfactorial",
     "weyl_dim",
     "dim_parabolic_verma",
-    "verify_dim_identity",
     "JantzenDecomposition",
     "jantzen_decompose",
     "WitnessCertificate",
@@ -100,28 +99,6 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     if r:
         raise RuntimeError(f"Levi Weyl numerator must divide exactly (remainder {r} at i={i})")
     return q
-
-
-def verify_dim_identity(ctx: BlockContext, i: int, side: str) -> bool:
-    """Check the additivity of the parabolic cover's dimension.
-
-    Side "I" (valid for 0 <= i <= n-1) asserts
-    dim M_I(lam_i) = dim L(lam_i) + dim L(lam_{i+1}); side "J" (valid for
-    1 <= i <= n) uses lam_{i-1} instead.
-    """
-    n = ctx.n
-    if side == "I":
-        if not 0 <= i <= n - 1:
-            raise ValueError(f'side "I" needs 0 <= i <= {n - 1} (got {i})')
-        other = i + 1
-    elif side == "J":
-        if not 1 <= i <= n:
-            raise ValueError(f'side "J" needs 1 <= i <= {n} (got {i})')
-        other = i - 1
-    else:
-        raise ValueError(f'side must be "I" or "J" (got {side!r})')
-    total = weyl_dim(ctx.lambdas[i]) + weyl_dim(ctx.lambdas[other])
-    return dim_parabolic_verma(ctx, i, side) == total
 
 
 @dataclass(frozen=True)

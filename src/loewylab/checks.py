@@ -15,7 +15,7 @@ from math import comb
 
 from .block import BlockContext, IrreducibleLabel, block_weight, classify, label_weight, mu_weight
 from .chardim import (
-    check_block_simplicity, dim_parabolic_verma, positive_roots, verify_dim_identity, weyl_dim,
+    check_block_simplicity, dim_parabolic_verma, positive_roots, weyl_dim,
 )
 from .ext import ext1_g1t_dim, rad1_qhat
 from .lattice import (
@@ -42,17 +42,18 @@ def dimension_table(ctx: BlockContext) -> dict:
     n, p = ctx.n, ctx.p
     verma_dim = p ** (n * (n + 1) // 2)
     simple = [weyl_dim(lam) for lam in ctx.lambdas]
-    rows = [
-        {
+    rows = []
+    for i in range(n + 1):
+        cover_i = dim_parabolic_verma(ctx, i, "I") if i < n else None
+        cover_j = dim_parabolic_verma(ctx, i, "J") if i > 0 else None
+        rows.append({
             "i": i,
             "dim_simple": simple[i],
-            "dim_cover_I": dim_parabolic_verma(ctx, i, "I") if i < n else None,
-            "dim_cover_J": dim_parabolic_verma(ctx, i, "J") if i > 0 else None,
-            "identity_I": verify_dim_identity(ctx, i, "I") if i < n else None,
-            "identity_J": verify_dim_identity(ctx, i, "J") if i > 0 else None,
-        }
-        for i in range(n + 1)
-    ]
+            "dim_cover_I": cover_i,
+            "dim_cover_J": cover_j,
+            "identity_I": cover_i == simple[i] + simple[i + 1] if i < n else None,
+            "identity_J": cover_j == simple[i] + simple[i - 1] if i > 0 else None,
+        })
     conservation = all(
         sum(m * simple[t] for t, m in composition_class_z_g1(ctx, i).items()) == verma_dim
         for i in range(n + 1)

@@ -24,7 +24,8 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable
 
 __all__ = [
@@ -158,28 +159,21 @@ def pair(w: Weight, k: int, j: int) -> int:
     return sum(w.coords[k - 1 : j - 1])
 
 
-@cache
-def _inverse_cartan_numerators(rank: int) -> tuple[tuple[int, ...], ...]:
-    # (rank + 1) times the inverse of the type-A Cartan matrix:
-    # entry (i, j) is min(i, j) * (rank + 1 - max(i, j)).
-    return tuple(
-        tuple(min(i, j) * (rank + 1 - max(i, j)) for j in range(1, rank + 1))
-        for i in range(1, rank + 1)
-    )
-
-
-def _scaled_root_coords(w: Weight) -> tuple[int, ...]:
-    # (rank + 1) times the simple-root coordinates; exact integers.
-    table = _inverse_cartan_numerators(w.rank)
-    return tuple(
-        sum(m * a for m, a in zip(row, w.coords)) for row in table
-    )
+def _scaled_root_coords(coords: Iterable[int]) -> list[int]:
+    # (rank + 1) times the simple-root coordinates of the weight with these
+    # fundamental coordinates, exact integers: with e its eps coefficients,
+    # P_k = e_1 + ... + e_k and S = P_{rank+1}, the k-th is
+    # (rank + 1) P_k - k S.
+    eps = list(accumulate(reversed(tuple(coords))))[::-1]
+    d = len(eps) + 1
+    total = sum(eps)
+    return [d * prefix - k * total for k, prefix in enumerate(accumulate(eps), start=1)]
 
 
 def in_root_lattice(w: Weight) -> bool:
     """Whether `w` lies in the root lattice (integral root coordinates)."""
     d = w.rank + 1
-    return all(num % d == 0 for num in _scaled_root_coords(w))
+    return all(num % d == 0 for num in _scaled_root_coords(w.coords))
 
 
 def leq(a: Weight, b: Weight) -> bool:
@@ -191,8 +185,9 @@ def leq(a: Weight, b: Weight) -> bool:
     >>> leq(zero(2), fundamental(2, 1))
     False
     """
+    a._check_rank(b)
     d = a.rank + 1
-    diff = b - a
+    diff = map(sub, b.coords, a.coords)
     return all(num >= 0 and num % d == 0 for num in _scaled_root_coords(diff))
 
 

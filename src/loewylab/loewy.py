@@ -8,18 +8,23 @@ is always n + 1, layer j carries C(n, j) composition factors, and the
 modules are rigid, so the socle series and the dual Verma's radical series
 are index reversals of the same list.
 
-Layers are returned as fresh ``dict[label, multiplicity]`` maps, ordered
-bottom index 0 = head for radical series.
+The labels depend on nu only by translation, so the layers are computed
+once per (n, i) as a nu = 0 pattern over plain int tuples (a small bounded
+cache) and translated by nu on each call.  Layers are returned as fresh
+``dict[label, multiplicity]`` maps, ordered bottom index 0 = head for
+radical series.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add, sub
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, from_eps, fundamental
+from .lattice import Weight, fundamental
 
 __all__ = [
     "rad_layers_z_g1",
@@ -51,8 +56,9 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
     return layers
 
 
-def _layer_shifts(n: int, i: int, x: int, y: int) -> Iterator[Weight]:
-    """The twist shifts -eps_X + eps_Y of the layer formula at block index i.
+def _layer_shifts(n: int, i: int, x: int, y: int) -> Iterator[tuple[int, ...]]:
+    """The twist shifts -eps_X + eps_Y of the layer formula at block index i,
+    as fundamental coordinates.
 
     X runs over the x-subsets of [1, i] and Y over the y-subsets of
     [i + 2, n + 1], in `combinations` order with X outermost.
@@ -65,7 +71,27 @@ def _layer_shifts(n: int, i: int, x: int, y: int) -> Iterator[Weight]:
             coeffs = head.copy()
             for k in ys:
                 coeffs[k - 1] = 1
-            yield from_eps(coeffs)
+            yield tuple(map(sub, coeffs, coeffs[1:]))
+
+
+@lru_cache(maxsize=32)
+def _verma_pattern(n: int, i: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """The radical layers of the baby Verma lam_i at nu = 0: per layer, its
+    (block index, shift coordinates) pairs, each exactly once."""
+    layers = []
+    for j in range(n + 1):
+        layer: dict[tuple[int, tuple[int, ...]], None] = {}
+        for k in range(0, min(i, j) + 1):
+            t = i + j - 2 * k
+            if t > n:
+                continue
+            for shift in _layer_shifts(n, i, k, j - k):
+                if (t, shift) in layer:
+                    label = IrreducibleLabel(t, Weight(shift))
+                    raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
+                layer[t, shift] = None
+        layers.append(tuple(layer))
+    return tuple(layers)
 
 
 def rad_layers_z_g1t(
@@ -77,23 +103,13 @@ def rad_layers_z_g1t(
     summed over the twist, layer j matches `rad_layers_z_g1`.
     """
     check_index(ctx, i)
-    n = ctx.n
-    if nu.rank != n:
+    if nu.rank != ctx.n:
         raise ValueError("rank mismatch")
-    layers: list[dict[IrreducibleLabel, int]] = []
-    for j in range(n + 1):
-        layer: dict[IrreducibleLabel, int] = {}
-        for k in range(0, min(i, j) + 1):
-            t = i + j - 2 * k
-            if t > n:
-                continue
-            for shift in _layer_shifts(n, i, k, j - k):
-                label = IrreducibleLabel(t, nu + shift)
-                if label in layer:
-                    raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
-                layer[label] = 1
-        layers.append(layer)
-    return layers
+    v = nu.coords
+    return [
+        {IrreducibleLabel(t, Weight(tuple(map(add, v, shift)))): 1 for t, shift in layer}
+        for layer in _verma_pattern(ctx.n, i)
+    ]
 
 
 def rad_layers_zprime_g1t(

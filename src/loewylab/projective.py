@@ -5,7 +5,10 @@ obtained by stacking each Verma's own layers starting at the filtration
 depth where that Verma sits.  The support of the filtration is computed
 exactly: the baby Verma with label (t, eta) contains the target simple
 (i, nu) in its layer k for at most one (k, X, Y), which pins down both the
-depth and the BGG multiplicity.
+depth and the BGG multiplicity.  Like the Verma layers, the support and
+the stacked table depend on nu only by translation: the Vermas' cached
+nu = 0 patterns (`loewy._verma_pattern`) are stacked once over plain int
+tuples, and nu is added to each distinct label at the end.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -16,12 +19,14 @@ composition multiplicities are unconditional.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight
-from .loewy import _layer_shifts, rad_layers_z_g1t
+from .loewy import _layer_shifts, _verma_pattern
 
 __all__ = [
     "CONDITIONAL_FLAG_KEY",
@@ -44,6 +49,25 @@ class VermaSupportEntry:
     layer: int
 
 
+def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The filtration of the cover of (i, 0) as (t, eta coordinates, depth)
+    triples: eta is minus a layer-formula shift at t."""
+    for t in range(n + 1):
+        for x_size in range(0, t + 1):
+            k = i - t + 2 * x_size
+            y_size = k - x_size
+            if k < 0 or y_size < 0 or y_size > n - t:
+                continue
+            for shift in _layer_shifts(n, t, x_size, y_size):
+                yield t, tuple(-c for c in shift), k
+
+
+def _check_twist(ctx: BlockContext, i: int, nu: Weight) -> None:
+    check_index(ctx, i)
+    if nu.rank != ctx.n:
+        raise ValueError("rank mismatch")
+
+
 def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEntry]:
     """All baby Vermas whose layers contain the simple (i, nu), with depth.
 
@@ -52,20 +76,12 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
     formula's twist shifts (`loewy._layer_shifts` at t), so the list is
     finite and multiplicity-free.
     """
-    n = ctx.n
-    check_index(ctx, i)
-    if nu.rank != n:
-        raise ValueError("rank mismatch")
-    entries: list[VermaSupportEntry] = []
-    for t in range(n + 1):
-        for x_size in range(0, t + 1):
-            k = i - t + 2 * x_size
-            y_size = k - x_size
-            if k < 0 or y_size < 0 or y_size > n - t:
-                continue
-            for shift in _layer_shifts(n, t, x_size, y_size):
-                entries.append(VermaSupportEntry(IrreducibleLabel(t, nu - shift), k))
-    return entries
+    _check_twist(ctx, i, nu)
+    v = nu.coords
+    return [
+        VermaSupportEntry(IrreducibleLabel(t, Weight(tuple(map(add, v, eta)))), k)
+        for t, eta, k in _support(ctx.n, i)
+    ]
 
 
 def rad_layers_qhat(
@@ -78,16 +94,23 @@ def rad_layers_qhat(
     1 equal to `ext.rad1_qhat`.  Conditional on the Loewy length
     conjecture; see the module docstring.
     """
+    _check_twist(ctx, i, nu)
     n = ctx.n
-    layers: list[dict[IrreducibleLabel, int]] = [{} for _ in range(2 * n + 1)]
-    for entry in verma_support(ctx, i, nu):
-        verma_layers = rad_layers_z_g1t(ctx, entry.verma.i, entry.verma.nu)
-        for depth, verma_layer in enumerate(verma_layers):
-            target = layers[entry.layer + depth]
-            for label, mult in verma_layer.items():
-                target[label] = target.get(label, 0) + mult
-    while layers and not layers[-1]:
-        layers.pop()
+    counts: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(2 * n + 1)]
+    for t, eta, depth in _support(n, i):
+        for target, pattern_layer in zip(counts[depth:], _verma_pattern(n, t)):
+            for u, shift in pattern_layer:
+                key = u, tuple(map(add, eta, shift))
+                target[key] = target.get(key, 0) + 1
+    while counts and not counts[-1]:
+        counts.pop()
+    v = nu.coords
+    layers: list[dict[IrreducibleLabel, int]] = []
+    for j, counted in enumerate(counts):
+        counts[j] = None
+        layers.append(
+            {IrreducibleLabel(u, Weight(tuple(map(add, v, c)))): m for (u, c), m in counted.items()}
+        )
     return layers
 
 

@@ -11,7 +11,6 @@ from loewylab.chardim import (
     positive_roots,
     superfactorial,
     verify_certificate,
-    verify_dim_identity,
     weyl_dim,
     witness_search,
 )
@@ -61,27 +60,6 @@ def test_parabolic_cover_dimensions_frozen():
     assert dim_parabolic_verma(ctx, 2, "J") == 100
     with pytest.raises(ValueError):
         dim_parabolic_verma(ctx, 0, "K")
-
-
-def test_dimension_identity_fifteen_plus_ten():
-    ctx = make_context(2, 5)
-    assert weyl_dim(ctx.lambdas[0]) + weyl_dim(ctx.lambdas[1]) == 25
-    assert verify_dim_identity(ctx, 0, "I")
-
-
-def test_dimension_identities_sweep():
-    for n in range(1, 6):
-        for p in very_good_primes(n, 2):
-            ctx = make_context(n, p)
-            for i in range(n):
-                assert verify_dim_identity(ctx, i, "I")
-            for i in range(1, n + 1):
-                assert verify_dim_identity(ctx, i, "J")
-    ctx = make_context(2, 5)
-    with pytest.raises(ValueError):
-        verify_dim_identity(ctx, 2, "I")
-    with pytest.raises(ValueError):
-        verify_dim_identity(ctx, 0, "J")
 
 
 def test_dimension_conservation_per_verma():

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -123,6 +124,44 @@ def test_leq_respects_scaling_by_p():
             for b_coords in product(range(-2, 3), repeat=2):
                 a, b = Weight(a_coords), Weight(b_coords)
                 assert leq(p * a, p * b) == leq(a, b)
+
+
+def scaled_root_coords(coords):
+    # (n + 1) times the simple-root coordinates, by the inverse Cartan
+    # matrix: entry (s, t) of (n + 1) C^-1 is min(s, t) (n + 1 - max(s, t)).
+    d = len(coords) + 1
+    return [
+        sum(min(s, t) * (d - max(s, t)) * a for t, a in enumerate(coords, start=1))
+        for s in range(1, d)
+    ]
+
+
+def test_leq_and_root_lattice_match_inverse_cartan():
+    rng = random.Random(23)
+    seen = set()
+    for n in range(1, 8):
+        d = n + 1
+        for _ in range(300):
+            a = Weight(tuple(rng.randint(-6, 6) for _ in range(n)))
+            # Half the pairs step up by a random nonnegative root combination,
+            # so that both answers of leq occur at every rank.
+            if rng.random() < 0.5:
+                step = zero(n)
+                for t in range(1, n + 1):
+                    step = step + rng.randint(0, 3) * simple_root(n, t)
+                b = a + step
+            else:
+                b = Weight(tuple(rng.randint(-6, 6) for _ in range(n)))
+            member = all(c % d == 0 for c in scaled_root_coords(a.coords))
+            assert in_root_lattice(a) == member
+            diff = [y - x for x, y in zip(a.coords, b.coords)]
+            below = all(c >= 0 and c % d == 0 for c in scaled_root_coords(diff))
+            assert leq(a, b) == below
+            seen.add((n, member, below))
+    assert {(n, below) for n, _, below in seen} == {(n, v) for n in range(1, 8) for v in (False, True)}
+    assert {member for _, member, _ in seen} == {False, True}
+    with pytest.raises(ValueError):
+        leq(zero(2), zero(3))
 
 
 def test_restricted_decompose_round_trip():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from oracles import twists, verma_layers
 
 from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
 from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
@@ -248,3 +249,34 @@ def test_stacking_oracle_reproduces_layers_rank_five():
     ctx = make_context(5, 7)
     for i in range(6):
         assert stacked_rad_layers(ctx, i, zero(5)) == rad_layers_z_g1t(ctx, i, zero(5))
+
+
+# ---------------------------------------------------------------------------
+# The cached (n, i) pattern, translated by nu, against label-by-label Weights.
+# ---------------------------------------------------------------------------
+
+
+def test_g1t_layers_match_weight_oracle():
+    for n in range(1, 6):
+        ctx = make_context(n, 7)
+        for i in range(n + 1):
+            for nu in twists(n):
+                assert rad_layers_z_g1t(ctx, i, nu) == verma_layers(ctx, i, nu)
+
+
+def test_g1t_layers_are_fresh_maps():
+    ctx = make_context(3, 5)
+    nu = fundamental(3, 1)
+    layers = rad_layers_z_g1t(ctx, 1, nu)
+    layers[0][lab(0, (9, 9, 9))] = 7
+    layers[1].clear()
+    layers.append({})
+    assert rad_layers_z_g1t(ctx, 1, nu) == verma_layers(ctx, 1, nu)
+
+
+def test_g1t_validation_messages():
+    ctx = make_context(2, 5)
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
+        rad_layers_z_g1t(ctx, 3, zero(3))
+    with pytest.raises(ValueError, match=r"^rank mismatch$"):
+        rad_layers_z_g1t(ctx, 1, zero(3))

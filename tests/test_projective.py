@@ -2,6 +2,7 @@ from itertools import product
 from math import comb
 
 import pytest
+from oracles import cover_layers, twists
 
 from loewylab.block import IrreducibleLabel, make_context
 from loewylab.chardim import weyl_dim
@@ -208,3 +209,36 @@ def test_qhat_dimension_is_support_count_times_verma_dimension():
                 for label, mult in layer.items():
                     total += mult * simple_dims[label.i]
             assert total == len(support) * verma_dim
+
+
+# ---------------------------------------------------------------------------
+# Covers stacked over int tuples against one Weight-built Verma per entry.
+# ---------------------------------------------------------------------------
+
+
+def test_qhat_matches_stacked_weight_oracle():
+    for n in range(1, 6):
+        ctx = make_context(n, 7)
+        for i in range(n + 1):
+            for nu in twists(n):
+                assert rad_layers_qhat(ctx, i, nu) == cover_layers(ctx, i, nu)
+
+
+def test_qhat_layers_are_fresh_maps():
+    ctx = make_context(2, 5)
+    nu = -fundamental(2, 2)
+    layers = rad_layers_qhat(ctx, 1, nu)
+    layers[0][lab(1, (9, 9))] = 7
+    layers[2].clear()
+    layers.pop()
+    assert rad_layers_qhat(ctx, 1, nu) == cover_layers(ctx, 1, nu)
+
+
+def test_qhat_validation_messages():
+    ctx = make_context(2, 5)
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
+        rad_layers_qhat(ctx, 3, zero(2))
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got -1\)$"):
+        rad_layers_qhat(ctx, -1, zero(3))
+    with pytest.raises(ValueError, match=r"^rank mismatch$"):
+        rad_layers_qhat(ctx, 1, zero(3))

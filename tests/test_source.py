@@ -48,3 +48,25 @@ def test_acceptance_keeps_independent_expectations():
     assert sorted(
         name for name in imported if any(name == b or name.startswith(b + ".") for b in banned)
     ) == []
+
+
+def test_lru_caches_are_bounded():
+    # A cache keyed by (n, i) must not grow with every size a process meets.
+    unbounded = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in node.decorator_list:
+                func = deco.func if isinstance(deco, ast.Call) else deco
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name != "lru_cache":
+                    continue
+                args = getattr(deco, "args", [])
+                size = {kw.arg: kw.value for kw in getattr(deco, "keywords", [])}.get(
+                    "maxsize", args[0] if args else None
+                )
+                if not (isinstance(size, ast.Constant) and isinstance(size.value, int)):
+                    unbounded.append(f"{path.name}:{node.name}")
+    assert unbounded == []
