@@ -2,12 +2,17 @@
 
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
-prints with --format json (sorted keys, fixed layout, so reruns are
-byte-identical) or else renders as text from that payload, n and p alone:
-the text is a view of the JSON.
+prints with --format json or else renders as text from that payload, n and
+p alone: the text is a view of the JSON. The JSON is exactly
+`json.dumps(payload, sort_keys=True, indent=2)`, so reruns are
+byte-identical; the factor lists of a layer listing are written from one
+template per layer instead of by json.dumps, which is slow with `indent`.
+Layer listings have closed-form sizes (2^n labels for `verma` and
+`verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`), checked
+before any work: above LAYER_BUDGET = 2^16 labels the command is refused.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
-Exit codes: 0 on success, 1 when a verification fails, 2 on invalid input
-(the message names the violated hypothesis).
+Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
+oversized input (the message names the violated hypothesis or the size).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .block import (
     BlockContext,
@@ -34,6 +40,10 @@ from .projective import CONDITIONAL_FLAG_KEY, rad_layers_qhat
 __all__ = ["main"]
 
 TRUNCATE_AT = 200
+# Layer listings are refused above this many labels, counted with
+# multiplicity.  The largest one admitted, `verma --n 16`, took about 1.5 s
+# and 110 MB on a 2-core VM.
+LAYER_BUDGET = 1 << 16
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -42,12 +52,18 @@ def main(argv: list[str] | None = None) -> None:
         ctx = make_context(args.n, args.p)
         if getattr(args, "i", None) is not None:
             check_index(ctx, args.i)
+        size = args.labels(ctx.n, args.i) if args.labels else 0
+        if size > LAYER_BUDGET:
+            raise ValueError(
+                f"{args.command} at n={ctx.n}, i={args.i} would list {size} labels with "
+                f"multiplicity, over the budget of {LAYER_BUDGET} labels"
+            )
         payload, code = args.func(ctx, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
     if args.format == "json":
-        print(json.dumps({"n": ctx.n, "p": ctx.p, **payload}, sort_keys=True, indent=2))
+        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}))
     else:
         print(args.render(ctx, payload, getattr(args, "full", False)))
     raise SystemExit(code)
@@ -71,15 +87,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if full:
             sp.add_argument("--full", action="store_true", help="never truncate long listings")
-        sp.set_defaults(func=func, render=render)
+        sp.set_defaults(func=func, render=render, labels=None)
         return sp
 
     common("block", "the block's weight table", cmd_block, _block_text)
 
-    for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
+    for command, help_text, kind, layers_of, labels, conditional in _LAYER_COMMANDS:
         sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
         sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-        sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
+        sp.set_defaults(kind=kind, layers_of=layers_of, labels=labels, conditional=conditional)
 
     sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
                 twist=True, full=True)
@@ -134,6 +150,46 @@ def _factors(layer: dict[IrreducibleLabel, int]) -> list[dict]:
     ]
 
 
+# A layer document's factor lists go through json.dumps as this slot, which
+# cannot occur in the encoded skeleton otherwise (json.dumps escapes NUL).
+_FACTOR_SLOT = "\x00factors"
+_FACTOR_SLOT_JSON = '"\\u0000factors"'
+
+
+def _dump_json(doc: dict) -> str:
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+
+    With `indent` set, json.dumps runs its pure-Python encoder, which spends
+    most of a layer listing's time on the factor dicts.  So a document with
+    `layers` is dumped with each factor list replaced by a slot, and each
+    slot is filled from one %-format template for the layer's rank.
+    """
+    layers = doc.get("layers")
+    if layers is None:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    skeleton = {**doc, "layers": [{**layer, "factors": _FACTOR_SLOT} for layer in layers]}
+    pieces = json.dumps(skeleton, sort_keys=True, indent=2).split(_FACTOR_SLOT_JSON)
+    if len(pieces) != len(layers) + 1:
+        raise RuntimeError(f"{len(pieces) - 1} factor slots in the JSON of {len(layers)} layers")
+    out = [pieces[0]]
+    for layer, piece in zip(layers, pieces[1:]):
+        out += _factors_json(layer["factors"])
+        out.append(piece)
+    return "".join(out)
+
+
+def _factors_json(factors: list[dict]) -> list[str]:
+    """The indent=2 text of one `layers[*].factors` list, in pieces.
+
+    Layers are never empty and ranks are at least 1 (`make_context`).
+    """
+    nu = ",\n".join(["            %d"] * len(factors[0]["nu"]))
+    template = '        {\n          "i": %d,\n          "mult": %d,\n          "nu": [\n'
+    template += nu + "\n          ]\n        }"
+    body = ",\n".join([template % (f["i"], f["mult"], *f["nu"]) for f in factors])
+    return ["[\n", body, "\n      ]"]
+
+
 def _fmt_factor(factor: dict) -> str:
     return f"({factor['i']}; {_fmt_coords(factor['nu'])})"
 
@@ -166,17 +222,19 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return "\n".join(lines)
 
 
-# The layer subcommands: (name, help, object kind, layer function, whether
-# the result is conditional on the Loewy length conjecture).  The lambdas
-# look the library function up in this module's namespace at call time, so
-# a wrapper patched in there (as `bench/spans.py` does) still sees the call.
+# The layer subcommands: (name, help, object kind, layer function, closed
+# form of the labels it lists counted with multiplicity, whether the result
+# is conditional on the Loewy length conjecture).  The layer lambdas look
+# the library function up in this module's namespace at call time, so a
+# wrapper patched in there (as `bench/spans.py` does) still sees the call.
 _LAYER_COMMANDS = (
     ("verma", "radical layers of a baby Verma module", "Zhat",
-     lambda ctx, i, nu: rad_layers_z_g1t(ctx, i, nu), False),
+     lambda ctx, i, nu: rad_layers_z_g1t(ctx, i, nu), lambda n, i: 2**n, False),
     ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: rad_layers_zprime_g1t(ctx, i, nu), False),
+     lambda ctx, i, nu: rad_layers_zprime_g1t(ctx, i, nu), lambda n, i: 2**n, False),
     ("proj", "radical layers of a projective cover (conditional)", "Qhat",
-     lambda ctx, i, nu: rad_layers_qhat(ctx, i, nu), True),
+     lambda ctx, i, nu: rad_layers_qhat(ctx, i, nu), lambda n, i: (n + 1) * comb(n, i) * 2**n,
+     True),
 )
 
 

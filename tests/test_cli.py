@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from math import comb
 from pathlib import Path
 from time import perf_counter
 
@@ -14,7 +16,7 @@ import pytest
 import loewylab
 import loewylab.checks
 import loewylab.cli
-from loewylab.cli import TRUNCATE_AT, main
+from loewylab.cli import LAYER_BUDGET, TRUNCATE_AT, _dump_json, main
 from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -423,6 +425,117 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
         monkeypatch.setattr(loewylab.cli, name, refuse)
     assert [run_cli(argv, capsys) for argv in argvs] == expected
     assert all(code == 0 for code, _, _ in expected)
+
+
+# ------------------------------------------------------- JSON writer
+
+def reference_json(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def random_layer_doc(rng: random.Random, rank: int, conditional: bool) -> dict:
+    """A layer document shaped like `cmd_layers`' output, with random values."""
+    layers = []
+    for j in range(rng.randint(1, 6)):
+        factors = [
+            {"i": rng.randint(0, rank), "nu": [rng.randint(-120, 120) for _ in range(rank)],
+             "mult": rng.choice((1, 1, 2, 3, 16, 1001))}
+            for _ in range(1 if j == 0 else rng.randint(1, 5))
+        ]
+        layers.append({"j": j, "factors": factors})
+    return {"n": rank, "p": rng.choice((3, 5, 7, 2**61 - 1)), "object": f"Qhat(i=0, nu=[{rank}])",
+            "layers": layers, CONDITIONAL_FLAG_KEY: conditional}
+
+
+def test_dump_json_matches_json_dumps_on_random_layer_docs():
+    rng = random.Random(20181)
+    docs = [
+        random_layer_doc(rng, rank, conditional)
+        for rank in range(1, 8) for conditional in (False, True) for _ in range(12)
+    ]
+    factors = [f for doc in docs for layer in doc["layers"] for f in layer["factors"]]
+    # The cases the template must get right all occur.
+    assert {len(f["nu"]) for f in factors} == set(range(1, 8))
+    coords = [c for f in factors for c in f["nu"]]
+    assert min(coords) < -9 and max(coords) > 9
+    assert any(f["mult"] > 1 for f in factors)
+    assert sum(len(layer["factors"]) == 1 for doc in docs for layer in doc["layers"]) > len(docs)
+    for doc in docs:
+        assert _dump_json(doc) == reference_json(doc)
+
+
+def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
+    # main prints exactly what json.dumps writes for the document it dumps.
+    docs = []
+
+    def recording(doc):
+        docs.append(doc)
+        return _dump_json(doc)
+
+    monkeypatch.setattr(loewylab.cli, "_dump_json", recording)
+    argvs = [["proj", "--n", "6", "--p", "5", "--i", str(i)] for i in range(7)]
+    argvs += [
+        [command, "--n", "11", "--p", "5", "--i", "5", "--nu=3,-12,0,1,0,0,-1,0,0,0,25"]
+        for command in ("verma", "verma-dual")
+    ]
+    for argv in argvs:
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and err == ""
+        assert out == reference_json(docs[-1]) + "\n"
+    assert len(docs) == len(argvs)
+    # Non-layer documents go to json.dumps whole.
+    for argv in (["ext", "--n", "3", "--p", "5", "--i", "1"], ["jantzen", "--n", "3", "--p", "5"]):
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert out == reference_json(docs[-1]) + "\n"
+
+
+# ------------------------------------------------------- size budget
+
+LAYER_SIZES = {
+    "verma": lambda n, i: 2**n,
+    "verma-dual": lambda n, i: 2**n,
+    "proj": lambda n, i: (n + 1) * comb(n, i) * 2**n,
+}
+
+
+def layer_argv(command: str, n: int, i: int) -> list[str]:
+    p = next(q for q in (3, 5, 7) if (n + 1) % q)
+    return [command, "--n", str(n), "--p", str(p), "--i", str(i)]
+
+
+def assert_refused(argv: list[str], size: int, capsys) -> None:
+    start = perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert perf_counter() - start < 0.5, argv
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert f" {size} labels" in err and f"budget of {LAYER_BUDGET} labels" in err, argv
+
+
+def test_huge_layer_listings_are_refused_up_front(capsys):
+    assert_refused(layer_argv("verma", 40, 20), 2**40, capsys)
+    assert_refused(layer_argv("proj", 40, 20), 41 * comb(40, 20) * 2**40, capsys)
+
+
+def test_layer_budget_edges(capsys):
+    # Each command's smallest listing over the budget is refused, and the
+    # largest listing within it runs.  All are found from the closed forms.
+    sizes = {
+        (size, command, n, i)
+        for command, size_of in LAYER_SIZES.items()
+        for n in range(1, 25) for i in range(n + 1)
+        for size in [size_of(n, i)]
+    }
+    for command in LAYER_SIZES:
+        over = min(key for key in sizes if key[1] == command and key[0] > LAYER_BUDGET)
+        assert_refused(layer_argv(*over[1:]), over[0], capsys)
+    under = max(key for key in sizes if key[0] <= LAYER_BUDGET)
+    # Text output: the listing is built in full, and each layer line states
+    # its total multiplicity.
+    code, out, err = run_cli(layer_argv(*under[1:]), capsys)
+    assert code == 0 and err == ""
+    totals = re.findall(r"^  rad_\d+ \((\d+)\):", out, re.MULTILINE)
+    assert sum(map(int, totals)) == under[0]
 
 
 # ------------------------------------------------------- byte-identity grid
