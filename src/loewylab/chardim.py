@@ -15,13 +15,17 @@ Two independent kinds of exact evidence live here:
 
 Certificates are produced by two routes on purpose: a deterministic greedy
 search, and a closed-form builder that reads the certificate off the
-diagonal pairing pattern of nu_i without searching.  Both are re-verified
-from scratch by `verify_certificate`.
+diagonal pairing pattern of nu_i without searching.  The search is two
+lookups in a pairing table built once per nu from prefix sums of its
+coordinates.  Both kinds of certificate are re-verified from scratch by
+`verify_certificate`, which reads `lattice.pair` and never that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
@@ -144,28 +148,44 @@ class WitnessCertificate:
     betas: tuple[Root, ...]
 
 
+@lru_cache(maxsize=4)
+def _pairing_table(coords: tuple[int, ...]) -> tuple[dict[Root, int], dict[int, tuple[Root, ...]]]:
+    """Pairings of the weight with these coordinates against every positive root.
+
+    Returns root -> m, and m -> the roots pairing to m in lex order.  A
+    sweep asks about one nu for every root in turn, so a few entries do.
+    The tables are shared between callers, who must not change them.
+    """
+    prefix = list(accumulate(coords, initial=0))
+    by_root: dict[Root, int] = {}
+    by_m: dict[int, list[Root]] = {}
+    for k, j in positive_roots(len(coords)):
+        m = by_root[k, j] = prefix[j - 1] - prefix[k - 1]
+        by_m.setdefault(m, []).append((k, j))
+    return by_root, {m: tuple(roots) for m, roots in by_m.items()}
+
+
 def witness_search(nu: Weight, root: Root, p: int) -> WitnessCertificate | None:
     """Deterministic greedy search for a witness certificate.
 
-    Scans positive roots in lex order for beta0, then fills the p^{s+1}
-    slots in lex order.  Returns None when the pairing is nonpositive or no
+    Takes the lex-first positive root pairing to a p^s as beta0 and the
+    lex-first b roots pairing to p^{s+1} as the tail: two lookups in nu's
+    pairing table.  Returns None when the pairing is nonpositive or no
     certificate exists.
     """
-    m = pair(nu, *root)
+    by_root, roots_at = _pairing_table(nu.coords)
+    m = by_root.get(tuple(root))
+    if m is None:
+        raise ValueError(f"(k, j) = {tuple(root)} is not a positive root index")
     if m < 1:
         return None
     dec = jantzen_decompose(m, p)
-    head_target = dec.a * p**dec.s
-    tail_target = p ** (dec.s + 1)
-    roots = positive_roots(nu.rank)
-    tail_pool = [r for r in roots if pair(nu, *r) == tail_target]
-    for beta0 in roots:
-        if pair(nu, *beta0) != head_target:
-            continue
-        tail = [r for r in tail_pool if r != beta0][: dec.b]
-        if len(tail) == dec.b:
-            return WitnessCertificate(root, dec, beta0, tuple(tail))
-    return None
+    heads = roots_at.get(dec.a * p**dec.s)
+    # 0 < a < p, so a p^s != p^{s+1}: beta0 is never in the tail's bucket.
+    tail = roots_at.get(p ** (dec.s + 1), ())[: dec.b]
+    if not heads or len(tail) < dec.b:
+        return None
+    return WitnessCertificate(root, dec, heads[0], tail)
 
 
 def verify_certificate(nu: Weight, cert: WitnessCertificate, p: int) -> bool:

@@ -5,11 +5,13 @@ checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
 p alone: the text is a view of the JSON. The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)`, so reruns are
-byte-identical; the factor lists of a layer listing are written from one
-template per layer instead of by json.dumps, which is slow with `indent`.
-Layer listings have closed-form sizes (2^n labels for `verma` and
-`verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`), checked
-before any work: above LAYER_BUDGET = 2^16 labels the command is refused.
+byte-identical; the factor lists of a layer listing and the certificate
+rows of a `jantzen` report are written from %-format templates (one per
+layer, one per certificate row) instead of by json.dumps, which is slow
+with `indent`.  Sizes are closed forms checked before any work: a layer
+listing (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
+multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels, and
+`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from math import comb
 
 from .block import (
@@ -44,6 +47,10 @@ TRUNCATE_AT = 200
 # multiplicity.  The largest one admitted, `verma --n 16`, took about 1.5 s
 # and 110 MB on a 2-core VM.
 LAYER_BUDGET = 1 << 16
+# `jantzen` is refused above this many (block index, positive root) pairs,
+# (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
+# 1 s and wrote 6 MB of JSON on a 2-core VM.
+PAIR_BUDGET = 1 << 14
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -57,6 +64,12 @@ def main(argv: list[str] | None = None) -> None:
             raise ValueError(
                 f"{args.command} at n={ctx.n}, i={args.i} would list {size} labels with "
                 f"multiplicity, over the budget of {LAYER_BUDGET} labels"
+            )
+        pairs = (ctx.n + 1) * ctx.n * (ctx.n + 1) // 2
+        if args.command == "jantzen" and pairs > PAIR_BUDGET:
+            raise ValueError(
+                f"jantzen at n={ctx.n} would check {pairs} (block index, root) pairs, "
+                f"over the budget of {PAIR_BUDGET} pairs"
             )
         payload, code = args.func(ctx, args)
     except ValueError as err:
@@ -150,30 +163,35 @@ def _factors(layer: dict[IrreducibleLabel, int]) -> list[dict]:
     ]
 
 
-# A layer document's factor lists go through json.dumps as this slot, which
-# cannot occur in the encoded skeleton otherwise (json.dumps escapes NUL).
-_FACTOR_SLOT = "\x00factors"
-_FACTOR_SLOT_JSON = '"\\u0000factors"'
+# A document's template-written lists go through json.dumps as this slot,
+# which cannot occur in the encoded skeleton otherwise (json.dumps escapes NUL).
+_SLOT = "\x00rows"
+_SLOT_JSON = '"\\u0000rows"'
 
 
 def _dump_json(doc: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
-    most of a layer listing's time on the factor dicts.  So a document with
-    `layers` is dumped with each factor list replaced by a slot, and each
-    slot is filled from one %-format template for the layer's rank.
+    most of a long document's time on its rows.  So each layer's factor list
+    and a jantzen report's certificate list are dumped as slots, and each
+    slot is filled from %-format templates: one per layer for its rank, one
+    per certificate for its number of betas.
     """
-    layers = doc.get("layers")
-    if layers is None:
+    if "layers" in doc:
+        lists = [_factors_json(layer["factors"]) for layer in doc["layers"]]
+        doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
+    elif "report" in doc:
+        lists = [_certificates_json(doc["report"]["certificates"])]
+        doc = {**doc, "report": {**doc["report"], "certificates": _SLOT}}
+    else:
         return json.dumps(doc, sort_keys=True, indent=2)
-    skeleton = {**doc, "layers": [{**layer, "factors": _FACTOR_SLOT} for layer in layers]}
-    pieces = json.dumps(skeleton, sort_keys=True, indent=2).split(_FACTOR_SLOT_JSON)
-    if len(pieces) != len(layers) + 1:
-        raise RuntimeError(f"{len(pieces) - 1} factor slots in the JSON of {len(layers)} layers")
+    pieces = json.dumps(doc, sort_keys=True, indent=2).split(_SLOT_JSON)
+    if len(pieces) != len(lists) + 1:
+        raise RuntimeError(f"{len(pieces) - 1} slots in the JSON of {len(lists)} template-written lists")
     out = [pieces[0]]
-    for layer, piece in zip(layers, pieces[1:]):
-        out += _factors_json(layer["factors"])
+    for text, piece in zip(lists, pieces[1:]):
+        out += text
         out.append(piece)
     return "".join(out)
 
@@ -188,6 +206,34 @@ def _factors_json(factors: list[dict]) -> list[str]:
     template += nu + "\n          ]\n        }"
     body = ",\n".join([template % (f["i"], f["mult"], *f["nu"]) for f in factors])
     return ["[\n", body, "\n      ]"]
+
+
+def _certificates_json(certs: list[dict]) -> list[str]:
+    """The indent=2 text of a jantzen report's `certificates` list, in pieces."""
+    if not certs:
+        return ["[]"]
+    rows = [
+        _certificate_template(len(c["betas"]))
+        % (c["a"], c["b"], *c["beta0"], *[k for beta in c["betas"] for k in beta],
+           c["i"], c["m"], *c["root"], c["s"])
+        for c in certs
+    ]
+    return ["[\n", ",\n".join(rows), "\n    ]"]
+
+
+@lru_cache(maxsize=64)
+def _certificate_template(b: int) -> str:
+    """One certificate row with b betas, its keys in sorted order."""
+    betas = "[]"
+    if b:
+        beta = "          [\n            %d,\n            %d\n          ]"
+        betas = "[\n" + ",\n".join([beta] * b) + "\n        ]"
+    return (
+        '      {\n        "a": %d,\n        "b": %d,\n'
+        '        "beta0": [\n          %d,\n          %d\n        ],\n'
+        '        "betas": ' + betas + ',\n        "i": %d,\n        "m": %d,\n'
+        '        "root": [\n          %d,\n          %d\n        ],\n        "s": %d\n      }'
+    )
 
 
 def _fmt_factor(factor: dict) -> str:

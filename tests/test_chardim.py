@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import loewylab.chardim
 from loewylab.block import make_context, nu_weight
 from loewylab.chardim import (
     JantzenDecomposition,
@@ -14,7 +17,7 @@ from loewylab.chardim import (
     weyl_dim,
     witness_search,
 )
-from loewylab.lattice import Weight, fundamental, rho, zero
+from loewylab.lattice import Weight, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
 
 
@@ -178,3 +181,96 @@ def test_check_block_simplicity_report():
     assert report["checked"] == 4 * 6
     assert report["failures"] == [] and report["replay_failures"] == []
     assert len(report["certificates"]) == report["checked"]
+
+
+def greedy_by_pair(nu, root, p):
+    """The search restated as a scan over every root with `lattice.pair`.
+
+    Scans positive roots in lex order for beta0, then fills the p^{s+1}
+    slots in lex order from the roots other than beta0.
+    """
+    m = pair(nu, *root)
+    if m < 1:
+        return None
+    dec = jantzen_decompose(m, p)
+    roots = positive_roots(nu.rank)
+    tail_pool = [r for r in roots if pair(nu, *r) == p ** (dec.s + 1)]
+    for beta0 in roots:
+        if pair(nu, *beta0) != dec.a * p**dec.s:
+            continue
+        tail = [r for r in tail_pool if r != beta0][: dec.b]
+        if len(tail) == dec.b:
+            return WitnessCertificate(root, dec, beta0, tuple(tail))
+    return None
+
+
+def test_witness_search_matches_the_scan_over_pair():
+    for n in range(1, 9):
+        for p in (3, 5, 7, 11):
+            if (n + 1) % p == 0:
+                continue
+            ctx = make_context(n, p)
+            for i in range(n + 1):
+                nu = nu_weight(ctx, i)
+                for root in positive_roots(n):
+                    assert witness_search(nu, root, p) == greedy_by_pair(nu, root, p), (n, p, i, root)
+    # Random weights, zero and negative coordinates included, reach the
+    # nonpositive and the unrealisable pairings as well as b = 0.
+    rng = random.Random(8128)
+    found = []
+    for _ in range(300):
+        rank = rng.randint(1, 7)
+        nu = Weight(tuple(rng.choice((-4, -1, 0, 0, 1, 1, 2, 3, 5, 9)) for _ in range(rank)))
+        p = rng.choice((3, 5, 7))
+        for root in positive_roots(rank):
+            cert = witness_search(nu, root, p)
+            assert cert == greedy_by_pair(nu, root, p), (nu, root, p)
+            found.append(cert)
+    assert any(cert is None for cert in found)
+    assert any(cert is not None and cert.decomposition.b == 0 for cert in found)
+    assert any(cert is not None and cert.decomposition.b > 0 for cert in found)
+
+
+def test_witness_search_rejects_invalid_roots():
+    nu = rho(3)
+    for root in [(0, 1), (2, 2), (3, 5), (4, 3)]:
+        with pytest.raises(ValueError, match=r"is not a positive root index"):
+            witness_search(nu, root, 5)
+
+
+def test_searched_certificates_are_verified_without_the_table(monkeypatch):
+    # With the search's table shifted off by one, every searched certificate
+    # must fail re-verification: verify_certificate reads lattice.pair.
+    table = loewylab.chardim._pairing_table
+
+    def shifted(coords):
+        by_root, _ = table(coords)
+        by_m = {}
+        for root, m in by_root.items():
+            by_m.setdefault(m + 1, []).append(root)
+        return {r: m + 1 for r, m in by_root.items()}, {m: tuple(rs) for m, rs in by_m.items()}
+
+    monkeypatch.setattr(loewylab.chardim, "_pairing_table", shifted)
+    report = check_block_simplicity(make_context(4, 7))
+    assert report["ok"] is False
+    assert len(report["failures"]) == report["checked"] == 5 * 10
+    assert {f["reason"] for f in report["failures"]} == {"search failed"}
+    assert report["certificates"] == [] and report["replay_failures"] == []
+
+
+def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
+    # Only re-verification may call pair: once per closed form and at most
+    # b + 2 times per verify_certificate, with b <= n.  A search that scans
+    # every root with pair (632,433 calls here) fails this bound.
+    calls = [0]
+
+    def counting(w, k, j):
+        calls[0] += 1
+        return pair(w, k, j)
+
+    monkeypatch.setattr(loewylab.chardim, "pair", counting)
+    n = 18
+    report = check_block_simplicity(make_context(n, 7))
+    assert report["ok"]
+    roots = n * (n + 1) // 2
+    assert 0 < calls[0] <= (n + 1) * roots * (2 * n + 5)

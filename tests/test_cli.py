@@ -16,7 +16,7 @@ import pytest
 import loewylab
 import loewylab.checks
 import loewylab.cli
-from loewylab.cli import LAYER_BUDGET, TRUNCATE_AT, _dump_json, main
+from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, _dump_json, main
 from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -483,10 +483,65 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
         assert code == 0 and err == ""
         assert out == reference_json(docs[-1]) + "\n"
     assert len(docs) == len(argvs)
-    # Non-layer documents go to json.dumps whole.
-    for argv in (["ext", "--n", "3", "--p", "5", "--i", "1"], ["jantzen", "--n", "3", "--p", "5"]):
-        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    # Jantzen reports, the whole sweep and one index at a time, and a
+    # document without template-written rows.
+    argvs = [["ext", "--n", "3", "--p", "5", "--i", "1"]]
+    for n in (1, 3, 12):
+        argvs += [["jantzen", "--n", str(n), "--p", "3", *index] for index in ([], ["--i", "0"], ["--i", str(n)])]
+    for argv in argvs:
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0 and err == ""
         assert out == reference_json(docs[-1]) + "\n"
+
+
+def random_report_doc(rng: random.Random, rank: int) -> dict:
+    """A document shaped like `cmd_jantzen`'s output, with random values."""
+    def root():
+        k = rng.randint(1, rank)
+        return [k, rng.randint(k + 1, rank + 1)]
+
+    certificates = []
+    for _ in range(rng.choice((0, 1, 3, 8))):
+        b = rng.choice((0, 0, 1, 2, 5))
+        certificates.append({
+            "i": rng.randint(0, rank), "root": root(), "m": rng.choice((1, 7, 49, 343, 2400)),
+            "s": rng.randint(0, 3), "a": rng.randint(1, 10), "b": b, "beta0": root(),
+            "betas": [root() for _ in range(b)],
+        })
+    failures = [
+        {"i": rng.randint(0, rank), "root": root(), "reason": "search failed"}
+        for _ in range(rng.choice((0, 0, 2)))
+    ]
+    replay_failures = [
+        {"i": rng.randint(0, rank), "root": root(), "reason": "closed-form certificate invalid"}
+        for _ in range(rng.choice((0, 0, 1)))
+    ]
+    checked = (rank + 1) * rank * (rank + 1) // 2
+    report = {
+        "n": rank, "p": 7, "checked": checked, "failures": failures, "replayed": checked,
+        "replay_failures": replay_failures, "certificates": certificates,
+        "ok": not failures and not replay_failures,
+    }
+    return {"n": rank, "p": 7, "object": "jantzen", "report": report}
+
+
+def test_dump_json_matches_json_dumps_on_random_reports():
+    rng = random.Random(1807)
+    docs = [random_report_doc(rng, rank) for rank in range(1, 12) for _ in range(10)]
+    reports = [doc["report"] for doc in docs]
+    certificates = [c for report in reports for c in report["certificates"]]
+    # The cases the row templates must get right all occur.
+    assert any(report["certificates"] == [] for report in reports)
+    assert any(c["betas"] == [] for c in certificates) and any(c["b"] > 1 for c in certificates)
+    assert any(c["m"] >= 100 for c in certificates)
+    assert any(report["failures"] for report in reports)
+    assert any(report["replay_failures"] for report in reports)
+    for doc in docs:
+        assert _dump_json(doc) == reference_json(doc)
+    # A value that encodes like a slot would be filled as one: refused.
+    doc = {**docs[0], "object": loewylab.cli._SLOT}
+    with pytest.raises(RuntimeError, match=r"^2 slots in the JSON of 1 template-written lists$"):
+        _dump_json(doc)
 
 
 # ------------------------------------------------------- size budget
@@ -536,6 +591,24 @@ def test_layer_budget_edges(capsys):
     assert code == 0 and err == ""
     totals = re.findall(r"^  rad_\d+ \((\d+)\):", out, re.MULTILINE)
     assert sum(map(int, totals)) == under[0]
+
+
+def test_jantzen_pair_budget_edges(capsys):
+    # n = 31 checks 15872 pairs and runs; n = 32 checks 17424 and is refused,
+    # as is n = 200 (4040100 pairs), before any certificate is built.
+    assert 32 * 31 * 32 // 2 <= PAIR_BUDGET < 33 * 32 * 33 // 2
+    code, out, err = run_cli(["jantzen", "--n", "31", "--p", "3"], capsys)
+    assert code == 0 and err == ""
+    assert "checked 15872 pairs" in out
+    for n, pairs in ((32, 17424), (200, 4040100)):
+        start = perf_counter()
+        code, out, err = run_cli(["jantzen", "--n", str(n), "--p", "5", "--format", "json"], capsys)
+        assert perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            f"error: jantzen at n={n} would check {pairs} (block index, root) pairs, "
+            f"over the budget of {PAIR_BUDGET} pairs\n"
+        )
 
 
 # ------------------------------------------------------- byte-identity grid
