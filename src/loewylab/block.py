@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IrreducibleLabel:
     """Label (i, nu) of a simple module: block index and p-twist."""
 

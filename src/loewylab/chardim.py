@@ -17,8 +17,9 @@ Certificates are produced by two routes on purpose: a deterministic greedy
 search, and a closed-form builder that reads the certificate off the
 diagonal pairing pattern of nu_i without searching.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
-coordinates.  Both kinds of certificate are re-verified from scratch by
-`verify_certificate`, which reads `lattice.pair` and never that table.
+coordinates; the builder pairs lam_i and adds rho's pairing j - k.  Both
+kinds of certificate are re-verified from scratch by `verify_certificate`,
+which pairs nu_i itself through `lattice.pair` and never reads that table.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     check_index(ctx, i)
     if not 1 <= k < j <= n + 1:
         raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
-    nu = nu_weight(ctx, i)
-    dec = jantzen_decompose(pair(nu, k, j), p)
+    # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
+    dec = jantzen_decompose(pair(ctx.lambdas[i], k, j) + (j - k), p)
 
     if i == 0 and k == 1:
         # Pairing 1 + (j - 2) p: the unit sits on alpha_1.

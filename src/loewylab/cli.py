@@ -11,7 +11,9 @@ layer, one per certificate row) instead of by json.dumps, which is slow
 with `indent`.  Sizes are closed forms checked before any work: a layer
 listing (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
 multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels, and
-`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14.
+`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14;
+`verify`, which stacks the n+1 covers at nu = 0, (n+1)·4^n labels, above
+VERIFY_BUDGET = 2^20.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
@@ -51,6 +53,10 @@ LAYER_BUDGET = 1 << 16
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
 # 1 s and wrote 6 MB of JSON on a 2-core VM.
 PAIR_BUDGET = 1 << 14
+# `verify` is refused above this many labels, the (n+1)·4^n labels of the
+# n+1 covers it stacks at nu = 0.  The largest one admitted, n = 8, took
+# about 3 s on a 2-core VM; n = 9 took tens of seconds.
+VERIFY_BUDGET = 1 << 20
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -70,6 +76,12 @@ def main(argv: list[str] | None = None) -> None:
             raise ValueError(
                 f"jantzen at n={ctx.n} would check {pairs} (block index, root) pairs, "
                 f"over the budget of {PAIR_BUDGET} pairs"
+            )
+        stacked = (ctx.n + 1) * 4**ctx.n if args.command == "verify" else 0
+        if stacked > VERIFY_BUDGET:
+            raise ValueError(
+                f"verify at n={ctx.n} would stack {stacked} cover labels with multiplicity, "
+                f"over the budget of {VERIFY_BUDGET} labels"
             )
         payload, code = args.func(ctx, args)
     except ValueError as err:

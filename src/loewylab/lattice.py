@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import sub
+from operator import add, neg, sub
 from typing import Iterable
 
 __all__ = [
@@ -43,12 +43,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Weight:
     """A weight in fundamental-weight coordinates.
 
     `coords[t - 1]` is the coefficient of w_t.  Instances are immutable and
-    support the abelian-group operations plus integer scaling.
+    support the abelian-group operations plus integer scaling.  The
+    constructor validates its coordinates; arithmetic on weights, whose
+    results are int tuples by construction, builds through `_weight`
+    instead, which does not.
     """
 
     coords: tuple[int, ...]
@@ -65,19 +68,19 @@ class Weight:
 
     def __add__(self, other: Weight) -> Weight:
         self._check_rank(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _weight(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: Weight) -> Weight:
         self._check_rank(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _weight(tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> Weight:
-        return Weight(tuple(-a for a in self.coords))
+        return _weight(tuple(map(neg, self.coords)))
 
     def __rmul__(self, scalar: int) -> Weight:
         if not isinstance(scalar, int):
             raise TypeError("weights scale by ints only")
-        return Weight(tuple(scalar * a for a in self.coords))
+        return _weight(tuple(scalar * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
@@ -85,6 +88,22 @@ class Weight:
     def _check_rank(self, other: Weight) -> None:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+
+
+_new = object.__new__
+_set_coords = Weight.__dict__["coords"].__set__
+
+
+def _weight(coords: tuple[int, ...]) -> Weight:
+    """A `Weight` from a nonempty tuple of ints, without re-validating it.
+
+    For coordinates the library computed from validated weights: the
+    translated labels of the layer kernels and weight arithmetic.  Such a
+    weight compares, hashes and orders like `Weight(coords)`.
+    """
+    w = _new(Weight)
+    _set_coords(w, coords)
+    return w
 
 
 def zero(rank: int) -> Weight:

@@ -8,23 +8,27 @@ is always n + 1, layer j carries C(n, j) composition factors, and the
 modules are rigid, so the socle series and the dual Verma's radical series
 are index reversals of the same list.
 
-The labels depend on nu only by translation, so the layers are computed
-once per (n, i) as a nu = 0 pattern over plain int tuples (a small bounded
-cache) and translated by nu on each call.  Layers are returned as fresh
-``dict[label, multiplicity]`` maps, ordered bottom index 0 = head for
-radical series.
+Slot i + 1 is never moved, so in fundamental coordinates the shift
+-eps_X + eps_Y splits in two: -eps_X lives on coordinates 1..i alone and
+eps_Y on coordinates i + 1..n alone.  Each (j, k) part of a layer is
+therefore a product heads(k) x tails(j - k), and the layers are computed
+once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
+(a small bounded cache).  On each call the heads are translated by nu's
+first i coordinates and the tails by the rest, and each label is one tuple
+concatenation; its weight is built without re-validation.  Layers are
+returned as fresh ``dict[label, multiplicity]`` maps, ordered bottom index
+0 = head for radical series, each iterating in (block index, twist) order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import add, sub
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, fundamental
+from .lattice import Weight, _weight, fundamental
 
 __all__ = [
     "rad_layers_z_g1",
@@ -56,41 +60,54 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
     return layers
 
 
-def _layer_shifts(n: int, i: int, x: int, y: int) -> Iterator[tuple[int, ...]]:
-    """The twist shifts -eps_X + eps_Y of the layer formula at block index i,
-    as fundamental coordinates.
+def _half_shifts(length: int, size: int, head: bool) -> tuple[tuple[int, ...], ...]:
+    """One half of the layer formula's twist shifts -eps_X + eps_Y, as
+    sorted fundamental coordinates.
 
-    X runs over the x-subsets of [1, i] and Y over the y-subsets of
-    [i + 2, n + 1], in `combinations` order with X outermost.
+    Slot i + 1 is never moved, so -eps_X (X a subset of [1, i]) lives on
+    coordinates 1..i alone and +eps_Y (Y a subset of [i + 2, n + 1]) on
+    coordinates i + 1..n alone.  A head is -eps_X over its i coordinates
+    (`length` = i, X of `size` slots); a tail is +eps_Y over its n - i.
+    Raises RuntimeError if two subsets give the same shift, since a layer's
+    labels must be distinct.
     """
-    for xs in combinations(range(1, i + 1), x):
-        head = [0] * (n + 1)
-        for k in xs:
-            head[k - 1] = -1
-        for ys in combinations(range(i + 2, n + 2), y):
-            coeffs = head.copy()
-            for k in ys:
-                coeffs[k - 1] = 1
-            yield tuple(map(sub, coeffs, coeffs[1:]))
+    shifts = []
+    for picks in combinations(range(length), size):
+        eps = [0] * (length + 1)
+        for s in picks:
+            if head:
+                eps[s] = -1
+            else:
+                eps[s + 1] = 1
+        shifts.append(tuple(map(sub, eps, eps[1:])))
+    shifts.sort()
+    for shift, after in zip(shifts, shifts[1:]):
+        if shift == after:
+            half = "head" if head else "tail"
+            raise RuntimeError(f"layer labels must be distinct: {half} shift {shift} repeats")
+    return tuple(shifts)
+
+
+Block = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 
 
 @lru_cache(maxsize=32)
-def _verma_pattern(n: int, i: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-    """The radical layers of the baby Verma lam_i at nu = 0: per layer, its
-    (block index, shift coordinates) pairs, each exactly once."""
+def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
+    """The radical layers of the baby Verma lam_i at nu = 0, as blocks.
+
+    Layer j holds one block (t, heads, tails) per k with t = i + j - 2k <= n,
+    in increasing t: its labels are (t, head + tail) for every head in
+    `heads` (the shifts -eps_X, |X| = k) and tail in `tails` (+eps_Y,
+    |Y| = j - k).  Both lists are sorted and duplicate-free, so the labels
+    of a layer are distinct and, block by block, in lexicographic order.
+    """
     layers = []
     for j in range(n + 1):
-        layer: dict[tuple[int, tuple[int, ...]], None] = {}
-        for k in range(0, min(i, j) + 1):
-            t = i + j - 2 * k
-            if t > n:
-                continue
-            for shift in _layer_shifts(n, i, k, j - k):
-                if (t, shift) in layer:
-                    label = IrreducibleLabel(t, Weight(shift))
-                    raise RuntimeError(f"layer {j} labels must be distinct: {label} repeats")
-                layer[t, shift] = None
-        layers.append(tuple(layer))
+        layers.append(tuple(
+            (i + j - 2 * k, _half_shifts(i, k, True), _half_shifts(n - i, j - k, False))
+            for k in range(min(i, j), -1, -1)
+            if i + j - 2 * k <= n
+        ))
     return tuple(layers)
 
 
@@ -100,16 +117,26 @@ def rad_layers_z_g1t(
     """Radical layers of the baby Verma with highest weight lam_i + p nu.
 
     Every composition factor within a layer occurs with multiplicity one;
-    summed over the twist, layer j matches `rad_layers_z_g1`.
+    summed over the twist, layer j matches `rad_layers_z_g1`.  Each layer
+    iterates in (block index, twist coordinates) order.
     """
     check_index(ctx, i)
     if nu.rank != ctx.n:
         raise ValueError("rank mismatch")
-    v = nu.coords
-    return [
-        {IrreducibleLabel(t, Weight(tuple(map(add, v, shift)))): 1 for t, shift in layer}
-        for layer in _verma_pattern(ctx.n, i)
-    ]
+    # Lexicographic order is translation-invariant, so translating each
+    # head by nu's first i coordinates and each tail by the rest keeps
+    # every block sorted.
+    v_head, v_tail = nu.coords[:i], nu.coords[i:]
+    layers = []
+    for blocks in _verma_pattern(ctx.n, i):
+        layer: dict[IrreducibleLabel, int] = {}
+        for t, heads, tails in blocks:
+            moved_tails = [tuple(map(add, v_tail, tail)) for tail in tails]
+            for head in heads:
+                moved = tuple(map(add, v_head, head))
+                layer.update((IrreducibleLabel(t, _weight(moved + tail)), 1) for tail in moved_tails)
+        layers.append(layer)
+    return layers
 
 
 def rad_layers_zprime_g1t(

@@ -6,9 +6,11 @@ depth where that Verma sits.  The support of the filtration is computed
 exactly: the baby Verma with label (t, eta) contains the target simple
 (i, nu) in its layer k for at most one (k, X, Y), which pins down both the
 depth and the BGG multiplicity.  Like the Verma layers, the support and
-the stacked table depend on nu only by translation: the Vermas' cached
-nu = 0 patterns (`loewy._verma_pattern`) are stacked once over plain int
-tuples, and nu is added to each distinct label at the end.
+the stacked table depend on nu only by translation, and both read the
+Vermas' cached nu = 0 block patterns (`loewy._verma_pattern`): the support
+is the blocks of block index i, negated, and each supporting Verma's
+blocks are stacked over plain int tuples with eta split at t into head and
+tail the same way.  nu is added to each distinct label at the end.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -22,11 +24,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import comb
-from operator import add
+from operator import add, neg
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight
-from .loewy import _layer_shifts, _verma_pattern
+from .lattice import Weight, _weight
+from .loewy import _verma_pattern
 
 __all__ = [
     "CONDITIONAL_FLAG_KEY",
@@ -49,17 +51,20 @@ class VermaSupportEntry:
     layer: int
 
 
-def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The filtration of the cover of (i, 0) as (t, eta coordinates, depth)
-    triples: eta is minus a layer-formula shift at t."""
+def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
+    """The filtration of the cover of (i, 0) as (t, eta head, eta tail, depth):
+    the Verma lam_t + p eta, eta = -(head shift + tail shift) for each label
+    (i, shift) in layer `depth` of the Verma pattern at t, split at t."""
     for t in range(n + 1):
-        for x_size in range(0, t + 1):
-            k = i - t + 2 * x_size
-            y_size = k - x_size
-            if k < 0 or y_size < 0 or y_size > n - t:
-                continue
-            for shift in _layer_shifts(n, t, x_size, y_size):
-                yield t, tuple(-c for c in shift), k
+        for depth, blocks in enumerate(_verma_pattern(n, t)):
+            for u, heads, tails in blocks:
+                if u != i:
+                    continue
+                neg_tails = [tuple(map(neg, tail)) for tail in tails]
+                for head in heads:
+                    neg_head = tuple(map(neg, head))
+                    for neg_tail in neg_tails:
+                        yield t, neg_head, neg_tail, depth
 
 
 def _check_twist(ctx: BlockContext, i: int, nu: Weight) -> None:
@@ -73,14 +78,14 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
 
     Entry (t, eta) at depth k records that the simple sits in radical layer
     k of the baby Verma lam_t + p eta; the eta are nu minus the Verma layer
-    formula's twist shifts (`loewy._layer_shifts` at t), so the list is
-    finite and multiplicity-free.
+    formula's twist shifts (the blocks of `loewy._verma_pattern` at t), so
+    the list is finite and multiplicity-free.
     """
     _check_twist(ctx, i, nu)
     v = nu.coords
     return [
-        VermaSupportEntry(IrreducibleLabel(t, Weight(tuple(map(add, v, eta)))), k)
-        for t, eta, k in _support(ctx.n, i)
+        VermaSupportEntry(IrreducibleLabel(t, _weight(tuple(map(add, v, head + tail)))), k)
+        for t, head, tail, k in _support(ctx.n, i)
     ]
 
 
@@ -97,11 +102,15 @@ def rad_layers_qhat(
     _check_twist(ctx, i, nu)
     n = ctx.n
     counts: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(2 * n + 1)]
-    for t, eta, depth in _support(n, i):
-        for target, pattern_layer in zip(counts[depth:], _verma_pattern(n, t)):
-            for u, shift in pattern_layer:
-                key = u, tuple(map(add, eta, shift))
-                target[key] = target.get(key, 0) + 1
+    for t, eta_head, eta_tail, depth in _support(n, i):
+        for target, blocks in zip(counts[depth:], _verma_pattern(n, t)):
+            for u, heads, tails in blocks:
+                moved_tails = [tuple(map(add, eta_tail, tail)) for tail in tails]
+                for head in heads:
+                    moved = tuple(map(add, eta_head, head))
+                    for tail in moved_tails:
+                        key = u, moved + tail
+                        target[key] = target.get(key, 0) + 1
     while counts and not counts[-1]:
         counts.pop()
     v = nu.coords
@@ -109,7 +118,7 @@ def rad_layers_qhat(
     for j, counted in enumerate(counts):
         counts[j] = None
         layers.append(
-            {IrreducibleLabel(u, Weight(tuple(map(add, v, c)))): m for (u, c), m in counted.items()}
+            {IrreducibleLabel(u, _weight(tuple(map(add, v, c)))): m for (u, c), m in counted.items()}
         )
     return layers
 

@@ -16,7 +16,7 @@ import pytest
 import loewylab
 import loewylab.checks
 import loewylab.cli
-from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, _dump_json, main
+from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
 from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -609,6 +609,23 @@ def test_jantzen_pair_budget_edges(capsys):
             f"error: jantzen at n={n} would check {pairs} (block index, root) pairs, "
             f"over the budget of {PAIR_BUDGET} pairs\n"
         )
+
+
+def test_verify_budget_edges(capsys):
+    # verify stacks (n+1)·4^n cover labels: n = 8 (589824) is admitted,
+    # n = 9 (2621440) and n = 40 are refused before any check runs.
+    assert 9 * 4**8 <= VERIFY_BUDGET < 10 * 4**9
+    for n in (9, 40):
+        for argv in (["verify", "--n", str(n), "--p", "11"],
+                     ["verify", "--n", str(n), "--p", "11", "--format", "json"]):
+            start = perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert perf_counter() - start < 0.5
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: verify at n={n} would stack {(n + 1) * 4**n} cover labels with "
+                f"multiplicity, over the budget of {VERIFY_BUDGET} labels\n"
+            )
 
 
 # ------------------------------------------------------- byte-identity grid

@@ -1,10 +1,12 @@
 import random
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
 
 from loewylab.lattice import (
     Weight,
+    _weight,
     eps_basis,
     eps_coords,
     from_eps,
@@ -35,6 +37,30 @@ def test_weight_arithmetic():
         a + Weight((1, 2, 3))
     with pytest.raises(TypeError):
         Weight((1.0, 2))  # type: ignore[arg-type]
+
+
+def test_unvalidated_weights_behave_like_validated_ones():
+    # Arithmetic and the layer kernels build weights through `_weight`,
+    # which skips validation: the results compare, hash and order as if
+    # built by `Weight`, and stay frozen.
+    rng = random.Random(7)
+    for _ in range(200):
+        coords = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+        other = tuple(rng.randint(-3, 3) for _ in coords)
+        built, checked = _weight(coords), Weight(coords)
+        assert type(built) is Weight
+        assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+        assert not (built < checked or checked < built)
+        assert (built < Weight(other)) == (coords < other) == (checked < _weight(other))
+        assert (built <= _weight(other)) == (coords <= other)
+        assert {built: 1} == {checked: 1}
+    a, b = Weight((1, -2, 3)), Weight((0, 4, -1))
+    for result, coords in [(a + b, (1, 2, 2)), (a - b, (1, -6, 4)), (-a, (-1, 2, -3)), (2 * a, (2, -4, 6))]:
+        assert result == Weight(coords) and hash(result) == hash(Weight(coords))
+    for w in (Weight((1, 2)), _weight((1, 2)), a + b):
+        with pytest.raises(FrozenInstanceError):
+            w.coords = (0, 0)  # type: ignore[misc]
+        assert w.coords in ((1, 2), (1, 2, 2))
 
 
 def test_eps_basis_sums_to_zero():

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 
 import pytest
 from oracles import twists, verma_layers
 
+import loewylab.loewy
 from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
 from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
 from loewylab.loewy import (
@@ -262,6 +264,46 @@ def test_g1t_layers_match_weight_oracle():
         for i in range(n + 1):
             for nu in twists(n):
                 assert rad_layers_z_g1t(ctx, i, nu) == verma_layers(ctx, i, nu)
+
+
+def test_g1t_layers_iterate_in_label_order():
+    # Each layer is built in (i, nu) order, so sorting it is one pass.
+    for n in range(1, 7):
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
+        for i in range(n + 1):
+            for nu in twists(n):
+                for layer in rad_layers_z_g1t(ctx, i, nu):
+                    keys = [(label.i, label.nu.coords) for label in layer]
+                    assert keys == sorted(keys)
+
+
+def test_g1t_labels_behave_like_validated_ones():
+    # The kernel builds its weights without re-validating them.
+    ctx = make_context(4, 7)
+    for nu in twists(4):
+        for layer in rad_layers_z_g1t(ctx, 2, nu):
+            for label in layer:
+                checked = IrreducibleLabel(label.i, Weight(label.nu.coords))
+                assert label == checked and hash(label) == hash(checked)
+                assert not (label < checked or checked < label)
+                assert layer[checked] == 1
+    with pytest.raises(FrozenInstanceError):
+        label.i = 0  # type: ignore[misc]
+    with pytest.raises(FrozenInstanceError):
+        label.nu = zero(4)  # type: ignore[misc]
+
+
+def test_repeated_twist_shifts_raise(monkeypatch):
+    # A layer's labels must be distinct; with every subset enumerated twice
+    # the pattern is refused by a raised error, which `python -O` keeps.
+    real = loewylab.loewy.combinations
+    monkeypatch.setattr(loewylab.loewy, "combinations", lambda pool, r: [*real(pool, r)] * 2)
+    loewylab.loewy._verma_pattern.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"^layer labels must be distinct: head shift \(0,\) repeats$"):
+            loewylab.loewy._verma_pattern(3, 1)
+    finally:
+        loewylab.loewy._verma_pattern.cache_clear()
 
 
 def test_g1t_layers_are_fresh_maps():
