@@ -3,7 +3,10 @@
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
-p alone: the text is a view of the JSON. The JSON is exactly
+p alone: the text is a view of the JSON. A layer listing's factor dicts are
+written straight from the library's rows (`verma_rows`, `cover_rows`),
+which come in (i, nu) order, so no label object is built and nothing is
+sorted. The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)`, so reruns are
 byte-identical; the factor lists of a layer listing and the certificate
 rows of a `jantzen` report are written from %-format templates (one per
@@ -39,15 +42,15 @@ from .chardim import check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
-from .loewy import rad_layers_z_g1t, rad_layers_zprime_g1t
-from .projective import CONDITIONAL_FLAG_KEY, rad_layers_qhat
+from .loewy import verma_rows
+from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
 __all__ = ["main"]
 
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
-# multiplicity.  The largest one admitted, `verma --n 16`, took about 1.5 s
-# and 110 MB on a 2-core VM.
+# multiplicity.  The largest one admitted, `verma --n 16`, took about 0.5 s
+# and 92 MB on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
@@ -55,7 +58,8 @@ LAYER_BUDGET = 1 << 16
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels of the
 # n+1 covers it stacks at nu = 0.  The largest one admitted, n = 8, took
-# about 3 s on a 2-core VM; n = 9 took tens of seconds.
+# about 1.7 s on a 2-core VM; the battery at n = 9, run through the library,
+# took about 6 s.
 VERIFY_BUDGET = 1 << 20
 
 
@@ -280,18 +284,19 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return "\n".join(lines)
 
 
-# The layer subcommands: (name, help, object kind, layer function, closed
-# form of the labels it lists counted with multiplicity, whether the result
-# is conditional on the Loewy length conjecture).  The layer lambdas look
-# the library function up in this module's namespace at call time, so a
-# wrapper patched in there (as `bench/spans.py` does) still sees the call.
+# The layer subcommands: (name, help, object kind, layer rows function,
+# closed form of the labels it lists counted with multiplicity, whether the
+# result is conditional on the Loewy length conjecture).  The layer lambdas
+# look the library function up in this module's namespace at call time, so
+# a wrapper patched in there (as `bench/spans.py` does) still sees the call.
+# The dual Verma's radical layers are the Verma's, reversed.
 _LAYER_COMMANDS = (
     ("verma", "radical layers of a baby Verma module", "Zhat",
-     lambda ctx, i, nu: rad_layers_z_g1t(ctx, i, nu), lambda n, i: 2**n, False),
+     lambda ctx, i, nu: verma_rows(ctx, i, nu), lambda n, i: 2**n, False),
     ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: rad_layers_zprime_g1t(ctx, i, nu), lambda n, i: 2**n, False),
+     lambda ctx, i, nu: verma_rows(ctx, i, nu)[::-1], lambda n, i: 2**n, False),
     ("proj", "radical layers of a projective cover (conditional)", "Qhat",
-     lambda ctx, i, nu: rad_layers_qhat(ctx, i, nu), lambda n, i: (n + 1) * comb(n, i) * 2**n,
+     lambda ctx, i, nu: cover_rows(ctx, i, nu), lambda n, i: (n + 1) * comb(n, i) * 2**n,
      True),
 )
 
@@ -301,7 +306,10 @@ def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     layers = args.layers_of(ctx, args.i, nu)
     return {
         "object": _object_str(args.kind, args.i, nu),
-        "layers": [{"j": j, "factors": _factors(layer)} for j, layer in enumerate(layers)],
+        "layers": [
+            {"j": j, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in rows]}
+            for j, rows in enumerate(layers)
+        ],
         CONDITIONAL_FLAG_KEY: args.conditional,
     }, 0
 

@@ -15,9 +15,11 @@ therefore a product heads(k) x tails(j - k), and the layers are computed
 once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
 (a small bounded cache).  On each call the heads are translated by nu's
 first i coordinates and the tails by the rest, and each label is one tuple
-concatenation; its weight is built without re-validation.  Layers are
-returned as fresh ``dict[label, multiplicity]`` maps, ordered bottom index
-0 = head for radical series, each iterating in (block index, twist) order.
+concatenation.  `verma_rows` returns the layers, index 0 = head for
+radical series, each as rows (block index, twist coordinates,
+multiplicity) in (block index, twist) order; the
+``dict[label, multiplicity]`` layers of `rad_layers_z_g1t` are a view of
+those rows, their weights built without re-validation.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .lattice import Weight, _weight, fundamental
 
 __all__ = [
     "rad_layers_z_g1",
+    "verma_rows",
     "rad_layers_z_g1t",
     "rad_layers_zprime_g1t",
     "composition_class_z_g1",
@@ -111,14 +114,15 @@ def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
     return tuple(layers)
 
 
-def rad_layers_z_g1t(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the baby Verma with highest weight lam_i + p nu.
+Row = tuple[int, tuple[int, ...], int]
 
-    Every composition factor within a layer occurs with multiplicity one;
-    summed over the twist, layer j matches `rad_layers_z_g1`.  Each layer
-    iterates in (block index, twist coordinates) order.
+
+def verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
+    """Radical layers of the baby Verma with highest weight lam_i + p nu,
+    as rows (block index, twist coordinates, multiplicity).
+
+    Each layer's rows are in (block index, twist coordinates) order, and
+    every multiplicity is one.
     """
     check_index(ctx, i)
     if nu.rank != ctx.n:
@@ -129,14 +133,27 @@ def rad_layers_z_g1t(
     v_head, v_tail = nu.coords[:i], nu.coords[i:]
     layers = []
     for blocks in _verma_pattern(ctx.n, i):
-        layer: dict[IrreducibleLabel, int] = {}
+        rows: list[Row] = []
         for t, heads, tails in blocks:
             moved_tails = [tuple(map(add, v_tail, tail)) for tail in tails]
             for head in heads:
                 moved = tuple(map(add, v_head, head))
-                layer.update((IrreducibleLabel(t, _weight(moved + tail)), 1) for tail in moved_tails)
-        layers.append(layer)
+                rows += [(t, moved + tail, 1) for tail in moved_tails]
+        layers.append(rows)
     return layers
+
+
+def rad_layers_z_g1t(
+    ctx: BlockContext, i: int, nu: Weight
+) -> list[dict[IrreducibleLabel, int]]:
+    """Radical layers of the baby Verma with highest weight lam_i + p nu.
+
+    Every composition factor within a layer occurs with multiplicity one;
+    summed over the twist, layer j matches `rad_layers_z_g1`.  Each layer
+    iterates in (block index, twist coordinates) order: it is a view of
+    `verma_rows`.
+    """
+    return [{IrreducibleLabel(t, _weight(c)): m for t, c, m in rows} for rows in verma_rows(ctx, i, nu)]
 
 
 def rad_layers_zprime_g1t(

@@ -8,9 +8,19 @@ exactly: the baby Verma with label (t, eta) contains the target simple
 depth and the BGG multiplicity.  Like the Verma layers, the support and
 the stacked table depend on nu only by translation, and both read the
 Vermas' cached nu = 0 block patterns (`loewy._verma_pattern`): the support
-is the blocks of block index i, negated, and each supporting Verma's
-blocks are stacked over plain int tuples with eta split at t into head and
-tail the same way.  nu is added to each distinct label at the end.
+is the blocks of block index i, negated.
+
+The cover is stacked at nu = 0 over packed ints.  A label (u, c) is the key
+u B^n + sum_k c_k B^(n-k) with B = 256, and each Verma pattern layer is
+flattened once per (n, t) into such keys (a small bounded cache).  The
+packing is linear, so translating a Verma by eta is adding eta's key, and
+each supporting Verma is one `Counter.update` per layer.  Pattern
+coordinates lie in {-1, 0, 1}, so the stacked coordinates lie in [-2, 2]:
+these balanced digits decode uniquely, and numeric order on keys is
+(u, coordinates) order.  The distinct keys are sorted and decoded once,
+and nu is added while decoding, never packed.  `cover_rows` returns the
+layers as rows (block index, twist coordinates, multiplicity);
+`rad_layers_qhat` is a view of them as labels.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -21,19 +31,22 @@ composition multiplicities are unconditional.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import add, neg
 
 from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, _weight
-from .loewy import _verma_pattern
+from .loewy import Row, _verma_pattern
 
 __all__ = [
     "CONDITIONAL_FLAG_KEY",
     "VermaSupportEntry",
     "verma_support",
+    "cover_rows",
     "rad_layers_qhat",
     "bgg_multiplicity",
     "q_composition_mult_g1",
@@ -89,10 +102,43 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEnt
     ]
 
 
-def rad_layers_qhat(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the projective cover of the simple (i, nu).
+_BASE = 256
+
+
+def _pack(u: int, coords: tuple[int, ...]) -> int:
+    """The key u B^n + sum_k c_k B^(n-k) of the label (u, coords)."""
+    key = u
+    for c in coords:
+        key = key * _BASE + c
+    return key
+
+
+@lru_cache(maxsize=32)
+def _packed_pattern(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """The layers of `loewy._verma_pattern(n, t)`, each flattened to keys.
+
+    Raises RuntimeError if a pattern coordinate lies outside {-1, 0, 1}:
+    stacked covers would then leave the digits that decode uniquely.
+    """
+    layers = []
+    for blocks in _verma_pattern(n, t):
+        keys: list[int] = []
+        for u, heads, tails in blocks:
+            for shift in (*heads, *tails):
+                if not set(shift) <= {-1, 0, 1}:
+                    raise RuntimeError(
+                        f"packed cover labels need pattern coordinates in {{-1, 0, 1}}: "
+                        f"shift {shift} of the Verma pattern at (n, t) = ({n}, {t})"
+                    )
+            keys += [_pack(_pack(u, head), tail) for head in heads for tail in tails]
+        layers.append(tuple(keys))
+    return tuple(layers)
+
+
+def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
+    """Radical layers of the projective cover of the simple (i, nu), as rows
+    (block index, twist coordinates, multiplicity) in (block index, twist
+    coordinates) order.
 
     Stacks each supporting baby Verma's radical layers at its depth.  The
     result has 2n + 1 layers, palindromic, with layer 0 the head and layer
@@ -101,26 +147,36 @@ def rad_layers_qhat(
     """
     _check_twist(ctx, i, nu)
     n = ctx.n
-    counts: list[dict[tuple[int, tuple[int, ...]], int]] = [{} for _ in range(2 * n + 1)]
+    counts = [Counter() for _ in range(2 * n + 1)]
     for t, eta_head, eta_tail, depth in _support(n, i):
-        for target, blocks in zip(counts[depth:], _verma_pattern(n, t)):
-            for u, heads, tails in blocks:
-                moved_tails = [tuple(map(add, eta_tail, tail)) for tail in tails]
-                for head in heads:
-                    moved = tuple(map(add, eta_head, head))
-                    for tail in moved_tails:
-                        key = u, moved + tail
-                        target[key] = target.get(key, 0) + 1
+        eta = _pack(0, eta_head + eta_tail)
+        for counter, keys in zip(counts[depth:], _packed_pattern(n, t)):
+            counter.update(map(eta.__add__, keys))
     while counts and not counts[-1]:
         counts.pop()
-    v = nu.coords
-    layers: list[dict[IrreducibleLabel, int]] = []
-    for j, counted in enumerate(counts):
+    # Biasing every digit by B/2 makes them the bytes of the key's low part.
+    half = _BASE // 2
+    bias, top = _pack(0, (half,) * n), _BASE**n
+    offsets = tuple(c - half for c in nu.coords)
+    layers = []
+    for j, counter in enumerate(counts):
         counts[j] = None
-        layers.append(
-            {IrreducibleLabel(u, _weight(tuple(map(add, v, c)))): m for (u, c), m in counted.items()}
-        )
+        rows: list[Row] = []
+        for key in sorted(counter):
+            u, low = divmod(key + bias, top)
+            rows.append((u, tuple(map(add, low.to_bytes(n, "big"), offsets)), counter[key]))
+        layers.append(rows)
     return layers
+
+
+def rad_layers_qhat(
+    ctx: BlockContext, i: int, nu: Weight
+) -> list[dict[IrreducibleLabel, int]]:
+    """Radical layers of the projective cover of the simple (i, nu): a view
+    of `cover_rows` as labels.  Conditional on the Loewy length conjecture;
+    see the module docstring.
+    """
+    return [{IrreducibleLabel(u, _weight(c)): m for u, c, m in rows} for rows in cover_rows(ctx, i, nu)]
 
 
 def bgg_multiplicity(

@@ -17,6 +17,16 @@ def twists(n):
     return [zero(n), fundamental(n, 1), -fundamental(n, n), Weight(((-2, 3) + (0,) * n)[:n])]
 
 
+def far_twist(n):
+    """(10^6, -10^6, 10^6, ...): far outside any digit a packed label holds."""
+    return Weight(tuple((-1) ** k * 10**6 for k in range(n)))
+
+
+def as_rows(layers):
+    """Label layers as rows (i, coordinates, multiplicity) in (i, coordinates) order."""
+    return [sorted((label.i, label.nu.coords, m) for label, m in layer.items()) for layer in layers]
+
+
 def verma_layers(ctx, i, nu):
     """Radical layers of the baby Verma lam_i + p nu: layer j holds
     (i + j - 2k, nu - eps_X + eps_Y) for X a k-subset of [1, i] and Y a

@@ -16,6 +16,8 @@ import pytest
 import loewylab
 import loewylab.checks
 import loewylab.cli
+import loewylab.loewy
+import loewylab.projective
 from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
 from loewylab.loewy import rad_layers_z_g1t
 from loewylab.projective import CONDITIONAL_FLAG_KEY
@@ -423,6 +425,23 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
         "_layers_text", "_block_text", "_ext_text", "_dim_text", "_jantzen_text", "_verify_text"
     ):
         monkeypatch.setattr(loewylab.cli, name, refuse)
+    assert [run_cli(argv, capsys) for argv in argvs] == expected
+    assert all(code == 0 for code, _, _ in expected)
+
+
+def test_layer_json_builds_no_labels(capsys, monkeypatch):
+    # Layer listings go from int rows straight to factor dicts.
+    argvs = [
+        [command, "--n", "3", "--p", "5", "--i", "1", "--nu=1,-2,0", "--format", "json"]
+        for command in ("verma", "verma-dual", "proj")
+    ]
+    expected = [run_cli(argv, capsys) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layer listing built an IrreducibleLabel")
+
+    for module in (loewylab.loewy, loewylab.projective, loewylab.cli):
+        monkeypatch.setattr(module, "IrreducibleLabel", refuse)
     assert [run_cli(argv, capsys) for argv in argvs] == expected
     assert all(code == 0 for code, _, _ in expected)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import twists, verma_layers
+from oracles import as_rows, far_twist, twists, verma_layers
 
 import loewylab.loewy
 from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
@@ -15,6 +15,7 @@ from loewylab.loewy import (
     rad_layers_z_g1,
     rad_layers_z_g1t,
     rad_layers_zprime_g1t,
+    verma_rows,
 )
 
 
@@ -266,15 +267,26 @@ def test_g1t_layers_match_weight_oracle():
                 assert rad_layers_z_g1t(ctx, i, nu) == verma_layers(ctx, i, nu)
 
 
+def test_verma_rows_match_weight_oracle():
+    for n in range(1, 5):
+        ctx = make_context(n, 7)
+        for i in range(n + 1):
+            for nu in [*twists(n), far_twist(n)]:
+                assert verma_rows(ctx, i, nu) == as_rows(verma_layers(ctx, i, nu))
+
+
 def test_g1t_layers_iterate_in_label_order():
-    # Each layer is built in (i, nu) order, so sorting it is one pass.
+    # Each layer's rows are built in strictly increasing (i, nu) order, and
+    # its labels iterate in the same order.
     for n in range(1, 7):
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in twists(n):
-                for layer in rad_layers_z_g1t(ctx, i, nu):
-                    keys = [(label.i, label.nu.coords) for label in layer]
-                    assert keys == sorted(keys)
+                for rows, layer in zip(verma_rows(ctx, i, nu), rad_layers_z_g1t(ctx, i, nu)):
+                    keys = [(u, c) for u, c, _ in rows]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert min(m for _, _, m in rows) >= 1
+                    assert [(label.i, label.nu.coords) for label in layer] == keys
 
 
 def test_g1t_labels_behave_like_validated_ones():

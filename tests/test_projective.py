@@ -2,8 +2,9 @@ from itertools import product
 from math import comb
 
 import pytest
-from oracles import cover_layers, twists
+from oracles import as_rows, cover_layers, far_twist, twists
 
+import loewylab.projective
 from loewylab.block import IrreducibleLabel, make_context
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
@@ -12,6 +13,7 @@ from loewylab.loewy import layer_sizes, rad_layers_z_g1t
 from loewylab.projective import (
     CONDITIONAL_FLAG_KEY,
     bgg_multiplicity,
+    cover_rows,
     q_composition_mult_g1,
     rad_layers_qhat,
     verma_support,
@@ -222,6 +224,46 @@ def test_qhat_matches_stacked_weight_oracle():
         for i in range(n + 1):
             for nu in twists(n):
                 assert rad_layers_qhat(ctx, i, nu) == cover_layers(ctx, i, nu)
+
+
+def test_cover_rows_match_stacked_weight_oracle():
+    # Label by label, with multiplicities and in order; the far twist shows
+    # that nu is added after the packed keys are decoded, never packed.
+    for n in range(1, 5):
+        ctx = make_context(n, 7)
+        for i in range(n + 1):
+            for nu in [*twists(n), far_twist(n)]:
+                assert cover_rows(ctx, i, nu) == as_rows(cover_layers(ctx, i, nu))
+
+
+def test_cover_rows_strictly_increase():
+    for n in range(1, 7):
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
+        for i in range(n + 1):
+            for nu in twists(n):
+                for rows in cover_rows(ctx, i, nu):
+                    keys = [(u, c) for u, c, _ in rows]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert min(m for _, _, m in rows) >= 1
+
+
+def test_packing_refuses_wide_pattern_coordinates(monkeypatch):
+    # A coordinate of 2 could stack past the digits that decode uniquely, so
+    # building the packed layers raises, which `python -O` keeps.
+    def widened(n, t):
+        return (((t, (tuple([2] * t),), (tuple([2] * (n - t)),)),),)
+
+    monkeypatch.setattr(loewylab.projective, "_verma_pattern", widened)
+    loewylab.projective._packed_pattern.cache_clear()
+    try:
+        with pytest.raises(
+            RuntimeError,
+            match=r"^packed cover labels need pattern coordinates in \{-1, 0, 1\}: "
+            r"shift \(2,\) of the Verma pattern at \(n, t\) = \(2, 1\)$",
+        ):
+            cover_rows(make_context(2, 5), 1, zero(2))
+    finally:
+        loewylab.projective._packed_pattern.cache_clear()
 
 
 def test_qhat_layers_are_fresh_maps():
