@@ -2,15 +2,19 @@
 
 `verify_checks` is the battery behind `loewylab verify`: thirteen named
 checks of the weight table, dimensions, certificates, Verma layers, Ext
-rules and projective covers.  `dimension_table` tabulates the simple and
-parabolic cover dimensions with their additivity identities and the
-per-Verma dimension conservation, which `loewylab dim` renders and two of
-the checks read.
+rules and projective covers.  It reads the Verma and cover layer tables
+only as the (block index, twist coordinates, multiplicity) rows of
+`verma_rows`, `dual_verma_rows` and `cover_rows`, and compares them as row
+lists; labels are built only for the heads and Ext neighbours it feeds in.
+`dimension_table` tabulates the simple and parabolic cover dimensions with
+their additivity identities and the per-Verma dimension conservation,
+which `loewylab dim` renders and two of the checks read.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from collections.abc import Iterable
+from itertools import chain, product
 from math import comb
 
 from .block import BlockContext, IrreducibleLabel, block_weight, classify, label_weight, mu_weight
@@ -22,10 +26,10 @@ from .lattice import (
     Weight, eps_basis, eps_coords, from_eps, fundamental, in_root_lattice, leq, pair, rho, zero,
 )
 from .loewy import (
-    composition_class_z_g1, layer_sizes, parabolic_m_structure, rad_layers_z_g1,
-    rad_layers_z_g1t, rad_layers_zprime_g1t,
+    Row, composition_class_z_g1, dual_verma_rows, layer_sizes, parabolic_m_structure,
+    rad_layers_z_g1, verma_rows,
 )
-from .projective import bgg_multiplicity, q_composition_mult_g1, rad_layers_qhat, verma_support
+from .projective import bgg_multiplicity, cover_rows, q_composition_mult_g1, verma_support
 from .weyl import act, longest, longest_fixing_last
 
 __all__ = ["dimension_table", "verify_checks"]
@@ -61,6 +65,14 @@ def dimension_table(ctx: BlockContext) -> dict:
     return {"rows": rows, "verma_dimension": verma_dim, "conservation_ok": conservation}
 
 
+def _index_totals(rows: Iterable[Row]) -> dict[int, int]:
+    """Summed multiplicity per block index over (i, coords, mult) rows."""
+    totals: dict[int, int] = {}
+    for u, _, m in rows:
+        totals[u] = totals.get(u, 0) + m
+    return totals
+
+
 def verify_checks(ctx: BlockContext) -> list[dict]:
     """Run every named check at (n, p), in a fixed order.
 
@@ -76,17 +88,20 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
             {"name": name, "ok": bool(ok), "detail": "" if ok else detail, "conditional": conditional}
         )
 
-    twists = [zero(n), fundamental(n, 1), -fundamental(n, n)]
+    # Weights the checks below share, built once: eps[k - 1] is eps_k.
+    origin, w_1, rho_n = zero(n), fundamental(n, 1), rho(n)
+    eps = [eps_basis(n, k) for k in range(1, n + 2)]
+    twists = [origin, w_1, -fundamental(n, n)]
 
     # Weight arithmetic round trips and the rho pairing normalisation.
-    samples = list(ctx.lambdas) + [rho(n), zero(n), fundamental(n, 1)]
+    samples = list(ctx.lambdas) + [rho_n, origin, w_1]
     ok = all(from_eps(eps_coords(w)) == w for w in samples)
-    ok = ok and all(pair(rho(n), k, j) == j - k for k, j in positive_roots(n))
+    ok = ok and all(pair(rho_n, k, j) == j - k for k, j in positive_roots(n))
     ok = ok and all(leq(w, w) for w in samples)
     add("lattice.round_trip", ok, "eps round trip or rho pairing broke")
 
     # Twisting by p preserves and reflects the dominance order.
-    pairs = list(product(twists + [rho(n)], repeat=2))
+    pairs = list(product(twists + [rho_n], repeat=2))
     ok = all(leq(p * a, p * b) == leq(a, b) for a, b in pairs)
     add("lattice.twist_order", ok, "p-dilation did not preserve/reflect the order")
 
@@ -94,17 +109,17 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     bad = None
     for coords in product(range(3), repeat=n):
         w = Weight(coords)
-        if in_root_lattice(w - fundamental(n, 1)) and not leq(fundamental(n, 1), w):
+        if in_root_lattice(w - w_1) and not leq(w_1, w):
             bad = w
             break
     add("lattice.coset_minimality", bad is None, f"counterexample {bad and bad.coords}")
 
     # The weight table against its defining companions.
     ok = all(
-        ctx.lambdas[i] == mu_weight(ctx, i) + p * rho(n) - p * fundamental(n, i + 1)
+        ctx.lambdas[i] == mu_weight(ctx, i) + p * rho_n - p * fundamental(n, i + 1)
         for i in range(n)
     )
-    ok = ok and ctx.lambdas[n] == mu_weight(ctx, n) + p * rho(n)
+    ok = ok and ctx.lambdas[n] == mu_weight(ctx, n) + p * rho_n
     ok = ok and all(
         all(0 <= c < p for c in block_weight(ctx, i, a).coords)
         for i in range(n + 1)
@@ -147,51 +162,45 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     )
 
     # The twisted baby Vermas the next four checks read, built once each.
-    vermas = {(i, t): rad_layers_z_g1t(ctx, i, t) for i in range(n + 1) for t in twists}
+    vermas = {(i, t): verma_rows(ctx, i, t) for i in range(n + 1) for t in twists}
+    sizes = [comb(n, j) for j in range(n + 1)]
 
     # Layer counts: binomial per layer, Loewy length n + 1, twist-sum match.
     ok = True
     for i in range(n + 1):
         g1 = rad_layers_z_g1(ctx, i)
-        ok = ok and layer_sizes(g1) == [comb(n, j) for j in range(n + 1)]
+        ok = ok and layer_sizes(g1) == sizes
         for t in twists:
             g1t = vermas[i, t]
-            ok = ok and layer_sizes(g1t) == [comb(n, j) for j in range(n + 1)]
-            collapsed = [
-                {
-                    u: sum(m for lab, m in layer.items() if lab.i == u)
-                    for u in {lab.i for lab in layer}
-                }
-                for layer in g1t
-            ]
-            ok = ok and collapsed == g1
+            ok = ok and [sum(m for _, _, m in rows) for rows in g1t] == sizes
+            ok = ok and [_index_totals(rows) for rows in g1t] == g1
     add("loewy.layer_counts", ok, "layer sizes or twist-collapse mismatch")
 
     # First radical layer against the two parabolic covers' second layers.
     ok = True
     for i in range(n + 1):
         for t in twists:
-            expected = {}
-            for x in range(1, i + 1):
-                expected[IrreducibleLabel(i - 1, t - eps_basis(n, x))] = 1
-            for y in range(i + 2, n + 2):
-                expected[IrreducibleLabel(i + 1, t + eps_basis(n, y))] = 1
+            expected = sorted(
+                [(i - 1, (t - e).coords, 1) for e in eps[:i]]
+                + [(i + 1, (t + e).coords, 1) for e in eps[i + 1:]]
+            )
             ok = ok and vermas[i, t][1] == expected
+            keys = {(u, c) for u, c, _ in expected}
             if i < n:
                 sub = parabolic_m_structure(ctx, i, t, "I")[1]
-                ok = ok and all(lab in expected for lab in sub)
+                ok = ok and all((lab.i, lab.nu.coords) in keys for lab in sub)
             if i > 0:
                 sub = parabolic_m_structure(ctx, i, t, "J")[1]
-                ok = ok and all(lab in expected for lab in sub)
+                ok = ok and all((lab.i, lab.nu.coords) in keys for lab in sub)
     add("loewy.rad1_parabolic_forms", ok, "rad_1 disagrees with the cover forms")
 
     # Rigidity: socle series and dual-Verma radicals are index reversals.
     ok = True
     for i in range(n + 1):
         for t in twists:
-            rev = rad_layers_zprime_g1t(ctx, i, t)
-            ok = ok and rev == list(reversed(vermas[i, t]))
-            ok = ok and rev[-1] == {IrreducibleLabel(i, t): 1}
+            rev = dual_verma_rows(ctx, i, t)
+            ok = ok and rev == vermas[i, t][::-1]
+            ok = ok and rev[-1] == [(i, t.coords, 1)]
     add("loewy.rigidity", ok, "socle/dual series are not reversals")
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.
@@ -211,25 +220,24 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
             head = IrreducibleLabel(i, t)
             ok = ok and all(ext1_g1t_dim(ctx, head, b) == 1 for b in layer)
             ok = ok and all(m == 1 for m in layer.values())
-            ok = ok and all(lab in layer for lab in vermas[i, t][1])
+            keys = {(lab.i, lab.nu.coords) for lab in layer}
+            ok = ok and all((u, c) in keys for u, c, _ in vermas[i, t][1])
     add("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
 
     # Projective covers: shape, palindromy, first layer, and aggregates.
     ok = True
     for i in range(n + 1):
-        layers = rad_layers_qhat(ctx, i, zero(n))
+        layers = cover_rows(ctx, i, origin)
         ok = ok and len(layers) == 2 * n + 1
-        ok = ok and layers[0] == {IrreducibleLabel(i, zero(n)): 1}
-        ok = ok and layers[1] == rad1_qhat(ctx, i, zero(n))
-        ok = ok and all(layers[j] == layers[2 * n - j] for j in range(2 * n + 1))
-        totals: dict[int, int] = {}
-        for layer in layers:
-            for lab, m in layer.items():
-                totals[lab.i] = totals.get(lab.i, 0) + m
+        ok = ok and layers[0] == [(i, origin.coords, 1)]
+        rad1 = rad1_qhat(ctx, i, origin)
+        ok = ok and layers[1] == sorted((lab.i, lab.nu.coords, m) for lab, m in rad1.items())
+        ok = ok and layers == layers[::-1]
+        totals = _index_totals(chain.from_iterable(layers))
         ok = ok and totals == {j: q_composition_mult_g1(ctx, i, j) for j in range(n + 1)}
-        head = IrreducibleLabel(i, zero(n))
+        head = IrreducibleLabel(i, origin)
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
-        support = verma_support(ctx, i, zero(n))
+        support = verma_support(ctx, i, origin)
         ok = ok and len({e.verma for e in support}) == len(support)
     add("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
 

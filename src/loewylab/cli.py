@@ -4,9 +4,9 @@ The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
 p alone: the text is a view of the JSON. A layer listing's factor dicts are
-written straight from the library's rows (`verma_rows`, `cover_rows`),
-which come in (i, nu) order, so no label object is built and nothing is
-sorted. The JSON is exactly
+written straight from the library's rows (`verma_rows`, `dual_verma_rows`,
+`cover_rows`), which come in (i, nu) order, so no label object is built
+and nothing is sorted. The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)`, so reruns are
 byte-identical; the factor lists of a layer listing and the certificate
 rows of a `jantzen` report are written from %-format templates (one per
@@ -42,7 +42,7 @@ from .chardim import check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
-from .loewy import verma_rows
+from .loewy import dual_verma_rows, verma_rows
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
 __all__ = ["main"]
@@ -58,8 +58,8 @@ LAYER_BUDGET = 1 << 16
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels of the
 # n+1 covers it stacks at nu = 0.  The largest one admitted, n = 8, took
-# about 1.7 s on a 2-core VM; the battery at n = 9, run through the library,
-# took about 6 s.
+# about 1 s on a 2-core VM; the battery at n = 9, run through the library,
+# took about 4 s and 90 MB.
 VERIFY_BUDGET = 1 << 20
 
 
@@ -294,7 +294,7 @@ _LAYER_COMMANDS = (
     ("verma", "radical layers of a baby Verma module", "Zhat",
      lambda ctx, i, nu: verma_rows(ctx, i, nu), lambda n, i: 2**n, False),
     ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: verma_rows(ctx, i, nu)[::-1], lambda n, i: 2**n, False),
+     lambda ctx, i, nu: dual_verma_rows(ctx, i, nu), lambda n, i: 2**n, False),
     ("proj", "radical layers of a projective cover (conditional)", "Qhat",
      lambda ctx, i, nu: cover_rows(ctx, i, nu), lambda n, i: (n + 1) * comb(n, i) * 2**n,
      True),

@@ -17,9 +17,10 @@ once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
 first i coordinates and the tails by the rest, and each label is one tuple
 concatenation.  `verma_rows` returns the layers, index 0 = head for
 radical series, each as rows (block index, twist coordinates,
-multiplicity) in (block index, twist) order; the
-``dict[label, multiplicity]`` layers of `rad_layers_z_g1t` are a view of
-those rows, their weights built without re-validation.
+multiplicity) in (block index, twist) order, and `dual_verma_rows` the
+same rows reversed.  The ``dict[label, multiplicity]`` layers of
+`rad_layers_z_g1t` are a view of the rows, their weights built without
+re-validation, for the parabolic covers' degenerate edge.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .lattice import Weight, _weight, fundamental
 __all__ = [
     "rad_layers_z_g1",
     "verma_rows",
+    "dual_verma_rows",
     "rad_layers_z_g1t",
-    "rad_layers_zprime_g1t",
     "composition_class_z_g1",
     "parabolic_m_structure",
     "layer_sizes",
@@ -143,6 +144,18 @@ def verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     return layers
 
 
+def dual_verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
+    """Radical layers of the dual (opposite) baby Verma with the same label,
+    as rows.
+
+    Its j-th radical layer equals radical layer n - j of the ordinary baby
+    Verma, so the list is the reversal of `verma_rows`.  By rigidity the
+    same list is the socle series of the baby Verma itself, bottom up:
+    entry j is its (j+1)-st socle layer.
+    """
+    return verma_rows(ctx, i, nu)[::-1]
+
+
 def rad_layers_z_g1t(
     ctx: BlockContext, i: int, nu: Weight
 ) -> list[dict[IrreducibleLabel, int]]:
@@ -154,19 +167,6 @@ def rad_layers_z_g1t(
     `verma_rows`.
     """
     return [{IrreducibleLabel(t, _weight(c)): m for t, c, m in rows} for rows in verma_rows(ctx, i, nu)]
-
-
-def rad_layers_zprime_g1t(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the dual (opposite) baby Verma with the same label.
-
-    Its j-th radical layer equals radical layer n - j of the ordinary baby
-    Verma, so the list is the reversal.  By rigidity the same list is the
-    socle series of the baby Verma itself, bottom up: entry j is its
-    (j+1)-st socle layer.
-    """
-    return list(reversed(rad_layers_z_g1t(ctx, i, nu)))
 
 
 def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:

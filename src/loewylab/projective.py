@@ -19,8 +19,8 @@ coordinates lie in {-1, 0, 1}, so the stacked coordinates lie in [-2, 2]:
 these balanced digits decode uniquely, and numeric order on keys is
 (u, coordinates) order.  The distinct keys are sorted and decoded once,
 and nu is added while decoding, never packed.  `cover_rows` returns the
-layers as rows (block index, twist coordinates, multiplicity);
-`rad_layers_qhat` is a view of them as labels.
+layers as rows (block index, twist coordinates, multiplicity), the one
+form in which covers leave the module.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -47,7 +47,6 @@ __all__ = [
     "VermaSupportEntry",
     "verma_support",
     "cover_rows",
-    "rad_layers_qhat",
     "bgg_multiplicity",
     "q_composition_mult_g1",
 ]
@@ -167,16 +166,6 @@ def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
             rows.append((u, tuple(map(add, low.to_bytes(n, "big"), offsets)), counter[key]))
         layers.append(rows)
     return layers
-
-
-def rad_layers_qhat(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the projective cover of the simple (i, nu): a view
-    of `cover_rows` as labels.  Conditional on the Loewy length conjecture;
-    see the module docstring.
-    """
-    return [{IrreducibleLabel(u, _weight(c)): m for u, c, m in rows} for rows in cover_rows(ctx, i, nu)]
 
 
 def bgg_multiplicity(

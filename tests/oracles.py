@@ -27,6 +27,12 @@ def as_rows(layers):
     return [sorted((label.i, label.nu.coords, m) for label, m in layer.items()) for layer in layers]
 
 
+def as_labels(layers):
+    """Rows (i, coordinates, multiplicity) as label layers, each a dict
+    {IrreducibleLabel: multiplicity}: the label view the layer tests read."""
+    return [{IrreducibleLabel(i, Weight(c)): m for i, c, m in rows} for rows in layers]
+
+
 def verma_layers(ctx, i, nu):
     """Radical layers of the baby Verma lam_i + p nu: layer j holds
     (i + j - 2k, nu - eps_X + eps_Y) for X a k-subset of [1, i] and Y a

@@ -19,7 +19,7 @@ import loewylab.cli
 import loewylab.loewy
 import loewylab.projective
 from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
-from loewylab.loewy import rad_layers_z_g1t
+from loewylab.loewy import verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
 
@@ -362,7 +362,7 @@ def test_dim_and_verify_output_frozen(capsys):
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
     # Dual Vermas that are not reversals must fail exactly the rigidity check.
-    monkeypatch.setattr(loewylab.checks, "rad_layers_zprime_g1t", rad_layers_z_g1t)
+    monkeypatch.setattr(loewylab.checks, "dual_verma_rows", verma_rows)
     code, out, err = run_cli(["verify", "--n", "2", "--p", "5"], capsys)
     assert code == 1 and err == ""
     lines = out.splitlines()
@@ -375,6 +375,39 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["loewy.rigidity"]
+
+
+def _swap_first_and_second_radical(layers):
+    # Layers 1 and 2 are not mirror images of each other.
+    layers[1], layers[2] = layers[2], layers[1]
+
+
+def _bump_middle_multiplicity(layers):
+    # The middle layer is its own mirror image, so only the totals see this.
+    u, c, m = layers[len(layers) // 2][0]
+    layers[len(layers) // 2][0] = (u, c, m + 1)
+
+
+@pytest.mark.parametrize("corrupt", [_swap_first_and_second_radical, _bump_middle_multiplicity])
+def test_verify_cover_check_reads_the_rows(capsys, monkeypatch, corrupt):
+    # Corrupted cover rows must fail exactly the cover structure check.
+    def corrupted_cover_rows(ctx, i, nu):
+        layers = loewylab.projective.cover_rows(ctx, i, nu)
+        corrupt(layers)
+        return layers
+
+    monkeypatch.setattr(loewylab.checks, "cover_rows", corrupted_cover_rows)
+    code, out, err = run_cli(["verify", "--n", "2", "--p", "5"], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL projective.structure [conditional]: cover layer shape or aggregates broke"
+    ]
+    code, out, err = run_cli(["verify", "--n", "2", "--p", "5", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["projective.structure"]
 
 
 def test_python_m_loewylab(capsys):

@@ -3,18 +3,18 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import as_rows, far_twist, twists, verma_layers
+from oracles import as_labels, as_rows, far_twist, twists, verma_layers
 
 import loewylab.loewy
 from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
 from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
 from loewylab.loewy import (
     composition_class_z_g1,
+    dual_verma_rows,
     layer_sizes,
     parabolic_m_structure,
     rad_layers_z_g1,
     rad_layers_z_g1t,
-    rad_layers_zprime_g1t,
     verma_rows,
 )
 
@@ -120,7 +120,7 @@ def test_socle_and_dual_series_are_reversals():
         for i in range(n + 1):
             for t in (zero(n), -fundamental(n, n)):
                 rad = rad_layers_z_g1t(ctx, i, t)
-                dual = rad_layers_zprime_g1t(ctx, i, t)
+                dual = as_labels(dual_verma_rows(ctx, i, t))
                 assert dual == list(reversed(rad))
                 assert dual[-1] == {IrreducibleLabel(i, t): 1}
                 assert rad[0] == {IrreducibleLabel(i, t): 1}

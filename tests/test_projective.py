@@ -2,7 +2,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from oracles import as_rows, cover_layers, far_twist, twists
+from oracles import as_labels, as_rows, cover_layers, far_twist, twists
 
 import loewylab.projective
 from loewylab.block import IrreducibleLabel, make_context
@@ -15,7 +15,6 @@ from loewylab.projective import (
     bgg_multiplicity,
     cover_rows,
     q_composition_mult_g1,
-    rad_layers_qhat,
     verma_support,
 )
 
@@ -114,12 +113,12 @@ def test_verma_support_count_is_closed_form():
 
 def test_rad_layers_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert rad_layers_qhat(ctx, 0, zero(1)) == [
+    assert as_labels(cover_rows(ctx, 0, zero(1))) == [
         {lab(0, (0,)): 1},
         {lab(1, (-1,)): 1, lab(1, (1,)): 1},
         {lab(0, (0,)): 1},
     ]
-    assert rad_layers_qhat(ctx, 1, zero(1)) == [
+    assert as_labels(cover_rows(ctx, 1, zero(1))) == [
         {lab(1, (0,)): 1},
         {lab(0, (-1,)): 1, lab(0, (1,)): 1},
         {lab(1, (0,)): 1},
@@ -128,7 +127,7 @@ def test_rad_layers_qhat_frozen_rank_one():
 
 def test_rad_layers_qhat_frozen_rank_two_outer():
     ctx = make_context(2, 5)
-    layers = rad_layers_qhat(ctx, 0, zero(2))
+    layers = as_labels(cover_rows(ctx, 0, zero(2)))
     assert layer_sizes(layers) == [1, 3, 4, 3, 1]
     assert layers[0] == {lab(0, (0, 0)): 1}
     assert layers[2] == {
@@ -141,7 +140,7 @@ def test_rad_layers_qhat_frozen_rank_two_outer():
 
 def test_rad_layers_qhat_frozen_rank_two_middle():
     ctx = make_context(2, 5)
-    layers = rad_layers_qhat(ctx, 1, zero(2))
+    layers = as_labels(cover_rows(ctx, 1, zero(2)))
     assert layer_sizes(layers) == [1, 6, 10, 6, 1]
     assert layers[2] == {
         lab(1, (0, 0)): 4,
@@ -159,7 +158,7 @@ def test_qhat_layer_shape_sweep():
         ctx = make_context(n, p)
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1)):
-                layers = rad_layers_qhat(ctx, i, t)
+                layers = as_labels(cover_rows(ctx, i, t))
                 assert len(layers) == 2 * n + 1
                 assert layers[0] == {IrreducibleLabel(i, t): 1}
                 assert layers[-1] == {IrreducibleLabel(i, t): 1}
@@ -172,7 +171,7 @@ def test_qhat_g1_totals_match_closed_form():
     for n, p in [(1, 5), (2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            layers = rad_layers_qhat(ctx, i, zero(n))
+            layers = as_labels(cover_rows(ctx, i, zero(n)))
             totals = [0] * (n + 1)
             for layer in layers:
                 for label, mult in layer.items():
@@ -207,7 +206,7 @@ def test_qhat_dimension_is_support_count_times_verma_dimension():
         for i in range(n + 1):
             support = verma_support(ctx, i, zero(n))
             total = 0
-            for layer in rad_layers_qhat(ctx, i, zero(n)):
+            for layer in as_labels(cover_rows(ctx, i, zero(n))):
                 for label, mult in layer.items():
                     total += mult * simple_dims[label.i]
             assert total == len(support) * verma_dim
@@ -223,7 +222,7 @@ def test_qhat_matches_stacked_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in twists(n):
-                assert rad_layers_qhat(ctx, i, nu) == cover_layers(ctx, i, nu)
+                assert as_labels(cover_rows(ctx, i, nu)) == cover_layers(ctx, i, nu)
 
 
 def test_cover_rows_match_stacked_weight_oracle():
@@ -269,18 +268,18 @@ def test_packing_refuses_wide_pattern_coordinates(monkeypatch):
 def test_qhat_layers_are_fresh_maps():
     ctx = make_context(2, 5)
     nu = -fundamental(2, 2)
-    layers = rad_layers_qhat(ctx, 1, nu)
+    layers = as_labels(cover_rows(ctx, 1, nu))
     layers[0][lab(1, (9, 9))] = 7
     layers[2].clear()
     layers.pop()
-    assert rad_layers_qhat(ctx, 1, nu) == cover_layers(ctx, 1, nu)
+    assert as_labels(cover_rows(ctx, 1, nu)) == cover_layers(ctx, 1, nu)
 
 
 def test_qhat_validation_messages():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
-        rad_layers_qhat(ctx, 3, zero(2))
+        cover_rows(ctx, 3, zero(2))
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got -1\)$"):
-        rad_layers_qhat(ctx, -1, zero(3))
+        cover_rows(ctx, -1, zero(3))
     with pytest.raises(ValueError, match=r"^rank mismatch$"):
-        rad_layers_qhat(ctx, 1, zero(3))
+        cover_rows(ctx, 1, zero(3))

@@ -70,3 +70,17 @@ def test_lru_caches_are_bounded():
                 if not (isinstance(size, ast.Constant) and isinstance(size.value, int)):
                     unbounded.append(f"{path.name}:{node.name}")
     assert unbounded == []
+
+
+def test_verify_battery_reads_layer_rows():
+    # The battery reads Verma and cover layers as rows; `rad_layers_z_g1`,
+    # the Frobenius-kernel table keyed by block index, has no rows form.
+    path = Path(loewylab.__file__).with_name("checks.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert sorted(n for n in imported if n.startswith("rad_layers_")) == ["rad_layers_z_g1"]
