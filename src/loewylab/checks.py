@@ -4,8 +4,10 @@
 checks of the weight table, dimensions, certificates, Verma layers, Ext
 rules and projective covers.  It reads the Verma and cover layer tables
 only as the (block index, twist coordinates, multiplicity) rows of
-`verma_rows`, `dual_verma_rows` and `cover_rows`, and compares them as row
-lists; labels are built only for the heads and Ext neighbours it feeds in.
+`verma_rows`, `dual_verma_rows` and `cover_rows`, and compares them, the
+parabolic covers and the first radical layer `rad1_qhat` as row lists.
+Labels are built only for the APIs that take them: `classify`,
+`ext1_g1t_dim` and `bgg_multiplicity`.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
 which `loewylab dim` renders and two of the checks read.
@@ -185,13 +187,10 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
                 + [(i + 1, (t + e).coords, 1) for e in eps[i + 1:]]
             )
             ok = ok and vermas[i, t][1] == expected
-            keys = {(u, c) for u, c, _ in expected}
             if i < n:
-                sub = parabolic_m_structure(ctx, i, t, "I")[1]
-                ok = ok and all((lab.i, lab.nu.coords) in keys for lab in sub)
+                ok = ok and set(parabolic_m_structure(ctx, i, t, "I")[1]) <= set(expected)
             if i > 0:
-                sub = parabolic_m_structure(ctx, i, t, "J")[1]
-                ok = ok and all((lab.i, lab.nu.coords) in keys for lab in sub)
+                ok = ok and set(parabolic_m_structure(ctx, i, t, "J")[1]) <= set(expected)
     add("loewy.rad1_parabolic_forms", ok, "rad_1 disagrees with the cover forms")
 
     # Rigidity: socle series and dual-Verma radicals are index reversals.
@@ -216,12 +215,13 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         for t in twists:
             layer = rad1_qhat(ctx, i, t)
             want = (n + 1) * ((i > 0) + (i < n))
-            ok = ok and sum(layer.values()) == want
+            ok = ok and sum(m for _, _, m in layer) == want
             head = IrreducibleLabel(i, t)
-            ok = ok and all(ext1_g1t_dim(ctx, head, b) == 1 for b in layer)
-            ok = ok and all(m == 1 for m in layer.values())
-            keys = {(lab.i, lab.nu.coords) for lab in layer}
-            ok = ok and all((u, c) in keys for u, c, _ in vermas[i, t][1])
+            ok = ok and all(
+                ext1_g1t_dim(ctx, head, IrreducibleLabel(u, Weight(c))) == 1 for u, c, _ in layer
+            )
+            ok = ok and all(m == 1 for _, _, m in layer)
+            ok = ok and set(vermas[i, t][1]) <= set(layer)
     add("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
 
     # Projective covers: shape, palindromy, first layer, and aggregates.
@@ -230,15 +230,14 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         layers = cover_rows(ctx, i, origin)
         ok = ok and len(layers) == 2 * n + 1
         ok = ok and layers[0] == [(i, origin.coords, 1)]
-        rad1 = rad1_qhat(ctx, i, origin)
-        ok = ok and layers[1] == sorted((lab.i, lab.nu.coords, m) for lab, m in rad1.items())
+        ok = ok and layers[1] == rad1_qhat(ctx, i, origin)
         ok = ok and layers == layers[::-1]
         totals = _index_totals(chain.from_iterable(layers))
         ok = ok and totals == {j: q_composition_mult_g1(ctx, i, j) for j in range(n + 1)}
         head = IrreducibleLabel(i, origin)
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
         support = verma_support(ctx, i, origin)
-        ok = ok and len({e.verma for e in support}) == len(support)
+        ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)
     add("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
 
     return checks

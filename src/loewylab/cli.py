@@ -3,20 +3,20 @@
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
-p alone: the text is a view of the JSON. A layer listing's factor dicts are
-written straight from the library's rows (`verma_rows`, `dual_verma_rows`,
-`cover_rows`), which come in (i, nu) order, so no label object is built
-and nothing is sorted. The JSON is exactly
-`json.dumps(payload, sort_keys=True, indent=2)`, so reruns are
-byte-identical; the factor lists of a layer listing and the certificate
-rows of a `jantzen` report are written from %-format templates (one per
-layer, one per certificate row) instead of by json.dumps, which is slow
-with `indent`.  Sizes are closed forms checked before any work: a layer
-listing (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
-multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels, and
-`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14;
-`verify`, which stacks the n+1 covers at nu = 0, (n+1)·4^n labels, above
-VERIFY_BUDGET = 2^20.
+p alone: the text is a view of the JSON. The factor dicts of a layer
+listing and of `ext --i` are written straight from the library's rows
+(`verma_rows`, `dual_verma_rows`, `cover_rows`, `rad1_qhat`), which come
+in (i, nu) order, so no label object is built and nothing is sorted. The
+JSON is exactly `json.dumps(payload, sort_keys=True, indent=2)`, so reruns
+are byte-identical; the factor lists of a layer listing and the
+certificate rows of a `jantzen` report are written from %-format templates
+(one per layer, one per certificate row) instead of by json.dumps, which
+is slow with `indent`.  Sizes are closed forms checked before any work,
+one `_BUDGETS` row per subcommand: a layer listing (2^n labels for `verma`
+and `verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`) is
+refused above LAYER_BUDGET = 2^16 labels, `jantzen`, which checks
+(n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14, and `verify`, which stacks
+the n+1 covers at nu = 0, (n+1)·4^n labels, above VERIFY_BUDGET = 2^20.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
@@ -30,14 +30,7 @@ import sys
 from functools import lru_cache
 from math import comb
 
-from .block import (
-    BlockContext,
-    IrreducibleLabel,
-    check_index,
-    make_context,
-    mu_weight,
-    nu_weight,
-)
+from .block import BlockContext, check_index, make_context, mu_weight, nu_weight
 from .chardim import check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
@@ -50,7 +43,7 @@ __all__ = ["main"]
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
 # multiplicity.  The largest one admitted, `verma --n 16`, took about 0.5 s
-# and 92 MB on a 2-core VM.
+# and 87 MB on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
@@ -62,31 +55,44 @@ PAIR_BUDGET = 1 << 14
 # took about 4 s and 90 MB.
 VERIFY_BUDGET = 1 << 20
 
+# Work refused up front, per subcommand: (closed-form size at (n, i), budget,
+# the error message naming both).  A layer listing's size counts its labels
+# with multiplicity.
+_LISTS = (
+    "{command} at n={n}, i={i} would list {size} labels with multiplicity, "
+    "over the budget of {budget} labels"
+)
+_BUDGETS = {
+    "verma": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
+    "verma-dual": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
+    "proj": (lambda n, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),
+    "jantzen": (
+        lambda n, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
+        "jantzen at n={n} would check {size} (block index, root) pairs, "
+        "over the budget of {budget} pairs",
+    ),
+    "verify": (
+        lambda n, i: (n + 1) * 4**n, VERIFY_BUDGET,
+        "verify at n={n} would stack {size} cover labels with multiplicity, "
+        "over the budget of {budget} labels",
+    ),
+}
+
 
 def main(argv: list[str] | None = None) -> None:
     args = _build_parser().parse_args(argv)
     try:
         ctx = make_context(args.n, args.p)
-        if getattr(args, "i", None) is not None:
-            check_index(ctx, args.i)
-        size = args.labels(ctx.n, args.i) if args.labels else 0
-        if size > LAYER_BUDGET:
-            raise ValueError(
-                f"{args.command} at n={ctx.n}, i={args.i} would list {size} labels with "
-                f"multiplicity, over the budget of {LAYER_BUDGET} labels"
-            )
-        pairs = (ctx.n + 1) * ctx.n * (ctx.n + 1) // 2
-        if args.command == "jantzen" and pairs > PAIR_BUDGET:
-            raise ValueError(
-                f"jantzen at n={ctx.n} would check {pairs} (block index, root) pairs, "
-                f"over the budget of {PAIR_BUDGET} pairs"
-            )
-        stacked = (ctx.n + 1) * 4**ctx.n if args.command == "verify" else 0
-        if stacked > VERIFY_BUDGET:
-            raise ValueError(
-                f"verify at n={ctx.n} would stack {stacked} cover labels with multiplicity, "
-                f"over the budget of {VERIFY_BUDGET} labels"
-            )
+        i = getattr(args, "i", None)
+        if i is not None:
+            check_index(ctx, i)
+        if args.command in _BUDGETS:
+            size_of, budget, message = _BUDGETS[args.command]
+            size = size_of(ctx.n, i)
+            if size > budget:
+                raise ValueError(
+                    message.format(command=args.command, n=ctx.n, i=i, size=size, budget=budget)
+                )
         payload, code = args.func(ctx, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -116,15 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if full:
             sp.add_argument("--full", action="store_true", help="never truncate long listings")
-        sp.set_defaults(func=func, render=render, labels=None)
+        sp.set_defaults(func=func, render=render)
         return sp
 
     common("block", "the block's weight table", cmd_block, _block_text)
 
-    for command, help_text, kind, layers_of, labels, conditional in _LAYER_COMMANDS:
+    for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
         sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
         sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-        sp.set_defaults(kind=kind, layers_of=layers_of, labels=labels, conditional=conditional)
+        sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
 
     sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
                 twist=True, full=True)
@@ -169,14 +175,6 @@ def _fmt_coords(coords: tuple[int, ...] | list[int]) -> str:
 
 def _object_str(kind: str, i: int, nu: Weight) -> str:
     return f"{kind}(i={i}, nu={_fmt_coords(nu.coords)})"
-
-
-def _factors(layer: dict[IrreducibleLabel, int]) -> list[dict]:
-    """One layer as factor dicts, sorted by (i, nu): the order both renderings show."""
-    return [
-        {"i": lab.i, "nu": list(lab.nu.coords), "mult": m}
-        for lab, m in sorted(layer.items(), key=lambda item: (item[0].i, item[0].nu.coords))
-    ]
 
 
 # A document's template-written lists go through json.dumps as this slot,
@@ -285,19 +283,17 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
 
 
 # The layer subcommands: (name, help, object kind, layer rows function,
-# closed form of the labels it lists counted with multiplicity, whether the
-# result is conditional on the Loewy length conjecture).  The layer lambdas
+# whether the result is conditional on the Loewy length conjecture).  The lambdas
 # look the library function up in this module's namespace at call time, so
 # a wrapper patched in there (as `bench/spans.py` does) still sees the call.
 # The dual Verma's radical layers are the Verma's, reversed.
 _LAYER_COMMANDS = (
     ("verma", "radical layers of a baby Verma module", "Zhat",
-     lambda ctx, i, nu: verma_rows(ctx, i, nu), lambda n, i: 2**n, False),
+     lambda ctx, i, nu: verma_rows(ctx, i, nu), False),
     ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: dual_verma_rows(ctx, i, nu), lambda n, i: 2**n, False),
+     lambda ctx, i, nu: dual_verma_rows(ctx, i, nu), False),
     ("proj", "radical layers of a projective cover (conditional)", "Qhat",
-     lambda ctx, i, nu: cover_rows(ctx, i, nu), lambda n, i: (n + 1) * comb(n, i) * 2**n,
-     True),
+     lambda ctx, i, nu: cover_rows(ctx, i, nu), True),
 )
 
 
@@ -307,7 +303,7 @@ def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     return {
         "object": _object_str(args.kind, args.i, nu),
         "layers": [
-            {"j": j, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in rows]}
+            {"j": j, "factors": [{"i": u, "nu": c, "mult": m} for u, c, m in rows]}
             for j, rows in enumerate(layers)
         ],
         CONDITIONAL_FLAG_KEY: args.conditional,
@@ -338,7 +334,7 @@ def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     return {
         "object": _object_str("ext", args.i, nu),
         "kinds": [ext1_g1(ctx, args.i, j).kind.value for j in range(n + 1)],
-        "rad1_cover": _factors(rad1_qhat(ctx, args.i, nu)),
+        "rad1_cover": [{"i": u, "nu": c, "mult": m} for u, c, m in rad1_qhat(ctx, args.i, nu)],
     }, 0
 
 

@@ -7,7 +7,9 @@ standard representation has the n + 1 pairwise-distinct weights
 eps_1, ..., eps_{n+1}, each with multiplicity one, which is what turns the
 Ext rule into exact label arithmetic: the twist-graded Ext dimension reads
 off one weight multiplicity, and the first radical layer of the projective
-cover is exactly the multiset of labels with Ext dimension one.
+cover is exactly the multiset of labels with Ext dimension one.  That layer
+leaves the module as rows (block index, twist coordinates, multiplicity),
+like every layer table, computed from nu's coordinates alone.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from operator import add, sub
 
 from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_basis
+from .loewy import Row
 
 __all__ = [
     "ExtKind",
@@ -83,23 +87,28 @@ def ext1_g1t_dim(ctx: BlockContext, a: IrreducibleLabel, b: IrreducibleLabel) ->
     return ext1_g1(ctx, a.i, b.i).multiplicity(a.nu - b.nu)
 
 
-def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> dict[IrreducibleLabel, int]:
-    """First radical layer of the projective cover of the simple (i, nu).
+def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
+    """First radical layer of the projective cover of the simple (i, nu), as
+    rows (block index, twist coordinates, multiplicity) in (block index,
+    twist coordinates) order.
 
-    The multiset of labels b with Ext^1 dimension one from (i, nu): the
-    n + 1 downward neighbours (i - 1, nu - eps_k) and the n + 1 upward
-    neighbours (i + 1, nu + eps_k), each once, dropping whichever side
-    falls outside the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
+    The labels b with Ext^1 dimension one from (i, nu): the n + 1 downward
+    neighbours (i - 1, nu - eps_k) and the n + 1 upward neighbours
+    (i + 1, nu + eps_k), each once, dropping whichever side falls outside
+    the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
     """
     n = ctx.n
     check_index(ctx, i)
     if nu.rank != n:
         raise ValueError("rank mismatch")
-    layer: dict[IrreducibleLabel, int] = {}
+    v = nu.coords
+    rows: list[Row] = []
     for k in range(1, n + 2):
-        eps = eps_basis(n, k)
+        # eps_k = w_k - w_{k-1} in fundamental coordinates, w_0 = w_{n+1} = 0.
+        eps = [(s == k) - (s == k - 1) for s in range(1, n + 1)]
         if i > 0:
-            layer[IrreducibleLabel(i - 1, nu - eps)] = 1
+            rows.append((i - 1, tuple(map(sub, v, eps)), 1))
         if i < n:
-            layer[IrreducibleLabel(i + 1, nu + eps)] = 1
-    return layer
+            rows.append((i + 1, tuple(map(add, v, eps)), 1))
+    rows.sort()
+    return rows

@@ -18,9 +18,8 @@ first i coordinates and the tails by the rest, and each label is one tuple
 concatenation.  `verma_rows` returns the layers, index 0 = head for
 radical series, each as rows (block index, twist coordinates,
 multiplicity) in (block index, twist) order, and `dual_verma_rows` the
-same rows reversed.  The ``dict[label, multiplicity]`` layers of
-`rad_layers_z_g1t` are a view of the rows, their weights built without
-re-validation, for the parabolic covers' degenerate edge.
+same rows reversed.  The two-layer parabolic covers are rows too
+(`parabolic_m_structure`), so no layer leaves the module as labels.
 """
 
 from __future__ import annotations
@@ -30,14 +29,13 @@ from itertools import combinations
 from math import comb
 from operator import add, sub
 
-from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, _weight, fundamental
+from .block import BlockContext, check_index
+from .lattice import Weight
 
 __all__ = [
     "rad_layers_z_g1",
     "verma_rows",
     "dual_verma_rows",
-    "rad_layers_z_g1t",
     "composition_class_z_g1",
     "parabolic_m_structure",
     "layer_sizes",
@@ -156,19 +154,6 @@ def dual_verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     return verma_rows(ctx, i, nu)[::-1]
 
 
-def rad_layers_z_g1t(
-    ctx: BlockContext, i: int, nu: Weight
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the baby Verma with highest weight lam_i + p nu.
-
-    Every composition factor within a layer occurs with multiplicity one;
-    summed over the twist, layer j matches `rad_layers_z_g1`.  Each layer
-    iterates in (block index, twist coordinates) order: it is a view of
-    `verma_rows`.
-    """
-    return [{IrreducibleLabel(t, _weight(c)): m for t, c, m in rows} for rows in verma_rows(ctx, i, nu)]
-
-
 def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:
     """Total composition multiplicities over the Frobenius kernel."""
     total: dict[int, int] = {}
@@ -178,30 +163,28 @@ def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:
     return total
 
 
-def parabolic_m_structure(
-    ctx: BlockContext, i: int, nu: Weight, side: str
-) -> list[dict[IrreducibleLabel, int]]:
-    """Radical layers of the parabolic baby cover of lam_i + p nu.
+def parabolic_m_structure(ctx: BlockContext, i: int, nu: Weight, side: str) -> list[list[Row]]:
+    """Radical layers of the parabolic baby cover of lam_i + p nu, as rows.
 
     Away from its degenerate edge each cover is uniserial of length two,
-    head (i, nu) on top of a single twisted neighbour; at the edge (side
-    "I" with i = n, side "J" with i = 0) the cover is the full baby Verma
-    and its layers are returned instead.
+    head (i, nu) on top of a single twisted neighbour, (i + 1, nu - w_n) on
+    side "I" and (i - 1, nu - w_1) on side "J"; at the edge (side "I" with
+    i = n, side "J" with i = 0) the cover is the full baby Verma and its
+    `verma_rows` are returned instead.
     """
     check_index(ctx, i)
-    n = ctx.n
-    head = IrreducibleLabel(i, nu)
+    n, v = ctx.n, nu.coords
     if side == "I":
         if i == n:
-            return rad_layers_z_g1t(ctx, n, nu)
-        sub = IrreducibleLabel(i + 1, nu - fundamental(n, n))
+            return verma_rows(ctx, n, nu)
+        below = (i + 1, (*v[:-1], v[-1] - 1), 1)
     elif side == "J":
         if i == 0:
-            return rad_layers_z_g1t(ctx, 0, nu)
-        sub = IrreducibleLabel(i - 1, nu - fundamental(n, 1))
+            return verma_rows(ctx, 0, nu)
+        below = (i - 1, (v[0] - 1, *v[1:]), 1)
     else:
         raise ValueError(f'side must be "I" or "J" (got {side!r})')
-    return [{head: 1}, {sub: 1}]
+    return [[(i, v, 1)], [below]]
 
 
 def layer_sizes(layers: list[dict]) -> list[int]:

@@ -8,7 +8,8 @@ exactly: the baby Verma with label (t, eta) contains the target simple
 depth and the BGG multiplicity.  Like the Verma layers, the support and
 the stacked table depend on nu only by translation, and both read the
 Vermas' cached nu = 0 block patterns (`loewy._verma_pattern`): the support
-is the blocks of block index i, negated.
+is the blocks of block index i, negated, and `verma_support` returns it as
+rows (t, eta coordinates, depth).
 
 The cover is stacked at nu = 0 over packed ints.  A label (u, c) is the key
 u B^n + sum_k c_k B^(n-k) with B = 256, and each Verma pattern layer is
@@ -19,8 +20,9 @@ coordinates lie in {-1, 0, 1}, so the stacked coordinates lie in [-2, 2]:
 these balanced digits decode uniquely, and numeric order on keys is
 (u, coordinates) order.  The distinct keys are sorted and decoded once,
 and nu is added while decoding, never packed.  `cover_rows` returns the
-layers as rows (block index, twist coordinates, multiplicity), the one
-form in which covers leave the module.
+layers as rows (block index, twist coordinates, multiplicity).  No label
+object is built here: labels come in only as `bgg_multiplicity`'s
+arguments.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -33,18 +35,16 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, neg
 
 from .block import BlockContext, IrreducibleLabel, check_index
-from .lattice import Weight, _weight
+from .lattice import Weight
 from .loewy import Row, _verma_pattern
 
 __all__ = [
     "CONDITIONAL_FLAG_KEY",
-    "VermaSupportEntry",
     "verma_support",
     "cover_rows",
     "bgg_multiplicity",
@@ -52,15 +52,6 @@ __all__ = [
 ]
 
 CONDITIONAL_FLAG_KEY = "conditional_on_loewy_length_conjecture"
-
-
-@dataclass(frozen=True)
-class VermaSupportEntry:
-    """One baby Verma in the filtration: its label and depth.  The
-    filtration is multiplicity-free, so each Verma has one entry."""
-
-    verma: IrreducibleLabel
-    layer: int
 
 
 def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
@@ -85,20 +76,18 @@ def _check_twist(ctx: BlockContext, i: int, nu: Weight) -> None:
         raise ValueError("rank mismatch")
 
 
-def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[VermaSupportEntry]:
-    """All baby Vermas whose layers contain the simple (i, nu), with depth.
+def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
+    """All baby Vermas whose layers contain the simple (i, nu), as rows
+    (t, eta coordinates, depth).
 
-    Entry (t, eta) at depth k records that the simple sits in radical layer
-    k of the baby Verma lam_t + p eta; the eta are nu minus the Verma layer
-    formula's twist shifts (the blocks of `loewy._verma_pattern` at t), so
-    the list is finite and multiplicity-free.
+    Row (t, eta, k) records that the simple sits in radical layer k of the
+    baby Verma lam_t + p eta; the eta are nu minus the Verma layer formula's
+    twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
+    finite and multiplicity-free.
     """
     _check_twist(ctx, i, nu)
     v = nu.coords
-    return [
-        VermaSupportEntry(IrreducibleLabel(t, _weight(tuple(map(add, v, head + tail)))), k)
-        for t, head, tail, k in _support(ctx.n, i)
-    ]
+    return [(t, tuple(map(add, v, head + tail)), k) for t, head, tail, k in _support(ctx.n, i)]
 
 
 _BASE = 256
@@ -172,7 +161,8 @@ def bgg_multiplicity(
     ctx: BlockContext, target: IrreducibleLabel, verma: IrreducibleLabel
 ) -> int:
     """Multiplicity of a baby Verma in the cover of `target` (0 or 1 here)."""
-    return sum(1 for e in verma_support(ctx, target.i, target.nu) if e.verma == verma)
+    key = (verma.i, verma.nu.coords)
+    return sum(1 for t, eta, _ in verma_support(ctx, target.i, target.nu) if (t, eta) == key)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

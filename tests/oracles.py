@@ -63,9 +63,9 @@ def cover_layers(ctx, i, nu):
     """Radical layers of the cover of (i, nu): each supporting Verma's
     oracle layers, stacked from its depth."""
     layers = [{} for _ in range(2 * ctx.n + 1)]
-    for entry in verma_support(ctx, i, nu):
-        for depth, verma_layer in enumerate(verma_layers(ctx, entry.verma.i, entry.verma.nu)):
-            target = layers[entry.layer + depth]
+    for t, eta, depth in verma_support(ctx, i, nu):
+        for k, verma_layer in enumerate(verma_layers(ctx, t, Weight(eta))):
+            target = layers[depth + k]
             for label, mult in verma_layer.items():
                 target[label] = target.get(label, 0) + mult
     while layers and not layers[-1]:

@@ -1,11 +1,12 @@
 from itertools import product
 
 import pytest
+from oracles import as_labels
 
 from loewylab.block import IrreducibleLabel, make_context
 from loewylab.ext import ExtDescriptor, ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
-from loewylab.loewy import rad_layers_z_g1t
+from loewylab.loewy import verma_rows
 
 
 def lab(i, coords):
@@ -86,35 +87,36 @@ def test_vanishing_off_adjacent_indices():
 
 def test_rad1_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert rad1_qhat(ctx, 0, zero(1)) == {lab(1, (1,)): 1, lab(1, (-1,)): 1}
-    assert rad1_qhat(ctx, 1, zero(1)) == {lab(0, (-1,)): 1, lab(0, (1,)): 1}
+    assert rad1_qhat(ctx, 0, zero(1)) == [(1, (-1,), 1), (1, (1,), 1)]
+    assert rad1_qhat(ctx, 1, zero(1)) == [(0, (-1,), 1), (0, (1,), 1)]
 
 
 def test_rad1_qhat_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert rad1_qhat(ctx, 0, zero(2)) == {
-        lab(1, (1, 0)): 1,
-        lab(1, (-1, 1)): 1,
-        lab(1, (0, -1)): 1,
-    }
-    assert rad1_qhat(ctx, 1, zero(2)) == {
-        lab(0, (-1, 0)): 1,
-        lab(0, (1, -1)): 1,
-        lab(0, (0, 1)): 1,
-        lab(2, (1, 0)): 1,
-        lab(2, (-1, 1)): 1,
-        lab(2, (0, -1)): 1,
-    }
+    assert rad1_qhat(ctx, 0, zero(2)) == [
+        (1, (-1, 1), 1),
+        (1, (0, -1), 1),
+        (1, (1, 0), 1),
+    ]
+    assert rad1_qhat(ctx, 1, zero(2)) == [
+        (0, (-1, 0), 1),
+        (0, (0, 1), 1),
+        (0, (1, -1), 1),
+        (2, (-1, 1), 1),
+        (2, (0, -1), 1),
+        (2, (1, 0), 1),
+    ]
 
 
 def test_rad1_qhat_sizes():
     for n in range(1, 9):
         ctx = make_context(n, 5 if (n + 1) % 7 == 0 else 7)
         for i in range(n + 1):
-            layer = rad1_qhat(ctx, i, zero(n))
+            rows = rad1_qhat(ctx, i, zero(n))
             expected = n + 1 if i in (0, n) else 2 * n + 2
-            assert len(layer) == expected
-            assert sum(layer.values()) == expected
+            assert len(rows) == expected
+            assert sum(m for _, _, m in rows) == expected
+            assert rows == sorted(set(rows))
 
 
 def test_rad1_qhat_matches_ext_rule():
@@ -131,7 +133,8 @@ def test_rad1_qhat_matches_ext_rule():
                             found.add(b)
                 b0 = IrreducibleLabel(j, zero(n))
                 assert ext1_g1t_dim(ctx, a, b0) == 0
-            assert found == set(rad1_qhat(ctx, i, zero(n)))
+            (layer,) = as_labels([rad1_qhat(ctx, i, zero(n))])
+            assert found == set(layer)
 
 
 def test_rad1_qhat_fundamental_shift_form():
@@ -146,7 +149,7 @@ def test_rad1_qhat_fundamental_shift_form():
                     expected[IrreducibleLabel(i - 1, t - step)] = 1
                 if i < n:
                     expected[IrreducibleLabel(i + 1, t + step)] = 1
-            assert rad1_qhat(ctx, i, t) == expected
+            assert as_labels([rad1_qhat(ctx, i, t)]) == [expected]
 
 
 def test_rad1_qhat_twist_equivariance():
@@ -154,7 +157,7 @@ def test_rad1_qhat_twist_equivariance():
     shift = fundamental(3, 2)
     for i in range(4):
         base = rad1_qhat(ctx, i, zero(3))
-        moved = {IrreducibleLabel(l.i, l.nu + shift): m for l, m in base.items()}
+        moved = [(u, (Weight(c) + shift).coords, m) for u, c, m in base]
         assert moved == rad1_qhat(ctx, i, shift)
 
 
@@ -162,10 +165,8 @@ def test_verma_first_layer_embeds_in_rad1_qhat():
     for n, p in [(2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            verma_rad1 = rad_layers_z_g1t(ctx, i, zero(n))[1]
-            cover_rad1 = rad1_qhat(ctx, i, zero(n))
-            for label, mult in verma_rad1.items():
-                assert cover_rad1.get(label) == mult
+            verma_rad1 = verma_rows(ctx, i, zero(n))[1]
+            assert set(verma_rad1) <= set(rad1_qhat(ctx, i, zero(n)))
 
 
 def test_rad1_qhat_validation():

@@ -1,6 +1,7 @@
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
+from operator import add
 
 import pytest
 from oracles import as_labels, as_rows, far_twist, twists, verma_layers
@@ -14,7 +15,6 @@ from loewylab.loewy import (
     layer_sizes,
     parabolic_m_structure,
     rad_layers_z_g1,
-    rad_layers_z_g1t,
     verma_rows,
 )
 
@@ -54,21 +54,21 @@ def test_g1_layers_match_binomial_products():
 
 def test_g1t_layers_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert rad_layers_z_g1t(ctx, 0, zero(1)) == [{lab(0, (0,)): 1}, {lab(1, (-1,)): 1}]
-    assert rad_layers_z_g1t(ctx, 1, zero(1)) == [{lab(1, (0,)): 1}, {lab(0, (-1,)): 1}]
+    assert verma_rows(ctx, 0, zero(1)) == [[(0, (0,), 1)], [(1, (-1,), 1)]]
+    assert verma_rows(ctx, 1, zero(1)) == [[(1, (0,), 1)], [(0, (-1,), 1)]]
 
 
 def test_g1t_layers_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert rad_layers_z_g1t(ctx, 1, zero(2)) == [
-        {lab(1, (0, 0)): 1},
-        {lab(0, (-1, 0)): 1, lab(2, (0, -1)): 1},
-        {lab(1, (-1, -1)): 1},
+    assert verma_rows(ctx, 1, zero(2)) == [
+        [(1, (0, 0), 1)],
+        [(0, (-1, 0), 1), (2, (0, -1), 1)],
+        [(1, (-1, -1), 1)],
     ]
-    assert rad_layers_z_g1t(ctx, 0, zero(2)) == [
-        {lab(0, (0, 0)): 1},
-        {lab(1, (-1, 1)): 1, lab(1, (0, -1)): 1},
-        {lab(2, (-1, 0)): 1},
+    assert verma_rows(ctx, 0, zero(2)) == [
+        [(0, (0, 0), 1)],
+        [(1, (-1, 1), 1), (1, (0, -1), 1)],
+        [(2, (-1, 0), 1)],
     ]
 
 
@@ -77,14 +77,12 @@ def test_g1t_layer_multiset_sizes_and_twist_equivariance():
         ctx = make_context(n, p)
         shift = fundamental(n, 1)
         for i in range(n + 1):
-            base = rad_layers_z_g1t(ctx, i, zero(n))
-            shifted = rad_layers_z_g1t(ctx, i, shift)
+            base = verma_rows(ctx, i, zero(n))
+            shifted = verma_rows(ctx, i, shift)
             for j in range(n + 1):
-                assert sum(base[j].values()) == comb(n, j)
-                assert all(m == 1 for m in base[j].values())
-                moved = {
-                    IrreducibleLabel(l.i, l.nu + shift): m for l, m in base[j].items()
-                }
+                assert sum(m for _, _, m in base[j]) == comb(n, j)
+                assert all(m == 1 for _, _, m in base[j])
+                moved = [(u, tuple(map(add, c, shift.coords)), m) for u, c, m in base[j]]
                 assert moved == shifted[j]
 
 
@@ -93,11 +91,11 @@ def test_g1t_collapses_to_g1():
         ctx = make_context(n, p)
         for i in range(n + 1):
             g1 = rad_layers_z_g1(ctx, i)
-            g1t = rad_layers_z_g1t(ctx, i, zero(n))
+            g1t = verma_rows(ctx, i, zero(n))
             for j in range(n + 1):
                 collapsed: dict[int, int] = {}
-                for label, m in g1t[j].items():
-                    collapsed[label.i] = collapsed.get(label.i, 0) + m
+                for u, _, m in g1t[j]:
+                    collapsed[u] = collapsed.get(u, 0) + m
                 assert collapsed == g1[j]
 
 
@@ -111,7 +109,7 @@ def test_first_layer_explicit_form():
                     expected[IrreducibleLabel(i - 1, t - eps_basis(n, x))] = 1
                 for y in range(i + 2, n + 2):
                     expected[IrreducibleLabel(i + 1, t + eps_basis(n, y))] = 1
-                assert rad_layers_z_g1t(ctx, i, t)[1] == expected
+                assert as_labels(verma_rows(ctx, i, t))[1] == expected
 
 
 def test_socle_and_dual_series_are_reversals():
@@ -119,7 +117,7 @@ def test_socle_and_dual_series_are_reversals():
         ctx = make_context(n, p)
         for i in range(n + 1):
             for t in (zero(n), -fundamental(n, n)):
-                rad = rad_layers_z_g1t(ctx, i, t)
+                rad = as_labels(verma_rows(ctx, i, t))
                 dual = as_labels(dual_verma_rows(ctx, i, t))
                 assert dual == list(reversed(rad))
                 assert dual[-1] == {IrreducibleLabel(i, t): 1}
@@ -134,20 +132,20 @@ def test_composition_classes():
 def test_layer_sizes_helper():
     ctx = make_context(3, 5)
     assert layer_sizes(rad_layers_z_g1(ctx, 2)) == [1, 3, 3, 1]
-    assert layer_sizes(rad_layers_z_g1t(ctx, 2, zero(3))) == [1, 3, 3, 1]
+    assert layer_sizes(as_labels(verma_rows(ctx, 2, zero(3)))) == [1, 3, 3, 1]
 
 
 def test_parabolic_m_structure_interior():
     ctx = make_context(3, 5)
     nu = Weight((1, 0, -1))
-    head = IrreducibleLabel(1, nu)
+    head = (1, nu.coords, 1)
     assert parabolic_m_structure(ctx, 1, nu, "I") == [
-        {head: 1},
-        {IrreducibleLabel(2, nu - fundamental(3, 3)): 1},
+        [head],
+        [(2, (nu - fundamental(3, 3)).coords, 1)],
     ]
     assert parabolic_m_structure(ctx, 1, nu, "J") == [
-        {head: 1},
-        {IrreducibleLabel(0, nu - fundamental(3, 1)): 1},
+        [head],
+        [(0, (nu - fundamental(3, 1)).coords, 1)],
     ]
     with pytest.raises(ValueError):
         parabolic_m_structure(ctx, 1, nu, "x")
@@ -157,21 +155,21 @@ def test_parabolic_m_structure_boundary_degenerates_to_verma():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
         nu = fundamental(n, 1)
-        assert parabolic_m_structure(ctx, n, nu, "I") == rad_layers_z_g1t(ctx, n, nu)
-        assert parabolic_m_structure(ctx, 0, nu, "J") == rad_layers_z_g1t(ctx, 0, nu)
+        assert parabolic_m_structure(ctx, n, nu, "I") == verma_rows(ctx, n, nu)
+        assert parabolic_m_structure(ctx, 0, nu, "J") == verma_rows(ctx, 0, nu)
 
 
 def test_parabolic_second_layer_sits_inside_verma_first_layer():
     for n, p in [(2, 5), (3, 5)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            rad1 = rad_layers_z_g1t(ctx, i, zero(n))[1]
+            rad1 = verma_rows(ctx, i, zero(n))[1]
             if i < n:
-                (label,) = parabolic_m_structure(ctx, i, zero(n), "I")[1]
-                assert label in rad1
+                (row,) = parabolic_m_structure(ctx, i, zero(n), "I")[1]
+                assert row in rad1
             if i > 0:
-                (label,) = parabolic_m_structure(ctx, i, zero(n), "J")[1]
-                assert label in rad1
+                (row,) = parabolic_m_structure(ctx, i, zero(n), "J")[1]
+                assert row in rad1
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +230,7 @@ def stacked_rad_layers(ctx, i, nu):
             label = classify(ctx, top - lift)
             assert label is not None
             assert label.i < n if side == "I" else label.i > 0
-            cover = parabolic_m_structure(ctx, label.i, label.nu, side)
+            cover = as_labels(parabolic_m_structure(ctx, label.i, label.nu, side))
             assert len(cover) == 2 and cover[0] == {label: 1}
             ((below, _),) = cover[1].items()
             layers[j][label] = layers[j].get(label, 0) + mult
@@ -245,13 +243,13 @@ def test_stacking_oracle_reproduces_layers():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1)):
-                assert stacked_rad_layers(ctx, i, t) == rad_layers_z_g1t(ctx, i, t)
+                assert stacked_rad_layers(ctx, i, t) == as_labels(verma_rows(ctx, i, t))
 
 
 def test_stacking_oracle_reproduces_layers_rank_five():
     ctx = make_context(5, 7)
     for i in range(6):
-        assert stacked_rad_layers(ctx, i, zero(5)) == rad_layers_z_g1t(ctx, i, zero(5))
+        assert stacked_rad_layers(ctx, i, zero(5)) == as_labels(verma_rows(ctx, i, zero(5)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +262,7 @@ def test_g1t_layers_match_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in twists(n):
-                assert rad_layers_z_g1t(ctx, i, nu) == verma_layers(ctx, i, nu)
+                assert as_labels(verma_rows(ctx, i, nu)) == verma_layers(ctx, i, nu)
 
 
 def test_verma_rows_match_weight_oracle():
@@ -276,29 +274,28 @@ def test_verma_rows_match_weight_oracle():
 
 
 def test_g1t_layers_iterate_in_label_order():
-    # Each layer's rows are built in strictly increasing (i, nu) order, and
-    # its labels iterate in the same order.
+    # Each layer's rows are built in strictly increasing (i, nu) order.
     for n in range(1, 7):
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in twists(n):
-                for rows, layer in zip(verma_rows(ctx, i, nu), rad_layers_z_g1t(ctx, i, nu)):
+                for rows in verma_rows(ctx, i, nu):
                     keys = [(u, c) for u, c, _ in rows]
                     assert all(a < b for a, b in zip(keys, keys[1:]))
                     assert min(m for _, _, m in rows) >= 1
-                    assert [(label.i, label.nu.coords) for label in layer] == keys
 
 
 def test_g1t_labels_behave_like_validated_ones():
-    # The kernel builds its weights without re-validating them.
+    # The kernel's rows hold plain int tuples of rank n, which build the
+    # same validated labels.
     ctx = make_context(4, 7)
     for nu in twists(4):
-        for layer in rad_layers_z_g1t(ctx, 2, nu):
-            for label in layer:
-                checked = IrreducibleLabel(label.i, Weight(label.nu.coords))
-                assert label == checked and hash(label) == hash(checked)
-                assert not (label < checked or checked < label)
-                assert layer[checked] == 1
+        for rows in verma_rows(ctx, 2, nu):
+            for u, c, m in rows:
+                assert type(u) is int and type(m) is int and type(c) is tuple
+                assert len(c) == 4 and all(type(x) is int for x in c)
+                assert Weight(c).coords == c
+    label = lab(u, c)
     with pytest.raises(FrozenInstanceError):
         label.i = 0  # type: ignore[misc]
     with pytest.raises(FrozenInstanceError):
@@ -321,16 +318,16 @@ def test_repeated_twist_shifts_raise(monkeypatch):
 def test_g1t_layers_are_fresh_maps():
     ctx = make_context(3, 5)
     nu = fundamental(3, 1)
-    layers = rad_layers_z_g1t(ctx, 1, nu)
-    layers[0][lab(0, (9, 9, 9))] = 7
+    layers = verma_rows(ctx, 1, nu)
+    layers[0].append((0, (9, 9, 9), 7))
     layers[1].clear()
-    layers.append({})
-    assert rad_layers_z_g1t(ctx, 1, nu) == verma_layers(ctx, 1, nu)
+    layers.append([])
+    assert verma_rows(ctx, 1, nu) == as_rows(verma_layers(ctx, 1, nu))
 
 
 def test_g1t_validation_messages():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
-        rad_layers_z_g1t(ctx, 3, zero(3))
+        verma_rows(ctx, 3, zero(3))
     with pytest.raises(ValueError, match=r"^rank mismatch$"):
-        rad_layers_z_g1t(ctx, 1, zero(3))
+        verma_rows(ctx, 1, zero(3))

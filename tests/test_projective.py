@@ -9,7 +9,7 @@ from loewylab.block import IrreducibleLabel, make_context
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
-from loewylab.loewy import layer_sizes, rad_layers_z_g1t
+from loewylab.loewy import layer_sizes, verma_rows
 from loewylab.projective import (
     CONDITIONAL_FLAG_KEY,
     bgg_multiplicity,
@@ -23,8 +23,8 @@ def lab(i, coords):
     return IrreducibleLabel(i, Weight(coords))
 
 
-def support_set(entries):
-    return {(e.verma.i, e.verma.nu, e.layer) for e in entries}
+def support_set(rows):
+    return {(t, Weight(eta), depth) for t, eta, depth in rows}
 
 
 def test_conditional_flag_key_is_stable():
@@ -80,7 +80,7 @@ def scanned_support(ctx, i, nu, radius):
     found = set()
     for t in range(n + 1):
         for eta in twists:
-            for k, layer in enumerate(rad_layers_z_g1t(ctx, t, eta)):
+            for k, layer in enumerate(as_labels(verma_rows(ctx, t, eta))):
                 if target in layer:
                     # BGG reciprocity: the Verma's multiplicity in the cover.
                     assert layer[target] == 1
@@ -106,9 +106,9 @@ def test_verma_support_count_is_closed_form():
         ctx = make_context(n, 11)
         nu = 3 * fundamental(n, 1) - fundamental(n, n)
         for i in range(n + 1):
-            entries = verma_support(ctx, i, nu)
-            assert len(entries) == (n + 1) * comb(n, i)
-            assert len({(e.verma, e.layer) for e in entries}) == len(entries)
+            rows = verma_support(ctx, i, nu)
+            assert len(rows) == (n + 1) * comb(n, i)
+            assert len(set(rows)) == len(rows)
 
 
 def test_rad_layers_qhat_frozen_rank_one():
@@ -158,11 +158,12 @@ def test_qhat_layer_shape_sweep():
         ctx = make_context(n, p)
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1)):
-                layers = as_labels(cover_rows(ctx, i, t))
+                rows = cover_rows(ctx, i, t)
+                layers = as_labels(rows)
                 assert len(layers) == 2 * n + 1
                 assert layers[0] == {IrreducibleLabel(i, t): 1}
                 assert layers[-1] == {IrreducibleLabel(i, t): 1}
-                assert layers[1] == rad1_qhat(ctx, i, t)
+                assert rows[1] == rad1_qhat(ctx, i, t)
                 for j in range(2 * n + 1):
                     assert layers[j] == layers[2 * n - j]
 

@@ -84,3 +84,20 @@ def test_verify_battery_reads_layer_rows():
         for alias in node.names
     }
     assert sorted(n for n in imported if n.startswith("rad_layers_")) == ["rad_layers_z_g1"]
+
+
+def test_layer_modules_build_no_labels_or_dataclasses():
+    # Verma layers leave `loewy` as rows, and the Verma support and cover
+    # layers leave `projective` as rows: neither needs a label class.
+    imported = {}
+    for name in ("loewy", "projective"):
+        path = Path(loewylab.__file__).with_name(f"{name}.py")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported[name] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported[name] |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported[name] |= {node.module} | {alias.name for alias in node.names}
+    assert "IrreducibleLabel" not in imported["loewy"]
+    assert [name for name in imported if "dataclasses" in imported[name]] == []
