@@ -12,10 +12,10 @@ by the p-fold translation nu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .lattice import Weight, eps_basis, restricted_decompose, rho
+from .record import OrderedRecord, Record
 
 __all__ = [
     "IrreducibleLabel",
@@ -31,21 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class IrreducibleLabel:
+class IrreducibleLabel(OrderedRecord):
     """Label (i, nu) of a simple module: block index and p-twist."""
 
-    i: int
-    nu: Weight
+    __slots__ = ("i", "nu")
+
+    def __init__(self, i: int, nu: Weight) -> None:
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "nu", nu)
 
 
-@dataclass(frozen=True)
-class BlockContext:
+class BlockContext(Record):
     """Rank, characteristic, and the block's restricted weight table."""
 
-    n: int
-    p: int
-    lambdas: tuple[Weight, ...]
+    __slots__ = ("n", "p", "lambdas")
+
+    def __init__(self, n: int, p: int, lambdas: tuple[Weight, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "lambdas", lambdas)
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -24,13 +24,13 @@ which pairs nu_i itself through `lattice.pair` and never reads that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
 from .lattice import Weight, fundamental, pair, zero
+from .record import Record
 
 __all__ = [
     "positive_roots",
@@ -106,14 +106,16 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class JantzenDecomposition:
+class JantzenDecomposition(Record):
     """The unique split m = a p^s + b p^{s+1} with 0 < a < p, b >= 0."""
 
-    m: int
-    s: int
-    a: int
-    b: int
+    __slots__ = ("m", "s", "a", "b")
+
+    def __init__(self, m: int, s: int, a: int, b: int) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
@@ -135,18 +137,22 @@ def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
     return JantzenDecomposition(m, s, u % p, u // p)
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(Record):
     """Certificate that a pairing's Jantzen split is realised by roots.
 
     `beta0` pairs to a p^s against the ambient weight, and the `betas` are
     b pairwise-distinct positive roots each pairing to p^{s+1}.
     """
 
-    root: Root
-    decomposition: JantzenDecomposition
-    beta0: Root
-    betas: tuple[Root, ...]
+    __slots__ = ("root", "decomposition", "beta0", "betas")
+
+    def __init__(
+        self, root: Root, decomposition: JantzenDecomposition, beta0: Root, betas: tuple[Root, ...]
+    ) -> None:
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "beta0", beta0)
+        object.__setattr__(self, "betas", betas)
 
 
 @lru_cache(maxsize=4)

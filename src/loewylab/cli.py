@@ -3,12 +3,13 @@
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
-p alone: the text is a view of the JSON. The factor dicts of a layer
-listing and of `ext --i` are written straight from the library's rows
-(`verma_rows`, `dual_verma_rows`, `cover_rows`, `rad1_qhat`), which come
-in (i, nu) order, so no label object is built and nothing is sorted. The
-JSON is exactly `json.dumps(payload, sort_keys=True, indent=2)`, so reruns
-are byte-identical; the factor lists of a layer listing and the
+p alone: the text is a view of the JSON. A layer listing's payload holds
+the library's rows (`verma_rows`, `dual_verma_rows`, `cover_rows`) as they
+come, in (i, nu) order, and the JSON writes each row as a factor object;
+`ext --i` builds its factor dicts from `rad1_qhat`'s rows. So no label
+object is built and nothing is sorted. The JSON is exactly
+`json.dumps(payload, sort_keys=True, indent=2)` of those factor objects,
+so reruns are byte-identical; the factor lists of a layer listing and the
 certificate rows of a `jantzen` report are written from %-format templates
 (one per layer, one per certificate row) instead of by json.dumps, which
 is slow with `indent`.  Sizes are closed forms checked before any work,
@@ -35,15 +36,15 @@ from .chardim import check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
-from .loewy import dual_verma_rows, verma_rows
+from .loewy import Row, dual_verma_rows, verma_rows
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
 __all__ = ["main"]
 
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
-# multiplicity.  The largest one admitted, `verma --n 16`, took about 0.5 s
-# and 87 MB on a 2-core VM.
+# multiplicity.  The largest one admitted, `verma --n 16`, took about 0.3 s
+# and 74 MB on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
@@ -184,7 +185,9 @@ _SLOT_JSON = '"\\u0000rows"'
 
 
 def _dump_json(doc: dict) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte.
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where a
+    layer listing's factor rows (i, nu, mult) stand for the objects
+    {"i": i, "mult": mult, "nu": nu}.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
     most of a long document's time on its rows.  So each layer's factor list
@@ -210,15 +213,16 @@ def _dump_json(doc: dict) -> str:
     return "".join(out)
 
 
-def _factors_json(factors: list[dict]) -> list[str]:
-    """The indent=2 text of one `layers[*].factors` list, in pieces.
+def _factors_json(rows: list[Row]) -> list[str]:
+    """The indent=2 text of one `layers[*].factors` list, in pieces: each
+    row (i, nu, mult) is written as the object {"i", "mult", "nu"}.
 
     Layers are never empty and ranks are at least 1 (`make_context`).
     """
-    nu = ",\n".join(["            %d"] * len(factors[0]["nu"]))
+    nu = ",\n".join(["            %d"] * len(rows[0][1]))
     template = '        {\n          "i": %d,\n          "mult": %d,\n          "nu": [\n'
     template += nu + "\n          ]\n        }"
-    body = ",\n".join([template % (f["i"], f["mult"], *f["nu"]) for f in factors])
+    body = ",\n".join([template % (u, m, *c) for u, c, m in rows])
     return ["[\n", body, "\n      ]"]
 
 
@@ -250,8 +254,8 @@ def _certificate_template(b: int) -> str:
     )
 
 
-def _fmt_factor(factor: dict) -> str:
-    return f"({factor['i']}; {_fmt_coords(factor['nu'])})"
+def _fmt_factor(i: int, coords: tuple[int, ...]) -> str:
+    return f"({i}; {_fmt_coords(coords)})"
 
 
 def _truncate(parts: list[str], full: bool) -> list[str]:
@@ -302,10 +306,7 @@ def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     layers = args.layers_of(ctx, args.i, nu)
     return {
         "object": _object_str(args.kind, args.i, nu),
-        "layers": [
-            {"j": j, "factors": [{"i": u, "nu": c, "mult": m} for u, c, m in rows]}
-            for j, rows in enumerate(layers)
-        ],
+        "layers": [{"j": j, "factors": rows} for j, rows in enumerate(layers)],
         CONDITIONAL_FLAG_KEY: args.conditional,
     }, 0
 
@@ -315,9 +316,9 @@ def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     if payload[CONDITIONAL_FLAG_KEY]:
         lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
     for layer in payload["layers"]:
-        factors = layer["factors"]
-        total = sum(f["mult"] for f in factors)
-        parts = [_fmt_factor(f) if f["mult"] == 1 else f"{f['mult']}*{_fmt_factor(f)}" for f in factors]
+        rows = layer["factors"]
+        total = sum(m for _, _, m in rows)
+        parts = [_fmt_factor(u, c) if m == 1 else f"{m}*{_fmt_factor(u, c)}" for u, c, m in rows]
         body = "  ".join(_truncate(parts, full))
         lines.append(f"  rad_{layer['j']} ({total}): {body}")
     return "\n".join(lines)
@@ -344,7 +345,7 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         for i, row in enumerate(payload["kinds"]):
             lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
         return "\n".join(lines)
-    parts = [_fmt_factor(f) for f in payload["rad1_cover"]]
+    parts = [_fmt_factor(f["i"], f["nu"]) for f in payload["rad1_cover"]]
     return "\n".join([
         f"{payload['object']}, n={ctx.n}, p={ctx.p}",
         "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),

@@ -14,7 +14,6 @@ like every layer table, computed from nu's coordinates alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from operator import add, sub
@@ -22,6 +21,7 @@ from operator import add, sub
 from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_basis
 from .loewy import Row
+from .record import Record
 
 __all__ = [
     "ExtKind",
@@ -43,16 +43,18 @@ def _standard_weights(rank: int) -> frozenset[Weight]:
     return frozenset(eps_basis(rank, k) for k in range(1, rank + 2))
 
 
-@dataclass(frozen=True)
-class ExtDescriptor:
+class ExtDescriptor(Record):
     """Untwisted Ext^1 between two block simples, as a representation.
 
     Either zero, the standard representation, or its dual; the weight data
     is all multiplicity one.
     """
 
-    kind: ExtKind
-    rank: int
+    __slots__ = ("kind", "rank")
+
+    def __init__(self, kind: ExtKind, rank: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "rank", rank)
 
     def multiplicity(self, w: Weight) -> int:
         if self.kind is ExtKind.STANDARD:

@@ -23,10 +23,11 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, neg, sub
-from typing import Iterable
+
+from .record import OrderedRecord
 
 __all__ = [
     "Weight",
@@ -43,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Weight:
+class Weight(OrderedRecord):
     """A weight in fundamental-weight coordinates.
 
     `coords[t - 1]` is the coefficient of w_t.  Instances are immutable and
@@ -54,13 +54,14 @@ class Weight:
     instead, which does not.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self) -> None:
-        if not self.coords:
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        if not coords:
             raise ValueError("weight needs rank >= 1")
-        if any(not isinstance(c, int) for c in self.coords):
+        if any(not isinstance(c, int) for c in coords):
             raise TypeError("weight coordinates must be ints")
+        _set_coords(self, coords)
 
     @property
     def rank(self) -> int:

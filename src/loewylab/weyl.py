@@ -10,22 +10,21 @@ slot k is sent.  Acting on a weight permutes eps-coefficients accordingly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import Weight, eps_coords, from_eps, fundamental
+from .record import Record
 
 __all__ = ["WeylElement", "longest", "longest_fixing_last", "act"]
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """A permutation of the n + 1 eps slots, as a one-based image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def rank(self) -> int:

@@ -464,8 +464,8 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
 
 
 def test_layer_json_builds_no_labels(capsys, monkeypatch):
-    # Layer listings and Ext neighbourhoods go from int rows straight to
-    # factor dicts.
+    # Layer listings keep the library's int rows, and Ext neighbourhoods go
+    # from rows straight to factor dicts.
     argvs = [
         [command, "--n", "3", "--p", "5", "--i", "1", "--nu=1,-2,0", "--format", "json"]
         for command in ("verma", "verma-dual", "proj", "ext")
@@ -484,6 +484,14 @@ def test_layer_json_builds_no_labels(capsys, monkeypatch):
 # ------------------------------------------------------- JSON writer
 
 def reference_json(doc: dict) -> str:
+    """json.dumps of a document, a layer listing's factor rows (i, nu, mult)
+    written as the factor objects its JSON holds."""
+    if "layers" in doc:
+        layers = [
+            {**layer, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in layer["factors"]]}
+            for layer in doc["layers"]
+        ]
+        doc = {**doc, "layers": layers}
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -492,8 +500,8 @@ def random_layer_doc(rng: random.Random, rank: int, conditional: bool) -> dict:
     layers = []
     for j in range(rng.randint(1, 6)):
         factors = [
-            {"i": rng.randint(0, rank), "nu": [rng.randint(-120, 120) for _ in range(rank)],
-             "mult": rng.choice((1, 1, 2, 3, 16, 1001))}
+            (rng.randint(0, rank), tuple(rng.randint(-120, 120) for _ in range(rank)),
+             rng.choice((1, 1, 2, 3, 16, 1001)))
             for _ in range(1 if j == 0 else rng.randint(1, 5))
         ]
         layers.append({"j": j, "factors": factors})
@@ -509,10 +517,10 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
     ]
     factors = [f for doc in docs for layer in doc["layers"] for f in layer["factors"]]
     # The cases the template must get right all occur.
-    assert {len(f["nu"]) for f in factors} == set(range(1, 8))
-    coords = [c for f in factors for c in f["nu"]]
+    assert {len(nu) for _, nu, _ in factors} == set(range(1, 8))
+    coords = [c for _, nu, _ in factors for c in nu]
     assert min(coords) < -9 and max(coords) > 9
-    assert any(f["mult"] > 1 for f in factors)
+    assert any(m > 1 for _, _, m in factors)
     assert sum(len(layer["factors"]) == 1 for doc in docs for layer in doc["layers"]) > len(docs)
     for doc in docs:
         assert _dump_json(doc) == reference_json(doc)

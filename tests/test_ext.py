@@ -1,12 +1,13 @@
 from itertools import product
 
 import pytest
-from oracles import as_labels
+from oracles import as_labels, twists
 
 from loewylab.block import IrreducibleLabel, make_context
 from loewylab.ext import ExtDescriptor, ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.loewy import verma_rows
+from loewylab.projective import cover_rows
 
 
 def lab(i, coords):
@@ -175,3 +176,20 @@ def test_rad1_qhat_validation():
         rad1_qhat(ctx, 3, zero(2))
     with pytest.raises(ValueError):
         rad1_qhat(ctx, 1, zero(3))
+
+
+def test_layers_are_ext1_connected():
+    # An oracle from outside the layer kernels: in a rigid module each factor
+    # of radical layer j >= 1 has Ext^1 dimension one with some factor of
+    # layer j - 1, and each factor below the last layer with some factor of
+    # layer j + 1.  `ext1_g1t_dim` shares no code with `loewy` or `projective`.
+    for n in range(1, 5):
+        ctx = make_context(n, 7)
+        for i, nu in product(range(n + 1), twists(n)):
+            for layers in (verma_rows(ctx, i, nu), cover_rows(ctx, i, nu)):
+                labels = [list(layer) for layer in as_labels(layers)]
+                for j, layer in enumerate(labels):
+                    neighbours = [labels[k] for k in (j - 1, j + 1) if 0 <= k < len(labels)]
+                    for a in layer:
+                        for near in neighbours:
+                            assert any(ext1_g1t_dim(ctx, a, b) == 1 for b in near), (n, i, nu, j, a)

@@ -1,5 +1,4 @@
 import random
-from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
@@ -58,7 +57,7 @@ def test_unvalidated_weights_behave_like_validated_ones():
     for result, coords in [(a + b, (1, 2, 2)), (a - b, (1, -6, 4)), (-a, (-1, 2, -3)), (2 * a, (2, -4, 6))]:
         assert result == Weight(coords) and hash(result) == hash(Weight(coords))
     for w in (Weight((1, 2)), _weight((1, 2)), a + b):
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             w.coords = (0, 0)  # type: ignore[misc]
         assert w.coords in ((1, 2), (1, 2, 2))
 

@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import comb
 from operator import add
@@ -296,9 +295,9 @@ def test_g1t_labels_behave_like_validated_ones():
                 assert len(c) == 4 and all(type(x) is int for x in c)
                 assert Weight(c).coords == c
     label = lab(u, c)
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         label.i = 0  # type: ignore[misc]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         label.nu = zero(4)  # type: ignore[misc]
 
 

@@ -1,0 +1,88 @@
+import copy
+import pickle
+
+import pytest
+
+from loewylab.block import BlockContext, IrreducibleLabel
+from loewylab.chardim import JantzenDecomposition, WitnessCertificate
+from loewylab.ext import ExtDescriptor, ExtKind
+from loewylab.lattice import Weight
+from loewylab.weyl import WeylElement
+
+# (class, fields by name, other fields, repr of the first, whether it orders)
+RECORDS = [
+    (Weight, {"coords": (1, 2)}, {"coords": (1, 3)}, "Weight(coords=(1, 2))", True),
+    (
+        # Labels sort by block index first: a > b although a.nu < b.nu.
+        IrreducibleLabel, {"i": 1, "nu": Weight((0, 1))}, {"i": 0, "nu": Weight((0, 2))},
+        "IrreducibleLabel(i=1, nu=Weight(coords=(0, 1)))", True,
+    ),
+    (
+        BlockContext, {"n": 1, "p": 5, "lambdas": (Weight((0,)), Weight((3,)))},
+        {"n": 1, "p": 7, "lambdas": (Weight((0,)), Weight((5,)))},
+        "BlockContext(n=1, p=5, lambdas=(Weight(coords=(0,)), Weight(coords=(3,))))", False,
+    ),
+    (WeylElement, {"images": (2, 1, 3)}, {"images": (1, 2, 3)}, "WeylElement(images=(2, 1, 3))", False),
+    (
+        JantzenDecomposition, {"m": 6, "s": 0, "a": 1, "b": 1}, {"m": 5, "s": 1, "a": 1, "b": 0},
+        "JantzenDecomposition(m=6, s=0, a=1, b=1)", False,
+    ),
+    (
+        WitnessCertificate,
+        {"root": (1, 3), "decomposition": JantzenDecomposition(6, 0, 1, 1), "beta0": (1, 2),
+         "betas": ((2, 3),)},
+        {"root": (1, 3), "decomposition": JantzenDecomposition(6, 0, 1, 1), "beta0": (2, 3),
+         "betas": ((1, 2),)},
+        "WitnessCertificate(root=(1, 3), decomposition=JantzenDecomposition(m=6, s=0, a=1, b=1), "
+        "beta0=(1, 2), betas=((2, 3),))",
+        False,
+    ),
+    (
+        ExtDescriptor, {"kind": ExtKind.STANDARD, "rank": 2}, {"kind": ExtKind.DUAL, "rank": 2},
+        "ExtDescriptor(kind=<ExtKind.STANDARD: 'standard'>, rank=2)", False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, other, text, ordered", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_contract(cls, fields, other, text, ordered):
+    a, same, b = cls(*fields.values()), cls(**fields), cls(**other)
+    names, fields, other = tuple(fields), tuple(fields.values()), tuple(other.values())
+    assert tuple(getattr(a, name) for name in names) == fields
+    # Equality and hashing: the field tuple, within the class only.  The
+    # stranger of a Weight has the same field tuple, and so the same hash.
+    stranger = WeylElement((1, 2)) if cls is Weight else Weight((1, 2))
+    assert a == same and not a != same and a != b
+    assert hash(a) == hash(same) == hash(fields)
+    assert a != fields and a != fields[0] and a != stranger
+    assert len({a: 0, fields: 1, fields[0]: 2, stranger: 3}) == 4
+    assert repr(a) == text
+    # Immutability: no field can be assigned, deleted or added.
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    assert a == same and tuple(getattr(a, name) for name in names) == fields
+    # Copies and pickles rebuild an equal record.
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(clone) is cls and clone == a and hash(clone) == hash(a)
+    # Order: by the field tuple within the class, for the ordered classes only.
+    if ordered:
+        assert (a < b, a <= b, a > b, a >= b) == (
+            fields < other, fields <= other, fields > other, fields >= other
+        )
+        assert a <= same and a >= same and not a < same and not a > same
+    else:
+        with pytest.raises(TypeError):
+            a < b  # noqa: B015
+    for foreign in (fields, stranger):
+        with pytest.raises(TypeError):
+            a < foreign  # noqa: B015
+        with pytest.raises(TypeError):
+            a >= foreign  # noqa: B015
+

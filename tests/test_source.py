@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import loewylab
@@ -87,17 +90,34 @@ def test_verify_battery_reads_layer_rows():
 
 
 def test_layer_modules_build_no_labels_or_dataclasses():
-    # Verma layers leave `loewy` as rows, and the Verma support and cover
-    # layers leave `projective` as rows: neither needs a label class.
+    # Verma layers leave `loewy` as rows: it needs no label class.  No
+    # library module imports `dataclasses` or `typing`, whose imports cost
+    # more than the library's own modules.
     imported = {}
-    for name in ("loewy", "projective"):
-        path = Path(loewylab.__file__).with_name(f"{name}.py")
+    for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        imported[name] = set()
+        imported[path.stem] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
-                imported[name] |= {alias.name for alias in node.names}
+                imported[path.stem] |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
-                imported[name] |= {node.module} | {alias.name for alias in node.names}
+                imported[path.stem] |= {node.module} | {alias.name for alias in node.names}
     assert "IrreducibleLabel" not in imported["loewy"]
-    assert [name for name in imported if "dataclasses" in imported[name]] == []
+    assert sorted(
+        f"{stem}: {module}"
+        for stem, modules in imported.items()
+        for module in modules & {"dataclasses", "typing"}
+    ) == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # Without site (-S), nothing but the library decides what importing the
+    # command line loads.
+    script = "import sys, loewylab.cli; print(sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(loewylab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "loewylab.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "typing"}) == []
