@@ -18,8 +18,12 @@ search, and a closed-form builder that reads the certificate off the
 diagonal pairing pattern of nu_i without searching.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
 coordinates; the builder pairs lam_i and adds rho's pairing j - k.  Both
-kinds of certificate are re-verified from scratch by `verify_certificate`,
-which pairs nu_i itself through `lattice.pair` and never reads that table.
+kinds of certificate are re-verified from scratch against nu_i, paired
+through `lattice.pair`, never through that table.  A closed-form
+certificate goes through `verify_certificate` whole.  A searched one
+depends on its root only through the pairing m, and many roots share one
+witness (decomposition, beta0, betas): the sweep pairs every root, and
+checks each distinct searched witness once per nu_i.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ __all__ = [
     "witness_search",
     "verify_certificate",
     "closed_form_certificate",
-    "certificate_dict",
     "check_block_simplicity",
 ]
 
@@ -118,6 +121,7 @@ class JantzenDecomposition(Record):
         object.__setattr__(self, "b", b)
 
 
+@lru_cache(maxsize=1024)
 def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
     """Decompose m >= 1 as a p^s + b p^{s+1} with 0 < a < p.
 
@@ -125,6 +129,9 @@ def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
     JantzenDecomposition(m=6, s=0, a=1, b=1)
     >>> jantzen_decompose(50, 5)
     JantzenDecomposition(m=50, s=2, a=2, b=0)
+
+    A pure function of (m, p) returning an immutable record, so results
+    are cached; a refused call raises every time.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1 (got {m})")
@@ -201,28 +208,39 @@ def verify_certificate(nu: Weight, cert: WitnessCertificate, p: int) -> bool:
     Checks the decomposition's defining identity and ranges, the validity
     and distinctness of all roots, and every pairing.
     """
-    rank = nu.rank
+    return _root_ok(nu, cert) and _witness_ok(nu, cert, p)
 
-    def valid_root(r: Root) -> bool:
-        k, j = r
-        return 1 <= k < j <= rank + 1
 
-    if not valid_root(cert.root):
-        return False
-    d = cert.decomposition
-    if d.m != pair(nu, *cert.root) or d.m < 1:
-        return False
+def _valid_root(rank: int, r: Root) -> bool:
+    k, j = r
+    return 1 <= k < j <= rank + 1
+
+
+def _root_ok(nu: Weight, cert: WitnessCertificate) -> bool:
+    """The certificate's root is a positive root pairing to its m >= 1."""
+    m = cert.decomposition.m
+    return _valid_root(nu.rank, cert.root) and m == pair(nu, *cert.root) and m >= 1
+
+
+def _witness_ok(nu: Weight, cert: WitnessCertificate, p: int) -> bool:
+    """The decomposition's identity and ranges hold, beta0 pairs to a p^s,
+    and the betas are b distinct roots other than beta0 pairing to p^{s+1}.
+
+    Reads the certificate's root only through its m, so certificates that
+    differ only in their root pass or fail together.
+    """
+    rank, d = nu.rank, cert.decomposition
     if not (0 < d.a < p and d.b >= 0 and d.s >= 0):
         return False
     if d.m != d.a * p**d.s + d.b * p ** (d.s + 1):
         return False
-    if not valid_root(cert.beta0) or pair(nu, *cert.beta0) != d.a * p**d.s:
+    if not _valid_root(rank, cert.beta0) or pair(nu, *cert.beta0) != d.a * p**d.s:
         return False
     if len(cert.betas) != d.b:
         return False
     seen = {cert.beta0}
     for beta in cert.betas:
-        if not valid_root(beta) or beta in seen:
+        if not _valid_root(rank, beta) or beta in seen:
             return False
         if pair(nu, *beta) != p ** (d.s + 1):
             return False
@@ -300,18 +318,7 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     return WitnessCertificate(root, dec, beta0, betas)
 
 
-def certificate_dict(cert: WitnessCertificate) -> dict:
-    """JSON-ready dict form of a certificate."""
-    d = cert.decomposition
-    return {
-        "root": list(cert.root),
-        "m": d.m,
-        "s": d.s,
-        "a": d.a,
-        "b": d.b,
-        "beta0": list(cert.beta0),
-        "betas": [list(b) for b in cert.betas],
-    }
+CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
 
 
 def check_block_simplicity(ctx: BlockContext) -> dict:
@@ -319,20 +326,33 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
 
     For each nu_i and each positive root, runs the greedy search and the
     closed-form builder, re-verifies both certificates from scratch, and
-    reports any failures (expected: none).  The searched certificates are
-    included in the report.
+    reports any failures (expected: none).  A searched certificate's root
+    pairing is checked for every root, and its witness (decomposition,
+    beta0, betas) once per nu_i: many roots share one.  The searched
+    certificates are included in the report as rows
+    (i, root, m, s, a, b, beta0, betas).
     """
     n, p = ctx.n, ctx.p
     roots = positive_roots(n)
-    certificates, failures, replay_failures = [], [], []
+    certificates: list[CertificateRow] = []
+    failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
+        witnesses: dict[tuple, bool] = {}
         for root in roots:
             found = witness_search(nu, root, p)
-            if found is None or not verify_certificate(nu, found, p):
-                failures.append({"i": i, "root": list(root), "reason": "search failed"})
+            if found is not None and _root_ok(nu, found):
+                d = found.decomposition
+                key = (d, found.beta0, found.betas)
+                ok = witnesses.get(key)
+                if ok is None:
+                    ok = witnesses[key] = _witness_ok(nu, found, p)
             else:
-                certificates.append({"i": i, **certificate_dict(found)})
+                ok = False
+            if ok:
+                certificates.append((i, root, d.m, d.s, d.a, d.b, found.beta0, found.betas))
+            else:
+                failures.append({"i": i, "root": list(root), "reason": "search failed"})
             built = closed_form_certificate(ctx, i, root)
             if not verify_certificate(nu, built, p):
                 replay_failures.append(

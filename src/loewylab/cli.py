@@ -6,9 +6,11 @@ prints with --format json or else renders as text from that payload, n and
 p alone: the text is a view of the JSON. A layer listing's payload holds
 the library's rows (`verma_rows`, `dual_verma_rows`, `cover_rows`) as they
 come, in (i, nu) order, and the JSON writes each row as a factor object;
-`ext --i` builds its factor dicts from `rad1_qhat`'s rows. So no label
-object is built and nothing is sorted. The JSON is exactly
-`json.dumps(payload, sort_keys=True, indent=2)` of those factor objects,
+`ext --i` builds its factor dicts from `rad1_qhat`'s rows, and a `jantzen`
+report holds `check_block_simplicity`'s certificate rows
+(i, root, m, s, a, b, beta0, betas), each written as a certificate object.
+So no label object is built and nothing is sorted. The JSON is exactly
+`json.dumps(payload, sort_keys=True, indent=2)` of those objects,
 so reruns are byte-identical; the factor lists of a layer listing and the
 certificate rows of a `jantzen` report are written from %-format templates
 (one per layer, one per certificate row) instead of by json.dumps, which
@@ -18,7 +20,8 @@ and `verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`) is
 refused above LAYER_BUDGET = 2^16 labels, `jantzen`, which checks
 (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14, and `verify`, which stacks
 the n+1 covers at nu = 0, (n+1)·4^n labels, above VERIFY_BUDGET = 2^20.
-Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify.
+Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify;
+only the invoked one's parser is built.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
 """
@@ -32,7 +35,7 @@ from functools import lru_cache
 from math import comb
 
 from .block import BlockContext, check_index, make_context, mu_weight, nu_weight
-from .chardim import check_block_simplicity
+from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
@@ -81,7 +84,9 @@ _BUDGETS = {
 
 
 def main(argv: list[str] | None = None) -> None:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         ctx = make_context(args.n, args.p)
         i = getattr(args, "i", None)
@@ -105,12 +110,31 @@ def main(argv: list[str] | None = None) -> None:
     raise SystemExit(code)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# The subcommands, in the order the top-level usage line lists them.
+_COMMANDS = ("block", "verma", "verma-dual", "proj", "ext", "dim", "jantzen", "verify")
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`.
+
+    When argv[0] names a subcommand, only its subparser is built (building
+    all eight takes a few ms, a large share of a small command's run), and
+    the metavar keeps the top-level usage line listing all of them.  Any other
+    argv (help, a missing or an unknown command) builds all eight, so those
+    messages list and offer every choice.
+    """
     parser = argparse.ArgumentParser(
         prog="loewylab",
         description="Exact invariants of the singular block of G1T-modules for SL(n+1).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    if argv and argv[0] in _COMMANDS:
+        names = argv[:1]
+        sub = parser.add_subparsers(
+            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
+        )
+    else:
+        names = _COMMANDS
+        sub = parser.add_subparsers(dest="command", required=True)
 
     def common(name, help_text, func, render, twist=False, full=False) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
@@ -126,24 +150,31 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func, render=render)
         return sp
 
-    common("block", "the block's weight table", cmd_block, _block_text)
+    if "block" in names:
+        common("block", "the block's weight table", cmd_block, _block_text)
 
     for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
-        sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
-        sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-        sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
+        if command in names:
+            sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
+            sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
+            sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
 
-    sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
-                twist=True, full=True)
-    sp.add_argument("--i", type=int, help="block index; omit for the full table")
+    if "ext" in names:
+        sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
+                    twist=True, full=True)
+        sp.add_argument("--i", type=int, help="block index; omit for the full table")
 
-    common("dim", "dimensions of simples and parabolic covers", cmd_dim, _dim_text)
+    if "dim" in names:
+        common("dim", "dimensions of simples and parabolic covers", cmd_dim, _dim_text)
 
-    sp = common("jantzen", "witness certificates for block simplicity", cmd_jantzen, _jantzen_text,
-                full=True)
-    sp.add_argument("--i", type=int, help="restrict the listing to one block index")
+    if "jantzen" in names:
+        sp = common("jantzen", "witness certificates for block simplicity", cmd_jantzen,
+                    _jantzen_text, full=True)
+        sp.add_argument("--i", type=int, help="restrict the listing to one block index")
 
-    common("verify", "machine-check every library invariant at (n, p)", cmd_verify, _verify_text)
+    if "verify" in names:
+        common("verify", "machine-check every library invariant at (n, p)", cmd_verify,
+               _verify_text)
 
     return parser
 
@@ -187,7 +218,8 @@ _SLOT_JSON = '"\\u0000rows"'
 def _dump_json(doc: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where a
     layer listing's factor rows (i, nu, mult) stand for the objects
-    {"i": i, "mult": mult, "nu": nu}.
+    {"i": i, "mult": mult, "nu": nu}, and a jantzen report's certificate
+    rows (i, root, m, s, a, b, beta0, betas) for the objects with those keys.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
     most of a long document's time on its rows.  So each layer's factor list
@@ -226,22 +258,23 @@ def _factors_json(rows: list[Row]) -> list[str]:
     return ["[\n", body, "\n      ]"]
 
 
-def _certificates_json(certs: list[dict]) -> list[str]:
-    """The indent=2 text of a jantzen report's `certificates` list, in pieces."""
-    if not certs:
+def _certificates_json(rows: list[CertificateRow]) -> list[str]:
+    """The indent=2 text of a jantzen report's `certificates` list, in
+    pieces: each row (i, root, m, s, a, b, beta0, betas) is written as the
+    object {"a", "b", "beta0", "betas", "i", "m", "root", "s"}."""
+    if not rows:
         return ["[]"]
-    rows = [
-        _certificate_template(len(c["betas"]))
-        % (c["a"], c["b"], *c["beta0"], *[k for beta in c["betas"] for k in beta],
-           c["i"], c["m"], *c["root"], c["s"])
-        for c in certs
+    text = [
+        _certificate_template(b)
+        % (a, b, *beta0, *[k for beta in betas for k in beta], i, m, *root, s)
+        for i, root, m, s, a, b, beta0, betas in rows
     ]
-    return ["[\n", ",\n".join(rows), "\n    ]"]
+    return ["[\n", ",\n".join(text), "\n    ]"]
 
 
 @lru_cache(maxsize=64)
 def _certificate_template(b: int) -> str:
-    """One certificate row with b betas, its keys in sorted order."""
+    """One certificate object with b betas, its keys in sorted order."""
     betas = "[]"
     if b:
         beta = "          [\n            %d,\n            %d\n          ]"
@@ -378,7 +411,8 @@ def cmd_jantzen(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]
     report = check_block_simplicity(ctx)
     if args.i is not None:
         # The listings follow --i; the counts and status describe the sweep.
-        for key in ("certificates", "failures", "replay_failures"):
+        report["certificates"] = [row for row in report["certificates"] if row[0] == args.i]
+        for key in ("failures", "replay_failures"):
             report[key] = [entry for entry in report[key] if entry["i"] == args.i]
     return {"object": "jantzen", "report": report}, 0 if report["ok"] else 1
 
@@ -391,12 +425,12 @@ def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         f"replayed {report['replayed']} closed forms: {status}"
     ]
     cert_lines = []
-    for c in report["certificates"]:
-        betas = " ".join(f"({k},{j})" for k, j in c["betas"]) or "-"
+    for i, root, m, s, a, b, beta0, betas in report["certificates"]:
+        tail = " ".join(f"({k},{j})" for k, j in betas) or "-"
         cert_lines.append(
-            f"  i={c['i']} root=({c['root'][0]},{c['root'][1]}): "
-            f"m={c['m']} = {c['a']}*{ctx.p}^{c['s']} + {c['b']}*{ctx.p}^{c['s'] + 1}, "
-            f"beta0=({c['beta0'][0]},{c['beta0'][1]}), betas: {betas}"
+            f"  i={i} root=({root[0]},{root[1]}): "
+            f"m={m} = {a}*{ctx.p}^{s} + {b}*{ctx.p}^{s + 1}, "
+            f"beta0=({beta0[0]},{beta0[1]}), betas: {tail}"
         )
     lines.extend(_truncate(cert_lines, full))
     for f in report["failures"] + report["replay_failures"]:

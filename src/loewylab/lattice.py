@@ -174,9 +174,10 @@ def pair(w: Weight, k: int, j: int) -> int:
     >>> pair(rho(4), 2, 5)
     3
     """
-    if not 1 <= k < j <= w.rank + 1:
+    coords = w.coords
+    if not 1 <= k < j <= len(coords) + 1:
         raise ValueError(f"(k, j) = ({k}, {j}) is not a positive root index")
-    return sum(w.coords[k - 1 : j - 1])
+    return sum(coords[k - 1 : j - 1])
 
 
 def _scaled_root_coords(coords: Iterable[int]) -> list[int]:

@@ -103,14 +103,18 @@ def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
     |Y| = j - k).  Both lists are sorted and duplicate-free, so the labels
     of a layer are distinct and, block by block, in lexicographic order.
     """
-    layers = []
-    for j in range(n + 1):
-        layers.append(tuple(
-            (i + j - 2 * k, _half_shifts(i, k, True), _half_shifts(n - i, j - k, False))
+    # Each half list is built once.  A layer may ask for more tail slots
+    # than the n - i there are; that block's tails are empty.
+    heads = [_half_shifts(i, k, True) for k in range(i + 1)]
+    tails = [_half_shifts(n - i, k, False) for k in range(n + 1)]
+    return tuple(
+        tuple(
+            (i + j - 2 * k, heads[k], tails[j - k])
             for k in range(min(i, j), -1, -1)
             if i + j - 2 * k <= n
-        ))
-    return tuple(layers)
+        )
+        for j in range(n + 1)
+    )
 
 
 Row = tuple[int, tuple[int, ...], int]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -274,3 +275,73 @@ def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
     assert report["ok"]
     roots = n * (n + 1) // 2
     assert 0 < calls[0] <= (n + 1) * roots * (2 * n + 5)
+
+
+def unshared_sweep(ctx):
+    """The sweep's failures with nothing shared: `verify_certificate` runs
+    on every searched and every closed-form certificate."""
+    n, p = ctx.n, ctx.p
+    failures, replay_failures = [], []
+    for i in range(n + 1):
+        nu = nu_weight(ctx, i)
+        for root in positive_roots(n):
+            found = witness_search(nu, root, p)
+            if found is None or not verify_certificate(nu, found, p):
+                failures.append({"i": i, "root": list(root), "reason": "search failed"})
+            if not verify_certificate(nu, closed_form_certificate(ctx, i, root), p):
+                replay_failures.append(
+                    {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
+                )
+    return failures, replay_failures
+
+
+def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypatch):
+    # The sweep checks each distinct searched witness once per nu_i, and
+    # every root's own pairing.  With pair lying at one (nu_i, root), it must
+    # report exactly the failures of checking every certificate in full.
+    ctx = make_context(6, 5)
+    rows = check_block_simplicity(ctx)["certificates"]
+    buckets = {}
+    for i, root, m, _, _, _, beta0, betas in rows:
+        buckets.setdefault((i, m, beta0, betas), []).append(root)
+    at_other_index = Counter((m, beta0, betas) for _, m, beta0, betas in buckets)
+    # The beta0 of a witness that several roots share at nu_i and that
+    # recurs at another index, a tail root of some witness, and a root that
+    # is neither a beta0 nor a tail at its nu_i but shares its witness with
+    # an earlier root.
+    shared = next(
+        key for key, roots in buckets.items() if len(roots) > 1 and at_other_index[key[1:]] > 1
+    )
+    tail = next(key for key in buckets if key[3])
+    witness_roots = {(i, r) for i, _, beta0, betas in buckets for r in (beta0, *betas)}
+    plain = next(
+        (key[0], root)
+        for key, roots in buckets.items()
+        for root in roots[1:]
+        if (key[0], root) not in witness_roots
+    )
+    # (index, root pair lies at, fewest searched failures it must cause)
+    lies = [(shared[0], shared[2], len(buckets[shared])), (tail[0], tail[3][0], 1), (*plain, 1)]
+    for i, root, fewest in lies:
+        nu = nu_weight(ctx, i)
+
+        def lying(w, k, j, nu=nu, root=root):
+            return pair(w, k, j) + (w == nu and (k, j) == root)
+
+        monkeypatch.setattr(loewylab.chardim, "pair", lying)
+        report = check_block_simplicity(ctx)
+        failures, replay_failures = unshared_sweep(ctx)
+        assert len(failures) >= fewest, (i, root)
+        assert report["failures"] == failures, (i, root)
+        assert report["replay_failures"] == replay_failures, (i, root)
+        assert report["ok"] is False
+        assert len(report["certificates"]) + len(failures) == report["checked"]
+
+
+def test_jantzen_decompose_refuses_every_bad_call():
+    # Results are cached; refusals are not.
+    for _ in range(2):
+        for m, p in [(0, 5), (-3, 5), (6, 1), (6, 0)]:
+            with pytest.raises(ValueError):
+                jantzen_decompose(m, p)
+    assert jantzen_decompose(6, 5) is jantzen_decompose(6, 5)

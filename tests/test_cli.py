@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -81,6 +82,79 @@ def test_argparse_failures_exit_2(capsys):
         capsys,
     )
     assert code == 2
+
+
+USAGE = "usage: loewylab [-h] {block,verma,verma-dual,proj,ext,dim,jantzen,verify} ...\n"
+
+HELP_TEXT = USAGE + """
+Exact invariants of the singular block of G1T-modules for SL(n+1).
+
+positional arguments:
+  {block,verma,verma-dual,proj,ext,dim,jantzen,verify}
+    block               the block's weight table
+    verma               radical layers of a baby Verma module
+    verma-dual          radical layers of the dual baby Verma
+    proj                radical layers of a projective cover (conditional)
+    ext                 Ext^1 table, or one simple's Ext neighbourhood
+    dim                 dimensions of simples and parabolic covers
+    jantzen             witness certificates for block simplicity
+    verify              machine-check every library invariant at (n, p)
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+VERMA_HELP_TEXT = """\
+usage: loewylab verma [-h] --n N --p P [--nu NU | --eps EPS] [--format {text,json}] [--full] --i I
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 rank; the group is SL(n+1)
+  --p P                 odd prime not dividing n+1
+  --nu NU               twist in fundamental coordinates, n comma-separated ints (default 0)
+  --eps EPS             twist in eps coefficients, n+1 comma-separated ints
+  --format {text,json}
+  --full                never truncate long listings
+  --i I                 block index in [0, n]
+"""
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], (2, "", USAGE + "loewylab: error: the following arguments are required: command\n")),
+    (["nope"], (2, "", USAGE + (
+        "loewylab: error: argument command: invalid choice: 'nope' (choose from 'block', "
+        "'verma', 'verma-dual', 'proj', 'ext', 'dim', 'jantzen', 'verify')\n"))),
+    (["-h"], (0, HELP_TEXT, "")),
+    (["verma", "-h"], (0, VERMA_HELP_TEXT, "")),
+    (["block", "--p", "5"], (2, "", (
+        "usage: loewylab block [-h] --n N --p P [--format {text,json}]\n"
+        "loewylab block: error: the following arguments are required: --n\n"))),
+    (["verma", "--n", "2", "--p", "5", "--i", "1", "--bogus"],
+     (2, "", USAGE + "loewylab: error: unrecognized arguments: --bogus\n")),
+])
+def test_parser_messages_frozen(argv, expected, capsys, monkeypatch):
+    # Only the invoked subcommand's parser is built; help, usage and errors
+    # read as when all eight are.  Recorded with every subparser built.
+    monkeypatch.setenv("COLUMNS", "100")
+    assert run_cli(argv, capsys) == expected
+
+
+def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def recording(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    # main(None) reads sys.argv[1:] itself.
+    monkeypatch.setattr(sys, "argv", ["loewylab", "block", "--n", "2", "--p", "5"])
+    assert run_cli(None, capsys) == (0, BLOCK_2_5_TEXT, "")
+    assert built == ["block"]
+    built.clear()
+    assert run_cli(["nope"], capsys)[0] == 2
+    assert built == ["block", "verma", "verma-dual", "proj", "ext", "dim", "jantzen", "verify"]
 
 
 def test_json_reruns_are_byte_identical(capsys):
@@ -485,13 +559,21 @@ def test_layer_json_builds_no_labels(capsys, monkeypatch):
 
 def reference_json(doc: dict) -> str:
     """json.dumps of a document, a layer listing's factor rows (i, nu, mult)
-    written as the factor objects its JSON holds."""
+    and a jantzen report's certificate rows (i, root, m, s, a, b, beta0,
+    betas) written as the objects its JSON holds."""
     if "layers" in doc:
         layers = [
             {**layer, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in layer["factors"]]}
             for layer in doc["layers"]
         ]
         doc = {**doc, "layers": layers}
+    if "report" in doc:
+        certificates = [
+            {"i": i, "root": list(root), "m": m, "s": s, "a": a, "b": b, "beta0": list(beta0),
+             "betas": [list(beta) for beta in betas]}
+            for i, root, m, s, a, b, beta0, betas in doc["report"]["certificates"]
+        ]
+        doc = {**doc, "report": {**doc["report"], "certificates": certificates}}
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
@@ -560,22 +642,21 @@ def random_report_doc(rng: random.Random, rank: int) -> dict:
     """A document shaped like `cmd_jantzen`'s output, with random values."""
     def root():
         k = rng.randint(1, rank)
-        return [k, rng.randint(k + 1, rank + 1)]
+        return (k, rng.randint(k + 1, rank + 1))
 
     certificates = []
     for _ in range(rng.choice((0, 1, 3, 8))):
         b = rng.choice((0, 0, 1, 2, 5))
-        certificates.append({
-            "i": rng.randint(0, rank), "root": root(), "m": rng.choice((1, 7, 49, 343, 2400)),
-            "s": rng.randint(0, 3), "a": rng.randint(1, 10), "b": b, "beta0": root(),
-            "betas": [root() for _ in range(b)],
-        })
+        certificates.append((
+            rng.randint(0, rank), root(), rng.choice((1, 7, 49, 343, 2400)), rng.randint(0, 3),
+            rng.randint(1, 10), b, root(), tuple(root() for _ in range(b)),
+        ))
     failures = [
-        {"i": rng.randint(0, rank), "root": root(), "reason": "search failed"}
+        {"i": rng.randint(0, rank), "root": list(root()), "reason": "search failed"}
         for _ in range(rng.choice((0, 0, 2)))
     ]
     replay_failures = [
-        {"i": rng.randint(0, rank), "root": root(), "reason": "closed-form certificate invalid"}
+        {"i": rng.randint(0, rank), "root": list(root()), "reason": "closed-form certificate invalid"}
         for _ in range(rng.choice((0, 0, 1)))
     ]
     checked = (rank + 1) * rank * (rank + 1) // 2
@@ -594,8 +675,9 @@ def test_dump_json_matches_json_dumps_on_random_reports():
     certificates = [c for report in reports for c in report["certificates"]]
     # The cases the row templates must get right all occur.
     assert any(report["certificates"] == [] for report in reports)
-    assert any(c["betas"] == [] for c in certificates) and any(c["b"] > 1 for c in certificates)
-    assert any(c["m"] >= 100 for c in certificates)
+    assert any(betas == () for *_, betas in certificates)
+    assert any(b > 1 for _, _, _, _, _, b, _, _ in certificates)
+    assert any(m >= 100 for _, _, m, *_ in certificates)
     assert any(report["failures"] for report in reports)
     assert any(report["replay_failures"] for report in reports)
     for doc in docs:
