@@ -3,13 +3,18 @@
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 prints with --format json or else renders as text from that payload, n and
-p alone: the text is a view of the JSON. A layer listing's payload holds
-the library's rows (`verma_rows`, `dual_verma_rows`, `cover_rows`) as they
-come, in (i, nu) order, and the JSON writes each row as a factor object;
-`ext --i` builds its factor dicts from `rad1_qhat`'s rows, and a `jantzen`
-report holds `check_block_simplicity`'s certificate rows
-(i, root, m, s, a, b, beta0, betas), each written as a certificate object.
-So no label object is built and nothing is sorted. The JSON is exactly
+p alone: the text is a view of the JSON. A Verma listing's payload holds
+the layer formula's blocks (t, heads, tails) from `verma_blocks` (reversed
+for `verma-dual`), and its JSON writes each block's labels (t, head + tail)
+as factor objects, formatting each head and tail once; a cover's payload
+holds `cover_rows`' rows (i, nu, mult), which carry multiplicities and
+have no product form, and its JSON writes each row as a factor object.
+Each layer listing names its factor writer, and both build one factor
+object template. `ext --i` builds its factor dicts from `rad1_qhat`'s
+rows, and a `jantzen` report holds `check_block_simplicity`'s certificate
+rows (i, root, m, s, a, b, beta0, betas), each written as a certificate
+object. So no label object is built and nothing is sorted, and a Verma's
+rows are built only for its text view (`flatten_blocks`). The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)` of those objects,
 so reruns are byte-identical; the factor lists of a layer listing and the
 certificate rows of a `jantzen` report are written from %-format templates
@@ -39,15 +44,15 @@ from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
-from .loewy import Row, dual_verma_rows, verma_rows
+from .loewy import Block, Row, flatten_blocks, verma_blocks
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
 __all__ = ["main"]
 
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
-# multiplicity.  The largest one admitted, `verma --n 16`, took about 0.3 s
-# and 74 MB on a 2-core VM.
+# multiplicity.  The largest one admitted, `verma --n 16 --format json`, took
+# about 0.2 s and 57 MB on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
@@ -104,7 +109,7 @@ def main(argv: list[str] | None = None) -> None:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
     if args.format == "json":
-        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}))
+        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}, args.factors_json))
     else:
         print(args.render(ctx, payload, getattr(args, "full", False)))
     raise SystemExit(code)
@@ -147,17 +152,19 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if full:
             sp.add_argument("--full", action="store_true", help="never truncate long listings")
-        sp.set_defaults(func=func, render=render)
+        sp.set_defaults(func=func, render=render, factors_json=_factors_json)
         return sp
 
     if "block" in names:
         common("block", "the block's weight table", cmd_block, _block_text)
 
-    for command, help_text, kind, layers_of, conditional in _LAYER_COMMANDS:
+    for command, help_text, kind, layers_of, blocks, conditional in _LAYER_COMMANDS:
         if command in names:
-            sp = common(command, help_text, cmd_layers, _layers_text, twist=True, full=True)
+            render = _blocks_text if blocks else _layers_text
+            sp = common(command, help_text, cmd_layers, render, twist=True, full=True)
             sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-            sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional)
+            sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional,
+                            factors_json=_blocks_json if blocks else _factors_json)
 
     if "ext" in names:
         sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
@@ -215,20 +222,24 @@ _SLOT = "\x00rows"
 _SLOT_JSON = '"\\u0000rows"'
 
 
-def _dump_json(doc: dict) -> str:
+def _dump_json(doc: dict, factors_json=None) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where a
-    layer listing's factor rows (i, nu, mult) stand for the objects
+    layer listing's factor lists stand for lists of objects
     {"i": i, "mult": mult, "nu": nu}, and a jantzen report's certificate
     rows (i, root, m, s, a, b, beta0, betas) for the objects with those keys.
+
+    `factors_json` writes a layer listing's factor lists: `_factors_json`
+    (the default) for rows, `_blocks_json` for a Verma's blocks.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
     most of a long document's time on its rows.  So each layer's factor list
     and a jantzen report's certificate list are dumped as slots, and each
-    slot is filled from %-format templates: one per layer for its rank, one
-    per certificate for its number of betas.
+    slot is filled from %-format templates: one factor object per layer for
+    its rank, one per certificate for its number of betas.
     """
     if "layers" in doc:
-        lists = [_factors_json(layer["factors"]) for layer in doc["layers"]]
+        factors_json = factors_json or _factors_json
+        lists = [factors_json(layer["factors"]) for layer in doc["layers"]]
         doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
     elif "report" in doc:
         lists = [_certificates_json(doc["report"]["certificates"])]
@@ -245,17 +256,49 @@ def _dump_json(doc: dict) -> str:
     return "".join(out)
 
 
+# One factor object {"i", "mult", "nu"} of a `layers[*].factors` list at
+# indent=2: its opening through the "nu" bracket, one coordinate, its close.
+_FACTOR_OPEN = '        {\n          "i": %d,\n          "mult": %d,\n          "nu": [\n'
+_FACTOR_COORD = "            %d"
+_FACTOR_CLOSE = "\n          ]\n        }"
+
+
 def _factors_json(rows: list[Row]) -> list[str]:
     """The indent=2 text of one `layers[*].factors` list, in pieces: each
-    row (i, nu, mult) is written as the object {"i", "mult", "nu"}.
+    row (i, nu, mult) is written as a factor object.
 
     Layers are never empty and ranks are at least 1 (`make_context`).
     """
-    nu = ",\n".join(["            %d"] * len(rows[0][1]))
-    template = '        {\n          "i": %d,\n          "mult": %d,\n          "nu": [\n'
-    template += nu + "\n          ]\n        }"
+    template = _FACTOR_OPEN + ",\n".join([_FACTOR_COORD] * len(rows[0][1])) + _FACTOR_CLOSE
     body = ",\n".join([template % (u, m, *c) for u, c, m in rows])
     return ["[\n", body, "\n      ]"]
+
+
+def _blocks_json(blocks: list[Block]) -> list[str]:
+    """The indent=2 text of one Verma layer's `factors` list, in pieces: each
+    label (t, head + tail) of each block (t, heads, tails) is written as a
+    factor object with multiplicity one.
+
+    Each object is a head text (the opening and the head's coordinates)
+    followed by a tail text (the tail's coordinates and the close), so each
+    head and tail is formatted once per block, and all objects of one head
+    are one join.  The head text ends in the coordinates' ",\n" separator
+    unless heads or tails are () (i = 0 or i = n).  Layers are never empty;
+    blocks without heads or tails add nothing.
+    """
+    texts = []
+    for t, heads, tails in blocks:
+        if not (heads and tails):
+            continue
+        open_t = _FACTOR_OPEN % (t, 1)
+        sep = ",\n" if heads[0] and tails[0] else ""
+        head = ",\n".join([_FACTOR_COORD] * len(heads[0])) + sep
+        tail = ",\n".join([_FACTOR_COORD] * len(tails[0])) + _FACTOR_CLOSE
+        tail_texts = [tail % c for c in tails]
+        for h in heads:
+            h = open_t + head % h
+            texts.append(h + (",\n" + h).join(tail_texts))
+    return ["[\n", ",\n".join(texts), "\n      ]"]
 
 
 def _certificates_json(rows: list[CertificateRow]) -> list[str]:
@@ -319,18 +362,21 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return "\n".join(lines)
 
 
-# The layer subcommands: (name, help, object kind, layer rows function,
-# whether the result is conditional on the Loewy length conjecture).  The lambdas
-# look the library function up in this module's namespace at call time, so
-# a wrapper patched in there (as `bench/spans.py` does) still sees the call.
-# The dual Verma's radical layers are the Verma's, reversed.
+# The layer subcommands: (name, help, object kind, layers function, whether
+# its layers are blocks, whether the result is conditional on the Loewy
+# length conjecture).  A Verma's layers are blocks (t, heads, tails), and
+# the dual Verma's are the Verma's, reversed; a cover's are rows
+# (i, nu, mult), which carry multiplicities and have no product form.  The
+# lambdas look the library function up in this module's namespace at call
+# time, so a wrapper patched in there (as `bench/spans.py` does) still sees
+# the call.
 _LAYER_COMMANDS = (
     ("verma", "radical layers of a baby Verma module", "Zhat",
-     lambda ctx, i, nu: verma_rows(ctx, i, nu), False),
+     lambda ctx, i, nu: verma_blocks(ctx, i, nu), True, False),
     ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: dual_verma_rows(ctx, i, nu), False),
+     lambda ctx, i, nu: verma_blocks(ctx, i, nu)[::-1], True, False),
     ("proj", "radical layers of a projective cover (conditional)", "Qhat",
-     lambda ctx, i, nu: cover_rows(ctx, i, nu), True),
+     lambda ctx, i, nu: cover_rows(ctx, i, nu), False, True),
 )
 
 
@@ -342,6 +388,12 @@ def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
         "layers": [{"j": j, "factors": rows} for j, rows in enumerate(layers)],
         CONDITIONAL_FLAG_KEY: args.conditional,
     }, 0
+
+
+def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+    """The text of a Verma listing: `_layers_text` of its rows."""
+    layers = [{**layer, "factors": flatten_blocks(layer["factors"])} for layer in payload["layers"]]
+    return _layers_text(ctx, {**payload, "layers": layers}, full)
 
 
 def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:

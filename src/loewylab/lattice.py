@@ -49,17 +49,19 @@ class Weight(OrderedRecord):
 
     `coords[t - 1]` is the coefficient of w_t.  Instances are immutable and
     support the abelian-group operations plus integer scaling.  The
-    constructor validates its coordinates; arithmetic on weights, whose
-    results are int tuples by construction, builds through `_weight`
-    instead, which does not.
+    constructor stores its coordinates as a tuple and validates them;
+    arithmetic on weights, whose results are int tuples by construction,
+    builds through `_weight` instead, which does not.
     """
 
     __slots__ = ("coords",)
 
-    def __init__(self, coords: tuple[int, ...]) -> None:
+    def __init__(self, coords: Iterable[int]) -> None:
+        coords = tuple(coords)
         if not coords:
             raise ValueError("weight needs rank >= 1")
-        if any(not isinstance(c, int) for c in coords):
+        # Exact ints: a bool is an int subclass, and would print as True.
+        if any(type(c) is not int for c in coords):
             raise TypeError("weight coordinates must be ints")
         _set_coords(self, coords)
 

@@ -14,12 +14,16 @@ eps_Y on coordinates i + 1..n alone.  Each (j, k) part of a layer is
 therefore a product heads(k) x tails(j - k), and the layers are computed
 once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
 (a small bounded cache).  On each call the heads are translated by nu's
-first i coordinates and the tails by the rest, and each label is one tuple
-concatenation.  `verma_rows` returns the layers, index 0 = head for
-radical series, each as rows (block index, twist coordinates,
+first i coordinates and the tails by the rest.  `verma_blocks` returns the
+layers, index 0 = head for radical series, in that product form: blocks
+(t, heads, tails) whose labels are (t, head + tail).  The command line
+writes a listing from the blocks, so it formats each head and tail once
+and never builds the 2^n labels.  `verma_rows` is their flattening
+(`flatten_blocks`), each layer as rows (block index, twist coordinates,
 multiplicity) in (block index, twist) order, and `dual_verma_rows` the
-same rows reversed.  The two-layer parabolic covers are rows too
-(`parabolic_m_structure`), so no layer leaves the module as labels.
+same rows reversed; the `verify` battery reads those.  The two-layer
+parabolic covers are rows too (`parabolic_m_structure`), so no layer
+leaves the module as labels.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .lattice import Weight
 
 __all__ = [
     "rad_layers_z_g1",
+    "verma_blocks",
+    "flatten_blocks",
     "verma_rows",
     "dual_verma_rows",
     "composition_class_z_g1",
@@ -120,6 +126,43 @@ def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
 Row = tuple[int, tuple[int, ...], int]
 
 
+def verma_blocks(ctx: BlockContext, i: int, nu: Weight) -> list[list[Block]]:
+    """Radical layers of the baby Verma with highest weight lam_i + p nu,
+    as blocks (t, heads, tails).
+
+    A block's labels are (t, head + tail) for every head in `heads` and tail
+    in `tails`, head-major, each with multiplicity one; a layer's blocks come
+    in increasing t.  The heads are the pattern's heads translated by nu's
+    first i coordinates and the tails its tails translated by the rest.
+    At i = 0 every head is (), and at i = n every tail is.
+    """
+    check_index(ctx, i)
+    if nu.rank != ctx.n:
+        raise ValueError("rank mismatch")
+    # Lexicographic order is translation-invariant, so translating each
+    # half keeps every block sorted.  The pattern shares one half list among
+    # the blocks that use it, so each list is translated once.
+    v_head, v_tail = nu.coords[:i], nu.coords[i:]
+    moved: dict[int, list[tuple[int, ...]]] = {}
+
+    def translate(shifts, v):
+        key = id(shifts)
+        if key not in moved:
+            moved[key] = [tuple(map(add, v, shift)) for shift in shifts]
+        return moved[key]
+
+    return [
+        [(t, translate(heads, v_head), translate(tails, v_tail)) for t, heads, tails in blocks]
+        for blocks in _verma_pattern(ctx.n, i)
+    ]
+
+
+def flatten_blocks(blocks: list[Block]) -> list[Row]:
+    """The rows (t, head + tail, 1) of one layer's blocks, in block order and
+    head-major within a block."""
+    return [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
+
+
 def verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     """Radical layers of the baby Verma with highest weight lam_i + p nu,
     as rows (block index, twist coordinates, multiplicity).
@@ -127,23 +170,7 @@ def verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     Each layer's rows are in (block index, twist coordinates) order, and
     every multiplicity is one.
     """
-    check_index(ctx, i)
-    if nu.rank != ctx.n:
-        raise ValueError("rank mismatch")
-    # Lexicographic order is translation-invariant, so translating each
-    # head by nu's first i coordinates and each tail by the rest keeps
-    # every block sorted.
-    v_head, v_tail = nu.coords[:i], nu.coords[i:]
-    layers = []
-    for blocks in _verma_pattern(ctx.n, i):
-        rows: list[Row] = []
-        for t, heads, tails in blocks:
-            moved_tails = [tuple(map(add, v_tail, tail)) for tail in tails]
-            for head in heads:
-                moved = tuple(map(add, v_head, head))
-                rows += [(t, moved + tail, 1) for tail in moved_tails]
-        layers.append(rows)
-    return layers
+    return [flatten_blocks(blocks) for blocks in verma_blocks(ctx, i, nu)]
 
 
 def dual_verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:

@@ -21,7 +21,9 @@ import loewylab.ext
 import loewylab.loewy
 import loewylab.projective
 from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
-from loewylab.loewy import verma_rows
+from loewylab.block import make_context
+from loewylab.lattice import Weight
+from loewylab.loewy import verma_blocks, verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
 
@@ -530,7 +532,8 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
         raise AssertionError("a text renderer ran in JSON mode")
 
     for name in (
-        "_layers_text", "_block_text", "_ext_text", "_dim_text", "_jantzen_text", "_verify_text"
+        "_layers_text", "_blocks_text", "_block_text", "_ext_text", "_dim_text", "_jantzen_text",
+        "_verify_text",
     ):
         monkeypatch.setattr(loewylab.cli, name, refuse)
     assert [run_cli(argv, capsys) for argv in argvs] == expected
@@ -557,15 +560,18 @@ def test_layer_json_builds_no_labels(capsys, monkeypatch):
 
 # ------------------------------------------------------- JSON writer
 
-def reference_json(doc: dict) -> str:
+def reference_json(doc: dict, blocks: bool = False) -> str:
     """json.dumps of a document, a layer listing's factor rows (i, nu, mult)
-    and a jantzen report's certificate rows (i, root, m, s, a, b, beta0,
-    betas) written as the objects its JSON holds."""
+    or, with `blocks`, its Verma blocks (t, heads, tails), and a jantzen
+    report's certificate rows (i, root, m, s, a, b, beta0, betas) written as
+    the objects its JSON holds."""
     if "layers" in doc:
-        layers = [
-            {**layer, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in layer["factors"]]}
-            for layer in doc["layers"]
-        ]
+        layers = []
+        for layer in doc["layers"]:
+            rows = layer["factors"]
+            if blocks:
+                rows = [(t, head + tail, 1) for t, heads, tails in rows for head in heads for tail in tails]
+            layers.append({**layer, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in rows]})
         doc = {**doc, "layers": layers}
     if "report" in doc:
         certificates = [
@@ -608,13 +614,38 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
         assert _dump_json(doc) == reference_json(doc)
 
 
+def test_dump_json_matches_json_dumps_on_random_block_docs():
+    # Verma listings at ranks 1..8 and every i, from i = 0 (every head is
+    # ()) to i = n (every tail is ()), twisted by coordinates beyond ±100,
+    # as `verma` and as `verma-dual` write them.
+    rng = random.Random(2018)
+    docs = []
+    for n in range(1, 9):
+        ctx = make_context(n, 11)
+        for i in range(n + 1):
+            nu = Weight(tuple(rng.randint(-150, 150) for _ in range(n)))
+            for kind, layers in (("Zhat", verma_blocks(ctx, i, nu)),
+                                 ("Zhat_dual", verma_blocks(ctx, i, nu)[::-1])):
+                docs.append({
+                    "n": n, "p": 11, "object": f"{kind}(i={i}, nu=[{nu.coords[0]}])",
+                    "layers": [{"j": j, "factors": blocks} for j, blocks in enumerate(layers)],
+                    CONDITIONAL_FLAG_KEY: False,
+                })
+    coords = [c for doc in docs for layer in doc["layers"] for _, heads, tails in layer["factors"]
+              for half in (*heads, *tails) for c in half]
+    assert min(coords) < -100 and max(coords) > 100
+    for doc in docs:
+        assert _dump_json(doc, loewylab.cli._blocks_json) == reference_json(doc, blocks=True)
+
+
 def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
-    # main prints exactly what json.dumps writes for the document it dumps.
+    # main prints exactly what json.dumps writes for the document it dumps,
+    # with the factor writer main picks for the listing.
     docs = []
 
-    def recording(doc):
-        docs.append(doc)
-        return _dump_json(doc)
+    def recording(doc, factors_json=None):
+        docs.append((doc, factors_json is loewylab.cli._blocks_json))
+        return _dump_json(doc, factors_json)
 
     monkeypatch.setattr(loewylab.cli, "_dump_json", recording)
     argvs = [["proj", "--n", "6", "--p", "5", "--i", str(i)] for i in range(7)]
@@ -625,8 +656,10 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     for argv in argvs:
         code, out, err = run_cli(argv + ["--format", "json"], capsys)
         assert code == 0 and err == ""
-        assert out == reference_json(docs[-1]) + "\n"
+        assert out == reference_json(*docs[-1]) + "\n"
     assert len(docs) == len(argvs)
+    # Verma listings are written from blocks, covers from rows.
+    assert [blocks for _, blocks in docs] == [False] * 7 + [True] * 2
     # Jantzen reports, the whole sweep and one index at a time, and a
     # document without template-written rows.
     argvs = [["ext", "--n", "3", "--p", "5", "--i", "1"]]
@@ -635,7 +668,7 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     for argv in argvs:
         code, out, err = run_cli(argv + ["--format", "json"], capsys)
         assert code == 0 and err == ""
-        assert out == reference_json(docs[-1]) + "\n"
+        assert out == reference_json(*docs[-1]) + "\n"
 
 
 def random_report_doc(rng: random.Random, rank: int) -> dict:
@@ -823,22 +856,62 @@ def grid_digest(argv: list[str]) -> list:
     ]
 
 
-def record_grid() -> None:
-    """Write the grid's digests to the fixture; run only on a reference commit."""
-    digests = {" ".join(argv): grid_digest(argv) for argv in cli_grid()}
-    GRID_FIXTURE.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+LARGE_FIXTURE = Path(__file__).with_name("cli_large.json")
+
+
+def cli_large():
+    """Layer listings past the grid, where text truncation at TRUNCATE_AT fires.
+
+    `verma` and `verma-dual` at n = 11 and 12, i = 0 (no heads), n // 2 and
+    n (no tails).  Each (command, n) meets all three twists (none, a `--nu`
+    with coordinates beyond ±9, an `--eps`) and all three formats (text,
+    text --full, JSON); the untwisted middle listings at n = 12 in JSON and
+    two `proj --n 6` listings close the set.
+    """
+    formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
+    for n, p in ((11, 5), (12, 7)):
+        nu = ["-105", "0", "7", "0", "12", "-1"] + ["0"] * (n - 8) + ["3", "-40"]
+        eps = ["11"] + ["0"] * (n - 1) + ["-3"]
+        twists = [[], ["--nu=" + ",".join(nu)], ["--eps=" + ",".join(eps)]]
+        for c, command in enumerate(("verma", "verma-dual")):
+            for k, i in enumerate((0, n // 2, n)):
+                yield [command, "--n", str(n), "--p", str(p), "--i", str(i), *twists[k],
+                       *formats[(k + c + n) % 3]]
+    # The largest JSON with both heads and tails, untwisted.
+    for command in ("verma", "verma-dual"):
+        yield [command, "--n", "12", "--p", "7", "--i", "6", "--format", "json"]
+    yield ["proj", "--n", "6", "--p", "5", "--i", "3", "--format", "text"]
+    yield ["proj", "--n", "6", "--p", "5", "--i", "2", "--nu=10,-1,0,0,-12,1", "--format", "json"]
+
+
+def record_fixtures() -> None:
+    """Write the digests of the grid and of the large listings to their
+    fixtures; run only on a reference commit."""
+    for fixture, runs in ((GRID_FIXTURE, cli_grid()), (LARGE_FIXTURE, cli_large())):
+        digests = {" ".join(argv): grid_digest(argv) for argv in runs}
+        fixture.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+
+
+def assert_digests_match(fixture: Path, runs) -> None:
+    expected = json.loads(fixture.read_text())
+    got = {" ".join(argv): grid_digest(argv) for argv in runs}
+    assert sorted(got) == sorted(expected)
+    assert [argv for argv in got if got[argv] != expected[argv]] == []
 
 
 def test_cli_output_byte_identical_on_grid(monkeypatch):
     # Stdout, stderr and exit code of every grid run match the recorded
     # reference (record with `PYTHONPATH=src python tests/test_cli.py`).
     monkeypatch.setenv("COLUMNS", "100")
-    expected = json.loads(GRID_FIXTURE.read_text())
-    got = {" ".join(argv): grid_digest(argv) for argv in cli_grid()}
-    assert sorted(got) == sorted(expected)
-    assert [argv for argv in got if got[argv] != expected[argv]] == []
+    assert_digests_match(GRID_FIXTURE, cli_grid())
+
+
+def test_cli_output_byte_identical_on_large_listings(monkeypatch):
+    # The same for listings of 2^11 to 2^12 labels, truncated and in full.
+    monkeypatch.setenv("COLUMNS", "100")
+    assert_digests_match(LARGE_FIXTURE, cli_large())
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "100"
-    record_grid()
+    record_fixtures()

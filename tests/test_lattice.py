@@ -38,6 +38,23 @@ def test_weight_arithmetic():
         Weight((1.0, 2))  # type: ignore[arg-type]
 
 
+def test_weight_constructor_stores_a_tuple_of_ints():
+    # Any iterable of ints gives the weight of the same tuple: equal, equally
+    # hashed, and not changed through the list it was built from.
+    coords = [1, -2]
+    w = Weight(coords)
+    coords[0] = 9
+    assert type(w.coords) is tuple and w.coords == (1, -2)
+    assert w == Weight((1, -2)) and hash(w) == hash(Weight((1, -2))) == hash(((1, -2),))
+    assert Weight(c for c in (3, 0)).coords == (3, 0)
+    # A bool is an int to isinstance, but not a coordinate.
+    for bad in ((True, 0), [0, False], (1.0, 2), ("1",)):
+        with pytest.raises(TypeError, match=r"^weight coordinates must be ints$"):
+            Weight(bad)
+    with pytest.raises(ValueError, match=r"^weight needs rank >= 1$"):
+        Weight([])
+
+
 def test_unvalidated_weights_behave_like_validated_ones():
     # Arithmetic and the layer kernels build weights through `_weight`,
     # which skips validation: the results compare, hash and order as if

@@ -11,9 +11,11 @@ from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
 from loewylab.loewy import (
     composition_class_z_g1,
     dual_verma_rows,
+    flatten_blocks,
     layer_sizes,
     parabolic_m_structure,
     rad_layers_z_g1,
+    verma_blocks,
     verma_rows,
 )
 
@@ -282,6 +284,32 @@ def test_g1t_layers_iterate_in_label_order():
                     keys = [(u, c) for u, c, _ in rows]
                     assert all(a < b for a, b in zip(keys, keys[1:]))
                     assert min(m for _, _, m in rows) >= 1
+
+
+def test_verma_rows_flatten_verma_blocks():
+    # A layer's blocks (t, heads, tails) come in increasing t, with heads of
+    # length i and tails of length n - i (() at the edges i = 0 and i = n).
+    # `verma_rows` is their flattening, head-major, and each flattened layer
+    # is strictly increasing.
+    for n in range(1, 7):
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
+        for i in range(n + 1):
+            for nu in [*twists(n), far_twist(n)]:
+                layers = verma_blocks(ctx, i, nu)
+                flat = [
+                    [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
+                    for blocks in layers
+                ]
+                assert verma_rows(ctx, i, nu) == flat == [flatten_blocks(b) for b in layers]
+                for blocks in layers:
+                    ts = [t for t, _, _ in blocks]
+                    assert all(a < b for a, b in zip(ts, ts[1:]))
+                    for _, heads, tails in blocks:
+                        assert {len(head) for head in heads} <= {i}
+                        assert {len(tail) for tail in tails} <= {n - i}
+                for rows in flat:
+                    keys = [(u, c) for u, c, _ in rows]
+                    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_g1t_labels_behave_like_validated_ones():

@@ -89,6 +89,22 @@ def test_verify_battery_reads_layer_rows():
     assert sorted(n for n in imported if n.startswith("rad_layers_")) == ["rad_layers_z_g1"]
 
 
+def test_cli_builds_no_verma_rows():
+    # A Verma listing leaves `loewy` as blocks and is written from them: the
+    # command line imports no `*_rows` function from `loewy`, so it never
+    # materialises a Verma's 2^n rows as a list.
+    path = Path(loewylab.__file__).with_name("cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    from_loewy = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("loewy", "loewylab.loewy")
+        for alias in node.names
+    }
+    assert "verma_blocks" in from_loewy
+    assert sorted(name for name in from_loewy if name.endswith("_rows")) == []
+
+
 def test_layer_modules_build_no_labels_or_dataclasses():
     # Verma layers leave `loewy` as rows: it needs no label class.  No
     # library module imports `dataclasses` or `typing`, whose imports cost
