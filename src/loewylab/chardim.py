@@ -13,6 +13,11 @@ Two independent kinds of exact evidence live here:
   block to be as small as the layer formulas say, which is what
   `check_block_simplicity` machine-checks.
 
+A certificate is the tuple (root, m, s, a, b, beta0, betas): the root, its
+pairing m and the split (s, a, b) of m, beta0, and the tuple of betas.  Its
+tail (m, s, a, b, beta0, betas) is the witness, and the sweep reports each
+certificate as the row (i, root, m, s, a, b, beta0, betas).
+
 Certificates are produced by two routes on purpose: a deterministic greedy
 search, and a closed-form builder that reads the certificate off the
 diagonal pairing pattern of nu_i without searching.  The search is two
@@ -22,8 +27,8 @@ kinds of certificate are re-verified from scratch against nu_i, paired
 through `lattice.pair`, never through that table.  A closed-form
 certificate goes through `verify_certificate` whole.  A searched one
 depends on its root only through the pairing m, and many roots share one
-witness (decomposition, beta0, betas): the sweep pairs every root, and
-checks each distinct searched witness once per nu_i.
+witness: the sweep pairs every root, and checks each distinct searched
+witness once per nu_i.
 """
 
 from __future__ import annotations
@@ -34,16 +39,13 @@ from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
 from .lattice import Weight, fundamental, pair, zero
-from .record import Record
 
 __all__ = [
     "positive_roots",
     "superfactorial",
     "weyl_dim",
     "dim_parabolic_verma",
-    "JantzenDecomposition",
     "jantzen_decompose",
-    "WitnessCertificate",
     "witness_search",
     "verify_certificate",
     "closed_form_certificate",
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 Root = tuple[int, int]
+# (root, m, s, a, b, beta0, betas), and the sweep's row of it at block index i.
+Certificate = tuple[Root, int, int, int, int, Root, tuple[Root, ...]]
+CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
 
 
 def positive_roots(rank: int) -> list[Root]:
@@ -109,29 +114,18 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     return q
 
 
-class JantzenDecomposition(Record):
-    """The unique split m = a p^s + b p^{s+1} with 0 < a < p, b >= 0."""
-
-    __slots__ = ("m", "s", "a", "b")
-
-    def __init__(self, m: int, s: int, a: int, b: int) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
 @lru_cache(maxsize=1024)
-def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
-    """Decompose m >= 1 as a p^s + b p^{s+1} with 0 < a < p.
+def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
+    """The unique split of m >= 1 as a p^s + b p^{s+1} with 0 < a < p and
+    b >= 0, as (s, a, b).
 
     >>> jantzen_decompose(6, 5)
-    JantzenDecomposition(m=6, s=0, a=1, b=1)
+    (0, 1, 1)
     >>> jantzen_decompose(50, 5)
-    JantzenDecomposition(m=50, s=2, a=2, b=0)
+    (2, 2, 0)
 
-    A pure function of (m, p) returning an immutable record, so results
-    are cached; a refused call raises every time.
+    A pure function of (m, p) returning a tuple, so results are cached; a
+    refused call raises every time.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1 (got {m})")
@@ -141,25 +135,7 @@ def jantzen_decompose(m: int, p: int) -> JantzenDecomposition:
     while u % p == 0:
         u //= p
         s += 1
-    return JantzenDecomposition(m, s, u % p, u // p)
-
-
-class WitnessCertificate(Record):
-    """Certificate that a pairing's Jantzen split is realised by roots.
-
-    `beta0` pairs to a p^s against the ambient weight, and the `betas` are
-    b pairwise-distinct positive roots each pairing to p^{s+1}.
-    """
-
-    __slots__ = ("root", "decomposition", "beta0", "betas")
-
-    def __init__(
-        self, root: Root, decomposition: JantzenDecomposition, beta0: Root, betas: tuple[Root, ...]
-    ) -> None:
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "decomposition", decomposition)
-        object.__setattr__(self, "beta0", beta0)
-        object.__setattr__(self, "betas", betas)
+    return s, u % p, u // p
 
 
 @lru_cache(maxsize=4)
@@ -179,7 +155,7 @@ def _pairing_table(coords: tuple[int, ...]) -> tuple[dict[Root, int], dict[int, 
     return by_root, {m: tuple(roots) for m, roots in by_m.items()}
 
 
-def witness_search(nu: Weight, root: Root, p: int) -> WitnessCertificate | None:
+def witness_search(nu: Weight, root: Root, p: int) -> Certificate | None:
     """Deterministic greedy search for a witness certificate.
 
     Takes the lex-first positive root pairing to a p^s as beta0 and the
@@ -193,22 +169,22 @@ def witness_search(nu: Weight, root: Root, p: int) -> WitnessCertificate | None:
         raise ValueError(f"(k, j) = {tuple(root)} is not a positive root index")
     if m < 1:
         return None
-    dec = jantzen_decompose(m, p)
-    heads = roots_at.get(dec.a * p**dec.s)
+    s, a, b = jantzen_decompose(m, p)
+    heads = roots_at.get(a * p**s)
     # 0 < a < p, so a p^s != p^{s+1}: beta0 is never in the tail's bucket.
-    tail = roots_at.get(p ** (dec.s + 1), ())[: dec.b]
-    if not heads or len(tail) < dec.b:
+    tail = roots_at.get(p ** (s + 1), ())[:b]
+    if not heads or len(tail) < b:
         return None
-    return WitnessCertificate(root, dec, heads[0], tail)
+    return root, m, s, a, b, heads[0], tail
 
 
-def verify_certificate(nu: Weight, cert: WitnessCertificate, p: int) -> bool:
+def verify_certificate(nu: Weight, cert: Certificate, p: int) -> bool:
     """Re-verify a certificate from scratch against `nu`.
 
-    Checks the decomposition's defining identity and ranges, the validity
-    and distinctness of all roots, and every pairing.
+    Checks the split's defining identity and ranges, the validity and
+    distinctness of all roots, and every pairing.
     """
-    return _root_ok(nu, cert) and _witness_ok(nu, cert, p)
+    return _root_ok(nu, cert) and _witness_ok(nu, cert[1:], p)
 
 
 def _valid_root(rank: int, r: Root) -> bool:
@@ -216,39 +192,40 @@ def _valid_root(rank: int, r: Root) -> bool:
     return 1 <= k < j <= rank + 1
 
 
-def _root_ok(nu: Weight, cert: WitnessCertificate) -> bool:
+def _root_ok(nu: Weight, cert: Certificate) -> bool:
     """The certificate's root is a positive root pairing to its m >= 1."""
-    m = cert.decomposition.m
-    return _valid_root(nu.rank, cert.root) and m == pair(nu, *cert.root) and m >= 1
+    root, m = cert[:2]
+    return _valid_root(nu.rank, root) and m == pair(nu, *root) and m >= 1
 
 
-def _witness_ok(nu: Weight, cert: WitnessCertificate, p: int) -> bool:
-    """The decomposition's identity and ranges hold, beta0 pairs to a p^s,
-    and the betas are b distinct roots other than beta0 pairing to p^{s+1}.
+def _witness_ok(nu: Weight, witness: tuple, p: int) -> bool:
+    """For a certificate's witness (m, s, a, b, beta0, betas): the split's
+    identity and ranges hold, beta0 pairs to a p^s, and the betas are b
+    distinct roots other than beta0 pairing to p^{s+1}.
 
-    Reads the certificate's root only through its m, so certificates that
-    differ only in their root pass or fail together.
+    The witness holds no root, so certificates that differ only in their
+    root pass or fail together.
     """
-    rank, d = nu.rank, cert.decomposition
-    if not (0 < d.a < p and d.b >= 0 and d.s >= 0):
+    m, s, a, b, beta0, betas = witness
+    if not (0 < a < p and b >= 0 and s >= 0):
         return False
-    if d.m != d.a * p**d.s + d.b * p ** (d.s + 1):
+    if m != a * p**s + b * p ** (s + 1):
         return False
-    if not _valid_root(rank, cert.beta0) or pair(nu, *cert.beta0) != d.a * p**d.s:
+    if not _valid_root(nu.rank, beta0) or pair(nu, *beta0) != a * p**s:
         return False
-    if len(cert.betas) != d.b:
+    if len(betas) != b:
         return False
-    seen = {cert.beta0}
-    for beta in cert.betas:
-        if not _valid_root(rank, beta) or beta in seen:
+    seen = {beta0}
+    for beta in betas:
+        if not _valid_root(nu.rank, beta) or beta in seen:
             return False
-        if pair(nu, *beta) != p ** (d.s + 1):
+        if pair(nu, *beta) != p ** (s + 1):
             return False
         seen.add(beta)
     return True
 
 
-def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCertificate:
+def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificate:
     """Build a witness certificate directly from nu_i's pairing pattern.
 
     The simple-root pairings of nu_i are p everywhere except for a single
@@ -262,7 +239,8 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     if not 1 <= k < j <= n + 1:
         raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
-    dec = jantzen_decompose(pair(ctx.lambdas[i], k, j) + (j - k), p)
+    m = pair(ctx.lambdas[i], k, j) + (j - k)
+    s, a, b = jantzen_decompose(m, p)
 
     if i == 0 and k == 1:
         # Pairing 1 + (j - 2) p: the unit sits on alpha_1.
@@ -279,14 +257,14 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     elif 0 < i < n and k <= i and j >= i + 2:
         # Pairing (j - k - 1) p: the interval straddles both special slots,
         # whose contributions p - 1 and 1 merge into one p.
-        width0 = dec.a * p ** (dec.s - 1)
-        step = p**dec.s
+        width0 = a * p ** (s - 1)
+        step = p**s
         if k + width0 >= i + 1:
             # beta0 itself straddles; the tail walks the all-p right side.
             beta0 = (k, k + 1 + width0)
             start = k + 1 + width0
             betas = tuple(
-                (start + (r - 1) * step, start + r * step) for r in range(1, dec.b + 1)
+                (start + (r - 1) * step, start + r * step) for r in range(1, b + 1)
             )
         else:
             # beta0 fits left of the special slots; the tail walks right,
@@ -294,7 +272,7 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
             beta0 = (k, k + width0)
             tail = []
             cur = k + width0
-            for _ in range(dec.b):
+            for _ in range(b):
                 if cur + step <= i:
                     tail.append((cur, cur + step))
                     cur += step
@@ -308,17 +286,14 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> WitnessCer
     else:
         # The interval avoids the special slots entirely: every simple
         # pairing inside it is p, so the pairing is (j - k) p.
-        width0 = dec.a * p ** (dec.s - 1)
-        step = p**dec.s
+        width0 = a * p ** (s - 1)
+        step = p**s
         start = k + width0
         beta0 = (k, start)
         betas = tuple(
-            (start + (r - 1) * step, start + r * step) for r in range(1, dec.b + 1)
+            (start + (r - 1) * step, start + r * step) for r in range(1, b + 1)
         )
-    return WitnessCertificate(root, dec, beta0, betas)
-
-
-CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
+    return root, m, s, a, b, beta0, betas
 
 
 def check_block_simplicity(ctx: BlockContext) -> dict:
@@ -327,9 +302,9 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     For each nu_i and each positive root, runs the greedy search and the
     closed-form builder, re-verifies both certificates from scratch, and
     reports any failures (expected: none).  A searched certificate's root
-    pairing is checked for every root, and its witness (decomposition,
-    beta0, betas) once per nu_i: many roots share one.  The searched
-    certificates are included in the report as rows
+    pairing is checked for every root, and its witness
+    (m, s, a, b, beta0, betas) once per nu_i: many roots share one.  The
+    searched certificates are included in the report as rows
     (i, root, m, s, a, b, beta0, betas).
     """
     n, p = ctx.n, ctx.p
@@ -341,16 +316,14 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
         witnesses: dict[tuple, bool] = {}
         for root in roots:
             found = witness_search(nu, root, p)
-            if found is not None and _root_ok(nu, found):
-                d = found.decomposition
-                key = (d, found.beta0, found.betas)
-                ok = witnesses.get(key)
-                if ok is None:
-                    ok = witnesses[key] = _witness_ok(nu, found, p)
-            else:
-                ok = False
+            ok = found is not None and _root_ok(nu, found)
             if ok:
-                certificates.append((i, root, d.m, d.s, d.a, d.b, found.beta0, found.betas))
+                witness = found[1:]
+                ok = witnesses.get(witness)
+                if ok is None:
+                    ok = witnesses[witness] = _witness_ok(nu, witness, p)
+            if ok:
+                certificates.append((i, *found))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
             built = closed_form_certificate(ctx, i, root)

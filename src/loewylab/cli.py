@@ -13,13 +13,15 @@ Each layer listing names its factor writer, and both build one factor
 object template. `ext --i` builds its factor dicts from `rad1_qhat`'s
 rows, and a `jantzen` report holds `check_block_simplicity`'s certificate
 rows (i, root, m, s, a, b, beta0, betas), each written as a certificate
-object. So no label object is built and nothing is sorted, and a Verma's
-rows are built only for its text view (`flatten_blocks`). The JSON is exactly
+object. So no label object is built and nothing is sorted, and no Verma
+rows are built. The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)` of those objects,
 so reruns are byte-identical; the factor lists of a layer listing and the
 certificate rows of a `jantzen` report are written from %-format templates
 (one per layer, one per certificate row) instead of by json.dumps, which
-is slow with `indent`.  Sizes are closed forms checked before any work,
+is slow with `indent`.  A text view formats only the entries it prints:
+without --full, the first TRUNCATE_AT of each listing, its other counts
+read from lengths.  Sizes are closed forms checked before any work,
 one `_BUDGETS` row per subcommand: a layer listing (2^n labels for `verma`
 and `verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`) is
 refused above LAYER_BUDGET = 2^16 labels, `jantzen`, which checks
@@ -37,6 +39,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import islice
 from math import comb
 
 from .block import BlockContext, check_index, make_context, mu_weight, nu_weight
@@ -44,7 +47,7 @@ from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import Weight, from_eps, zero
-from .loewy import Block, Row, flatten_blocks, verma_blocks
+from .loewy import Block, Row, verma_blocks
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
 __all__ = ["main"]
@@ -334,10 +337,13 @@ def _fmt_factor(i: int, coords: tuple[int, ...]) -> str:
     return f"({i}; {_fmt_coords(coords)})"
 
 
-def _truncate(parts: list[str], full: bool) -> list[str]:
-    if full or len(parts) <= TRUNCATE_AT:
-        return parts
-    return parts[:TRUNCATE_AT] + [f"... ({len(parts) - TRUNCATE_AT} more)"]
+def _truncate(parts, count: int, full: bool) -> list[str]:
+    """The `count` parts that the iterable `parts` yields, or without `full`
+    only the first TRUNCATE_AT of them and a "... (k more)" entry: the rest
+    are never taken, so never formatted."""
+    if full or count <= TRUNCATE_AT:
+        return list(parts)
+    return [*islice(parts, TRUNCATE_AT), f"... ({count - TRUNCATE_AT} more)"]
 
 
 # ---------------------------------------------------------------- commands
@@ -391,21 +397,37 @@ def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> str:
-    """The text of a Verma listing: `_layers_text` of its rows."""
-    layers = [{**layer, "factors": flatten_blocks(layer["factors"])} for layer in payload["layers"]]
-    return _layers_text(ctx, {**payload, "layers": layers}, full)
+    """The text of a Verma listing, read off its blocks (t, heads, tails):
+    a block has |heads|·|tails| labels (t, head + tail), each once."""
+    layers = []
+    for layer in payload["layers"]:
+        blocks = layer["factors"]
+        total = sum(len(heads) * len(tails) for _, heads, tails in blocks)
+        parts = (
+            _fmt_factor(t, h + tail) for t, heads, tails in blocks for h in heads for tail in tails
+        )
+        layers.append((total, _truncate(parts, total, full)))
+    return _listing_text(ctx, payload, layers)
 
 
 def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+    """The text of a cover listing, from its rows (i, nu, mult)."""
+    layers = []
+    for layer in payload["layers"]:
+        rows = layer["factors"]
+        parts = (_fmt_factor(u, c) if m == 1 else f"{m}*{_fmt_factor(u, c)}" for u, c, m in rows)
+        layers.append((sum(m for _, _, m in rows), _truncate(parts, len(rows), full)))
+    return _listing_text(ctx, payload, layers)
+
+
+def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list[str]]]) -> str:
+    """A layer listing's text, given each layer's (total multiplicity,
+    printed entries)."""
     lines = [f"{payload['object']} radical layers, n={ctx.n}, p={ctx.p}"]
     if payload[CONDITIONAL_FLAG_KEY]:
         lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
-    for layer in payload["layers"]:
-        rows = layer["factors"]
-        total = sum(m for _, _, m in rows)
-        parts = [_fmt_factor(u, c) if m == 1 else f"{m}*{_fmt_factor(u, c)}" for u, c, m in rows]
-        body = "  ".join(_truncate(parts, full))
-        lines.append(f"  rad_{layer['j']} ({total}): {body}")
+    for layer, (total, parts) in zip(payload["layers"], layers):
+        lines.append(f"  rad_{layer['j']} ({total}): {'  '.join(parts)}")
     return "\n".join(lines)
 
 
@@ -414,12 +436,12 @@ def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     if args.i is None:
         if args.nu is not None or args.eps is not None:
             raise ValueError("--nu and --eps need --i: the Ext^1 kind table takes no twist")
-        table = [[ext1_g1(ctx, i, j).kind.value for j in range(n + 1)] for i in range(n + 1)]
+        table = [[ext1_g1(ctx, i, j).value for j in range(n + 1)] for i in range(n + 1)]
         return {"object": "ext-table", "kinds": table}, 0
     nu = _twist(args, ctx.n)
     return {
         "object": _object_str("ext", args.i, nu),
-        "kinds": [ext1_g1(ctx, args.i, j).kind.value for j in range(n + 1)],
+        "kinds": [ext1_g1(ctx, args.i, j).value for j in range(n + 1)],
         "rad1_cover": [{"i": u, "nu": c, "mult": m} for u, c, m in rad1_qhat(ctx, args.i, nu)],
     }, 0
 
@@ -430,12 +452,13 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         for i, row in enumerate(payload["kinds"]):
             lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
         return "\n".join(lines)
-    parts = [_fmt_factor(f["i"], f["nu"]) for f in payload["rad1_cover"]]
+    cover = payload["rad1_cover"]
+    parts = (_fmt_factor(f["i"], f["nu"]) for f in cover)
     return "\n".join([
         f"{payload['object']}, n={ctx.n}, p={ctx.p}",
         "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),
-        f"  Ext^1-neighbour labels (= rad_1 of the projective cover, {len(parts)} labels):",
-        "    " + "  ".join(_truncate(parts, full)),
+        f"  Ext^1-neighbour labels (= rad_1 of the projective cover, {len(cover)} labels):",
+        "    " + "  ".join(_truncate(parts, len(cover), full)),
     ])
 
 
@@ -476,18 +499,20 @@ def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         f"simplicity certificates, n={ctx.n}, p={ctx.p}: checked {report['checked']} pairs, "
         f"replayed {report['replayed']} closed forms: {status}"
     ]
-    cert_lines = []
-    for i, root, m, s, a, b, beta0, betas in report["certificates"]:
-        tail = " ".join(f"({k},{j})" for k, j in betas) or "-"
-        cert_lines.append(
-            f"  i={i} root=({root[0]},{root[1]}): "
-            f"m={m} = {a}*{ctx.p}^{s} + {b}*{ctx.p}^{s + 1}, "
-            f"beta0=({beta0[0]},{beta0[1]}), betas: {tail}"
-        )
-    lines.extend(_truncate(cert_lines, full))
+    rows = report["certificates"]
+    lines.extend(_truncate((_certificate_text(ctx.p, row) for row in rows), len(rows), full))
     for f in report["failures"] + report["replay_failures"]:
         lines.append(f"  FAIL i={f['i']} root={f['root']}: {f['reason']}")
     return "\n".join(lines)
+
+
+def _certificate_text(p: int, row: CertificateRow) -> str:
+    i, root, m, s, a, b, beta0, betas = row
+    tail = " ".join(f"({k},{j})" for k, j in betas) or "-"
+    return (
+        f"  i={i} root=({root[0]},{root[1]}): m={m} = {a}*{p}^{s} + {b}*{p}^{s + 1}, "
+        f"beta0=({beta0[0]},{beta0[1]}), betas: {tail}"
+    )
 
 
 def cmd_verify(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:

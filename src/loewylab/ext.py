@@ -21,11 +21,9 @@ from operator import add, sub
 from .block import BlockContext, IrreducibleLabel, check_index
 from .lattice import Weight, eps_basis
 from .loewy import Row
-from .record import Record
 
 __all__ = [
     "ExtKind",
-    "ExtDescriptor",
     "ext1_g1",
     "ext1_g1t_dim",
     "rad1_qhat",
@@ -33,6 +31,9 @@ __all__ = [
 
 
 class ExtKind(Enum):
+    """Untwisted Ext^1 between two block simples, as a representation:
+    zero, the standard representation, or its dual."""
+
     STANDARD = "standard"
     DUAL = "dual"
     ZERO = "zero"
@@ -43,41 +44,19 @@ def _standard_weights(rank: int) -> frozenset[Weight]:
     return frozenset(eps_basis(rank, k) for k in range(1, rank + 2))
 
 
-class ExtDescriptor(Record):
-    """Untwisted Ext^1 between two block simples, as a representation.
-
-    Either zero, the standard representation, or its dual; the weight data
-    is all multiplicity one.
-    """
-
-    __slots__ = ("kind", "rank")
-
-    def __init__(self, kind: ExtKind, rank: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "rank", rank)
-
-    def multiplicity(self, w: Weight) -> int:
-        if self.kind is ExtKind.STANDARD:
-            return int(w in _standard_weights(self.rank))
-        if self.kind is ExtKind.DUAL:
-            return int(-w in _standard_weights(self.rank))
-        return 0
-
-
-def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtDescriptor:
+def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
     """Untwisted Ext^1 from the i-th to the j-th block simple.
 
     Standard representation when j = i - 1, its dual when j = i + 1, zero
     otherwise (in particular on the diagonal).
     """
-    n = ctx.n
     check_index(ctx, i)
     check_index(ctx, j)
     if j == i - 1:
-        return ExtDescriptor(ExtKind.STANDARD, n)
+        return ExtKind.STANDARD
     if j == i + 1:
-        return ExtDescriptor(ExtKind.DUAL, n)
-    return ExtDescriptor(ExtKind.ZERO, n)
+        return ExtKind.DUAL
+    return ExtKind.ZERO
 
 
 def ext1_g1t_dim(ctx: BlockContext, a: IrreducibleLabel, b: IrreducibleLabel) -> int:
@@ -86,7 +65,11 @@ def ext1_g1t_dim(ctx: BlockContext, a: IrreducibleLabel, b: IrreducibleLabel) ->
     Equals the multiplicity of a.nu - b.nu in the untwisted Ext
     representation, so it is 0 or 1, and it is symmetric in (a, b).
     """
-    return ext1_g1(ctx, a.i, b.i).multiplicity(a.nu - b.nu)
+    kind = ext1_g1(ctx, a.i, b.i)
+    if kind is ExtKind.ZERO:
+        return 0
+    w = a.nu - b.nu
+    return int((w if kind is ExtKind.STANDARD else -w) in _standard_weights(ctx.n))
 
 
 def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:

@@ -6,8 +6,6 @@ import pytest
 import loewylab.chardim
 from loewylab.block import make_context, nu_weight
 from loewylab.chardim import (
-    JantzenDecomposition,
-    WitnessCertificate,
     check_block_simplicity,
     closed_form_certificate,
     dim_parabolic_verma,
@@ -80,9 +78,9 @@ def test_dimension_conservation_per_verma():
 
 
 def test_jantzen_decompose_frozen():
-    assert jantzen_decompose(6, 5) == JantzenDecomposition(6, 0, 1, 1)
-    assert jantzen_decompose(5, 5) == JantzenDecomposition(5, 1, 1, 0)
-    assert jantzen_decompose(50, 5) == JantzenDecomposition(50, 2, 2, 0)
+    assert jantzen_decompose(6, 5) == (0, 1, 1)
+    assert jantzen_decompose(5, 5) == (1, 1, 0)
+    assert jantzen_decompose(50, 5) == (2, 2, 0)
     with pytest.raises(ValueError):
         jantzen_decompose(0, 5)
 
@@ -90,26 +88,18 @@ def test_jantzen_decompose_frozen():
 def test_jantzen_decompose_reconstructs():
     for p in (3, 5, 7):
         for m in range(1, 400):
-            d = jantzen_decompose(m, p)
-            assert d.m == m
-            assert 0 < d.a < p and d.b >= 0 and d.s >= 0
-            assert m == d.a * p**d.s + d.b * p ** (d.s + 1)
-            assert m % p**d.s == 0 and m % p ** (d.s + 1) != 0
-            assert (m // p**d.s) % p == d.a
+            s, a, b = jantzen_decompose(m, p)
+            assert 0 < a < p and b >= 0 and s >= 0
+            assert m == a * p**s + b * p ** (s + 1)
+            assert m % p**s == 0 and m % p ** (s + 1) != 0
+            assert (m // p**s) % p == a
 
 
 def test_witness_search_frozen_examples():
     ctx = make_context(2, 5)
-    cert = witness_search(nu_weight(ctx, 0), (1, 3), 5)
-    assert cert is not None
-    assert cert.decomposition == JantzenDecomposition(6, 0, 1, 1)
-    assert cert.beta0 == (1, 2)
-    assert cert.betas == ((2, 3),)
-    cert = witness_search(nu_weight(ctx, 2), (1, 3), 5)
-    assert cert is not None
-    assert cert.decomposition == JantzenDecomposition(9, 0, 4, 1)
-    assert cert.beta0 == (2, 3)
-    assert cert.betas == ((1, 2),)
+    # (root, m, s, a, b, beta0, betas)
+    assert witness_search(nu_weight(ctx, 0), (1, 3), 5) == ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),))
+    assert witness_search(nu_weight(ctx, 2), (1, 3), 5) == ((1, 3), 9, 0, 4, 1, (2, 3), ((1, 2),))
 
 
 def test_witness_search_nonpositive_pairing():
@@ -122,20 +112,15 @@ def test_verify_certificate_rejects_tampering():
     nu = nu_weight(ctx, 0)
     cert = witness_search(nu, (1, 3), 5)
     assert verify_certificate(nu, cert, 5)
-    bad = WitnessCertificate(cert.root, cert.decomposition, (1, 3), cert.betas)
-    assert not verify_certificate(nu, bad, 5)
-    bad = WitnessCertificate(cert.root, cert.decomposition, cert.beta0, ())
-    assert not verify_certificate(nu, bad, 5)
-    bad = WitnessCertificate(
-        cert.root, cert.decomposition, cert.beta0, (cert.beta0,)
-    )
-    assert not verify_certificate(nu, bad, 5)
-    bad = WitnessCertificate(
-        cert.root, JantzenDecomposition(6, 0, 6, 0), cert.beta0, cert.betas
-    )
-    assert not verify_certificate(nu, bad, 5)
-    bad = WitnessCertificate((1, 4), cert.decomposition, cert.beta0, cert.betas)
-    assert not verify_certificate(nu, bad, 5)
+    root, m, s, a, b, beta0, betas = cert
+    for bad in [
+        (root, m, s, a, b, (1, 3), betas),  # beta0 pairs to 6, not 1
+        (root, m, s, a, b, beta0, ()),  # b = 1 betas are missing
+        (root, m, s, a, b, beta0, (beta0,)),  # the beta repeats beta0
+        (root, m, 0, 6, 0, beta0, betas),  # a = 6 is not below p = 5
+        ((1, 4), m, s, a, b, beta0, betas),  # not a root at rank 2
+    ]:
+        assert not verify_certificate(nu, bad, 5), bad
 
 
 def test_closed_form_certificates_verify_everywhere():
@@ -193,15 +178,15 @@ def greedy_by_pair(nu, root, p):
     m = pair(nu, *root)
     if m < 1:
         return None
-    dec = jantzen_decompose(m, p)
+    s, a, b = jantzen_decompose(m, p)
     roots = positive_roots(nu.rank)
-    tail_pool = [r for r in roots if pair(nu, *r) == p ** (dec.s + 1)]
+    tail_pool = [r for r in roots if pair(nu, *r) == p ** (s + 1)]
     for beta0 in roots:
-        if pair(nu, *beta0) != dec.a * p**dec.s:
+        if pair(nu, *beta0) != a * p**s:
             continue
-        tail = [r for r in tail_pool if r != beta0][: dec.b]
-        if len(tail) == dec.b:
-            return WitnessCertificate(root, dec, beta0, tuple(tail))
+        tail = [r for r in tail_pool if r != beta0][:b]
+        if len(tail) == b:
+            return root, m, s, a, b, beta0, tuple(tail)
     return None
 
 
@@ -228,8 +213,8 @@ def test_witness_search_matches_the_scan_over_pair():
             assert cert == greedy_by_pair(nu, root, p), (nu, root, p)
             found.append(cert)
     assert any(cert is None for cert in found)
-    assert any(cert is not None and cert.decomposition.b == 0 for cert in found)
-    assert any(cert is not None and cert.decomposition.b > 0 for cert in found)
+    assert any(cert is not None and cert[4] == 0 for cert in found)
+    assert any(cert is not None and cert[4] > 0 for cert in found)
 
 
 def test_witness_search_rejects_invalid_roots():

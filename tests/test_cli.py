@@ -316,6 +316,25 @@ def test_text_truncation_and_full(capsys):
     assert len(payload["rad1_cover"]) == 202
 
 
+def test_text_listing_formats_only_the_labels_it_prints(capsys, monkeypatch):
+    # Without --full, rad_j of the Verma at n=12 prints min(C(12, j),
+    # TRUNCATE_AT) of its C(12, j) labels, and formats no others.
+    formatted = []
+    fmt = loewylab.cli._fmt_factor
+
+    def recording(i, coords):
+        formatted.append(fmt(i, coords))
+        return formatted[-1]
+
+    monkeypatch.setattr(loewylab.cli, "_fmt_factor", recording)
+    code, out, err = run_cli(["verma", "--n", "12", "--p", "5", "--i", "6"], capsys)
+    assert code == 0 and err == ""
+    layers = [line.split(": ", 1)[1].split("  ") for line in out.splitlines()[1:]]
+    printed = [[part for part in layer if not part.startswith("...")] for layer in layers]
+    assert [len(layer) for layer in printed] == [min(comb(12, j), TRUNCATE_AT) for j in range(13)]
+    assert formatted == [part for layer in printed for part in layer]
+
+
 def test_dim_text_and_exit(capsys):
     code, out, err = run_cli(["dim", "--n", "2", "--p", "5"], capsys)
     assert code == 0 and err == ""

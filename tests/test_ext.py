@@ -4,7 +4,7 @@ import pytest
 from oracles import as_labels, twists
 
 from loewylab.block import IrreducibleLabel, make_context
-from loewylab.ext import ExtDescriptor, ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
+from loewylab.ext import ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.loewy import verma_rows
 from loewylab.projective import cover_rows
@@ -16,7 +16,7 @@ def lab(i, coords):
 
 def test_kind_matrix_rank_two():
     ctx = make_context(2, 5)
-    kinds = [[ext1_g1(ctx, i, j).kind for j in range(3)] for i in range(3)]
+    kinds = [[ext1_g1(ctx, i, j) for j in range(3)] for i in range(3)]
     Z, S, D = ExtKind.ZERO, ExtKind.STANDARD, ExtKind.DUAL
     assert kinds == [[Z, D, Z], [S, Z, D], [Z, S, Z]]
     with pytest.raises(ValueError):
@@ -24,31 +24,42 @@ def test_kind_matrix_rank_two():
 
 
 def test_descriptor_weights_and_dims():
+    # ext1_g1t_dim(a, b) is the multiplicity of a.nu - b.nu in the kind from
+    # a.i to b.i: from index 1, the standard representation toward 0, its
+    # dual toward 2, and zero toward 1.
+    ctx = make_context(2, 5)
     eps = [eps_basis(2, k) for k in (1, 2, 3)]
     assert eps == [Weight((1, 0)), Weight((-1, 1)), Weight((0, -1))]
-    d = ExtDescriptor(ExtKind.STANDARD, 2)
-    assert all(d.multiplicity(w) == 1 for w in eps)
-    assert d.multiplicity(zero(2)) == 0
+    a = lab(1, (0, 0))
+    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(0, -w)) == 1 for w in eps)
+    assert ext1_g1t_dim(ctx, a, lab(0, (0, 0))) == 0
 
-    dual = ExtDescriptor(ExtKind.DUAL, 2)
-    assert all(dual.multiplicity(-w) == 1 for w in eps)
-    assert all(dual.multiplicity(w) == 0 for w in eps)
-    assert all(ExtDescriptor(ExtKind.ZERO, 2).multiplicity(w) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(2, w)) == 1 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(2, -w)) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(1, -w)) == 0 for w in eps)
 
 
 def test_descriptor_weight_multisets_are_mutually_negative():
     # Over a ball holding every eps_k and -eps_k, the standard
     # representation's weights are exactly the n + 1 distinct eps_k, and the
-    # dual's are their negatives.
+    # dual's are their negatives.  The weight w is read from (1, 0) toward
+    # (0, -w) for the standard kind and from (0, 0) toward (1, -w) for the dual.
     for n in range(1, 6):
-        s = ExtDescriptor(ExtKind.STANDARD, n)
-        d = ExtDescriptor(ExtKind.DUAL, n)
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         eps = {eps_basis(n, k) for k in range(1, n + 2)}
         assert len(eps) == n + 1
+        top, bottom = IrreducibleLabel(1, zero(n)), IrreducibleLabel(0, zero(n))
+
+        def standard(w):
+            return ext1_g1t_dim(ctx, top, IrreducibleLabel(0, -w))
+
+        def dual(w):
+            return ext1_g1t_dim(ctx, bottom, IrreducibleLabel(1, -w))
+
         for coords in product(range(-1, 2), repeat=n):
             w = Weight(coords)
-            assert s.multiplicity(w) == int(w in eps)
-            assert d.multiplicity(w) == s.multiplicity(-w)
+            assert standard(w) == int(w in eps)
+            assert dual(w) == standard(-w)
 
 
 def test_g1t_dims_frozen_rank_two():
@@ -82,8 +93,7 @@ def test_vanishing_off_adjacent_indices():
     ctx = make_context(3, 5)
     for i, j in product(range(4), repeat=2):
         if abs(i - j) != 1:
-            d = ext1_g1(ctx, i, j)
-            assert d.kind is ExtKind.ZERO
+            assert ext1_g1(ctx, i, j) is ExtKind.ZERO
 
 
 def test_rad1_qhat_frozen_rank_one():

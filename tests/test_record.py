@@ -4,8 +4,6 @@ import pickle
 import pytest
 
 from loewylab.block import BlockContext, IrreducibleLabel
-from loewylab.chardim import JantzenDecomposition, WitnessCertificate
-from loewylab.ext import ExtDescriptor, ExtKind
 from loewylab.lattice import Weight
 from loewylab.weyl import WeylElement
 
@@ -23,24 +21,6 @@ RECORDS = [
         "BlockContext(n=1, p=5, lambdas=(Weight(coords=(0,)), Weight(coords=(3,))))", False,
     ),
     (WeylElement, {"images": (2, 1, 3)}, {"images": (1, 2, 3)}, "WeylElement(images=(2, 1, 3))", False),
-    (
-        JantzenDecomposition, {"m": 6, "s": 0, "a": 1, "b": 1}, {"m": 5, "s": 1, "a": 1, "b": 0},
-        "JantzenDecomposition(m=6, s=0, a=1, b=1)", False,
-    ),
-    (
-        WitnessCertificate,
-        {"root": (1, 3), "decomposition": JantzenDecomposition(6, 0, 1, 1), "beta0": (1, 2),
-         "betas": ((2, 3),)},
-        {"root": (1, 3), "decomposition": JantzenDecomposition(6, 0, 1, 1), "beta0": (2, 3),
-         "betas": ((1, 2),)},
-        "WitnessCertificate(root=(1, 3), decomposition=JantzenDecomposition(m=6, s=0, a=1, b=1), "
-        "beta0=(1, 2), betas=((2, 3),))",
-        False,
-    ),
-    (
-        ExtDescriptor, {"kind": ExtKind.STANDARD, "rank": 2}, {"kind": ExtKind.DUAL, "rank": 2},
-        "ExtDescriptor(kind=<ExtKind.STANDARD: 'standard'>, rank=2)", False,
-    ),
 ]
 
 

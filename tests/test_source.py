@@ -106,9 +106,11 @@ def test_cli_builds_no_verma_rows():
 
 
 def test_layer_modules_build_no_labels_or_dataclasses():
-    # Verma layers leave `loewy` as rows: it needs no label class.  No
-    # library module imports `dataclasses` or `typing`, whose imports cost
-    # more than the library's own modules.
+    # Verma layers leave `loewy` as rows: it needs no label class.
+    # Certificates are tuples and Ext^1 kinds are `ExtKind` members, so
+    # `chardim` and `ext` build no record class.  No library module imports
+    # `dataclasses` or `typing`, whose imports cost more than the library's
+    # own modules.
     imported = {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -119,6 +121,11 @@ def test_layer_modules_build_no_labels_or_dataclasses():
             elif isinstance(node, ast.ImportFrom):
                 imported[path.stem] |= {node.module} | {alias.name for alias in node.names}
     assert "IrreducibleLabel" not in imported["loewy"]
+    assert sorted(
+        f"{stem}: {module}"
+        for stem in ("chardim", "ext")
+        for module in imported[stem] & {"record", "loewylab.record", "Record"}
+    ) == []
     assert sorted(
         f"{stem}: {module}"
         for stem, modules in imported.items()
