@@ -8,9 +8,9 @@ layers of projective covers.  The `loewylab` command line fronts the same
 functions and can machine-verify every identity the library asserts.
 """
 
-from .block import BlockContext, IrreducibleLabel, make_context
+from .block import BlockContext, make_context
 from .lattice import Weight
 
-__all__ = ["BlockContext", "IrreducibleLabel", "Weight", "make_context"]
+__all__ = ["BlockContext", "Weight", "make_context"]
 
 __version__ = "0.1.0"

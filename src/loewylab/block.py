@@ -5,23 +5,25 @@ exactly n + 1 restricted highest weights lam_0, ..., lam_n.  This module
 builds that table exactly, exposes the companion weights mu_i and
 nu_i = lam_i + rho, and classifies arbitrary weights into the block.
 
-A simple module in the ambient category is labelled by a pair
-`IrreducibleLabel(i, nu)`, standing for the restricted class lam_i twisted
-by the p-fold translation nu.
+A simple module in the ambient category is labelled by the pair
+(i, coords) (`Label`): the restricted class lam_i twisted by the p-fold
+translation nu = Weight(coords).  It is the first two fields of every
+layer table's rows (i, coords, multiplicity), and `check_label` is its one
+validity check.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 
 from .lattice import Weight, eps_basis, restricted_decompose, rho
-from .record import OrderedRecord, Record
+from .record import Record
 
 __all__ = [
-    "IrreducibleLabel",
     "BlockContext",
     "is_odd_prime",
     "check_index",
+    "check_label",
     "make_context",
     "block_weight",
     "mu_weight",
@@ -31,14 +33,7 @@ __all__ = [
 ]
 
 
-class IrreducibleLabel(OrderedRecord):
-    """Label (i, nu) of a simple module: block index and p-twist."""
-
-    __slots__ = ("i", "nu")
-
-    def __init__(self, i: int, nu: Weight) -> None:
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "nu", nu)
+Label = tuple[int, tuple[int, ...]]
 
 
 class BlockContext(Record):
@@ -99,6 +94,14 @@ def check_index(ctx: BlockContext, i: int) -> None:
         raise ValueError(f"block index i must be in [0, {ctx.n}] (got {i})")
 
 
+def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
+    """Raise ValueError unless (i, coords) labels a simple of the block: a
+    block index and the n coordinates of a twist."""
+    check_index(ctx, i)
+    if len(coords) != ctx.n:
+        raise ValueError("rank mismatch")
+
+
 def make_context(n: int, p: int) -> BlockContext:
     """Build the block for SL(n+1) in characteristic p.
 
@@ -153,11 +156,11 @@ def nu_weight(ctx: BlockContext, i: int) -> Weight:
     return ctx.lambdas[i] + rho(ctx.n)
 
 
-def classify(ctx: BlockContext, w: Weight) -> IrreducibleLabel | None:
+def classify(ctx: BlockContext, w: Weight) -> Label | None:
     """Label of `w` if its restricted part lies in the block, else None.
 
     Decomposes w = mu + p nu with mu restricted; when mu = lam_i the label
-    is (i, nu).
+    is (i, nu.coords).
     """
     if w.rank != ctx.n:
         raise ValueError("rank mismatch")
@@ -165,14 +168,16 @@ def classify(ctx: BlockContext, w: Weight) -> IrreducibleLabel | None:
     i = _index_by_coords(ctx).get(mu.coords)
     if i is None:
         return None
-    return IrreducibleLabel(i, nu)
+    return i, nu.coords
 
 
-def label_weight(ctx: BlockContext, label: IrreducibleLabel) -> Weight:
-    """The actual highest weight lam_i + p * nu of a label."""
-    return ctx.lambdas[label.i] + ctx.p * label.nu
+def label_weight(ctx: BlockContext, label: Label) -> Weight:
+    """The actual highest weight lam_i + p * nu of the label (i, nu.coords)."""
+    i, coords = label
+    check_label(ctx, i, coords)
+    return ctx.lambdas[i] + ctx.p * Weight(coords)
 
 
-@cache
+@lru_cache(maxsize=4)
 def _index_by_coords(ctx: BlockContext) -> dict[tuple[int, ...], int]:
     return {lam.coords: i for i, lam in enumerate(ctx.lambdas)}

@@ -6,8 +6,9 @@ rules and projective covers.  It reads the Verma and cover layer tables
 only as the (block index, twist coordinates, multiplicity) rows of
 `verma_rows`, `dual_verma_rows` and `cover_rows`, and compares them, the
 parabolic covers and the first radical layer `rad1_qhat` as row lists.
-Labels are built only for the APIs that take them: `classify`,
-`ext1_g1t_dim` and `bgg_multiplicity`.
+The APIs that take labels, `classify`, `ext1_g1t_dim` and
+`bgg_multiplicity`, take the pairs (block index, twist coordinates) that
+are the first two fields of those rows, so no label is rebuilt.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
 which `loewylab dim` renders and two of the checks read.
@@ -19,7 +20,7 @@ from collections.abc import Iterable
 from itertools import chain, product
 from math import comb
 
-from .block import BlockContext, IrreducibleLabel, block_weight, classify, label_weight, mu_weight
+from .block import BlockContext, block_weight, classify, label_weight, mu_weight
 from .chardim import (
     check_block_simplicity, dim_parabolic_verma, positive_roots, weyl_dim,
 )
@@ -128,7 +129,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         for a in range(1, p)
     )
     ok = ok and all(
-        classify(ctx, label_weight(ctx, IrreducibleLabel(i, t))) == IrreducibleLabel(i, t)
+        classify(ctx, label_weight(ctx, (i, t.coords))) == (i, t.coords)
         for i in range(n + 1)
         for t in twists
     )
@@ -204,22 +205,20 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.
     ok = True
-    labels = [IrreducibleLabel(i, t) for i in range(n + 1) for t in twists]
+    labels = [(i, t.coords) for i in range(n + 1) for t in twists]
     for a in labels:
         for b in labels:
             d_ab, d_ba = ext1_g1t_dim(ctx, a, b), ext1_g1t_dim(ctx, b, a)
             ok = ok and d_ab == d_ba
-            if abs(a.i - b.i) != 1:
+            if abs(a[0] - b[0]) != 1:
                 ok = ok and d_ab == 0
     for i in range(n + 1):
         for t in twists:
             layer = rad1_qhat(ctx, i, t)
             want = (n + 1) * ((i > 0) + (i < n))
             ok = ok and sum(m for _, _, m in layer) == want
-            head = IrreducibleLabel(i, t)
-            ok = ok and all(
-                ext1_g1t_dim(ctx, head, IrreducibleLabel(u, Weight(c))) == 1 for u, c, _ in layer
-            )
+            head = (i, t.coords)
+            ok = ok and all(ext1_g1t_dim(ctx, head, (u, c)) == 1 for u, c, _ in layer)
             ok = ok and all(m == 1 for _, _, m in layer)
             ok = ok and set(vermas[i, t][1]) <= set(layer)
     add("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
@@ -234,7 +233,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         ok = ok and layers == layers[::-1]
         totals = _index_totals(chain.from_iterable(layers))
         ok = ok and totals == {j: q_composition_mult_g1(ctx, i, j) for j in range(n + 1)}
-        head = IrreducibleLabel(i, origin)
+        head = (i, origin.coords)
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
         support = verma_support(ctx, i, origin)
         ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)

@@ -15,10 +15,10 @@ like every layer table, computed from nu's coordinates alone.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 from operator import add, sub
 
-from .block import BlockContext, IrreducibleLabel, check_index
+from .block import BlockContext, Label, check_index, check_label
 from .lattice import Weight, eps_basis
 from .loewy import Row
 
@@ -39,9 +39,10 @@ class ExtKind(Enum):
     ZERO = "zero"
 
 
-@cache
-def _standard_weights(rank: int) -> frozenset[Weight]:
-    return frozenset(eps_basis(rank, k) for k in range(1, rank + 2))
+@lru_cache(maxsize=16)
+def _standard_weights(rank: int) -> frozenset[tuple[int, ...]]:
+    """The coordinates of the standard representation's weights eps_k."""
+    return frozenset(eps_basis(rank, k).coords for k in range(1, rank + 2))
 
 
 def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
@@ -59,17 +60,23 @@ def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
     return ExtKind.ZERO
 
 
-def ext1_g1t_dim(ctx: BlockContext, a: IrreducibleLabel, b: IrreducibleLabel) -> int:
-    """Dimension of Ext^1 between the twisted simples labelled a and b.
+def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
+    """Dimension of Ext^1 between the twisted simples labelled a = (i, x)
+    and b = (j, y).
 
-    Equals the multiplicity of a.nu - b.nu in the untwisted Ext
-    representation, so it is 0 or 1, and it is symmetric in (a, b).
+    Equals the multiplicity of x - y in the untwisted Ext representation,
+    so it is 0 or 1, and it is symmetric in (a, b).
     """
-    kind = ext1_g1(ctx, a.i, b.i)
+    (i, x), (j, y) = a, b
+    check_label(ctx, i, x)
+    check_label(ctx, j, y)
+    kind = ext1_g1(ctx, i, j)
     if kind is ExtKind.ZERO:
         return 0
-    w = a.nu - b.nu
-    return int((w if kind is ExtKind.STANDARD else -w) in _standard_weights(ctx.n))
+    if kind is ExtKind.DUAL:
+        # The dual's weights are the negatives -eps_k: y - x is one of eps_k.
+        x, y = y, x
+    return int(tuple(map(sub, x, y)) in _standard_weights(ctx.n))
 
 
 def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
@@ -82,11 +89,8 @@ def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
     (i + 1, nu + eps_k), each once, dropping whichever side falls outside
     the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
     """
-    n = ctx.n
-    check_index(ctx, i)
-    if nu.rank != n:
-        raise ValueError("rank mismatch")
-    v = nu.coords
+    n, v = ctx.n, nu.coords
+    check_label(ctx, i, v)
     rows: list[Row] = []
     for k in range(1, n + 2):
         # eps_k = w_k - w_{k-1} in fundamental coordinates, w_0 = w_{n+1} = 0.

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import comb
 from operator import add, sub
 
-from .block import BlockContext, check_index
+from .block import BlockContext, check_index, check_label
 from .lattice import Weight
 
 __all__ = [
@@ -136,9 +136,7 @@ def verma_blocks(ctx: BlockContext, i: int, nu: Weight) -> list[list[Block]]:
     first i coordinates and the tails its tails translated by the rest.
     At i = 0 every head is (), and at i = n every tail is.
     """
-    check_index(ctx, i)
-    if nu.rank != ctx.n:
-        raise ValueError("rank mismatch")
+    check_label(ctx, i, nu.coords)
     # Lexicographic order is translation-invariant, so translating each
     # half keeps every block sorted.  The pattern shares one half list among
     # the blocks that use it, so each list is translated once.

@@ -20,9 +20,9 @@ coordinates lie in {-1, 0, 1}, so the stacked coordinates lie in [-2, 2]:
 these balanced digits decode uniquely, and numeric order on keys is
 (u, coordinates) order.  The distinct keys are sorted and decoded once,
 and nu is added while decoding, never packed.  `cover_rows` returns the
-layers as rows (block index, twist coordinates, multiplicity).  No label
-object is built here: labels come in only as `bgg_multiplicity`'s
-arguments.
+layers as rows (block index, twist coordinates, multiplicity), and
+`bgg_multiplicity` takes its labels as the same (block index, twist
+coordinates) pairs.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import comb
 from operator import add, neg
 
-from .block import BlockContext, IrreducibleLabel, check_index
+from .block import BlockContext, Label, check_index, check_label
 from .lattice import Weight
 from .loewy import Row, _verma_pattern
 
@@ -70,12 +70,6 @@ def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, 
                         yield t, neg_head, neg_tail, depth
 
 
-def _check_twist(ctx: BlockContext, i: int, nu: Weight) -> None:
-    check_index(ctx, i)
-    if nu.rank != ctx.n:
-        raise ValueError("rank mismatch")
-
-
 def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
     """All baby Vermas whose layers contain the simple (i, nu), as rows
     (t, eta coordinates, depth).
@@ -85,8 +79,8 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
     twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
     finite and multiplicity-free.
     """
-    _check_twist(ctx, i, nu)
     v = nu.coords
+    check_label(ctx, i, v)
     return [(t, tuple(map(add, v, head + tail)), k) for t, head, tail, k in _support(ctx.n, i)]
 
 
@@ -133,7 +127,7 @@ def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     1 equal to `ext.rad1_qhat`.  Conditional on the Loewy length
     conjecture; see the module docstring.
     """
-    _check_twist(ctx, i, nu)
+    check_label(ctx, i, nu.coords)
     n = ctx.n
     counts = [Counter() for _ in range(2 * n + 1)]
     for t, eta_head, eta_tail, depth in _support(n, i):
@@ -157,12 +151,12 @@ def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     return layers
 
 
-def bgg_multiplicity(
-    ctx: BlockContext, target: IrreducibleLabel, verma: IrreducibleLabel
-) -> int:
-    """Multiplicity of a baby Verma in the cover of `target` (0 or 1 here)."""
-    key = (verma.i, verma.nu.coords)
-    return sum(1 for t, eta, _ in verma_support(ctx, target.i, target.nu) if (t, eta) == key)
+def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
+    """Multiplicity of the baby Verma `verma` = (t, eta) in the cover of
+    `target` = (i, nu coordinates) (0 or 1 here)."""
+    i, coords = target
+    check_label(ctx, *verma)
+    return sum(1 for t, eta, _ in verma_support(ctx, i, Weight(coords)) if (t, eta) == verma)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

@@ -1,13 +1,13 @@
 """Label-by-label oracles for the Verma and cover layer tables.
 
-They build every label as a `Weight`, straight from the layer formula and
-one baby Verma per entry of the cover's support, without the library's
-cached patterns, so the layer tests compare two independent code paths.
+They build every label's twist as a `Weight`, straight from the layer
+formula and one baby Verma per entry of the cover's support, without the
+library's cached patterns, so the layer tests compare two independent code
+paths.  A label is the pair (i, twist coordinates).
 """
 
 from itertools import combinations
 
-from loewylab.block import IrreducibleLabel
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.projective import verma_support
 
@@ -24,13 +24,13 @@ def far_twist(n):
 
 def as_rows(layers):
     """Label layers as rows (i, coordinates, multiplicity) in (i, coordinates) order."""
-    return [sorted((label.i, label.nu.coords, m) for label, m in layer.items()) for layer in layers]
+    return [sorted((i, c, m) for (i, c), m in layer.items()) for layer in layers]
 
 
 def as_labels(layers):
     """Rows (i, coordinates, multiplicity) as label layers, each a dict
-    {IrreducibleLabel: multiplicity}: the label view the layer tests read."""
-    return [{IrreducibleLabel(i, Weight(c)): m for i, c, m in rows} for rows in layers]
+    {(i, coordinates): multiplicity}: the label view the layer tests read."""
+    return [{(i, c): m for i, c, m in rows} for rows in layers]
 
 
 def verma_layers(ctx, i, nu):
@@ -52,7 +52,7 @@ def verma_layers(ctx, i, nu):
                         eta = eta - eps_basis(n, x)
                     for y in ys:
                         eta = eta + eps_basis(n, y)
-                    label = IrreducibleLabel(t, eta)
+                    label = (t, eta.coords)
                     assert label not in layer
                     layer[label] = 1
         layers.append(layer)

@@ -3,8 +3,8 @@ from itertools import product
 import pytest
 
 from loewylab.block import (
-    IrreducibleLabel,
     block_weight,
+    check_label,
     classify,
     is_odd_prime,
     label_weight,
@@ -118,7 +118,7 @@ def test_classify_round_trip():
         twists = [zero(n), fundamental(n, 1), -fundamental(n, n), rho(n)]
         for i in range(n + 1):
             for t in twists:
-                label = IrreducibleLabel(i, t)
+                label = (i, t.coords)
                 assert classify(ctx, label_weight(ctx, label)) == label
 
 
@@ -131,11 +131,23 @@ def test_classify_rejects_outside_weights():
         classify(ctx, Weight((1,)))
 
 
+def test_labels_of_the_wrong_rank_are_refused():
+    ctx = make_context(2, 5)
+    for coords in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            check_label(ctx, 1, coords)
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            label_weight(ctx, (1, coords))
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
+        label_weight(ctx, (3, (0,)))
+    check_label(ctx, 2, (0, 0))
+
+
 def test_distinct_twists_distinct_weights():
     ctx = make_context(2, 5)
     seen = set()
     for i in range(3):
         for coords in product(range(-1, 2), repeat=2):
-            w = label_weight(ctx, IrreducibleLabel(i, Weight(coords)))
+            w = label_weight(ctx, (i, coords))
             assert w.coords not in seen
             seen.add(w.coords)

@@ -17,7 +17,6 @@ import pytest
 import loewylab
 import loewylab.checks
 import loewylab.cli
-import loewylab.ext
 import loewylab.loewy
 import loewylab.projective
 from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
@@ -555,24 +554,6 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
         "_verify_text",
     ):
         monkeypatch.setattr(loewylab.cli, name, refuse)
-    assert [run_cli(argv, capsys) for argv in argvs] == expected
-    assert all(code == 0 for code, _, _ in expected)
-
-
-def test_layer_json_builds_no_labels(capsys, monkeypatch):
-    # Layer listings keep the library's int rows, and Ext neighbourhoods go
-    # from rows straight to factor dicts.
-    argvs = [
-        [command, "--n", "3", "--p", "5", "--i", "1", "--nu=1,-2,0", "--format", "json"]
-        for command in ("verma", "verma-dual", "proj", "ext")
-    ]
-    expected = [run_cli(argv, capsys) for argv in argvs]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a layer listing built an IrreducibleLabel")
-
-    for module in (loewylab.ext, loewylab.projective):
-        monkeypatch.setattr(module, "IrreducibleLabel", refuse)
     assert [run_cli(argv, capsys) for argv in argvs] == expected
     assert all(code == 0 for code, _, _ in expected)
 

@@ -3,15 +3,11 @@ from itertools import product
 import pytest
 from oracles import as_labels, twists
 
-from loewylab.block import IrreducibleLabel, make_context
+from loewylab.block import make_context
 from loewylab.ext import ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.loewy import verma_rows
 from loewylab.projective import cover_rows
-
-
-def lab(i, coords):
-    return IrreducibleLabel(i, Weight(coords))
 
 
 def test_kind_matrix_rank_two():
@@ -24,19 +20,19 @@ def test_kind_matrix_rank_two():
 
 
 def test_descriptor_weights_and_dims():
-    # ext1_g1t_dim(a, b) is the multiplicity of a.nu - b.nu in the kind from
-    # a.i to b.i: from index 1, the standard representation toward 0, its
+    # ext1_g1t_dim((i, x), (j, y)) is the multiplicity of x - y in the kind
+    # from i to j: from index 1, the standard representation toward 0, its
     # dual toward 2, and zero toward 1.
     ctx = make_context(2, 5)
     eps = [eps_basis(2, k) for k in (1, 2, 3)]
     assert eps == [Weight((1, 0)), Weight((-1, 1)), Weight((0, -1))]
-    a = lab(1, (0, 0))
-    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(0, -w)) == 1 for w in eps)
-    assert ext1_g1t_dim(ctx, a, lab(0, (0, 0))) == 0
+    a = (1, (0, 0))
+    assert all(ext1_g1t_dim(ctx, a, (0, (-w).coords)) == 1 for w in eps)
+    assert ext1_g1t_dim(ctx, a, (0, (0, 0))) == 0
 
-    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(2, w)) == 1 for w in eps)
-    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(2, -w)) == 0 for w in eps)
-    assert all(ext1_g1t_dim(ctx, a, IrreducibleLabel(1, -w)) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (2, w.coords)) == 1 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (2, (-w).coords)) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (1, (-w).coords)) == 0 for w in eps)
 
 
 def test_descriptor_weight_multisets_are_mutually_negative():
@@ -48,13 +44,13 @@ def test_descriptor_weight_multisets_are_mutually_negative():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         eps = {eps_basis(n, k) for k in range(1, n + 2)}
         assert len(eps) == n + 1
-        top, bottom = IrreducibleLabel(1, zero(n)), IrreducibleLabel(0, zero(n))
+        top, bottom = (1, zero(n).coords), (0, zero(n).coords)
 
         def standard(w):
-            return ext1_g1t_dim(ctx, top, IrreducibleLabel(0, -w))
+            return ext1_g1t_dim(ctx, top, (0, (-w).coords))
 
         def dual(w):
-            return ext1_g1t_dim(ctx, bottom, IrreducibleLabel(1, -w))
+            return ext1_g1t_dim(ctx, bottom, (1, (-w).coords))
 
         for coords in product(range(-1, 2), repeat=n):
             w = Weight(coords)
@@ -64,16 +60,16 @@ def test_descriptor_weight_multisets_are_mutually_negative():
 
 def test_g1t_dims_frozen_rank_two():
     ctx = make_context(2, 5)
-    a = lab(1, (0, 0))
-    assert ext1_g1t_dim(ctx, a, lab(0, (-1, 0))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(0, (1, -1))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(0, (0, 1))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(2, (1, 0))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(2, (-1, 1))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(2, (0, -1))) == 1
-    assert ext1_g1t_dim(ctx, a, lab(0, (0, 0))) == 0
-    assert ext1_g1t_dim(ctx, a, lab(2, (2, 0))) == 0
-    assert ext1_g1t_dim(ctx, a, lab(1, (1, 0))) == 0
+    a = (1, (0, 0))
+    assert ext1_g1t_dim(ctx, a, (0, (-1, 0))) == 1
+    assert ext1_g1t_dim(ctx, a, (0, (1, -1))) == 1
+    assert ext1_g1t_dim(ctx, a, (0, (0, 1))) == 1
+    assert ext1_g1t_dim(ctx, a, (2, (1, 0))) == 1
+    assert ext1_g1t_dim(ctx, a, (2, (-1, 1))) == 1
+    assert ext1_g1t_dim(ctx, a, (2, (0, -1))) == 1
+    assert ext1_g1t_dim(ctx, a, (0, (0, 0))) == 0
+    assert ext1_g1t_dim(ctx, a, (2, (2, 0))) == 0
+    assert ext1_g1t_dim(ctx, a, (1, (1, 0))) == 0
     assert ext1_g1t_dim(ctx, a, a) == 0
 
 
@@ -81,12 +77,25 @@ def test_g1t_dim_is_symmetric():
     for n, p in [(2, 5), (3, 5)]:
         ctx = make_context(n, p)
         twists = [zero(n), fundamental(n, 1), -eps_basis(n, 2)]
-        labels = [
-            IrreducibleLabel(i, t) for i in range(n + 1) for t in twists
-        ]
+        labels = [(i, t.coords) for i in range(n + 1) for t in twists]
         for a in labels:
             for b in labels:
                 assert ext1_g1t_dim(ctx, a, b) == ext1_g1t_dim(ctx, b, a)
+
+
+def test_g1t_dim_refuses_labels_of_the_wrong_rank():
+    # Either label is checked, even where the kind alone would give zero.
+    ctx = make_context(3, 5)
+    good = (0, (1, 0, 0))
+    for bad in ((1, (0, 0)), (0, (1, 0)), (2, (0, 0, 0, 0))):
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            ext1_g1t_dim(ctx, bad, good)
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            ext1_g1t_dim(ctx, good, bad)
+    with pytest.raises(ValueError, match=r"^rank mismatch$"):
+        ext1_g1t_dim(ctx, (1, (0, 0)), (0, (1, 0)))
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 3\] \(got 4\)$"):
+        ext1_g1t_dim(ctx, good, (4, (0, 0, 0)))
 
 
 def test_vanishing_off_adjacent_indices():
@@ -134,15 +143,15 @@ def test_rad1_qhat_matches_ext_rule():
     for n, p in [(2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            a = IrreducibleLabel(i, zero(n))
+            a = (i, zero(n).coords)
             found = set()
             for j in range(n + 1):
                 for s in (-1, 1):
                     for k in range(1, n + 2):
-                        b = IrreducibleLabel(j, s * eps_basis(n, k))
+                        b = (j, (s * eps_basis(n, k)).coords)
                         if ext1_g1t_dim(ctx, a, b) == 1:
                             found.add(b)
-                b0 = IrreducibleLabel(j, zero(n))
+                b0 = (j, zero(n).coords)
                 assert ext1_g1t_dim(ctx, a, b0) == 0
             (layer,) = as_labels([rad1_qhat(ctx, i, zero(n))])
             assert found == set(layer)
@@ -153,13 +162,13 @@ def test_rad1_qhat_fundamental_shift_form():
         ctx = make_context(n, p)
         for i in range(n + 1):
             t = fundamental(n, 1)
-            expected: dict[IrreducibleLabel, int] = {}
+            expected: dict[tuple[int, tuple[int, ...]], int] = {}
             for k in range(1, n + 2):
                 step = fundamental(n, k) - fundamental(n, k - 1)
                 if i > 0:
-                    expected[IrreducibleLabel(i - 1, t - step)] = 1
+                    expected[(i - 1, (t - step).coords)] = 1
                 if i < n:
-                    expected[IrreducibleLabel(i + 1, t + step)] = 1
+                    expected[(i + 1, (t + step).coords)] = 1
             assert as_labels([rad1_qhat(ctx, i, t)]) == [expected]
 
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import as_labels, as_rows, far_twist, twists, verma_layers
 
 import loewylab.loewy
-from loewylab.block import IrreducibleLabel, classify, label_weight, make_context
+from loewylab.block import classify, label_weight, make_context
 from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
 from loewylab.loewy import (
     composition_class_z_g1,
@@ -18,10 +18,6 @@ from loewylab.loewy import (
     verma_blocks,
     verma_rows,
 )
-
-
-def lab(i, coords):
-    return IrreducibleLabel(i, Weight(coords))
 
 
 def simple_root(rank, t):
@@ -107,9 +103,9 @@ def test_first_layer_explicit_form():
             for t in (zero(n), fundamental(n, 1)):
                 expected = {}
                 for x in range(1, i + 1):
-                    expected[IrreducibleLabel(i - 1, t - eps_basis(n, x))] = 1
+                    expected[(i - 1, (t - eps_basis(n, x)).coords)] = 1
                 for y in range(i + 2, n + 2):
-                    expected[IrreducibleLabel(i + 1, t + eps_basis(n, y))] = 1
+                    expected[(i + 1, (t + eps_basis(n, y)).coords)] = 1
                 assert as_labels(verma_rows(ctx, i, t))[1] == expected
 
 
@@ -121,8 +117,8 @@ def test_socle_and_dual_series_are_reversals():
                 rad = as_labels(verma_rows(ctx, i, t))
                 dual = as_labels(dual_verma_rows(ctx, i, t))
                 assert dual == list(reversed(rad))
-                assert dual[-1] == {IrreducibleLabel(i, t): 1}
-                assert rad[0] == {IrreducibleLabel(i, t): 1}
+                assert dual[-1] == {(i, t.coords): 1}
+                assert rad[0] == {(i, t.coords): 1}
 
 
 def test_composition_classes():
@@ -209,15 +205,15 @@ def test_root_coords_exact_fractions():
 def stacked_rad_layers(ctx, i, nu):
     n, p = ctx.n, ctx.p
     if n == 1:
-        head = IrreducibleLabel(i, nu)
-        below = IrreducibleLabel(1 - i, nu - fundamental(1, 1))
+        head = (i, nu.coords)
+        below = (1 - i, (nu - fundamental(1, 1)).coords)
         return [{head: 1}, {below: 1}]
     side = "I" if i < n else "J"
     sub_ctx = make_context(n - 1, p)
     sub_i = i if side == "I" else n - 1
     sub_layers = stacked_rad_layers(sub_ctx, sub_i, zero(n - 1))
-    sub_top = label_weight(sub_ctx, IrreducibleLabel(sub_i, zero(n - 1)))
-    top = label_weight(ctx, IrreducibleLabel(i, nu))
+    sub_top = label_weight(sub_ctx, (sub_i, zero(n - 1).coords))
+    top = label_weight(ctx, (i, nu.coords))
     layers = [dict() for _ in range(len(sub_layers) + 1)]
     for j, sub_layer in enumerate(sub_layers):
         for sub_label, mult in sub_layer.items():
@@ -230,8 +226,8 @@ def stacked_rad_layers(ctx, i, nu):
                 lift = lift + int(c) * simple_root(n, slot)
             label = classify(ctx, top - lift)
             assert label is not None
-            assert label.i < n if side == "I" else label.i > 0
-            cover = as_labels(parabolic_m_structure(ctx, label.i, label.nu, side))
+            assert label[0] < n if side == "I" else label[0] > 0
+            cover = as_labels(parabolic_m_structure(ctx, label[0], Weight(label[1]), side))
             assert len(cover) == 2 and cover[0] == {label: 1}
             ((below, _),) = cover[1].items()
             layers[j][label] = layers[j].get(label, 0) + mult
@@ -313,8 +309,9 @@ def test_verma_rows_flatten_verma_blocks():
 
 
 def test_g1t_labels_behave_like_validated_ones():
-    # The kernel's rows hold plain int tuples of rank n, which build the
-    # same validated labels.
+    # The kernel's rows hold plain int tuples of rank n, whose first two
+    # fields are an immutable label: it names a weight that classifies back
+    # to it, and its coordinates build the same validated Weight.
     ctx = make_context(4, 7)
     for nu in twists(4):
         for rows in verma_rows(ctx, 2, nu):
@@ -322,11 +319,12 @@ def test_g1t_labels_behave_like_validated_ones():
                 assert type(u) is int and type(m) is int and type(c) is tuple
                 assert len(c) == 4 and all(type(x) is int for x in c)
                 assert Weight(c).coords == c
-    label = lab(u, c)
-    with pytest.raises(AttributeError):
-        label.i = 0  # type: ignore[misc]
-    with pytest.raises(AttributeError):
-        label.nu = zero(4)  # type: ignore[misc]
+                assert classify(ctx, label_weight(ctx, (u, c))) == (u, c)
+    label = (u, c)
+    with pytest.raises(TypeError):
+        label[0] = 0  # type: ignore[index]
+    with pytest.raises(TypeError):
+        label[1] = zero(4).coords  # type: ignore[index]
 
 
 def test_repeated_twist_shifts_raise(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from oracles import as_labels, as_rows, cover_layers, far_twist, twists
 
 import loewylab.projective
-from loewylab.block import IrreducibleLabel, make_context
+from loewylab.block import make_context
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
@@ -17,10 +17,6 @@ from loewylab.projective import (
     q_composition_mult_g1,
     verma_support,
 )
-
-
-def lab(i, coords):
-    return IrreducibleLabel(i, Weight(coords))
 
 
 def support_set(rows):
@@ -68,7 +64,7 @@ def test_verma_support_validation():
 
 def scanned_support(ctx, i, nu, radius):
     n = ctx.n
-    target = IrreducibleLabel(i, nu)
+    target = (i, nu.coords)
     twists = set()
     for signed in product(range(-radius, radius + 1), repeat=n + 1):
         if sum(abs(c) for c in signed) > radius:
@@ -114,14 +110,14 @@ def test_verma_support_count_is_closed_form():
 def test_rad_layers_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
     assert as_labels(cover_rows(ctx, 0, zero(1))) == [
-        {lab(0, (0,)): 1},
-        {lab(1, (-1,)): 1, lab(1, (1,)): 1},
-        {lab(0, (0,)): 1},
+        {(0, (0,)): 1},
+        {(1, (-1,)): 1, (1, (1,)): 1},
+        {(0, (0,)): 1},
     ]
     assert as_labels(cover_rows(ctx, 1, zero(1))) == [
-        {lab(1, (0,)): 1},
-        {lab(0, (-1,)): 1, lab(0, (1,)): 1},
-        {lab(1, (0,)): 1},
+        {(1, (0,)): 1},
+        {(0, (-1,)): 1, (0, (1,)): 1},
+        {(1, (0,)): 1},
     ]
 
 
@@ -129,12 +125,12 @@ def test_rad_layers_qhat_frozen_rank_two_outer():
     ctx = make_context(2, 5)
     layers = as_labels(cover_rows(ctx, 0, zero(2)))
     assert layer_sizes(layers) == [1, 3, 4, 3, 1]
-    assert layers[0] == {lab(0, (0, 0)): 1}
+    assert layers[0] == {(0, (0, 0)): 1}
     assert layers[2] == {
-        lab(2, (-1, 0)): 1,
-        lab(0, (0, 0)): 1,
-        lab(2, (1, -1)): 1,
-        lab(2, (0, 1)): 1,
+        (2, (-1, 0)): 1,
+        (0, (0, 0)): 1,
+        (2, (1, -1)): 1,
+        (2, (0, 1)): 1,
     }
 
 
@@ -143,13 +139,13 @@ def test_rad_layers_qhat_frozen_rank_two_middle():
     layers = as_labels(cover_rows(ctx, 1, zero(2)))
     assert layer_sizes(layers) == [1, 6, 10, 6, 1]
     assert layers[2] == {
-        lab(1, (0, 0)): 4,
-        lab(1, (-1, -1)): 1,
-        lab(1, (1, 1)): 1,
-        lab(1, (2, -1)): 1,
-        lab(1, (-2, 1)): 1,
-        lab(1, (-1, 2)): 1,
-        lab(1, (1, -2)): 1,
+        (1, (0, 0)): 4,
+        (1, (-1, -1)): 1,
+        (1, (1, 1)): 1,
+        (1, (2, -1)): 1,
+        (1, (-2, 1)): 1,
+        (1, (-1, 2)): 1,
+        (1, (1, -2)): 1,
     }
 
 
@@ -161,8 +157,8 @@ def test_qhat_layer_shape_sweep():
                 rows = cover_rows(ctx, i, t)
                 layers = as_labels(rows)
                 assert len(layers) == 2 * n + 1
-                assert layers[0] == {IrreducibleLabel(i, t): 1}
-                assert layers[-1] == {IrreducibleLabel(i, t): 1}
+                assert layers[0] == {(i, t.coords): 1}
+                assert layers[-1] == {(i, t.coords): 1}
                 assert rows[1] == rad1_qhat(ctx, i, t)
                 for j in range(2 * n + 1):
                     assert layers[j] == layers[2 * n - j]
@@ -175,8 +171,8 @@ def test_qhat_g1_totals_match_closed_form():
             layers = as_labels(cover_rows(ctx, i, zero(n)))
             totals = [0] * (n + 1)
             for layer in layers:
-                for label, mult in layer.items():
-                    totals[label.i] += mult
+                for (u, _), mult in layer.items():
+                    totals[u] += mult
             for j in range(n + 1):
                 assert totals[j] == q_composition_mult_g1(ctx, i, j)
 
@@ -191,12 +187,24 @@ def test_q_composition_mult_frozen():
 
 def test_bgg_multiplicity():
     ctx = make_context(2, 5)
-    target = lab(0, (0, 0))
-    assert bgg_multiplicity(ctx, target, lab(0, (0, 0))) == 1
-    assert bgg_multiplicity(ctx, target, lab(1, (1, 0))) == 1
-    assert bgg_multiplicity(ctx, target, lab(2, (0, 1))) == 1
-    assert bgg_multiplicity(ctx, target, lab(1, (0, 0))) == 0
-    assert bgg_multiplicity(ctx, target, lab(0, (1, 0))) == 0
+    target = (0, (0, 0))
+    assert bgg_multiplicity(ctx, target, (0, (0, 0))) == 1
+    assert bgg_multiplicity(ctx, target, (1, (1, 0))) == 1
+    assert bgg_multiplicity(ctx, target, (2, (0, 1))) == 1
+    assert bgg_multiplicity(ctx, target, (1, (0, 0))) == 0
+    assert bgg_multiplicity(ctx, target, (0, (1, 0))) == 0
+
+
+def test_bgg_multiplicity_refuses_labels_of_the_wrong_rank():
+    ctx = make_context(3, 5)
+    good = (0, (0, 0, 0))
+    for bad in ((1, (1, 0)), (0, (0, 0, 0, 0))):
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            bgg_multiplicity(ctx, good, bad)
+        with pytest.raises(ValueError, match=r"^rank mismatch$"):
+            bgg_multiplicity(ctx, bad, good)
+    with pytest.raises(ValueError, match=r"^block index i must be in \[0, 3\] \(got 4\)$"):
+        bgg_multiplicity(ctx, good, (4, (0, 0, 0)))
 
 
 def test_qhat_dimension_is_support_count_times_verma_dimension():
@@ -208,8 +216,8 @@ def test_qhat_dimension_is_support_count_times_verma_dimension():
             support = verma_support(ctx, i, zero(n))
             total = 0
             for layer in as_labels(cover_rows(ctx, i, zero(n))):
-                for label, mult in layer.items():
-                    total += mult * simple_dims[label.i]
+                for (u, _), mult in layer.items():
+                    total += mult * simple_dims[u]
             assert total == len(support) * verma_dim
 
 
@@ -270,7 +278,7 @@ def test_qhat_layers_are_fresh_maps():
     ctx = make_context(2, 5)
     nu = -fundamental(2, 2)
     layers = as_labels(cover_rows(ctx, 1, nu))
-    layers[0][lab(1, (9, 9))] = 7
+    layers[0][(1, (9, 9))] = 7
     layers[2].clear()
     layers.pop()
     assert as_labels(cover_rows(ctx, 1, nu)) == cover_layers(ctx, 1, nu)

@@ -54,7 +54,9 @@ def test_acceptance_keeps_independent_expectations():
 
 
 def test_lru_caches_are_bounded():
-    # A cache keyed by (n, i) must not grow with every size a process meets.
+    # A cache keyed by (n, i) or by a block context must not grow with every
+    # size a process meets: `functools.cache` and `lru_cache(maxsize=None)`
+    # are unbounded.
     unbounded = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -64,6 +66,8 @@ def test_lru_caches_are_bounded():
             for deco in node.decorator_list:
                 func = deco.func if isinstance(deco, ast.Call) else deco
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "cache":
+                    unbounded.append(f"{path.name}:{node.name}")
                 if name != "lru_cache":
                     continue
                 args = getattr(deco, "args", [])
@@ -106,12 +110,12 @@ def test_cli_builds_no_verma_rows():
 
 
 def test_layer_modules_build_no_labels_or_dataclasses():
-    # Verma layers leave `loewy` as rows: it needs no label class.
-    # Certificates are tuples and Ext^1 kinds are `ExtKind` members, so
-    # `chardim` and `ext` build no record class.  No library module imports
-    # `dataclasses` or `typing`, whose imports cost more than the library's
-    # own modules.
-    imported = {}
+    # A label is the pair (i, coords) and a Weyl element its image tuple, so
+    # the only records are `Weight` and `BlockContext`.  Certificates are
+    # tuples and Ext^1 kinds are `ExtKind` members, so `chardim` and `ext`
+    # build no record class.  No library module imports `dataclasses` or
+    # `typing`, whose imports cost more than the library's own modules.
+    imported, bases = {}, {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         imported[path.stem] = set()
@@ -120,7 +124,12 @@ def test_layer_modules_build_no_labels_or_dataclasses():
                 imported[path.stem] |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
                 imported[path.stem] |= {node.module} | {alias.name for alias in node.names}
-    assert "IrreducibleLabel" not in imported["loewy"]
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(base, "id", None) for base in node.bases}
+    records = {"Record"}
+    while (more := {name for name, of in bases.items() if of & records} - records):
+        records |= more
+    assert sorted(records - {"Record", "OrderedRecord"}) == ["BlockContext", "Weight"]
     assert sorted(
         f"{stem}: {module}"
         for stem in ("chardim", "ext")
