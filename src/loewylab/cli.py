@@ -8,7 +8,9 @@ the layer formula's blocks (t, heads, tails) from `verma_blocks` (reversed
 for `verma-dual`), and its JSON writes each block's labels (t, head + tail)
 as factor objects, formatting each head and tail once; a cover's payload
 holds `cover_rows`' rows (i, nu, mult), which carry multiplicities and
-have no product form, and its JSON writes each row as a factor object.
+have no product form, and its JSON writes each row as a factor object; a
+layer's factor list that equals its mirror layer's (as in a palindromic
+cover) reuses the mirror's text.
 Each layer listing names its factor writer, and both build one factor
 object template. `ext --i` builds its factor dicts from `rad1_qhat`'s
 rows, and a `jantzen` report holds `check_block_simplicity`'s certificate
@@ -238,11 +240,20 @@ def _dump_json(doc: dict, factors_json=None) -> str:
     most of a long document's time on its rows.  So each layer's factor list
     and a jantzen report's certificate list are dumped as slots, and each
     slot is filled from %-format templates: one factor object per layer for
-    its rank, one per certificate for its number of betas.
+    its rank, one per certificate for its number of betas.  A factor list
+    equal to its mirror's (layer j and layer L - 1 - j of L, as in a
+    palindromic cover) reuses the mirror's text.
     """
     if "layers" in doc:
         factors_json = factors_json or _factors_json
-        lists = [factors_json(layer["factors"]) for layer in doc["layers"]]
+        factors = [layer["factors"] for layer in doc["layers"]]
+        lists = []
+        for j, rows in enumerate(factors):
+            mirror = len(factors) - 1 - j
+            if mirror < j and rows == factors[mirror]:
+                lists.append(lists[mirror])
+            else:
+                lists.append(factors_json(rows))
         doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
     elif "report" in doc:
         lists = [_certificates_json(doc["report"]["certificates"])]

@@ -15,14 +15,22 @@ The cover is stacked at nu = 0 over packed ints.  A label (u, c) is the key
 u B^n + sum_k c_k B^(n-k) with B = 256, and each Verma pattern layer is
 flattened once per (n, t) into such keys (a small bounded cache).  The
 packing is linear, so translating a Verma by eta is adding eta's key, and
-each supporting Verma is one `Counter.update` per layer.  Pattern
-coordinates lie in {-1, 0, 1}, so the stacked coordinates lie in [-2, 2]:
-these balanced digits decode uniquely, and numeric order on keys is
-(u, coordinates) order.  The distinct keys are sorted and decoded once,
-and nu is added while decoding, never packed.  `cover_rows` returns the
-layers as rows (block index, twist coordinates, multiplicity), and
-`bgg_multiplicity` takes its labels as the same (block index, twist
-coordinates) pairs.
+each cover layer is one `Counter` over the translated keys of every
+supporting Verma layer that lands in it.  Pattern coordinates lie in
+{-1, 0, 1}, so the stacked coordinates lie in [-2, 2]: these balanced
+digits decode uniquely, and numeric order on keys is (u, coordinates)
+order.  A layer's distinct keys are sorted and decoded in bulk: biased by
+B/2 in every digit, each key is n + 1 bytes (a block index that does not
+fit its byte raises, never wraps), and with the bytes' high bits flipped
+the joined keys read back as signed bytes, the block indices by one slice
+and the coordinates by one struct unpack.  nu is added per row after
+decoding, and only when nu != 0, never packed.  Layer j of a palindromic
+cover equals its mirror layer 2n - j, so a layer whose counter compares
+equal to its mirror's, already decoded, gets a copy of the mirror's rows;
+the comparison is real, and a table that is not palindromic decodes every
+layer.  `cover_rows` returns the layers as rows (block index, twist
+coordinates, multiplicity), and `bgg_multiplicity` takes its labels as the
+same (block index, twist coordinates) pairs.
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -36,8 +44,10 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add, neg
+from struct import Struct
 
 from .block import BlockContext, Label, check_index, check_label
 from .lattice import Weight
@@ -85,6 +95,9 @@ def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
 
 
 _BASE = 256
+_HALF = _BASE // 2
+# A biased digit d + B/2 with its high bit flipped is d as a signed byte.
+_FLIP = bytes(b ^ _HALF for b in range(_BASE))
 
 
 def _pack(u: int, coords: tuple[int, ...]) -> int:
@@ -129,26 +142,41 @@ def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     """
     check_label(ctx, i, nu.coords)
     n = ctx.n
-    counts = [Counter() for _ in range(2 * n + 1)]
+    feeds = [[] for _ in range(2 * n + 1)]
     for t, eta_head, eta_tail, depth in _support(n, i):
         eta = _pack(0, eta_head + eta_tail)
-        for counter, keys in zip(counts[depth:], _packed_pattern(n, t)):
-            counter.update(map(eta.__add__, keys))
+        for feed, keys in zip(feeds[depth:], _packed_pattern(n, t)):
+            feed.append(map(eta.__add__, keys))
+    counts = [Counter(chain.from_iterable(feed)) for feed in feeds]
     while counts and not counts[-1]:
         counts.pop()
-    # Biasing every digit by B/2 makes them the bytes of the key's low part.
-    half = _BASE // 2
-    bias, top = _pack(0, (half,) * n), _BASE**n
-    offsets = tuple(c - half for c in nu.coords)
-    layers = []
+    layers: list[list[Row]] = []
     for j, counter in enumerate(counts):
-        counts[j] = None
-        rows: list[Row] = []
-        for key in sorted(counter):
-            u, low = divmod(key + bias, top)
-            rows.append((u, tuple(map(add, low.to_bytes(n, "big"), offsets)), counter[key]))
-        layers.append(rows)
+        mirror = 2 * n - j
+        # dict equality, in C: Counter's own == is Python code that reads
+        # missing keys as zero counts, and no count here is zero.
+        if mirror < j and dict.__eq__(counter, counts[mirror]):
+            layers.append(list(layers[mirror]))
+        else:
+            layers.append(_decode(counter, n, nu.coords))
     return layers
+
+
+def _decode(counter: Counter, n: int, v: tuple[int, ...]) -> list[Row]:
+    """The rows (u, c + v, multiplicity) of one stacked layer's keys, in key
+    order.
+
+    Each key, biased, is n + 1 bytes, which read back as signed bytes: the
+    block index, then the coordinates.  Raises OverflowError if a block
+    index does not fit its byte.
+    """
+    keys = sorted(counter)
+    width, bias = n + 1, _pack(_HALF, (_HALF,) * n)
+    data = b"".join([(key + bias).to_bytes(width, "big") for key in keys]).translate(_FLIP)
+    coords = Struct(f"x{n}b").iter_unpack(data)
+    if any(v):
+        coords = (tuple(map(add, c, v)) for c in coords)
+    return list(zip(memoryview(data).cast("b")[::width], coords, map(counter.__getitem__, keys)))
 
 
 def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:

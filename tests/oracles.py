@@ -3,10 +3,13 @@
 They build every label's twist as a `Weight`, straight from the layer
 formula and one baby Verma per entry of the cover's support, without the
 library's cached patterns, so the layer tests compare two independent code
-paths.  A label is the pair (i, twist coordinates).
+paths.  `cover_formula` sums a cover's layers in closed form, from sign
+patterns alone, without any Verma or the library's support.  A label is
+the pair (i, twist coordinates).
 """
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.projective import verma_support
@@ -68,6 +71,38 @@ def cover_layers(ctx, i, nu):
             target = layers[depth + k]
             for label, mult in verma_layer.items():
                 target[label] = target.get(label, 0) + mult
+    while layers and not layers[-1]:
+        layers.pop()
+    return layers
+
+
+def cover_formula(n, i, nu):
+    """Radical layers of the cover of (i, nu), summed over the block index t
+    of its supporting Vermas in closed form.
+
+    Slot t + 1 is never moved, so a label's eps coefficients e are
+    normalised to e_{t+1} = 0, and each e_s lies in {-1, 0, 1}.  With P, M
+    and Z counting the +1s, -1s and 0s among e_1..e_t (the head, subscript
+    h) and among e_{t+2}..e_{n+1} (the tail, subscript t), each a in 0..Z_h
+    gives b = i - t - M_t + P_h + a; for 0 <= b <= Z_t the label with block
+    index t + P_t + b - M_h - a and coordinates nu + (e_s - e_{s+1}) gains
+    C(Z_h, a) C(Z_t, b) in layer P_h + M_h + P_t + M_t + 2(a + b).
+    """
+    layers = [{} for _ in range(2 * n + 1)]
+    for t in range(n + 1):
+        for signs in product((-1, 0, 1), repeat=n):
+            head, tail = signs[:t], signs[t:]
+            e = (*head, 0, *tail)
+            coords = tuple(v + e[s] - e[s + 1] for s, v in enumerate(nu.coords))
+            p_h, m_h, z_h = head.count(1), head.count(-1), head.count(0)
+            p_t, m_t, z_t = tail.count(1), tail.count(-1), tail.count(0)
+            for a in range(z_h + 1):
+                b = i - t - m_t + p_h + a
+                if not 0 <= b <= z_t:
+                    continue
+                layer = layers[p_h + m_h + p_t + m_t + 2 * (a + b)]
+                label = (t + p_t + b - m_h - a, coords)
+                layer[label] = layer.get(label, 0) + comb(z_h, a) * comb(z_t, b)
     while layers and not layers[-1]:
         layers.pop()
     return layers

@@ -597,6 +597,28 @@ def random_layer_doc(rng: random.Random, rank: int, conditional: bool) -> dict:
             "layers": layers, CONDITIONAL_FLAG_KEY: conditional}
 
 
+def mirrored_layer_doc(rng: random.Random, rank: int, change: str) -> dict:
+    """A random layer document of at least two layers whose factor lists
+    read the same from both ends (as a cover's do), each list its own
+    object; with `change` "mult" or "coord", one factor of the last layer
+    differs from its mirror's in that field."""
+    doc = random_layer_doc(rng, rank, rng.random() < 0.5)
+    while len(doc["layers"]) < 2:
+        doc = random_layer_doc(rng, rank, rng.random() < 0.5)
+    layers = doc["layers"]
+    for j in range(len(layers) // 2):
+        layers[-1 - j]["factors"] = list(layers[j]["factors"])
+    rows = layers[-1]["factors"]
+    k = rng.randrange(len(rows))
+    u, c, m = rows[k]
+    if change == "mult":
+        rows[k] = (u, c, m + 1)
+    elif change == "coord":
+        s = rng.randrange(rank)
+        rows[k] = (u, c[:s] + (c[s] - 1,) + c[s + 1:], m)
+    return doc
+
+
 def test_dump_json_matches_json_dumps_on_random_layer_docs():
     rng = random.Random(20181)
     docs = [
@@ -612,6 +634,22 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
     assert sum(len(layer["factors"]) == 1 for doc in docs for layer in doc["layers"]) > len(docs)
     for doc in docs:
         assert _dump_json(doc) == reference_json(doc)
+    # Factor lists equal to their mirror's reuse its text; a list that
+    # differs from its mirror in one multiplicity or one coordinate is
+    # written from its own rows.
+    for change in ("", "mult", "coord"):
+        mirrored = [mirrored_layer_doc(rng, rank, change) for rank in range(1, 8) for _ in range(6)]
+        for doc in mirrored:
+            lists = [layer["factors"] for layer in doc["layers"]]
+            assert (lists == lists[::-1]) == (change == "")
+            written = []
+
+            def counting(rows):
+                written.append(rows)
+                return loewylab.cli._factors_json(rows)
+
+            assert _dump_json(doc, counting) == reference_json(doc)
+            assert len(written) == (len(lists) + 1) // 2 + (change != "")
 
 
 def test_dump_json_matches_json_dumps_on_random_block_docs():

@@ -2,10 +2,11 @@ from itertools import product
 from math import comb
 
 import pytest
-from oracles import as_labels, as_rows, cover_layers, far_twist, twists
+from oracles import as_labels, as_rows, cover_formula, cover_layers, far_twist, twists
 
 import loewylab.projective
 from loewylab.block import make_context
+from loewylab.cli import main
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
 from loewylab.lattice import Weight, eps_basis, fundamental, zero
@@ -244,6 +245,40 @@ def test_cover_rows_match_stacked_weight_oracle():
                 assert cover_rows(ctx, i, nu) == as_rows(cover_layers(ctx, i, nu))
 
 
+def test_cover_rows_match_closed_form_oracle():
+    # The projective Loewy series summed from sign patterns alone, with no
+    # Verma and no support enumeration, at every n <= 6 and every i.
+    for n in range(1, 7):
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
+        for i in range(n + 1):
+            for nu in [*twists(n), far_twist(n)]:
+                assert cover_rows(ctx, i, nu) == as_rows(cover_formula(n, i, nu))
+
+
+def test_dropped_support_entry_is_not_palindromic(monkeypatch, capsys):
+    # A cover layer gets its mirror's rows only when the two stacked layers
+    # compare equal, so a table that is not palindromic still shows it.
+    support = loewylab.projective._support
+
+    def dropped(n, i):
+        entries = list(support(n, i))
+        del entries[len(entries) // 2]
+        return iter(entries)
+
+    monkeypatch.setattr(loewylab.projective, "_support", dropped)
+    ctx = make_context(2, 5)
+    for i in range(3):
+        for nu in twists(2):
+            rows = cover_rows(ctx, i, nu)
+            assert rows == as_rows(cover_layers(ctx, i, nu))
+            assert rows != rows[::-1]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--p", "5"])
+    assert exc.value.code == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL projective.structure [conditional]: cover layer shape or aggregates broke"]
+
+
 def test_cover_rows_strictly_increase():
     for n in range(1, 7):
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
@@ -282,6 +317,43 @@ def test_qhat_layers_are_fresh_maps():
     layers[2].clear()
     layers.pop()
     assert as_labels(cover_rows(ctx, 1, nu)) == cover_layers(ctx, 1, nu)
+
+
+def test_mirrored_cover_layers_are_fresh_lists():
+    # Layer j and its mirror 2n - j hold equal rows, in distinct lists:
+    # changing one leaves the other, and the next call, as they were.
+    ctx = make_context(3, 5)
+    for nu in (zero(3), -fundamental(3, 3)):
+        expected = as_rows(cover_layers(ctx, 1, nu))
+        rows = cover_rows(ctx, 1, nu)
+        assert rows == expected
+        assert all(rows[j] is not rows[6 - j] for j in range(3))
+        rows[1].append((9, (9, 9, 9), 7))
+        rows[2].clear()
+        rows[0][0] = (0, (0, 0, 0), 2)
+        assert rows[3:] == expected[3:]
+        assert cover_rows(ctx, 1, nu) == expected
+
+
+@pytest.mark.parametrize("u", [127, 128])
+def test_decoded_block_index_raises_past_its_byte(monkeypatch, u):
+    # A pattern with a block index u one layer below the head: u = 127
+    # decodes as itself, and u = 128, past its signed byte, raises rather
+    # than wrapping.
+    def patterned(n, t):
+        head, tail = ((0,) * t,), ((0,) * (n - t),)
+        return (((t, head, tail),), ((u, head, tail),))
+
+    monkeypatch.setattr(loewylab.projective, "_verma_pattern", patterned)
+    loewylab.projective._packed_pattern.cache_clear()
+    try:
+        if u < 128:
+            assert cover_rows(make_context(2, 5), 1, zero(2)) == [[(1, (0, 0), 1)], [(u, (0, 0), 1)]]
+        else:
+            with pytest.raises(OverflowError):
+                cover_rows(make_context(2, 5), 1, zero(2))
+    finally:
+        loewylab.projective._packed_pattern.cache_clear()
 
 
 def test_qhat_validation_messages():
