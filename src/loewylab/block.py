@@ -22,6 +22,7 @@ from .record import Record
 __all__ = [
     "BlockContext",
     "is_odd_prime",
+    "check_hypotheses",
     "check_index",
     "check_label",
     "make_context",
@@ -88,25 +89,25 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
-def check_index(ctx: BlockContext, i: int) -> None:
-    """Raise ValueError unless `i` is a block index, 0 <= i <= n."""
-    if not 0 <= i <= ctx.n:
-        raise ValueError(f"block index i must be in [0, {ctx.n}] (got {i})")
+def check_index(n: int, i: int) -> None:
+    """Raise ValueError unless `i` is a block index at rank n, 0 <= i <= n."""
+    if not 0 <= i <= n:
+        raise ValueError(f"block index i must be in [0, {n}] (got {i})")
 
 
 def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
     """Raise ValueError unless (i, coords) labels a simple of the block: a
     block index and the n coordinates of a twist."""
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     if len(coords) != ctx.n:
         raise ValueError("rank mismatch")
 
 
-def make_context(n: int, p: int) -> BlockContext:
-    """Build the block for SL(n+1) in characteristic p.
-
-    Raises ValueError naming the violated hypothesis when n < 1, p is not
+def check_hypotheses(n: int, p: int) -> None:
+    """Raise ValueError naming the violated hypothesis when n < 1, p is not
     an odd prime, or p divides n + 1 (the very-good-prime hypothesis).
+
+    Takes time polynomial in the digits of n and p, not in n.
     """
     if n < 1:
         raise ValueError(f"rank parameter n must be >= 1 (got {n})")
@@ -116,6 +117,12 @@ def make_context(n: int, p: int) -> BlockContext:
         raise ValueError(
             f"p must not divide n + 1 (very good prime hypothesis; got p = {p}, n + 1 = {n + 1})"
         )
+
+
+def make_context(n: int, p: int) -> BlockContext:
+    """Build the block for SL(n+1) in characteristic p, checking the
+    hypotheses first (`check_hypotheses`).  The table holds (n+1)·n ints."""
+    check_hypotheses(n, p)
     ctx = BlockContext(n, p, ())
     lambdas = tuple(block_weight(ctx, i, 1) for i in range(n + 1))
     return BlockContext(n, p, lambdas)
@@ -131,7 +138,7 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
     coordinate i + 1 is a - 1.
     """
     n, p = ctx.n, ctx.p
-    check_index(ctx, i)
+    check_index(n, i)
     if not 1 <= a <= p - 1:
         raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
     coords = [p - 1] * n
@@ -147,7 +154,7 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
 
 def mu_weight(ctx: BlockContext, i: int) -> Weight:
     """The dot-orbit representative mu_i = eps_{i+1} - rho."""
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     return eps_basis(ctx.n, i + 1) - rho(ctx.n)
 
 

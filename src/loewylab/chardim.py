@@ -99,7 +99,7 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     numerator at nu_i over the Levi's Weyl denominator.
     """
     n, p = ctx.n, ctx.p
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     nu = nu_weight(ctx, i)
     if side == "I":
         levi_roots = [(k, j) for k in range(1, n) for j in range(k + 1, n + 1)]
@@ -235,7 +235,7 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
     """
     n, p = ctx.n, ctx.p
     k, j = root
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     if not 1 <= k < j <= n + 1:
         raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).

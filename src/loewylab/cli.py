@@ -23,14 +23,25 @@ certificate rows of a `jantzen` report are written from %-format templates
 (one per layer, one per certificate row) instead of by json.dumps, which
 is slow with `indent`.  A text view formats only the entries it prints:
 without --full, the first TRUNCATE_AT of each listing, its other counts
-read from lengths.  Sizes are closed forms checked before any work,
-one `_BUDGETS` row per subcommand: a layer listing (2^n labels for `verma`
-and `verma-dual`, (n+1)·C(n,i)·2^n with multiplicity for `proj`) is
-refused above LAYER_BUDGET = 2^16 labels, `jantzen`, which checks
-(n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14, and `verify`, which stacks
-the n+1 covers at nu = 0, (n+1)·4^n labels, above VERIFY_BUDGET = 2^20.
-Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify;
-only the invoked one's parser is built.
+read from lengths.  Sizes are closed forms, one `_BUDGETS` row per
+subcommand, checked after the (n, p) hypotheses and `--i` and before any
+other work, the weight table's (n+1)·n ints included: a layer listing
+(2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
+multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels,
+`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14,
+`verify`, which stacks the n+1 covers at nu = 0, (n+1)·4^n labels, above
+VERIFY_BUDGET = 2^20, `block`, which writes 3n(n+1) weight coordinates,
+above BLOCK_BUDGET = 2^19, `dim`, which evaluates n(3n^2+1)/2 root
+pairings, above DIM_BUDGET = 2^19, and the `ext` table of (n+1)^2 Ext^1
+kinds above EXT_BUDGET = 2^19; every subcommand is refused first when its
+weight table would hold over WEIGHT_BUDGET = 2^20 ints.
+Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
+declared once in `_commands` (flags and the values set on the parsed
+arguments).  A plainly well-formed command line is parsed from that table
+without argparse (`_parse_plain`), whose parsers and lazily imported
+`locale` cost a few ms per run; any other, help included, goes to the
+argparse parser built from the same table, which alone writes help, usage
+and argument errors.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
 """
@@ -44,7 +55,7 @@ from functools import lru_cache
 from itertools import islice
 from math import comb
 
-from .block import BlockContext, check_index, make_context, mu_weight, nu_weight
+from .block import BlockContext, check_hypotheses, check_index, make_context, mu_weight, nu_weight
 from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
@@ -68,6 +79,25 @@ PAIR_BUDGET = 1 << 14
 # about 1 s on a 2-core VM; the battery at n = 9, run through the library,
 # took about 4 s and 90 MB.
 VERIFY_BUDGET = 1 << 20
+# `block` is refused above this many weight coordinates, three weights of n
+# coordinates per block index, 3n(n+1) at rank n.  The largest one admitted,
+# n = 417, took about 0.7 s and 62 MB with --format json on a 2-core VM.
+BLOCK_BUDGET = 1 << 19
+# `dim` is refused above this many root pairings: n(n+1)/2 for each of the
+# n+1 simples' Weyl dimensions and n(n-1)/2 for each of the 2n parabolic
+# covers, n(3n^2+1)/2 in all.  The largest one admitted, n = 70, took about
+# 1.3 s on a 2-core VM; n = 200 ran for more than a minute.
+DIM_BUDGET = 1 << 19
+# The `ext` table is refused above this many Ext^1 kinds, (n+1)^2 at rank n.
+# The largest one admitted, n = 723, took about 1 s and 66 MB with
+# --format json on a 2-core VM.
+EXT_BUDGET = 1 << 19
+# Every subcommand is refused above this many ints in the weight table,
+# (n+1)·n at rank n, before its own row is read: so no size below is
+# computed at a rank where it would be too large to compute or print.  Only
+# `ext --i` reaches it: at n = 1023 it took about 0.6 s, and 2.7 s and
+# 207 MB with --format json, on a 2-core VM.
+WEIGHT_BUDGET = 1 << 20
 
 # Work refused up front, per subcommand: (closed-form size at (n, i), budget,
 # the error message naming both).  A layer listing's size counts its labels
@@ -76,10 +106,29 @@ _LISTS = (
     "{command} at n={n}, i={i} would list {size} labels with multiplicity, "
     "over the budget of {budget} labels"
 )
+_WEIGHTS = (
+    lambda n, i: (n + 1) * n, WEIGHT_BUDGET,
+    "{command} at n={n} would build a weight table of {size} ints, "
+    "over the budget of {budget} ints",
+)
 _BUDGETS = {
+    "block": (
+        lambda n, i: 3 * n * (n + 1), BLOCK_BUDGET,
+        "block at n={n} would write {size} weight coordinates, "
+        "over the budget of {budget} coordinates",
+    ),
     "verma": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
     "verma-dual": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
     "proj": (lambda n, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),
+    # `ext --i` finds the n+1 kinds from block index i.
+    "ext": (
+        lambda n, i: (n + 1) ** 2 if i is None else n + 1, EXT_BUDGET,
+        "ext at n={n} would tabulate {size} Ext^1 kinds, over the budget of {budget} kinds",
+    ),
+    "dim": (
+        lambda n, i: n * (3 * n * n + 1) // 2, DIM_BUDGET,
+        "dim at n={n} would evaluate {size} root pairings, over the budget of {budget} pairings",
+    ),
     "jantzen": (
         lambda n, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
         "jantzen at n={n} would check {size} (block index, root) pairs, "
@@ -96,98 +145,174 @@ _BUDGETS = {
 def main(argv: list[str] | None = None) -> None:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    commands = _commands()
+    args = _parse_plain(argv, commands)
+    if args is None:
+        args = _build_parser(commands).parse_args(argv)
+    n, i = args.n, getattr(args, "i", None)
     try:
-        ctx = make_context(args.n, args.p)
-        i = getattr(args, "i", None)
+        check_hypotheses(n, args.p)
         if i is not None:
-            check_index(ctx, i)
-        if args.command in _BUDGETS:
-            size_of, budget, message = _BUDGETS[args.command]
-            size = size_of(ctx.n, i)
+            check_index(n, i)
+        for size_of, budget, message in (_WEIGHTS, _BUDGETS[args.command]):
+            size = size_of(n, i)
             if size > budget:
                 raise ValueError(
-                    message.format(command=args.command, n=ctx.n, i=i, size=size, budget=budget)
+                    message.format(command=args.command, n=n, i=i, size=size, budget=budget)
                 )
+        ctx = make_context(n, args.p)
         payload, code = args.func(ctx, args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
     if args.format == "json":
-        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}, args.factors_json))
+        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}, getattr(args, "factors_json", None)))
     else:
         print(args.render(ctx, payload, getattr(args, "full", False)))
     raise SystemExit(code)
 
 
-# The subcommands, in the order the top-level usage line lists them.
-_COMMANDS = ("block", "verma", "verma-dual", "proj", "ext", "dim", "jantzen", "verify")
+# ---------------------------------------------------------------- arguments
+
+# A flag is (name, type, required, help, exclusive group).  The type is int
+# or str for a flag that takes a value, bool for a switch that sets True, or
+# a tuple of choices, the first of them the default; an absent flag is None
+# otherwise.  Of the flags that share an exclusive group, at most one may
+# be given.
+_N = ("n", int, True, "rank; the group is SL(n+1)", None)
+_P = ("p", int, True, "odd prime not dividing n+1", None)
+_NU = ("nu", str, False, "twist in fundamental coordinates, n comma-separated ints (default 0)",
+       "twist")
+_EPS = ("eps", str, False, "twist in eps coefficients, n+1 comma-separated ints", "twist")
+_FORMAT = ("format", ("text", "json"), False, None, None)
+_FULL = ("full", bool, False, "never truncate long listings", None)
+_BASIC = (_N, _P, _FORMAT)
+_LISTING = (_N, _P, _NU, _EPS, _FORMAT, _FULL, ("i", int, True, "block index in [0, n]", None))
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for `argv`.
+def _commands() -> dict[str, tuple[str, tuple, dict]]:
+    """The subcommands, in the order the usage line lists them: name ->
+    (help, flags in usage order, the values set on its parsed arguments).
 
-    When argv[0] names a subcommand, only its subparser is built (building
-    all eight takes a few ms, a large share of a small command's run), and
-    the metavar keeps the top-level usage line listing all of them.  Any other
-    argv (help, a missing or an unknown command) builds all eight, so those
-    messages list and offer every choice.
+    Built per call, so each function in it is the one this module's
+    namespace holds when `main` runs (a wrapper patched in there, as
+    `bench/spans.py` and the tests do, sees the call).  A layer command
+    sets the object kind, its layers function (a Verma's layers are blocks
+    (t, heads, tails), and the dual Verma's are the Verma's, reversed; a
+    cover's are rows (i, nu, mult), which carry multiplicities and have no
+    product form) and whether the result is conditional on the Loewy length
+    conjecture; a Verma also sets its factor writer, `_blocks_json`
+    (`_dump_json` writes rows by default).
     """
+    verma = {"func": cmd_layers, "render": _blocks_text, "factors_json": _blocks_json,
+             "conditional": False}
+    return {
+        "block": ("the block's weight table", _BASIC, {"func": cmd_block, "render": _block_text}),
+        "verma": ("radical layers of a baby Verma module", _LISTING,
+                  {**verma, "kind": "Zhat", "layers_of": verma_blocks}),
+        "verma-dual": ("radical layers of the dual baby Verma", _LISTING,
+                       {**verma, "kind": "Zhat_dual",
+                        "layers_of": lambda ctx, i, nu: verma_blocks(ctx, i, nu)[::-1]}),
+        "proj": ("radical layers of a projective cover (conditional)", _LISTING,
+                 {"func": cmd_layers, "render": _layers_text, "conditional": True, "kind": "Qhat",
+                  "layers_of": cover_rows}),
+        "ext": ("Ext^1 table, or one simple's Ext neighbourhood",
+                (*_LISTING[:-1], ("i", int, False, "block index; omit for the full table", None)),
+                {"func": cmd_ext, "render": _ext_text}),
+        "dim": ("dimensions of simples and parabolic covers", _BASIC,
+                {"func": cmd_dim, "render": _dim_text}),
+        "jantzen": ("witness certificates for block simplicity",
+                    (*_BASIC, _FULL, ("i", int, False, "restrict the listing to one block index", None)),
+                    {"func": cmd_jantzen, "render": _jantzen_text}),
+        "verify": ("machine-check every library invariant at (n, p)", _BASIC,
+                   {"func": cmd_verify, "render": _verify_text}),
+    }
+
+
+def _default(kind) -> object:
+    """The value of an absent flag of this type."""
+    if kind is bool:
+        return False
+    return kind[0] if isinstance(kind, tuple) else None
+
+
+def _parse_plain(argv: list[str], commands: dict) -> argparse.Namespace | None:
+    """The arguments argparse would parse from a plainly well-formed `argv`,
+    found without building a parser, or None for any other `argv`.
+
+    Plainly well-formed: argv[0] names a subcommand, and each later argument
+    is one of its flags, each at most once: a switch alone, any other flag
+    as `--flag value` with a value not starting with "-" or as
+    `--flag=value` with a value not starting with "--" (argparse takes a
+    negative number there as it stands, and drops a value "--").  Every
+    required flag is given, each int value passes int(), each choice is one
+    of its choices, and at most one flag of an exclusive group is given.
+    Help, abbreviations, `--`, values that start with "-" after a space and
+    every malformed argv return None, for argparse to parse or refuse.
+    """
+    if not argv or argv[0] not in commands:
+        return None
+    _, flags, defaults = commands[argv[0]]
+    by_name = {"--" + flag[0]: flag for flag in flags}
+    values = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        option, eq, value = arg.partition("=")
+        flag = by_name.get(option)
+        if flag is None or flag[0] in values:
+            return None
+        name, kind = flag[0], flag[1]
+        if kind is bool:
+            if eq:
+                return None
+            values[name] = True
+            continue
+        if not eq:
+            value = next(rest, "-")
+        if value.startswith("--" if eq else "-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[name] = value
+    groups = [flag[4] for flag in flags if flag[4] is not None and flag[0] in values]
+    if len(groups) != len(set(groups)):
+        return None
+    for name, kind, required, _, _ in flags:
+        if name not in values:
+            if required:
+                return None
+            values[name] = _default(kind)
+    return argparse.Namespace(command=argv[0], **values, **defaults)
+
+
+def _build_parser(commands: dict) -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand in `commands`, for what
+    `_parse_plain` leaves: help, usage and errors list every subcommand."""
     parser = argparse.ArgumentParser(
         prog="loewylab",
         description="Exact invariants of the singular block of G1T-modules for SL(n+1).",
     )
-    if argv and argv[0] in _COMMANDS:
-        names = argv[:1]
-        sub = parser.add_subparsers(
-            dest="command", required=True, metavar="{" + ",".join(_COMMANDS) + "}"
-        )
-    else:
-        names = _COMMANDS
-        sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(name, help_text, func, render, twist=False, full=False) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--n", type=int, required=True, help="rank; the group is SL(n+1)")
-        sp.add_argument("--p", type=int, required=True, help="odd prime not dividing n+1")
-        if twist:
-            group = sp.add_mutually_exclusive_group()
-            group.add_argument("--nu", help="twist in fundamental coordinates, n comma-separated ints (default 0)")
-            group.add_argument("--eps", help="twist in eps coefficients, n+1 comma-separated ints")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if full:
-            sp.add_argument("--full", action="store_true", help="never truncate long listings")
-        sp.set_defaults(func=func, render=render, factors_json=_factors_json)
-        return sp
-
-    if "block" in names:
-        common("block", "the block's weight table", cmd_block, _block_text)
-
-    for command, help_text, kind, layers_of, blocks, conditional in _LAYER_COMMANDS:
-        if command in names:
-            render = _blocks_text if blocks else _layers_text
-            sp = common(command, help_text, cmd_layers, render, twist=True, full=True)
-            sp.add_argument("--i", type=int, required=True, help="block index in [0, n]")
-            sp.set_defaults(kind=kind, layers_of=layers_of, conditional=conditional,
-                            factors_json=_blocks_json if blocks else _factors_json)
-
-    if "ext" in names:
-        sp = common("ext", "Ext^1 table, or one simple's Ext neighbourhood", cmd_ext, _ext_text,
-                    twist=True, full=True)
-        sp.add_argument("--i", type=int, help="block index; omit for the full table")
-
-    if "dim" in names:
-        common("dim", "dimensions of simples and parabolic covers", cmd_dim, _dim_text)
-
-    if "jantzen" in names:
-        sp = common("jantzen", "witness certificates for block simplicity", cmd_jantzen,
-                    _jantzen_text, full=True)
-        sp.add_argument("--i", type=int, help="restrict the listing to one block index")
-
-    if "verify" in names:
-        common("verify", "machine-check every library invariant at (n, p)", cmd_verify,
-               _verify_text)
-
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, flags, defaults) in commands.items():
+        sp = sub.add_parser(command, help=help_text)
+        groups = {}
+        for name, kind, required, flag_help, group in flags:
+            if group is not None and group not in groups:
+                groups[group] = sp.add_mutually_exclusive_group()
+            target = sp if group is None else groups[group]
+            if kind is bool:
+                how = {"action": "store_true"}
+            elif isinstance(kind, tuple):
+                how = {"choices": kind}
+            else:
+                how = {"type": kind, "required": required}
+            target.add_argument("--" + name, default=_default(kind), help=flag_help, **how)
+        sp.set_defaults(**defaults)
     return parser
 
 
@@ -377,24 +502,6 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
             f"  lambda+rho={_fmt_coords(row['rho_shifted'])}"
         )
     return "\n".join(lines)
-
-
-# The layer subcommands: (name, help, object kind, layers function, whether
-# its layers are blocks, whether the result is conditional on the Loewy
-# length conjecture).  A Verma's layers are blocks (t, heads, tails), and
-# the dual Verma's are the Verma's, reversed; a cover's are rows
-# (i, nu, mult), which carry multiplicities and have no product form.  The
-# lambdas look the library function up in this module's namespace at call
-# time, so a wrapper patched in there (as `bench/spans.py` does) still sees
-# the call.
-_LAYER_COMMANDS = (
-    ("verma", "radical layers of a baby Verma module", "Zhat",
-     lambda ctx, i, nu: verma_blocks(ctx, i, nu), True, False),
-    ("verma-dual", "radical layers of the dual baby Verma", "Zhat_dual",
-     lambda ctx, i, nu: verma_blocks(ctx, i, nu)[::-1], True, False),
-    ("proj", "radical layers of a projective cover (conditional)", "Qhat",
-     lambda ctx, i, nu: cover_rows(ctx, i, nu), False, True),
-)
 
 
 def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:

@@ -51,8 +51,8 @@ def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
     Standard representation when j = i - 1, its dual when j = i + 1, zero
     otherwise (in particular on the diagonal).
     """
-    check_index(ctx, i)
-    check_index(ctx, j)
+    check_index(ctx.n, i)
+    check_index(ctx.n, j)
     if j == i - 1:
         return ExtKind.STANDARD
     if j == i + 1:

@@ -54,7 +54,7 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
     Twists are invisible here, so layers are keyed by block index:
     layer j holds lam_{i+j-2k} with multiplicity C(i, k) C(n-i, j-k).
     """
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     n = ctx.n
     layers: list[dict[int, int]] = []
     for j in range(n + 1):
@@ -201,7 +201,7 @@ def parabolic_m_structure(ctx: BlockContext, i: int, nu: Weight, side: str) -> l
     i = n, side "J" with i = 0) the cover is the full baby Verma and its
     `verma_rows` are returned instead.
     """
-    check_index(ctx, i)
+    check_index(ctx.n, i)
     n, v = ctx.n, nu.coords
     if side == "I":
         if i == n:

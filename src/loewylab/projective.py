@@ -191,6 +191,6 @@ def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:
     """Total multiplicity of the j-th simple in the cover of the i-th,
     over the Frobenius kernel: (n + 1) C(n, i) C(n, j)."""
     n = ctx.n
-    check_index(ctx, i)
-    check_index(ctx, j)
+    check_index(ctx.n, i)
+    check_index(ctx.n, j)
     return (n + 1) * comb(n, i) * comb(n, j)

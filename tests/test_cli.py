@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -19,7 +20,18 @@ import loewylab.checks
 import loewylab.cli
 import loewylab.loewy
 import loewylab.projective
-from loewylab.cli import LAYER_BUDGET, PAIR_BUDGET, TRUNCATE_AT, VERIFY_BUDGET, _dump_json, main
+from loewylab.cli import (
+    BLOCK_BUDGET,
+    DIM_BUDGET,
+    EXT_BUDGET,
+    LAYER_BUDGET,
+    PAIR_BUDGET,
+    TRUNCATE_AT,
+    VERIFY_BUDGET,
+    WEIGHT_BUDGET,
+    _dump_json,
+    main,
+)
 from loewylab.block import make_context
 from loewylab.lattice import Weight
 from loewylab.loewy import verma_blocks, verma_rows
@@ -134,28 +146,154 @@ options:
      (2, "", USAGE + "loewylab: error: unrecognized arguments: --bogus\n")),
 ])
 def test_parser_messages_frozen(argv, expected, capsys, monkeypatch):
-    # Only the invoked subcommand's parser is built; help, usage and errors
-    # read as when all eight are.  Recorded with every subparser built.
+    # Argparse alone writes help, usage and argument errors, with every
+    # subparser built.
     monkeypatch.setenv("COLUMNS", "100")
     assert run_cli(argv, capsys) == expected
 
 
-def test_main_builds_only_the_invoked_subparser(capsys, monkeypatch):
-    built = []
+COMMANDS = ["block", "verma", "verma-dual", "proj", "ext", "dim", "jantzen", "verify"]
+
+
+def test_main_builds_every_subparser_or_none(capsys, monkeypatch):
+    # A well-formed command line is parsed without argparse; any other gets
+    # the parser of all eight subcommands.
+    built, parsers = [], []
     add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
     def recording(self, name, **kwargs):
         built.append(name)
         return add_parser(self, name, **kwargs)
 
+    def counting(self, *args, **kwargs):
+        parsers.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     # main(None) reads sys.argv[1:] itself.
     monkeypatch.setattr(sys, "argv", ["loewylab", "block", "--n", "2", "--p", "5"])
     assert run_cli(None, capsys) == (0, BLOCK_2_5_TEXT, "")
-    assert built == ["block"]
-    built.clear()
+    assert built == [] and parsers == []
     assert run_cli(["nope"], capsys)[0] == 2
-    assert built == ["block", "verma", "verma-dual", "proj", "ext", "dim", "jantzen", "verify"]
+    assert built == COMMANDS and len(parsers) == 1 + len(COMMANDS)
+
+
+def flag_pairs(argv: list[str]) -> list[list[str]]:
+    """The flags after argv[0], each with its value when it takes one."""
+    pairs = []
+    for arg in argv[1:]:
+        if arg.startswith("--"):
+            pairs.append([arg])
+        else:
+            pairs[-1].append(arg)
+    return pairs
+
+
+def plain_argvs():
+    """Well-formed command lines: the grid's, each also with every flag
+    written `--flag=value`, values after `=` that are empty or start with
+    "-", and each subcommand with all its flags given, in every order."""
+    for argv in cli_grid():
+        yield argv
+        yield argv[:1] + ["=".join(pair) for pair in flag_pairs(argv)]
+    base = ["verma", "--n", "2", "--p", "5", "--i", "1"]
+    yield from [
+        base + ["--nu=-1,0"], base + ["--eps=-3,0,-1"], base + ["--nu=-h"], base + ["--nu="],
+        ["verma", "--n=-1", "--p=-5", "--i=-2"], base + ["--eps=", "--full"],
+        ["ext", "--n", "2", "--p", "5", "--nu=a=b", "--i=1"],
+    ]
+    full = {
+        "block": [], "dim": [], "verify": [],
+        "jantzen": ["--i", "2", "--full"],
+        "ext": ["--i", "1", "--eps=0,0,-1", "--full"],
+    }
+    for command in ("verma", "verma-dual", "proj"):
+        full[command] = ["--i", "1", "--nu", "1,0", "--full"]
+    for command, rest in full.items():
+        pairs = flag_pairs([command, "--n", "2", "--p", "5", "--format", "json", *rest])
+        for order in itertools.permutations(pairs):
+            yield [command, *[arg for pair in order for arg in pair]]
+
+
+def deferred_argvs():
+    """Command lines the fast path leaves to argparse: help, abbreviations,
+    repeats, values that start with "-" after a space or "--" after `=`,
+    `--`, unknown or foreign flags, bad ints and choices, exclusive flags
+    together, missing flags or values, stray positionals.  Argparse accepts
+    some of them."""
+    base = ["verma", "--n", "2", "--p", "5", "--i", "1"]
+    for k in range(len(base) + 1):
+        yield base[:k] + ["-h"] + base[k:]
+        yield base[:k] + ["--"] + base[k:]
+    yield from [
+        [], ["nope"], ["-h"], ["--help"], ["verma"], base + ["--help"], base + ["--form", "json"],
+        base + ["--fu"], base + ["--e", "1,0,0"], base + ["--n", "3"], base + ["--full", "--full"],
+        base + ["--full=1"], base + ["--nu", "1,0", "--eps", "1,0,0"], base + ["--eps=1,0,0", "--nu=1,0"],
+        base[:5], ["verma", "--n", "-3", "--p", "5", "--i", "1"], ["verma", "--n", "1", "--p", "5",
+        "--i", "0", "--nu", "-1"], base + ["--nu", "-h"], base + ["--nu", "--"], base + ["--n=-1"],
+        ["verma", "--n", "x", "--p", "5", "--i", "1"], ["verma", "--n", "2.0", "--p", "5", "--i", "1"],
+        ["verma", "--n=", "--p", "5", "--i", "1"], base + ["--format", "xml"], base + ["--format=JSON"],
+        base + ["--format="], base + ["extra"], base[:1] + ["2"] + base[1:], base + ["--bogus"],
+        base + ["-n", "2"], base + ["--nu"], base + ["--nu=1", "--nu=1"], base + ["--nu=--"],
+        base + ["--nu=--1"],
+        ["block", "--n", "2", "--p", "5", "--i", "1"], ["block", "--n", "2", "--p", "5", "--full"],
+        ["jantzen", "--n", "2", "--p", "5", "--nu", "1,0"], ["ext", "--n", "2"],
+    ]
+
+
+def test_plain_parse_matches_argparse(capsys):
+    # On a well-formed command line the fast path returns exactly the
+    # namespace argparse parses; on any other it returns None.
+    commands = loewylab.cli._commands()
+    parser = loewylab.cli._build_parser(commands)
+    plain = list(plain_argvs())
+    assert len(plain) == 2 * len(json.loads(GRID_FIXTURE.read_text())) + 7 + 3 * 3 * 2 + 5 * 4 * 3 * 2 + 4 * 720
+    for argv in plain:
+        args = loewylab.cli._parse_plain(argv, commands)
+        assert args is not None, argv
+        assert vars(args) == vars(parser.parse_args(argv)), argv
+    for argv in deferred_argvs():
+        assert loewylab.cli._parse_plain(argv, commands) is None, argv
+    assert capsys.readouterr() == ("", "")
+
+
+def test_plain_command_line_loads_no_argparse_machinery():
+    # Without site (-S), nothing but the library decides what a run loads:
+    # a well-formed command line constructs no ArgumentParser, so argparse
+    # never imports `locale`; a misspelt flag builds them and does.
+    script = """if True:
+        import argparse, contextlib, io, sys
+        import loewylab.cli
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting
+
+        def run(*argv):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    loewylab.cli.main(list(argv))
+                except SystemExit as stop:
+                    code = stop.code
+            return code, len(built), "locale" in sys.modules
+
+        before = "locale" in sys.modules
+        plain = run("verma", "--n", "3", "--p", "5", "--i", "1", "--nu=1,0,2", "--format", "json")
+        deferred = run("verma", "--n", "3", "--p", "5", "--i", "1", "--form", "json")
+        print(before, plain, deferred)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(loewylab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    assert out == f"False (0, 0, False) (0, {1 + len(COMMANDS)}, True)\n"
 
 
 def test_json_reruns_are_byte_identical(capsys):
@@ -560,6 +698,23 @@ def test_json_mode_renders_no_text(capsys, monkeypatch):
 
 # ------------------------------------------------------- JSON writer
 
+def assert_same_text(got: str, want: str) -> None:
+    """Assert `got == want`, failing fast: the lengths and sha256 digests
+    are compared first, and a failure names the first offset where the texts
+    differ.  On the strings themselves, pytest's assertion rewriting diffs a
+    long JSON document for minutes before it reports."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    if (len(got), digest(got)) != (len(want), digest(want)):
+        k = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        near = slice(max(k - 40, 0), k + 40)
+        pytest.fail(
+            f"texts of lengths {len(got)} and {len(want)} first differ at offset {k}: "
+            f"{got[near]!r} != {want[near]!r}", pytrace=False,
+        )
+    assert got == want
+
 def reference_json(doc: dict, blocks: bool = False) -> str:
     """json.dumps of a document, a layer listing's factor rows (i, nu, mult)
     or, with `blocks`, its Verma blocks (t, heads, tails), and a jantzen
@@ -633,7 +788,7 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
     assert any(m > 1 for _, _, m in factors)
     assert sum(len(layer["factors"]) == 1 for doc in docs for layer in doc["layers"]) > len(docs)
     for doc in docs:
-        assert _dump_json(doc) == reference_json(doc)
+        assert_same_text(_dump_json(doc), reference_json(doc))
     # Factor lists equal to their mirror's reuse its text; a list that
     # differs from its mirror in one multiplicity or one coordinate is
     # written from its own rows.
@@ -648,7 +803,7 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
                 written.append(rows)
                 return loewylab.cli._factors_json(rows)
 
-            assert _dump_json(doc, counting) == reference_json(doc)
+            assert_same_text(_dump_json(doc, counting), reference_json(doc))
             assert len(written) == (len(lists) + 1) // 2 + (change != "")
 
 
@@ -673,7 +828,7 @@ def test_dump_json_matches_json_dumps_on_random_block_docs():
               for half in (*heads, *tails) for c in half]
     assert min(coords) < -100 and max(coords) > 100
     for doc in docs:
-        assert _dump_json(doc, loewylab.cli._blocks_json) == reference_json(doc, blocks=True)
+        assert_same_text(_dump_json(doc, loewylab.cli._blocks_json), reference_json(doc, blocks=True))
 
 
 def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
@@ -694,7 +849,7 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     for argv in argvs:
         code, out, err = run_cli(argv + ["--format", "json"], capsys)
         assert code == 0 and err == ""
-        assert out == reference_json(*docs[-1]) + "\n"
+        assert_same_text(out, reference_json(*docs[-1]) + "\n")
     assert len(docs) == len(argvs)
     # Verma listings are written from blocks, covers from rows.
     assert [blocks for _, blocks in docs] == [False] * 7 + [True] * 2
@@ -706,7 +861,7 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     for argv in argvs:
         code, out, err = run_cli(argv + ["--format", "json"], capsys)
         assert code == 0 and err == ""
-        assert out == reference_json(*docs[-1]) + "\n"
+        assert_same_text(out, reference_json(*docs[-1]) + "\n")
 
 
 def random_report_doc(rng: random.Random, rank: int) -> dict:
@@ -752,7 +907,7 @@ def test_dump_json_matches_json_dumps_on_random_reports():
     assert any(report["failures"] for report in reports)
     assert any(report["replay_failures"] for report in reports)
     for doc in docs:
-        assert _dump_json(doc) == reference_json(doc)
+        assert_same_text(_dump_json(doc), reference_json(doc))
     # A value that encodes like a slot would be filled as one: refused.
     doc = {**docs[0], "object": loewylab.cli._SLOT}
     with pytest.raises(RuntimeError, match=r"^2 slots in the JSON of 1 template-written lists$"):
@@ -843,6 +998,82 @@ def test_verify_budget_edges(capsys):
             )
 
 
+def refuse_weight_table(monkeypatch):
+    """Make building the weight table, (n+1)·n ints, fail the test."""
+    def refuse(n, p):
+        raise AssertionError(f"the weight table was built at n={n}")
+
+    monkeypatch.setattr(loewylab.cli, "make_context", refuse)
+
+
+def test_huge_ranks_are_refused_before_the_weight_table(capsys, monkeypatch):
+    # Every subcommand checks the (n, p) hypotheses and --i, then the weight
+    # table's size, before it builds the table: at n = 20000 it would hold
+    # 4 * 10^8 ints, and the sizes of the listings could not be printed.
+    refuse_weight_table(monkeypatch)
+    for n in (20000, 10**12):
+        p = next(q for q in (3, 5, 7) if (n + 1) % q)
+        runs = [[command, *(["--i", "0"] if command in LAYER_SIZES else [])] for command in COMMANDS]
+        for command, *index in runs + [["ext", "--i", "0"]]:
+            argv = [command, "--n", str(n), "--p", str(p), *index]
+            start = perf_counter()
+            code, out, err = run_cli(argv, capsys)
+            assert perf_counter() - start < 0.5, argv
+            assert (code, out) == (2, ""), argv
+            assert err == (
+                f"error: {command} at n={n} would build a weight table of {(n + 1) * n} ints, "
+                f"over the budget of {WEIGHT_BUDGET} ints\n"
+            )
+    for argv, message in [
+        (["verma", "--n", "20000", "--p", "9", "--i", "0"], "p must be an odd prime"),
+        (["proj", "--n", "20000", "--p", "3", "--i", "0"], "p must not divide n + 1"),
+        (["ext", "--n", "20000", "--p", "7", "--i", "20001"], "block index i must be in [0, 20000]"),
+        (["block", "--n", "0", "--p", "7"], "rank parameter n must be >= 1"),
+    ]:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and err.startswith("error: " + message), argv
+
+
+# (command, largest n admitted, size at n, budget, what the message says)
+TABLE_BUDGETS = [
+    ("block", 417, lambda n: 3 * n * (n + 1), BLOCK_BUDGET,
+     "write {} weight coordinates, over the budget of {} coordinates"),
+    ("dim", 70, lambda n: n * (3 * n * n + 1) // 2, DIM_BUDGET,
+     "evaluate {} root pairings, over the budget of {} pairings"),
+    ("ext", 723, lambda n: (n + 1) ** 2, EXT_BUDGET,
+     "tabulate {} Ext^1 kinds, over the budget of {} kinds"),
+]
+
+
+def test_table_budget_edges(capsys, monkeypatch):
+    # block writes 3n(n+1) weight coordinates, dim evaluates n(3n^2+1)/2
+    # root pairings (n(n+1)/2 per simple, n(n-1)/2 per parabolic cover), and
+    # the ext table holds (n+1)^2 kinds: each one's largest admitted rank
+    # runs, and the next is refused before the weight table is built.  So is
+    # `ext --i` past the weight table's budget.
+    for command, under, size_of, budget, what in TABLE_BUDGETS:
+        assert size_of(under) <= budget < size_of(under + 1)
+        argv = [command, "--n", str(under), "--p", str(next(q for q in (3, 5, 7) if (under + 1) % q))]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "" and out.startswith(("singular block", "dimensions", "Ext^1"))
+    rank = 1023
+    assert rank * (rank + 1) <= WEIGHT_BUDGET < (rank + 1) * (rank + 2)
+    code, out, err = run_cli(["ext", "--n", str(rank), "--p", "5", "--i", "511"], capsys)
+    assert code == 0 and err == "" and "2048 labels" in out
+    refuse_weight_table(monkeypatch)
+    for command, under, size_of, budget, what in TABLE_BUDGETS:
+        n = under + 1
+        argv = [command, "--n", str(n), "--p", str(next(q for q in (3, 5, 7) if (n + 1) % q))]
+        assert run_cli(argv, capsys) == (
+            2, "", f"error: {command} at n={n} would {what.format(size_of(n), budget)}\n"
+        )
+    n = rank + 1
+    assert run_cli(["ext", "--n", str(n), "--p", "3", "--i", "0"], capsys) == (
+        2, "", f"error: ext at n={n} would build a weight table of {n * (n + 1)} ints, "
+        f"over the budget of {WEIGHT_BUDGET} ints\n"
+    )
+
+
 # ------------------------------------------------------- byte-identity grid
 
 GRID_FIXTURE = Path(__file__).with_name("cli_grid.json")
@@ -904,7 +1135,8 @@ def cli_large():
     n (no tails).  Each (command, n) meets all three twists (none, a `--nu`
     with coordinates beyond ±9, an `--eps`) and all three formats (text,
     text --full, JSON); the untwisted middle listings at n = 12 in JSON and
-    two `proj --n 6` listings close the set.
+    two `proj --n 6` listings close the set.  Then the largest `jantzen`
+    report admitted, n = 31 at p = 3, whole and restricted by `--i`.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -920,6 +1152,10 @@ def cli_large():
         yield [command, "--n", "12", "--p", "7", "--i", "6", "--format", "json"]
     yield ["proj", "--n", "6", "--p", "5", "--i", "3", "--format", "text"]
     yield ["proj", "--n", "6", "--p", "5", "--i", "2", "--nu=10,-1,0,0,-12,1", "--format", "json"]
+    jantzen = ["jantzen", "--n", "31", "--p", "3"]
+    for rest in (["--format", "json"], ["--format", "text"], ["--format", "text", "--full"],
+                 ["--i", "17", "--format", "text"], ["--i", "17", "--format", "json"]):
+        yield jantzen + rest
 
 
 def record_fixtures() -> None:
