@@ -7,9 +7,10 @@ nu_i = lam_i + rho, and classifies arbitrary weights into the block.
 
 A simple module in the ambient category is labelled by the pair
 (i, coords) (`Label`): the restricted class lam_i twisted by the p-fold
-translation nu = Weight(coords).  It is the first two fields of every
-layer table's rows (i, coords, multiplicity), and `check_label` is its one
-validity check.
+translation nu whose fundamental coordinates are the int tuple coords.
+Every API that names a simple takes it, it is the first two fields of
+every layer table's rows (i, coords, multiplicity), and `check_label` is
+its one validity check.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
 
 
 Label = tuple[int, tuple[int, ...]]
+_INT = frozenset((int,))  # the one type of a label's coordinates, built once
 
 
 class BlockContext(Record):
@@ -97,7 +99,11 @@ def check_index(n: int, i: int) -> None:
 
 def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
     """Raise ValueError unless (i, coords) labels a simple of the block: a
-    block index and the n coordinates of a twist."""
+    block index and the n coordinates of a twist.  Raise TypeError unless
+    coords is a tuple of ints."""
+    # Exact ints, as in `Weight`: a bool is an int subclass and would print as True.
+    if type(coords) is not tuple or not {*map(type, coords)} <= _INT:
+        raise TypeError("twist coordinates must be a tuple of ints")
     check_index(ctx.n, i)
     if len(coords) != ctx.n:
         raise ValueError("rank mismatch")

@@ -6,9 +6,10 @@ rules and projective covers.  It reads the Verma and cover layer tables
 only as the (block index, twist coordinates, multiplicity) rows of
 `verma_rows`, `dual_verma_rows` and `cover_rows`, and compares them, the
 parabolic covers and the first radical layer `rad1_qhat` as row lists.
-The APIs that take labels, `classify`, `ext1_g1t_dim` and
-`bgg_multiplicity`, take the pairs (block index, twist coordinates) that
-are the first two fields of those rows, so no label is rebuilt.
+Every API that names a simple takes its label, the pair (block index,
+twist coordinates) that is the first two fields of those rows: the
+battery builds its twisted labels once and keys its shared Vermas by
+them, and keeps twists as `Weight`s only for weight arithmetic.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
 which `loewylab dim` renders and two of the checks read.
@@ -95,6 +96,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     origin, w_1, rho_n = zero(n), fundamental(n, 1), rho(n)
     eps = [eps_basis(n, k) for k in range(1, n + 2)]
     twists = [origin, w_1, -fundamental(n, n)]
+    labels = [(i, t.coords) for i in range(n + 1) for t in twists]
 
     # Weight arithmetic round trips and the rho pairing normalisation.
     samples = list(ctx.lambdas) + [rho_n, origin, w_1]
@@ -128,11 +130,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         for i in range(n + 1)
         for a in range(1, p)
     )
-    ok = ok and all(
-        classify(ctx, label_weight(ctx, (i, t.coords))) == (i, t.coords)
-        for i in range(n + 1)
-        for t in twists
-    )
+    ok = ok and all(classify(ctx, label_weight(ctx, label)) == label for label in labels)
     add("block.weight_table", ok, "lambda/mu/classification identities broke")
 
     # The lowest-weight identity tying consecutive table entries together.
@@ -165,18 +163,15 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     )
 
     # The twisted baby Vermas the next four checks read, built once each.
-    vermas = {(i, t): verma_rows(ctx, i, t) for i in range(n + 1) for t in twists}
+    vermas = {label: verma_rows(ctx, label) for label in labels}
     sizes = [comb(n, j) for j in range(n + 1)]
 
     # Layer counts: binomial per layer, Loewy length n + 1, twist-sum match.
-    ok = True
-    for i in range(n + 1):
-        g1 = rad_layers_z_g1(ctx, i)
-        ok = ok and layer_sizes(g1) == sizes
-        for t in twists:
-            g1t = vermas[i, t]
-            ok = ok and [sum(m for _, _, m in rows) for rows in g1t] == sizes
-            ok = ok and [_index_totals(rows) for rows in g1t] == g1
+    g1 = [rad_layers_z_g1(ctx, i) for i in range(n + 1)]
+    ok = all(layer_sizes(layers) == sizes for layers in g1)
+    for (i, _), g1t in vermas.items():
+        ok = ok and [sum(m for _, _, m in rows) for rows in g1t] == sizes
+        ok = ok and [_index_totals(rows) for rows in g1t] == g1[i]
     add("loewy.layer_counts", ok, "layer sizes or twist-collapse mismatch")
 
     # First radical layer against the two parabolic covers' second layers.
@@ -187,55 +182,52 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
                 [(i - 1, (t - e).coords, 1) for e in eps[:i]]
                 + [(i + 1, (t + e).coords, 1) for e in eps[i + 1:]]
             )
-            ok = ok and vermas[i, t][1] == expected
+            label = (i, t.coords)
+            ok = ok and vermas[label][1] == expected
             if i < n:
-                ok = ok and set(parabolic_m_structure(ctx, i, t, "I")[1]) <= set(expected)
+                ok = ok and set(parabolic_m_structure(ctx, label, "I")[1]) <= set(expected)
             if i > 0:
-                ok = ok and set(parabolic_m_structure(ctx, i, t, "J")[1]) <= set(expected)
+                ok = ok and set(parabolic_m_structure(ctx, label, "J")[1]) <= set(expected)
     add("loewy.rad1_parabolic_forms", ok, "rad_1 disagrees with the cover forms")
 
     # Rigidity: socle series and dual-Verma radicals are index reversals.
     ok = True
-    for i in range(n + 1):
-        for t in twists:
-            rev = dual_verma_rows(ctx, i, t)
-            ok = ok and rev == vermas[i, t][::-1]
-            ok = ok and rev[-1] == [(i, t.coords, 1)]
+    for label, rows in vermas.items():
+        rev = dual_verma_rows(ctx, label)
+        ok = ok and rev == rows[::-1]
+        ok = ok and rev[-1] == [(*label, 1)]
     add("loewy.rigidity", ok, "socle/dual series are not reversals")
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.
     ok = True
-    labels = [(i, t.coords) for i in range(n + 1) for t in twists]
     for a in labels:
         for b in labels:
             d_ab, d_ba = ext1_g1t_dim(ctx, a, b), ext1_g1t_dim(ctx, b, a)
             ok = ok and d_ab == d_ba
             if abs(a[0] - b[0]) != 1:
                 ok = ok and d_ab == 0
-    for i in range(n + 1):
-        for t in twists:
-            layer = rad1_qhat(ctx, i, t)
-            want = (n + 1) * ((i > 0) + (i < n))
-            ok = ok and sum(m for _, _, m in layer) == want
-            head = (i, t.coords)
-            ok = ok and all(ext1_g1t_dim(ctx, head, (u, c)) == 1 for u, c, _ in layer)
-            ok = ok and all(m == 1 for _, _, m in layer)
-            ok = ok and set(vermas[i, t][1]) <= set(layer)
+    for head in labels:
+        i = head[0]
+        layer = rad1_qhat(ctx, head)
+        ok = ok and sum(m for _, _, m in layer) == (n + 1) * ((i > 0) + (i < n))
+        ok = ok and all(ext1_g1t_dim(ctx, head, (u, c)) == 1 for u, c, _ in layer)
+        ok = ok and all(m == 1 for _, _, m in layer)
+        ok = ok and set(vermas[head][1]) <= set(layer)
     add("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
 
     # Projective covers: shape, palindromy, first layer, and aggregates.
     ok = True
-    for i in range(n + 1):
-        layers = cover_rows(ctx, i, origin)
+    # The covers of the untwisted labels (i, 0): labels are i-major, twists[0] = 0.
+    for i, head in enumerate(labels[:: len(twists)]):
+        layers = cover_rows(ctx, head)
         ok = ok and len(layers) == 2 * n + 1
-        ok = ok and layers[0] == [(i, origin.coords, 1)]
-        ok = ok and layers[1] == rad1_qhat(ctx, i, origin)
+        ok = ok and layers[0] == [(*head, 1)]
+        ok = ok and layers[1] == rad1_qhat(ctx, head)
         ok = ok and layers == layers[::-1]
         totals = _index_totals(chain.from_iterable(layers))
         ok = ok and totals == {j: q_composition_mult_g1(ctx, i, j) for j in range(n + 1)}
-        head = (i, origin.coords)
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
-        support = verma_support(ctx, i, origin)
+        support = verma_support(ctx, head)
         ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)
     add("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
 

@@ -12,16 +12,16 @@ have no product form, and its JSON writes each row as a factor object; a
 layer's factor list that equals its mirror layer's (as in a palindromic
 cover) reuses the mirror's text.
 Each layer listing names its factor writer, and both build one factor
-object template. `ext --i` builds its factor dicts from `rad1_qhat`'s
-rows, and a `jantzen` report holds `check_block_simplicity`'s certificate
-rows (i, root, m, s, a, b, beta0, betas), each written as a certificate
-object. So no label object is built and nothing is sorted, and no Verma
-rows are built. The JSON is exactly
-`json.dumps(payload, sort_keys=True, indent=2)` of those objects,
-so reruns are byte-identical; the factor lists of a layer listing and the
-certificate rows of a `jantzen` report are written from %-format templates
-(one per layer, one per certificate row) instead of by json.dumps, which
-is slow with `indent`.  A text view formats only the entries it prints:
+object template. `ext --i`'s payload holds `rad1_qhat`'s rows, written
+like a cover layer's, and a `jantzen` report holds the certificate rows
+(i, root, m, s, a, b, beta0, betas) of `check_block_simplicity`, each
+written as a certificate object. So no label object is built, nothing is
+sorted, and no Verma rows are built. The JSON is exactly
+`json.dumps(payload, sort_keys=True, indent=2)` of those objects, so
+reruns are byte-identical; factor lists and a `jantzen` report's
+certificate rows are written from %-format templates (one per list, one
+per certificate row) instead of by json.dumps, which is slow with
+`indent`.  A text view formats only the entries it prints:
 without --full, the first TRUNCATE_AT of each listing, its other counts
 read from lengths.  Sizes are closed forms, one `_BUDGETS` row per
 subcommand, checked after the (n, p) hypotheses and `--i` and before any
@@ -59,7 +59,7 @@ from .block import BlockContext, check_hypotheses, check_index, make_context, mu
 from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, verify_checks
 from .ext import ext1_g1, rad1_qhat
-from .lattice import Weight, from_eps, zero
+from .lattice import from_eps
 from .loewy import Block, Row, verma_blocks
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
 
@@ -95,8 +95,8 @@ EXT_BUDGET = 1 << 19
 # Every subcommand is refused above this many ints in the weight table,
 # (n+1)·n at rank n, before its own row is read: so no size below is
 # computed at a rank where it would be too large to compute or print.  Only
-# `ext --i` reaches it: at n = 1023 it took about 0.6 s, and 2.7 s and
-# 207 MB with --format json, on a 2-core VM.
+# `ext --i` reaches it: at n = 1023 it took about 0.5 s and 48 MB, and
+# 0.9 s and 93 MB with --format json, on a 2-core VM.
 WEIGHT_BUDGET = 1 << 20
 
 # Work refused up front, per subcommand: (closed-form size at (n, i), budget,
@@ -212,7 +212,7 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
                   {**verma, "kind": "Zhat", "layers_of": verma_blocks}),
         "verma-dual": ("radical layers of the dual baby Verma", _LISTING,
                        {**verma, "kind": "Zhat_dual",
-                        "layers_of": lambda ctx, i, nu: verma_blocks(ctx, i, nu)[::-1]}),
+                        "layers_of": lambda ctx, label: verma_blocks(ctx, label)[::-1]}),
         "proj": ("radical layers of a projective cover (conditional)", _LISTING,
                  {"func": cmd_layers, "render": _layers_text, "conditional": True, "kind": "Qhat",
                   "layers_of": cover_rows}),
@@ -330,20 +330,20 @@ def _csv_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
     return vals
 
 
-def _twist(args: argparse.Namespace, n: int) -> Weight:
+def _twist(args: argparse.Namespace, n: int) -> tuple[int, ...]:
     if args.eps is not None:
-        return from_eps(_csv_ints(args.eps, n + 1, "eps"))
+        return from_eps(_csv_ints(args.eps, n + 1, "eps")).coords
     if args.nu is not None:
-        return Weight(_csv_ints(args.nu, n, "nu"))
-    return zero(n)
+        return _csv_ints(args.nu, n, "nu")
+    return (0,) * n
 
 
 def _fmt_coords(coords: tuple[int, ...] | list[int]) -> str:
     return "[" + ",".join(str(c) for c in coords) + "]"
 
 
-def _object_str(kind: str, i: int, nu: Weight) -> str:
-    return f"{kind}(i={i}, nu={_fmt_coords(nu.coords)})"
+def _object_str(kind: str, i: int, nu: tuple[int, ...]) -> str:
+    return f"{kind}(i={i}, nu={_fmt_coords(nu)})"
 
 
 # A document's template-written lists go through json.dumps as this slot,
@@ -353,8 +353,8 @@ _SLOT_JSON = '"\\u0000rows"'
 
 
 def _dump_json(doc: dict, factors_json=None) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where a
-    layer listing's factor lists stand for lists of objects
+    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where the
+    factor rows of a layer listing or of `ext --i` stand for the objects
     {"i": i, "mult": mult, "nu": nu}, and a jantzen report's certificate
     rows (i, root, m, s, a, b, beta0, betas) for the objects with those keys.
 
@@ -362,10 +362,10 @@ def _dump_json(doc: dict, factors_json=None) -> str:
     (the default) for rows, `_blocks_json` for a Verma's blocks.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
-    most of a long document's time on its rows.  So each layer's factor list
-    and a jantzen report's certificate list are dumped as slots, and each
-    slot is filled from %-format templates: one factor object per layer for
-    its rank, one per certificate for its number of betas.  A factor list
+    most of a long document's time on its rows.  So each factor list and a
+    jantzen report's certificate list are dumped as slots, and each slot is
+    filled from %-format templates: one factor object per list for its
+    rank, one per certificate for its number of betas.  A factor list
     equal to its mirror's (layer j and layer L - 1 - j of L, as in a
     palindromic cover) reuses the mirror's text.
     """
@@ -380,6 +380,9 @@ def _dump_json(doc: dict, factors_json=None) -> str:
             else:
                 lists.append(factors_json(rows))
         doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
+    elif "rad1_cover" in doc:
+        lists = [_factors_json(doc["rad1_cover"], 2)]
+        doc = {**doc, "rad1_cover": _SLOT}
     elif "report" in doc:
         lists = [_certificates_json(doc["report"]["certificates"])]
         doc = {**doc, "report": {**doc["report"], "certificates": _SLOT}}
@@ -395,22 +398,25 @@ def _dump_json(doc: dict, factors_json=None) -> str:
     return "".join(out)
 
 
-# One factor object {"i", "mult", "nu"} of a `layers[*].factors` list at
-# indent=2: its opening through the "nu" bracket, one coordinate, its close.
-_FACTOR_OPEN = '        {\n          "i": %d,\n          "mult": %d,\n          "nu": [\n'
-_FACTOR_COORD = "            %d"
-_FACTOR_CLOSE = "\n          ]\n        }"
+def _factor_template(indent: int) -> tuple[str, str, str]:
+    """One factor object {"i", "mult", "nu"} of a list whose brackets sit
+    `indent` spaces in, at indent=2: its opening through the "nu" bracket,
+    one coordinate, its close.  A `layers[*].factors` list sits 6 in."""
+    obj, key = " " * (indent + 2), " " * (indent + 4)
+    opening = f'{obj}{{\n{key}"i": %d,\n{key}"mult": %d,\n{key}"nu": [\n'
+    return opening, " " * (indent + 6) + "%d", f"\n{key}]\n{obj}}}"
 
 
-def _factors_json(rows: list[Row]) -> list[str]:
-    """The indent=2 text of one `layers[*].factors` list, in pieces: each
-    row (i, nu, mult) is written as a factor object.
+def _factors_json(rows: list[Row], indent: int = 6) -> list[str]:
+    """The indent=2 text of one factor list whose brackets sit `indent`
+    spaces in, in pieces: each row (i, nu, mult) is written as a factor object.
 
-    Layers are never empty and ranks are at least 1 (`make_context`).
+    Factor lists are never empty and ranks are at least 1 (`make_context`).
     """
-    template = _FACTOR_OPEN + ",\n".join([_FACTOR_COORD] * len(rows[0][1])) + _FACTOR_CLOSE
+    opening, coord, close = _factor_template(indent)
+    template = opening + ",\n".join([coord] * len(rows[0][1])) + close
     body = ",\n".join([template % (u, m, *c) for u, c, m in rows])
-    return ["[\n", body, "\n      ]"]
+    return ["[\n", body, "\n" + " " * indent + "]"]
 
 
 def _blocks_json(blocks: list[Block]) -> list[str]:
@@ -425,14 +431,15 @@ def _blocks_json(blocks: list[Block]) -> list[str]:
     unless heads or tails are () (i = 0 or i = n).  Layers are never empty;
     blocks without heads or tails add nothing.
     """
+    opening, coord, close = _factor_template(6)
     texts = []
     for t, heads, tails in blocks:
         if not (heads and tails):
             continue
-        open_t = _FACTOR_OPEN % (t, 1)
+        open_t = opening % (t, 1)
         sep = ",\n" if heads[0] and tails[0] else ""
-        head = ",\n".join([_FACTOR_COORD] * len(heads[0])) + sep
-        tail = ",\n".join([_FACTOR_COORD] * len(tails[0])) + _FACTOR_CLOSE
+        head = ",\n".join([coord] * len(heads[0])) + sep
+        tail = ",\n".join([coord] * len(tails[0])) + close
         tail_texts = [tail % c for c in tails]
         for h in heads:
             h = open_t + head % h
@@ -506,7 +513,7 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
 
 def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     nu = _twist(args, ctx.n)
-    layers = args.layers_of(ctx, args.i, nu)
+    layers = args.layers_of(ctx, (args.i, nu))
     return {
         "object": _object_str(args.kind, args.i, nu),
         "layers": [{"j": j, "factors": rows} for j, rows in enumerate(layers)],
@@ -560,7 +567,7 @@ def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
     return {
         "object": _object_str("ext", args.i, nu),
         "kinds": [ext1_g1(ctx, args.i, j).value for j in range(n + 1)],
-        "rad1_cover": [{"i": u, "nu": c, "mult": m} for u, c, m in rad1_qhat(ctx, args.i, nu)],
+        "rad1_cover": rad1_qhat(ctx, (args.i, nu)),
     }, 0
 
 
@@ -571,7 +578,7 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
             lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
         return "\n".join(lines)
     cover = payload["rad1_cover"]
-    parts = (_fmt_factor(f["i"], f["nu"]) for f in cover)
+    parts = (_fmt_factor(u, c) for u, c, _ in cover)
     return "\n".join([
         f"{payload['object']}, n={ctx.n}, p={ctx.p}",
         "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),

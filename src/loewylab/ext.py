@@ -7,9 +7,9 @@ standard representation has the n + 1 pairwise-distinct weights
 eps_1, ..., eps_{n+1}, each with multiplicity one, which is what turns the
 Ext rule into exact label arithmetic: the twist-graded Ext dimension reads
 off one weight multiplicity, and the first radical layer of the projective
-cover is exactly the multiset of labels with Ext dimension one.  That layer
-leaves the module as rows (block index, twist coordinates, multiplicity),
-like every layer table, computed from nu's coordinates alone.
+cover is exactly the multiset of labels with Ext dimension one.  Both take
+labels (i, nu coordinates) and read eps_k from one cached coordinate tuple,
+and the layer leaves as rows (block index, twist coordinates, multiplicity).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from functools import lru_cache
 from operator import add, sub
 
 from .block import BlockContext, Label, check_index, check_label
-from .lattice import Weight, eps_basis
 from .loewy import Row
 
 __all__ = [
@@ -40,9 +39,12 @@ class ExtKind(Enum):
 
 
 @lru_cache(maxsize=16)
-def _standard_weights(rank: int) -> frozenset[tuple[int, ...]]:
-    """The coordinates of the standard representation's weights eps_k."""
-    return frozenset(eps_basis(rank, k).coords for k in range(1, rank + 2))
+def _eps(rank: int) -> tuple[tuple[int, ...], ...]:
+    """The standard representation's weights eps_1, ..., eps_{n+1}, in
+    fundamental coordinates: eps_k = w_k - w_{k-1}, w_0 = w_{n+1} = 0."""
+    return tuple(
+        tuple((s == k) - (s == k - 1) for s in range(1, rank + 1)) for k in range(1, rank + 2)
+    )
 
 
 def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
@@ -64,37 +66,37 @@ def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
     """Dimension of Ext^1 between the twisted simples labelled a = (i, x)
     and b = (j, y).
 
-    Equals the multiplicity of x - y in the untwisted Ext representation,
-    so it is 0 or 1, and it is symmetric in (a, b).
+    Equals the multiplicity of x - y in the untwisted Ext representation
+    (`ext1_g1`: standard toward j = i - 1, its dual toward j = i + 1, zero
+    otherwise), so it is 0 or 1, and it is symmetric in (a, b).
     """
     (i, x), (j, y) = a, b
     check_label(ctx, i, x)
     check_label(ctx, j, y)
-    kind = ext1_g1(ctx, i, j)
-    if kind is ExtKind.ZERO:
-        return 0
-    if kind is ExtKind.DUAL:
+    # The kind read off the indices, which check_label has checked.
+    if j == i + 1:
         # The dual's weights are the negatives -eps_k: y - x is one of eps_k.
         x, y = y, x
-    return int(tuple(map(sub, x, y)) in _standard_weights(ctx.n))
+    elif j != i - 1:
+        return 0
+    return int(tuple(map(sub, x, y)) in _eps(ctx.n))
 
 
-def rad1_qhat(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
-    """First radical layer of the projective cover of the simple (i, nu), as
-    rows (block index, twist coordinates, multiplicity) in (block index,
-    twist coordinates) order.
+def rad1_qhat(ctx: BlockContext, label: Label) -> list[Row]:
+    """First radical layer of the projective cover of the simple with label
+    (i, nu coordinates), as rows (block index, twist coordinates,
+    multiplicity) in (block index, twist coordinates) order.
 
     The labels b with Ext^1 dimension one from (i, nu): the n + 1 downward
     neighbours (i - 1, nu - eps_k) and the n + 1 upward neighbours
     (i + 1, nu + eps_k), each once, dropping whichever side falls outside
     the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
     """
-    n, v = ctx.n, nu.coords
+    i, v = label
     check_label(ctx, i, v)
+    n = ctx.n
     rows: list[Row] = []
-    for k in range(1, n + 2):
-        # eps_k = w_k - w_{k-1} in fundamental coordinates, w_0 = w_{n+1} = 0.
-        eps = [(s == k) - (s == k - 1) for s in range(1, n + 1)]
+    for eps in _eps(n):
         if i > 0:
             rows.append((i - 1, tuple(map(sub, v, eps)), 1))
         if i < n:

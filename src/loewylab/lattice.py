@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from itertools import accumulate
 from operator import add, neg, sub
 
-from .record import OrderedRecord
+from .record import Record
 
 __all__ = [
     "Weight",
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-class Weight(OrderedRecord):
+class Weight(Record):
     """A weight in fundamental-weight coordinates.
 
     `coords[t - 1]` is the coefficient of w_t.  Instances are immutable and
@@ -102,7 +102,7 @@ def _weight(coords: tuple[int, ...]) -> Weight:
 
     For coordinates the library computed from validated weights: the
     translated labels of the layer kernels and weight arithmetic.  Such a
-    weight compares, hashes and orders like `Weight(coords)`.
+    weight compares and hashes like `Weight(coords)`.
     """
     w = _new(Weight)
     _set_coords(w, coords)

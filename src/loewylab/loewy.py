@@ -13,7 +13,8 @@ Slot i + 1 is never moved, so in fundamental coordinates the shift
 eps_Y on coordinates i + 1..n alone.  Each (j, k) part of a layer is
 therefore a product heads(k) x tails(j - k), and the layers are computed
 once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
-(a small bounded cache).  On each call the heads are translated by nu's
+(a small bounded cache).  Every layer API takes the Verma's label
+(i, nu coordinates), and on each call the heads are translated by nu's
 first i coordinates and the tails by the rest.  `verma_blocks` returns the
 layers, index 0 = head for radical series, in that product form: blocks
 (t, heads, tails) whose labels are (t, head + tail).  The command line
@@ -33,8 +34,7 @@ from itertools import combinations
 from math import comb
 from operator import add, sub
 
-from .block import BlockContext, check_index, check_label
-from .lattice import Weight
+from .block import BlockContext, Label, check_index, check_label
 
 __all__ = [
     "rad_layers_z_g1",
@@ -126,9 +126,9 @@ def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
 Row = tuple[int, tuple[int, ...], int]
 
 
-def verma_blocks(ctx: BlockContext, i: int, nu: Weight) -> list[list[Block]]:
+def verma_blocks(ctx: BlockContext, label: Label) -> list[list[Block]]:
     """Radical layers of the baby Verma with highest weight lam_i + p nu,
-    as blocks (t, heads, tails).
+    label (i, nu coordinates), as blocks (t, heads, tails).
 
     A block's labels are (t, head + tail) for every head in `heads` and tail
     in `tails`, head-major, each with multiplicity one; a layer's blocks come
@@ -136,11 +136,12 @@ def verma_blocks(ctx: BlockContext, i: int, nu: Weight) -> list[list[Block]]:
     first i coordinates and the tails its tails translated by the rest.
     At i = 0 every head is (), and at i = n every tail is.
     """
-    check_label(ctx, i, nu.coords)
+    i, v = label
+    check_label(ctx, i, v)
     # Lexicographic order is translation-invariant, so translating each
     # half keeps every block sorted.  The pattern shares one half list among
     # the blocks that use it, so each list is translated once.
-    v_head, v_tail = nu.coords[:i], nu.coords[i:]
+    v_head, v_tail = v[:i], v[i:]
     moved: dict[int, list[tuple[int, ...]]] = {}
 
     def translate(shifts, v):
@@ -161,17 +162,17 @@ def flatten_blocks(blocks: list[Block]) -> list[Row]:
     return [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
 
 
-def verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
-    """Radical layers of the baby Verma with highest weight lam_i + p nu,
-    as rows (block index, twist coordinates, multiplicity).
+def verma_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
+    """Radical layers of the baby Verma with label (i, nu coordinates), as
+    rows (block index, twist coordinates, multiplicity).
 
     Each layer's rows are in (block index, twist coordinates) order, and
     every multiplicity is one.
     """
-    return [flatten_blocks(blocks) for blocks in verma_blocks(ctx, i, nu)]
+    return [flatten_blocks(blocks) for blocks in verma_blocks(ctx, label)]
 
 
-def dual_verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
+def dual_verma_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
     """Radical layers of the dual (opposite) baby Verma with the same label,
     as rows.
 
@@ -180,7 +181,7 @@ def dual_verma_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
     same list is the socle series of the baby Verma itself, bottom up:
     entry j is its (j+1)-st socle layer.
     """
-    return verma_rows(ctx, i, nu)[::-1]
+    return verma_rows(ctx, label)[::-1]
 
 
 def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:
@@ -192,8 +193,9 @@ def composition_class_z_g1(ctx: BlockContext, i: int) -> dict[int, int]:
     return total
 
 
-def parabolic_m_structure(ctx: BlockContext, i: int, nu: Weight, side: str) -> list[list[Row]]:
-    """Radical layers of the parabolic baby cover of lam_i + p nu, as rows.
+def parabolic_m_structure(ctx: BlockContext, label: Label, side: str) -> list[list[Row]]:
+    """Radical layers of the parabolic baby cover of lam_i + p nu, label
+    (i, nu coordinates), as rows.
 
     Away from its degenerate edge each cover is uniserial of length two,
     head (i, nu) on top of a single twisted neighbour, (i + 1, nu - w_n) on
@@ -201,15 +203,16 @@ def parabolic_m_structure(ctx: BlockContext, i: int, nu: Weight, side: str) -> l
     i = n, side "J" with i = 0) the cover is the full baby Verma and its
     `verma_rows` are returned instead.
     """
-    check_index(ctx.n, i)
-    n, v = ctx.n, nu.coords
+    i, v = label
+    check_label(ctx, i, v)
+    n = ctx.n
     if side == "I":
         if i == n:
-            return verma_rows(ctx, n, nu)
+            return verma_rows(ctx, label)
         below = (i + 1, (*v[:-1], v[-1] - 1), 1)
     elif side == "J":
         if i == 0:
-            return verma_rows(ctx, 0, nu)
+            return verma_rows(ctx, label)
         below = (i - 1, (v[0] - 1, *v[1:]), 1)
     else:
         raise ValueError(f'side must be "I" or "J" (got {side!r})')

@@ -9,7 +9,8 @@ depth and the BGG multiplicity.  Like the Verma layers, the support and
 the stacked table depend on nu only by translation, and both read the
 Vermas' cached nu = 0 block patterns (`loewy._verma_pattern`): the support
 is the blocks of block index i, negated, and `verma_support` returns it as
-rows (t, eta coordinates, depth).
+rows (t, eta coordinates, depth).  Every API here takes its simples and
+Vermas as labels (block index, twist coordinates).
 
 The cover is stacked at nu = 0 over packed ints.  A label (u, c) is the key
 u B^n + sum_k c_k B^(n-k) with B = 256, and each Verma pattern layer is
@@ -29,8 +30,7 @@ cover equals its mirror layer 2n - j, so a layer whose counter compares
 equal to its mirror's, already decoded, gets a copy of the mirror's rows;
 the comparison is real, and a table that is not palindromic decodes every
 layer.  `cover_rows` returns the layers as rows (block index, twist
-coordinates, multiplicity), and `bgg_multiplicity` takes its labels as the
-same (block index, twist coordinates) pairs.
+coordinates, multiplicity).
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -50,7 +50,6 @@ from operator import add, neg
 from struct import Struct
 
 from .block import BlockContext, Label, check_index, check_label
-from .lattice import Weight
 from .loewy import Row, _verma_pattern
 
 __all__ = [
@@ -80,16 +79,16 @@ def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, 
                         yield t, neg_head, neg_tail, depth
 
 
-def verma_support(ctx: BlockContext, i: int, nu: Weight) -> list[Row]:
-    """All baby Vermas whose layers contain the simple (i, nu), as rows
-    (t, eta coordinates, depth).
+def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
+    """All baby Vermas whose layers contain the simple with label
+    (i, nu coordinates), as rows (t, eta coordinates, depth).
 
     Row (t, eta, k) records that the simple sits in radical layer k of the
     baby Verma lam_t + p eta; the eta are nu minus the Verma layer formula's
     twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
     finite and multiplicity-free.
     """
-    v = nu.coords
+    i, v = label
     check_label(ctx, i, v)
     return [(t, tuple(map(add, v, head + tail)), k) for t, head, tail, k in _support(ctx.n, i)]
 
@@ -130,17 +129,18 @@ def _packed_pattern(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(layers)
 
 
-def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
-    """Radical layers of the projective cover of the simple (i, nu), as rows
-    (block index, twist coordinates, multiplicity) in (block index, twist
-    coordinates) order.
+def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
+    """Radical layers of the projective cover of the simple with label
+    (i, nu coordinates), as rows (block index, twist coordinates,
+    multiplicity) in (block index, twist coordinates) order.
 
     Stacks each supporting baby Verma's radical layers at its depth.  The
     result has 2n + 1 layers, palindromic, with layer 0 the head and layer
     1 equal to `ext.rad1_qhat`.  Conditional on the Loewy length
     conjecture; see the module docstring.
     """
-    check_label(ctx, i, nu.coords)
+    i, v = label
+    check_label(ctx, i, v)
     n = ctx.n
     feeds = [[] for _ in range(2 * n + 1)]
     for t, eta_head, eta_tail, depth in _support(n, i):
@@ -158,7 +158,7 @@ def cover_rows(ctx: BlockContext, i: int, nu: Weight) -> list[list[Row]]:
         if mirror < j and dict.__eq__(counter, counts[mirror]):
             layers.append(list(layers[mirror]))
         else:
-            layers.append(_decode(counter, n, nu.coords))
+            layers.append(_decode(counter, n, v))
     return layers
 
 
@@ -182,9 +182,8 @@ def _decode(counter: Counter, n: int, v: tuple[int, ...]) -> list[Row]:
 def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     """Multiplicity of the baby Verma `verma` = (t, eta) in the cover of
     `target` = (i, nu coordinates) (0 or 1 here)."""
-    i, coords = target
     check_label(ctx, *verma)
-    return sum(1 for t, eta, _ in verma_support(ctx, i, Weight(coords)) if (t, eta) == verma)
+    return sum(1 for t, eta, _ in verma_support(ctx, target) if (t, eta) == verma)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

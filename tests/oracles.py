@@ -1,11 +1,12 @@
 """Label-by-label oracles for the Verma and cover layer tables.
 
-They build every label's twist as a `Weight`, straight from the layer
-formula and one baby Verma per entry of the cover's support, without the
-library's cached patterns, so the layer tests compare two independent code
-paths.  `cover_formula` sums a cover's layers in closed form, from sign
-patterns alone, without any Verma or the library's support.  A label is
-the pair (i, twist coordinates).
+They build every label's twist by `Weight` arithmetic, straight from the
+layer formula and one baby Verma per entry of the cover's support, without
+the library's cached patterns, so the layer tests compare two independent
+code paths.  `cover_formula` sums a cover's layers in closed form, from
+sign patterns alone, without any Verma or the library's support.  A label
+is the pair (i, twist coordinates), and each oracle takes the label of its
+module, as the library's layer APIs do.
 """
 
 from itertools import combinations, product
@@ -16,13 +17,15 @@ from loewylab.projective import verma_support
 
 
 def twists(n):
-    """The twists the layer tests sweep: 0, w_1, -w_n and (-2, 3, 0, ...)."""
-    return [zero(n), fundamental(n, 1), -fundamental(n, n), Weight(((-2, 3) + (0,) * n)[:n])]
+    """The twist coordinates the layer tests sweep: 0, w_1, -w_n and
+    (-2, 3, 0, ...)."""
+    return [zero(n).coords, fundamental(n, 1).coords, (-fundamental(n, n)).coords,
+            ((-2, 3) + (0,) * n)[:n]]
 
 
 def far_twist(n):
     """(10^6, -10^6, 10^6, ...): far outside any digit a packed label holds."""
-    return Weight(tuple((-1) ** k * 10**6 for k in range(n)))
+    return tuple((-1) ** k * 10**6 for k in range(n))
 
 
 def as_rows(layers):
@@ -36,11 +39,12 @@ def as_labels(layers):
     return [{(i, c): m for i, c, m in rows} for rows in layers]
 
 
-def verma_layers(ctx, i, nu):
-    """Radical layers of the baby Verma lam_i + p nu: layer j holds
-    (i + j - 2k, nu - eps_X + eps_Y) for X a k-subset of [1, i] and Y a
-    (j - k)-subset of [i + 2, n + 1]."""
-    n = ctx.n
+def verma_layers(ctx, label):
+    """Radical layers of the baby Verma lam_i + p nu, label (i, nu
+    coordinates): layer j holds (i + j - 2k, nu - eps_X + eps_Y) for X a
+    k-subset of [1, i] and Y a (j - k)-subset of [i + 2, n + 1]."""
+    n, (i, coords) = ctx.n, label
+    nu = Weight(coords)
     layers = []
     for j in range(n + 1):
         layer = {}
@@ -62,12 +66,12 @@ def verma_layers(ctx, i, nu):
     return layers
 
 
-def cover_layers(ctx, i, nu):
-    """Radical layers of the cover of (i, nu): each supporting Verma's
-    oracle layers, stacked from its depth."""
+def cover_layers(ctx, label):
+    """Radical layers of the cover of the simple `label`: each supporting
+    Verma's oracle layers, stacked from its depth."""
     layers = [{} for _ in range(2 * ctx.n + 1)]
-    for t, eta, depth in verma_support(ctx, i, nu):
-        for k, verma_layer in enumerate(verma_layers(ctx, t, Weight(eta))):
+    for t, eta, depth in verma_support(ctx, label):
+        for k, verma_layer in enumerate(verma_layers(ctx, (t, eta))):
             target = layers[depth + k]
             for label, mult in verma_layer.items():
                 target[label] = target.get(label, 0) + mult
@@ -76,8 +80,9 @@ def cover_layers(ctx, i, nu):
     return layers
 
 
-def cover_formula(n, i, nu):
-    """Radical layers of the cover of (i, nu), summed over the block index t
+def cover_formula(n, label):
+    """Radical layers of the cover of the simple `label` = (i, nu
+    coordinates), summed over the block index t
     of its supporting Vermas in closed form.
 
     Slot t + 1 is never moved, so a label's eps coefficients e are
@@ -88,12 +93,13 @@ def cover_formula(n, i, nu):
     index t + P_t + b - M_h - a and coordinates nu + (e_s - e_{s+1}) gains
     C(Z_h, a) C(Z_t, b) in layer P_h + M_h + P_t + M_t + 2(a + b).
     """
+    i, nu = label
     layers = [{} for _ in range(2 * n + 1)]
     for t in range(n + 1):
         for signs in product((-1, 0, 1), repeat=n):
             head, tail = signs[:t], signs[t:]
             e = (*head, 0, *tail)
-            coords = tuple(v + e[s] - e[s + 1] for s, v in enumerate(nu.coords))
+            coords = tuple(v + e[s] - e[s + 1] for s, v in enumerate(nu))
             p_h, m_h, z_h = head.count(1), head.count(-1), head.count(0)
             p_t, m_t, z_t = tail.count(1), tail.count(-1), tail.count(0)
             for a in range(z_h + 1):

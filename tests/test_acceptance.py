@@ -99,7 +99,7 @@ def test_criterion_02_loewy_length_and_layer_sizes():
     for n in range(1, 9):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            layers = as_labels(verma_rows(ctx, i, zero(n)))
+            layers = as_labels(verma_rows(ctx, (i, (0,) * n)))
             ok = ok and len(layers) == n + 1
             ok = ok and layer_sizes(layers) == [comb(n, j) for j in range(n + 1)]
             ok = ok and all(m == 1 for layer in layers for m in layer.values())
@@ -168,12 +168,13 @@ def test_criterion_06_first_layer_matches_parabolic_forms():
                     expected[(i - 1, (t - eps_basis(n, x)).coords)] = 1
                 for y in range(i + 2, n + 2):
                     expected[(i + 1, (t + eps_basis(n, y)).coords)] = 1
-                ok = ok and as_labels(verma_rows(ctx, i, t))[1] == expected
+                head = (i, t.coords)
+                ok = ok and as_labels(verma_rows(ctx, head))[1] == expected
                 if i < n:
-                    (label,) = as_labels(parabolic_m_structure(ctx, i, t, "I"))[1]
+                    (label,) = as_labels(parabolic_m_structure(ctx, head, "I"))[1]
                     ok = ok and label in expected
                 if i > 0:
-                    (label,) = as_labels(parabolic_m_structure(ctx, i, t, "J"))[1]
+                    (label,) = as_labels(parabolic_m_structure(ctx, head, "J"))[1]
                     ok = ok and label in expected
     finish("6 first radical layers match the parabolic forms", ok, start, 10.0)
 
@@ -210,11 +211,11 @@ def test_criterion_07_ext_suite():
                 ok = ok and ext1_g1t_dim(ctx, a, b) == ext1_g1t_dim(ctx, b, a)
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1)):
-                rows = rad1_qhat(ctx, i, t)
+                a = (i, t.coords)
+                rows = rad1_qhat(ctx, a)
                 (layer,) = as_labels([rows])
                 want = n + 1 if i in (0, n) else 2 * n + 2
                 ok = ok and len(rows) == len(layer) == want and sum(layer.values()) == want
-                a = (i, t.coords)
                 ok = ok and all(ext1_g1t_dim(ctx, a, b) == 1 for b in layer)
                 expected = {}
                 for k in range(1, n + 2):
@@ -233,11 +234,11 @@ def test_criterion_08_projective_cover_structure():
     for n in range(1, 6):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            layers = as_labels(cover_rows(ctx, i, zero(n)))
             head = (i, zero(n).coords)
+            layers = as_labels(cover_rows(ctx, head))
             ok = ok and len(layers) == 2 * n + 1
             ok = ok and layers[0] == {head: 1}
-            ok = ok and layers[1] == as_labels([rad1_qhat(ctx, i, zero(n))])[0]
+            ok = ok and layers[1] == as_labels([rad1_qhat(ctx, head)])[0]
             ok = ok and all(layers[j] == layers[2 * n - j] for j in range(2 * n + 1))
             totals = [0] * (n + 1)
             for layer in layers:
@@ -247,7 +248,7 @@ def test_criterion_08_projective_cover_structure():
                 q_composition_mult_g1(ctx, i, j) for j in range(n + 1)
             ]
             ok = ok and bgg_multiplicity(ctx, head, head) == 1
-            support = verma_support(ctx, i, zero(n))
+            support = verma_support(ctx, head)
             ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)
     finish(
         "8 projective cover layers (conditional on Loewy length)", ok, start, 120.0
@@ -260,11 +261,11 @@ def test_criterion_09_rigidity_reversals():
     for n in range(1, 7):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            for t in (zero(n), fundamental(n, 1)):
-                rad = as_labels(verma_rows(ctx, i, t))
+            for head in ((i, zero(n).coords), (i, fundamental(n, 1).coords)):
+                rad = as_labels(verma_rows(ctx, head))
                 rev = list(reversed(rad))
-                ok = ok and as_labels(dual_verma_rows(ctx, i, t)) == rev
-                ok = ok and rad[0] == {(i, t.coords): 1} == rev[-1]
+                ok = ok and as_labels(dual_verma_rows(ctx, head)) == rev
+                ok = ok and rad[0] == {head: 1} == rev[-1]
     finish("9 socle series and dual layers are exact reversals", ok, start, 10.0)
 
 

@@ -12,7 +12,10 @@ from loewylab.block import (
     mu_weight,
     nu_weight,
 )
+from loewylab.ext import ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import Weight, fundamental, rho, zero
+from loewylab.loewy import dual_verma_rows, parabolic_m_structure, verma_blocks, verma_rows
+from loewylab.projective import bgg_multiplicity, cover_rows, verma_support
 from loewylab.weyl import act, longest, longest_fixing_last
 
 
@@ -141,6 +144,43 @@ def test_labels_of_the_wrong_rank_are_refused():
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
         label_weight(ctx, (3, (0,)))
     check_label(ctx, 2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "coords", [[0, 0], (0, 0.0), (0, True), Weight((0, 0))], ids=["list", "float", "bool", "Weight"]
+)
+def test_every_label_api_refuses_coordinates_that_are_not_an_int_tuple(coords):
+    # A twist's coordinates are a tuple of exact ints, as a Weight's are: a
+    # list, a float or a bool (an int subclass, which would print as True)
+    # would reach the rows unchecked.
+    ctx = make_context(2, 5)
+    good = (0, (0, 0))
+    apis = {
+        "check_label": lambda label: check_label(ctx, *label),
+        "label_weight": lambda label: label_weight(ctx, label),
+        "verma_blocks": lambda label: verma_blocks(ctx, label),
+        "verma_rows": lambda label: verma_rows(ctx, label),
+        "dual_verma_rows": lambda label: dual_verma_rows(ctx, label),
+        "parabolic_m_structure I": lambda label: parabolic_m_structure(ctx, label, "I"),
+        "parabolic_m_structure J": lambda label: parabolic_m_structure(ctx, label, "J"),
+        "rad1_qhat": lambda label: rad1_qhat(ctx, label),
+        "verma_support": lambda label: verma_support(ctx, label),
+        "cover_rows": lambda label: cover_rows(ctx, label),
+        "ext1_g1t_dim a": lambda label: ext1_g1t_dim(ctx, label, good),
+        "ext1_g1t_dim b": lambda label: ext1_g1t_dim(ctx, good, label),
+        "bgg_multiplicity target": lambda label: bgg_multiplicity(ctx, label, good),
+        "bgg_multiplicity verma": lambda label: bgg_multiplicity(ctx, good, label),
+    }
+    accepted = []
+    for name, api in apis.items():
+        api(good)
+        try:
+            api((1, coords))
+        except TypeError as err:
+            assert str(err) == "twist coordinates must be a tuple of ints"
+        else:
+            accepted.append(name)
+    assert accepted == []
 
 
 def test_distinct_twists_distinct_weights():

@@ -33,7 +33,6 @@ from loewylab.cli import (
     main,
 )
 from loewylab.block import make_context
-from loewylab.lattice import Weight
 from loewylab.loewy import verma_blocks, verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -624,8 +623,8 @@ def _bump_middle_multiplicity(layers):
 @pytest.mark.parametrize("corrupt", [_swap_first_and_second_radical, _bump_middle_multiplicity])
 def test_verify_cover_check_reads_the_rows(capsys, monkeypatch, corrupt):
     # Corrupted cover rows must fail exactly the cover structure check.
-    def corrupted_cover_rows(ctx, i, nu):
-        layers = loewylab.projective.cover_rows(ctx, i, nu)
+    def corrupted_cover_rows(ctx, label):
+        layers = loewylab.projective.cover_rows(ctx, label)
         corrupt(layers)
         return layers
 
@@ -717,9 +716,10 @@ def assert_same_text(got: str, want: str) -> None:
 
 def reference_json(doc: dict, blocks: bool = False) -> str:
     """json.dumps of a document, a layer listing's factor rows (i, nu, mult)
-    or, with `blocks`, its Verma blocks (t, heads, tails), and a jantzen
-    report's certificate rows (i, root, m, s, a, b, beta0, betas) written as
-    the objects its JSON holds."""
+    or, with `blocks`, its Verma blocks (t, heads, tails), `ext --i`'s
+    `rad1_cover` rows (i, nu, mult), and a jantzen report's certificate rows
+    (i, root, m, s, a, b, beta0, betas) written as the objects its JSON
+    holds."""
     if "layers" in doc:
         layers = []
         for layer in doc["layers"]:
@@ -728,6 +728,9 @@ def reference_json(doc: dict, blocks: bool = False) -> str:
                 rows = [(t, head + tail, 1) for t, heads, tails in rows for head in heads for tail in tails]
             layers.append({**layer, "factors": [{"i": u, "nu": list(c), "mult": m} for u, c, m in rows]})
         doc = {**doc, "layers": layers}
+    if "rad1_cover" in doc:
+        cover = [{"i": u, "nu": list(c), "mult": m} for u, c, m in doc["rad1_cover"]]
+        doc = {**doc, "rad1_cover": cover}
     if "report" in doc:
         certificates = [
             {"i": i, "root": list(root), "m": m, "s": s, "a": a, "b": b, "beta0": list(beta0),
@@ -816,11 +819,11 @@ def test_dump_json_matches_json_dumps_on_random_block_docs():
     for n in range(1, 9):
         ctx = make_context(n, 11)
         for i in range(n + 1):
-            nu = Weight(tuple(rng.randint(-150, 150) for _ in range(n)))
-            for kind, layers in (("Zhat", verma_blocks(ctx, i, nu)),
-                                 ("Zhat_dual", verma_blocks(ctx, i, nu)[::-1])):
+            nu = tuple(rng.randint(-150, 150) for _ in range(n))
+            for kind, layers in (("Zhat", verma_blocks(ctx, (i, nu))),
+                                 ("Zhat_dual", verma_blocks(ctx, (i, nu))[::-1])):
                 docs.append({
-                    "n": n, "p": 11, "object": f"{kind}(i={i}, nu=[{nu.coords[0]}])",
+                    "n": n, "p": 11, "object": f"{kind}(i={i}, nu=[{nu[0]}])",
                     "layers": [{"j": j, "factors": blocks} for j, blocks in enumerate(layers)],
                     CONDITIONAL_FLAG_KEY: False,
                 })
@@ -829,6 +832,21 @@ def test_dump_json_matches_json_dumps_on_random_block_docs():
     assert min(coords) < -100 and max(coords) > 100
     for doc in docs:
         assert_same_text(_dump_json(doc, loewylab.cli._blocks_json), reference_json(doc, blocks=True))
+
+
+def test_dump_json_matches_json_dumps_on_random_ext_docs():
+    # `ext --i` writes its `rad1_cover` rows from the factor template at the
+    # list's own indent, at every rank and with coordinates beyond ±9.
+    rng = random.Random(2020)
+    for rank in range(1, 8):
+        for _ in range(6):
+            rows = [
+                (rng.randint(0, rank), tuple(rng.randint(-120, 120) for _ in range(rank)), 1)
+                for _ in range(rng.randint(1, 5))
+            ]
+            doc = {"n": rank, "p": 5, "object": f"ext(i=0, nu=[{rank}])",
+                   "kinds": ["zero"] * (rank + 1), "rad1_cover": rows}
+            assert_same_text(_dump_json(doc), reference_json(doc))
 
 
 def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
@@ -853,8 +871,8 @@ def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     assert len(docs) == len(argvs)
     # Verma listings are written from blocks, covers from rows.
     assert [blocks for _, blocks in docs] == [False] * 7 + [True] * 2
-    # Jantzen reports, the whole sweep and one index at a time, and a
-    # document without template-written rows.
+    # An `ext --i` neighbourhood, and jantzen reports, the whole sweep and
+    # one index at a time.
     argvs = [["ext", "--n", "3", "--p", "5", "--i", "1"]]
     for n in (1, 3, 12):
         argvs += [["jantzen", "--n", str(n), "--p", "3", *index] for index in ([], ["--i", "0"], ["--i", str(n)])]
@@ -1136,7 +1154,9 @@ def cli_large():
     with coordinates beyond ±9, an `--eps`) and all three formats (text,
     text --full, JSON); the untwisted middle listings at n = 12 in JSON and
     two `proj --n 6` listings close the set.  Then the largest `jantzen`
-    report admitted, n = 31 at p = 3, whole and restricted by `--i`.
+    report admitted, n = 31 at p = 3, whole and restricted by `--i`.  Last,
+    `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
+    twisted in JSON and in text, and untwisted at i = 0 in full.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -1156,6 +1176,11 @@ def cli_large():
     for rest in (["--format", "json"], ["--format", "text"], ["--format", "text", "--full"],
                  ["--i", "17", "--format", "text"], ["--i", "17", "--format", "json"]):
         yield jantzen + rest
+    nu = "--nu=" + ",".join(str(k % 7 - 3) for k in range(300))
+    ext = ["ext", "--n", "300", "--p", "5"]
+    for rest in (["--i", "150", nu, "--format", "json"], ["--i", "150", nu, "--format", "text"],
+                 ["--i", "0", "--format", "text", "--full"]):
+        yield ext + rest
 
 
 def record_fixtures() -> None:

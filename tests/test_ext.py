@@ -107,18 +107,18 @@ def test_vanishing_off_adjacent_indices():
 
 def test_rad1_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert rad1_qhat(ctx, 0, zero(1)) == [(1, (-1,), 1), (1, (1,), 1)]
-    assert rad1_qhat(ctx, 1, zero(1)) == [(0, (-1,), 1), (0, (1,), 1)]
+    assert rad1_qhat(ctx, (0, (0,))) == [(1, (-1,), 1), (1, (1,), 1)]
+    assert rad1_qhat(ctx, (1, (0,))) == [(0, (-1,), 1), (0, (1,), 1)]
 
 
 def test_rad1_qhat_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert rad1_qhat(ctx, 0, zero(2)) == [
+    assert rad1_qhat(ctx, (0, (0, 0))) == [
         (1, (-1, 1), 1),
         (1, (0, -1), 1),
         (1, (1, 0), 1),
     ]
-    assert rad1_qhat(ctx, 1, zero(2)) == [
+    assert rad1_qhat(ctx, (1, (0, 0))) == [
         (0, (-1, 0), 1),
         (0, (0, 1), 1),
         (0, (1, -1), 1),
@@ -132,7 +132,7 @@ def test_rad1_qhat_sizes():
     for n in range(1, 9):
         ctx = make_context(n, 5 if (n + 1) % 7 == 0 else 7)
         for i in range(n + 1):
-            rows = rad1_qhat(ctx, i, zero(n))
+            rows = rad1_qhat(ctx, (i, (0,) * n))
             expected = n + 1 if i in (0, n) else 2 * n + 2
             assert len(rows) == expected
             assert sum(m for _, _, m in rows) == expected
@@ -153,7 +153,7 @@ def test_rad1_qhat_matches_ext_rule():
                             found.add(b)
                 b0 = (j, zero(n).coords)
                 assert ext1_g1t_dim(ctx, a, b0) == 0
-            (layer,) = as_labels([rad1_qhat(ctx, i, zero(n))])
+            (layer,) = as_labels([rad1_qhat(ctx, (i, (0,) * n))])
             assert found == set(layer)
 
 
@@ -169,32 +169,32 @@ def test_rad1_qhat_fundamental_shift_form():
                     expected[(i - 1, (t - step).coords)] = 1
                 if i < n:
                     expected[(i + 1, (t + step).coords)] = 1
-            assert as_labels([rad1_qhat(ctx, i, t)]) == [expected]
+            assert as_labels([rad1_qhat(ctx, (i, t.coords))]) == [expected]
 
 
 def test_rad1_qhat_twist_equivariance():
     ctx = make_context(3, 5)
     shift = fundamental(3, 2)
     for i in range(4):
-        base = rad1_qhat(ctx, i, zero(3))
+        base = rad1_qhat(ctx, (i, (0, 0, 0)))
         moved = [(u, (Weight(c) + shift).coords, m) for u, c, m in base]
-        assert moved == rad1_qhat(ctx, i, shift)
+        assert moved == rad1_qhat(ctx, (i, shift.coords))
 
 
 def test_verma_first_layer_embeds_in_rad1_qhat():
     for n, p in [(2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            verma_rad1 = verma_rows(ctx, i, zero(n))[1]
-            assert set(verma_rad1) <= set(rad1_qhat(ctx, i, zero(n)))
+            verma_rad1 = verma_rows(ctx, (i, (0,) * n))[1]
+            assert set(verma_rad1) <= set(rad1_qhat(ctx, (i, (0,) * n)))
 
 
 def test_rad1_qhat_validation():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError):
-        rad1_qhat(ctx, 3, zero(2))
+        rad1_qhat(ctx, (3, (0, 0)))
     with pytest.raises(ValueError):
-        rad1_qhat(ctx, 1, zero(3))
+        rad1_qhat(ctx, (1, (0, 0, 0)))
 
 
 def test_layers_are_ext1_connected():
@@ -205,7 +205,7 @@ def test_layers_are_ext1_connected():
     for n in range(1, 5):
         ctx = make_context(n, 7)
         for i, nu in product(range(n + 1), twists(n)):
-            for layers in (verma_rows(ctx, i, nu), cover_rows(ctx, i, nu)):
+            for layers in (verma_rows(ctx, (i, nu)), cover_rows(ctx, (i, nu))):
                 labels = [list(layer) for layer in as_labels(layers)]
                 for j, layer in enumerate(labels):
                     neighbours = [labels[k] for k in (j - 1, j + 1) if 0 <= k < len(labels)]

@@ -51,18 +51,18 @@ def test_g1_layers_match_binomial_products():
 
 def test_g1t_layers_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert verma_rows(ctx, 0, zero(1)) == [[(0, (0,), 1)], [(1, (-1,), 1)]]
-    assert verma_rows(ctx, 1, zero(1)) == [[(1, (0,), 1)], [(0, (-1,), 1)]]
+    assert verma_rows(ctx, (0, (0,))) == [[(0, (0,), 1)], [(1, (-1,), 1)]]
+    assert verma_rows(ctx, (1, (0,))) == [[(1, (0,), 1)], [(0, (-1,), 1)]]
 
 
 def test_g1t_layers_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert verma_rows(ctx, 1, zero(2)) == [
+    assert verma_rows(ctx, (1, (0, 0))) == [
         [(1, (0, 0), 1)],
         [(0, (-1, 0), 1), (2, (0, -1), 1)],
         [(1, (-1, -1), 1)],
     ]
-    assert verma_rows(ctx, 0, zero(2)) == [
+    assert verma_rows(ctx, (0, (0, 0))) == [
         [(0, (0, 0), 1)],
         [(1, (-1, 1), 1), (1, (0, -1), 1)],
         [(2, (-1, 0), 1)],
@@ -74,8 +74,8 @@ def test_g1t_layer_multiset_sizes_and_twist_equivariance():
         ctx = make_context(n, p)
         shift = fundamental(n, 1)
         for i in range(n + 1):
-            base = verma_rows(ctx, i, zero(n))
-            shifted = verma_rows(ctx, i, shift)
+            base = verma_rows(ctx, (i, (0,) * n))
+            shifted = verma_rows(ctx, (i, shift.coords))
             for j in range(n + 1):
                 assert sum(m for _, _, m in base[j]) == comb(n, j)
                 assert all(m == 1 for _, _, m in base[j])
@@ -88,7 +88,7 @@ def test_g1t_collapses_to_g1():
         ctx = make_context(n, p)
         for i in range(n + 1):
             g1 = rad_layers_z_g1(ctx, i)
-            g1t = verma_rows(ctx, i, zero(n))
+            g1t = verma_rows(ctx, (i, (0,) * n))
             for j in range(n + 1):
                 collapsed: dict[int, int] = {}
                 for u, _, m in g1t[j]:
@@ -106,19 +106,19 @@ def test_first_layer_explicit_form():
                     expected[(i - 1, (t - eps_basis(n, x)).coords)] = 1
                 for y in range(i + 2, n + 2):
                     expected[(i + 1, (t + eps_basis(n, y)).coords)] = 1
-                assert as_labels(verma_rows(ctx, i, t))[1] == expected
+                assert as_labels(verma_rows(ctx, (i, t.coords)))[1] == expected
 
 
 def test_socle_and_dual_series_are_reversals():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            for t in (zero(n), -fundamental(n, n)):
-                rad = as_labels(verma_rows(ctx, i, t))
-                dual = as_labels(dual_verma_rows(ctx, i, t))
+            for t in ((0,) * n, (-fundamental(n, n)).coords):
+                rad = as_labels(verma_rows(ctx, (i, t)))
+                dual = as_labels(dual_verma_rows(ctx, (i, t)))
                 assert dual == list(reversed(rad))
-                assert dual[-1] == {(i, t.coords): 1}
-                assert rad[0] == {(i, t.coords): 1}
+                assert dual[-1] == {(i, t): 1}
+                assert rad[0] == {(i, t): 1}
 
 
 def test_composition_classes():
@@ -129,43 +129,43 @@ def test_composition_classes():
 def test_layer_sizes_helper():
     ctx = make_context(3, 5)
     assert layer_sizes(rad_layers_z_g1(ctx, 2)) == [1, 3, 3, 1]
-    assert layer_sizes(as_labels(verma_rows(ctx, 2, zero(3)))) == [1, 3, 3, 1]
+    assert layer_sizes(as_labels(verma_rows(ctx, (2, (0, 0, 0))))) == [1, 3, 3, 1]
 
 
 def test_parabolic_m_structure_interior():
     ctx = make_context(3, 5)
     nu = Weight((1, 0, -1))
     head = (1, nu.coords, 1)
-    assert parabolic_m_structure(ctx, 1, nu, "I") == [
+    assert parabolic_m_structure(ctx, (1, nu.coords), "I") == [
         [head],
         [(2, (nu - fundamental(3, 3)).coords, 1)],
     ]
-    assert parabolic_m_structure(ctx, 1, nu, "J") == [
+    assert parabolic_m_structure(ctx, (1, nu.coords), "J") == [
         [head],
         [(0, (nu - fundamental(3, 1)).coords, 1)],
     ]
     with pytest.raises(ValueError):
-        parabolic_m_structure(ctx, 1, nu, "x")
+        parabolic_m_structure(ctx, (1, nu.coords), "x")
 
 
 def test_parabolic_m_structure_boundary_degenerates_to_verma():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
-        nu = fundamental(n, 1)
-        assert parabolic_m_structure(ctx, n, nu, "I") == verma_rows(ctx, n, nu)
-        assert parabolic_m_structure(ctx, 0, nu, "J") == verma_rows(ctx, 0, nu)
+        nu = fundamental(n, 1).coords
+        assert parabolic_m_structure(ctx, (n, nu), "I") == verma_rows(ctx, (n, nu))
+        assert parabolic_m_structure(ctx, (0, nu), "J") == verma_rows(ctx, (0, nu))
 
 
 def test_parabolic_second_layer_sits_inside_verma_first_layer():
     for n, p in [(2, 5), (3, 5)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            rad1 = verma_rows(ctx, i, zero(n))[1]
+            rad1 = verma_rows(ctx, (i, (0,) * n))[1]
             if i < n:
-                (row,) = parabolic_m_structure(ctx, i, zero(n), "I")[1]
+                (row,) = parabolic_m_structure(ctx, (i, (0,) * n), "I")[1]
                 assert row in rad1
             if i > 0:
-                (row,) = parabolic_m_structure(ctx, i, zero(n), "J")[1]
+                (row,) = parabolic_m_structure(ctx, (i, (0,) * n), "J")[1]
                 assert row in rad1
 
 
@@ -202,18 +202,18 @@ def test_root_coords_exact_fractions():
     assert root_coords(rho(3)) == (Fraction(3, 2), Fraction(2, 1), Fraction(3, 2))
 
 
-def stacked_rad_layers(ctx, i, nu):
+def stacked_rad_layers(ctx, label):
     n, p = ctx.n, ctx.p
+    i, nu = label
     if n == 1:
-        head = (i, nu.coords)
-        below = (1 - i, (nu - fundamental(1, 1)).coords)
-        return [{head: 1}, {below: 1}]
+        below = (1 - i, (Weight(nu) - fundamental(1, 1)).coords)
+        return [{label: 1}, {below: 1}]
     side = "I" if i < n else "J"
     sub_ctx = make_context(n - 1, p)
-    sub_i = i if side == "I" else n - 1
-    sub_layers = stacked_rad_layers(sub_ctx, sub_i, zero(n - 1))
-    sub_top = label_weight(sub_ctx, (sub_i, zero(n - 1).coords))
-    top = label_weight(ctx, (i, nu.coords))
+    sub_head = (i if side == "I" else n - 1, (0,) * (n - 1))
+    sub_layers = stacked_rad_layers(sub_ctx, sub_head)
+    sub_top = label_weight(sub_ctx, sub_head)
+    top = label_weight(ctx, label)
     layers = [dict() for _ in range(len(sub_layers) + 1)]
     for j, sub_layer in enumerate(sub_layers):
         for sub_label, mult in sub_layer.items():
@@ -227,7 +227,7 @@ def stacked_rad_layers(ctx, i, nu):
             label = classify(ctx, top - lift)
             assert label is not None
             assert label[0] < n if side == "I" else label[0] > 0
-            cover = as_labels(parabolic_m_structure(ctx, label[0], Weight(label[1]), side))
+            cover = as_labels(parabolic_m_structure(ctx, label, side))
             assert len(cover) == 2 and cover[0] == {label: 1}
             ((below, _),) = cover[1].items()
             layers[j][label] = layers[j].get(label, 0) + mult
@@ -239,14 +239,15 @@ def test_stacking_oracle_reproduces_layers():
     for n in (2, 3, 4):
         ctx = make_context(n, 7)
         for i in range(n + 1):
-            for t in (zero(n), fundamental(n, 1)):
-                assert stacked_rad_layers(ctx, i, t) == as_labels(verma_rows(ctx, i, t))
+            for t in ((0,) * n, fundamental(n, 1).coords):
+                assert stacked_rad_layers(ctx, (i, t)) == as_labels(verma_rows(ctx, (i, t)))
 
 
 def test_stacking_oracle_reproduces_layers_rank_five():
     ctx = make_context(5, 7)
     for i in range(6):
-        assert stacked_rad_layers(ctx, i, zero(5)) == as_labels(verma_rows(ctx, i, zero(5)))
+        label = (i, (0,) * 5)
+        assert stacked_rad_layers(ctx, label) == as_labels(verma_rows(ctx, label))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def test_g1t_layers_match_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in twists(n):
-                assert as_labels(verma_rows(ctx, i, nu)) == verma_layers(ctx, i, nu)
+                assert as_labels(verma_rows(ctx, (i, nu))) == verma_layers(ctx, (i, nu))
 
 
 def test_verma_rows_match_weight_oracle():
@@ -267,7 +268,7 @@ def test_verma_rows_match_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in [*twists(n), far_twist(n)]:
-                assert verma_rows(ctx, i, nu) == as_rows(verma_layers(ctx, i, nu))
+                assert verma_rows(ctx, (i, nu)) == as_rows(verma_layers(ctx, (i, nu)))
 
 
 def test_g1t_layers_iterate_in_label_order():
@@ -276,7 +277,7 @@ def test_g1t_layers_iterate_in_label_order():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in twists(n):
-                for rows in verma_rows(ctx, i, nu):
+                for rows in verma_rows(ctx, (i, nu)):
                     keys = [(u, c) for u, c, _ in rows]
                     assert all(a < b for a, b in zip(keys, keys[1:]))
                     assert min(m for _, _, m in rows) >= 1
@@ -291,12 +292,12 @@ def test_verma_rows_flatten_verma_blocks():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in [*twists(n), far_twist(n)]:
-                layers = verma_blocks(ctx, i, nu)
+                layers = verma_blocks(ctx, (i, nu))
                 flat = [
                     [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
                     for blocks in layers
                 ]
-                assert verma_rows(ctx, i, nu) == flat == [flatten_blocks(b) for b in layers]
+                assert verma_rows(ctx, (i, nu)) == flat == [flatten_blocks(b) for b in layers]
                 for blocks in layers:
                     ts = [t for t, _, _ in blocks]
                     assert all(a < b for a, b in zip(ts, ts[1:]))
@@ -314,7 +315,7 @@ def test_g1t_labels_behave_like_validated_ones():
     # to it, and its coordinates build the same validated Weight.
     ctx = make_context(4, 7)
     for nu in twists(4):
-        for rows in verma_rows(ctx, 2, nu):
+        for rows in verma_rows(ctx, (2, nu)):
             for u, c, m in rows:
                 assert type(u) is int and type(m) is int and type(c) is tuple
                 assert len(c) == 4 and all(type(x) is int for x in c)
@@ -342,17 +343,17 @@ def test_repeated_twist_shifts_raise(monkeypatch):
 
 def test_g1t_layers_are_fresh_maps():
     ctx = make_context(3, 5)
-    nu = fundamental(3, 1)
-    layers = verma_rows(ctx, 1, nu)
+    nu = fundamental(3, 1).coords
+    layers = verma_rows(ctx, (1, nu))
     layers[0].append((0, (9, 9, 9), 7))
     layers[1].clear()
     layers.append([])
-    assert verma_rows(ctx, 1, nu) == as_rows(verma_layers(ctx, 1, nu))
+    assert verma_rows(ctx, (1, nu)) == as_rows(verma_layers(ctx, (1, nu)))
 
 
 def test_g1t_validation_messages():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
-        verma_rows(ctx, 3, zero(3))
+        verma_rows(ctx, (3, (0, 0, 0)))
     with pytest.raises(ValueError, match=r"^rank mismatch$"):
-        verma_rows(ctx, 1, zero(3))
+        verma_rows(ctx, (1, (0, 0, 0)))

@@ -20,40 +20,36 @@ from loewylab.projective import (
 )
 
 
-def support_set(rows):
-    return {(t, Weight(eta), depth) for t, eta, depth in rows}
-
-
 def test_conditional_flag_key_is_stable():
     assert CONDITIONAL_FLAG_KEY == "conditional_on_loewy_length_conjecture"
 
 
 def test_verma_support_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert support_set(verma_support(ctx, 0, zero(1))) == {
-        (0, Weight((0,)), 0),
-        (1, Weight((1,)), 1),
+    assert set(verma_support(ctx, (0, (0,)))) == {
+        (0, (0,), 0),
+        (1, (1,), 1),
     }
 
 
 def test_verma_support_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert support_set(verma_support(ctx, 1, zero(2))) == {
-        (1, Weight((0, 0)), 0),
-        (0, Weight((1, -1)), 1),
-        (0, Weight((0, 1)), 1),
-        (2, Weight((1, 0)), 1),
-        (2, Weight((-1, 1)), 1),
-        (1, Weight((1, 1)), 2),
+    assert set(verma_support(ctx, (1, (0, 0)))) == {
+        (1, (0, 0), 0),
+        (0, (1, -1), 1),
+        (0, (0, 1), 1),
+        (2, (1, 0), 1),
+        (2, (-1, 1), 1),
+        (1, (1, 1), 2),
     }
 
 
 def test_verma_support_validation():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError):
-        verma_support(ctx, 3, zero(2))
+        verma_support(ctx, (3, (0, 0)))
     with pytest.raises(ValueError):
-        verma_support(ctx, 0, zero(3))
+        verma_support(ctx, (0, (0, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +59,9 @@ def test_verma_support_validation():
 # ---------------------------------------------------------------------------
 
 
-def scanned_support(ctx, i, nu, radius):
+def scanned_support(ctx, target, radius):
     n = ctx.n
-    target = (i, nu.coords)
+    nu = Weight(target[1])
     twists = set()
     for signed in product(range(-radius, radius + 1), repeat=n + 1):
         if sum(abs(c) for c in signed) > radius:
@@ -73,11 +69,11 @@ def scanned_support(ctx, i, nu, radius):
         offset = zero(n)
         for k, c in enumerate(signed, start=1):
             offset = offset + c * eps_basis(n, k)
-        twists.add(nu + offset)
+        twists.add((nu + offset).coords)
     found = set()
     for t in range(n + 1):
         for eta in twists:
-            for k, layer in enumerate(as_labels(verma_rows(ctx, t, eta))):
+            for k, layer in enumerate(as_labels(verma_rows(ctx, (t, eta)))):
                 if target in layer:
                     # BGG reciprocity: the Verma's multiplicity in the cover.
                     assert layer[target] == 1
@@ -89,11 +85,11 @@ def test_verma_support_against_ball_scan():
     for n, p in [(2, 5), (3, 5)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            expected = scanned_support(ctx, i, zero(n), n + 1)
-            assert support_set(verma_support(ctx, i, zero(n))) == expected
+            label = (i, (0,) * n)
+            assert set(verma_support(ctx, label)) == scanned_support(ctx, label, n + 1)
     ctx = make_context(2, 5)
-    t = fundamental(2, 1)
-    assert support_set(verma_support(ctx, 1, t)) == scanned_support(ctx, 1, t, 3)
+    label = (1, fundamental(2, 1).coords)
+    assert set(verma_support(ctx, label)) == scanned_support(ctx, label, 3)
 
 
 def test_verma_support_count_is_closed_form():
@@ -101,21 +97,21 @@ def test_verma_support_count_is_closed_form():
     # (n + 1) C(n, i) 2^n, so the filtration has (n + 1) C(n, i) Vermas.
     for n in range(1, 7):
         ctx = make_context(n, 11)
-        nu = 3 * fundamental(n, 1) - fundamental(n, n)
+        nu = (3 * fundamental(n, 1) - fundamental(n, n)).coords
         for i in range(n + 1):
-            rows = verma_support(ctx, i, nu)
+            rows = verma_support(ctx, (i, nu))
             assert len(rows) == (n + 1) * comb(n, i)
             assert len(set(rows)) == len(rows)
 
 
 def test_rad_layers_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert as_labels(cover_rows(ctx, 0, zero(1))) == [
+    assert as_labels(cover_rows(ctx, (0, (0,)))) == [
         {(0, (0,)): 1},
         {(1, (-1,)): 1, (1, (1,)): 1},
         {(0, (0,)): 1},
     ]
-    assert as_labels(cover_rows(ctx, 1, zero(1))) == [
+    assert as_labels(cover_rows(ctx, (1, (0,)))) == [
         {(1, (0,)): 1},
         {(0, (-1,)): 1, (0, (1,)): 1},
         {(1, (0,)): 1},
@@ -124,7 +120,7 @@ def test_rad_layers_qhat_frozen_rank_one():
 
 def test_rad_layers_qhat_frozen_rank_two_outer():
     ctx = make_context(2, 5)
-    layers = as_labels(cover_rows(ctx, 0, zero(2)))
+    layers = as_labels(cover_rows(ctx, (0, (0, 0))))
     assert layer_sizes(layers) == [1, 3, 4, 3, 1]
     assert layers[0] == {(0, (0, 0)): 1}
     assert layers[2] == {
@@ -137,7 +133,7 @@ def test_rad_layers_qhat_frozen_rank_two_outer():
 
 def test_rad_layers_qhat_frozen_rank_two_middle():
     ctx = make_context(2, 5)
-    layers = as_labels(cover_rows(ctx, 1, zero(2)))
+    layers = as_labels(cover_rows(ctx, (1, (0, 0))))
     assert layer_sizes(layers) == [1, 6, 10, 6, 1]
     assert layers[2] == {
         (1, (0, 0)): 4,
@@ -154,13 +150,12 @@ def test_qhat_layer_shape_sweep():
     for n, p in [(1, 5), (2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            for t in (zero(n), fundamental(n, 1)):
-                rows = cover_rows(ctx, i, t)
+            for head in ((i, (0,) * n), (i, fundamental(n, 1).coords)):
+                rows = cover_rows(ctx, head)
                 layers = as_labels(rows)
                 assert len(layers) == 2 * n + 1
-                assert layers[0] == {(i, t.coords): 1}
-                assert layers[-1] == {(i, t.coords): 1}
-                assert rows[1] == rad1_qhat(ctx, i, t)
+                assert layers[0] == layers[-1] == {head: 1}
+                assert rows[1] == rad1_qhat(ctx, head)
                 for j in range(2 * n + 1):
                     assert layers[j] == layers[2 * n - j]
 
@@ -169,7 +164,7 @@ def test_qhat_g1_totals_match_closed_form():
     for n, p in [(1, 5), (2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            layers = as_labels(cover_rows(ctx, i, zero(n)))
+            layers = as_labels(cover_rows(ctx, (i, (0,) * n)))
             totals = [0] * (n + 1)
             for layer in layers:
                 for (u, _), mult in layer.items():
@@ -214,9 +209,9 @@ def test_qhat_dimension_is_support_count_times_verma_dimension():
         verma_dim = p ** (n * (n + 1) // 2)
         simple_dims = [weyl_dim(ctx.lambdas[j]) for j in range(n + 1)]
         for i in range(n + 1):
-            support = verma_support(ctx, i, zero(n))
+            support = verma_support(ctx, (i, (0,) * n))
             total = 0
-            for layer in as_labels(cover_rows(ctx, i, zero(n))):
+            for layer in as_labels(cover_rows(ctx, (i, (0,) * n))):
                 for (u, _), mult in layer.items():
                     total += mult * simple_dims[u]
             assert total == len(support) * verma_dim
@@ -232,7 +227,7 @@ def test_qhat_matches_stacked_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in twists(n):
-                assert as_labels(cover_rows(ctx, i, nu)) == cover_layers(ctx, i, nu)
+                assert as_labels(cover_rows(ctx, (i, nu))) == cover_layers(ctx, (i, nu))
 
 
 def test_cover_rows_match_stacked_weight_oracle():
@@ -242,7 +237,7 @@ def test_cover_rows_match_stacked_weight_oracle():
         ctx = make_context(n, 7)
         for i in range(n + 1):
             for nu in [*twists(n), far_twist(n)]:
-                assert cover_rows(ctx, i, nu) == as_rows(cover_layers(ctx, i, nu))
+                assert cover_rows(ctx, (i, nu)) == as_rows(cover_layers(ctx, (i, nu)))
 
 
 def test_cover_rows_match_closed_form_oracle():
@@ -252,7 +247,7 @@ def test_cover_rows_match_closed_form_oracle():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in [*twists(n), far_twist(n)]:
-                assert cover_rows(ctx, i, nu) == as_rows(cover_formula(n, i, nu))
+                assert cover_rows(ctx, (i, nu)) == as_rows(cover_formula(n, (i, nu)))
 
 
 def test_dropped_support_entry_is_not_palindromic(monkeypatch, capsys):
@@ -269,8 +264,8 @@ def test_dropped_support_entry_is_not_palindromic(monkeypatch, capsys):
     ctx = make_context(2, 5)
     for i in range(3):
         for nu in twists(2):
-            rows = cover_rows(ctx, i, nu)
-            assert rows == as_rows(cover_layers(ctx, i, nu))
+            rows = cover_rows(ctx, (i, nu))
+            assert rows == as_rows(cover_layers(ctx, (i, nu)))
             assert rows != rows[::-1]
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2", "--p", "5"])
@@ -284,7 +279,7 @@ def test_cover_rows_strictly_increase():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         for i in range(n + 1):
             for nu in twists(n):
-                for rows in cover_rows(ctx, i, nu):
+                for rows in cover_rows(ctx, (i, nu)):
                     keys = [(u, c) for u, c, _ in rows]
                     assert all(a < b for a, b in zip(keys, keys[1:]))
                     assert min(m for _, _, m in rows) >= 1
@@ -304,35 +299,35 @@ def test_packing_refuses_wide_pattern_coordinates(monkeypatch):
             match=r"^packed cover labels need pattern coordinates in \{-1, 0, 1\}: "
             r"shift \(2,\) of the Verma pattern at \(n, t\) = \(2, 1\)$",
         ):
-            cover_rows(make_context(2, 5), 1, zero(2))
+            cover_rows(make_context(2, 5), (1, (0, 0)))
     finally:
         loewylab.projective._packed_pattern.cache_clear()
 
 
 def test_qhat_layers_are_fresh_maps():
     ctx = make_context(2, 5)
-    nu = -fundamental(2, 2)
-    layers = as_labels(cover_rows(ctx, 1, nu))
+    nu = (-fundamental(2, 2)).coords
+    layers = as_labels(cover_rows(ctx, (1, nu)))
     layers[0][(1, (9, 9))] = 7
     layers[2].clear()
     layers.pop()
-    assert as_labels(cover_rows(ctx, 1, nu)) == cover_layers(ctx, 1, nu)
+    assert as_labels(cover_rows(ctx, (1, nu))) == cover_layers(ctx, (1, nu))
 
 
 def test_mirrored_cover_layers_are_fresh_lists():
     # Layer j and its mirror 2n - j hold equal rows, in distinct lists:
     # changing one leaves the other, and the next call, as they were.
     ctx = make_context(3, 5)
-    for nu in (zero(3), -fundamental(3, 3)):
-        expected = as_rows(cover_layers(ctx, 1, nu))
-        rows = cover_rows(ctx, 1, nu)
+    for nu in ((0, 0, 0), (-fundamental(3, 3)).coords):
+        expected = as_rows(cover_layers(ctx, (1, nu)))
+        rows = cover_rows(ctx, (1, nu))
         assert rows == expected
         assert all(rows[j] is not rows[6 - j] for j in range(3))
         rows[1].append((9, (9, 9, 9), 7))
         rows[2].clear()
         rows[0][0] = (0, (0, 0, 0), 2)
         assert rows[3:] == expected[3:]
-        assert cover_rows(ctx, 1, nu) == expected
+        assert cover_rows(ctx, (1, nu)) == expected
 
 
 @pytest.mark.parametrize("u", [127, 128])
@@ -348,10 +343,10 @@ def test_decoded_block_index_raises_past_its_byte(monkeypatch, u):
     loewylab.projective._packed_pattern.cache_clear()
     try:
         if u < 128:
-            assert cover_rows(make_context(2, 5), 1, zero(2)) == [[(1, (0, 0), 1)], [(u, (0, 0), 1)]]
+            assert cover_rows(make_context(2, 5), (1, (0, 0))) == [[(1, (0, 0), 1)], [(u, (0, 0), 1)]]
         else:
             with pytest.raises(OverflowError):
-                cover_rows(make_context(2, 5), 1, zero(2))
+                cover_rows(make_context(2, 5), (1, (0, 0)))
     finally:
         loewylab.projective._packed_pattern.cache_clear()
 
@@ -359,8 +354,8 @@ def test_decoded_block_index_raises_past_its_byte(monkeypatch, u):
 def test_qhat_validation_messages():
     ctx = make_context(2, 5)
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
-        cover_rows(ctx, 3, zero(2))
+        cover_rows(ctx, (3, (0, 0)))
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got -1\)$"):
-        cover_rows(ctx, -1, zero(3))
+        cover_rows(ctx, (-1, (0, 0, 0)))
     with pytest.raises(ValueError, match=r"^rank mismatch$"):
-        cover_rows(ctx, 1, zero(3))
+        cover_rows(ctx, (1, (0, 0, 0)))

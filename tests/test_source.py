@@ -129,7 +129,7 @@ def test_layer_modules_build_no_labels_or_dataclasses():
     records = {"Record"}
     while (more := {name for name, of in bases.items() if of & records} - records):
         records |= more
-    assert sorted(records - {"Record", "OrderedRecord"}) == ["BlockContext", "Weight"]
+    assert sorted(records - {"Record"}) == ["BlockContext", "Weight"]
     assert sorted(
         f"{stem}: {module}"
         for stem in ("chardim", "ext")
@@ -140,6 +140,24 @@ def test_layer_modules_build_no_labels_or_dataclasses():
         for stem, modules in imported.items()
         for module in modules & {"dataclasses", "typing"}
     ) == []
+
+
+def test_layer_modules_import_nothing_from_lattice():
+    # Every layer API takes its simple's label (i, coords), so `loewy`,
+    # `projective` and `ext` compute on int tuples and never build a
+    # `Weight`: none of them imports the weight lattice.
+    found = []
+    for stem in ("loewy", "projective", "ext"):
+        path = Path(loewylab.__file__).with_name(f"{stem}.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{stem}: {m}" for m in modules if m.rpartition(".")[2] == "lattice"]
+    assert found == []
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
