@@ -24,11 +24,13 @@ diagonal pairing pattern of nu_i without searching.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
 coordinates; the builder pairs lam_i and adds rho's pairing j - k.  Both
 kinds of certificate are re-verified from scratch against nu_i, paired
-through `lattice.pair`, never through that table.  A closed-form
-certificate goes through `verify_certificate` whole.  A searched one
+through `lattice.pair`, never through that table.  A searched certificate
 depends on its root only through the pairing m, and many roots share one
-witness: the sweep pairs every root, and checks each distinct searched
-witness once per nu_i.
+witness: the sweep searches once per distinct m per nu_i, re-verifies that
+witness once, and gives it to every root whose own pairing is m.  Each
+closed-form certificate is re-verified whole, root by root.  The sweep
+pairs each root once and compares that pairing with both routes' m;
+`verify_certificate` re-verifies a single certificate the same way.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ __all__ = [
     "dim_parabolic_verma",
     "jantzen_decompose",
     "witness_search",
-    "verify_certificate",
     "closed_form_certificate",
     "check_block_simplicity",
 ]
@@ -184,7 +185,9 @@ def verify_certificate(nu: Weight, cert: Certificate, p: int) -> bool:
     Checks the split's defining identity and ranges, the validity and
     distinctness of all roots, and every pairing.
     """
-    return _root_ok(nu, cert) and _witness_ok(nu, cert[1:], p)
+    rank, root = nu.rank, cert[0]
+    paired = pair(nu, *root) if _valid_root(rank, root) else None
+    return _root_ok(cert[1], paired) and _witness_ok(nu, rank, cert[1:], p)
 
 
 def _valid_root(rank: int, r: Root) -> bool:
@@ -192,16 +195,16 @@ def _valid_root(rank: int, r: Root) -> bool:
     return 1 <= k < j <= rank + 1
 
 
-def _root_ok(nu: Weight, cert: Certificate) -> bool:
-    """The certificate's root is a positive root pairing to its m >= 1."""
-    root, m = cert[:2]
-    return _valid_root(nu.rank, root) and m == pair(nu, *root) and m >= 1
+def _root_ok(m: int, paired: int | None) -> bool:
+    """A certificate's m >= 1 is its root's pairing `paired`: read through
+    `lattice.pair`, or None for a root that is not a positive root."""
+    return m == paired and m >= 1
 
 
-def _witness_ok(nu: Weight, witness: tuple, p: int) -> bool:
-    """For a certificate's witness (m, s, a, b, beta0, betas): the split's
-    identity and ranges hold, beta0 pairs to a p^s, and the betas are b
-    distinct roots other than beta0 pairing to p^{s+1}.
+def _witness_ok(nu: Weight, rank: int, witness: tuple, p: int) -> bool:
+    """For a certificate's witness (m, s, a, b, beta0, betas) against nu of
+    this rank: the split's identity and ranges hold, beta0 pairs to a p^s,
+    and the betas are b distinct roots other than beta0 pairing to p^{s+1}.
 
     The witness holds no root, so certificates that differ only in their
     root pass or fail together.
@@ -209,17 +212,19 @@ def _witness_ok(nu: Weight, witness: tuple, p: int) -> bool:
     m, s, a, b, beta0, betas = witness
     if not (0 < a < p and b >= 0 and s >= 0):
         return False
-    if m != a * p**s + b * p ** (s + 1):
+    unit = p**s
+    step = unit * p
+    if m != a * unit + b * step:
         return False
-    if not _valid_root(nu.rank, beta0) or pair(nu, *beta0) != a * p**s:
+    if not _valid_root(rank, beta0) or pair(nu, *beta0) != a * unit:
         return False
     if len(betas) != b:
         return False
     seen = {beta0}
     for beta in betas:
-        if not _valid_root(nu.rank, beta) or beta in seen:
+        if not _valid_root(rank, beta) or beta in seen:
             return False
-        if pair(nu, *beta) != p ** (s + 1):
+        if pair(nu, *beta) != step:
             return False
         seen.add(beta)
     return True
@@ -299,13 +304,15 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
 def check_block_simplicity(ctx: BlockContext) -> dict:
     """Certify every (block index, positive root) pairing, both routes.
 
-    For each nu_i and each positive root, runs the greedy search and the
-    closed-form builder, re-verifies both certificates from scratch, and
-    reports any failures (expected: none).  A searched certificate's root
-    pairing is checked for every root, and its witness
-    (m, s, a, b, beta0, betas) once per nu_i: many roots share one.  The
-    searched certificates are included in the report as rows
-    (i, root, m, s, a, b, beta0, betas).
+    For each nu_i, the search runs once per distinct pairing m in nu_i's
+    pairing table, for the lex-first root pairing to m (a searched witness
+    (m, s, a, b, beta0, betas) depends on its root only through m), and
+    that witness is re-verified once.  Each root then pairs through
+    `lattice.pair`, never through the search's table: its searched
+    certificate holds when that pairing is its witness's m, and its
+    closed-form certificate is re-verified whole against the same pairing.
+    Reports any failures (expected: none), and the searched certificates as
+    rows (i, root, m, s, a, b, beta0, betas) in (i, root) order.
     """
     n, p = ctx.n, ctx.p
     roots = positive_roots(n)
@@ -313,21 +320,25 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
-        witnesses: dict[tuple, bool] = {}
+        rank = nu.rank
+        by_root, _ = _pairing_table(nu.coords)
+        # m -> the searched witness for m, or None when none was found or it
+        # failed re-verification.
+        witnesses: dict[int, tuple | None] = {}
         for root in roots:
-            found = witness_search(nu, root, p)
-            ok = found is not None and _root_ok(nu, found)
-            if ok:
-                witness = found[1:]
-                ok = witnesses.get(witness)
-                if ok is None:
-                    ok = witnesses[witness] = _witness_ok(nu, witness, p)
-            if ok:
-                certificates.append((i, *found))
+            m = by_root[root]
+            if m not in witnesses:
+                found = witness_search(nu, root, p)
+                ok = found is not None and _witness_ok(nu, rank, found[1:], p)
+                witnesses[m] = found[1:] if ok else None
+            witness = witnesses[m]
+            paired = pair(nu, *root) if _valid_root(rank, root) else None
+            if witness is not None and _root_ok(witness[0], paired):
+                certificates.append((i, root, *witness))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
             built = closed_form_certificate(ctx, i, root)
-            if not verify_certificate(nu, built, p):
+            if not (_root_ok(built[1], paired) and _witness_ok(nu, rank, built[1:], p)):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )

@@ -21,11 +21,11 @@ from collections.abc import Iterable
 from itertools import chain, product
 from math import comb
 
-from .block import BlockContext, block_weight, classify, label_weight, mu_weight
+from .block import BlockContext, block_weight, check_label, classify, label_weight, mu_weight
 from .chardim import (
     check_block_simplicity, dim_parabolic_verma, positive_roots, weyl_dim,
 )
-from .ext import ext1_g1t_dim, rad1_qhat
+from .ext import _ext1_dim, ext1_g1t_dim, rad1_qhat
 from .lattice import (
     Weight, eps_basis, eps_coords, from_eps, fundamental, in_root_lattice, leq, pair, rho, zero,
 )
@@ -199,10 +199,14 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     add("loewy.rigidity", ok, "socle/dual series are not reversals")
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.
+    # The battery's labels are checked once, and their pairs compared
+    # unchecked; the cover's first-layer labels go through the checked API.
+    for label in labels:
+        check_label(ctx, *label)
     ok = True
     for a in labels:
         for b in labels:
-            d_ab, d_ba = ext1_g1t_dim(ctx, a, b), ext1_g1t_dim(ctx, b, a)
+            d_ab, d_ba = _ext1_dim(n, a, b), _ext1_dim(n, b, a)
             ok = ok and d_ab == d_ba
             if abs(a[0] - b[0]) != 1:
                 ok = ok and d_ab == 0

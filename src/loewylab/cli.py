@@ -20,10 +20,11 @@ sorted, and no Verma rows are built. The JSON is exactly
 `json.dumps(payload, sort_keys=True, indent=2)` of those objects, so
 reruns are byte-identical; factor lists and a `jantzen` report's
 certificate rows are written from %-format templates (one per list, one
-per certificate row) instead of by json.dumps, which is slow with
+per certificate row, whose text around the root is formatted once per
+witness and block index) instead of by json.dumps, which is slow with
 `indent`.  A text view formats only the entries it prints:
 without --full, the first TRUNCATE_AT of each listing, its other counts
-read from lengths.  Sizes are closed forms, one `_BUDGETS` row per
+read from lengths.  Sizes are closed forms, `_BUDGETS` rows per
 subcommand, checked after the (n, p) hypotheses and `--i` and before any
 other work, the weight table's (n+1)·n ints included: a layer listing
 (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
@@ -32,28 +33,30 @@ multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels,
 `verify`, which stacks the n+1 covers at nu = 0, (n+1)·4^n labels, above
 VERIFY_BUDGET = 2^20, `block`, which writes 3n(n+1) weight coordinates,
 above BLOCK_BUDGET = 2^19, `dim`, which evaluates n(3n^2+1)/2 root
-pairings, above DIM_BUDGET = 2^19, and the `ext` table of (n+1)^2 Ext^1
-kinds above EXT_BUDGET = 2^19; every subcommand is refused first when its
-weight table would hold over WEIGHT_BUDGET = 2^20 ints.
+pairings, above DIM_BUDGET = 2^19 or when the largest number it prints,
+p^(n(n+1)/2), has over DIGIT_BUDGET = 4300 digits, and the `ext` table of
+(n+1)^2 Ext^1 kinds above EXT_BUDGET = 2^19; every subcommand is refused
+first when its weight table would hold over WEIGHT_BUDGET = 2^20 ints.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
 declared once in `_commands` (flags and the values set on the parsed
 arguments).  A plainly well-formed command line is parsed from that table
-without argparse (`_parse_plain`), whose parsers and lazily imported
-`locale` cost a few ms per run; any other, help included, goes to the
-argparse parser built from the same table, which alone writes help, usage
-and argument errors.
+without argparse (`_parse_plain`), which is then never imported: its
+import with gettext, its parsers and its lazily imported `locale` cost a
+few ms per run.  Any other, help included, imports argparse and goes to
+the parser built from the same table (`_build_parser`), which alone
+writes help, usage and argument errors.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from functools import lru_cache
 from itertools import islice
-from math import comb
+from math import comb, log10
+from types import SimpleNamespace
 
 from .block import BlockContext, check_hypotheses, check_index, make_context, mu_weight, nu_weight
 from .chardim import CertificateRow, check_block_simplicity
@@ -98,47 +101,60 @@ EXT_BUDGET = 1 << 19
 # `ext --i` reaches it: at n = 1023 it took about 0.5 s and 48 MB, and
 # 0.9 s and 93 MB with --format json, on a 2-core VM.
 WEIGHT_BUDGET = 1 << 20
+# `dim` is refused above this many digits in the largest number it prints,
+# the baby Verma dimension p^(n(n+1)/2): CPython's default limit on
+# converting an int to a string, which such a number would exceed.
+DIGIT_BUDGET = 4300
 
-# Work refused up front, per subcommand: (closed-form size at (n, i), budget,
-# the error message naming both).  A layer listing's size counts its labels
-# with multiplicity.
+# Work refused up front, per subcommand: rows (closed-form size at (n, p, i),
+# budget, the error message naming both).  A layer listing's size counts its
+# labels with multiplicity.
 _LISTS = (
     "{command} at n={n}, i={i} would list {size} labels with multiplicity, "
     "over the budget of {budget} labels"
 )
 _WEIGHTS = (
-    lambda n, i: (n + 1) * n, WEIGHT_BUDGET,
+    lambda n, p, i: (n + 1) * n, WEIGHT_BUDGET,
     "{command} at n={n} would build a weight table of {size} ints, "
     "over the budget of {budget} ints",
 )
 _BUDGETS = {
-    "block": (
-        lambda n, i: 3 * n * (n + 1), BLOCK_BUDGET,
+    "block": ((
+        lambda n, p, i: 3 * n * (n + 1), BLOCK_BUDGET,
         "block at n={n} would write {size} weight coordinates, "
         "over the budget of {budget} coordinates",
-    ),
-    "verma": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
-    "verma-dual": (lambda n, i: 2**n, LAYER_BUDGET, _LISTS),
-    "proj": (lambda n, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),
+    ),),
+    "verma": ((lambda n, p, i: 2**n, LAYER_BUDGET, _LISTS),),
+    "verma-dual": ((lambda n, p, i: 2**n, LAYER_BUDGET, _LISTS),),
+    "proj": ((lambda n, p, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),),
     # `ext --i` finds the n+1 kinds from block index i.
-    "ext": (
-        lambda n, i: (n + 1) ** 2 if i is None else n + 1, EXT_BUDGET,
+    "ext": ((
+        lambda n, p, i: (n + 1) ** 2 if i is None else n + 1, EXT_BUDGET,
         "ext at n={n} would tabulate {size} Ext^1 kinds, over the budget of {budget} kinds",
-    ),
+    ),),
     "dim": (
-        lambda n, i: n * (3 * n * n + 1) // 2, DIM_BUDGET,
-        "dim at n={n} would evaluate {size} root pairings, over the budget of {budget} pairings",
+        (
+            lambda n, p, i: n * (3 * n * n + 1) // 2, DIM_BUDGET,
+            "dim at n={n} would evaluate {size} root pairings, "
+            "over the budget of {budget} pairings",
+        ),
+        (
+            # The digits of p^(n(n+1)/2); p is never a power of 10.
+            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, DIGIT_BUDGET,
+            "dim at n={n}, p={p} would print a {size}-digit dimension, "
+            "over the budget of {budget} digits",
+        ),
     ),
-    "jantzen": (
-        lambda n, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
+    "jantzen": ((
+        lambda n, p, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
         "jantzen at n={n} would check {size} (block index, root) pairs, "
         "over the budget of {budget} pairs",
-    ),
-    "verify": (
-        lambda n, i: (n + 1) * 4**n, VERIFY_BUDGET,
+    ),),
+    "verify": ((
+        lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
         "verify at n={n} would stack {size} cover labels with multiplicity, "
         "over the budget of {budget} labels",
-    ),
+    ),),
 }
 
 
@@ -148,17 +164,17 @@ def main(argv: list[str] | None = None) -> None:
     commands = _commands()
     args = _parse_plain(argv, commands)
     if args is None:
-        args = _build_parser(commands).parse_args(argv)
+        args = _build_parser(commands).parse_args(argv, SimpleNamespace())
     n, i = args.n, getattr(args, "i", None)
     try:
         check_hypotheses(n, args.p)
         if i is not None:
             check_index(n, i)
-        for size_of, budget, message in (_WEIGHTS, _BUDGETS[args.command]):
-            size = size_of(n, i)
+        for size_of, budget, message in (_WEIGHTS, *_BUDGETS[args.command]):
+            size = size_of(n, args.p, i)
             if size > budget:
                 raise ValueError(
-                    message.format(command=args.command, n=n, i=i, size=size, budget=budget)
+                    message.format(command=args.command, n=n, p=args.p, i=i, size=size, budget=budget)
                 )
         ctx = make_context(n, args.p)
         payload, code = args.func(ctx, args)
@@ -236,7 +252,7 @@ def _default(kind) -> object:
     return kind[0] if isinstance(kind, tuple) else None
 
 
-def _parse_plain(argv: list[str], commands: dict) -> argparse.Namespace | None:
+def _parse_plain(argv: list[str], commands: dict) -> SimpleNamespace | None:
     """The arguments argparse would parse from a plainly well-formed `argv`,
     found without building a parser, or None for any other `argv`.
 
@@ -287,12 +303,17 @@ def _parse_plain(argv: list[str], commands: dict) -> argparse.Namespace | None:
             if required:
                 return None
             values[name] = _default(kind)
-    return argparse.Namespace(command=argv[0], **values, **defaults)
+    return SimpleNamespace(command=argv[0], **values, **defaults)
 
 
-def _build_parser(commands: dict) -> argparse.ArgumentParser:
+def _build_parser(commands: dict):
     """The argparse parser of every subcommand in `commands`, for what
-    `_parse_plain` leaves: help, usage and errors list every subcommand."""
+    `_parse_plain` leaves: help, usage and errors list every subcommand.
+
+    argparse, and the gettext it imports, load only here.
+    """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="loewylab",
         description="Exact invariants of the singular block of G1T-modules for SL(n+1).",
@@ -330,7 +351,7 @@ def _csv_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
     return vals
 
 
-def _twist(args: argparse.Namespace, n: int) -> tuple[int, ...]:
+def _twist(args: SimpleNamespace, n: int) -> tuple[int, ...]:
     if args.eps is not None:
         return from_eps(_csv_ints(args.eps, n + 1, "eps")).coords
     if args.nu is not None:
@@ -450,20 +471,34 @@ def _blocks_json(blocks: list[Block]) -> list[str]:
 def _certificates_json(rows: list[CertificateRow]) -> list[str]:
     """The indent=2 text of a jantzen report's `certificates` list, in
     pieces: each row (i, root, m, s, a, b, beta0, betas) is written as the
-    object {"a", "b", "beta0", "betas", "i", "m", "root", "s"}."""
+    object {"a", "b", "beta0", "betas", "i", "m", "root", "s"}.
+
+    Only the root varies between the rows of one witness at one block
+    index, so the text before and after the root is formatted once per
+    witness while the rows keep that index.
+    """
     if not rows:
         return ["[]"]
-    text = [
-        _certificate_template(b)
-        % (a, b, *beta0, *[k for beta in betas for k in beta], i, m, *root, s)
-        for i, root, m, s, a, b, beta0, betas in rows
-    ]
-    return ["[\n", ",\n".join(text), "\n    ]"]
+    texts = []
+    at, around = None, {}
+    for i, root, m, s, a, b, beta0, betas in rows:
+        if i != at:
+            at, around = i, {}
+        witness = (m, s, a, b, beta0, betas)
+        parts = around.get(witness)
+        if parts is None:
+            head, tail = _certificate_template(b)
+            parts = around[witness] = (
+                head % (a, b, *beta0, *[k for beta in betas for k in beta], i, m), tail % s
+            )
+        texts.append(f"{parts[0]}{root[0]},\n          {root[1]}{parts[1]}")
+    return ["[\n", ",\n".join(texts), "\n    ]"]
 
 
 @lru_cache(maxsize=64)
-def _certificate_template(b: int) -> str:
-    """One certificate object with b betas, its keys in sorted order."""
+def _certificate_template(b: int) -> tuple[str, str]:
+    """One certificate object with b betas, its keys in sorted order: the
+    text before its root's two coordinates and the text after them."""
     betas = "[]"
     if b:
         beta = "          [\n            %d,\n            %d\n          ]"
@@ -472,7 +507,8 @@ def _certificate_template(b: int) -> str:
         '      {\n        "a": %d,\n        "b": %d,\n'
         '        "beta0": [\n          %d,\n          %d\n        ],\n'
         '        "betas": ' + betas + ',\n        "i": %d,\n        "m": %d,\n'
-        '        "root": [\n          %d,\n          %d\n        ],\n        "s": %d\n      }'
+        '        "root": [\n          ',
+        '\n        ],\n        "s": %d\n      }',
     )
 
 
@@ -492,7 +528,7 @@ def _truncate(parts, count: int, full: bool) -> list[str]:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_block(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_block(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     rows = [
         {"i": i, "lambda": list(ctx.lambdas[i].coords), "mu": list(mu_weight(ctx, i).coords),
          "rho_shifted": list(nu_weight(ctx, i).coords)}
@@ -511,7 +547,7 @@ def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_layers(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_layers(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     nu = _twist(args, ctx.n)
     layers = args.layers_of(ctx, (args.i, nu))
     return {
@@ -556,7 +592,7 @@ def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list
     return "\n".join(lines)
 
 
-def cmd_ext(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_ext(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     n = ctx.n
     if args.i is None:
         if args.nu is not None or args.eps is not None:
@@ -587,7 +623,7 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     ])
 
 
-def cmd_dim(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_dim(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     table = dimension_table(ctx)
     return {"object": "dim", **table}, 0 if table["conservation_ok"] else 1
 
@@ -607,7 +643,7 @@ def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return "\n".join(lines)
 
 
-def cmd_jantzen(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_jantzen(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     report = check_block_simplicity(ctx)
     if args.i is not None:
         # The listings follow --i; the counts and status describe the sweep.
@@ -640,7 +676,7 @@ def _certificate_text(p: int, row: CertificateRow) -> str:
     )
 
 
-def cmd_verify(ctx: BlockContext, args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_verify(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     checks = verify_checks(ctx)
     ok = all(c["ok"] for c in checks)
     return {"object": "verify", "checks": checks, "ok": ok}, 0 if ok else 1

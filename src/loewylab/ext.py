@@ -73,13 +73,19 @@ def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
     (i, x), (j, y) = a, b
     check_label(ctx, i, x)
     check_label(ctx, j, y)
-    # The kind read off the indices, which check_label has checked.
+    return _ext1_dim(ctx.n, a, b)
+
+
+def _ext1_dim(n: int, a: Label, b: Label) -> int:
+    """`ext1_g1t_dim` at rank n for labels that `check_label` has checked."""
+    (i, x), (j, y) = a, b
+    # The kind read off the indices.
     if j == i + 1:
         # The dual's weights are the negatives -eps_k: y - x is one of eps_k.
         x, y = y, x
     elif j != i - 1:
         return 0
-    return int(tuple(map(sub, x, y)) in _eps(ctx.n))
+    return int(tuple(map(sub, x, y)) in _eps(n))
 
 
 def rad1_qhat(ctx: BlockContext, label: Label) -> list[Row]:

@@ -330,3 +330,23 @@ def test_jantzen_decompose_refuses_every_bad_call():
             with pytest.raises(ValueError):
                 jantzen_decompose(m, p)
     assert jantzen_decompose(6, 5) is jantzen_decompose(6, 5)
+
+
+def test_block_sweep_searches_once_per_distinct_pairing(monkeypatch):
+    # A searched witness depends on its root only through the pairing m, so
+    # the sweep searches once per (i, m) and still reports every root.
+    calls = [0]
+    search = loewylab.chardim.witness_search
+
+    def counting(nu, root, p):
+        calls[0] += 1
+        return search(nu, root, p)
+
+    monkeypatch.setattr(loewylab.chardim, "witness_search", counting)
+    n = 18
+    report = check_block_simplicity(make_context(n, 7))
+    assert report["ok"]
+    rows = report["certificates"]
+    assert len(rows) == report["checked"] == (n + 1) * n * (n + 1) // 2 == 3249
+    assert calls[0] == len({(i, m) for i, _, m, *_ in rows}) == 665
+    assert [row[:2] for row in rows] == [(i, root) for i in range(n + 1) for root in positive_roots(n)]

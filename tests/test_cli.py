@@ -22,6 +22,7 @@ import loewylab.loewy
 import loewylab.projective
 from loewylab.cli import (
     BLOCK_BUDGET,
+    DIGIT_BUDGET,
     DIM_BUDGET,
     EXT_BUDGET,
     LAYER_BUDGET,
@@ -293,6 +294,36 @@ def test_plain_command_line_loads_no_argparse_machinery():
         timeout=60,
     ).stdout
     assert out == f"False (0, 0, False) (0, {1 + len(COMMANDS)}, True)\n"
+
+
+def test_plain_command_line_imports_no_argparse():
+    # Without site (-S), nothing but the library decides what a run imports:
+    # a well-formed command line leaves argparse and its gettext unimported,
+    # and a misspelt flag still exits 2 through argparse's usage error.
+    script = """if True:
+        import contextlib, io, sys
+        import loewylab.cli
+
+        def run(*argv):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    loewylab.cli.main(list(argv))
+                except SystemExit as stop:
+                    code = stop.code
+            loaded = [name for name in ("argparse", "gettext") if name in sys.modules]
+            return code, loaded, "error: unrecognized arguments: --fromat" in err.getvalue()
+
+        plain = run("verma", "--n", "3", "--p", "5", "--i", "1", "--nu=1,0,2", "--format", "json")
+        misspelt = run("verma", "--n", "3", "--p", "5", "--i", "1", "--fromat", "json")
+        print(plain, misspelt)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(loewylab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    assert out == "(0, [], False) (2, ['argparse', 'gettext'], True)\n"
 
 
 def test_json_reruns_are_byte_identical(capsys):
@@ -1090,6 +1121,33 @@ def test_table_budget_edges(capsys, monkeypatch):
         2, "", f"error: ext at n={n} would build a weight table of {n * (n + 1)} ints, "
         f"over the budget of {WEIGHT_BUDGET} ints\n"
     )
+
+
+def test_dim_refuses_numbers_too_long_to_print(capsys):
+    # dim prints the baby Verma dimension p^(n(n+1)/2), its largest number,
+    # of about n(n+1)/2·log10 p digits.  Past CPython's default limit of 4300
+    # digits for int-to-str conversion it is refused up front in text and
+    # JSON, not printed as a traceback.
+    assert DIGIT_BUDGET == 4300
+    for argv, digits in [
+        (["dim", "--n", "70", "--p", "73"], 4631),
+        (["dim", "--n", "19", "--p", "3317044064679887385961813"], 4659),
+    ]:
+        p = argv[-1]
+        for fmt in ([], ["--format", "json"]):
+            start = perf_counter()
+            assert run_cli(argv + fmt, capsys) == (
+                2, "", f"error: dim at n={argv[2]}, p={p} would print a {digits}-digit dimension, "
+                f"over the budget of {DIGIT_BUDGET} digits\n"
+            ), argv + fmt
+            assert perf_counter() - start < 0.5
+    # At the largest prime the primality test admits, n = 18 prints 4194 digits.
+    argv = ["dim", "--n", "18", "--p", "3317044064679887385961813"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and err == ""
+    assert len(str(json.loads(out)["verma_dimension"])) == 4194
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and out.startswith("dimensions in the block, n=18")
 
 
 # ------------------------------------------------------- byte-identity grid
