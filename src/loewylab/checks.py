@@ -18,8 +18,9 @@ which `loewylab dim` renders and two of the checks read.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from itertools import chain, product
+from itertools import chain, groupby, product
 from math import comb
+from operator import itemgetter
 
 from .block import BlockContext, block_weight, check_label, classify, label_weight, mu_weight
 from .chardim import (
@@ -70,10 +71,15 @@ def dimension_table(ctx: BlockContext) -> dict:
 
 
 def _index_totals(rows: Iterable[Row]) -> dict[int, int]:
-    """Summed multiplicity per block index over (i, coords, mult) rows."""
+    """Summed multiplicity per block index over (i, coords, mult) rows.
+
+    Layer rows come in block index order, so each run of one index is
+    summed in C.
+    """
     totals: dict[int, int] = {}
-    for u, _, m in rows:
-        totals[u] = totals.get(u, 0) + m
+    mult = itemgetter(2)
+    for u, run in groupby(rows, itemgetter(0)):
+        totals[u] = totals.get(u, 0) + sum(map(mult, run))
     return totals
 
 
@@ -206,7 +212,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     ok = True
     for a in labels:
         for b in labels:
-            d_ab, d_ba = _ext1_dim(n, a, b), _ext1_dim(n, b, a)
+            d_ab, d_ba = _ext1_dim(a, b), _ext1_dim(b, a)
             ok = ok and d_ab == d_ba
             if abs(a[0] - b[0]) != 1:
                 ok = ok and d_ab == 0

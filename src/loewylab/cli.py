@@ -30,11 +30,13 @@ other work, the weight table's (n+1)·n ints included: a layer listing
 (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
 multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels,
 `jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14,
-`verify`, which stacks the n+1 covers at nu = 0, (n+1)·4^n labels, above
-VERIFY_BUDGET = 2^20, `block`, which writes 3n(n+1) weight coordinates,
+`verify`, which sums the n+1 covers at nu = 0, (n+1)·4^n labels, above
+VERIFY_BUDGET = 2^20 or when it would check over TWIST_BUDGET = 2^17 block
+weights, (n+1)·(p-1), `block`, which writes 3n(n+1) weight coordinates,
 above BLOCK_BUDGET = 2^19, `dim`, which evaluates n(3n^2+1)/2 root
 pairings, above DIM_BUDGET = 2^19 or when the largest number it prints,
-p^(n(n+1)/2), has over DIGIT_BUDGET = 4300 digits, and the `ext` table of
+p^(n(n+1)/2), has over DIGIT_BUDGET = 4300 digits (or the interpreter's
+lower limit on int-to-str conversion), and the `ext` table of
 (n+1)^2 Ext^1 kinds above EXT_BUDGET = 2^19; every subcommand is refused
 first when its weight table would hold over WEIGHT_BUDGET = 2^20 ints.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
@@ -77,11 +79,17 @@ LAYER_BUDGET = 1 << 16
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
 # 1 s and wrote 6 MB of JSON on a 2-core VM.
 PAIR_BUDGET = 1 << 14
-# `verify` is refused above this many labels, the (n+1)·4^n labels of the
-# n+1 covers it stacks at nu = 0.  The largest one admitted, n = 8, took
-# about 1 s on a 2-core VM; the battery at n = 9, run through the library,
-# took about 4 s and 90 MB.
+# `verify` is refused above this many labels, the (n+1)·4^n labels with
+# multiplicity of the n+1 covers it sums at nu = 0.  The largest one
+# admitted, n = 8, took about 1 s on a 2-core VM; the battery at n = 9, run
+# through the library, took about 4 s and 90 MB.
 VERIFY_BUDGET = 1 << 20
+# `verify` is also refused above this many block weights, the (n+1)·(p-1)
+# weights of every block index at every twist parameter a in 1..p-1 that
+# its weight table check builds.  At n = 2, p = 100003 (300006 weights) the
+# command took about 0.6 s on a 2-core VM, and at n = 8, p = 30011 (270090)
+# about 1.4 s.
+TWIST_BUDGET = 1 << 17
 # `block` is refused above this many weight coordinates, three weights of n
 # coordinates per block index, 3n(n+1) at rank n.  The largest one admitted,
 # n = 417, took about 0.7 s and 62 MB with --format json on a 2-core VM.
@@ -103,8 +111,13 @@ EXT_BUDGET = 1 << 19
 WEIGHT_BUDGET = 1 << 20
 # `dim` is refused above this many digits in the largest number it prints,
 # the baby Verma dimension p^(n(n+1)/2): CPython's default limit on
-# converting an int to a string, which such a number would exceed.
+# converting an int to a string, which such a number would exceed.  An
+# interpreter started with a lower limit (PYTHONINTMAXSTRDIGITS, or
+# -X int_max_str_digits) refuses above that limit instead; 0 is no limit.
 DIGIT_BUDGET = 4300
+# The interpreter's limit, read once; CPython before 3.10.7 has none.
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_DIGITS = min(DIGIT_BUDGET, _LIMIT) if _LIMIT else DIGIT_BUDGET
 
 # Work refused up front, per subcommand: rows (closed-form size at (n, p, i),
 # budget, the error message naming both).  A layer listing's size counts its
@@ -140,7 +153,7 @@ _BUDGETS = {
         ),
         (
             # The digits of p^(n(n+1)/2); p is never a power of 10.
-            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, DIGIT_BUDGET,
+            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, _DIGITS,
             "dim at n={n}, p={p} would print a {size}-digit dimension, "
             "over the budget of {budget} digits",
         ),
@@ -150,11 +163,18 @@ _BUDGETS = {
         "jantzen at n={n} would check {size} (block index, root) pairs, "
         "over the budget of {budget} pairs",
     ),),
-    "verify": ((
-        lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
-        "verify at n={n} would stack {size} cover labels with multiplicity, "
-        "over the budget of {budget} labels",
-    ),),
+    "verify": (
+        (
+            lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
+            "verify at n={n} would stack {size} cover labels with multiplicity, "
+            "over the budget of {budget} labels",
+        ),
+        (
+            lambda n, p, i: (n + 1) * (p - 1), TWIST_BUDGET,
+            "verify at n={n}, p={p} would check {size} block weights, "
+            "over the budget of {budget} weights",
+        ),
+    ),
 }
 
 

@@ -8,15 +8,17 @@ eps_1, ..., eps_{n+1}, each with multiplicity one, which is what turns the
 Ext rule into exact label arithmetic: the twist-graded Ext dimension reads
 off one weight multiplicity, and the first radical layer of the projective
 cover is exactly the multiset of labels with Ext dimension one.  Both take
-labels (i, nu coordinates) and read eps_k from one cached coordinate tuple,
-and the layer leaves as rows (block index, twist coordinates, multiplicity).
+labels (i, nu coordinates).  In fundamental coordinates eps_k is +1 at
+coordinate k and -1 at coordinate k - 1, where they exist, so a twist
+difference is tested for that shape and a neighbour is built by changing
+two coordinates; no table of the eps_k is kept.  The layer leaves as rows
+(block index, twist coordinates, multiplicity).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
-from operator import add, sub
+from operator import sub
 
 from .block import BlockContext, Label, check_index, check_label
 from .loewy import Row
@@ -38,13 +40,19 @@ class ExtKind(Enum):
     ZERO = "zero"
 
 
-@lru_cache(maxsize=16)
-def _eps(rank: int) -> tuple[tuple[int, ...], ...]:
-    """The standard representation's weights eps_1, ..., eps_{n+1}, in
-    fundamental coordinates: eps_k = w_k - w_{k-1}, w_0 = w_{n+1} = 0."""
-    return tuple(
-        tuple((s == k) - (s == k - 1) for s in range(1, rank + 1)) for k in range(1, rank + 2)
-    )
+def _is_eps(d: tuple[int, ...]) -> bool:
+    """Whether the fundamental coordinates d are one of the standard
+    representation's weights eps_k = w_k - w_{k-1} (w_0 = w_{n+1} = 0),
+    k = 1..n+1: a 1 at coordinate k and a -1 at coordinate k - 1, where
+    they exist, and 0 elsewhere."""
+    last = len(d) - 1
+    nonzero = len(d) - d.count(0)
+    if nonzero == 1:
+        return d[0] == 1 or d[last] == -1
+    if nonzero == 2 and -1 in d:
+        k = d.index(-1)
+        return k < last and d[k + 1] == 1
+    return False
 
 
 def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
@@ -73,11 +81,11 @@ def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
     (i, x), (j, y) = a, b
     check_label(ctx, i, x)
     check_label(ctx, j, y)
-    return _ext1_dim(ctx.n, a, b)
+    return _ext1_dim(a, b)
 
 
-def _ext1_dim(n: int, a: Label, b: Label) -> int:
-    """`ext1_g1t_dim` at rank n for labels that `check_label` has checked."""
+def _ext1_dim(a: Label, b: Label) -> int:
+    """`ext1_g1t_dim` for labels of one rank that `check_label` has checked."""
     (i, x), (j, y) = a, b
     # The kind read off the indices.
     if j == i + 1:
@@ -85,7 +93,7 @@ def _ext1_dim(n: int, a: Label, b: Label) -> int:
         x, y = y, x
     elif j != i - 1:
         return 0
-    return int(tuple(map(sub, x, y)) in _eps(n))
+    return int(_is_eps(tuple(map(sub, x, y))))
 
 
 def rad1_qhat(ctx: BlockContext, label: Label) -> list[Row]:
@@ -102,10 +110,15 @@ def rad1_qhat(ctx: BlockContext, label: Label) -> list[Row]:
     check_label(ctx, i, v)
     n = ctx.n
     rows: list[Row] = []
-    for eps in _eps(n):
-        if i > 0:
-            rows.append((i - 1, tuple(map(sub, v, eps)), 1))
-        if i < n:
-            rows.append((i + 1, tuple(map(add, v, eps)), 1))
+    for k in range(1, n + 2):
+        for u, sign in ((i - 1, -1), (i + 1, 1)):
+            if 0 <= u <= n:
+                # v + sign eps_k: coordinates k and k - 1 (where they exist) move.
+                c = list(v)
+                if k <= n:
+                    c[k - 1] += sign
+                if k > 1:
+                    c[k - 2] -= sign
+                rows.append((u, tuple(c), 1))
     rows.sort()
     return rows

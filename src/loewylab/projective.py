@@ -1,36 +1,46 @@
-"""Loewy layers of projective covers in the block, by Verma convolution.
+"""Loewy layers of projective covers in the block, in closed form.
 
 A projective cover is filtered by baby Vermas, and its radical layers are
 obtained by stacking each Verma's own layers starting at the filtration
 depth where that Verma sits.  The support of the filtration is computed
 exactly: the baby Verma with label (t, eta) contains the target simple
 (i, nu) in its layer k for at most one (k, X, Y), which pins down both the
-depth and the BGG multiplicity.  Like the Verma layers, the support and
-the stacked table depend on nu only by translation, and both read the
-Vermas' cached nu = 0 block patterns (`loewy._verma_pattern`): the support
-is the blocks of block index i, negated, and `verma_support` returns it as
-rows (t, eta coordinates, depth).  Every API here takes its simples and
-Vermas as labels (block index, twist coordinates).
+depth and the BGG multiplicity.  Like the Verma layers, the support depends
+on nu only by translation, and it reads the Vermas' cached nu = 0 block
+patterns (`loewy._verma_pattern`): the support is the blocks of block
+index i, negated, and `verma_support` returns it as rows (t, eta
+coordinates, depth).  Every API here takes its simples and Vermas as labels
+(block index, twist coordinates).
 
-The cover is stacked at nu = 0 over packed ints.  A label (u, c) is the key
-u B^n + sum_k c_k B^(n-k) with B = 256, and each Verma pattern layer is
-flattened once per (n, t) into such keys (a small bounded cache).  The
-packing is linear, so translating a Verma by eta is adding eta's key, and
-each cover layer is one `Counter` over the translated keys of every
-supporting Verma layer that lands in it.  Pattern coordinates lie in
-{-1, 0, 1}, so the stacked coordinates lie in [-2, 2]: these balanced
+The cover's layers are not stacked Verma by Verma but summed in closed
+form, and share no code with the support, so the `verify` battery compares
+two routes.  Slot t + 1 of a Verma lam_t is never moved, so every
+contribution is a sign pattern e in {-1, 0, 1}^(n+1) with e_(t+1) = 0,
+and the number of supporting Vermas lam_t + p eta that put its label in a
+given layer is a product of two binomials that depends only on how many
+1s, -1s and 0s e has before slot t + 1 (its head) and after it (its tail)
+(`_summed`).  So each layer is a sum over t and over pairs of such sign
+classes of head x tail products.
+
+Labels are summed as packed ints: the offset (u - i, c) of a label (u, c)
+from the head (i, 0) is the key (u - i) B^n + sum_k c_k B^(n-k) with
+B = 256.  The packing is linear, so a sign pattern's key is the sum of one
+key per nonzero slot, and each sign class of each half is one list of keys
+(a small bounded cache per rank, filled as covers ask for classes).  Each
+cover layer is one `Counter` over its keys, counted with multiplicity.
+Sign patterns have coordinates e_s - e_(s+1) in [-2, 2]: these balanced
 digits decode uniquely, and numeric order on keys is (u, coordinates)
 order.  A layer's distinct keys are sorted and decoded in bulk: biased by
-B/2 in every digit, each key is n + 1 bytes (a block index that does not
-fit its byte raises, never wraps), and with the bytes' high bits flipped
-the joined keys read back as signed bytes, the block indices by one slice
-and the coordinates by one struct unpack.  nu is added per row after
-decoding, and only when nu != 0, never packed.  Layer j of a palindromic
-cover equals its mirror layer 2n - j, so a layer whose counter compares
-equal to its mirror's, already decoded, gets a copy of the mirror's rows;
-the comparison is real, and a table that is not palindromic decodes every
-layer.  `cover_rows` returns the layers as rows (block index, twist
-coordinates, multiplicity).
+B/2 in every digit and by i in the first, each key is n + 1 bytes (a block
+index that does not fit its byte raises, never wraps), and with the bytes'
+high bits flipped the joined keys read back as signed bytes, the block
+indices by one slice and the coordinates by one struct unpack.  nu is added
+per row after decoding, and only when nu != 0, never packed.  Layer j of a
+palindromic cover equals its mirror layer 2n - j, so a layer whose counter
+compares equal to its mirror's, already decoded, gets a copy of the
+mirror's rows; the comparison is real, and a table that is not palindromic
+decodes every layer.  `cover_rows` returns the layers as rows (block
+index, twist coordinates, multiplicity).
 
 The resulting layer table has 2n + 1 palindromic layers.  That shape (and
 being the radical series at all) is CONDITIONAL on the projective cover
@@ -99,34 +109,95 @@ _HALF = _BASE // 2
 _FLIP = bytes(b ^ _HALF for b in range(_BASE))
 
 
-def _pack(u: int, coords: tuple[int, ...]) -> int:
-    """The key u B^n + sum_k c_k B^(n-k) of the label (u, coords)."""
-    key = u
-    for c in coords:
-        key = key * _BASE + c
-    return key
+@lru_cache(maxsize=4)
+def _sign_classes(n: int) -> tuple[list, list, tuple[int, ...]]:
+    """The sign classes of both halves at rank n, heads[t][p][m] and
+    tails[t][p][m], each None until `_sign_class` builds it, and the slot
+    keys W_s = B^n + B^(n-s) - B^(n-s+1), s = 1..n+1: the key of the sign
+    pattern whose only nonzero entry is e_s = 1 (block index one up,
+    coordinate s one up and coordinate s - 1 one down, where they exist)."""
+    heads = [[[None] * (t - p + 1) for p in range(t + 1)] for t in range(n + 1)]
+    tails = [[[None] * (n - t - p + 1) for p in range(n - t + 1)] for t in range(n + 1)]
+    heads[0][0][0] = tails[n][0][0] = [0]
+    # place[k] is coordinate k's digit B^(n-k); coordinates 0 and n + 1 do not exist.
+    place = [0, *(_BASE ** (n - k) for k in range(1, n + 1)), 0]
+    weights = (0, *(_BASE**n + place[s] - place[s - 1] for s in range(1, n + 2)))
+    return heads, tails, weights
 
 
-@lru_cache(maxsize=32)
-def _packed_pattern(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """The layers of `loewy._verma_pattern(n, t)`, each flattened to keys.
+def _sign_class(n: int, t: int, p: int, m: int, head: bool) -> list[int]:
+    """The keys sum(e_s W_s) of one sign class at rank n: the sign patterns
+    e over slots 1..t (the head) or t + 2..n + 1 (the tail) with p >= 0
+    entries 1, m >= 0 entries -1 and the rest 0, p + m at most the slots.
 
-    Raises RuntimeError if a pattern coordinate lies outside {-1, 0, 1}:
-    stacked covers would then leave the digits that decode uniquely.
+    Each class is built once per rank, when first asked for, from the
+    classes one slot shorter (the slot next to t + 1 left off) with that
+    slot's e = 0, 1 and -1, and is never mutated.
     """
-    layers = []
-    for blocks in _verma_pattern(n, t):
-        keys: list[int] = []
-        for u, heads, tails in blocks:
-            for shift in (*heads, *tails):
-                if not set(shift) <= {-1, 0, 1}:
-                    raise RuntimeError(
-                        f"packed cover labels need pattern coordinates in {{-1, 0, 1}}: "
-                        f"shift {shift} of the Verma pattern at (n, t) = ({n}, {t})"
-                    )
-            keys += [_pack(_pack(u, head), tail) for head in heads for tail in tails]
-        layers.append(tuple(keys))
-    return tuple(layers)
+    heads, tails, weights = _sign_classes(n)
+    row = (heads if head else tails)[t][p]
+    if row[m] is None:
+        size, slot, shorter = (t, t, t - 1) if head else (n - t, t + 2, t + 1)
+        w = weights[slot]
+        keys = list(_sign_class(n, shorter, p, m, head)) if p + m < size else []
+        if p:
+            keys += map(w.__add__, _sign_class(n, shorter, p - 1, m, head))
+        if m:
+            keys += map(w.__rsub__, _sign_class(n, shorter, p, m - 1, head))
+        row[m] = keys
+    return row[m]
+
+
+def _summed(n: int, i: int) -> list[Counter]:
+    """The layers of the cover of (i, 0), each one `Counter` of keys
+    relative to the head, summed in closed form over sign classes.
+
+    The sign pattern e with e_(t+1) = 0 is the label (i + sum(e),
+    (e_s - e_(s+1))_s), whose key is sum(e_s W_s).  With P, M and Z counting
+    the 1s, -1s and 0s of its head (slots 1..t, subscript h) and of its
+    tail (slots t + 2..n + 1, subscript t), each a in 0..Z_h with
+    b = i - t - M_t + P_h + a in 0..Z_t adds C(Z_h, a) C(Z_t, b) to that
+    label in layer P_h + M_h + P_t + M_t + 2(a + b).  So each t and pair of
+    a head and a tail class adds its head x tail keys, with that
+    multiplicity, to one layer per such a.
+    """
+    binom = [[comb(z, a) for a in range(z + 1)] for z in range(n + 1)]
+    feeds: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
+    head_classes, tail_classes, _ = _sign_classes(n)
+    for t in range(n + 1):
+        head_t, tail_t = head_classes[t], tail_classes[t]
+        # b - a = d0 - M_t, and b <= Z_t is a <= n - i - P_h - P_t.
+        for p_h in range(min(t, n - i) + 1):
+            d0 = i - t + p_h
+            for m_h in range(t - p_h + 1):
+                z_h = t - p_h - m_h
+                if min(z_h, n - i - p_h) < -d0:
+                    continue  # no tail class leaves a valid a
+                heads = head_t[p_h][m_h] or _sign_class(n, t, p_h, m_h, True)
+                row_h = binom[z_h]
+                for p_t in range(min(n - t, n - i - p_h) + 1):
+                    top = min(z_h, n - i - p_h - p_t)
+                    tail_p = tail_t[p_t]
+                    layer = p_h + m_h + p_t + 2 * d0
+                    # a runs from max(0, M_t - d0), where b >= 0, to top.
+                    for m_t in range(min(n - t - p_t, top + d0) + 1):
+                        tails = tail_p[m_t] or _sign_class(n, t, p_t, m_t, False)
+                        # A class without signs is the one key 0.
+                        if not p_h + m_h:
+                            keys = tails
+                        elif not p_t + m_t:
+                            keys = heads
+                        else:
+                            keys = [head + tail for head in heads for tail in tails]
+                        row_t, d = binom[n - t - p_t - m_t], d0 - m_t
+                        for a in range(max(0, -d), top + 1):
+                            mult = row_h[a] * row_t[a + d]
+                            if mult == 1:
+                                feeds[layer + 4 * a].append(keys)
+                            else:
+                                feeds[layer + 4 * a] += [keys] * mult
+                        layer -= 1
+    return [Counter(chain.from_iterable(feed)) for feed in feeds]
 
 
 def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
@@ -134,20 +205,15 @@ def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
     (i, nu coordinates), as rows (block index, twist coordinates,
     multiplicity) in (block index, twist coordinates) order.
 
-    Stacks each supporting baby Verma's radical layers at its depth.  The
-    result has 2n + 1 layers, palindromic, with layer 0 the head and layer
-    1 equal to `ext.rad1_qhat`.  Conditional on the Loewy length
-    conjecture; see the module docstring.
+    Sums the layer formula over sign classes (`_summed`).  The result has
+    2n + 1 layers, palindromic, with layer 0 the head and layer 1 equal to
+    `ext.rad1_qhat`.  Conditional on the Loewy length conjecture; see the
+    module docstring.
     """
     i, v = label
     check_label(ctx, i, v)
     n = ctx.n
-    feeds = [[] for _ in range(2 * n + 1)]
-    for t, eta_head, eta_tail, depth in _support(n, i):
-        eta = _pack(0, eta_head + eta_tail)
-        for feed, keys in zip(feeds[depth:], _packed_pattern(n, t)):
-            feed.append(map(eta.__add__, keys))
-    counts = [Counter(chain.from_iterable(feed)) for feed in feeds]
+    counts = _summed(n, i)
     while counts and not counts[-1]:
         counts.pop()
     layers: list[list[Row]] = []
@@ -158,20 +224,22 @@ def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
         if mirror < j and dict.__eq__(counter, counts[mirror]):
             layers.append(list(layers[mirror]))
         else:
-            layers.append(_decode(counter, n, v))
+            layers.append(_decode(counter, n, label))
     return layers
 
 
-def _decode(counter: Counter, n: int, v: tuple[int, ...]) -> list[Row]:
-    """The rows (u, c + v, multiplicity) of one stacked layer's keys, in key
-    order.
+def _decode(counter: Counter, n: int, label: Label) -> list[Row]:
+    """The rows (i + k, c + v, multiplicity) of one layer's keys (k, c)
+    relative to the head `label` = (i, v), in key order.
 
     Each key, biased, is n + 1 bytes, which read back as signed bytes: the
     block index, then the coordinates.  Raises OverflowError if a block
     index does not fit its byte.
     """
+    i, v = label
     keys = sorted(counter)
-    width, bias = n + 1, _pack(_HALF, (_HALF,) * n)
+    width = n + 1
+    bias = int.from_bytes(bytes([_HALF]) * width, "big") + i * _BASE**n
     data = b"".join([(key + bias).to_bytes(width, "big") for key in keys]).translate(_FLIP)
     coords = Struct(f"x{n}b").iter_unpack(data)
     if any(v):

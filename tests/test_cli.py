@@ -28,6 +28,7 @@ from loewylab.cli import (
     LAYER_BUDGET,
     PAIR_BUDGET,
     TRUNCATE_AT,
+    TWIST_BUDGET,
     VERIFY_BUDGET,
     WEIGHT_BUDGET,
     _dump_json,
@@ -1047,6 +1048,27 @@ def test_verify_budget_edges(capsys):
             )
 
 
+def test_verify_refuses_primes_past_its_twist_budget(capsys):
+    # verify's weight table check builds a block weight for each of the n+1
+    # block indices at each twist parameter a in 1..p-1, so its work grows
+    # with p: at the largest prime the primality test admits it is refused
+    # at once.  At n = 1 the Fermat prime 65537 is the last one admitted
+    # (2 * 65536 = 2^17 weights) and the next prime, 65539, is refused.
+    assert TWIST_BUDGET == 2 * (65537 - 1)
+    for n, p in ((1, 3317044064679887385961813), (1, 65539), (8, 3317044064679887385961813)):
+        for fmt in ("text", "json"):
+            start = perf_counter()
+            code, out, err = run_cli(["verify", "--n", str(n), "--p", str(p), "--format", fmt], capsys)
+            assert perf_counter() - start < 0.5
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: verify at n={n}, p={p} would check {(n + 1) * (p - 1)} block weights, "
+                f"over the budget of {TWIST_BUDGET} weights\n"
+            )
+    code, out, err = run_cli(["verify", "--n", "1", "--p", "65537"], capsys)
+    assert code == 0 and err == "" and out.endswith("all checks passed at n=1, p=65537 (13 checks)\n")
+
+
 def refuse_weight_table(monkeypatch):
     """Make building the weight table, (n+1)·n ints, fail the test."""
     def refuse(n, p):
@@ -1148,6 +1170,28 @@ def test_dim_refuses_numbers_too_long_to_print(capsys):
     assert len(str(json.loads(out)["verma_dimension"])) == 4194
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == "" and out.startswith("dimensions in the block, n=18")
+
+
+def test_dim_digit_budget_follows_a_lower_interpreter_limit():
+    # An interpreter started with a lower int-to-str limit (640 is the least
+    # CPython accepts) refuses past that limit instead of raising: p^820 at
+    # n = 40, p = 7 has 693 digits, and p^465 at n = 30 has 393 and prints.
+    env = {
+        **os.environ, "PYTHONPATH": str(Path(loewylab.__file__).parents[1]),
+        "PYTHONINTMAXSTRDIGITS": "640",
+    }
+    for n, code, err in [
+        (40, 2, "error: dim at n=40, p=7 would print a 693-digit dimension, "
+                "over the budget of 640 digits\n"),
+        (30, 0, ""),
+    ]:
+        for fmt in ("text", "json"):
+            run = subprocess.run(
+                [sys.executable, "-m", "loewylab", "dim", "--n", str(n), "--p", "7", "--format", fmt],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (run.returncode, run.stderr) == (code, err), (n, fmt)
+            assert (run.stdout == "") == (code == 2)
 
 
 # ------------------------------------------------------- byte-identity grid

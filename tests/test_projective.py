@@ -1,9 +1,11 @@
+from collections import Counter
 from itertools import product
 from math import comb
 
 import pytest
 from oracles import as_labels, as_rows, cover_formula, cover_layers, far_twist, twists
 
+import loewylab.loewy
 import loewylab.projective
 from loewylab.block import make_context
 from loewylab.cli import main
@@ -13,6 +15,7 @@ from loewylab.lattice import Weight, eps_basis, fundamental, zero
 from loewylab.loewy import layer_sizes, verma_rows
 from loewylab.projective import (
     CONDITIONAL_FLAG_KEY,
+    _decode,
     bgg_multiplicity,
     cover_rows,
     q_composition_mult_g1,
@@ -251,21 +254,27 @@ def test_cover_rows_match_closed_form_oracle():
 
 
 def test_dropped_support_entry_is_not_palindromic(monkeypatch, capsys):
-    # A cover layer gets its mirror's rows only when the two stacked layers
-    # compare equal, so a table that is not palindromic still shows it.
-    support = loewylab.projective._support
+    # A cover layer gets its mirror's rows only when the two summed layers
+    # compare equal, so a table that is not palindromic still shows it:
+    # here the kernel loses one contribution, as a dropped support entry
+    # would lose its Verma's, from layer 1.
+    summed = loewylab.projective._summed
 
     def dropped(n, i):
-        entries = list(support(n, i))
-        del entries[len(entries) // 2]
-        return iter(entries)
+        layers = summed(n, i)
+        key = min(layers[1])
+        layers[1][key] -= 1
+        if not layers[1][key]:
+            del layers[1][key]
+        return layers
 
-    monkeypatch.setattr(loewylab.projective, "_support", dropped)
+    monkeypatch.setattr(loewylab.projective, "_summed", dropped)
     ctx = make_context(2, 5)
     for i in range(3):
         for nu in twists(2):
             rows = cover_rows(ctx, (i, nu))
-            assert rows == as_rows(cover_layers(ctx, (i, nu)))
+            expected = as_rows(cover_layers(ctx, (i, nu)))
+            assert rows[2:] == expected[2:] and rows[1] != expected[1]
             assert rows != rows[::-1]
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--n", "2", "--p", "5"])
@@ -285,23 +294,44 @@ def test_cover_rows_strictly_increase():
                     assert min(m for _, _, m in rows) >= 1
 
 
-def test_packing_refuses_wide_pattern_coordinates(monkeypatch):
-    # A coordinate of 2 could stack past the digits that decode uniquely, so
-    # building the packed layers raises, which `python -O` keeps.
-    def widened(n, t):
-        return (((t, (tuple([2] * t),), (tuple([2] * (n - t)),)),),)
+def test_cover_coordinates_stay_in_balanced_digits():
+    # A summed label's coordinates are e_s - e_(s+1) for signs e_s in
+    # {-1, 0, 1}, so after nu comes off each lies in [-2, 2], the digits
+    # that packed keys decode uniquely, at every n <= 7 and every i; both
+    # ends are reached exactly when 0 < i < n.
+    for n in range(1, 8):
+        ctx = make_context(n, 5 if (n + 1) % 5 else 7)
+        for i in range(n + 1):
+            for nu in ((0,) * n, far_twist(n)):
+                offsets = {
+                    x - v for rows in cover_rows(ctx, (i, nu)) for _, c, _ in rows
+                    for x, v in zip(c, nu)
+                }
+                assert offsets <= set(range(-2, 3)), (n, i)
+                assert ({-2, 2} <= offsets) == (0 < i < n), (n, i)
 
-    monkeypatch.setattr(loewylab.projective, "_verma_pattern", widened)
-    loewylab.projective._packed_pattern.cache_clear()
-    try:
-        with pytest.raises(
-            RuntimeError,
-            match=r"^packed cover labels need pattern coordinates in \{-1, 0, 1\}: "
-            r"shift \(2,\) of the Verma pattern at \(n, t\) = \(2, 1\)$",
-        ):
-            cover_rows(make_context(2, 5), (1, (0, 0)))
-    finally:
-        loewylab.projective._packed_pattern.cache_clear()
+
+def test_cover_rows_need_no_verma_and_no_support(monkeypatch):
+    # The closed form shares no code with the Verma patterns or the support
+    # enumeration, so the `verify` battery's support check and its cover
+    # checks are two routes: with both patched to raise, the covers still
+    # equal the Verma-by-Verma oracle, which reads them unpatched first.
+    expected = {
+        (n, i, nu): as_rows(cover_layers(make_context(n, 7), (i, nu)))
+        for n in range(1, 5) for i in range(n + 1) for nu in twists(n)
+    }
+
+    def refuse(*args):
+        raise AssertionError(f"the cover read a Verma pattern or the support at {args}")
+
+    monkeypatch.setattr(loewylab.loewy, "_verma_pattern", refuse)
+    monkeypatch.setattr(loewylab.projective, "_verma_pattern", refuse)
+    monkeypatch.setattr(loewylab.projective, "_support", refuse)
+    loewylab.projective._sign_classes.cache_clear()
+    for (n, i, nu), rows in expected.items():
+        assert cover_rows(make_context(n, 7), (i, nu)) == rows
+    with pytest.raises(AssertionError, match="the cover read"):
+        verma_support(make_context(2, 7), (1, (0, 0)))
 
 
 def test_qhat_layers_are_fresh_maps():
@@ -330,25 +360,35 @@ def test_mirrored_cover_layers_are_fresh_lists():
         assert cover_rows(ctx, (1, nu)) == expected
 
 
-@pytest.mark.parametrize("u", [127, 128])
-def test_decoded_block_index_raises_past_its_byte(monkeypatch, u):
-    # A pattern with a block index u one layer below the head: u = 127
-    # decodes as itself, and u = 128, past its signed byte, raises rather
-    # than wrapping.
-    def patterned(n, t):
-        head, tail = ((0,) * t,), ((0,) * (n - t),)
-        return (((t, head, tail),), ((u, head, tail),))
+def test_cover_builds_only_the_sign_classes_it_needs():
+    # The sign classes are built on demand, so the end covers at n = 12
+    # (the largest `proj` admits) hold fewer keys than the 13 * 2^12 labels
+    # they list, not the 3^13 of every class of both halves.
+    n = 12
+    for i in (0, n):
+        loewylab.projective._sign_classes.cache_clear()
+        layers = cover_rows(make_context(n, 5), (i, (0,) * n))
+        assert sum(m for rows in layers for _, _, m in rows) == (n + 1) * 2**n
+        held = sum(
+            len(keys) for half in loewylab.projective._sign_classes(n)[:2]
+            for classes in half for row in classes for keys in row if keys is not None
+        )
+        assert held <= (n + 1) * 2**n
+    loewylab.projective._sign_classes.cache_clear()
 
-    monkeypatch.setattr(loewylab.projective, "_verma_pattern", patterned)
-    loewylab.projective._packed_pattern.cache_clear()
-    try:
-        if u < 128:
-            assert cover_rows(make_context(2, 5), (1, (0, 0))) == [[(1, (0, 0), 1)], [(u, (0, 0), 1)]]
-        else:
-            with pytest.raises(OverflowError):
-                cover_rows(make_context(2, 5), (1, (0, 0)))
-    finally:
-        loewylab.projective._packed_pattern.cache_clear()
+
+@pytest.mark.parametrize("u", [127, 128])
+def test_decoded_block_index_raises_past_its_byte(u):
+    # The key of (u, nu + (2, -1)) relative to the head (1, nu), as the
+    # kernel's keys are: u = 127 decodes as itself, and u = 128, past its
+    # signed byte, raises rather than wrapping.
+    key = (u - 1) * 256**2 + 2 * 256 - 1
+    counter = Counter({key: 3})
+    if u < 128:
+        assert _decode(counter, 2, (1, (5, -5))) == [(u, (7, -6), 3)]
+    else:
+        with pytest.raises(OverflowError):
+            _decode(counter, 2, (1, (5, -5)))
 
 
 def test_qhat_validation_messages():
