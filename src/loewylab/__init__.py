@@ -9,8 +9,7 @@ functions and can machine-verify every identity the library asserts.
 """
 
 from .block import BlockContext, make_context
-from .lattice import Weight
 
-__all__ = ["BlockContext", "Weight", "make_context"]
+__all__ = ["BlockContext", "make_context"]
 
 __version__ = "0.1.0"

@@ -15,10 +15,10 @@ its one validity check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
-from .lattice import Weight, eps_basis, restricted_decompose, rho
-from .record import Record
+from .lattice import _is_coords, add, eps_basis, restricted_decompose, rho, scale, sub
 
 __all__ = [
     "BlockContext",
@@ -36,18 +36,13 @@ __all__ = [
 
 
 Label = tuple[int, tuple[int, ...]]
-_INT = frozenset((int,))  # the one type of a label's coordinates, built once
 
 
-class BlockContext(Record):
-    """Rank, characteristic, and the block's restricted weight table."""
+class BlockContext(namedtuple("BlockContext", ("n", "p", "lambdas"))):
+    """Rank, characteristic, and the block's restricted weight table
+    lam_0, ..., lam_n, each a coordinate tuple.  Immutable and hashable."""
 
-    __slots__ = ("n", "p", "lambdas")
-
-    def __init__(self, n: int, p: int, lambdas: tuple[Weight, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "lambdas", lambdas)
+    __slots__ = ()
 
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -101,8 +96,7 @@ def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
     """Raise ValueError unless (i, coords) labels a simple of the block: a
     block index and the n coordinates of a twist.  Raise TypeError unless
     coords is a tuple of ints."""
-    # Exact ints, as in `Weight`: a bool is an int subclass and would print as True.
-    if type(coords) is not tuple or not {*map(type, coords)} <= _INT:
+    if not _is_coords(coords):
         raise TypeError("twist coordinates must be a tuple of ints")
     check_index(ctx.n, i)
     if len(coords) != ctx.n:
@@ -134,7 +128,7 @@ def make_context(n: int, p: int) -> BlockContext:
     return BlockContext(n, p, lambdas)
 
 
-def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
+def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
     """The i-th restricted weight of the block family, twist parameter a.
 
     For 1 <= a <= p - 1 the family at fixed a is a block of its own; the
@@ -155,42 +149,43 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> Weight:
     else:
         coords[i - 1] = p - a - 1
         coords[i] = a - 1
-    return Weight(tuple(coords))
+    return tuple(coords)
 
 
-def mu_weight(ctx: BlockContext, i: int) -> Weight:
+def mu_weight(ctx: BlockContext, i: int) -> tuple[int, ...]:
     """The dot-orbit representative mu_i = eps_{i+1} - rho."""
     check_index(ctx.n, i)
-    return eps_basis(ctx.n, i + 1) - rho(ctx.n)
+    return sub(eps_basis(ctx.n, i + 1), rho(ctx.n))
 
 
-def nu_weight(ctx: BlockContext, i: int) -> Weight:
+def nu_weight(ctx: BlockContext, i: int) -> tuple[int, ...]:
     """The shifted weight nu_i = lam_i + rho used by pairings and dimensions."""
-    return ctx.lambdas[i] + rho(ctx.n)
+    return add(ctx.lambdas[i], rho(ctx.n))
 
 
-def classify(ctx: BlockContext, w: Weight) -> Label | None:
-    """Label of `w` if its restricted part lies in the block, else None.
+def classify(ctx: BlockContext, w: tuple[int, ...]) -> Label | None:
+    """Label of the weight `w` if its restricted part lies in the block,
+    else None.
 
     Decomposes w = mu + p nu with mu restricted; when mu = lam_i the label
-    is (i, nu.coords).
+    is (i, nu).
     """
-    if w.rank != ctx.n:
+    if len(w) != ctx.n:
         raise ValueError("rank mismatch")
     mu, nu = restricted_decompose(w, ctx.p)
-    i = _index_by_coords(ctx).get(mu.coords)
+    i = _index_by_coords(ctx).get(mu)
     if i is None:
         return None
-    return i, nu.coords
+    return i, nu
 
 
-def label_weight(ctx: BlockContext, label: Label) -> Weight:
-    """The actual highest weight lam_i + p * nu of the label (i, nu.coords)."""
+def label_weight(ctx: BlockContext, label: Label) -> tuple[int, ...]:
+    """The actual highest weight lam_i + p * nu of the label (i, nu)."""
     i, coords = label
     check_label(ctx, i, coords)
-    return ctx.lambdas[i] + ctx.p * Weight(coords)
+    return add(ctx.lambdas[i], scale(ctx.p, coords))
 
 
 @lru_cache(maxsize=4)
 def _index_by_coords(ctx: BlockContext) -> dict[tuple[int, ...], int]:
-    return {lam.coords: i for i, lam in enumerate(ctx.lambdas)}
+    return {lam: i for i, lam in enumerate(ctx.lambdas)}

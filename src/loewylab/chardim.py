@@ -24,7 +24,8 @@ diagonal pairing pattern of nu_i without searching.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
 coordinates; the builder pairs lam_i and adds rho's pairing j - k.  Both
 kinds of certificate are re-verified from scratch against nu_i, paired
-through `lattice.pair`, never through that table.  A searched certificate
+through the lattice (`lattice._pair`, which the library's own weights skip
+`check_weight` for), never through that table.  A searched certificate
 depends on its root only through the pairing m, and many roots share one
 witness: the sweep searches once per distinct m per nu_i, re-verifies that
 witness once, and gives it to every root whose own pairing is m.  Each
@@ -40,7 +41,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
-from .lattice import Weight, fundamental, pair, zero
+from .lattice import _pair, check_weight, fundamental, zero
 
 __all__ = [
     "positive_roots",
@@ -73,7 +74,7 @@ def superfactorial(m: int) -> int:
     return prod(factorial(t) for t in range(1, m + 1))
 
 
-def weyl_dim(lam: Weight) -> int:
+def weyl_dim(lam: tuple[int, ...]) -> int:
     """Weyl dimension polynomial at a dominant weight, exactly.
 
     >>> weyl_dim(zero(3))
@@ -81,14 +82,15 @@ def weyl_dim(lam: Weight) -> int:
     >>> weyl_dim(fundamental(2, 1))
     3
     """
-    if any(a < 0 for a in lam.coords):
-        raise ValueError(f"weight must be dominant (got {lam.coords})")
-    n = lam.rank
-    shifted = Weight(tuple(a + 1 for a in lam.coords))
-    num = prod(pair(shifted, k, j) for k, j in positive_roots(n))
+    check_weight(lam)
+    if any(a < 0 for a in lam):
+        raise ValueError(f"weight must be dominant (got {lam})")
+    n = len(lam)
+    shifted = tuple(a + 1 for a in lam)
+    num = prod(_pair(shifted, k, j) for k, j in positive_roots(n))
     q, r = divmod(num, superfactorial(n))
     if r:
-        raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {lam.coords})")
+        raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {lam})")
     return q
 
 
@@ -108,7 +110,7 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
         levi_roots = [(k, j) for k in range(2, n + 1) for j in range(k + 1, n + 2)]
     else:
         raise ValueError(f'side must be "I" or "J" (got {side!r})')
-    num = prod(pair(nu, k, j) for k, j in levi_roots)
+    num = prod(_pair(nu, k, j) for k, j in levi_roots)
     q, r = divmod(p**n * num, superfactorial(n - 1))
     if r:
         raise RuntimeError(f"Levi Weyl numerator must divide exactly (remainder {r} at i={i})")
@@ -156,7 +158,7 @@ def _pairing_table(coords: tuple[int, ...]) -> tuple[dict[Root, int], dict[int, 
     return by_root, {m: tuple(roots) for m, roots in by_m.items()}
 
 
-def witness_search(nu: Weight, root: Root, p: int) -> Certificate | None:
+def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | None:
     """Deterministic greedy search for a witness certificate.
 
     Takes the lex-first positive root pairing to a p^s as beta0 and the
@@ -164,7 +166,8 @@ def witness_search(nu: Weight, root: Root, p: int) -> Certificate | None:
     pairing table.  Returns None when the pairing is nonpositive or no
     certificate exists.
     """
-    by_root, roots_at = _pairing_table(nu.coords)
+    check_weight(nu)
+    by_root, roots_at = _pairing_table(nu)
     m = by_root.get(tuple(root))
     if m is None:
         raise ValueError(f"(k, j) = {tuple(root)} is not a positive root index")
@@ -179,14 +182,15 @@ def witness_search(nu: Weight, root: Root, p: int) -> Certificate | None:
     return root, m, s, a, b, heads[0], tail
 
 
-def verify_certificate(nu: Weight, cert: Certificate, p: int) -> bool:
+def verify_certificate(nu: tuple[int, ...], cert: Certificate, p: int) -> bool:
     """Re-verify a certificate from scratch against `nu`.
 
     Checks the split's defining identity and ranges, the validity and
     distinctness of all roots, and every pairing.
     """
-    rank, root = nu.rank, cert[0]
-    paired = pair(nu, *root) if _valid_root(rank, root) else None
+    check_weight(nu)
+    rank, root = len(nu), cert[0]
+    paired = _pair(nu, *root) if _valid_root(rank, root) else None
     return _root_ok(cert[1], paired) and _witness_ok(nu, rank, cert[1:], p)
 
 
@@ -197,11 +201,11 @@ def _valid_root(rank: int, r: Root) -> bool:
 
 def _root_ok(m: int, paired: int | None) -> bool:
     """A certificate's m >= 1 is its root's pairing `paired`: read through
-    `lattice.pair`, or None for a root that is not a positive root."""
+    `lattice._pair`, or None for a root that is not a positive root."""
     return m == paired and m >= 1
 
 
-def _witness_ok(nu: Weight, rank: int, witness: tuple, p: int) -> bool:
+def _witness_ok(nu: tuple[int, ...], rank: int, witness: tuple, p: int) -> bool:
     """For a certificate's witness (m, s, a, b, beta0, betas) against nu of
     this rank: the split's identity and ranges hold, beta0 pairs to a p^s,
     and the betas are b distinct roots other than beta0 pairing to p^{s+1}.
@@ -216,7 +220,7 @@ def _witness_ok(nu: Weight, rank: int, witness: tuple, p: int) -> bool:
     step = unit * p
     if m != a * unit + b * step:
         return False
-    if not _valid_root(rank, beta0) or pair(nu, *beta0) != a * unit:
+    if not _valid_root(rank, beta0) or _pair(nu, *beta0) != a * unit:
         return False
     if len(betas) != b:
         return False
@@ -224,7 +228,7 @@ def _witness_ok(nu: Weight, rank: int, witness: tuple, p: int) -> bool:
     for beta in betas:
         if not _valid_root(rank, beta) or beta in seen:
             return False
-        if pair(nu, *beta) != step:
+        if _pair(nu, *beta) != step:
             return False
         seen.add(beta)
     return True
@@ -244,7 +248,7 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
     if not 1 <= k < j <= n + 1:
         raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
-    m = pair(ctx.lambdas[i], k, j) + (j - k)
+    m = _pair(ctx.lambdas[i], k, j) + (j - k)
     s, a, b = jantzen_decompose(m, p)
 
     if i == 0 and k == 1:
@@ -308,7 +312,7 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     pairing table, for the lex-first root pairing to m (a searched witness
     (m, s, a, b, beta0, betas) depends on its root only through m), and
     that witness is re-verified once.  Each root then pairs through
-    `lattice.pair`, never through the search's table: its searched
+    `lattice._pair`, never through the search's table: its searched
     certificate holds when that pairing is its witness's m, and its
     closed-form certificate is re-verified whole against the same pairing.
     Reports any failures (expected: none), and the searched certificates as
@@ -320,8 +324,7 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
-        rank = nu.rank
-        by_root, _ = _pairing_table(nu.coords)
+        by_root, _ = _pairing_table(nu)
         # m -> the searched witness for m, or None when none was found or it
         # failed re-verification.
         witnesses: dict[int, tuple | None] = {}
@@ -329,16 +332,16 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
             m = by_root[root]
             if m not in witnesses:
                 found = witness_search(nu, root, p)
-                ok = found is not None and _witness_ok(nu, rank, found[1:], p)
+                ok = found is not None and _witness_ok(nu, n, found[1:], p)
                 witnesses[m] = found[1:] if ok else None
             witness = witnesses[m]
-            paired = pair(nu, *root) if _valid_root(rank, root) else None
+            paired = _pair(nu, *root) if _valid_root(n, root) else None
             if witness is not None and _root_ok(witness[0], paired):
                 certificates.append((i, root, *witness))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
             built = closed_form_certificate(ctx, i, root)
-            if not (_root_ok(built[1], paired) and _witness_ok(nu, rank, built[1:], p)):
+            if not (_root_ok(built[1], paired) and _witness_ok(nu, n, built[1:], p)):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )

@@ -9,7 +9,8 @@ parabolic covers and the first radical layer `rad1_qhat` as row lists.
 Every API that names a simple takes its label, the pair (block index,
 twist coordinates) that is the first two fields of those rows: the
 battery builds its twisted labels once and keys its shared Vermas by
-them, and keeps twists as `Weight`s only for weight arithmetic.
+them.  Weights and twists are coordinate tuples throughout, added and
+scaled by the `lattice` helpers.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
 which `loewylab dim` renders and two of the checks read.
@@ -28,7 +29,8 @@ from .chardim import (
 )
 from .ext import _ext1_dim, ext1_g1t_dim, rad1_qhat
 from .lattice import (
-    Weight, eps_basis, eps_coords, from_eps, fundamental, in_root_lattice, leq, pair, rho, zero,
+    add, eps_basis, eps_coords, from_eps, fundamental, in_root_lattice, leq, neg, pair, rho, scale,
+    sub, zero,
 )
 from .loewy import (
     Row, composition_class_z_g1, dual_verma_rows, layer_sizes, parabolic_m_structure,
@@ -93,7 +95,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     n, p = ctx.n, ctx.p
     checks: list[dict] = []
 
-    def add(name: str, ok: bool, detail: str = "", conditional: bool = False) -> None:
+    def note(name: str, ok: bool, detail: str = "", conditional: bool = False) -> None:
         checks.append(
             {"name": name, "ok": bool(ok), "detail": "" if ok else detail, "conditional": conditional}
         )
@@ -101,68 +103,68 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     # Weights the checks below share, built once: eps[k - 1] is eps_k.
     origin, w_1, rho_n = zero(n), fundamental(n, 1), rho(n)
     eps = [eps_basis(n, k) for k in range(1, n + 2)]
-    twists = [origin, w_1, -fundamental(n, n)]
-    labels = [(i, t.coords) for i in range(n + 1) for t in twists]
+    twists = [origin, w_1, neg(fundamental(n, n))]
+    labels = [(i, t) for i in range(n + 1) for t in twists]
 
-    # Weight arithmetic round trips and the rho pairing normalisation.
-    samples = list(ctx.lambdas) + [rho_n, origin, w_1]
+    # Round trips through eps coordinates and the rho pairing normalisation.
+    samples = [*ctx.lambdas, rho_n, origin, w_1]
     ok = all(from_eps(eps_coords(w)) == w for w in samples)
     ok = ok and all(pair(rho_n, k, j) == j - k for k, j in positive_roots(n))
     ok = ok and all(leq(w, w) for w in samples)
-    add("lattice.round_trip", ok, "eps round trip or rho pairing broke")
+    note("lattice.round_trip", ok, "eps round trip or rho pairing broke")
 
     # Twisting by p preserves and reflects the dominance order.
     pairs = list(product(twists + [rho_n], repeat=2))
-    ok = all(leq(p * a, p * b) == leq(a, b) for a, b in pairs)
-    add("lattice.twist_order", ok, "p-dilation did not preserve/reflect the order")
+    ok = all(leq(scale(p, a), scale(p, b)) == leq(a, b) for a, b in pairs)
+    note("lattice.twist_order", ok, "p-dilation did not preserve/reflect the order")
 
     # Minimality of the first fundamental weight in its dominant coset.
     bad = None
-    for coords in product(range(3), repeat=n):
-        w = Weight(coords)
-        if in_root_lattice(w - w_1) and not leq(w_1, w):
+    for w in product(range(3), repeat=n):
+        if in_root_lattice(sub(w, w_1)) and not leq(w_1, w):
             bad = w
             break
-    add("lattice.coset_minimality", bad is None, f"counterexample {bad and bad.coords}")
+    note("lattice.coset_minimality", bad is None, f"counterexample {bad}")
 
     # The weight table against its defining companions.
+    p_rho = scale(p, rho_n)
     ok = all(
-        ctx.lambdas[i] == mu_weight(ctx, i) + p * rho_n - p * fundamental(n, i + 1)
+        ctx.lambdas[i] == sub(add(mu_weight(ctx, i), p_rho), scale(p, fundamental(n, i + 1)))
         for i in range(n)
     )
-    ok = ok and ctx.lambdas[n] == mu_weight(ctx, n) + p * rho_n
+    ok = ok and ctx.lambdas[n] == add(mu_weight(ctx, n), p_rho)
     ok = ok and all(
-        all(0 <= c < p for c in block_weight(ctx, i, a).coords)
+        all(0 <= c < p for c in block_weight(ctx, i, a))
         for i in range(n + 1)
         for a in range(1, p)
     )
     ok = ok and all(classify(ctx, label_weight(ctx, label)) == label for label in labels)
-    add("block.weight_table", ok, "lambda/mu/classification identities broke")
+    note("block.weight_table", ok, "lambda/mu/classification identities broke")
 
     # The lowest-weight identity tying consecutive table entries together.
     w_i, w_0 = longest_fixing_last(n), longest(n)
-    shift = -((p - 1) * (n + 1)) * fundamental(n, n)
-    target = -p * fundamental(n, n)
+    shift = scale(-(p - 1) * (n + 1), fundamental(n, n))
+    target = scale(-p, fundamental(n, n))
     ok = all(
-        shift + act(w_i, ctx.lambdas[i]) - act(w_0, ctx.lambdas[i + 1]) == target
+        sub(add(shift, act(w_i, ctx.lambdas[i])), act(w_0, ctx.lambdas[i + 1])) == target
         for i in range(n)
     )
-    add("block.lowest_weight_identity", ok, "Weyl-twisted lowest weights misaligned")
+    note("block.lowest_weight_identity", ok, "Weyl-twisted lowest weights misaligned")
 
     # Parabolic cover dimensions are sums of adjacent simple dimensions.
     dims = dimension_table(ctx)
     ok = all(
         row[side] is not False for row in dims["rows"] for side in ("identity_I", "identity_J")
     )
-    add("chardim.dim_identities", ok, "a cover dimension identity failed")
+    note("chardim.dim_identities", ok, "a cover dimension identity failed")
 
     # Composition factors of each baby Verma account for its full dimension.
-    add("chardim.dimension_conservation", dims["conservation_ok"],
-        "dimensions do not sum to p^(n(n+1)/2)")
+    note("chardim.dimension_conservation", dims["conservation_ok"],
+         "dimensions do not sum to p^(n(n+1)/2)")
 
     # Every pairing has a valid certificate, by search and by closed form.
     report = check_block_simplicity(ctx)
-    add(
+    note(
         "chardim.block_simplicity",
         report["ok"],
         f"{len(report['failures'])} search, {len(report['replay_failures'])} replay failures",
@@ -178,23 +180,23 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     for (i, _), g1t in vermas.items():
         ok = ok and [sum(m for _, _, m in rows) for rows in g1t] == sizes
         ok = ok and [_index_totals(rows) for rows in g1t] == g1[i]
-    add("loewy.layer_counts", ok, "layer sizes or twist-collapse mismatch")
+    note("loewy.layer_counts", ok, "layer sizes or twist-collapse mismatch")
 
     # First radical layer against the two parabolic covers' second layers.
     ok = True
     for i in range(n + 1):
         for t in twists:
             expected = sorted(
-                [(i - 1, (t - e).coords, 1) for e in eps[:i]]
-                + [(i + 1, (t + e).coords, 1) for e in eps[i + 1:]]
+                [(i - 1, sub(t, e), 1) for e in eps[:i]]
+                + [(i + 1, add(t, e), 1) for e in eps[i + 1:]]
             )
-            label = (i, t.coords)
+            label = (i, t)
             ok = ok and vermas[label][1] == expected
             if i < n:
                 ok = ok and set(parabolic_m_structure(ctx, label, "I")[1]) <= set(expected)
             if i > 0:
                 ok = ok and set(parabolic_m_structure(ctx, label, "J")[1]) <= set(expected)
-    add("loewy.rad1_parabolic_forms", ok, "rad_1 disagrees with the cover forms")
+    note("loewy.rad1_parabolic_forms", ok, "rad_1 disagrees with the cover forms")
 
     # Rigidity: socle series and dual-Verma radicals are index reversals.
     ok = True
@@ -202,7 +204,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         rev = dual_verma_rows(ctx, label)
         ok = ok and rev == rows[::-1]
         ok = ok and rev[-1] == [(*label, 1)]
-    add("loewy.rigidity", ok, "socle/dual series are not reversals")
+    note("loewy.rigidity", ok, "socle/dual series are not reversals")
 
     # Ext rules: symmetry, adjacency vanishing, and the cover's first layer.
     # The battery's labels are checked once, and their pairs compared
@@ -223,7 +225,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         ok = ok and all(ext1_g1t_dim(ctx, head, (u, c)) == 1 for u, c, _ in layer)
         ok = ok and all(m == 1 for _, _, m in layer)
         ok = ok and set(vermas[head][1]) <= set(layer)
-    add("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
+    note("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
 
     # Projective covers: shape, palindromy, first layer, and aggregates.
     ok = True
@@ -239,6 +241,6 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
         support = verma_support(ctx, head)
         ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)
-    add("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
+    note("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
 
     return checks

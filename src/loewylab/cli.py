@@ -113,15 +113,21 @@ WEIGHT_BUDGET = 1 << 20
 # the baby Verma dimension p^(n(n+1)/2): CPython's default limit on
 # converting an int to a string, which such a number would exceed.  An
 # interpreter started with a lower limit (PYTHONINTMAXSTRDIGITS, or
-# -X int_max_str_digits) refuses above that limit instead; 0 is no limit.
+# -X int_max_str_digits, or sys.set_int_max_str_digits before `main` runs)
+# refuses above that limit instead; 0 is no limit.
 DIGIT_BUDGET = 4300
-# The interpreter's limit, read once; CPython before 3.10.7 has none.
-_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-_DIGITS = min(DIGIT_BUDGET, _LIMIT) if _LIMIT else DIGIT_BUDGET
+
+
+def _digit_budget() -> int:
+    """DIGIT_BUDGET, or the interpreter's int-to-str limit as it stands now
+    when that is lower; CPython before 3.10.7 has none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(DIGIT_BUDGET, limit) if limit else DIGIT_BUDGET
+
 
 # Work refused up front, per subcommand: rows (closed-form size at (n, p, i),
-# budget, the error message naming both).  A layer listing's size counts its
-# labels with multiplicity.
+# budget or a function read when the row is checked, the error message naming
+# both).  A layer listing's size counts its labels with multiplicity.
 _LISTS = (
     "{command} at n={n}, i={i} would list {size} labels with multiplicity, "
     "over the budget of {budget} labels"
@@ -153,7 +159,7 @@ _BUDGETS = {
         ),
         (
             # The digits of p^(n(n+1)/2); p is never a power of 10.
-            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, _DIGITS,
+            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, _digit_budget,
             "dim at n={n}, p={p} would print a {size}-digit dimension, "
             "over the budget of {budget} digits",
         ),
@@ -192,6 +198,7 @@ def main(argv: list[str] | None = None) -> None:
             check_index(n, i)
         for size_of, budget, message in (_WEIGHTS, *_BUDGETS[args.command]):
             size = size_of(n, args.p, i)
+            budget = budget() if callable(budget) else budget
             if size > budget:
                 raise ValueError(
                     message.format(command=args.command, n=n, p=args.p, i=i, size=size, budget=budget)
@@ -373,7 +380,7 @@ def _csv_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
 
 def _twist(args: SimpleNamespace, n: int) -> tuple[int, ...]:
     if args.eps is not None:
-        return from_eps(_csv_ints(args.eps, n + 1, "eps")).coords
+        return from_eps(_csv_ints(args.eps, n + 1, "eps"))
     if args.nu is not None:
         return _csv_ints(args.nu, n, "nu")
     return (0,) * n
@@ -550,8 +557,8 @@ def _truncate(parts, count: int, full: bool) -> list[str]:
 
 def cmd_block(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     rows = [
-        {"i": i, "lambda": list(ctx.lambdas[i].coords), "mu": list(mu_weight(ctx, i).coords),
-         "rho_shifted": list(nu_weight(ctx, i).coords)}
+        {"i": i, "lambda": list(ctx.lambdas[i]), "mu": list(mu_weight(ctx, i)),
+         "rho_shifted": list(nu_weight(ctx, i))}
         for i in range(ctx.n + 1)
     ]
     return {"object": "block", "weights": rows}, 0

@@ -1,7 +1,7 @@
 """Exact weight arithmetic for the SL(n+1) weight lattice.
 
-A weight is stored by its integer coordinates in the fundamental-weight
-basis (w_1, ..., w_n); the rank n is the coordinate length.  The ambient
+A weight is the tuple of its integer coordinates in the fundamental-weight
+basis (w_1, ..., w_n); the rank n is the tuple's length.  The ambient
 conventions are the usual type-A ones:
 
 * eps_1, ..., eps_{n+1} are the images of the standard basis vectors in
@@ -13,27 +13,34 @@ conventions are the usual type-A ones:
 * the pairing of a weight with the coroot of eps_k - eps_j is the exact
   integer `pair(w, k, j)`.
 
-Everything here is exact integer arithmetic; no floats.
+Everything here is exact integer arithmetic; no floats.  A weight from a
+caller is checked by `check_weight` (a nonempty tuple of exact ints), which
+every function here that takes one calls; `_pair` pairs a weight the
+library built itself, unchecked.
 
 >>> pair(rho(3), 1, 4)
 3
 >>> in_root_lattice(from_eps((1, -1, 0)))
 True
+>>> add(fundamental(2, 1), scale(3, rho(2)))
+(4, 3)
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from itertools import accumulate
-from operator import add, neg, sub
-
-from .record import Record
 
 __all__ = [
-    "Weight",
+    "check_weight",
     "zero",
     "fundamental",
     "rho",
+    "add",
+    "sub",
+    "neg",
+    "scale",
     "from_eps",
     "eps_basis",
     "eps_coords",
@@ -43,78 +50,45 @@ __all__ = [
     "restricted_decompose",
 ]
 
+_INT = frozenset((int,))  # the one type of a weight's coordinates, built once
 
-class Weight(Record):
-    """A weight in fundamental-weight coordinates.
 
-    `coords[t - 1]` is the coefficient of w_t.  Instances are immutable and
-    support the abelian-group operations plus integer scaling.  The
-    constructor stores its coordinates as a tuple and validates them;
-    arithmetic on weights, whose results are int tuples by construction,
-    builds through `_weight` instead, which does not.
+def _is_coords(w: object) -> bool:
+    """Whether `w` is a tuple of exact ints: a bool is an int subclass, and
+    would print as True."""
+    return type(w) is tuple and _INT.issuperset(map(type, w))
+
+
+def check_weight(w: tuple[int, ...]) -> None:
+    """Raise TypeError unless `w` is a tuple of exact ints, and ValueError
+    if it is empty.
+
+    >>> check_weight([1, 2])
+    Traceback (most recent call last):
+    ...
+    TypeError: weight coordinates must be a tuple of ints
     """
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords: Iterable[int]) -> None:
-        coords = tuple(coords)
-        if not coords:
-            raise ValueError("weight needs rank >= 1")
-        # Exact ints: a bool is an int subclass, and would print as True.
-        if any(type(c) is not int for c in coords):
-            raise TypeError("weight coordinates must be ints")
-        _set_coords(self, coords)
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def __add__(self, other: Weight) -> Weight:
-        self._check_rank(other)
-        return _weight(tuple(map(add, self.coords, other.coords)))
-
-    def __sub__(self, other: Weight) -> Weight:
-        self._check_rank(other)
-        return _weight(tuple(map(sub, self.coords, other.coords)))
-
-    def __neg__(self) -> Weight:
-        return _weight(tuple(map(neg, self.coords)))
-
-    def __rmul__(self, scalar: int) -> Weight:
-        if not isinstance(scalar, int):
-            raise TypeError("weights scale by ints only")
-        return _weight(tuple(scalar * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def _check_rank(self, other: Weight) -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+    if not _is_coords(w):
+        raise TypeError("weight coordinates must be a tuple of ints")
+    if not w:
+        raise ValueError("weight needs rank >= 1")
 
 
-_new = object.__new__
-_set_coords = Weight.__dict__["coords"].__set__
+def _check_same_rank(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    check_weight(a)
+    check_weight(b)
+    if len(a) != len(b):
+        raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
 
 
-def _weight(coords: tuple[int, ...]) -> Weight:
-    """A `Weight` from a nonempty tuple of ints, without re-validating it.
-
-    For coordinates the library computed from validated weights: the
-    translated labels of the layer kernels and weight arithmetic.  Such a
-    weight compares and hashes like `Weight(coords)`.
-    """
-    w = _new(Weight)
-    _set_coords(w, coords)
-    return w
-
-
-def zero(rank: int) -> Weight:
+def zero(rank: int) -> tuple[int, ...]:
     """The zero weight of the given rank."""
-    return Weight((0,) * rank)
+    if rank < 1:
+        raise ValueError("weight needs rank >= 1")
+    return (0,) * rank
 
 
-def fundamental(rank: int, k: int) -> Weight:
+def fundamental(rank: int, k: int) -> tuple[int, ...]:
     """The fundamental weight w_k; `fundamental(rank, 0)` is zero.
 
     Both w_0 and w_{rank+1} are accepted and give zero, matching the
@@ -124,50 +98,81 @@ def fundamental(rank: int, k: int) -> Weight:
         raise ValueError(f"w_{k} undefined at rank {rank}")
     if k == 0 or k == rank + 1:
         return zero(rank)
-    return Weight(tuple(1 if t == k else 0 for t in range(1, rank + 1)))
+    return tuple(1 if t == k else 0 for t in range(1, rank + 1))
 
 
-def rho(rank: int) -> Weight:
+def rho(rank: int) -> tuple[int, ...]:
     """The half-sum of positive roots, w_1 + ... + w_n."""
-    return Weight((1,) * rank)
+    if rank < 1:
+        raise ValueError("weight needs rank >= 1")
+    return (1,) * rank
 
 
-def from_eps(coeffs: Iterable[int]) -> Weight:
-    """Weight from eps-basis coefficients (rank + 1 of them).
+def add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum a + b of two weights of one rank."""
+    _check_same_rank(a, b)
+    return tuple(map(operator.add, a, b))
+
+
+def sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The difference a - b of two weights of one rank."""
+    _check_same_rank(a, b)
+    return tuple(map(operator.sub, a, b))
+
+
+def neg(w: tuple[int, ...]) -> tuple[int, ...]:
+    """The weight -w."""
+    check_weight(w)
+    return tuple(map(operator.neg, w))
+
+
+def scale(k: int, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The weight k * w, for an int k.
+
+    >>> scale(-2, (1, 0, 3))
+    (-2, 0, -6)
+    """
+    if not isinstance(k, int):
+        raise TypeError("weights scale by ints only")
+    check_weight(w)
+    return tuple(k * a for a in w)
+
+
+def from_eps(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """The weight with these eps-basis coefficients (rank + 1 of them).
 
     Since eps_1 + ... + eps_{n+1} = 0, shifting all coefficients by a
     constant yields the same weight.
 
-    >>> from_eps((2, 2, 2)).is_zero()
-    True
+    >>> from_eps((2, 2, 2))
+    (0, 0)
     """
     c = tuple(coeffs)
     if len(c) < 2:
         raise ValueError("need at least 2 eps coefficients")
-    return Weight(tuple(c[t] - c[t + 1] for t in range(len(c) - 1)))
+    w = tuple(c[t] - c[t + 1] for t in range(len(c) - 1))
+    check_weight(w)
+    return w
 
 
-def eps_basis(rank: int, k: int) -> Weight:
+def eps_basis(rank: int, k: int) -> tuple[int, ...]:
     """The weight eps_k, for 1 <= k <= rank + 1."""
     if not 1 <= k <= rank + 1:
         raise ValueError(f"eps_{k} undefined at rank {rank}")
     return from_eps(tuple(1 if t == k else 0 for t in range(1, rank + 2)))
 
 
-def eps_coords(w: Weight) -> tuple[int, ...]:
+def eps_coords(w: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical eps-basis coefficients of `w`, normalised so the last is 0.
 
     >>> eps_coords(fundamental(2, 1))
     (1, 0, 0)
     """
-    n = w.rank
-    out = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        out[k] = out[k + 1] + w.coords[k]
-    return tuple(out)
+    check_weight(w)
+    return tuple(accumulate(reversed(w)))[::-1] + (0,)
 
 
-def pair(w: Weight, k: int, j: int) -> int:
+def pair(w: tuple[int, ...], k: int, j: int) -> int:
     """Pairing of `w` with the coroot of the positive root eps_k - eps_j.
 
     Requires 1 <= k < j <= rank + 1.  Equals the sum of the fundamental
@@ -176,9 +181,15 @@ def pair(w: Weight, k: int, j: int) -> int:
     >>> pair(rho(4), 2, 5)
     3
     """
-    coords = w.coords
-    if not 1 <= k < j <= len(coords) + 1:
+    check_weight(w)
+    if not 1 <= k < j <= len(w) + 1:
         raise ValueError(f"(k, j) = ({k}, {j}) is not a positive root index")
+    return _pair(w, k, j)
+
+
+def _pair(coords: tuple[int, ...], k: int, j: int) -> int:
+    """`pair` of a weight and a positive root index the library built,
+    unchecked."""
     return sum(coords[k - 1 : j - 1])
 
 
@@ -193,13 +204,14 @@ def _scaled_root_coords(coords: Iterable[int]) -> list[int]:
     return [d * prefix - k * total for k, prefix in enumerate(accumulate(eps), start=1)]
 
 
-def in_root_lattice(w: Weight) -> bool:
+def in_root_lattice(w: tuple[int, ...]) -> bool:
     """Whether `w` lies in the root lattice (integral root coordinates)."""
-    d = w.rank + 1
-    return all(num % d == 0 for num in _scaled_root_coords(w.coords))
+    check_weight(w)
+    d = len(w) + 1
+    return all(num % d == 0 for num in _scaled_root_coords(w))
 
 
-def leq(a: Weight, b: Weight) -> bool:
+def leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """The dominance order: a <= b iff b - a is a nonnegative integral
     combination of simple roots.
 
@@ -208,23 +220,23 @@ def leq(a: Weight, b: Weight) -> bool:
     >>> leq(zero(2), fundamental(2, 1))
     False
     """
-    a._check_rank(b)
-    d = a.rank + 1
-    diff = map(sub, b.coords, a.coords)
+    _check_same_rank(a, b)
+    d = len(a) + 1
+    diff = map(operator.sub, b, a)
     return all(num >= 0 and num % d == 0 for num in _scaled_root_coords(diff))
 
 
-def restricted_decompose(w: Weight, p: int) -> tuple[Weight, Weight]:
+def restricted_decompose(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split `w` uniquely as mu + p * nu with mu restricted.
 
     Returns `(mu, nu)`; coordinates of mu are the mod-p remainders in
     [0, p) and nu collects the quotients.
 
-    >>> mu, nu = restricted_decompose(Weight((-1, 7)), 5)
-    >>> (mu.coords, nu.coords)
+    >>> restricted_decompose((-1, 7), 5)
     ((4, 2), (-1, 1))
     """
+    check_weight(w)
     if p < 2:
         raise ValueError("p must be at least 2")
-    quot, rem = zip(*(divmod(a, p) for a in w.coords))
-    return Weight(rem), Weight(quot)
+    quot, rem = zip(*(divmod(a, p) for a in w))
+    return rem, quot

@@ -2,15 +2,16 @@
 
 The Weyl group is the symmetric group on the n + 1 eps-coordinate slots.
 An element is its one-based image tuple w: `w[k - 1]` is where slot k is
-sent.  Acting on a weight permutes eps-coefficients accordingly.
+sent.  Acting on a weight, a coordinate tuple, permutes its
+eps-coefficients accordingly.
 
->>> act(longest(1), fundamental(1, 1)).coords
+>>> act(longest(1), fundamental(1, 1))
 (-1,)
 """
 
 from __future__ import annotations
 
-from .lattice import Weight, eps_coords, from_eps, fundamental
+from .lattice import eps_coords, from_eps, fundamental
 
 __all__ = ["longest", "longest_fixing_last", "act"]
 
@@ -28,18 +29,18 @@ def longest_fixing_last(rank: int) -> tuple[int, ...]:
     return tuple(rank + 1 - k for k in range(1, rank + 1)) + (rank + 1,)
 
 
-def act(w: tuple[int, ...], lam: Weight) -> Weight:
+def act(w: tuple[int, ...], lam: tuple[int, ...]) -> tuple[int, ...]:
     """The linear action: eps-coefficient of slot k moves to slot w(k).
 
     Raises ValueError if w is not a permutation of 1..len(w), or if it
     permutes other than the n + 1 slots of lam.
 
-    >>> act(longest(2), fundamental(2, 1)).coords
+    >>> act(longest(2), fundamental(2, 1))
     (0, -1)
     """
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
-    if len(w) != lam.rank + 1:
+    if len(w) != len(lam) + 1:
         raise ValueError("rank mismatch")
     out = [0] * len(w)
     for image, c in zip(w, eps_coords(lam)):

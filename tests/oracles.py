@@ -1,6 +1,6 @@
 """Label-by-label oracles for the Verma and cover layer tables.
 
-They build every label's twist by `Weight` arithmetic, straight from the
+They build every label's twist by `lattice` arithmetic, straight from the
 layer formula and one baby Verma per entry of the cover's support, without
 the library's cached patterns, so the layer tests compare two independent
 code paths.  `cover_formula` sums a cover's layers in closed form, from
@@ -12,15 +12,14 @@ module, as the library's layer APIs do.
 from itertools import combinations, product
 from math import comb
 
-from loewylab.lattice import Weight, eps_basis, fundamental, zero
+from loewylab.lattice import add, eps_basis, fundamental, neg, sub, zero
 from loewylab.projective import verma_support
 
 
 def twists(n):
     """The twist coordinates the layer tests sweep: 0, w_1, -w_n and
     (-2, 3, 0, ...)."""
-    return [zero(n).coords, fundamental(n, 1).coords, (-fundamental(n, n)).coords,
-            ((-2, 3) + (0,) * n)[:n]]
+    return [zero(n), fundamental(n, 1), neg(fundamental(n, n)), ((-2, 3) + (0,) * n)[:n]]
 
 
 def far_twist(n):
@@ -43,8 +42,7 @@ def verma_layers(ctx, label):
     """Radical layers of the baby Verma lam_i + p nu, label (i, nu
     coordinates): layer j holds (i + j - 2k, nu - eps_X + eps_Y) for X a
     k-subset of [1, i] and Y a (j - k)-subset of [i + 2, n + 1]."""
-    n, (i, coords) = ctx.n, label
-    nu = Weight(coords)
+    n, (i, nu) = ctx.n, label
     layers = []
     for j in range(n + 1):
         layer = {}
@@ -56,10 +54,10 @@ def verma_layers(ctx, label):
                 for ys in combinations(range(i + 2, n + 2), j - k):
                     eta = nu
                     for x in xs:
-                        eta = eta - eps_basis(n, x)
+                        eta = sub(eta, eps_basis(n, x))
                     for y in ys:
-                        eta = eta + eps_basis(n, y)
-                    label = (t, eta.coords)
+                        eta = add(eta, eps_basis(n, y))
+                    label = (t, eta)
                     assert label not in layer
                     layer[label] = 1
         layers.append(layer)

@@ -21,11 +21,14 @@ from loewylab.chardim import (
 )
 from loewylab.ext import ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import (
-    Weight,
+    add,
     eps_basis,
     fundamental,
     in_root_lattice,
     leq,
+    neg,
+    scale,
+    sub,
     zero,
 )
 from loewylab.loewy import (
@@ -162,13 +165,13 @@ def test_criterion_06_first_layer_matches_parabolic_forms():
     for n in range(1, 9):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            for t in (zero(n), fundamental(n, 1), -fundamental(n, n)):
+            for t in (zero(n), fundamental(n, 1), neg(fundamental(n, n))):
                 expected = {}
                 for x in range(1, i + 1):
-                    expected[(i - 1, (t - eps_basis(n, x)).coords)] = 1
+                    expected[(i - 1, sub(t, eps_basis(n, x)))] = 1
                 for y in range(i + 2, n + 2):
-                    expected[(i + 1, (t + eps_basis(n, y)).coords)] = 1
-                head = (i, t.coords)
+                    expected[(i + 1, add(t, eps_basis(n, y)))] = 1
+                head = (i, t)
                 ok = ok and as_labels(verma_rows(ctx, head))[1] == expected
                 if i < n:
                     (label,) = as_labels(parabolic_m_structure(ctx, head, "I"))[1]
@@ -179,15 +182,15 @@ def test_criterion_06_first_layer_matches_parabolic_forms():
     finish("6 first radical layers match the parabolic forms", ok, start, 10.0)
 
 
-def eps_ball(n: int, radius: int) -> set[Weight]:
+def eps_ball(n: int, radius: int) -> set[tuple[int, ...]]:
     signed = []
     for k in range(1, n + 2):
         signed.append(eps_basis(n, k))
-        signed.append(-eps_basis(n, k))
+        signed.append(neg(eps_basis(n, k)))
     offsets = {zero(n)}
     frontier = {zero(n)}
     for _ in range(radius):
-        frontier = {w + v for w in frontier for v in signed}
+        frontier = {add(w, v) for w in frontier for v in signed}
         offsets |= frontier
     return offsets
 
@@ -198,20 +201,20 @@ def test_criterion_07_ext_suite():
     for n in range(1, 9):
         ctx = make_context(n, good_prime(n))
         ball = eps_ball(n, 3)
-        head = (0, zero(n).coords)
+        head = (0, zero(n))
         for i in range(n + 1):
-            a = (i, zero(n).coords)
+            a = (i, zero(n))
             for j in range(n + 1):
                 if abs(i - j) != 1:
-                    ok = ok and all(ext1_g1t_dim(ctx, a, (j, t.coords)) == 0 for t in ball)
-        twists = [zero(n), fundamental(n, 1), -fundamental(n, n), eps_basis(n, 2)]
-        labels = [(i, t.coords) for i in range(n + 1) for t in twists]
+                    ok = ok and all(ext1_g1t_dim(ctx, a, (j, t)) == 0 for t in ball)
+        twists = [zero(n), fundamental(n, 1), neg(fundamental(n, n)), eps_basis(n, 2)]
+        labels = [(i, t) for i in range(n + 1) for t in twists]
         for a in labels:
             for b in labels:
                 ok = ok and ext1_g1t_dim(ctx, a, b) == ext1_g1t_dim(ctx, b, a)
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1)):
-                a = (i, t.coords)
+                a = (i, t)
                 rows = rad1_qhat(ctx, a)
                 (layer,) = as_labels([rows])
                 want = n + 1 if i in (0, n) else 2 * n + 2
@@ -219,11 +222,11 @@ def test_criterion_07_ext_suite():
                 ok = ok and all(ext1_g1t_dim(ctx, a, b) == 1 for b in layer)
                 expected = {}
                 for k in range(1, n + 2):
-                    step = fundamental(n, k) - fundamental(n, k - 1)
+                    step = sub(fundamental(n, k), fundamental(n, k - 1))
                     if i > 0:
-                        expected[(i - 1, (t - step).coords)] = 1
+                        expected[(i - 1, sub(t, step))] = 1
                     if i < n:
-                        expected[(i + 1, (t + step).coords)] = 1
+                        expected[(i + 1, add(t, step))] = 1
                 ok = ok and layer == expected
     finish("7 Ext rules: vanishing, symmetry, cover first layer", ok, start, 30.0)
 
@@ -234,7 +237,7 @@ def test_criterion_08_projective_cover_structure():
     for n in range(1, 6):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            head = (i, zero(n).coords)
+            head = (i, zero(n))
             layers = as_labels(cover_rows(ctx, head))
             ok = ok and len(layers) == 2 * n + 1
             ok = ok and layers[0] == {head: 1}
@@ -261,7 +264,7 @@ def test_criterion_09_rigidity_reversals():
     for n in range(1, 7):
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
-            for head in ((i, zero(n).coords), (i, fundamental(n, 1).coords)):
+            for head in ((i, zero(n)), (i, fundamental(n, 1))):
                 rad = as_labels(verma_rows(ctx, head))
                 rev = list(reversed(rad))
                 ok = ok and as_labels(dual_verma_rows(ctx, head)) == rev
@@ -276,7 +279,7 @@ def test_criterion_10_lattice_order_suite():
     for n in range(1, 6):
         w1 = fundamental(n, 1)
         samples = [
-            Weight(tuple(rng.randrange(-4, 5) for _ in range(n))) for _ in range(24)
+            tuple(rng.randrange(-4, 5) for _ in range(n)) for _ in range(24)
         ]
         ok = ok and all(leq(w, w) for w in samples)
         for a in samples[:12]:
@@ -286,16 +289,15 @@ def test_criterion_10_lattice_order_suite():
                 for p in (5, 7):
                     if (n + 1) % p == 0:
                         continue
-                    ok = ok and leq(p * a, p * b) == leq(a, b)
+                    ok = ok and leq(scale(p, a), scale(p, b)) == leq(a, b)
         for _ in range(400):
             a, b, c = rng.sample(samples, 3)
             if leq(a, b) and leq(b, c):
                 ok = ok and leq(a, c)
         count = 0
-        for coords in product(range(13), repeat=n):
-            residue = sum(t * c for t, c in enumerate(coords, start=1)) % (n + 1)
-            w = Weight(coords)
-            member = in_root_lattice(w - w1)
+        for w in product(range(13), repeat=n):
+            residue = sum(t * c for t, c in enumerate(w, start=1)) % (n + 1)
+            member = in_root_lattice(sub(w, w1))
             ok = ok and member == (residue == 1 % (n + 1))
             if member:
                 count += 1

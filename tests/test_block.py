@@ -1,8 +1,11 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
 
 from loewylab.block import (
+    BlockContext,
     block_weight,
     check_label,
     classify,
@@ -13,7 +16,7 @@ from loewylab.block import (
     nu_weight,
 )
 from loewylab.ext import ext1_g1t_dim, rad1_qhat
-from loewylab.lattice import Weight, fundamental, rho, zero
+from loewylab.lattice import add, fundamental, neg, rho, scale, sub, zero
 from loewylab.loewy import dual_verma_rows, parabolic_m_structure, verma_blocks, verma_rows
 from loewylab.projective import bgg_multiplicity, cover_rows, verma_support
 from loewylab.weyl import act, longest, longest_fixing_last
@@ -55,60 +58,60 @@ def test_make_context_validation():
 
 def test_weight_table_frozen_rank_one():
     ctx = make_context(1, 5)
-    assert [lam.coords for lam in ctx.lambdas] == [(0,), (3,)]
+    assert ctx.lambdas == ((0,), (3,))
 
 
 def test_weight_table_frozen_rank_two():
     ctx = make_context(2, 5)
-    assert [lam.coords for lam in ctx.lambdas] == [(0, 4), (3, 0), (4, 3)]
-    assert mu_weight(ctx, 0).coords == (0, -1)
-    assert mu_weight(ctx, 1).coords == (-2, 0)
-    assert mu_weight(ctx, 2).coords == (-1, -2)
-    assert nu_weight(ctx, 0).coords == (1, 5)
-    assert nu_weight(ctx, 1).coords == (4, 1)
-    assert nu_weight(ctx, 2).coords == (5, 4)
+    assert ctx.lambdas == ((0, 4), (3, 0), (4, 3))
+    assert mu_weight(ctx, 0) == (0, -1)
+    assert mu_weight(ctx, 1) == (-2, 0)
+    assert mu_weight(ctx, 2) == (-1, -2)
+    assert nu_weight(ctx, 0) == (1, 5)
+    assert nu_weight(ctx, 1) == (4, 1)
+    assert nu_weight(ctx, 2) == (5, 4)
 
 
 def test_weight_table_frozen_rank_three():
     ctx = make_context(3, 5)
-    assert [lam.coords for lam in ctx.lambdas] == [
+    assert ctx.lambdas == (
         (0, 4, 4),
         (3, 0, 4),
         (4, 3, 0),
         (4, 4, 3),
-    ]
+    )
 
 
 def test_mu_lambda_companion_identities():
     for n, p in [(1, 5), (2, 5), (3, 5), (4, 7), (5, 7), (6, 5)]:
         ctx = make_context(n, p)
         for i in range(n):
-            expected = mu_weight(ctx, i) + p * rho(n) - p * fundamental(n, i + 1)
-            assert ctx.lambdas[i] == expected
-        assert ctx.lambdas[n] == mu_weight(ctx, n) + p * rho(n)
+            expected = add(mu_weight(ctx, i), scale(p, rho(n)))
+            assert ctx.lambdas[i] == sub(expected, scale(p, fundamental(n, i + 1)))
+        assert ctx.lambdas[n] == add(mu_weight(ctx, n), scale(p, rho(n)))
 
 
 def test_lowest_weight_identity():
     for n, p in [(1, 5), (2, 5), (3, 7), (4, 7), (5, 7)]:
         ctx = make_context(n, p)
         w_i, w_0 = longest_fixing_last(n), longest(n)
-        shift = -((p - 1) * (n + 1)) * fundamental(n, n)
+        shift = scale(-((p - 1) * (n + 1)), fundamental(n, n))
         for i in range(n):
-            value = shift + act(w_i, ctx.lambdas[i]) - act(w_0, ctx.lambdas[i + 1])
-            assert value == -p * fundamental(n, n)
+            value = sub(add(shift, act(w_i, ctx.lambdas[i])), act(w_0, ctx.lambdas[i + 1]))
+            assert value == scale(-p, fundamental(n, n))
 
 
 def test_general_twist_table():
     ctx = make_context(2, 5)
-    assert block_weight(ctx, 0, 2).coords == (1, 4)
-    assert block_weight(ctx, 1, 2).coords == (2, 1)
-    assert block_weight(ctx, 2, 2).coords == (4, 2)
+    assert block_weight(ctx, 0, 2) == (1, 4)
+    assert block_weight(ctx, 1, 2) == (2, 1)
+    assert block_weight(ctx, 2, 2) == (4, 2)
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
             assert block_weight(ctx, i, 1) == ctx.lambdas[i]
             for a in range(1, p):
-                assert all(0 <= c < p for c in block_weight(ctx, i, a).coords)
+                assert all(0 <= c < p for c in block_weight(ctx, i, a))
     with pytest.raises(ValueError):
         block_weight(ctx, 0, 0)
     with pytest.raises(ValueError):
@@ -118,10 +121,10 @@ def test_general_twist_table():
 def test_classify_round_trip():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
-        twists = [zero(n), fundamental(n, 1), -fundamental(n, n), rho(n)]
+        twists = [zero(n), fundamental(n, 1), neg(fundamental(n, n)), rho(n)]
         for i in range(n + 1):
             for t in twists:
-                label = (i, t.coords)
+                label = (i, t)
                 assert classify(ctx, label_weight(ctx, label)) == label
 
 
@@ -129,9 +132,9 @@ def test_classify_rejects_outside_weights():
     ctx = make_context(2, 5)
     assert classify(ctx, zero(2)) is None
     assert classify(ctx, rho(2)) is None
-    assert classify(ctx, Weight((4, 4))) is None
+    assert classify(ctx, (4, 4)) is None
     with pytest.raises(ValueError):
-        classify(ctx, Weight((1,)))
+        classify(ctx, (1,))
 
 
 def test_labels_of_the_wrong_rank_are_refused():
@@ -146,11 +149,9 @@ def test_labels_of_the_wrong_rank_are_refused():
     check_label(ctx, 2, (0, 0))
 
 
-@pytest.mark.parametrize(
-    "coords", [[0, 0], (0, 0.0), (0, True), Weight((0, 0))], ids=["list", "float", "bool", "Weight"]
-)
+@pytest.mark.parametrize("coords", [[0, 0], (0, 0.0), (0, True)], ids=["list", "float", "bool"])
 def test_every_label_api_refuses_coordinates_that_are_not_an_int_tuple(coords):
-    # A twist's coordinates are a tuple of exact ints, as a Weight's are: a
+    # A twist's coordinates are a tuple of exact ints, as a weight's are: a
     # list, a float or a bool (an int subclass, which would print as True)
     # would reach the rows unchecked.
     ctx = make_context(2, 5)
@@ -189,5 +190,26 @@ def test_distinct_twists_distinct_weights():
     for i in range(3):
         for coords in product(range(-1, 2), repeat=2):
             w = label_weight(ctx, (i, coords))
-            assert w.coords not in seen
-            seen.add(w.coords)
+            assert w not in seen
+            seen.add(w)
+
+
+def test_block_context_contract():
+    # A context is an immutable, hashable value (`_index_by_coords` caches
+    # on it): equal and equally hashed exactly when its fields are, frozen,
+    # and rebuilt equal by copies and pickles.
+    a, same, b = make_context(1, 5), BlockContext(1, 5, ((0,), (3,))), make_context(1, 7)
+    assert (a.n, a.p, a.lambdas) == (1, 5, ((0,), (3,)))
+    assert a == same and not a != same and a != b
+    assert hash(a) == hash(same) and len({a: 0, same: 1, b: 2}) == 2
+    assert repr(a) == "BlockContext(n=1, p=5, lambdas=((0,), (3,)))"
+    for name in ("n", "p", "lambdas"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 0
+    assert a == same and a.lambdas == ((0,), (3,))
+    for clone in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(clone) is BlockContext and clone == a and hash(clone) == hash(a)

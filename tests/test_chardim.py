@@ -16,7 +16,7 @@ from loewylab.chardim import (
     weyl_dim,
     witness_search,
 )
-from loewylab.lattice import Weight, fundamental, pair, rho, zero
+from loewylab.lattice import _pair, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
 
 
@@ -44,7 +44,7 @@ def test_weyl_dim_small_cases():
     assert weyl_dim(fundamental(3, 2)) == 6
     assert weyl_dim(rho(2)) == 8
     with pytest.raises(ValueError):
-        weyl_dim(Weight((-1, 0)))
+        weyl_dim((-1, 0))
 
 
 def test_block_simple_dimensions_frozen():
@@ -103,8 +103,8 @@ def test_witness_search_frozen_examples():
 
 
 def test_witness_search_nonpositive_pairing():
-    assert witness_search(Weight((0, 0)), (1, 2), 5) is None
-    assert witness_search(Weight((-3, 1)), (1, 2), 5) is None
+    assert witness_search((0, 0), (1, 2), 5) is None
+    assert witness_search((-3, 1), (1, 2), 5) is None
 
 
 def test_verify_certificate_rejects_tampering():
@@ -179,7 +179,7 @@ def greedy_by_pair(nu, root, p):
     if m < 1:
         return None
     s, a, b = jantzen_decompose(m, p)
-    roots = positive_roots(nu.rank)
+    roots = positive_roots(len(nu))
     tail_pool = [r for r in roots if pair(nu, *r) == p ** (s + 1)]
     for beta0 in roots:
         if pair(nu, *beta0) != a * p**s:
@@ -206,7 +206,7 @@ def test_witness_search_matches_the_scan_over_pair():
     found = []
     for _ in range(300):
         rank = rng.randint(1, 7)
-        nu = Weight(tuple(rng.choice((-4, -1, 0, 0, 1, 1, 2, 3, 5, 9)) for _ in range(rank)))
+        nu = tuple(rng.choice((-4, -1, 0, 0, 1, 1, 2, 3, 5, 9)) for _ in range(rank))
         p = rng.choice((3, 5, 7))
         for root in positive_roots(rank):
             cert = witness_search(nu, root, p)
@@ -226,7 +226,8 @@ def test_witness_search_rejects_invalid_roots():
 
 def test_searched_certificates_are_verified_without_the_table(monkeypatch):
     # With the search's table shifted off by one, every searched certificate
-    # must fail re-verification: verify_certificate reads lattice.pair.
+    # must fail re-verification: verify_certificate pairs through the
+    # lattice (`lattice._pair`).
     table = loewylab.chardim._pairing_table
 
     def shifted(coords):
@@ -245,16 +246,17 @@ def test_searched_certificates_are_verified_without_the_table(monkeypatch):
 
 
 def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
-    # Only re-verification may call pair: once per closed form and at most
-    # b + 2 times per verify_certificate, with b <= n.  A search that scans
-    # every root with pair (632,433 calls here) fails this bound.
+    # Only re-verification may pair through the lattice (`lattice._pair`):
+    # once per closed form and at most b + 2 times per verify_certificate,
+    # with b <= n.  A search that scans every root with the lattice pairing
+    # (632,433 calls here) fails this bound.
     calls = [0]
 
     def counting(w, k, j):
         calls[0] += 1
-        return pair(w, k, j)
+        return _pair(w, k, j)
 
-    monkeypatch.setattr(loewylab.chardim, "pair", counting)
+    monkeypatch.setattr(loewylab.chardim, "_pair", counting)
     n = 18
     report = check_block_simplicity(make_context(n, 7))
     assert report["ok"]
@@ -282,8 +284,9 @@ def unshared_sweep(ctx):
 
 def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypatch):
     # The sweep checks each distinct searched witness once per nu_i, and
-    # every root's own pairing.  With pair lying at one (nu_i, root), it must
-    # report exactly the failures of checking every certificate in full.
+    # every root's own pairing.  With the lattice pairing (`lattice._pair`)
+    # lying at one (nu_i, root), it must report exactly the failures of
+    # checking every certificate in full.
     ctx = make_context(6, 5)
     rows = check_block_simplicity(ctx)["certificates"]
     buckets = {}
@@ -311,9 +314,9 @@ def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypat
         nu = nu_weight(ctx, i)
 
         def lying(w, k, j, nu=nu, root=root):
-            return pair(w, k, j) + (w == nu and (k, j) == root)
+            return _pair(w, k, j) + (w == nu and (k, j) == root)
 
-        monkeypatch.setattr(loewylab.chardim, "pair", lying)
+        monkeypatch.setattr(loewylab.chardim, "_pair", lying)
         report = check_block_simplicity(ctx)
         failures, replay_failures = unshared_sweep(ctx)
         assert len(failures) >= fewest, (i, root)

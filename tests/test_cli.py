@@ -34,7 +34,7 @@ from loewylab.cli import (
     _dump_json,
     main,
 )
-from loewylab.block import make_context
+from loewylab.block import _PRIME_TEST_BOUND, is_odd_prime, make_context
 from loewylab.loewy import verma_blocks, verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
@@ -1192,6 +1192,63 @@ def test_dim_digit_budget_follows_a_lower_interpreter_limit():
             )
             assert (run.returncode, run.stderr) == (code, err), (n, fmt)
             assert (run.stdout == "") == (code == 2)
+
+
+def test_dim_digit_budget_reads_the_limit_when_it_runs(capsys):
+    # A program that lowers the int-to-str limit after importing the command
+    # line is refused past the limit as it stands when `main` runs, not met
+    # by a ValueError from printing the dimension.
+    default = sys.get_int_max_str_digits()
+    argv = ["dim", "--n", "40", "--p", "7"]
+    sys.set_int_max_str_digits(640)
+    try:
+        for fmt in ("text", "json"):
+            assert run_cli(argv + ["--format", fmt], capsys) == (
+                2, "", "error: dim at n=40, p=7 would print a 693-digit dimension, "
+                "over the budget of 640 digits\n"
+            ), fmt
+        code, out, err = run_cli(["dim", "--n", "30", "--p", "7", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+    finally:
+        sys.set_int_max_str_digits(default)
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0 and err == "" and len(str(json.loads(out)["verma_dimension"])) == 693
+
+
+# The largest prime below `block._PRIME_TEST_BOUND`, where the primality
+# test stops being exact.
+LARGEST_PRIME = 3317044064679887385961813
+
+
+def test_every_subcommand_runs_or_refuses_at_the_largest_prime(capsys):
+    # At n = 1 and 2 every subcommand, at every block index it takes, ends
+    # with a result (exit 0) or a one-line refusal (exit 2), never an
+    # exception; only `verify` is refused, by its twist budget.  At the first
+    # odd p past the largest prime, the bound itself, every one is refused.
+    bound = _PRIME_TEST_BOUND
+    assert is_odd_prime(LARGEST_PRIME) and bound % 2 == 1
+    assert [q for q in range(LARGEST_PRIME + 2, bound, 2) if is_odd_prime(q)] == []
+    start = perf_counter()
+    refused = set()
+    for n in (1, 2):
+        runs = [[command] for command in COMMANDS if command not in LAYER_SIZES]
+        runs += [[command, "--i", str(i)] for command in [*LAYER_SIZES, "ext"] for i in range(n + 1)]
+        for run in runs:
+            for fmt in ("text", "json"):
+                argv = [run[0], "--n", str(n), "--p", str(LARGEST_PRIME), *run[1:], "--format", fmt]
+                code, out, err = run_cli(argv, capsys)
+                if code == 0:
+                    assert err == "" and out, argv
+                else:
+                    assert code == 2 and out == "" and err.startswith("error: "), argv
+                    assert err.count("\n") == 1, argv
+                    refused.add(run[0])
+            argv = [run[0], "--n", str(n), "--p", str(bound), *run[1:]]
+            assert run_cli(argv, capsys) == (
+                2, "", f"error: p must be below {bound} for an exact primality test (got {bound})\n"
+            ), argv
+    assert refused == {"verify"}
+    assert perf_counter() - start < 3
 
 
 # ------------------------------------------------------- byte-identity grid

@@ -5,7 +5,7 @@ from oracles import as_labels, twists
 
 from loewylab.block import make_context
 from loewylab.ext import ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
-from loewylab.lattice import Weight, eps_basis, fundamental, zero
+from loewylab.lattice import add, eps_basis, fundamental, neg, scale, sub, zero
 from loewylab.loewy import verma_rows
 from loewylab.projective import cover_rows
 
@@ -25,14 +25,14 @@ def test_descriptor_weights_and_dims():
     # dual toward 2, and zero toward 1.
     ctx = make_context(2, 5)
     eps = [eps_basis(2, k) for k in (1, 2, 3)]
-    assert eps == [Weight((1, 0)), Weight((-1, 1)), Weight((0, -1))]
+    assert eps == [(1, 0), (-1, 1), (0, -1)]
     a = (1, (0, 0))
-    assert all(ext1_g1t_dim(ctx, a, (0, (-w).coords)) == 1 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (0, neg(w))) == 1 for w in eps)
     assert ext1_g1t_dim(ctx, a, (0, (0, 0))) == 0
 
-    assert all(ext1_g1t_dim(ctx, a, (2, w.coords)) == 1 for w in eps)
-    assert all(ext1_g1t_dim(ctx, a, (2, (-w).coords)) == 0 for w in eps)
-    assert all(ext1_g1t_dim(ctx, a, (1, (-w).coords)) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (2, w)) == 1 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (2, neg(w))) == 0 for w in eps)
+    assert all(ext1_g1t_dim(ctx, a, (1, neg(w))) == 0 for w in eps)
 
 
 def test_descriptor_weight_multisets_are_mutually_negative():
@@ -44,18 +44,17 @@ def test_descriptor_weight_multisets_are_mutually_negative():
         ctx = make_context(n, 5 if (n + 1) % 5 else 7)
         eps = {eps_basis(n, k) for k in range(1, n + 2)}
         assert len(eps) == n + 1
-        top, bottom = (1, zero(n).coords), (0, zero(n).coords)
+        top, bottom = (1, zero(n)), (0, zero(n))
 
         def standard(w):
-            return ext1_g1t_dim(ctx, top, (0, (-w).coords))
+            return ext1_g1t_dim(ctx, top, (0, neg(w)))
 
         def dual(w):
-            return ext1_g1t_dim(ctx, bottom, (1, (-w).coords))
+            return ext1_g1t_dim(ctx, bottom, (1, neg(w)))
 
-        for coords in product(range(-1, 2), repeat=n):
-            w = Weight(coords)
+        for w in product(range(-1, 2), repeat=n):
             assert standard(w) == int(w in eps)
-            assert dual(w) == standard(-w)
+            assert dual(w) == standard(neg(w))
 
 
 def test_g1t_dims_frozen_rank_two():
@@ -76,8 +75,8 @@ def test_g1t_dims_frozen_rank_two():
 def test_g1t_dim_is_symmetric():
     for n, p in [(2, 5), (3, 5)]:
         ctx = make_context(n, p)
-        twists = [zero(n), fundamental(n, 1), -eps_basis(n, 2)]
-        labels = [(i, t.coords) for i in range(n + 1) for t in twists]
+        twists = [zero(n), fundamental(n, 1), neg(eps_basis(n, 2))]
+        labels = [(i, t) for i in range(n + 1) for t in twists]
         for a in labels:
             for b in labels:
                 assert ext1_g1t_dim(ctx, a, b) == ext1_g1t_dim(ctx, b, a)
@@ -143,15 +142,15 @@ def test_rad1_qhat_matches_ext_rule():
     for n, p in [(2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            a = (i, zero(n).coords)
+            a = (i, zero(n))
             found = set()
             for j in range(n + 1):
                 for s in (-1, 1):
                     for k in range(1, n + 2):
-                        b = (j, (s * eps_basis(n, k)).coords)
+                        b = (j, scale(s, eps_basis(n, k)))
                         if ext1_g1t_dim(ctx, a, b) == 1:
                             found.add(b)
-                b0 = (j, zero(n).coords)
+                b0 = (j, zero(n))
                 assert ext1_g1t_dim(ctx, a, b0) == 0
             (layer,) = as_labels([rad1_qhat(ctx, (i, (0,) * n))])
             assert found == set(layer)
@@ -164,12 +163,12 @@ def test_rad1_qhat_fundamental_shift_form():
             t = fundamental(n, 1)
             expected: dict[tuple[int, tuple[int, ...]], int] = {}
             for k in range(1, n + 2):
-                step = fundamental(n, k) - fundamental(n, k - 1)
+                step = sub(fundamental(n, k), fundamental(n, k - 1))
                 if i > 0:
-                    expected[(i - 1, (t - step).coords)] = 1
+                    expected[(i - 1, sub(t, step))] = 1
                 if i < n:
-                    expected[(i + 1, (t + step).coords)] = 1
-            assert as_labels([rad1_qhat(ctx, (i, t.coords))]) == [expected]
+                    expected[(i + 1, add(t, step))] = 1
+            assert as_labels([rad1_qhat(ctx, (i, t))]) == [expected]
 
 
 def test_rad1_qhat_twist_equivariance():
@@ -177,8 +176,8 @@ def test_rad1_qhat_twist_equivariance():
     shift = fundamental(3, 2)
     for i in range(4):
         base = rad1_qhat(ctx, (i, (0, 0, 0)))
-        moved = [(u, (Weight(c) + shift).coords, m) for u, c, m in base]
-        assert moved == rad1_qhat(ctx, (i, shift.coords))
+        moved = [(u, add(c, shift), m) for u, c, m in base]
+        assert moved == rad1_qhat(ctx, (i, shift))
 
 
 def test_verma_first_layer_embeds_in_rad1_qhat():

@@ -3,89 +3,96 @@ from itertools import product
 
 import pytest
 
+from loewylab.block import classify, make_context
+from loewylab.chardim import verify_certificate, weyl_dim, witness_search
 from loewylab.lattice import (
-    Weight,
-    _weight,
+    add,
+    check_weight,
     eps_basis,
     eps_coords,
     from_eps,
     fundamental,
     in_root_lattice,
     leq,
+    neg,
     pair,
     restricted_decompose,
     rho,
+    scale,
+    sub,
     zero,
 )
+from loewylab.weyl import act, longest
 
 
 def simple_root(rank, t):
     # alpha_t = eps_t - eps_{t+1}
-    return eps_basis(rank, t) - eps_basis(rank, t + 1)
+    return sub(eps_basis(rank, t), eps_basis(rank, t + 1))
 
 
 def test_weight_arithmetic():
-    a = Weight((1, 2))
-    b = Weight((0, -1))
-    assert (a + b).coords == (1, 1)
-    assert (a - b).coords == (1, 3)
-    assert (-a).coords == (-1, -2)
-    assert (3 * a).coords == (3, 6)
-    assert zero(2).is_zero() and not a.is_zero()
-    with pytest.raises(ValueError):
-        a + Weight((1, 2, 3))
+    a = (1, 2)
+    b = (0, -1)
+    assert add(a, b) == (1, 1)
+    assert sub(a, b) == (1, 3)
+    assert neg(a) == (-1, -2)
+    assert scale(3, a) == (3, 6)
+    with pytest.raises(ValueError, match=r"^rank mismatch: 2 vs 3$"):
+        add(a, (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
+        sub((1, 2, 3), a)
+    with pytest.raises(TypeError, match=r"^weights scale by ints only$"):
+        scale(1.0, a)  # type: ignore[arg-type]
     with pytest.raises(TypeError):
-        Weight((1.0, 2))  # type: ignore[arg-type]
+        add((1.0, 2), a)  # type: ignore[arg-type]
 
 
-def test_weight_constructor_stores_a_tuple_of_ints():
-    # Any iterable of ints gives the weight of the same tuple: equal, equally
-    # hashed, and not changed through the list it was built from.
-    coords = [1, -2]
-    w = Weight(coords)
-    coords[0] = 9
-    assert type(w.coords) is tuple and w.coords == (1, -2)
-    assert w == Weight((1, -2)) and hash(w) == hash(Weight((1, -2))) == hash(((1, -2),))
-    assert Weight(c for c in (3, 0)).coords == (3, 0)
-    # A bool is an int to isinstance, but not a coordinate.
-    for bad in ((True, 0), [0, False], (1.0, 2), ("1",)):
-        with pytest.raises(TypeError, match=r"^weight coordinates must be ints$"):
-            Weight(bad)
+def test_check_weight_admits_only_nonempty_int_tuples():
+    # A weight is a tuple of exact ints: not a list or another iterable, and
+    # not a bool, which is an int to isinstance but would print as True.
+    for good in ((1, -2), (0,), (10**30, -(10**30))):
+        check_weight(good)
+    for bad in ((True, 0), [0, 1], (1.0, 2), ("1",), (c for c in (3, 0)), 5, None):
+        with pytest.raises(TypeError, match=r"^weight coordinates must be a tuple of ints$"):
+            check_weight(bad)
     with pytest.raises(ValueError, match=r"^weight needs rank >= 1$"):
-        Weight([])
+        check_weight(())
+    for build in (zero, rho):
+        with pytest.raises(ValueError, match=r"^weight needs rank >= 1$"):
+            build(0)
 
 
 def test_unvalidated_weights_behave_like_validated_ones():
-    # Arithmetic and the layer kernels build weights through `_weight`,
-    # which skips validation: the results compare and hash as if built by
-    # `Weight`, refuse to order as those do, and stay frozen.
+    # The helpers' results are built unchecked, by map and comprehension, and
+    # are exactly the tuples of ints a caller would pass: they pass
+    # `check_weight`, compare and hash as their coordinates, and feed the
+    # helpers back without error.
     rng = random.Random(7)
     for _ in range(200):
-        coords = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
-        other = tuple(rng.randint(-3, 3) for _ in coords)
-        built, checked = _weight(coords), Weight(coords)
-        assert type(built) is Weight
-        assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
-        with pytest.raises(TypeError):
-            built < Weight(other)  # noqa: B015
-        with pytest.raises(TypeError):
-            built <= _weight(other)  # noqa: B015
-        assert {built: 1} == {checked: 1}
-    a, b = Weight((1, -2, 3)), Weight((0, 4, -1))
-    for result, coords in [(a + b, (1, 2, 2)), (a - b, (1, -6, 4)), (-a, (-1, 2, -3)), (2 * a, (2, -4, 6))]:
-        assert result == Weight(coords) and hash(result) == hash(Weight(coords))
-    for w in (Weight((1, 2)), _weight((1, 2)), a + b):
-        with pytest.raises(AttributeError):
-            w.coords = (0, 0)  # type: ignore[misc]
-        assert w.coords in ((1, 2), (1, 2, 2))
+        a = tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 5)))
+        b = tuple(rng.randint(-3, 3) for _ in a)
+        k = rng.randint(-3, 3)
+        for result, expected in [
+            (add(a, b), [x + y for x, y in zip(a, b)]),
+            (sub(a, b), [x - y for x, y in zip(a, b)]),
+            (neg(a), [-x for x in a]),
+            (scale(k, a), [k * x for x in a]),
+            (eps_coords(a)[:-1], [sum(a[t:]) for t in range(len(a))]),
+        ]:
+            assert type(result) is tuple and {type(c) for c in result} <= {int}
+            check_weight(result)
+            assert result == tuple(expected) and hash(result) == hash(tuple(expected))
+        assert sub(add(a, b), b) == a and add(a, neg(a)) == zero(len(a))
+        mu, nu = restricted_decompose(a, 3)
+        assert add(mu, scale(3, nu)) == a
 
 
 def test_eps_basis_sums_to_zero():
     for n in range(1, 6):
         total = zero(n)
         for k in range(1, n + 2):
-            total = total + eps_basis(n, k)
-        assert total.is_zero()
+            total = add(total, eps_basis(n, k))
+        assert total == zero(n)
 
 
 def test_from_eps_constant_shift_invariance():
@@ -94,8 +101,7 @@ def test_from_eps_constant_shift_invariance():
 
 
 def test_eps_round_trip():
-    for coords in product(range(-2, 3), repeat=3):
-        w = Weight(coords)
+    for w in product(range(-2, 3), repeat=3):
         assert from_eps(eps_coords(w)) == w
         assert eps_coords(w)[-1] == 0
 
@@ -104,7 +110,7 @@ def test_eps_basis_vs_fundamental_differences():
     # eps_k = w_k - w_{k-1} with the zero boundary convention.
     for n in range(1, 6):
         for k in range(1, n + 2):
-            expected = fundamental(n, k) - fundamental(n, k - 1)
+            expected = sub(fundamental(n, k), fundamental(n, k - 1))
             assert eps_basis(n, k) == expected
 
 
@@ -117,11 +123,11 @@ def test_pair_on_rho_counts_root_height():
 
 
 def test_pair_is_additive():
-    a = Weight((2, -1, 3))
-    b = Weight((0, 5, -2))
+    a = (2, -1, 3)
+    b = (0, 5, -2)
     for k in range(1, 4):
         for j in range(k + 1, 5):
-            assert pair(a + b, k, j) == pair(a, k, j) + pair(b, k, j)
+            assert pair(add(a, b), k, j) == pair(a, k, j) + pair(b, k, j)
     with pytest.raises(ValueError):
         pair(a, 2, 2)
 
@@ -130,22 +136,22 @@ def test_in_root_lattice_classifies_fundamental_weights():
     # w_t - t * w_1 is always in the root lattice, w_t itself never is.
     for n in range(1, 6):
         for t in range(1, n + 1):
-            assert in_root_lattice(fundamental(n, t) - t * fundamental(n, 1))
+            assert in_root_lattice(sub(fundamental(n, t), scale(t, fundamental(n, 1))))
             assert not in_root_lattice(fundamental(n, t))
 
 
 def test_leq_basic_examples():
     assert leq(zero(2), simple_root(2, 1))
-    assert leq(zero(2), simple_root(2, 1) + simple_root(2, 2))
+    assert leq(zero(2), add(simple_root(2, 1), simple_root(2, 2)))
     assert not leq(zero(2), fundamental(2, 1))
     assert not leq(simple_root(2, 1), zero(2))
     # Half a root is not an integral step.
     assert not leq(zero(1), fundamental(1, 1))
-    assert leq(zero(1), 2 * fundamental(1, 1))
+    assert leq(zero(1), scale(2, fundamental(1, 1)))
 
 
 def test_leq_is_a_partial_order_on_samples():
-    ws = [Weight(c) for c in product(range(-2, 3), repeat=2)]
+    ws = list(product(range(-2, 3), repeat=2))
     for a in ws:
         assert leq(a, a)
     for a in ws:
@@ -163,10 +169,9 @@ def test_leq_is_a_partial_order_on_samples():
 
 def test_leq_respects_scaling_by_p():
     for p in (5, 7):
-        for a_coords in product(range(-2, 3), repeat=2):
-            for b_coords in product(range(-2, 3), repeat=2):
-                a, b = Weight(a_coords), Weight(b_coords)
-                assert leq(p * a, p * b) == leq(a, b)
+        for a in product(range(-2, 3), repeat=2):
+            for b in product(range(-2, 3), repeat=2):
+                assert leq(scale(p, a), scale(p, b)) == leq(a, b)
 
 
 def scaled_root_coords(coords):
@@ -185,19 +190,19 @@ def test_leq_and_root_lattice_match_inverse_cartan():
     for n in range(1, 8):
         d = n + 1
         for _ in range(300):
-            a = Weight(tuple(rng.randint(-6, 6) for _ in range(n)))
+            a = tuple(rng.randint(-6, 6) for _ in range(n))
             # Half the pairs step up by a random nonnegative root combination,
             # so that both answers of leq occur at every rank.
             if rng.random() < 0.5:
                 step = zero(n)
                 for t in range(1, n + 1):
-                    step = step + rng.randint(0, 3) * simple_root(n, t)
-                b = a + step
+                    step = add(step, scale(rng.randint(0, 3), simple_root(n, t)))
+                b = add(a, step)
             else:
-                b = Weight(tuple(rng.randint(-6, 6) for _ in range(n)))
-            member = all(c % d == 0 for c in scaled_root_coords(a.coords))
+                b = tuple(rng.randint(-6, 6) for _ in range(n))
+            member = all(c % d == 0 for c in scaled_root_coords(a))
             assert in_root_lattice(a) == member
-            diff = [y - x for x, y in zip(a.coords, b.coords)]
+            diff = [y - x for x, y in zip(a, b)]
             below = all(c >= 0 and c % d == 0 for c in scaled_root_coords(diff))
             assert leq(a, b) == below
             seen.add((n, member, below))
@@ -209,16 +214,74 @@ def test_leq_and_root_lattice_match_inverse_cartan():
 
 def test_restricted_decompose_round_trip():
     for p in (3, 5):
-        for coords in product(range(-7, 8), repeat=2):
-            w = Weight(coords)
+        for w in product(range(-7, 8), repeat=2):
             mu, nu = restricted_decompose(w, p)
-            assert all(0 <= c < p for c in mu.coords)
-            assert mu + p * nu == w
+            assert all(0 <= c < p for c in mu)
+            assert add(mu, scale(p, nu)) == w
     with pytest.raises(ValueError):
-        restricted_decompose(Weight((1,)), 1)
+        restricted_decompose((1,), 1)
 
 
 def test_restricted_decompose_examples():
-    mu, nu = restricted_decompose(Weight((-1, 7)), 5)
-    assert mu == Weight((4, 2))
-    assert nu == Weight((-1, 1))
+    mu, nu = restricted_decompose((-1, 7), 5)
+    assert mu == (4, 2)
+    assert nu == (-1, 1)
+
+
+# Every public function that takes a weight from a caller, applied to a
+# weight w in place of a rank-2 one.  Those in RANK_FREE accept any rank;
+# the others relate w to a rank-2 partner, permutation or block, or to the
+# root (1, 3), which a rank-1 weight does not have.
+WEIGHT_APIS = {
+    "check_weight": check_weight,
+    "add a": lambda w: add(w, (1, 2)),
+    "add b": lambda w: add((1, 2), w),
+    "sub a": lambda w: sub(w, (1, 2)),
+    "sub b": lambda w: sub((1, 2), w),
+    "neg": neg,
+    "scale": lambda w: scale(3, w),
+    "eps_coords": eps_coords,
+    "pair": lambda w: pair(w, 1, 3),
+    "in_root_lattice": in_root_lattice,
+    "leq a": lambda w: leq(w, (1, 2)),
+    "leq b": lambda w: leq((1, 2), w),
+    "restricted_decompose": lambda w: restricted_decompose(w, 5),
+    "block.classify": lambda w: classify(make_context(2, 5), w),
+    "chardim.weyl_dim": weyl_dim,
+    "chardim.witness_search": lambda w: witness_search(w, (1, 3), 5),
+    "chardim.verify_certificate": lambda w: verify_certificate(
+        w, ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),)), 5
+    ),
+    "weyl.act": lambda w: act(longest(2), w),
+}
+RANK_FREE = {
+    "check_weight", "neg", "scale", "eps_coords", "in_root_lattice", "restricted_decompose",
+    "chardim.weyl_dim", "chardim.verify_certificate",
+}
+
+
+@pytest.mark.parametrize(
+    "coords, error",
+    [([1, 2], TypeError), ((1, 2.0), TypeError), ((1, True), TypeError),
+     ((), ValueError), ((1,), ValueError)],
+    ids=["list", "float", "bool", "empty", "wrong rank"],
+)
+def test_every_weight_api_refuses_what_is_not_a_weight_of_its_rank(coords, error):
+    # A weight is a nonempty tuple of exact ints: a list, a float or a bool
+    # (an int subclass, which would print as True) is refused with
+    # TypeError before any arithmetic, and an empty or wrong-rank weight
+    # with ValueError.
+    accepted = []
+    for name, api in WEIGHT_APIS.items():
+        api((1, 2))
+        if coords == (1,) and name in RANK_FREE:
+            api(coords)
+            continue
+        try:
+            api(coords)
+        except error as err:
+            if error is TypeError:
+                assert str(err) == "weight coordinates must be a tuple of ints", name
+        else:
+            accepted.append(name)
+    assert accepted == []

@@ -1,13 +1,12 @@
 from fractions import Fraction
 from math import comb
-from operator import add
 
 import pytest
 from oracles import as_labels, as_rows, far_twist, twists, verma_layers
 
 import loewylab.loewy
 from loewylab.block import classify, label_weight, make_context
-from loewylab.lattice import Weight, eps_basis, fundamental, rho, zero
+from loewylab.lattice import add, check_weight, eps_basis, fundamental, neg, rho, scale, sub, zero
 from loewylab.loewy import (
     composition_class_z_g1,
     dual_verma_rows,
@@ -22,7 +21,7 @@ from loewylab.loewy import (
 
 def simple_root(rank, t):
     # alpha_t = eps_t - eps_{t+1}
-    return eps_basis(rank, t) - eps_basis(rank, t + 1)
+    return sub(eps_basis(rank, t), eps_basis(rank, t + 1))
 
 
 def test_g1_layers_frozen_rank_two():
@@ -75,11 +74,11 @@ def test_g1t_layer_multiset_sizes_and_twist_equivariance():
         shift = fundamental(n, 1)
         for i in range(n + 1):
             base = verma_rows(ctx, (i, (0,) * n))
-            shifted = verma_rows(ctx, (i, shift.coords))
+            shifted = verma_rows(ctx, (i, shift))
             for j in range(n + 1):
                 assert sum(m for _, _, m in base[j]) == comb(n, j)
                 assert all(m == 1 for _, _, m in base[j])
-                moved = [(u, tuple(map(add, c, shift.coords)), m) for u, c, m in base[j]]
+                moved = [(u, add(c, shift), m) for u, c, m in base[j]]
                 assert moved == shifted[j]
 
 
@@ -103,17 +102,17 @@ def test_first_layer_explicit_form():
             for t in (zero(n), fundamental(n, 1)):
                 expected = {}
                 for x in range(1, i + 1):
-                    expected[(i - 1, (t - eps_basis(n, x)).coords)] = 1
+                    expected[(i - 1, sub(t, eps_basis(n, x)))] = 1
                 for y in range(i + 2, n + 2):
-                    expected[(i + 1, (t + eps_basis(n, y)).coords)] = 1
-                assert as_labels(verma_rows(ctx, (i, t.coords)))[1] == expected
+                    expected[(i + 1, add(t, eps_basis(n, y)))] = 1
+                assert as_labels(verma_rows(ctx, (i, t)))[1] == expected
 
 
 def test_socle_and_dual_series_are_reversals():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            for t in ((0,) * n, (-fundamental(n, n)).coords):
+            for t in ((0,) * n, neg(fundamental(n, n))):
                 rad = as_labels(verma_rows(ctx, (i, t)))
                 dual = as_labels(dual_verma_rows(ctx, (i, t)))
                 assert dual == list(reversed(rad))
@@ -134,24 +133,24 @@ def test_layer_sizes_helper():
 
 def test_parabolic_m_structure_interior():
     ctx = make_context(3, 5)
-    nu = Weight((1, 0, -1))
-    head = (1, nu.coords, 1)
-    assert parabolic_m_structure(ctx, (1, nu.coords), "I") == [
+    nu = (1, 0, -1)
+    head = (1, nu, 1)
+    assert parabolic_m_structure(ctx, (1, nu), "I") == [
         [head],
-        [(2, (nu - fundamental(3, 3)).coords, 1)],
+        [(2, sub(nu, fundamental(3, 3)), 1)],
     ]
-    assert parabolic_m_structure(ctx, (1, nu.coords), "J") == [
+    assert parabolic_m_structure(ctx, (1, nu), "J") == [
         [head],
-        [(0, (nu - fundamental(3, 1)).coords, 1)],
+        [(0, sub(nu, fundamental(3, 1)), 1)],
     ]
     with pytest.raises(ValueError):
-        parabolic_m_structure(ctx, (1, nu.coords), "x")
+        parabolic_m_structure(ctx, (1, nu), "x")
 
 
 def test_parabolic_m_structure_boundary_degenerates_to_verma():
     for n, p in [(1, 5), (2, 5), (3, 7)]:
         ctx = make_context(n, p)
-        nu = fundamental(n, 1).coords
+        nu = fundamental(n, 1)
         assert parabolic_m_structure(ctx, (n, nu), "I") == verma_rows(ctx, (n, nu))
         assert parabolic_m_structure(ctx, (0, nu), "J") == verma_rows(ctx, (0, nu))
 
@@ -181,9 +180,9 @@ def root_coords(w):
     Row s of (n + 1) times the inverse type-A Cartan matrix has entries
     min(s, t) (n + 1 - max(s, t)).
     """
-    d = w.rank + 1
+    d = len(w) + 1
     return tuple(
-        Fraction(sum(min(s, t) * (d - max(s, t)) * a for t, a in enumerate(w.coords, 1)), d)
+        Fraction(sum(min(s, t) * (d - max(s, t)) * a for t, a in enumerate(w, 1)), d)
         for s in range(1, d)
     )
 
@@ -206,7 +205,7 @@ def stacked_rad_layers(ctx, label):
     n, p = ctx.n, ctx.p
     i, nu = label
     if n == 1:
-        below = (1 - i, (Weight(nu) - fundamental(1, 1)).coords)
+        below = (1 - i, sub(nu, fundamental(1, 1)))
         return [{label: 1}, {below: 1}]
     side = "I" if i < n else "J"
     sub_ctx = make_context(n - 1, p)
@@ -217,14 +216,14 @@ def stacked_rad_layers(ctx, label):
     layers = [dict() for _ in range(len(sub_layers) + 1)]
     for j, sub_layer in enumerate(sub_layers):
         for sub_label, mult in sub_layer.items():
-            gamma = sub_top - label_weight(sub_ctx, sub_label)
+            gamma = sub(sub_top, label_weight(sub_ctx, sub_label))
             offsets = root_coords(gamma)
             assert all(c.denominator == 1 for c in offsets)
             lift = zero(n)
             for t, c in enumerate(offsets, start=1):
                 slot = t if side == "I" else t + 1
-                lift = lift + int(c) * simple_root(n, slot)
-            label = classify(ctx, top - lift)
+                lift = add(lift, scale(int(c), simple_root(n, slot)))
+            label = classify(ctx, sub(top, lift))
             assert label is not None
             assert label[0] < n if side == "I" else label[0] > 0
             cover = as_labels(parabolic_m_structure(ctx, label, side))
@@ -239,7 +238,7 @@ def test_stacking_oracle_reproduces_layers():
     for n in (2, 3, 4):
         ctx = make_context(n, 7)
         for i in range(n + 1):
-            for t in ((0,) * n, fundamental(n, 1).coords):
+            for t in ((0,) * n, fundamental(n, 1)):
                 assert stacked_rad_layers(ctx, (i, t)) == as_labels(verma_rows(ctx, (i, t)))
 
 
@@ -251,7 +250,7 @@ def test_stacking_oracle_reproduces_layers_rank_five():
 
 
 # ---------------------------------------------------------------------------
-# The cached (n, i) pattern, translated by nu, against label-by-label Weights.
+# The cached (n, i) pattern, translated by nu, against label-by-label weights.
 # ---------------------------------------------------------------------------
 
 
@@ -312,20 +311,20 @@ def test_verma_rows_flatten_verma_blocks():
 def test_g1t_labels_behave_like_validated_ones():
     # The kernel's rows hold plain int tuples of rank n, whose first two
     # fields are an immutable label: it names a weight that classifies back
-    # to it, and its coordinates build the same validated Weight.
+    # to it, and its coordinates pass `check_weight`.
     ctx = make_context(4, 7)
     for nu in twists(4):
         for rows in verma_rows(ctx, (2, nu)):
             for u, c, m in rows:
                 assert type(u) is int and type(m) is int and type(c) is tuple
                 assert len(c) == 4 and all(type(x) is int for x in c)
-                assert Weight(c).coords == c
+                check_weight(c)
                 assert classify(ctx, label_weight(ctx, (u, c))) == (u, c)
     label = (u, c)
     with pytest.raises(TypeError):
         label[0] = 0  # type: ignore[index]
     with pytest.raises(TypeError):
-        label[1] = zero(4).coords  # type: ignore[index]
+        label[1] = zero(4)  # type: ignore[index]
 
 
 def test_repeated_twist_shifts_raise(monkeypatch):
@@ -343,7 +342,7 @@ def test_repeated_twist_shifts_raise(monkeypatch):
 
 def test_g1t_layers_are_fresh_maps():
     ctx = make_context(3, 5)
-    nu = fundamental(3, 1).coords
+    nu = fundamental(3, 1)
     layers = verma_rows(ctx, (1, nu))
     layers[0].append((0, (9, 9, 9), 7))
     layers[1].clear()

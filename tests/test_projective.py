@@ -11,7 +11,7 @@ from loewylab.block import make_context
 from loewylab.cli import main
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
-from loewylab.lattice import Weight, eps_basis, fundamental, zero
+from loewylab.lattice import add, eps_basis, fundamental, neg, scale, sub, zero
 from loewylab.loewy import layer_sizes, verma_rows
 from loewylab.projective import (
     CONDITIONAL_FLAG_KEY,
@@ -64,15 +64,15 @@ def test_verma_support_validation():
 
 def scanned_support(ctx, target, radius):
     n = ctx.n
-    nu = Weight(target[1])
+    nu = target[1]
     twists = set()
     for signed in product(range(-radius, radius + 1), repeat=n + 1):
         if sum(abs(c) for c in signed) > radius:
             continue
         offset = zero(n)
         for k, c in enumerate(signed, start=1):
-            offset = offset + c * eps_basis(n, k)
-        twists.add((nu + offset).coords)
+            offset = add(offset, scale(c, eps_basis(n, k)))
+        twists.add(add(nu, offset))
     found = set()
     for t in range(n + 1):
         for eta in twists:
@@ -91,7 +91,7 @@ def test_verma_support_against_ball_scan():
             label = (i, (0,) * n)
             assert set(verma_support(ctx, label)) == scanned_support(ctx, label, n + 1)
     ctx = make_context(2, 5)
-    label = (1, fundamental(2, 1).coords)
+    label = (1, fundamental(2, 1))
     assert set(verma_support(ctx, label)) == scanned_support(ctx, label, 3)
 
 
@@ -100,7 +100,7 @@ def test_verma_support_count_is_closed_form():
     # (n + 1) C(n, i) 2^n, so the filtration has (n + 1) C(n, i) Vermas.
     for n in range(1, 7):
         ctx = make_context(n, 11)
-        nu = (3 * fundamental(n, 1) - fundamental(n, n)).coords
+        nu = sub(scale(3, fundamental(n, 1)), fundamental(n, n))
         for i in range(n + 1):
             rows = verma_support(ctx, (i, nu))
             assert len(rows) == (n + 1) * comb(n, i)
@@ -153,7 +153,7 @@ def test_qhat_layer_shape_sweep():
     for n, p in [(1, 5), (2, 5), (3, 5), (4, 7)]:
         ctx = make_context(n, p)
         for i in range(n + 1):
-            for head in ((i, (0,) * n), (i, fundamental(n, 1).coords)):
+            for head in ((i, (0,) * n), (i, fundamental(n, 1))):
                 rows = cover_rows(ctx, head)
                 layers = as_labels(rows)
                 assert len(layers) == 2 * n + 1
@@ -221,7 +221,7 @@ def test_qhat_dimension_is_support_count_times_verma_dimension():
 
 
 # ---------------------------------------------------------------------------
-# Covers stacked over int tuples against one Weight-built Verma per entry.
+# Covers stacked over int tuples against one oracle-built Verma per entry.
 # ---------------------------------------------------------------------------
 
 
@@ -336,7 +336,7 @@ def test_cover_rows_need_no_verma_and_no_support(monkeypatch):
 
 def test_qhat_layers_are_fresh_maps():
     ctx = make_context(2, 5)
-    nu = (-fundamental(2, 2)).coords
+    nu = neg(fundamental(2, 2))
     layers = as_labels(cover_rows(ctx, (1, nu)))
     layers[0][(1, (9, 9))] = 7
     layers[2].clear()
@@ -348,7 +348,7 @@ def test_mirrored_cover_layers_are_fresh_lists():
     # Layer j and its mirror 2n - j hold equal rows, in distinct lists:
     # changing one leaves the other, and the next call, as they were.
     ctx = make_context(3, 5)
-    for nu in ((0, 0, 0), (-fundamental(3, 3)).coords):
+    for nu in ((0, 0, 0), neg(fundamental(3, 3))):
         expected = as_rows(cover_layers(ctx, (1, nu)))
         rows = cover_rows(ctx, (1, nu))
         assert rows == expected

@@ -110,12 +110,13 @@ def test_cli_builds_no_verma_rows():
 
 
 def test_layer_modules_build_no_labels_or_dataclasses():
-    # A label is the pair (i, coords) and a Weyl element its image tuple, so
-    # the only records are `Weight` and `BlockContext`.  Certificates are
-    # tuples and Ext^1 kinds are `ExtKind` members, so `chardim` and `ext`
-    # build no record class.  No library module imports `dataclasses` or
+    # A label is the pair (i, coords), a weight its coordinate tuple and a
+    # Weyl element its image tuple, so there is no record module, no record
+    # class and no `Weight`.  Certificates are tuples and Ext^1 kinds are
+    # `ExtKind` members.  No library module imports `dataclasses` or
     # `typing`, whose imports cost more than the library's own modules.
-    imported, bases = {}, {}
+    assert sorted(path.stem for path in SOURCES if path.stem == "record") == []
+    found, imported = [], {}
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         imported[path.stem] = set()
@@ -124,17 +125,21 @@ def test_layer_modules_build_no_labels_or_dataclasses():
                 imported[path.stem] |= {alias.name for alias in node.names}
             elif isinstance(node, ast.ImportFrom):
                 imported[path.stem] |= {node.module} | {alias.name for alias in node.names}
-            elif isinstance(node, ast.ClassDef):
-                bases[node.name] = {getattr(base, "id", None) for base in node.bases}
-    records = {"Record"}
-    while (more := {name for name, of in bases.items() if of & records} - records):
-        records |= more
-    assert sorted(records - {"Record"}) == ["BlockContext", "Weight"]
-    assert sorted(
-        f"{stem}: {module}"
-        for stem in ("chardim", "ext")
-        for module in imported[stem] & {"record", "loewylab.record", "Record"}
-    ) == []
+            names = [
+                getattr(node, field, None)
+                for field in ("id", "attr", "name", "asname", "arg", "module")
+            ]
+            if isinstance(node, ast.ClassDef):
+                names += [getattr(base, "id", getattr(base, "attr", None)) for base in node.bases]
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.append(node.value)
+            found += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if isinstance(name, str)
+                and name.rpartition(".")[2] in {"Weight", "_weight", "Record", "record"}
+            ]
+    assert found == []
     assert sorted(
         f"{stem}: {module}"
         for stem, modules in imported.items()
@@ -144,8 +149,8 @@ def test_layer_modules_build_no_labels_or_dataclasses():
 
 def test_layer_modules_import_nothing_from_lattice():
     # Every layer API takes its simple's label (i, coords), so `loewy`,
-    # `projective` and `ext` compute on int tuples and never build a
-    # `Weight`: none of them imports the weight lattice.
+    # `projective` and `ext` compute on int tuples and never do weight
+    # arithmetic: none of them imports the weight lattice.
     found = []
     for stem in ("loewy", "projective", "ext"):
         path = Path(loewylab.__file__).with_name(f"{stem}.py")
