@@ -22,16 +22,19 @@ Certificates are produced by two routes on purpose: a deterministic greedy
 search, and a closed-form builder that reads the certificate off the
 diagonal pairing pattern of nu_i without searching.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
-coordinates; the builder pairs lam_i and adds rho's pairing j - k.  Both
-kinds of certificate are re-verified from scratch against nu_i, paired
-through the lattice (`lattice._pair`, which the library's own weights skip
-`check_weight` for), never through that table.  A searched certificate
-depends on its root only through the pairing m, and many roots share one
-witness: the sweep searches once per distinct m per nu_i, re-verifies that
-witness once, and gives it to every root whose own pairing is m.  Each
-closed-form certificate is re-verified whole, root by root.  The sweep
-pairs each root once and compares that pairing with both routes' m;
-`verify_certificate` re-verifies a single certificate the same way.
+coordinates; the builder pairs lam_i (`lattice._pair`) and adds rho's
+pairing j - k.  Both kinds of certificate are re-verified from scratch
+against nu_i through the lattice's own table of nu_i's pairings
+(`lattice._pair_table`, running sums along each k, unchecked like
+`_pair`), never through the search's table: each root, beta0 and beta is
+one lookup in it, and a pair that is not a positive root has no entry and
+fails.  A searched certificate depends on its root only through the
+pairing m, and many roots share one witness: the sweep searches once per
+distinct m per nu_i, re-verifies that witness once, and gives it to every
+root whose own pairing is m.  Each closed-form certificate is re-verified
+whole, root by root.  The sweep reads each root's pairing once and
+compares it with both routes' m; `verify_certificate` re-verifies a single
+certificate the same way.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
-from .lattice import _pair, check_weight, fundamental, zero
+from .lattice import _pair, _pair_table, check_weight, fundamental, zero
 
 __all__ = [
     "positive_roots",
@@ -50,7 +53,6 @@ __all__ = [
     "dim_parabolic_verma",
     "jantzen_decompose",
     "witness_search",
-    "closed_form_certificate",
     "check_block_simplicity",
 ]
 
@@ -189,49 +191,33 @@ def verify_certificate(nu: tuple[int, ...], cert: Certificate, p: int) -> bool:
     distinctness of all roots, and every pairing.
     """
     check_weight(nu)
-    rank, root = len(nu), cert[0]
-    paired = _pair(nu, *root) if _valid_root(rank, root) else None
-    return _root_ok(cert[1], paired) and _witness_ok(nu, rank, cert[1:], p)
+    pairing = _pair_table(nu)
+    return cert[1] == pairing.get(tuple(cert[0])) and _witness_ok(pairing, cert[1:], p)
 
 
-def _valid_root(rank: int, r: Root) -> bool:
-    k, j = r
-    return 1 <= k < j <= rank + 1
-
-
-def _root_ok(m: int, paired: int | None) -> bool:
-    """A certificate's m >= 1 is its root's pairing `paired`: read through
-    `lattice._pair`, or None for a root that is not a positive root."""
-    return m == paired and m >= 1
-
-
-def _witness_ok(nu: tuple[int, ...], rank: int, witness: tuple, p: int) -> bool:
-    """For a certificate's witness (m, s, a, b, beta0, betas) against nu of
-    this rank: the split's identity and ranges hold, beta0 pairs to a p^s,
-    and the betas are b distinct roots other than beta0 pairing to p^{s+1}.
+def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
+    """For a certificate's witness (m, s, a, b, beta0, betas), against the
+    root -> pairing table of nu (`lattice._pair_table`): the split's
+    identity and ranges hold, beta0 pairs to a p^s, and the betas are b
+    distinct roots other than beta0 pairing to p^{s+1}.  A pair that is
+    not a positive root has no pairing, and fails.
 
     The witness holds no root, so certificates that differ only in their
-    root pass or fail together.
+    root pass or fail together.  A valid witness has m = a p^s + b p^{s+1}
+    >= 1, so a root whose pairing equals its m pairs positively.
     """
     m, s, a, b, beta0, betas = witness
     if not (0 < a < p and b >= 0 and s >= 0):
         return False
     unit = p**s
     step = unit * p
-    if m != a * unit + b * step:
-        return False
-    if not _valid_root(rank, beta0) or _pair(nu, *beta0) != a * unit:
-        return False
-    if len(betas) != b:
-        return False
-    seen = {beta0}
-    for beta in betas:
-        if not _valid_root(rank, beta) or beta in seen:
-            return False
-        if _pair(nu, *beta) != step:
-            return False
-        seen.add(beta)
-    return True
+    return (
+        m == a * unit + b * step
+        and pairing.get(beta0) == a * unit
+        and len(betas) == b
+        and len({beta0, *betas}) == b + 1
+        and set(map(pairing.get, betas)) <= {step}
+    )
 
 
 def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificate:
@@ -242,27 +228,34 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
     positive-root pairing falls into one of a handful of shapes; each shape
     has an explicit certificate, assembled here without any searching.
     """
-    n, p = ctx.n, ctx.p
+    n = ctx.n
     k, j = root
     check_index(ctx.n, i)
     if not 1 <= k < j <= n + 1:
         raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
+    return _closed_form(n, ctx.p, i, ctx.lambdas[i], root)
+
+
+def _closed_form(n: int, p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
+    """`closed_form_certificate` for lam = lam_i and a positive root index
+    the library built, unchecked."""
+    k, j = root
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
-    m = _pair(ctx.lambdas[i], k, j) + (j - k)
+    m = _pair(lam, k, j) + (j - k)
     s, a, b = jantzen_decompose(m, p)
 
     if i == 0 and k == 1:
         # Pairing 1 + (j - 2) p: the unit sits on alpha_1.
         beta0 = (1, 2)
-        betas = tuple((t, t + 1) for t in range(2, j))
+        betas = tuple(zip(range(2, j), range(3, j + 1)))
     elif (i == n and j == n + 1) or (0 < i < n and k <= i and j == i + 1):
         # Pairing (p - 1) + (j - 1 - k) p: the p - 1 sits on alpha_{j-1}.
         beta0 = (j - 1, j)
-        betas = tuple((k + r - 1, k + r) for r in range(1, j - k))
+        betas = tuple(zip(range(k, j - 1), range(k + 1, j)))
     elif 0 < i < n and k == i + 1:
         # Pairing 1 + (j - i - 2) p: the unit sits on alpha_{i+1}.
         beta0 = (i + 1, i + 2)
-        betas = tuple((i + 1 + r, i + 2 + r) for r in range(1, j - i - 1))
+        betas = tuple(zip(range(i + 2, j), range(i + 3, j + 1)))
     elif 0 < i < n and k <= i and j >= i + 2:
         # Pairing (j - k - 1) p: the interval straddles both special slots,
         # whose contributions p - 1 and 1 merge into one p.
@@ -271,10 +264,7 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
         if k + width0 >= i + 1:
             # beta0 itself straddles; the tail walks the all-p right side.
             beta0 = (k, k + 1 + width0)
-            start = k + 1 + width0
-            betas = tuple(
-                (start + (r - 1) * step, start + r * step) for r in range(1, b + 1)
-            )
+            betas = _steps(k + 1 + width0, step, b)
         else:
             # beta0 fits left of the special slots; the tail walks right,
             # stretching by one slot on the jump that crosses them.
@@ -296,13 +286,15 @@ def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificat
         # The interval avoids the special slots entirely: every simple
         # pairing inside it is p, so the pairing is (j - k) p.
         width0 = a * p ** (s - 1)
-        step = p**s
-        start = k + width0
-        beta0 = (k, start)
-        betas = tuple(
-            (start + (r - 1) * step, start + r * step) for r in range(1, b + 1)
-        )
+        beta0 = (k, k + width0)
+        betas = _steps(k + width0, p**s, b)
     return root, m, s, a, b, beta0, betas
+
+
+def _steps(start: int, step: int, b: int) -> tuple[Root, ...]:
+    """The b roots (start + (r - 1) step, start + r step), r = 1..b."""
+    ends = range(start, start + (b + 1) * step, step)
+    return tuple(zip(ends, ends[1:]))
 
 
 def check_block_simplicity(ctx: BlockContext) -> dict:
@@ -311,10 +303,12 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     For each nu_i, the search runs once per distinct pairing m in nu_i's
     pairing table, for the lex-first root pairing to m (a searched witness
     (m, s, a, b, beta0, betas) depends on its root only through m), and
-    that witness is re-verified once.  Each root then pairs through
-    `lattice._pair`, never through the search's table: its searched
+    that witness is re-verified once.  Each root's pairing is then read
+    from the lattice's table of nu_i's pairings (`lattice._pair_table`,
+    built once per nu_i), never from the search's table: its searched
     certificate holds when that pairing is its witness's m, and its
-    closed-form certificate is re-verified whole against the same pairing.
+    closed-form certificate, built without re-checking i and the root, is
+    re-verified whole against the same table.
     Reports any failures (expected: none), and the searched certificates as
     rows (i, root, m, s, a, b, beta0, betas) in (i, root) order.
     """
@@ -324,7 +318,9 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
+        lam = ctx.lambdas[i]
         by_root, _ = _pairing_table(nu)
+        pairing = _pair_table(nu)
         # m -> the searched witness for m, or None when none was found or it
         # failed re-verification.
         witnesses: dict[int, tuple | None] = {}
@@ -332,16 +328,16 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
             m = by_root[root]
             if m not in witnesses:
                 found = witness_search(nu, root, p)
-                ok = found is not None and _witness_ok(nu, n, found[1:], p)
+                ok = found is not None and _witness_ok(pairing, found[1:], p)
                 witnesses[m] = found[1:] if ok else None
             witness = witnesses[m]
-            paired = _pair(nu, *root) if _valid_root(n, root) else None
-            if witness is not None and _root_ok(witness[0], paired):
+            paired = pairing.get(root)
+            if witness is not None and witness[0] == paired:
                 certificates.append((i, root, *witness))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            built = closed_form_certificate(ctx, i, root)
-            if not (_root_ok(built[1], paired) and _witness_ok(nu, n, built[1:], p)):
+            built = _closed_form(n, p, i, lam, root)
+            if built[1] != paired or not _witness_ok(pairing, built[1:], p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )

@@ -16,7 +16,8 @@ conventions are the usual type-A ones:
 Everything here is exact integer arithmetic; no floats.  A weight from a
 caller is checked by `check_weight` (a nonempty tuple of exact ints), which
 every function here that takes one calls; `_pair` pairs a weight the
-library built itself, unchecked.
+library built itself, unchecked, and `_pair_table` pairs it with every
+positive root at once.
 
 >>> pair(rho(3), 1, 4)
 3
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, count, repeat
 
 __all__ = [
     "check_weight",
@@ -191,6 +192,20 @@ def _pair(coords: tuple[int, ...], k: int, j: int) -> int:
     """`pair` of a weight and a positive root index the library built,
     unchecked."""
     return sum(coords[k - 1 : j - 1])
+
+
+def _pair_table(coords: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """`_pair` of a weight the library built against every positive root,
+    as root (k, j) -> pairing, unchecked.
+
+    Row k is the running sum of a_k, a_{k+1}, ..., so (k, j) reads
+    a_k + ... + a_{j-1}.  A pair that is not a positive root index has no
+    entry.
+    """
+    table: dict[tuple[int, int], int] = {}
+    for k in range(1, len(coords) + 1):
+        table.update(zip(zip(repeat(k), count(k + 1)), accumulate(coords[k - 1 :])))
+    return table
 
 
 def _scaled_root_coords(coords: Iterable[int]) -> list[int]:

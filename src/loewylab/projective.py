@@ -56,7 +56,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import add, neg
+from operator import add, neg, sub
 from struct import Struct
 
 from .block import BlockContext, Label, check_index, check_label
@@ -249,9 +249,17 @@ def _decode(counter: Counter, n: int, label: Label) -> list[Row]:
 
 def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     """Multiplicity of the baby Verma `verma` = (t, eta) in the cover of
-    `target` = (i, nu coordinates) (0 or 1 here)."""
-    check_label(ctx, *verma)
-    return sum(1 for t, eta, _ in verma_support(ctx, target) if (t, eta) == verma)
+    `target` = (i, nu coordinates) (0 or 1 here).
+
+    Counts the filtration entries at t whose shift is eta - nu, without
+    building the twisted `verma_support` rows.
+    """
+    t, eta = verma
+    i, v = target
+    check_label(ctx, t, eta)
+    check_label(ctx, i, v)
+    shift = tuple(map(sub, eta, v))
+    return sum(1 for u, head, tail, _ in _support(ctx.n, i) if u == t and head + tail == shift)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

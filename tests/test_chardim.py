@@ -16,7 +16,7 @@ from loewylab.chardim import (
     weyl_dim,
     witness_search,
 )
-from loewylab.lattice import _pair, fundamental, pair, rho, zero
+from loewylab.lattice import _pair, _pair_table, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
 
 
@@ -119,8 +119,12 @@ def test_verify_certificate_rejects_tampering():
         (root, m, s, a, b, beta0, (beta0,)),  # the beta repeats beta0
         (root, m, 0, 6, 0, beta0, betas),  # a = 6 is not below p = 5
         ((1, 4), m, s, a, b, beta0, betas),  # not a root at rank 2
+        ((1, 2, 3), m, s, a, b, beta0, betas),  # not a root index at all
+        ((1, 2), m, s, a, b, beta0, betas),  # pairs to 1, not m = 6
     ]:
         assert not verify_certificate(nu, bad, 5), bad
+    # A root given as a list is still paired.
+    assert verify_certificate(nu, (list(root), m, s, a, b, beta0, betas), 5)
 
 
 def test_closed_form_certificates_verify_everywhere():
@@ -226,8 +230,8 @@ def test_witness_search_rejects_invalid_roots():
 
 def test_searched_certificates_are_verified_without_the_table(monkeypatch):
     # With the search's table shifted off by one, every searched certificate
-    # must fail re-verification: verify_certificate pairs through the
-    # lattice (`lattice._pair`).
+    # must fail re-verification, which pairs through the lattice
+    # (`lattice._pair_table`).
     table = loewylab.chardim._pairing_table
 
     def shifted(coords):
@@ -246,22 +250,27 @@ def test_searched_certificates_are_verified_without_the_table(monkeypatch):
 
 
 def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
-    # Only re-verification may pair through the lattice (`lattice._pair`):
-    # once per closed form and at most b + 2 times per verify_certificate,
-    # with b <= n.  A search that scans every root with the lattice pairing
-    # (632,433 calls here) fails this bound.
-    calls = [0]
+    # Re-verification reads one lattice pairing table per nu_i
+    # (`lattice._pair_table`), and the closed form pairs lam_i through the
+    # lattice (`lattice._pair`) once per root.  A search that scans every
+    # root with the lattice pairing (632,433 calls here) fails this bound.
+    tables, pairs = [0], [0]
 
-    def counting(w, k, j):
-        calls[0] += 1
+    def counting_table(coords):
+        tables[0] += 1
+        return _pair_table(coords)
+
+    def counting_pair(w, k, j):
+        pairs[0] += 1
         return _pair(w, k, j)
 
-    monkeypatch.setattr(loewylab.chardim, "_pair", counting)
+    monkeypatch.setattr(loewylab.chardim, "_pair_table", counting_table)
+    monkeypatch.setattr(loewylab.chardim, "_pair", counting_pair)
     n = 18
     report = check_block_simplicity(make_context(n, 7))
     assert report["ok"]
-    roots = n * (n + 1) // 2
-    assert 0 < calls[0] <= (n + 1) * roots * (2 * n + 5)
+    assert tables[0] == n + 1
+    assert 0 < pairs[0] <= report["checked"] == (n + 1) * n * (n + 1) // 2
 
 
 def unshared_sweep(ctx):
@@ -282,11 +291,23 @@ def unshared_sweep(ctx):
     return failures, replay_failures
 
 
+def lying_table(nu, root):
+    """A lattice pairing table that is off by one at (nu, root) only."""
+
+    def table(coords):
+        pairing = _pair_table(coords)
+        if coords == nu:
+            pairing[root] += 1
+        return pairing
+
+    return table
+
+
 def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypatch):
     # The sweep checks each distinct searched witness once per nu_i, and
-    # every root's own pairing.  With the lattice pairing (`lattice._pair`)
-    # lying at one (nu_i, root), it must report exactly the failures of
-    # checking every certificate in full.
+    # every root's own pairing.  With the lattice pairing table
+    # (`lattice._pair_table`) lying at one (nu_i, root), it must report
+    # exactly the failures of checking every certificate in full.
     ctx = make_context(6, 5)
     rows = check_block_simplicity(ctx)["certificates"]
     buckets = {}
@@ -313,10 +334,7 @@ def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypat
     for i, root, fewest in lies:
         nu = nu_weight(ctx, i)
 
-        def lying(w, k, j, nu=nu, root=root):
-            return _pair(w, k, j) + (w == nu and (k, j) == root)
-
-        monkeypatch.setattr(loewylab.chardim, "_pair", lying)
+        monkeypatch.setattr(loewylab.chardim, "_pair_table", lying_table(nu, root))
         report = check_block_simplicity(ctx)
         failures, replay_failures = unshared_sweep(ctx)
         assert len(failures) >= fewest, (i, root)
@@ -353,3 +371,22 @@ def test_block_sweep_searches_once_per_distinct_pairing(monkeypatch):
     assert len(rows) == report["checked"] == (n + 1) * n * (n + 1) // 2 == 3249
     assert calls[0] == len({(i, m) for i, _, m, *_ in rows}) == 665
     assert [row[:2] for row in rows] == [(i, root) for i in range(n + 1) for root in positive_roots(n)]
+
+
+def test_closed_form_replay_fails_exactly_where_per_root_checks_fail(monkeypatch):
+    # The replay checks every closed-form witness in full: with the lattice
+    # pairing table lying at one tail beta of a closed-form certificate, the
+    # sweep reports exactly the replay failures of the unshared sweep.
+    ctx = make_context(6, 3)
+    # Pairing 15 = 2 * 3 + 1 * 9 at nu_3: the tail beta (3, 7) straddles
+    # both special slots.
+    i, root = 3, (1, 7)
+    assert closed_form_certificate(ctx, i, root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
+    nu = nu_weight(ctx, i)
+    monkeypatch.setattr(loewylab.chardim, "_pair_table", lying_table(nu, (3, 7)))
+    report = check_block_simplicity(ctx)
+    failures, replay_failures = unshared_sweep(ctx)
+    assert {"i": i, "root": [1, 7], "reason": "closed-form certificate invalid"} in replay_failures
+    assert report["replay_failures"] == replay_failures
+    assert report["failures"] == failures
+    assert report["ok"] is False

@@ -4,8 +4,9 @@ from itertools import product
 import pytest
 
 from loewylab.block import classify, make_context
-from loewylab.chardim import verify_certificate, weyl_dim, witness_search
+from loewylab.chardim import positive_roots, verify_certificate, weyl_dim, witness_search
 from loewylab.lattice import (
+    _pair_table,
     add,
     check_weight,
     eps_basis,
@@ -285,3 +286,13 @@ def test_every_weight_api_refuses_what_is_not_a_weight_of_its_rank(coords, error
         else:
             accepted.append(name)
     assert accepted == []
+
+
+def test_pair_table_matches_pair_at_every_positive_root():
+    # The re-verification table holds `pair` at every positive root index
+    # and nothing else, negative coordinates included.
+    rng = random.Random(4049)
+    for _ in range(200):
+        rank = rng.randint(1, 8)
+        w = tuple(rng.randint(-9, 9) for _ in range(rank))
+        assert _pair_table(w) == {(k, j): pair(w, k, j) for k, j in positive_roots(rank)}, w

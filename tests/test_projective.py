@@ -192,6 +192,22 @@ def test_bgg_multiplicity():
     assert bgg_multiplicity(ctx, target, (2, (0, 1))) == 1
     assert bgg_multiplicity(ctx, target, (1, (0, 0))) == 0
     assert bgg_multiplicity(ctx, target, (0, (1, 0))) == 0
+    # Twisted targets: 1 exactly at the Vermas of the support.  Support
+    # shifts have coordinates in [-2, 2], so the box around nu holds them all.
+    for n in (1, 2, 3):
+        ctx = make_context(n, 5)
+        for i in range(n + 1):
+            nu = tuple(range(1 - n, 1 + n, 2))
+            support = {(t, eta) for t, eta, _ in verma_support(ctx, (i, nu))}
+            found = set()
+            for t in range(n + 1):
+                for shift in product(range(-2, 3), repeat=n):
+                    eta = add(nu, shift)
+                    mult = bgg_multiplicity(ctx, (i, nu), (t, eta))
+                    assert mult == ((t, eta) in support), (n, i, t, eta)
+                    if mult:
+                        found.add((t, eta))
+            assert found == support
 
 
 def test_bgg_multiplicity_refuses_labels_of_the_wrong_rank():
