@@ -16,7 +16,6 @@ its one validity check.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .lattice import _is_coords, add, eps_basis, restricted_decompose, rho, scale, sub
 
@@ -105,10 +104,13 @@ def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
 
 def check_hypotheses(n: int, p: int) -> None:
     """Raise ValueError naming the violated hypothesis when n < 1, p is not
-    an odd prime, or p divides n + 1 (the very-good-prime hypothesis).
+    an odd prime, or p divides n + 1 (the very-good-prime hypothesis), and
+    TypeError unless n and p are exact ints (not floats, not bools).
 
     Takes time polynomial in the digits of n and p, not in n.
     """
+    if type(n) is not int or type(p) is not int:
+        raise TypeError(f"n and p must be ints (got {n!r}, {p!r})")
     if n < 1:
         raise ValueError(f"rank parameter n must be >= 1 (got {n})")
     if not is_odd_prime(p):
@@ -173,10 +175,10 @@ def classify(ctx: BlockContext, w: tuple[int, ...]) -> Label | None:
     if len(w) != ctx.n:
         raise ValueError("rank mismatch")
     mu, nu = restricted_decompose(w, ctx.p)
-    i = _index_by_coords(ctx).get(mu)
-    if i is None:
-        return None
-    return i, nu
+    for i, lam in enumerate(ctx.lambdas):
+        if lam == mu:
+            return i, nu
+    return None
 
 
 def label_weight(ctx: BlockContext, label: Label) -> tuple[int, ...]:
@@ -184,8 +186,3 @@ def label_weight(ctx: BlockContext, label: Label) -> tuple[int, ...]:
     i, coords = label
     check_label(ctx, i, coords)
     return add(ctx.lambdas[i], scale(ctx.p, coords))
-
-
-@lru_cache(maxsize=4)
-def _index_by_coords(ctx: BlockContext) -> dict[tuple[int, ...], int]:
-    return {lam: i for i, lam in enumerate(ctx.lambdas)}

@@ -33,8 +33,7 @@ pairing m, and many roots share one witness: the sweep searches once per
 distinct m per nu_i, re-verifies that witness once, and gives it to every
 root whose own pairing is m.  Each closed-form certificate is re-verified
 whole, root by root.  The sweep reads each root's pairing once and
-compares it with both routes' m; `verify_certificate` re-verifies a single
-certificate the same way.
+compares it with both routes' m.
 """
 
 from __future__ import annotations
@@ -119,19 +118,18 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     return q
 
 
-@lru_cache(maxsize=1024)
 def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
     """The unique split of m >= 1 as a p^s + b p^{s+1} with 0 < a < p and
-    b >= 0, as (s, a, b).
+    b >= 0, as (s, a, b).  Raises TypeError unless m and p are exact ints
+    (not floats, not bools).
 
     >>> jantzen_decompose(6, 5)
     (0, 1, 1)
     >>> jantzen_decompose(50, 5)
     (2, 2, 0)
-
-    A pure function of (m, p) returning a tuple, so results are cached; a
-    refused call raises every time.
     """
+    if type(m) is not int or type(p) is not int:
+        raise TypeError(f"m and p must be ints (got {m!r}, {p!r})")
     if m < 1:
         raise ValueError(f"m must be >= 1 (got {m})")
     if p < 2:
@@ -170,9 +168,10 @@ def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | Non
     """
     check_weight(nu)
     by_root, roots_at = _pairing_table(nu)
-    m = by_root.get(tuple(root))
+    root = tuple(root)
+    m = by_root.get(root)
     if m is None:
-        raise ValueError(f"(k, j) = {tuple(root)} is not a positive root index")
+        raise ValueError(f"(k, j) = {root} is not a positive root index")
     if m < 1:
         return None
     s, a, b = jantzen_decompose(m, p)
@@ -182,17 +181,6 @@ def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | Non
     if not heads or len(tail) < b:
         return None
     return root, m, s, a, b, heads[0], tail
-
-
-def verify_certificate(nu: tuple[int, ...], cert: Certificate, p: int) -> bool:
-    """Re-verify a certificate from scratch against `nu`.
-
-    Checks the split's defining identity and ranges, the validity and
-    distinctness of all roots, and every pairing.
-    """
-    check_weight(nu)
-    pairing = _pair_table(nu)
-    return cert[1] == pairing.get(tuple(cert[0])) and _witness_ok(pairing, cert[1:], p)
 
 
 def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
@@ -220,25 +208,15 @@ def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
     )
 
 
-def closed_form_certificate(ctx: BlockContext, i: int, root: Root) -> Certificate:
-    """Build a witness certificate directly from nu_i's pairing pattern.
+def _closed_form(n: int, p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
+    """Build a witness certificate directly from nu_i's pairing pattern, for
+    lam = lam_i and a positive root index the library built, unchecked.
 
     The simple-root pairings of nu_i are p everywhere except for a single
     p - 1 (and, away from the block edges, an adjacent 1), so every
     positive-root pairing falls into one of a handful of shapes; each shape
     has an explicit certificate, assembled here without any searching.
     """
-    n = ctx.n
-    k, j = root
-    check_index(ctx.n, i)
-    if not 1 <= k < j <= n + 1:
-        raise ValueError(f"root (k, j) must satisfy 1 <= k < j <= {n + 1} (got {root})")
-    return _closed_form(n, ctx.p, i, ctx.lambdas[i], root)
-
-
-def _closed_form(n: int, p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
-    """`closed_form_certificate` for lam = lam_i and a positive root index
-    the library built, unchecked."""
     k, j = root
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
     m = _pair(lam, k, j) + (j - k)

@@ -7,12 +7,16 @@ code paths.  `cover_formula` sums a cover's layers in closed form, from
 sign patterns alone, without any Verma or the library's support.  A label
 is the pair (i, twist coordinates), and each oracle takes the label of its
 module, as the library's layer APIs do.
+
+`certificate_ok` checks a Jantzen witness certificate on its own, against
+a table of pairings that `pairings` builds with `lattice.pair`, so the
+certificate tests need neither the sweep's table nor its witness check.
 """
 
 from itertools import combinations, product
 from math import comb
 
-from loewylab.lattice import add, eps_basis, fundamental, neg, sub, zero
+from loewylab.lattice import add, eps_basis, fundamental, neg, pair, sub, zero
 from loewylab.projective import verma_support
 
 
@@ -110,3 +114,35 @@ def cover_formula(n, label):
     while layers and not layers[-1]:
         layers.pop()
     return layers
+
+
+def pairings(nu):
+    """Root (k, j) -> pairing of nu with the coroot of eps_k - eps_j, at
+    every positive root and nothing else, by `lattice.pair`."""
+    rank = len(nu)
+    return {
+        (k, j): pair(nu, k, j) for k in range(1, rank + 1) for j in range(k + 1, rank + 2)
+    }
+
+
+def certificate_ok(pairing, cert, p):
+    """Whether cert = (root, m, s, a, b, beta0, betas) certifies its root,
+    for `pairing` a table root -> pairing of nu (as `pairings` builds it).
+
+    The root pairs to m = a p^s + b p^(s+1) with s >= 0, 0 < a < p and
+    b >= 0; beta0 pairs to a p^s; the betas are b roots, distinct from each
+    other and from beta0, each pairing to p^(s+1).  A pair with no entry in
+    the table is not a positive root, and fails.  The root may be a list.
+    """
+    root, m, s, a, b, beta0, betas = cert
+    roots = [tuple(root), beta0, *betas]
+    if any(r not in pairing for r in roots):
+        return False
+    if s < 0 or b < 0 or not 0 < a < p:
+        return False
+    unit, step = p**s, p ** (s + 1)
+    if pairing[roots[0]] != m or m != a * unit + b * step or pairing[beta0] != a * unit:
+        return False
+    if len(betas) != b or len(set(roots[1:])) != len(roots) - 1:
+        return False
+    return all(pairing[beta] == step for beta in betas)

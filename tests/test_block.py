@@ -7,6 +7,7 @@ import pytest
 from loewylab.block import (
     BlockContext,
     block_weight,
+    check_hypotheses,
     check_label,
     classify,
     is_odd_prime,
@@ -54,6 +55,16 @@ def test_make_context_validation():
         make_context(2, 3)  # p divides n + 1
     with pytest.raises(ValueError):
         make_context(4, 5)
+
+
+def test_make_context_refuses_floats_and_bools():
+    # A float or bool rank or prime compares equal to an int but would build
+    # float coordinates or print as True.
+    for n, p in [(2, 5.0), (2.0, 5), (True, 5), (2, True)]:
+        with pytest.raises(TypeError):
+            make_context(n, p)
+        with pytest.raises(TypeError):
+            check_hypotheses(n, p)
 
 
 def test_weight_table_frozen_rank_one():
@@ -195,9 +206,9 @@ def test_distinct_twists_distinct_weights():
 
 
 def test_block_context_contract():
-    # A context is an immutable, hashable value (`_index_by_coords` caches
-    # on it): equal and equally hashed exactly when its fields are, frozen,
-    # and rebuilt equal by copies and pickles.
+    # A context is an immutable, hashable value: equal and equally hashed
+    # exactly when its fields are, frozen, and rebuilt equal by copies and
+    # pickles.
     a, same, b = make_context(1, 5), BlockContext(1, 5, ((0,), (3,))), make_context(1, 7)
     assert (a.n, a.p, a.lambdas) == (1, 5, ((0,), (3,)))
     assert a == same and not a != same and a != b

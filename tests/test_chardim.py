@@ -6,18 +6,19 @@ import pytest
 import loewylab.chardim
 from loewylab.block import make_context, nu_weight
 from loewylab.chardim import (
+    _closed_form,
+    _witness_ok,
     check_block_simplicity,
-    closed_form_certificate,
     dim_parabolic_verma,
     jantzen_decompose,
     positive_roots,
     superfactorial,
-    verify_certificate,
     weyl_dim,
     witness_search,
 )
 from loewylab.lattice import _pair, _pair_table, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
+from oracles import certificate_ok, pairings
 
 
 def very_good_primes(n, count):
@@ -100,6 +101,9 @@ def test_witness_search_frozen_examples():
     # (root, m, s, a, b, beta0, betas)
     assert witness_search(nu_weight(ctx, 0), (1, 3), 5) == ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),))
     assert witness_search(nu_weight(ctx, 2), (1, 3), 5) == ((1, 3), 9, 0, 4, 1, (2, 3), ((1, 2),))
+    # A root given as a list comes back as a tuple.
+    cert = witness_search(nu_weight(ctx, 0), [1, 3], 5)
+    assert cert == ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),)) and type(cert[0]) is tuple
 
 
 def test_witness_search_nonpositive_pairing():
@@ -107,11 +111,20 @@ def test_witness_search_nonpositive_pairing():
     assert witness_search((-3, 1), (1, 2), 5) is None
 
 
+def sweep_check(nu, cert, p):
+    """The sweep's own check of one certificate: its root's pairing in the
+    lattice table (`lattice._pair_table`) is m, and `_witness_ok` holds."""
+    pairing = _pair_table(nu)
+    return pairing.get(cert[0]) == cert[1] and _witness_ok(pairing, cert[1:], p)
+
+
 def test_verify_certificate_rejects_tampering():
+    # Both the oracle and the sweep's own check refuse every tampered
+    # certificate.
     ctx = make_context(2, 5)
     nu = nu_weight(ctx, 0)
     cert = witness_search(nu, (1, 3), 5)
-    assert verify_certificate(nu, cert, 5)
+    assert certificate_ok(pairings(nu), cert, 5) and sweep_check(nu, cert, 5)
     root, m, s, a, b, beta0, betas = cert
     for bad in [
         (root, m, s, a, b, (1, 3), betas),  # beta0 pairs to 6, not 1
@@ -122,9 +135,10 @@ def test_verify_certificate_rejects_tampering():
         ((1, 2, 3), m, s, a, b, beta0, betas),  # not a root index at all
         ((1, 2), m, s, a, b, beta0, betas),  # pairs to 1, not m = 6
     ]:
-        assert not verify_certificate(nu, bad, 5), bad
-    # A root given as a list is still paired.
-    assert verify_certificate(nu, (list(root), m, s, a, b, beta0, betas), 5)
+        assert not certificate_ok(pairings(nu), bad, 5), bad
+        assert not sweep_check(nu, bad, 5), bad
+    # The oracle pairs a root given as a list.
+    assert certificate_ok(pairings(nu), (list(root), m, s, a, b, beta0, betas), 5)
 
 
 def test_closed_form_certificates_verify_everywhere():
@@ -134,20 +148,10 @@ def test_closed_form_certificates_verify_everywhere():
                 continue
             ctx = make_context(n, p)
             for i in range(n + 1):
-                nu = nu_weight(ctx, i)
+                table = pairings(nu_weight(ctx, i))
                 for root in positive_roots(n):
-                    cert = closed_form_certificate(ctx, i, root)
-                    assert verify_certificate(nu, cert, p), (n, p, i, root)
-
-
-def test_closed_form_certificate_validation():
-    ctx = make_context(3, 5)
-    for i in (-1, 4):
-        with pytest.raises(ValueError, match=r"block index i must be in \[0, 3\]"):
-            closed_form_certificate(ctx, i, (1, 2))
-    for root in [(2, 2), (0, 1), (3, 5)]:
-        with pytest.raises(ValueError, match=r"root \(k, j\) must satisfy"):
-            closed_form_certificate(ctx, 1, root)
+                    cert = _closed_form(n, p, i, ctx.lambdas[i], root)
+                    assert certificate_ok(table, cert, p), (n, p, i, root)
 
 
 def test_search_finds_certificates_everywhere():
@@ -158,10 +162,11 @@ def test_search_finds_certificates_everywhere():
             ctx = make_context(n, p)
             for i in range(n + 1):
                 nu = nu_weight(ctx, i)
+                table = pairings(nu)
                 for root in positive_roots(n):
                     cert = witness_search(nu, root, p)
                     assert cert is not None, (n, p, i, root)
-                    assert verify_certificate(nu, cert, p)
+                    assert certificate_ok(table, cert, p)
 
 
 def test_check_block_simplicity_report():
@@ -274,17 +279,19 @@ def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
 
 
 def unshared_sweep(ctx):
-    """The sweep's failures with nothing shared: `verify_certificate` runs
-    on every searched and every closed-form certificate."""
+    """The sweep's failures with nothing shared: the oracle checks every
+    searched and every closed-form certificate in full, against the table
+    the sweep reads (`chardim._pair_table`, as patched)."""
     n, p = ctx.n, ctx.p
     failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
+        table = loewylab.chardim._pair_table(nu)
         for root in positive_roots(n):
             found = witness_search(nu, root, p)
-            if found is None or not verify_certificate(nu, found, p):
+            if found is None or not certificate_ok(table, found, p):
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            if not verify_certificate(nu, closed_form_certificate(ctx, i, root), p):
+            if not certificate_ok(table, _closed_form(n, p, i, ctx.lambdas[i], root), p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )
@@ -345,12 +352,20 @@ def test_shared_witness_checks_fail_exactly_where_per_root_checks_fail(monkeypat
 
 
 def test_jantzen_decompose_refuses_every_bad_call():
-    # Results are cached; refusals are not.
-    for _ in range(2):
-        for m, p in [(0, 5), (-3, 5), (6, 1), (6, 0)]:
-            with pytest.raises(ValueError):
-                jantzen_decompose(m, p)
-    assert jantzen_decompose(6, 5) is jantzen_decompose(6, 5)
+    for m, p in [(0, 5), (-3, 5), (6, 1), (6, 0)]:
+        with pytest.raises(ValueError):
+            jantzen_decompose(m, p)
+
+
+def test_jantzen_decompose_refuses_floats_and_bools():
+    # A float or bool equals an int and hashes like it, so a refused call
+    # must leave no trace: the int split and the sweep are unchanged after.
+    for m, p in [(6.0, 5), (True, 5), (6, 5.0), (6, True)]:
+        with pytest.raises(TypeError):
+            jantzen_decompose(m, p)
+    split = jantzen_decompose(6, 5)
+    assert split == (0, 1, 1) and [type(x) for x in split] == [int, int, int]
+    assert check_block_simplicity(make_context(2, 5))["ok"]
 
 
 def test_block_sweep_searches_once_per_distinct_pairing(monkeypatch):
@@ -381,7 +396,7 @@ def test_closed_form_replay_fails_exactly_where_per_root_checks_fail(monkeypatch
     # Pairing 15 = 2 * 3 + 1 * 9 at nu_3: the tail beta (3, 7) straddles
     # both special slots.
     i, root = 3, (1, 7)
-    assert closed_form_certificate(ctx, i, root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
+    assert _closed_form(6, 3, i, ctx.lambdas[i], root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
     nu = nu_weight(ctx, i)
     monkeypatch.setattr(loewylab.chardim, "_pair_table", lying_table(nu, (3, 7)))
     report = check_block_simplicity(ctx)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from loewylab.block import classify, make_context
-from loewylab.chardim import positive_roots, verify_certificate, weyl_dim, witness_search
+from loewylab.chardim import positive_roots, weyl_dim, witness_search
 from loewylab.lattice import (
     _pair_table,
     add,
@@ -250,14 +250,11 @@ WEIGHT_APIS = {
     "block.classify": lambda w: classify(make_context(2, 5), w),
     "chardim.weyl_dim": weyl_dim,
     "chardim.witness_search": lambda w: witness_search(w, (1, 3), 5),
-    "chardim.verify_certificate": lambda w: verify_certificate(
-        w, ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),)), 5
-    ),
     "weyl.act": lambda w: act(longest(2), w),
 }
 RANK_FREE = {
     "check_weight", "neg", "scale", "eps_coords", "in_root_lattice", "restricted_decompose",
-    "chardim.weyl_dim", "chardim.verify_certificate",
+    "chardim.weyl_dim",
 }
 
 

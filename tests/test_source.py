@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import loewylab
@@ -22,18 +23,32 @@ def test_library_has_no_assert_statements():
 
 
 def test_every_public_name_has_a_library_caller():
-    # Library API that only its tests reach belongs in the tests.
-    exported, used = {}, set()
-    for path in SOURCES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # Library API that only its tests reach belongs in the tests: every
+    # exported name, and every top-level function and class, private or
+    # not, is read somewhere in the library outside its own definition.
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+    def reads(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    read = sum(map(reads, trees.values()), Counter())
+    unread = []
+    for path, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if read[node.name] == reads(node)[node.name]:
+                    unread.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
-                for name in ast.literal_eval(node.value):
-                    exported[name] = f"{path.stem}.{name}"
-    assert sorted(dotted for name, dotted in exported.items() if name not in used) == []
+                unread += [
+                    f"{path.stem}.{name}" for name in ast.literal_eval(node.value) if not read[name]
+                ]
+    assert sorted(unread) == []
 
 
 def test_acceptance_keeps_independent_expectations():
