@@ -86,7 +86,10 @@ def is_odd_prime(p: int) -> bool:
 
 
 def check_index(n: int, i: int) -> None:
-    """Raise ValueError unless `i` is a block index at rank n, 0 <= i <= n."""
+    """Raise ValueError unless `i` is a block index at rank n, 0 <= i <= n,
+    and TypeError unless it is an exact int (not a float, not a bool)."""
+    if type(i) is not int:
+        raise TypeError(f"block index i must be an int (got {i!r})")
     if not 0 <= i <= n:
         raise ValueError(f"block index i must be in [0, {n}] (got {i})")
 
@@ -137,10 +140,13 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
     canonical table stored in the context is a = 1.  All coordinates are
     p - 1 except: coordinate 1 is a - 1 when i = 0; coordinate n is
     p - a - 1 when i = n; otherwise coordinate i is p - a - 1 and
-    coordinate i + 1 is a - 1.
+    coordinate i + 1 is a - 1.  Raises TypeError unless i and a are exact
+    ints.
     """
     n, p = ctx.n, ctx.p
     check_index(n, i)
+    if type(a) is not int:
+        raise TypeError(f"twist parameter a must be an int (got {a!r})")
     if not 1 <= a <= p - 1:
         raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
     coords = [p - 1] * n

@@ -20,7 +20,12 @@ certificate as the row (i, root, m, s, a, b, beta0, betas).
 
 Certificates are produced by two routes on purpose: a deterministic greedy
 search, and a closed-form builder that reads the certificate off the
-diagonal pairing pattern of nu_i without searching.  The search is two
+simple-root pairings of nu_i without searching.  Those are p except at the
+two special slots, p - 1 at alpha_i and 1 at alpha_{i+1}, so the builder
+has two rules, chosen by the valuation s of m: at s = 0 the root's interval
+holds one special slot, and beta0 is the simple root where it sits; at
+s >= 1 the roots run between evenly spaced fences, moved one slot right
+past both special slots when the interval holds them.  The search is two
 lookups in a pairing table built once per nu from prefix sums of its
 coordinates; the builder pairs lam_i (`lattice._pair`) and adds rho's
 pairing j - k.  Both kinds of certificate are re-verified from scratch
@@ -75,6 +80,16 @@ def superfactorial(m: int) -> int:
     return prod(factorial(t) for t in range(1, m + 1))
 
 
+def _weyl_quotient(coords: tuple[int, ...], rank: int, shift: int, factor: int) -> int:
+    """factor times the product of coords' pairings with the positive roots
+    of rank `rank` moved `shift` slots right, over 1! 2! ... rank!, exactly."""
+    num = prod(_pair(coords, k + shift, j + shift) for k, j in positive_roots(rank))
+    q, r = divmod(factor * num, superfactorial(rank))
+    if r:
+        raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {coords})")
+    return q
+
+
 def weyl_dim(lam: tuple[int, ...]) -> int:
     """Weyl dimension polynomial at a dominant weight, exactly.
 
@@ -86,13 +101,7 @@ def weyl_dim(lam: tuple[int, ...]) -> int:
     check_weight(lam)
     if any(a < 0 for a in lam):
         raise ValueError(f"weight must be dominant (got {lam})")
-    n = len(lam)
-    shifted = tuple(a + 1 for a in lam)
-    num = prod(_pair(shifted, k, j) for k, j in positive_roots(n))
-    q, r = divmod(num, superfactorial(n))
-    if r:
-        raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {lam})")
-    return q
+    return _weyl_quotient(tuple(a + 1 for a in lam), len(lam), 0, 1)
 
 
 def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
@@ -102,20 +111,12 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
     one permuting slots 2..n+1.  The value is p^n times the Levi's Weyl
     numerator at nu_i over the Levi's Weyl denominator.
     """
-    n, p = ctx.n, ctx.p
-    check_index(ctx.n, i)
-    nu = nu_weight(ctx, i)
-    if side == "I":
-        levi_roots = [(k, j) for k in range(1, n) for j in range(k + 1, n + 1)]
-    elif side == "J":
-        levi_roots = [(k, j) for k in range(2, n + 1) for j in range(k + 1, n + 2)]
-    else:
+    n = ctx.n
+    check_index(n, i)
+    if side not in ("I", "J"):
         raise ValueError(f'side must be "I" or "J" (got {side!r})')
-    num = prod(_pair(nu, k, j) for k, j in levi_roots)
-    q, r = divmod(p**n * num, superfactorial(n - 1))
-    if r:
-        raise RuntimeError(f"Levi Weyl numerator must divide exactly (remainder {r} at i={i})")
-    return q
+    # Side "J"'s Levi roots are side "I"'s moved one slot right.
+    return _weyl_quotient(nu_weight(ctx, i), n - 1, 1 if side == "J" else 0, ctx.p**n)
 
 
 def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
@@ -208,71 +209,40 @@ def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
     )
 
 
-def _closed_form(n: int, p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
+def _closed_form(p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
     """Build a witness certificate directly from nu_i's pairing pattern, for
     lam = lam_i and a positive root index the library built, unchecked.
 
-    The simple-root pairings of nu_i are p everywhere except for a single
-    p - 1 (and, away from the block edges, an adjacent 1), so every
-    positive-root pairing falls into one of a handful of shapes; each shape
-    has an explicit certificate, assembled here without any searching.
+    The simple roots pair with nu_i to p, except the two special slots:
+    alpha_i pairs to p - 1 (when i >= 1) and alpha_{i+1} to 1 (when
+    i + 1 <= n).  So the valuation s of the root's pairing picks one of two
+    rules, and neither searches:
+
+    * s = 0: the interval holds exactly one special slot.  Either the 1
+      opens it (k = i + 1) and beta0 is its first simple root, or the p - 1
+      closes it (j = i + 1) and beta0 is its last; the betas are the b
+      other simple roots, each pairing to p.
+    * s >= 1: the interval holds neither special slot, or both, whose
+      p - 1 and 1 add up to one p.  The roots run between the fences k,
+      then k + a p^(s-1) + r p^s for r = 0..b; when both special slots are
+      inside (k <= i < j - 1), every fence past i moves one slot right.
     """
     k, j = root
     # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
     m = _pair(lam, k, j) + (j - k)
     s, a, b = jantzen_decompose(m, p)
-
-    if i == 0 and k == 1:
-        # Pairing 1 + (j - 2) p: the unit sits on alpha_1.
-        beta0 = (1, 2)
-        betas = tuple(zip(range(2, j), range(3, j + 1)))
-    elif (i == n and j == n + 1) or (0 < i < n and k <= i and j == i + 1):
-        # Pairing (p - 1) + (j - 1 - k) p: the p - 1 sits on alpha_{j-1}.
-        beta0 = (j - 1, j)
-        betas = tuple(zip(range(k, j - 1), range(k + 1, j)))
-    elif 0 < i < n and k == i + 1:
-        # Pairing 1 + (j - i - 2) p: the unit sits on alpha_{i+1}.
-        beta0 = (i + 1, i + 2)
-        betas = tuple(zip(range(i + 2, j), range(i + 3, j + 1)))
-    elif 0 < i < n and k <= i and j >= i + 2:
-        # Pairing (j - k - 1) p: the interval straddles both special slots,
-        # whose contributions p - 1 and 1 merge into one p.
-        width0 = a * p ** (s - 1)
-        step = p**s
-        if k + width0 >= i + 1:
-            # beta0 itself straddles; the tail walks the all-p right side.
-            beta0 = (k, k + 1 + width0)
-            betas = _steps(k + 1 + width0, step, b)
-        else:
-            # beta0 fits left of the special slots; the tail walks right,
-            # stretching by one slot on the jump that crosses them.
-            beta0 = (k, k + width0)
-            tail = []
-            cur = k + width0
-            for _ in range(b):
-                if cur + step <= i:
-                    tail.append((cur, cur + step))
-                    cur += step
-                elif cur <= i:
-                    tail.append((cur, cur + 1 + step))
-                    cur += 1 + step
-                else:
-                    tail.append((cur, cur + step))
-                    cur += step
-            betas = tuple(tail)
-    else:
-        # The interval avoids the special slots entirely: every simple
-        # pairing inside it is p, so the pairing is (j - k) p.
-        width0 = a * p ** (s - 1)
-        beta0 = (k, k + width0)
-        betas = _steps(k + width0, p**s, b)
-    return root, m, s, a, b, beta0, betas
-
-
-def _steps(start: int, step: int, b: int) -> tuple[Root, ...]:
-    """The b roots (start + (r - 1) step, start + r step), r = 1..b."""
-    ends = range(start, start + (b + 1) * step, step)
-    return tuple(zip(ends, ends[1:]))
+    if s == 0:
+        simple = tuple(zip(range(k, j), range(k + 1, j + 1)))
+        if k == i + 1:
+            return root, m, s, a, b, simple[0], simple[1:]
+        return root, m, s, a, b, simple[-1], simple[:-1]
+    # The fences after k end at j, or at j - 1 before the shift when both
+    # special slots are inside (the next would be p^s > 1 slots on).  The
+    # shift never moves k, which is then at most i.
+    fences = range(k + a * p ** (s - 1), j + 1, p**s)
+    if k <= i < j - 1:
+        fences = [x + (x > i) for x in fences]
+    return root, m, s, a, b, (k, fences[0]), tuple(zip(fences, fences[1:]))
 
 
 def check_block_simplicity(ctx: BlockContext) -> dict:
@@ -314,7 +284,7 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
                 certificates.append((i, root, *witness))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            built = _closed_form(n, p, i, lam, root)
+            built = _closed_form(p, i, lam, root)
             if built[1] != paired or not _witness_ok(pairing, built[1:], p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}

@@ -128,12 +128,12 @@ def neg(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def scale(k: int, w: tuple[int, ...]) -> tuple[int, ...]:
-    """The weight k * w, for an int k.
+    """The weight k * w, for an exact int k (not a bool).
 
     >>> scale(-2, (1, 0, 3))
     (-2, 0, -6)
     """
-    if not isinstance(k, int):
+    if type(k) is not int:
         raise TypeError("weights scale by ints only")
     check_weight(w)
     return tuple(k * a for a in w)
@@ -245,12 +245,15 @@ def restricted_decompose(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], t
     """Split `w` uniquely as mu + p * nu with mu restricted.
 
     Returns `(mu, nu)`; coordinates of mu are the mod-p remainders in
-    [0, p) and nu collects the quotients.
+    [0, p) and nu collects the quotients.  Raises TypeError unless p is
+    an exact int.
 
     >>> restricted_decompose((-1, 7), 5)
     ((4, 2), (-1, 1))
     """
     check_weight(w)
+    if type(p) is not int:
+        raise TypeError(f"p must be an int (got {p!r})")
     if p < 2:
         raise ValueError("p must be at least 2")
     quot, rem = zip(*(divmod(a, p) for a in w))

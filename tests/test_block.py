@@ -8,6 +8,7 @@ from loewylab.block import (
     BlockContext,
     block_weight,
     check_hypotheses,
+    check_index,
     check_label,
     classify,
     is_odd_prime,
@@ -16,10 +17,18 @@ from loewylab.block import (
     mu_weight,
     nu_weight,
 )
-from loewylab.ext import ext1_g1t_dim, rad1_qhat
+from loewylab.chardim import dim_parabolic_verma
+from loewylab.ext import ext1_g1, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import add, fundamental, neg, rho, scale, sub, zero
-from loewylab.loewy import dual_verma_rows, parabolic_m_structure, verma_blocks, verma_rows
-from loewylab.projective import bgg_multiplicity, cover_rows, verma_support
+from loewylab.loewy import (
+    composition_class_z_g1,
+    dual_verma_rows,
+    parabolic_m_structure,
+    rad_layers_z_g1,
+    verma_blocks,
+    verma_rows,
+)
+from loewylab.projective import bgg_multiplicity, cover_rows, q_composition_mult_g1, verma_support
 from loewylab.weyl import act, longest, longest_fixing_last
 
 
@@ -65,6 +74,48 @@ def test_make_context_refuses_floats_and_bools():
             make_context(n, p)
         with pytest.raises(TypeError):
             check_hypotheses(n, p)
+
+
+@pytest.mark.parametrize("i", [1.0, True], ids=["float", "bool"])
+def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
+    # A block index is an exact int, as n and p are: a float passed the
+    # range check, so rad1_qhat returned rows with block index 0.0 and
+    # rad_layers_z_g1 died inside math.comb, and a bool would print as True.
+    ctx = make_context(2, 5)
+    apis = {
+        "check_index": lambda i: check_index(2, i),
+        "check_label": lambda i: check_label(ctx, i, (0, 0)),
+        "label_weight": lambda i: label_weight(ctx, (i, (0, 0))),
+        "block_weight": lambda i: block_weight(ctx, i),
+        "mu_weight": lambda i: mu_weight(ctx, i),
+        "rad_layers_z_g1": lambda i: rad_layers_z_g1(ctx, i),
+        "composition_class_z_g1": lambda i: composition_class_z_g1(ctx, i),
+        "rad1_qhat": lambda i: rad1_qhat(ctx, (i, (0, 0))),
+        "ext1_g1 i": lambda i: ext1_g1(ctx, i, 1),
+        "ext1_g1 j": lambda i: ext1_g1(ctx, 1, i),
+        "q_composition_mult_g1 i": lambda i: q_composition_mult_g1(ctx, i, 1),
+        "q_composition_mult_g1 j": lambda i: q_composition_mult_g1(ctx, 1, i),
+        "dim_parabolic_verma": lambda i: dim_parabolic_verma(ctx, i, "I"),
+    }
+    accepted = []
+    for name, api in apis.items():
+        api(1)
+        try:
+            api(i)
+        except TypeError as err:
+            assert str(err) == f"block index i must be an int (got {i!r})", name
+        else:
+            accepted.append(name)
+    assert accepted == []
+
+
+def test_block_weight_refuses_a_twist_parameter_that_is_not_an_int():
+    # block_weight(ctx, 0, 2.0) returned the float weight (1.0, 4).
+    ctx = make_context(2, 5)
+    assert block_weight(ctx, 0, 2) == (1, 4)
+    for a in (2.0, True):
+        with pytest.raises(TypeError, match=r"^twist parameter a must be an int"):
+            block_weight(ctx, 0, a)
 
 
 def test_weight_table_frozen_rank_one():

@@ -141,17 +141,46 @@ def test_verify_certificate_rejects_tampering():
     assert certificate_ok(pairings(nu), (list(root), m, s, a, b, beta0, betas), 5)
 
 
+def closed_form_rule(i, cert):
+    """Which rule of `_closed_form` built the certificate: the 1 on
+    alpha_{i+1} opens the interval or the p - 1 on alpha_i closes it
+    (s = 0), or the fences are plain or shifted past both special slots
+    (s = 1 or s >= 2)."""
+    (k, j), _, s, *_ = cert
+    if s == 0:
+        return "opens" if k == i + 1 else "closes"
+    return "merged" if k <= i < j - 1 else "plain", min(s, 2)
+
+
 def test_closed_form_certificates_verify_everywhere():
-    for n in range(1, 7):
-        for p in (5, 7, 11, 13):
+    # One frozen certificate per rule, each with a tail (b = 1).
+    frozen = {
+        (3, 3, 0, (1, 3)): ((1, 3), 4, 0, 1, 1, (1, 2), ((2, 3),)),
+        (6, 3, 2, (1, 3)): ((1, 3), 5, 0, 2, 1, (2, 3), ((1, 2),)),
+        (7, 5, 0, (2, 8)): ((2, 8), 30, 1, 1, 1, (2, 3), ((3, 8),)),
+        (6, 3, 1, (1, 6)): ((1, 6), 12, 1, 1, 1, (1, 3), ((3, 6),)),
+        (13, 3, 0, (2, 14)): ((2, 14), 36, 2, 1, 1, (2, 5), ((5, 14),)),
+        (13, 3, 1, (1, 14)): ((1, 14), 36, 2, 1, 1, (1, 5), ((5, 14),)),
+    }
+    for (n, p, i, root), cert in frozen.items():
+        assert _closed_form(p, i, make_context(n, p).lambdas[i], root) == cert
+    # Each rule builds tails (b > 0) somewhere in this grid; at p = 3,
+    # n = 13 is the first size with s >= 2 and b > 0.
+    sizes = {3: (1, 3, 4, 6, 7, 13), 5: range(1, 8), 7: range(1, 10), 11: range(1, 7), 13: range(1, 7)}
+    with_tails = set()
+    for p, ns in sizes.items():
+        for n in ns:
             if (n + 1) % p == 0:
                 continue
             ctx = make_context(n, p)
             for i in range(n + 1):
                 table = pairings(nu_weight(ctx, i))
                 for root in positive_roots(n):
-                    cert = _closed_form(n, p, i, ctx.lambdas[i], root)
+                    cert = _closed_form(p, i, ctx.lambdas[i], root)
                     assert certificate_ok(table, cert, p), (n, p, i, root)
+                    if cert[4]:
+                        with_tails.add(closed_form_rule(i, cert))
+    assert with_tails == {"opens", "closes", ("plain", 1), ("merged", 1), ("plain", 2), ("merged", 2)}
 
 
 def test_search_finds_certificates_everywhere():
@@ -291,7 +320,7 @@ def unshared_sweep(ctx):
             found = witness_search(nu, root, p)
             if found is None or not certificate_ok(table, found, p):
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            if not certificate_ok(table, _closed_form(n, p, i, ctx.lambdas[i], root), p):
+            if not certificate_ok(table, _closed_form(p, i, ctx.lambdas[i], root), p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )
@@ -396,7 +425,7 @@ def test_closed_form_replay_fails_exactly_where_per_root_checks_fail(monkeypatch
     # Pairing 15 = 2 * 3 + 1 * 9 at nu_3: the tail beta (3, 7) straddles
     # both special slots.
     i, root = 3, (1, 7)
-    assert _closed_form(6, 3, i, ctx.lambdas[i], root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
+    assert _closed_form(3, i, ctx.lambdas[i], root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
     nu = nu_weight(ctx, i)
     monkeypatch.setattr(loewylab.chardim, "_pair_table", lying_table(nu, (3, 7)))
     report = check_block_simplicity(ctx)

@@ -42,8 +42,9 @@ def test_weight_arithmetic():
         add(a, (1, 2, 3))
     with pytest.raises(ValueError, match=r"^rank mismatch: 3 vs 2$"):
         sub((1, 2, 3), a)
-    with pytest.raises(TypeError, match=r"^weights scale by ints only$"):
-        scale(1.0, a)  # type: ignore[arg-type]
+    for k in (1.0, True):  # a bool is an int subclass, and would print as True
+        with pytest.raises(TypeError, match=r"^weights scale by ints only$"):
+            scale(k, a)  # type: ignore[arg-type]
     with pytest.raises(TypeError):
         add((1.0, 2), a)  # type: ignore[arg-type]
 
@@ -221,6 +222,10 @@ def test_restricted_decompose_round_trip():
             assert add(mu, scale(p, nu)) == w
     with pytest.raises(ValueError):
         restricted_decompose((1,), 1)
+    # A float p returned float coordinates.
+    for p in (5.0, True):
+        with pytest.raises(TypeError, match=r"^p must be an int"):
+            restricted_decompose((1, 7), p)
 
 
 def test_restricted_decompose_examples():
