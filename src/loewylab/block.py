@@ -56,11 +56,14 @@ def is_odd_prime(p: int) -> bool:
     """Deterministic primality for odd p, by Miller-Rabin on the primes to 41.
 
     Raises ValueError for odd p at or above 3.3e24, where those bases no
-    longer decide primality.
+    longer decide primality, and TypeError unless p is an exact int (not a
+    float, not a bool).
 
     >>> [q for q in range(20) if is_odd_prime(q)]
     [3, 5, 7, 11, 13, 17, 19]
     """
+    if type(p) is not int:
+        raise TypeError(f"p must be an int (got {p!r})")
     if p < 3 or p % 2 == 0:
         return False
     if p >= _PRIME_TEST_BOUND:
@@ -168,6 +171,7 @@ def mu_weight(ctx: BlockContext, i: int) -> tuple[int, ...]:
 
 def nu_weight(ctx: BlockContext, i: int) -> tuple[int, ...]:
     """The shifted weight nu_i = lam_i + rho used by pairings and dimensions."""
+    check_index(ctx.n, i)
     return add(ctx.lambdas[i], rho(ctx.n))
 
 

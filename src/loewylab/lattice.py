@@ -82,10 +82,18 @@ def _check_same_rank(a: tuple[int, ...], b: tuple[int, ...]) -> None:
         raise ValueError(f"rank mismatch: {len(a)} vs {len(b)}")
 
 
-def zero(rank: int) -> tuple[int, ...]:
-    """The zero weight of the given rank."""
+def _check_rank(rank: int) -> None:
+    """Raise TypeError unless `rank` is an exact int (not a float, not a
+    bool), and ValueError unless it is at least 1."""
+    if type(rank) is not int:
+        raise TypeError(f"rank must be an int (got {rank!r})")
     if rank < 1:
         raise ValueError("weight needs rank >= 1")
+
+
+def zero(rank: int) -> tuple[int, ...]:
+    """The zero weight of the given rank."""
+    _check_rank(rank)
     return (0,) * rank
 
 
@@ -93,8 +101,10 @@ def fundamental(rank: int, k: int) -> tuple[int, ...]:
     """The fundamental weight w_k; `fundamental(rank, 0)` is zero.
 
     Both w_0 and w_{rank+1} are accepted and give zero, matching the
-    boundary convention used throughout.
+    boundary convention used throughout.  Rank and k are exact ints.
     """
+    if type(rank) is not int or type(k) is not int:
+        raise TypeError(f"rank and k must be ints (got {rank!r}, {k!r})")
     if not 0 <= k <= rank + 1:
         raise ValueError(f"w_{k} undefined at rank {rank}")
     if k == 0 or k == rank + 1:
@@ -104,8 +114,7 @@ def fundamental(rank: int, k: int) -> tuple[int, ...]:
 
 def rho(rank: int) -> tuple[int, ...]:
     """The half-sum of positive roots, w_1 + ... + w_n."""
-    if rank < 1:
-        raise ValueError("weight needs rank >= 1")
+    _check_rank(rank)
     return (1,) * rank
 
 
@@ -157,7 +166,9 @@ def from_eps(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 
 def eps_basis(rank: int, k: int) -> tuple[int, ...]:
-    """The weight eps_k, for 1 <= k <= rank + 1."""
+    """The weight eps_k, for exact ints rank and 1 <= k <= rank + 1."""
+    if type(rank) is not int or type(k) is not int:
+        raise TypeError(f"rank and k must be ints (got {rank!r}, {k!r})")
     if not 1 <= k <= rank + 1:
         raise ValueError(f"eps_{k} undefined at rank {rank}")
     return from_eps(tuple(1 if t == k else 0 for t in range(1, rank + 2)))

@@ -12,10 +12,12 @@ Slot i + 1 is never moved, so in fundamental coordinates the shift
 -eps_X + eps_Y splits in two: -eps_X lives on coordinates 1..i alone and
 eps_Y on coordinates i + 1..n alone.  Each (j, k) part of a layer is
 therefore a product heads(k) x tails(j - k), and the layers are computed
-once per (n, i) as a nu = 0 pattern of such blocks over plain int tuples
-(a small bounded cache).  Every layer API takes the Verma's label
-(i, nu coordinates), and on each call the heads are translated by nu's
-first i coordinates and the tails by the rest.  `verma_blocks` returns the
+once per (n, i) as a nu = 0 pattern (a small bounded cache): the half
+lists heads(k) and tails(l) of plain int tuples, and each layer's parts
+as index triples (t, k, j - k).  Every layer API takes the Verma's label
+(i, nu coordinates), and on each call every head list is translated by
+nu's first i coordinates and every tail list by the rest, once each, and
+the triples pick the translated lists by index.  `verma_blocks` returns the
 layers, index 0 = head for radical series, in that product form: blocks
 (t, heads, tails) whose labels are (t, head + tail).  The command line
 writes a listing from the blocks, so it formats each head and tail once
@@ -96,31 +98,33 @@ def _half_shifts(length: int, size: int, head: bool) -> tuple[tuple[int, ...], .
     return tuple(shifts)
 
 
-Block = tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+Block = tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]
 
 
 @lru_cache(maxsize=32)
-def _verma_pattern(n: int, i: int) -> tuple[tuple[Block, ...], ...]:
-    """The radical layers of the baby Verma lam_i at nu = 0, as blocks.
+def _verma_pattern(n: int, i: int) -> tuple[tuple, tuple, tuple]:
+    """The radical layers of the baby Verma lam_i at nu = 0, as
+    (heads, tails, layers).
 
-    Layer j holds one block (t, heads, tails) per k with t = i + j - 2k <= n,
-    in increasing t: its labels are (t, head + tail) for every head in
-    `heads` (the shifts -eps_X, |X| = k) and tail in `tails` (+eps_Y,
-    |Y| = j - k).  Both lists are sorted and duplicate-free, so the labels
-    of a layer are distinct and, block by block, in lexicographic order.
+    heads[k] lists the head shifts -eps_X with |X| = k and tails[l] the tail
+    shifts +eps_Y with |Y| = l, each sorted and duplicate-free.  Layer j
+    holds one triple (t, k, j - k) per k with t = i + j - 2k <= n, in
+    increasing t: its labels are (t, head + tail) for every head in
+    heads[k] and tail in tails[j - k], distinct and, triple by triple, in
+    lexicographic order.  A layer may ask for more tail slots than the
+    n - i there are; that triple's tails are empty.
     """
-    # Each half list is built once.  A layer may ask for more tail slots
-    # than the n - i there are; that block's tails are empty.
-    heads = [_half_shifts(i, k, True) for k in range(i + 1)]
-    tails = [_half_shifts(n - i, k, False) for k in range(n + 1)]
-    return tuple(
+    heads = tuple(_half_shifts(i, k, True) for k in range(i + 1))
+    tails = tuple(_half_shifts(n - i, k, False) for k in range(n + 1))
+    layers = tuple(
         tuple(
-            (i + j - 2 * k, heads[k], tails[j - k])
+            (i + j - 2 * k, k, j - k)
             for k in range(min(i, j), -1, -1)
             if i + j - 2 * k <= n
         )
         for j in range(n + 1)
     )
+    return heads, tails, layers
 
 
 Row = tuple[int, tuple[int, ...], int]
@@ -139,21 +143,13 @@ def verma_blocks(ctx: BlockContext, label: Label) -> list[list[Block]]:
     i, v = label
     check_label(ctx, i, v)
     # Lexicographic order is translation-invariant, so translating each
-    # half keeps every block sorted.  The pattern shares one half list among
-    # the blocks that use it, so each list is translated once.
+    # half list (once, shared by the blocks that read it) keeps every
+    # block sorted.
+    heads, tails, layers = _verma_pattern(ctx.n, i)
     v_head, v_tail = v[:i], v[i:]
-    moved: dict[int, list[tuple[int, ...]]] = {}
-
-    def translate(shifts, v):
-        key = id(shifts)
-        if key not in moved:
-            moved[key] = [tuple(map(add, v, shift)) for shift in shifts]
-        return moved[key]
-
-    return [
-        [(t, translate(heads, v_head), translate(tails, v_tail)) for t, heads, tails in blocks]
-        for blocks in _verma_pattern(ctx.n, i)
-    ]
+    heads = [[tuple(map(add, v_head, h)) for h in hs] for hs in heads]
+    tails = [[tuple(map(add, v_tail, s)) for s in ts] for ts in tails]
+    return [[(t, heads[k], tails[l]) for t, k, l in layer] for layer in layers]
 
 
 def flatten_blocks(blocks: list[Block]) -> list[Row]:

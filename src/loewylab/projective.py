@@ -6,9 +6,9 @@ depth where that Verma sits.  The support of the filtration is computed
 exactly: the baby Verma with label (t, eta) contains the target simple
 (i, nu) in its layer k for at most one (k, X, Y), which pins down both the
 depth and the BGG multiplicity.  Like the Verma layers, the support depends
-on nu only by translation, and it reads the Vermas' cached nu = 0 block
-patterns (`loewy._verma_pattern`): the support is the blocks of block
-index i, negated, and `verma_support` returns it as rows (t, eta
+on nu only by translation, and it reads the Vermas' cached nu = 0
+patterns (`loewy._verma_pattern`): the support is the labels of block
+index i in them, negated, and `verma_support` returns it as rows (t, eta
 coordinates, depth).  Every API here takes its simples and Vermas as labels
 (block index, twist coordinates).
 
@@ -26,7 +26,7 @@ Labels are summed as packed ints: the offset (u - i, c) of a label (u, c)
 from the head (i, 0) is the key (u - i) B^n + sum_k c_k B^(n-k) with
 B = 256.  The packing is linear, so a sign pattern's key is the sum of one
 key per nonzero slot, and each sign class of each half is one list of keys
-(a small bounded cache per rank, filled as covers ask for classes).  Each
+(one bounded cache over all ranks, filled as covers ask for classes).  Each
 cover layer is one `Counter` over its keys, counted with multiplicity.
 Sign patterns have coordinates e_s - e_(s+1) in [-2, 2]: these balanced
 digits decode uniquely, and numeric order on keys is (u, coordinates)
@@ -73,20 +73,21 @@ __all__ = [
 CONDITIONAL_FLAG_KEY = "conditional_on_loewy_length_conjecture"
 
 
-def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], int]]:
-    """The filtration of the cover of (i, 0) as (t, eta head, eta tail, depth):
-    the Verma lam_t + p eta, eta = -(head shift + tail shift) for each label
-    (i, shift) in layer `depth` of the Verma pattern at t, split at t."""
+def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The filtration of the cover of (i, 0) as (t, eta, depth): the Verma
+    lam_t + p eta, eta = -(head shift + tail shift) for each label
+    (i, shift) in layer `depth` of the Verma pattern at t."""
     for t in range(n + 1):
-        for depth, blocks in enumerate(_verma_pattern(n, t)):
-            for u, heads, tails in blocks:
+        heads, tails, layers = _verma_pattern(n, t)
+        for depth, blocks in enumerate(layers):
+            for u, k, l in blocks:
                 if u != i:
                     continue
-                neg_tails = [tuple(map(neg, tail)) for tail in tails]
-                for head in heads:
+                neg_tails = [tuple(map(neg, tail)) for tail in tails[l]]
+                for head in heads[k]:
                     neg_head = tuple(map(neg, head))
                     for neg_tail in neg_tails:
-                        yield t, neg_head, neg_tail, depth
+                        yield t, neg_head + neg_tail, depth
 
 
 def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
@@ -100,7 +101,7 @@ def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     """
     i, v = label
     check_label(ctx, i, v)
-    return [(t, tuple(map(add, v, head + tail)), k) for t, head, tail, k in _support(ctx.n, i)]
+    return [(t, tuple(map(add, v, eta)), k) for t, eta, k in _support(ctx.n, i)]
 
 
 _BASE = 256
@@ -109,43 +110,35 @@ _HALF = _BASE // 2
 _FLIP = bytes(b ^ _HALF for b in range(_BASE))
 
 
-@lru_cache(maxsize=4)
-def _sign_classes(n: int) -> tuple[list, list, tuple[int, ...]]:
-    """The sign classes of both halves at rank n, heads[t][p][m] and
-    tails[t][p][m], each None until `_sign_class` builds it, and the slot
-    keys W_s = B^n + B^(n-s) - B^(n-s+1), s = 1..n+1: the key of the sign
-    pattern whose only nonzero entry is e_s = 1 (block index one up,
-    coordinate s one up and coordinate s - 1 one down, where they exist)."""
-    heads = [[[None] * (t - p + 1) for p in range(t + 1)] for t in range(n + 1)]
-    tails = [[[None] * (n - t - p + 1) for p in range(n - t + 1)] for t in range(n + 1)]
-    heads[0][0][0] = tails[n][0][0] = [0]
-    # place[k] is coordinate k's digit B^(n-k); coordinates 0 and n + 1 do not exist.
-    place = [0, *(_BASE ** (n - k) for k in range(1, n + 1)), 0]
-    weights = (0, *(_BASE**n + place[s] - place[s - 1] for s in range(1, n + 2)))
-    return heads, tails, weights
-
-
+@lru_cache(maxsize=4096)
 def _sign_class(n: int, t: int, p: int, m: int, head: bool) -> list[int]:
     """The keys sum(e_s W_s) of one sign class at rank n: the sign patterns
     e over slots 1..t (the head) or t + 2..n + 1 (the tail) with p >= 0
     entries 1, m >= 0 entries -1 and the rest 0, p + m at most the slots.
 
-    Each class is built once per rank, when first asked for, from the
-    classes one slot shorter (the slot next to t + 1 left off) with that
-    slot's e = 0, 1 and -1, and is never mutated.
+    W_s = B^n + B^(n-s) - B^(n-s+1) is the key of the sign pattern whose
+    only nonzero entry is e_s = 1 (block index one up, coordinate s one up
+    and coordinate s - 1 one down, where they exist).  A half without slots
+    is the one key 0; any other class is built from the classes one slot
+    shorter (the slot next to t + 1 left off) with that slot's e = 0, 1 and
+    -1.  Classes are built when first asked for and never mutated; the
+    cache holds every class of a rank (2 C(n + 3, 3) of them) up to n = 21.
     """
-    heads, tails, weights = _sign_classes(n)
-    row = (heads if head else tails)[t][p]
-    if row[m] is None:
-        size, slot, shorter = (t, t, t - 1) if head else (n - t, t + 2, t + 1)
-        w = weights[slot]
-        keys = list(_sign_class(n, shorter, p, m, head)) if p + m < size else []
-        if p:
-            keys += map(w.__add__, _sign_class(n, shorter, p - 1, m, head))
-        if m:
-            keys += map(w.__rsub__, _sign_class(n, shorter, p, m - 1, head))
-        row[m] = keys
-    return row[m]
+    size, slot, shorter = (t, t, t - 1) if head else (n - t, t + 2, t + 1)
+    if not size:
+        return [0]
+    # W_slot; coordinates 0 and n + 1 do not exist.
+    w = _BASE**n
+    if slot <= n:
+        w += _BASE ** (n - slot)
+    if slot > 1:
+        w -= _BASE ** (n - slot + 1)
+    keys = list(_sign_class(n, shorter, p, m, head)) if p + m < size else []
+    if p:
+        keys += map(w.__add__, _sign_class(n, shorter, p - 1, m, head))
+    if m:
+        keys += map(w.__rsub__, _sign_class(n, shorter, p, m - 1, head))
+    return keys
 
 
 def _summed(n: int, i: int) -> list[Counter]:
@@ -163,9 +156,7 @@ def _summed(n: int, i: int) -> list[Counter]:
     """
     binom = [[comb(z, a) for a in range(z + 1)] for z in range(n + 1)]
     feeds: list[list[list[int]]] = [[] for _ in range(2 * n + 1)]
-    head_classes, tail_classes, _ = _sign_classes(n)
     for t in range(n + 1):
-        head_t, tail_t = head_classes[t], tail_classes[t]
         # b - a = d0 - M_t, and b <= Z_t is a <= n - i - P_h - P_t.
         for p_h in range(min(t, n - i) + 1):
             d0 = i - t + p_h
@@ -173,15 +164,14 @@ def _summed(n: int, i: int) -> list[Counter]:
                 z_h = t - p_h - m_h
                 if min(z_h, n - i - p_h) < -d0:
                     continue  # no tail class leaves a valid a
-                heads = head_t[p_h][m_h] or _sign_class(n, t, p_h, m_h, True)
+                heads = _sign_class(n, t, p_h, m_h, True)
                 row_h = binom[z_h]
                 for p_t in range(min(n - t, n - i - p_h) + 1):
                     top = min(z_h, n - i - p_h - p_t)
-                    tail_p = tail_t[p_t]
                     layer = p_h + m_h + p_t + 2 * d0
                     # a runs from max(0, M_t - d0), where b >= 0, to top.
                     for m_t in range(min(n - t - p_t, top + d0) + 1):
-                        tails = tail_p[m_t] or _sign_class(n, t, p_t, m_t, False)
+                        tails = _sign_class(n, t, p_t, m_t, False)
                         # A class without signs is the one key 0.
                         if not p_h + m_h:
                             keys = tails
@@ -191,11 +181,7 @@ def _summed(n: int, i: int) -> list[Counter]:
                             keys = [head + tail for head in heads for tail in tails]
                         row_t, d = binom[n - t - p_t - m_t], d0 - m_t
                         for a in range(max(0, -d), top + 1):
-                            mult = row_h[a] * row_t[a + d]
-                            if mult == 1:
-                                feeds[layer + 4 * a].append(keys)
-                            else:
-                                feeds[layer + 4 * a] += [keys] * mult
+                            feeds[layer + 4 * a] += [keys] * (row_h[a] * row_t[a + d])
                         layer -= 1
     return [Counter(chain.from_iterable(feed)) for feed in feeds]
 
@@ -214,8 +200,6 @@ def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
     check_label(ctx, i, v)
     n = ctx.n
     counts = _summed(n, i)
-    while counts and not counts[-1]:
-        counts.pop()
     layers: list[list[Row]] = []
     for j, counter in enumerate(counts):
         mirror = 2 * n - j
@@ -259,7 +243,7 @@ def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     check_label(ctx, t, eta)
     check_label(ctx, i, v)
     shift = tuple(map(sub, eta, v))
-    return sum(1 for u, head, tail, _ in _support(ctx.n, i) if u == t and head + tail == shift)
+    return sum(1 for u, s, _ in _support(ctx.n, i) if u == t and s == shift)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

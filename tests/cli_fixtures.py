@@ -1,0 +1,150 @@
+"""Byte-identity fixtures of the command line, with the standard library only.
+
+Each fixture maps a command line to [exit code, sha256 of stdout, sha256 of
+stderr] of one in-process run of `loewylab.cli.main`: `cli_grid.json` for
+every subcommand at small n, `cli_large.json` for the listings past text
+truncation.  `tests/test_cli.py` compares both under pytest; without pytest,
+
+    PYTHONPATH=src python tests/cli_fixtures.py --check
+
+replays every run, prints each command line whose digests differ, and exits
+1 if any does.  With no argument the script records both fixtures; run that
+only on a reference commit.
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from loewylab.cli import main
+
+GRID_FIXTURE = Path(__file__).with_name("cli_grid.json")
+
+
+def cli_grid():
+    """Every subcommand at n = 1..3 and p = 5, 7, in text and JSON.
+
+    The module commands run at every block index and at the first invalid
+    one (n + 1), untwisted, twisted by w_1 (`--nu`) and by -eps_{n+1}
+    (`--eps`), and with a malformed `--nu x`; `jantzen` runs with and
+    without `--i`.
+    """
+    for n in (1, 2, 3):
+        for p in (5, 7):
+            twists = [
+                [],
+                ["--nu", ",".join(["1"] + ["0"] * (n - 1))],
+                ["--eps", ",".join(["0"] * n + ["-1"])],
+                ["--nu", "x"],
+            ]
+            runs = [["block"], ["dim"], ["verify"], ["jantzen"]]
+            runs += [["jantzen", "--i", str(i)] for i in range(n + 2)]
+            runs += [["ext", *twist] for twist in twists]
+            runs += [
+                [command, "--i", str(i), *twist]
+                for command in ("verma", "verma-dual", "proj", "ext")
+                for i in range(n + 2)
+                for twist in twists
+            ]
+            for command, *rest in runs:
+                for fmt in ("text", "json"):
+                    yield [command, "--n", str(n), "--p", str(p), *rest, "--format", fmt]
+
+
+def grid_digest(argv: list[str]) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [
+        0 if code is None else code,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    ]
+
+
+LARGE_FIXTURE = Path(__file__).with_name("cli_large.json")
+
+
+def cli_large():
+    """Layer listings past the grid, where text truncation at TRUNCATE_AT fires.
+
+    `verma` and `verma-dual` at n = 11 and 12, i = 0 (no heads), n // 2 and
+    n (no tails).  Each (command, n) meets all three twists (none, a `--nu`
+    with coordinates beyond ±9, an `--eps`) and all three formats (text,
+    text --full, JSON); the untwisted middle listings at n = 12 in JSON and
+    two `proj --n 6` listings close the set.  Then the largest `jantzen`
+    report admitted, n = 31 at p = 3, whole and restricted by `--i`.  Last,
+    `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
+    twisted in JSON and in text, and untwisted at i = 0 in full.
+    """
+    formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
+    for n, p in ((11, 5), (12, 7)):
+        nu = ["-105", "0", "7", "0", "12", "-1"] + ["0"] * (n - 8) + ["3", "-40"]
+        eps = ["11"] + ["0"] * (n - 1) + ["-3"]
+        twists = [[], ["--nu=" + ",".join(nu)], ["--eps=" + ",".join(eps)]]
+        for c, command in enumerate(("verma", "verma-dual")):
+            for k, i in enumerate((0, n // 2, n)):
+                yield [command, "--n", str(n), "--p", str(p), "--i", str(i), *twists[k],
+                       *formats[(k + c + n) % 3]]
+    # The largest JSON with both heads and tails, untwisted.
+    for command in ("verma", "verma-dual"):
+        yield [command, "--n", "12", "--p", "7", "--i", "6", "--format", "json"]
+    yield ["proj", "--n", "6", "--p", "5", "--i", "3", "--format", "text"]
+    yield ["proj", "--n", "6", "--p", "5", "--i", "2", "--nu=10,-1,0,0,-12,1", "--format", "json"]
+    jantzen = ["jantzen", "--n", "31", "--p", "3"]
+    for rest in (["--format", "json"], ["--format", "text"], ["--format", "text", "--full"],
+                 ["--i", "17", "--format", "text"], ["--i", "17", "--format", "json"]):
+        yield jantzen + rest
+    nu = "--nu=" + ",".join(str(k % 7 - 3) for k in range(300))
+    ext = ["ext", "--n", "300", "--p", "5"]
+    for rest in (["--i", "150", nu, "--format", "json"], ["--i", "150", nu, "--format", "text"],
+                 ["--i", "0", "--format", "text", "--full"]):
+        yield ext + rest
+
+
+def fixtures():
+    """Each fixture file with the runs it records."""
+    return ((GRID_FIXTURE, cli_grid()), (LARGE_FIXTURE, cli_large()))
+
+
+def record_fixtures() -> None:
+    """Write the digests of the grid and of the large listings to their
+    fixtures; run only on a reference commit."""
+    for fixture, runs in fixtures():
+        digests = {" ".join(argv): grid_digest(argv) for argv in runs}
+        fixture.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
+
+
+def mismatches(fixture: Path, runs) -> list[str]:
+    """The command lines whose digests differ from the fixture's, including
+    any that only one of `runs` and the fixture has."""
+    expected = json.loads(fixture.read_text())
+    got = {" ".join(argv): grid_digest(argv) for argv in runs}
+    argvs = got.keys() | expected.keys()
+    return sorted(argv for argv in argvs if got.get(argv) != expected.get(argv))
+
+
+def assert_digests_match(fixture: Path, runs) -> None:
+    bad = mismatches(fixture, runs)
+    if bad:
+        raise AssertionError(f"{len(bad)} runs differ from {fixture.name}: {bad}")
+
+
+if __name__ == "__main__":
+    os.environ["COLUMNS"] = "100"
+    if sys.argv[1:] == ["--check"]:
+        bad = [argv for fixture, runs in fixtures() for argv in mismatches(fixture, runs)]
+        print("\n".join(bad) if bad else "every run matches its fixture")
+        sys.exit(1 if bad else 0)
+    if sys.argv[1:]:
+        sys.exit(f"usage: {sys.argv[0]} [--check]")
+    record_fixtures()

@@ -36,6 +36,11 @@ def test_is_odd_prime():
     assert [q for q in range(2, 30) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_odd_prime(2)
     assert not is_odd_prime(121)
+    # Unchecked, 5.0 would pass as a prime, 9.0 would die inside pow and a
+    # bool would print as True; p is refused as check_hypotheses refuses it.
+    for p in (5.0, 9.0, 11.0, True, False):
+        with pytest.raises(TypeError, match=rf"^p must be an int \(got {p!r}\)$"):
+            is_odd_prime(p)
 
 
 def test_is_odd_prime_beyond_trial_division():
@@ -96,6 +101,7 @@ def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
         "q_composition_mult_g1 i": lambda i: q_composition_mult_g1(ctx, i, 1),
         "q_composition_mult_g1 j": lambda i: q_composition_mult_g1(ctx, 1, i),
         "dim_parabolic_verma": lambda i: dim_parabolic_verma(ctx, i, "I"),
+        "nu_weight": lambda i: nu_weight(ctx, i),
     }
     accepted = []
     for name, api in apis.items():
@@ -107,6 +113,16 @@ def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
         else:
             accepted.append(name)
     assert accepted == []
+
+
+def test_nu_weight_refuses_an_index_out_of_range():
+    # Unchecked, -1 would wrap round to nu_2 = (5, 4) and 3 would raise
+    # IndexError.
+    ctx = make_context(2, 5)
+    assert [nu_weight(ctx, i) for i in range(3)] == [(1, 5), (4, 1), (5, 4)]
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^block index i must be in \[0, 2\] \(got {i}\)$"):
+            nu_weight(ctx, i)
 
 
 def test_block_weight_refuses_a_twist_parameter_that_is_not_an_int():

@@ -1,6 +1,5 @@
 import argparse
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -8,7 +7,6 @@ import random
 import re
 import subprocess
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from pathlib import Path
 from time import perf_counter
@@ -16,6 +14,7 @@ from time import perf_counter
 import pytest
 
 import loewylab
+import loewylab.chardim
 import loewylab.checks
 import loewylab.cli
 import loewylab.loewy
@@ -37,6 +36,8 @@ from loewylab.cli import (
 from loewylab.block import _PRIME_TEST_BOUND, is_odd_prime, make_context
 from loewylab.loewy import verma_blocks, verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
+
+from cli_fixtures import GRID_FIXTURE, LARGE_FIXTURE, assert_digests_match, cli_grid, cli_large
 
 
 def run_cli(argv, capsys):
@@ -535,6 +536,83 @@ def test_jantzen_command(capsys):
     assert report["failures"] == [] and report["replay_failures"] == []
     assert report["checked"] == report["replayed"] == 24
     assert report["ok"] is True
+
+
+def test_jantzen_reports_failures(capsys, monkeypatch):
+    # A search that finds no witness for m = 5 fails the three roots that
+    # pair to 5, and a closed form with a wrong m fails its root's replay:
+    # each is one FAIL line after the certificates, and the exit code is 1.
+    search, closed_form = loewylab.chardim.witness_search, loewylab.chardim._closed_form
+
+    def no_witness_for_5(nu, root, p):
+        found = search(nu, root, p)
+        return None if found[1] == 5 else found
+
+    def wrong_m_at_1_23(p, i, lam, root):
+        built = closed_form(p, i, lam, root)
+        return (built[0], built[1] + 1, *built[2:]) if (i, root) == (1, (2, 3)) else built
+
+    monkeypatch.setattr(loewylab.chardim, "witness_search", no_witness_for_5)
+    monkeypatch.setattr(loewylab.chardim, "_closed_form", wrong_m_at_1_23)
+    argv = ["jantzen", "--n", "2", "--p", "5"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == (
+        "simplicity certificates, n=2, p=5: checked 9 pairs, replayed 9 closed forms: FAILURES"
+    )
+    assert [line.split(":")[0] for line in lines[1:7]] == [
+        "  i=0 root=(1,2)", "  i=0 root=(1,3)", "  i=1 root=(1,2)",
+        "  i=1 root=(2,3)", "  i=2 root=(1,3)", "  i=2 root=(2,3)",
+    ]
+    assert lines[7:] == [
+        "  FAIL i=0 root=[2, 3]: search failed",
+        "  FAIL i=1 root=[1, 3]: search failed",
+        "  FAIL i=2 root=[1, 2]: search failed",
+        "  FAIL i=1 root=[2, 3]: closed-form certificate invalid",
+    ]
+    # --i keeps its own failures; the header still describes the sweep.
+    code, out, err = run_cli(argv + ["--i", "1"], capsys)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        lines[0],
+        "  i=1 root=(1,2): m=4 = 4*5^0 + 0*5^1, beta0=(1,2), betas: -",
+        "  i=1 root=(2,3): m=1 = 1*5^0 + 0*5^1, beta0=(2,3), betas: -",
+        "  FAIL i=1 root=[1, 3]: search failed",
+        "  FAIL i=1 root=[2, 3]: closed-form certificate invalid",
+    ]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)["report"]
+    assert report["ok"] is False and report["checked"] == report["replayed"] == 9
+    assert len(report["certificates"]) == 6
+    assert report["failures"] == [
+        {"i": 0, "root": [2, 3], "reason": "search failed"},
+        {"i": 1, "root": [1, 3], "reason": "search failed"},
+        {"i": 2, "root": [1, 2], "reason": "search failed"},
+    ]
+    assert report["replay_failures"] == [
+        {"i": 1, "root": [2, 3], "reason": "closed-form certificate invalid"}
+    ]
+    code, out, err = run_cli(argv + ["--i", "2", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    report = json.loads(out)["report"]
+    assert [c["i"] for c in report["certificates"]] == [2, 2]
+    assert report["failures"] == [{"i": 2, "root": [1, 2], "reason": "search failed"}]
+    assert report["replay_failures"] == []
+
+
+def test_verify_prints_a_counterexample(capsys, monkeypatch):
+    # With every weight taken for a root-lattice weight, (0, 0) is in w_1's
+    # coset but not above w_1: the battery names it and fails that check alone.
+    monkeypatch.setattr(loewylab.checks, "in_root_lattice", lambda w: True)
+    code, out, err = run_cli(["verify", "--n", "2", "--p", "5"], capsys)
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL lattice.coset_minimality: counterexample (0, 0)"
+    ]
+    assert lines[-1] == "CHECKS FAILED at n=2, p=5 (13 checks)"
 
 
 def test_verify_command(capsys):
@@ -1253,113 +1331,10 @@ def test_every_subcommand_runs_or_refuses_at_the_largest_prime(capsys):
 
 # ------------------------------------------------------- byte-identity grid
 
-GRID_FIXTURE = Path(__file__).with_name("cli_grid.json")
-
-
-def cli_grid():
-    """Every subcommand at n = 1..3 and p = 5, 7, in text and JSON.
-
-    The module commands run at every block index and at the first invalid
-    one (n + 1), untwisted, twisted by w_1 (`--nu`) and by -eps_{n+1}
-    (`--eps`), and with a malformed `--nu x`; `jantzen` runs with and
-    without `--i`.
-    """
-    for n in (1, 2, 3):
-        for p in (5, 7):
-            twists = [
-                [],
-                ["--nu", ",".join(["1"] + ["0"] * (n - 1))],
-                ["--eps", ",".join(["0"] * n + ["-1"])],
-                ["--nu", "x"],
-            ]
-            runs = [["block"], ["dim"], ["verify"], ["jantzen"]]
-            runs += [["jantzen", "--i", str(i)] for i in range(n + 2)]
-            runs += [["ext", *twist] for twist in twists]
-            runs += [
-                [command, "--i", str(i), *twist]
-                for command in ("verma", "verma-dual", "proj", "ext")
-                for i in range(n + 2)
-                for twist in twists
-            ]
-            for command, *rest in runs:
-                for fmt in ("text", "json"):
-                    yield [command, "--n", str(n), "--p", str(p), *rest, "--format", fmt]
-
-
-def grid_digest(argv: list[str]) -> list:
-    """[exit code, sha256 of stdout, sha256 of stderr] of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    code = None
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return [
-        0 if code is None else code,
-        hashlib.sha256(out.getvalue().encode()).hexdigest(),
-        hashlib.sha256(err.getvalue().encode()).hexdigest(),
-    ]
-
-
-LARGE_FIXTURE = Path(__file__).with_name("cli_large.json")
-
-
-def cli_large():
-    """Layer listings past the grid, where text truncation at TRUNCATE_AT fires.
-
-    `verma` and `verma-dual` at n = 11 and 12, i = 0 (no heads), n // 2 and
-    n (no tails).  Each (command, n) meets all three twists (none, a `--nu`
-    with coordinates beyond ±9, an `--eps`) and all three formats (text,
-    text --full, JSON); the untwisted middle listings at n = 12 in JSON and
-    two `proj --n 6` listings close the set.  Then the largest `jantzen`
-    report admitted, n = 31 at p = 3, whole and restricted by `--i`.  Last,
-    `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
-    twisted in JSON and in text, and untwisted at i = 0 in full.
-    """
-    formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
-    for n, p in ((11, 5), (12, 7)):
-        nu = ["-105", "0", "7", "0", "12", "-1"] + ["0"] * (n - 8) + ["3", "-40"]
-        eps = ["11"] + ["0"] * (n - 1) + ["-3"]
-        twists = [[], ["--nu=" + ",".join(nu)], ["--eps=" + ",".join(eps)]]
-        for c, command in enumerate(("verma", "verma-dual")):
-            for k, i in enumerate((0, n // 2, n)):
-                yield [command, "--n", str(n), "--p", str(p), "--i", str(i), *twists[k],
-                       *formats[(k + c + n) % 3]]
-    # The largest JSON with both heads and tails, untwisted.
-    for command in ("verma", "verma-dual"):
-        yield [command, "--n", "12", "--p", "7", "--i", "6", "--format", "json"]
-    yield ["proj", "--n", "6", "--p", "5", "--i", "3", "--format", "text"]
-    yield ["proj", "--n", "6", "--p", "5", "--i", "2", "--nu=10,-1,0,0,-12,1", "--format", "json"]
-    jantzen = ["jantzen", "--n", "31", "--p", "3"]
-    for rest in (["--format", "json"], ["--format", "text"], ["--format", "text", "--full"],
-                 ["--i", "17", "--format", "text"], ["--i", "17", "--format", "json"]):
-        yield jantzen + rest
-    nu = "--nu=" + ",".join(str(k % 7 - 3) for k in range(300))
-    ext = ["ext", "--n", "300", "--p", "5"]
-    for rest in (["--i", "150", nu, "--format", "json"], ["--i", "150", nu, "--format", "text"],
-                 ["--i", "0", "--format", "text", "--full"]):
-        yield ext + rest
-
-
-def record_fixtures() -> None:
-    """Write the digests of the grid and of the large listings to their
-    fixtures; run only on a reference commit."""
-    for fixture, runs in ((GRID_FIXTURE, cli_grid()), (LARGE_FIXTURE, cli_large())):
-        digests = {" ".join(argv): grid_digest(argv) for argv in runs}
-        fixture.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
-
-
-def assert_digests_match(fixture: Path, runs) -> None:
-    expected = json.loads(fixture.read_text())
-    got = {" ".join(argv): grid_digest(argv) for argv in runs}
-    assert sorted(got) == sorted(expected)
-    assert [argv for argv in got if got[argv] != expected[argv]] == []
-
 
 def test_cli_output_byte_identical_on_grid(monkeypatch):
     # Stdout, stderr and exit code of every grid run match the recorded
-    # reference (record with `PYTHONPATH=src python tests/test_cli.py`).
+    # reference (record with `PYTHONPATH=src python tests/cli_fixtures.py`).
     monkeypatch.setenv("COLUMNS", "100")
     assert_digests_match(GRID_FIXTURE, cli_grid())
 
@@ -1368,8 +1343,3 @@ def test_cli_output_byte_identical_on_large_listings(monkeypatch):
     # The same for listings of 2^11 to 2^12 labels, truncated and in full.
     monkeypatch.setenv("COLUMNS", "100")
     assert_digests_match(LARGE_FIXTURE, cli_large())
-
-
-if __name__ == "__main__":
-    os.environ["COLUMNS"] = "100"
-    record_fixtures()

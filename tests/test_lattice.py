@@ -64,6 +64,35 @@ def test_check_weight_admits_only_nonempty_int_tuples():
             build(0)
 
 
+def test_weight_builders_refuse_a_rank_or_index_that_is_not_an_int():
+    # A float or bool compares equal to an int: unchecked, fundamental(2,
+    # True) and eps_basis(2, 1.0) would be (1, 0), and zero(True) a rank-1
+    # weight.
+    assert fundamental(2, 1) == eps_basis(2, 1) == (1, 0)
+    assert zero(1) == (0,) and rho(1) == (1,)
+    for bad in (1.0, True):
+        for build in (fundamental, eps_basis):
+            for rank, k in ((2, bad), (bad, 1)):
+                message = rf"^rank and k must be ints \(got {rank!r}, {k!r}\)$"
+                with pytest.raises(TypeError, match=message):
+                    build(rank, k)
+        for build in (zero, rho):
+            with pytest.raises(TypeError, match=rf"^rank must be an int \(got {bad!r}\)$"):
+                build(bad)
+
+
+def test_weight_builders_refuse_an_index_out_of_range():
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match=rf"^w_{k} undefined at rank 2$"):
+            fundamental(2, k)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=rf"^eps_{k} undefined at rank 2$"):
+            eps_basis(2, k)
+    for coeffs in ((), (5,)):
+        with pytest.raises(ValueError, match=r"^need at least 2 eps coefficients$"):
+            from_eps(coeffs)
+
+
 def test_unvalidated_weights_behave_like_validated_ones():
     # The helpers' results are built unchecked, by map and comprehension, and
     # are exactly the tuples of ints a caller would pass: they pass

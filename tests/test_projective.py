@@ -343,7 +343,7 @@ def test_cover_rows_need_no_verma_and_no_support(monkeypatch):
     monkeypatch.setattr(loewylab.loewy, "_verma_pattern", refuse)
     monkeypatch.setattr(loewylab.projective, "_verma_pattern", refuse)
     monkeypatch.setattr(loewylab.projective, "_support", refuse)
-    loewylab.projective._sign_classes.cache_clear()
+    loewylab.projective._sign_class.cache_clear()
     for (n, i, nu), rows in expected.items():
         assert cover_rows(make_context(n, 7), (i, nu)) == rows
     with pytest.raises(AssertionError, match="the cover read"):
@@ -376,21 +376,26 @@ def test_mirrored_cover_layers_are_fresh_lists():
         assert cover_rows(ctx, (1, nu)) == expected
 
 
-def test_cover_builds_only_the_sign_classes_it_needs():
+def test_cover_builds_only_the_sign_classes_it_needs(monkeypatch):
     # The sign classes are built on demand, so the end covers at n = 12
     # (the largest `proj` admits) hold fewer keys than the 13 * 2^12 labels
-    # they list, not the 3^13 of every class of both halves.
+    # they list, not the 3^13 of every class of both halves.  The classes
+    # recurse through the module global, so a wrapper there sees each one.
     n = 12
+    real = loewylab.projective._sign_class
     for i in (0, n):
-        loewylab.projective._sign_classes.cache_clear()
+        held = {}
+
+        def counted(*args):
+            held[args] = keys = real(*args)
+            return keys
+
+        monkeypatch.setattr(loewylab.projective, "_sign_class", counted)
+        real.cache_clear()
         layers = cover_rows(make_context(n, 5), (i, (0,) * n))
         assert sum(m for rows in layers for _, _, m in rows) == (n + 1) * 2**n
-        held = sum(
-            len(keys) for half in loewylab.projective._sign_classes(n)[:2]
-            for classes in half for row in classes for keys in row if keys is not None
-        )
-        assert held <= (n + 1) * 2**n
-    loewylab.projective._sign_classes.cache_clear()
+        assert held and sum(map(len, held.values())) <= (n + 1) * 2**n
+    real.cache_clear()
 
 
 @pytest.mark.parametrize("u", [127, 128])
