@@ -67,16 +67,21 @@ CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
 
 
 def positive_roots(rank: int) -> list[Root]:
-    """Index pairs (k, j) of all positive roots eps_k - eps_j, in lex order."""
+    """Index pairs (k, j) of all positive roots eps_k - eps_j, in lex order,
+    for an exact int rank (not a float, not a bool); rank 0 has none."""
+    if type(rank) is not int:
+        raise TypeError(f"rank must be an int (got {rank!r})")
     return [(k, j) for k in range(1, rank + 1) for j in range(k + 1, rank + 2)]
 
 
 def superfactorial(m: int) -> int:
-    """The product 1! 2! ... m!.
+    """The product 1! 2! ... m!, for an exact int m (not a float, not a bool).
 
     >>> superfactorial(3)
     12
     """
+    if type(m) is not int:
+        raise TypeError(f"m must be an int (got {m!r})")
     return prod(factorial(t) for t in range(1, m + 1))
 
 
@@ -165,11 +170,14 @@ def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | Non
     Takes the lex-first positive root pairing to a p^s as beta0 and the
     lex-first b roots pairing to p^{s+1} as the tail: two lookups in nu's
     pairing table.  Returns None when the pairing is nonpositive or no
-    certificate exists.
+    certificate exists.  The root's indices are exact ints (not floats, not
+    bools).
     """
     check_weight(nu)
     by_root, roots_at = _pairing_table(nu)
     root = tuple(root)
+    if any(type(k) is not int for k in root):
+        raise TypeError(f"root indices must be ints (got {root!r})")
     m = by_root.get(root)
     if m is None:
         raise ValueError(f"(k, j) = {root} is not a positive root index")

@@ -2,7 +2,7 @@
 
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
-prints with --format json or else renders as text from that payload, n and
+writes with --format json or else renders as text from that payload, n and
 p alone: the text is a view of the JSON. A Verma listing's payload holds
 the layer formula's blocks (t, heads, tails) from `verma_blocks` (reversed
 for `verma-dual`), and its JSON writes each block's labels (t, head + tail)
@@ -22,9 +22,13 @@ reruns are byte-identical; factor lists and a `jantzen` report's
 certificate rows are written from %-format templates (one per list, one
 per certificate row, whose text around the root is formatted once per
 witness and block index) instead of by json.dumps, which is slow with
-`indent`.  A text view formats only the entries it prints:
-without --full, the first TRUNCATE_AT of each listing, its other counts
-read from lengths.  Sizes are closed forms, `_BUDGETS` rows per
+`indent`.  The JSON is built as a list of pieces (the skeleton's text
+between lists and each list's text) and written in those pieces with one
+`writelines`, never joined into one str: every piece is built before the
+first write, so an error leaves stdout empty.  Text output is written by
+the same call, as one piece.  A text view formats only the entries it
+prints: without --full, the first TRUNCATE_AT of each listing, its other
+counts read from lengths.  Sizes are closed forms, `_BUDGETS` rows per
 subcommand, checked after the (n, p) hypotheses and `--i` and before any
 other work, the weight table's (n+1)·n ints included: a layer listing
 (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
@@ -72,12 +76,14 @@ __all__ = ["main"]
 
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
-# multiplicity.  The largest one admitted, `verma --n 16 --format json`, took
-# about 0.2 s and 57 MB on a 2-core VM.
+# multiplicity.  The largest one admitted, `verma --n 16 --p 5 --i 8 --format
+# json` (22 MB of JSON), took about 0.18 s and 35 MB peak RSS, the median of
+# fresh processes on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
-# (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31, took about
-# 1 s and wrote 6 MB of JSON on a 2-core VM.
+# (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31 at p = 3, took
+# about 0.36 s and 34 MB and wrote 6 MB of JSON, the median of fresh
+# processes on a 2-core VM.
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels with
 # multiplicity of the n+1 covers it sums at nu = 0.  The largest one
@@ -92,7 +98,8 @@ VERIFY_BUDGET = 1 << 20
 TWIST_BUDGET = 1 << 17
 # `block` is refused above this many weight coordinates, three weights of n
 # coordinates per block index, 3n(n+1) at rank n.  The largest one admitted,
-# n = 417, took about 0.7 s and 62 MB with --format json on a 2-core VM.
+# n = 417 at p = 3, took about 0.75 s and 62 MB with --format json, the
+# median of fresh processes on a 2-core VM.
 BLOCK_BUDGET = 1 << 19
 # `dim` is refused above this many root pairings: n(n+1)/2 for each of the
 # n+1 simples' Weyl dimensions and n(n-1)/2 for each of the 2n parabolic
@@ -106,8 +113,9 @@ EXT_BUDGET = 1 << 19
 # Every subcommand is refused above this many ints in the weight table,
 # (n+1)·n at rank n, before its own row is read: so no size below is
 # computed at a rank where it would be too large to compute or print.  Only
-# `ext --i` reaches it: at n = 1023 it took about 0.5 s and 48 MB, and
-# 0.9 s and 93 MB with --format json, on a 2-core VM.
+# `ext --i` reaches it: at n = 1023, p = 3, i = 511 it took about 0.31 s and
+# 39 MB, and 0.59 s and 83 MB with --format json (23 MB of JSON), the median
+# of fresh processes on a 2-core VM.
 WEIGHT_BUDGET = 1 << 20
 # `dim` is refused above this many digits in the largest number it prints,
 # the baby Verma dimension p^(n(n+1)/2): CPython's default limit on
@@ -209,9 +217,11 @@ def main(argv: list[str] | None = None) -> None:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
     if args.format == "json":
-        print(_dump_json({"n": ctx.n, "p": ctx.p, **payload}, getattr(args, "factors_json", None)))
+        pieces = _dump_json({"n": ctx.n, "p": ctx.p, **payload}, getattr(args, "factors_json", None))
     else:
-        print(args.render(ctx, payload, getattr(args, "full", False)))
+        pieces = [args.render(ctx, payload, getattr(args, "full", False))]
+    pieces.append("\n")
+    sys.stdout.writelines(pieces)
     raise SystemExit(code)
 
 
@@ -400,9 +410,10 @@ _SLOT = "\x00rows"
 _SLOT_JSON = '"\\u0000rows"'
 
 
-def _dump_json(doc: dict, factors_json=None) -> str:
-    """`json.dumps(doc, sort_keys=True, indent=2)`, byte for byte, where the
-    factor rows of a layer listing or of `ext --i` stand for the objects
+def _dump_json(doc: dict, factors_json=None) -> list[str]:
+    """`json.dumps(doc, sort_keys=True, indent=2)` as a list of str pieces
+    whose concatenation is that text, byte for byte, where the factor rows
+    of a layer listing or of `ext --i` stand for the objects
     {"i": i, "mult": mult, "nu": nu}, and a jantzen report's certificate
     rows (i, root, m, s, a, b, beta0, betas) for the objects with those keys.
 
@@ -415,7 +426,10 @@ def _dump_json(doc: dict, factors_json=None) -> str:
     filled from %-format templates: one factor object per list for its
     rank, one per certificate for its number of betas.  A factor list
     equal to its mirror's (layer j and layer L - 1 - j of L, as in a
-    palindromic cover) reuses the mirror's text.
+    palindromic cover) reuses the mirror's text.  The pieces are the
+    skeleton's text between slots and each list's own pieces, never joined:
+    `main` writes them as they are, so a long document is never copied
+    whole into one str, nor encoded whole into one bytes object.
     """
     if "layers" in doc:
         factors_json = factors_json or _factors_json
@@ -435,7 +449,7 @@ def _dump_json(doc: dict, factors_json=None) -> str:
         lists = [_certificates_json(doc["report"]["certificates"])]
         doc = {**doc, "report": {**doc["report"], "certificates": _SLOT}}
     else:
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return [json.dumps(doc, sort_keys=True, indent=2)]
     pieces = json.dumps(doc, sort_keys=True, indent=2).split(_SLOT_JSON)
     if len(pieces) != len(lists) + 1:
         raise RuntimeError(f"{len(pieces) - 1} slots in the JSON of {len(lists)} template-written lists")
@@ -443,7 +457,7 @@ def _dump_json(doc: dict, factors_json=None) -> str:
     for text, piece in zip(lists, pieces[1:]):
         out += text
         out.append(piece)
-    return "".join(out)
+    return out
 
 
 def _factor_template(indent: int) -> tuple[str, str, str]:
@@ -475,24 +489,27 @@ def _blocks_json(blocks: list[Block]) -> list[str]:
     Each object is a head text (the opening and the head's coordinates)
     followed by a tail text (the tail's coordinates and the close), so each
     head and tail is formatted once per block, and all objects of one head
-    are one join.  The head text ends in the coordinates' ",\n" separator
-    unless heads or tails are () (i = 0 or i = n).  Layers are never empty;
-    blocks without heads or tails add nothing.
+    are one join, one piece: each object preceded by the ",\n" between
+    objects, which the layer's first object drops.  The pieces are never
+    joined into the layer's text.  The head text ends in the coordinates'
+    ",\n" separator unless heads or tails are () (i = 0 or i = n).  Layers
+    are never empty; blocks without heads or tails add nothing.
     """
     opening, coord, close = _factor_template(6)
-    texts = []
+    pieces = ["[\n"]
     for t, heads, tails in blocks:
         if not (heads and tails):
             continue
-        open_t = opening % (t, 1)
+        open_t = ",\n" + opening % (t, 1)
         sep = ",\n" if heads[0] and tails[0] else ""
         head = ",\n".join([coord] * len(heads[0])) + sep
         tail = ",\n".join([coord] * len(tails[0])) + close
-        tail_texts = [tail % c for c in tails]
+        tail_texts = ["", *(tail % c for c in tails)]
         for h in heads:
-            h = open_t + head % h
-            texts.append(h + (",\n" + h).join(tail_texts))
-    return ["[\n", ",\n".join(texts), "\n      ]"]
+            pieces.append((open_t + head % h).join(tail_texts))
+    pieces[1] = pieces[1][2:]
+    pieces.append("\n      ]")
+    return pieces
 
 
 def _certificates_json(rows: list[CertificateRow]) -> list[str]:

@@ -187,13 +187,15 @@ def eps_coords(w: tuple[int, ...]) -> tuple[int, ...]:
 def pair(w: tuple[int, ...], k: int, j: int) -> int:
     """Pairing of `w` with the coroot of the positive root eps_k - eps_j.
 
-    Requires 1 <= k < j <= rank + 1.  Equals the sum of the fundamental
-    coordinates a_k + ... + a_{j-1}.
+    Requires exact ints (not floats, not bools) 1 <= k < j <= rank + 1.
+    Equals the sum of the fundamental coordinates a_k + ... + a_{j-1}.
 
     >>> pair(rho(4), 2, 5)
     3
     """
     check_weight(w)
+    if type(k) is not int or type(j) is not int:
+        raise TypeError(f"k and j must be ints (got {k!r}, {j!r})")
     if not 1 <= k < j <= len(w) + 1:
         raise ValueError(f"(k, j) = ({k}, {j}) is not a positive root index")
     return _pair(w, k, j)

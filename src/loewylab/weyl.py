@@ -11,21 +11,25 @@ eps-coefficients accordingly.
 
 from __future__ import annotations
 
-from .lattice import eps_coords, from_eps, fundamental
+from .lattice import _check_rank, eps_coords, from_eps, fundamental
 
 __all__ = ["longest", "longest_fixing_last", "act"]
 
 
 def longest(rank: int) -> tuple[int, ...]:
-    """The longest element w0, sending slot k to n + 2 - k."""
+    """The longest element w0, sending slot k to n + 2 - k, for an exact
+    int rank n >= 1 (not a float, not a bool)."""
+    _check_rank(rank)
     return tuple(rank + 2 - k for k in range(1, rank + 2))
 
 
 def longest_fixing_last(rank: int) -> tuple[int, ...]:
     """Longest element of the subgroup fixing slot n + 1.
 
-    Reverses slots 1..n; at rank 1 this is the identity.
+    Reverses slots 1..n; at rank 1 this is the identity.  The rank is an
+    exact int n >= 1 (not a float, not a bool).
     """
+    _check_rank(rank)
     return tuple(rank + 1 - k for k in range(1, rank + 1)) + (rank + 1,)
 
 

@@ -39,6 +39,23 @@ def test_superfactorial():
     assert [superfactorial(m) for m in range(5)] == [1, 1, 2, 12, 288]
 
 
+def test_rank_and_root_arguments_must_be_ints():
+    # A bool or float compares equal to an int: unchecked, positive_roots(True)
+    # would be [(1, 2)], superfactorial(True) 1, and witness_search would
+    # return a certificate whose root is (True, 2) or (1.0, 2).
+    assert positive_roots(0) == [] and superfactorial(0) == 1
+    for bad in (True, 1.0, 2.5):
+        with pytest.raises(TypeError, match=rf"^rank must be an int \(got {bad!r}\)$"):
+            positive_roots(bad)
+        with pytest.raises(TypeError, match=rf"^m must be an int \(got {bad!r}\)$"):
+            superfactorial(bad)
+    nu = (3, 2)
+    assert witness_search(nu, (1, 2), 5) is not None
+    for root in ((True, 2), (1.0, 2), [1, 2.0]):
+        with pytest.raises(TypeError, match=r"^root indices must be ints \(got \("):
+            witness_search(nu, root, 5)
+
+
 def test_weyl_dim_small_cases():
     assert weyl_dim(zero(3)) == 1
     assert weyl_dim(fundamental(2, 1)) == 3

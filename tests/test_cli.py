@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -901,7 +903,7 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
     assert any(m > 1 for _, _, m in factors)
     assert sum(len(layer["factors"]) == 1 for doc in docs for layer in doc["layers"]) > len(docs)
     for doc in docs:
-        assert_same_text(_dump_json(doc), reference_json(doc))
+        assert_same_text("".join(_dump_json(doc)), reference_json(doc))
     # Factor lists equal to their mirror's reuse its text; a list that
     # differs from its mirror in one multiplicity or one coordinate is
     # written from its own rows.
@@ -916,7 +918,7 @@ def test_dump_json_matches_json_dumps_on_random_layer_docs():
                 written.append(rows)
                 return loewylab.cli._factors_json(rows)
 
-            assert_same_text(_dump_json(doc, counting), reference_json(doc))
+            assert_same_text("".join(_dump_json(doc, counting)), reference_json(doc))
             assert len(written) == (len(lists) + 1) // 2 + (change != "")
 
 
@@ -941,7 +943,7 @@ def test_dump_json_matches_json_dumps_on_random_block_docs():
               for half in (*heads, *tails) for c in half]
     assert min(coords) < -100 and max(coords) > 100
     for doc in docs:
-        assert_same_text(_dump_json(doc, loewylab.cli._blocks_json), reference_json(doc, blocks=True))
+        assert_same_text("".join(_dump_json(doc, loewylab.cli._blocks_json)), reference_json(doc, blocks=True))
 
 
 def test_dump_json_matches_json_dumps_on_random_ext_docs():
@@ -956,7 +958,7 @@ def test_dump_json_matches_json_dumps_on_random_ext_docs():
             ]
             doc = {"n": rank, "p": 5, "object": f"ext(i=0, nu=[{rank}])",
                    "kinds": ["zero"] * (rank + 1), "rad1_cover": rows}
-            assert_same_text(_dump_json(doc), reference_json(doc))
+            assert_same_text("".join(_dump_json(doc)), reference_json(doc))
 
 
 def test_dump_json_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
@@ -1035,11 +1037,68 @@ def test_dump_json_matches_json_dumps_on_random_reports():
     assert any(report["failures"] for report in reports)
     assert any(report["replay_failures"] for report in reports)
     for doc in docs:
-        assert_same_text(_dump_json(doc), reference_json(doc))
+        assert_same_text("".join(_dump_json(doc)), reference_json(doc))
     # A value that encodes like a slot would be filled as one: refused.
     doc = {**docs[0], "object": loewylab.cli._SLOT}
     with pytest.raises(RuntimeError, match=r"^2 slots in the JSON of 1 template-written lists$"):
         _dump_json(doc)
+
+
+class RecordingStream(io.StringIO):
+    """A text stream that keeps the text of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_json_is_written_in_pieces_never_whole():
+    # A Verma listing, a cover and a jantzen report, each with a recorded
+    # digest: the writes join to the recorded bytes, and none of them holds
+    # the whole document, which is never joined into one str.
+    fixture = json.loads(LARGE_FIXTURE.read_text())
+    for command in (
+        "verma --n 12 --p 7 --i 6 --format json",
+        "proj --n 6 --p 5 --i 2 --nu=10,-1,0,0,-12,1 --format json",
+        "jantzen --n 31 --p 3 --i 17 --format json",
+    ):
+        stream = RecordingStream()
+        with contextlib.redirect_stdout(stream), pytest.raises(SystemExit) as exc:
+            main(command.split())
+        text = "".join(stream.writes)
+        assert [exc.value.code or 0, hashlib.sha256(text.encode()).hexdigest()] == fixture[command][:2]
+        assert text.endswith("}\n") and max(map(len, stream.writes)) < len(text) - 1, command
+
+
+@pytest.mark.parametrize("command, writer, fail_at", [
+    ("verma --n 8 --p 5 --i 4", "_blocks_json", 3),
+    ("proj --n 4 --p 7 --i 2", "_factors_json", 2),
+    ("jantzen --n 6 --p 5", "_certificates_json", 1),
+], ids=["verma", "proj", "jantzen"])
+def test_a_failing_json_writer_leaves_stdout_empty(monkeypatch, command, writer, fail_at):
+    # The writer raises on one of its lists, after the lists before it are
+    # built: every piece is built before the first write, so nothing
+    # reaches stdout.
+    real, calls = getattr(loewylab.cli, writer), []
+
+    class WriterFailed(Exception):
+        pass
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == fail_at:
+            raise WriterFailed
+        return real(*args)
+
+    monkeypatch.setattr(loewylab.cli, writer, failing)
+    stream = RecordingStream()
+    with contextlib.redirect_stdout(stream), pytest.raises(WriterFailed):
+        main(command.split() + ["--format", "json"])
+    assert len(calls) == fail_at and stream.writes == [] and stream.getvalue() == ""
 
 
 # ------------------------------------------------------- size budget

@@ -23,7 +23,7 @@ from loewylab.lattice import (
     sub,
     zero,
 )
-from loewylab.weyl import act, longest
+from loewylab.weyl import act, longest, longest_fixing_last
 
 
 def simple_root(rank, t):
@@ -161,6 +161,24 @@ def test_pair_is_additive():
             assert pair(add(a, b), k, j) == pair(a, k, j) + pair(b, k, j)
     with pytest.raises(ValueError):
         pair(a, 2, 2)
+
+
+def test_pair_and_weyl_elements_refuse_an_index_or_rank_that_is_not_an_int():
+    # A bool or float compares equal to an int: unchecked, pair(w, True, 2)
+    # would pair as k = 1 and longest(True) build a rank-1 element, and a
+    # float would fail inside slicing or range with Python's own message.
+    w = (2, -1, 3)
+    assert pair(w, 1, 2) == 2 and longest(1) == (2, 1) and longest_fixing_last(1) == (1, 2)
+    for bad in (True, 1.0):
+        for k, j in ((bad, 2), (1, bad)):
+            with pytest.raises(TypeError, match=rf"^k and j must be ints \(got {k!r}, {j!r}\)$"):
+                pair(w, k, j)
+        for build in (longest, longest_fixing_last):
+            with pytest.raises(TypeError, match=rf"^rank must be an int \(got {bad!r}\)$"):
+                build(bad)
+    for build in (longest, longest_fixing_last):
+        with pytest.raises(ValueError, match=r"^weight needs rank >= 1$"):
+            build(0)
 
 
 def test_in_root_lattice_classifies_fundamental_weights():
