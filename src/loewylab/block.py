@@ -10,14 +10,16 @@ A simple module in the ambient category is labelled by the pair
 translation nu whose fundamental coordinates are the int tuple coords.
 Every API that names a simple takes it, it is the first two fields of
 every layer table's rows (i, coords, multiplicity), and `check_label` is
-its one validity check.
+its one validity check: it refuses anything but such a pair and returns
+it, so a label API opens with `i, v = check_label(ctx, label)`.  Every
+int argument here, a label's block index too, passes `lattice._check_int`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import _is_coords, add, eps_basis, restricted_decompose, rho, scale, sub
+from .lattice import _check_int, _is_coords, add, eps_basis, restricted_decompose, rho, scale, sub
 
 __all__ = [
     "BlockContext",
@@ -56,14 +58,12 @@ def is_odd_prime(p: int) -> bool:
     """Deterministic primality for odd p, by Miller-Rabin on the primes to 41.
 
     Raises ValueError for odd p at or above 3.3e24, where those bases no
-    longer decide primality, and TypeError unless p is an exact int (not a
-    float, not a bool).
+    longer decide primality, and TypeError unless p is an exact int.
 
     >>> [q for q in range(20) if is_odd_prime(q)]
     [3, 5, 7, 11, 13, 17, 19]
     """
-    if type(p) is not int:
-        raise TypeError(f"p must be an int (got {p!r})")
+    _check_int("p", p)
     if p < 3 or p % 2 == 0:
         return False
     if p >= _PRIME_TEST_BOUND:
@@ -90,33 +90,36 @@ def is_odd_prime(p: int) -> bool:
 
 def check_index(n: int, i: int) -> None:
     """Raise ValueError unless `i` is a block index at rank n, 0 <= i <= n,
-    and TypeError unless it is an exact int (not a float, not a bool)."""
-    if type(i) is not int:
-        raise TypeError(f"block index i must be an int (got {i!r})")
+    and TypeError unless it is an exact int."""
+    _check_int("block index i", i)
     if not 0 <= i <= n:
         raise ValueError(f"block index i must be in [0, {n}] (got {i})")
 
 
-def check_label(ctx: BlockContext, i: int, coords: tuple[int, ...]) -> None:
-    """Raise ValueError unless (i, coords) labels a simple of the block: a
-    block index and the n coordinates of a twist.  Raise TypeError unless
-    coords is a tuple of ints."""
+def check_label(ctx: BlockContext, label: Label) -> Label:
+    """Return `label` once it is checked to name a simple of the block: a
+    pair (i, coords) of a block index and a twist's n coordinates, a tuple
+    of ints, or else TypeError or ValueError."""
+    if type(label) is not tuple or len(label) != 2:
+        raise TypeError(f"label must be a pair (i, coords) (got {label!r})")
+    i, coords = label
     if not _is_coords(coords):
         raise TypeError("twist coordinates must be a tuple of ints")
     check_index(ctx.n, i)
     if len(coords) != ctx.n:
         raise ValueError("rank mismatch")
+    return label
 
 
 def check_hypotheses(n: int, p: int) -> None:
     """Raise ValueError naming the violated hypothesis when n < 1, p is not
     an odd prime, or p divides n + 1 (the very-good-prime hypothesis), and
-    TypeError unless n and p are exact ints (not floats, not bools).
+    TypeError unless n and p are exact ints.
 
     Takes time polynomial in the digits of n and p, not in n.
     """
-    if type(n) is not int or type(p) is not int:
-        raise TypeError(f"n and p must be ints (got {n!r}, {p!r})")
+    _check_int("n", n)
+    _check_int("p", p)
     if n < 1:
         raise ValueError(f"rank parameter n must be >= 1 (got {n})")
     if not is_odd_prime(p):
@@ -148,8 +151,7 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
     """
     n, p = ctx.n, ctx.p
     check_index(n, i)
-    if type(a) is not int:
-        raise TypeError(f"twist parameter a must be an int (got {a!r})")
+    _check_int("twist parameter a", a)
     if not 1 <= a <= p - 1:
         raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
     coords = [p - 1] * n
@@ -193,6 +195,5 @@ def classify(ctx: BlockContext, w: tuple[int, ...]) -> Label | None:
 
 def label_weight(ctx: BlockContext, label: Label) -> tuple[int, ...]:
     """The actual highest weight lam_i + p * nu of the label (i, nu)."""
-    i, coords = label
-    check_label(ctx, i, coords)
+    i, coords = check_label(ctx, label)
     return add(ctx.lambdas[i], scale(ctx.p, coords))

@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
-from .lattice import _pair, _pair_table, check_weight, fundamental, zero
+from .lattice import _check_int, _pair, _pair_table, check_weight, fundamental, zero
 
 __all__ = [
     "positive_roots",
@@ -68,20 +68,18 @@ CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
 
 def positive_roots(rank: int) -> list[Root]:
     """Index pairs (k, j) of all positive roots eps_k - eps_j, in lex order,
-    for an exact int rank (not a float, not a bool); rank 0 has none."""
-    if type(rank) is not int:
-        raise TypeError(f"rank must be an int (got {rank!r})")
+    for an exact int rank; rank 0 has none."""
+    _check_int("rank", rank)
     return [(k, j) for k in range(1, rank + 1) for j in range(k + 1, rank + 2)]
 
 
 def superfactorial(m: int) -> int:
-    """The product 1! 2! ... m!, for an exact int m (not a float, not a bool).
+    """The product 1! 2! ... m!, for an exact int m.
 
     >>> superfactorial(3)
     12
     """
-    if type(m) is not int:
-        raise TypeError(f"m must be an int (got {m!r})")
+    _check_int("m", m)
     return prod(factorial(t) for t in range(1, m + 1))
 
 
@@ -126,16 +124,15 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
 
 def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
     """The unique split of m >= 1 as a p^s + b p^{s+1} with 0 < a < p and
-    b >= 0, as (s, a, b).  Raises TypeError unless m and p are exact ints
-    (not floats, not bools).
+    b >= 0, as (s, a, b).  Raises TypeError unless m and p are exact ints.
 
     >>> jantzen_decompose(6, 5)
     (0, 1, 1)
     >>> jantzen_decompose(50, 5)
     (2, 2, 0)
     """
-    if type(m) is not int or type(p) is not int:
-        raise TypeError(f"m and p must be ints (got {m!r}, {p!r})")
+    _check_int("m", m)
+    _check_int("p", p)
     if m < 1:
         raise ValueError(f"m must be >= 1 (got {m})")
     if p < 2:
@@ -170,14 +167,14 @@ def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | Non
     Takes the lex-first positive root pairing to a p^s as beta0 and the
     lex-first b roots pairing to p^{s+1} as the tail: two lookups in nu's
     pairing table.  Returns None when the pairing is nonpositive or no
-    certificate exists.  The root's indices are exact ints (not floats, not
-    bools).
+    certificate exists.  The root's indices and p are exact ints.
     """
     check_weight(nu)
     by_root, roots_at = _pairing_table(nu)
     root = tuple(root)
-    if any(type(k) is not int for k in root):
-        raise TypeError(f"root indices must be ints (got {root!r})")
+    for k in root:
+        _check_int("root index", k)
+    _check_int("p", p)
     m = by_root.get(root)
     if m is None:
         raise ValueError(f"(k, j) = {root} is not a positive root index")

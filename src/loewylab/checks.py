@@ -13,7 +13,8 @@ them.  Weights and twists are coordinate tuples throughout, added and
 scaled by the `lattice` helpers.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
-which `loewylab dim` renders and two of the checks read.
+which `loewylab dim` renders and two of the checks read; `identities_hold`
+says whether every identity holds, for both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .loewy import (
 from .projective import bgg_multiplicity, cover_rows, q_composition_mult_g1, verma_support
 from .weyl import act, longest, longest_fixing_last
 
-__all__ = ["dimension_table", "verify_checks"]
+__all__ = ["dimension_table", "identities_hold", "verify_checks"]
 
 
 def dimension_table(ctx: BlockContext) -> dict:
@@ -70,6 +71,13 @@ def dimension_table(ctx: BlockContext) -> dict:
         for i in range(n + 1)
     )
     return {"rows": rows, "verma_dimension": verma_dim, "conservation_ok": conservation}
+
+
+def identities_hold(table: dict) -> bool:
+    """Whether every cover identity of a `dimension_table` holds; a side
+    that does not exist (None) passes."""
+    sides = ("identity_I", "identity_J")
+    return all(row[side] is not False for row in table["rows"] for side in sides)
 
 
 def _index_totals(rows: Iterable[Row]) -> dict[int, int]:
@@ -153,10 +161,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
 
     # Parabolic cover dimensions are sums of adjacent simple dimensions.
     dims = dimension_table(ctx)
-    ok = all(
-        row[side] is not False for row in dims["rows"] for side in ("identity_I", "identity_J")
-    )
-    note("chardim.dim_identities", ok, "a cover dimension identity failed")
+    note("chardim.dim_identities", identities_hold(dims), "a cover dimension identity failed")
 
     # Composition factors of each baby Verma account for its full dimension.
     note("chardim.dimension_conservation", dims["conservation_ok"],
@@ -210,7 +215,7 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
     # The battery's labels are checked once, and their pairs compared
     # unchecked; the cover's first-layer labels go through the checked API.
     for label in labels:
-        check_label(ctx, *label)
+        check_label(ctx, label)
     ok = True
     for a in labels:
         for b in labels:

@@ -66,7 +66,7 @@ from types import SimpleNamespace
 
 from .block import BlockContext, check_hypotheses, check_index, make_context, mu_weight, nu_weight
 from .chardim import CertificateRow, check_block_simplicity
-from .checks import dimension_table, verify_checks
+from .checks import dimension_table, identities_hold, verify_checks
 from .ext import ext1_g1, rad1_qhat
 from .lattice import from_eps
 from .loewy import Block, Row, verma_blocks
@@ -669,7 +669,8 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
 
 def cmd_dim(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     table = dimension_table(ctx)
-    return {"object": "dim", **table}, 0 if table["conservation_ok"] else 1
+    ok = table["conservation_ok"] and identities_hold(table)
+    return {"object": "dim", **table}, 0 if ok else 1
 
 
 def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> str:

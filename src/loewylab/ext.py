@@ -78,9 +78,8 @@ def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
     (`ext1_g1`: standard toward j = i - 1, its dual toward j = i + 1, zero
     otherwise), so it is 0 or 1, and it is symmetric in (a, b).
     """
-    (i, x), (j, y) = a, b
-    check_label(ctx, i, x)
-    check_label(ctx, j, y)
+    check_label(ctx, a)
+    check_label(ctx, b)
     return _ext1_dim(a, b)
 
 
@@ -106,8 +105,7 @@ def rad1_qhat(ctx: BlockContext, label: Label) -> list[Row]:
     (i + 1, nu + eps_k), each once, dropping whichever side falls outside
     the block.  Sizes: n + 1 at the ends, 2n + 2 inside.
     """
-    i, v = label
-    check_label(ctx, i, v)
+    i, v = check_label(ctx, label)
     n = ctx.n
     rows: list[Row] = []
     for k in range(1, n + 2):

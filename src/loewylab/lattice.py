@@ -17,7 +17,8 @@ Everything here is exact integer arithmetic; no floats.  A weight from a
 caller is checked by `check_weight` (a nonempty tuple of exact ints), which
 every function here that takes one calls; `_pair` pairs a weight the
 library built itself, unchecked, and `_pair_table` pairs it with every
-positive root at once.
+positive root at once.  Every scalar from a caller (a rank, an index, a
+prime) is checked by `_check_int`, the library's one exact-int check.
 
 >>> pair(rho(3), 1, 4)
 3
@@ -60,6 +61,13 @@ def _is_coords(w: object) -> bool:
     return type(w) is tuple and _INT.issuperset(map(type, w))
 
 
+def _check_int(what: str, value: int) -> None:
+    """Raise TypeError naming `what` unless `value` is an exact int: not a
+    float, which equals an int, nor a bool, which would print as True."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an int (got {value!r})")
+
+
 def check_weight(w: tuple[int, ...]) -> None:
     """Raise TypeError unless `w` is a tuple of exact ints, and ValueError
     if it is empty.
@@ -83,10 +91,8 @@ def _check_same_rank(a: tuple[int, ...], b: tuple[int, ...]) -> None:
 
 
 def _check_rank(rank: int) -> None:
-    """Raise TypeError unless `rank` is an exact int (not a float, not a
-    bool), and ValueError unless it is at least 1."""
-    if type(rank) is not int:
-        raise TypeError(f"rank must be an int (got {rank!r})")
+    """Raise TypeError unless `rank` is an exact int, ValueError if below 1."""
+    _check_int("rank", rank)
     if rank < 1:
         raise ValueError("weight needs rank >= 1")
 
@@ -103,8 +109,8 @@ def fundamental(rank: int, k: int) -> tuple[int, ...]:
     Both w_0 and w_{rank+1} are accepted and give zero, matching the
     boundary convention used throughout.  Rank and k are exact ints.
     """
-    if type(rank) is not int or type(k) is not int:
-        raise TypeError(f"rank and k must be ints (got {rank!r}, {k!r})")
+    _check_int("rank", rank)
+    _check_int("k", k)
     if not 0 <= k <= rank + 1:
         raise ValueError(f"w_{k} undefined at rank {rank}")
     if k == 0 or k == rank + 1:
@@ -137,13 +143,12 @@ def neg(w: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def scale(k: int, w: tuple[int, ...]) -> tuple[int, ...]:
-    """The weight k * w, for an exact int k (not a bool).
+    """The weight k * w, for an exact int k.
 
     >>> scale(-2, (1, 0, 3))
     (-2, 0, -6)
     """
-    if type(k) is not int:
-        raise TypeError("weights scale by ints only")
+    _check_int("k", k)
     check_weight(w)
     return tuple(k * a for a in w)
 
@@ -167,8 +172,8 @@ def from_eps(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 def eps_basis(rank: int, k: int) -> tuple[int, ...]:
     """The weight eps_k, for exact ints rank and 1 <= k <= rank + 1."""
-    if type(rank) is not int or type(k) is not int:
-        raise TypeError(f"rank and k must be ints (got {rank!r}, {k!r})")
+    _check_int("rank", rank)
+    _check_int("k", k)
     if not 1 <= k <= rank + 1:
         raise ValueError(f"eps_{k} undefined at rank {rank}")
     return from_eps(tuple(1 if t == k else 0 for t in range(1, rank + 2)))
@@ -187,15 +192,15 @@ def eps_coords(w: tuple[int, ...]) -> tuple[int, ...]:
 def pair(w: tuple[int, ...], k: int, j: int) -> int:
     """Pairing of `w` with the coroot of the positive root eps_k - eps_j.
 
-    Requires exact ints (not floats, not bools) 1 <= k < j <= rank + 1.
+    Requires exact ints 1 <= k < j <= rank + 1.
     Equals the sum of the fundamental coordinates a_k + ... + a_{j-1}.
 
     >>> pair(rho(4), 2, 5)
     3
     """
     check_weight(w)
-    if type(k) is not int or type(j) is not int:
-        raise TypeError(f"k and j must be ints (got {k!r}, {j!r})")
+    _check_int("k", k)
+    _check_int("j", j)
     if not 1 <= k < j <= len(w) + 1:
         raise ValueError(f"(k, j) = ({k}, {j}) is not a positive root index")
     return _pair(w, k, j)
@@ -265,8 +270,7 @@ def restricted_decompose(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], t
     ((4, 2), (-1, 1))
     """
     check_weight(w)
-    if type(p) is not int:
-        raise TypeError(f"p must be an int (got {p!r})")
+    _check_int("p", p)
     if p < 2:
         raise ValueError("p must be at least 2")
     quot, rem = zip(*(divmod(a, p) for a in w))

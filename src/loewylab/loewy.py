@@ -140,8 +140,7 @@ def verma_blocks(ctx: BlockContext, label: Label) -> list[list[Block]]:
     first i coordinates and the tails its tails translated by the rest.
     At i = 0 every head is (), and at i = n every tail is.
     """
-    i, v = label
-    check_label(ctx, i, v)
+    i, v = check_label(ctx, label)
     # Lexicographic order is translation-invariant, so translating each
     # half list (once, shared by the blocks that read it) keeps every
     # block sorted.
@@ -199,8 +198,7 @@ def parabolic_m_structure(ctx: BlockContext, label: Label, side: str) -> list[li
     i = n, side "J" with i = 0) the cover is the full baby Verma and its
     `verma_rows` are returned instead.
     """
-    i, v = label
-    check_label(ctx, i, v)
+    i, v = check_label(ctx, label)
     n = ctx.n
     if side == "I":
         if i == n:

@@ -99,8 +99,7 @@ def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
     finite and multiplicity-free.
     """
-    i, v = label
-    check_label(ctx, i, v)
+    i, v = check_label(ctx, label)
     return [(t, tuple(map(add, v, eta)), k) for t, eta, k in _support(ctx.n, i)]
 
 
@@ -196,8 +195,7 @@ def cover_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
     `ext.rad1_qhat`.  Conditional on the Loewy length conjecture; see the
     module docstring.
     """
-    i, v = label
-    check_label(ctx, i, v)
+    i, v = check_label(ctx, label)
     n = ctx.n
     counts = _summed(n, i)
     layers: list[list[Row]] = []
@@ -238,10 +236,8 @@ def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     Counts the filtration entries at t whose shift is eta - nu, without
     building the twisted `verma_support` rows.
     """
-    t, eta = verma
-    i, v = target
-    check_label(ctx, t, eta)
-    check_label(ctx, i, v)
+    t, eta = check_label(ctx, verma)
+    i, v = check_label(ctx, target)
     shift = tuple(map(sub, eta, v))
     return sum(1 for u, s, _ in _support(ctx.n, i) if u == t and s == shift)
 

@@ -18,7 +18,7 @@ __all__ = ["longest", "longest_fixing_last", "act"]
 
 def longest(rank: int) -> tuple[int, ...]:
     """The longest element w0, sending slot k to n + 2 - k, for an exact
-    int rank n >= 1 (not a float, not a bool)."""
+    int rank n >= 1."""
     _check_rank(rank)
     return tuple(rank + 2 - k for k in range(1, rank + 2))
 
@@ -27,8 +27,7 @@ def longest_fixing_last(rank: int) -> tuple[int, ...]:
     """Longest element of the subgroup fixing slot n + 1.
 
     Reverses slots 1..n; at rank 1 this is the identity.  The rank is an
-    exact int n >= 1 (not a float, not a bool).
-    """
+    exact int n >= 1."""
     _check_rank(rank)
     return tuple(rank + 1 - k for k in range(1, rank + 1)) + (rank + 1,)
 

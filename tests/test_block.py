@@ -75,10 +75,10 @@ def test_make_context_refuses_floats_and_bools():
     # A float or bool rank or prime compares equal to an int but would build
     # float coordinates or print as True.
     for n, p in [(2, 5.0), (2.0, 5), (True, 5), (2, True)]:
-        with pytest.raises(TypeError):
-            make_context(n, p)
-        with pytest.raises(TypeError):
-            check_hypotheses(n, p)
+        what, bad = ("n", n) if type(n) is not int else ("p", p)
+        for check in (make_context, check_hypotheses):
+            with pytest.raises(TypeError, match=rf"^{what} must be an int \(got {bad!r}\)$"):
+                check(n, p)
 
 
 @pytest.mark.parametrize("i", [1.0, True], ids=["float", "bool"])
@@ -89,7 +89,7 @@ def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
     ctx = make_context(2, 5)
     apis = {
         "check_index": lambda i: check_index(2, i),
-        "check_label": lambda i: check_label(ctx, i, (0, 0)),
+        "check_label": lambda i: check_label(ctx, (i, (0, 0))),
         "label_weight": lambda i: label_weight(ctx, (i, (0, 0))),
         "block_weight": lambda i: block_weight(ctx, i),
         "mu_weight": lambda i: mu_weight(ctx, i),
@@ -219,23 +219,21 @@ def test_labels_of_the_wrong_rank_are_refused():
     ctx = make_context(2, 5)
     for coords in ((0,), (0, 0, 0)):
         with pytest.raises(ValueError, match=r"^rank mismatch$"):
-            check_label(ctx, 1, coords)
+            check_label(ctx, (1, coords))
         with pytest.raises(ValueError, match=r"^rank mismatch$"):
             label_weight(ctx, (1, coords))
     with pytest.raises(ValueError, match=r"^block index i must be in \[0, 2\] \(got 3\)$"):
         label_weight(ctx, (3, (0,)))
-    check_label(ctx, 2, (0, 0))
+    assert check_label(ctx, (2, (0, 0))) == (2, (0, 0))
 
 
-@pytest.mark.parametrize("coords", [[0, 0], (0, 0.0), (0, True)], ids=["list", "float", "bool"])
-def test_every_label_api_refuses_coordinates_that_are_not_an_int_tuple(coords):
-    # A twist's coordinates are a tuple of exact ints, as a weight's are: a
-    # list, a float or a bool (an int subclass, which would print as True)
-    # would reach the rows unchecked.
+def label_apis_accepting(label, message):
+    """The names of the 14 label entry points that do not refuse `label`
+    with a TypeError saying `message`; each refusal must say it."""
     ctx = make_context(2, 5)
     good = (0, (0, 0))
     apis = {
-        "check_label": lambda label: check_label(ctx, *label),
+        "check_label": lambda label: check_label(ctx, label),
         "label_weight": lambda label: label_weight(ctx, label),
         "verma_blocks": lambda label: verma_blocks(ctx, label),
         "verma_rows": lambda label: verma_rows(ctx, label),
@@ -254,12 +252,30 @@ def test_every_label_api_refuses_coordinates_that_are_not_an_int_tuple(coords):
     for name, api in apis.items():
         api(good)
         try:
-            api((1, coords))
+            api(label)
         except TypeError as err:
-            assert str(err) == "twist coordinates must be a tuple of ints"
+            assert str(err) == message, name
         else:
             accepted.append(name)
-    assert accepted == []
+    return accepted
+
+
+@pytest.mark.parametrize("coords", [[0, 0], (0, 0.0), (0, True)], ids=["list", "float", "bool"])
+def test_every_label_api_refuses_coordinates_that_are_not_an_int_tuple(coords):
+    # A twist's coordinates are a tuple of exact ints, as a weight's are: a
+    # list, a float or a bool (an int subclass, which would print as True)
+    # would reach the rows unchecked.
+    message = "twist coordinates must be a tuple of ints"
+    assert label_apis_accepting((1, coords), message) == []
+
+
+@pytest.mark.parametrize("label", [[1, (0, 0)], (1, (0, 0), 1), 1], ids=["list", "row", "index"])
+def test_every_label_api_refuses_a_label_that_is_not_a_pair(label):
+    # A label is the pair (i, coords): a list would pass for one, a row
+    # (i, coords, multiplicity) died unpacking with Python's own message,
+    # and so did a bare block index.
+    message = f"label must be a pair (i, coords) (got {label!r})"
+    assert label_apis_accepting(label, message) == []
 
 
 def test_distinct_twists_distinct_weights():

@@ -51,9 +51,15 @@ def test_rank_and_root_arguments_must_be_ints():
             superfactorial(bad)
     nu = (3, 2)
     assert witness_search(nu, (1, 2), 5) is not None
-    for root in ((True, 2), (1.0, 2), [1, 2.0]):
-        with pytest.raises(TypeError, match=r"^root indices must be ints \(got \("):
+    for root, bad in (((True, 2), True), ((1.0, 2), 1.0), ([1, 2.0], 2.0)):
+        with pytest.raises(TypeError, match=rf"^root index must be an int \(got {bad!r}\)$"):
             witness_search(nu, root, 5)
+    # A nonpositive pairing has no witness, but p is still checked: it
+    # returned None for any p.
+    assert witness_search((-1, 2), (1, 2), 5) is None
+    for bad in (5.0, True):
+        with pytest.raises(TypeError, match=rf"^p must be an int \(got {bad!r}\)$"):
+            witness_search((-1, 2), (1, 2), bad)
 
 
 def test_weyl_dim_small_cases():
@@ -63,6 +69,15 @@ def test_weyl_dim_small_cases():
     assert weyl_dim(rho(2)) == 8
     with pytest.raises(ValueError):
         weyl_dim((-1, 0))
+
+
+def test_a_weyl_numerator_that_does_not_divide_is_an_error(monkeypatch):
+    # The Weyl quotient is exact or an error: with 1! patched to 3, the rank-1
+    # numerator 2 at nu = (2,) leaves remainder 2, which must not floor to 0.
+    monkeypatch.setattr(loewylab.chardim, "superfactorial", lambda m: 3)
+    message = r"^Weyl numerator must divide exactly \(remainder 2 at \(2,\)\)$"
+    with pytest.raises(RuntimeError, match=message):
+        weyl_dim((1,))
 
 
 def test_block_simple_dimensions_frozen():
@@ -407,7 +422,8 @@ def test_jantzen_decompose_refuses_floats_and_bools():
     # A float or bool equals an int and hashes like it, so a refused call
     # must leave no trace: the int split and the sweep are unchanged after.
     for m, p in [(6.0, 5), (True, 5), (6, 5.0), (6, True)]:
-        with pytest.raises(TypeError):
+        what, bad = ("m", m) if type(m) is not int else ("p", p)
+        with pytest.raises(TypeError, match=rf"^{what} must be an int \(got {bad!r}\)$"):
             jantzen_decompose(m, p)
     split = jantzen_decompose(6, 5)
     assert split == (0, 1, 1) and [type(x) for x in split] == [int, int, int]

@@ -519,6 +519,26 @@ def test_dim_text_and_exit(capsys):
     assert payload["verma_dimension"] == 5**6
 
 
+def test_dim_exits_1_when_a_cover_identity_fails(capsys, monkeypatch):
+    # The side-"I" cover of lam_1 one too large breaks its identity alone:
+    # conservation still holds, and the exit code must still say FAIL.
+    real = loewylab.checks.dim_parabolic_verma
+
+    def one_too_many_at_1_i(ctx, i, side):
+        return real(ctx, i, side) + (i == 1 and side == "I")
+
+    monkeypatch.setattr(loewylab.checks, "dim_parabolic_verma", one_too_many_at_1_i)
+    code, out, err = run_cli(["dim", "--n", "2", "--p", "5"], capsys)
+    assert code == 1 and err == ""
+    assert "i=1: dim L=10  M_I=101 (FAIL)  M_J=25 (ok)" in out
+    assert "per-Verma dimension conservation: ok" in out
+    code, out, err = run_cli(["dim", "--n", "2", "--p", "5", "--format", "json"], capsys)
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["conservation_ok"] is True
+    assert [row["identity_I"] for row in payload["rows"]] == [True, False, None]
+
+
 def test_jantzen_command(capsys):
     code, out, err = run_cli(["jantzen", "--n", "2", "--p", "5"], capsys)
     assert code == 0 and err == ""

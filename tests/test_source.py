@@ -22,6 +22,45 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_exact_int_checks_live_in_one_helper():
+    # "An exact int, not a float, not a bool" is written once, in
+    # `lattice._check_int`: no other `type(x) is int`, `type(x) is not int`
+    # or `isinstance(x, int)` test anywhere in the library.
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def tests_int(node):
+        if isinstance(node, ast.Compare):
+            left = node.left
+            return (
+                isinstance(left, ast.Call)
+                and getattr(left.func, "id", None) == "type"
+                and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(map(is_int, node.comparators))
+            )
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1:]
+            kinds += [e for k in kinds if isinstance(k, ast.Tuple) for e in k.elts]
+            return any(map(is_int, kinds))
+        return False
+
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helper = {
+            id(node)
+            for func in tree.body
+            if path.stem == "lattice" and getattr(func, "name", None) == "_check_int"
+            for node in ast.walk(func)
+        }
+        found += sorted({
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if tests_int(node) and id(node) not in helper
+        })
+    assert found == []
+
+
 def test_every_public_name_has_a_library_caller():
     # Library API that only its tests reach belongs in the tests: every
     # exported name, and every top-level function and class, private or
