@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import _check_int, _is_coords, add, eps_basis, restricted_decompose, rho, scale, sub
+from .lattice import (
+    _check_int, _is_coords, add, check_weight, eps_basis, restricted_decompose, rho, scale, sub,
+)
 
 __all__ = [
     "BlockContext",
@@ -182,8 +184,10 @@ def classify(ctx: BlockContext, w: tuple[int, ...]) -> Label | None:
     else None.
 
     Decomposes w = mu + p nu with mu restricted; when mu = lam_i the label
-    is (i, nu).
+    is (i, nu).  The weight is checked (`lattice.check_weight`) before its
+    rank.
     """
+    check_weight(w)
     if len(w) != ctx.n:
         raise ValueError("rank mismatch")
     mu, nu = restricted_decompose(w, ctx.p)

@@ -25,24 +25,29 @@ two special slots, p - 1 at alpha_i and 1 at alpha_{i+1}, so the builder
 has two rules, chosen by the valuation s of m: at s = 0 the root's interval
 holds one special slot, and beta0 is the simple root where it sits; at
 s >= 1 the roots run between evenly spaced fences, moved one slot right
-past both special slots when the interval holds them.  The search is two
-lookups in a pairing table built once per nu from prefix sums of its
-coordinates; the builder pairs lam_i (`lattice._pair`) and adds rho's
-pairing j - k.  Both kinds of certificate are re-verified from scratch
-against nu_i through the lattice's own table of nu_i's pairings
-(`lattice._pair_table`, running sums along each k, unchecked like
-`_pair`), never through the search's table: each root, beta0 and beta is
-one lookup in it, and a pair that is not a positive root has no entry and
-fails.  A searched certificate depends on its root only through the
-pairing m, and many roots share one witness: the sweep searches once per
-distinct m per nu_i, re-verifies that witness once, and gives it to every
-root whose own pairing is m.  Each closed-form certificate is re-verified
-whole, root by root.  The sweep reads each root's pairing once and
-compares it with both routes' m.
+past both special slots when the interval holds them.  Both routes run once
+per nu_i and check their arguments at most once there, never per root: the
+search (`witness_search`) checks nu and p, then finds the witness of every
+distinct pairing m of nu at once, each two lookups in a pairing table built
+once per nu from prefix sums of its coordinates; the builder
+(`_closed_forms`) pairs lam_i through one list of its prefix sums, adds
+rho's pairing j - k, and yields every root's witness in turn.  Both split m
+unchecked (`_split`, which `jantzen_decompose` wraps in its checks).  Both
+kinds of certificate are re-verified from scratch against nu_i through the
+lattice's own table of nu_i's pairings (`lattice._pair_table`, running sums
+along each k, unchecked like `_pair`), never through the search's table:
+each root, beta0 and beta is one lookup in it, and a pair that is not a
+positive root has no entry and fails.  A searched certificate depends on
+its root only through the pairing m, and many roots share one witness: the
+sweep re-verifies each searched witness once per (nu_i, m) and gives it to
+every root whose own pairing is m.  Each closed-form certificate is
+re-verified whole, root by root.  The sweep reads each root's pairing once
+and compares it with both routes' m.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import accumulate
 from math import factorial, prod
@@ -61,8 +66,9 @@ __all__ = [
 ]
 
 Root = tuple[int, int]
-# (root, m, s, a, b, beta0, betas), and the sweep's row of it at block index i.
-Certificate = tuple[Root, int, int, int, int, Root, tuple[Root, ...]]
+# A certificate's witness (m, s, a, b, beta0, betas), and the sweep's row
+# (i, root, m, s, a, b, beta0, betas) of the certificate at block index i.
+Witness = tuple[int, int, int, int, Root, tuple[Root, ...]]
 CertificateRow = tuple[int, Root, int, int, int, int, Root, tuple[Root, ...]]
 
 
@@ -124,7 +130,9 @@ def dim_parabolic_verma(ctx: BlockContext, i: int, side: str) -> int:
 
 def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
     """The unique split of m >= 1 as a p^s + b p^{s+1} with 0 < a < p and
-    b >= 0, as (s, a, b).  Raises TypeError unless m and p are exact ints.
+    b >= 0, as (s, a, b): the checks of m and p, then `_split`.  Raises
+    TypeError unless m and p are exact ints, and ValueError if m < 1 or
+    p < 2.
 
     >>> jantzen_decompose(6, 5)
     (0, 1, 1)
@@ -137,6 +145,12 @@ def jantzen_decompose(m: int, p: int) -> tuple[int, int, int]:
         raise ValueError(f"m must be >= 1 (got {m})")
     if p < 2:
         raise ValueError(f"p must be >= 2 (got {p})")
+    return _split(m, p)
+
+
+def _split(m: int, p: int) -> tuple[int, int, int]:
+    """`jantzen_decompose` of an int m >= 1 and an int p >= 2 the library
+    holds, unchecked."""
     s, u = 0, m
     while u % p == 0:
         u //= p
@@ -161,35 +175,36 @@ def _pairing_table(coords: tuple[int, ...]) -> tuple[dict[Root, int], dict[int, 
     return by_root, {m: tuple(roots) for m, roots in by_m.items()}
 
 
-def witness_search(nu: tuple[int, ...], root: Root, p: int) -> Certificate | None:
-    """Deterministic greedy search for a witness certificate.
+def witness_search(nu: tuple[int, ...], p: int) -> dict[int, Witness | None]:
+    """Deterministic greedy search for a witness at every pairing of nu.
 
-    Takes the lex-first positive root pairing to a p^s as beta0 and the
-    lex-first b roots pairing to p^{s+1} as the tail: two lookups in nu's
-    pairing table.  Returns None when the pairing is nonpositive or no
-    certificate exists.  The root's indices and p are exact ints.
+    Returns m -> the witness (m, s, a, b, beta0, betas) for each distinct
+    pairing m of nu with a positive root (`_pairing_table`), or None when
+    m is nonpositive or no witness exists.  A witness takes the lex-first
+    positive root pairing to a p^s as beta0 and the lex-first b roots
+    pairing to p^{s+1} as the betas: two lookups in nu's pairing table.
+    A root's certificate is its pairing's witness, so one search serves
+    every root.  p is checked first, as `jantzen_decompose` checks it, and
+    then nu; each m is split unchecked.
     """
+    # Splitting 1 checks p as every split does, and nothing else.
+    jantzen_decompose(1, p)
     check_weight(nu)
-    by_root, roots_at = _pairing_table(nu)
-    root = tuple(root)
-    for k in root:
-        _check_int("root index", k)
-    _check_int("p", p)
-    m = by_root.get(root)
-    if m is None:
-        raise ValueError(f"(k, j) = {root} is not a positive root index")
-    if m < 1:
-        return None
-    s, a, b = jantzen_decompose(m, p)
-    heads = roots_at.get(a * p**s)
-    # 0 < a < p, so a p^s != p^{s+1}: beta0 is never in the tail's bucket.
-    tail = roots_at.get(p ** (s + 1), ())[:b]
-    if not heads or len(tail) < b:
-        return None
-    return root, m, s, a, b, heads[0], tail
+    _, roots_at = _pairing_table(nu)
+    found: dict[int, Witness | None] = {}
+    for m in roots_at:
+        if m < 1:
+            found[m] = None
+            continue
+        s, a, b = _split(m, p)
+        heads = roots_at.get(a * p**s)
+        # 0 < a < p, so a p^s != p^{s+1}: beta0 is never in the tail's bucket.
+        tail = roots_at.get(p ** (s + 1), ())[:b]
+        found[m] = (m, s, a, b, heads[0], tail) if heads and len(tail) == b else None
+    return found
 
 
-def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
+def _witness_ok(pairing: dict[Root, int], witness: Witness, p: int) -> bool:
     """For a certificate's witness (m, s, a, b, beta0, betas), against the
     root -> pairing table of nu (`lattice._pair_table`): the split's
     identity and ranges hold, beta0 pairs to a p^s, and the betas are b
@@ -214,9 +229,10 @@ def _witness_ok(pairing: dict[Root, int], witness: tuple, p: int) -> bool:
     )
 
 
-def _closed_form(p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificate:
-    """Build a witness certificate directly from nu_i's pairing pattern, for
-    lam = lam_i and a positive root index the library built, unchecked.
+def _closed_forms(p: int, i: int, lam: tuple[int, ...], roots: list[Root]) -> Iterator[Witness]:
+    """Yield each root's witness, built directly from nu_i's pairing
+    pattern, in `roots` order, for lam = lam_i and positive root indices
+    the library built, unchecked.
 
     The simple roots pair with nu_i to p, except the two special slots:
     alpha_i pairs to p - 1 (when i >= 1) and alpha_{i+1} to 1 (when
@@ -231,36 +247,48 @@ def _closed_form(p: int, i: int, lam: tuple[int, ...], root: Root) -> Certificat
       p - 1 and 1 add up to one p.  The roots run between the fences k,
       then k + a p^(s-1) + r p^s for r = 0..b; when both special slots are
       inside (k <= i < j - 1), every fence past i moves one slot right.
+
+    lam_i is paired through one list of its prefix sums, and the s = 0
+    runs are slices of one tuple of the simple roots.
     """
-    k, j = root
-    # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
-    m = _pair(lam, k, j) + (j - k)
-    s, a, b = jantzen_decompose(m, p)
-    if s == 0:
-        simple = tuple(zip(range(k, j), range(k + 1, j + 1)))
-        if k == i + 1:
-            return root, m, s, a, b, simple[0], simple[1:]
-        return root, m, s, a, b, simple[-1], simple[:-1]
-    # The fences after k end at j, or at j - 1 before the shift when both
-    # special slots are inside (the next would be p^s > 1 slots on).  The
-    # shift never moves k, which is then at most i.
-    fences = range(k + a * p ** (s - 1), j + 1, p**s)
-    if k <= i < j - 1:
-        fences = [x + (x > i) for x in fences]
-    return root, m, s, a, b, (k, fences[0]), tuple(zip(fences, fences[1:]))
+    prefix = list(accumulate(lam, initial=0))
+    simple = tuple(zip(range(1, len(lam) + 1), range(2, len(lam) + 2)))
+    for k, j in roots:
+        # nu_i = lam_i + rho, and rho pairs to j - k with the coroot of (k, j).
+        m = prefix[j - 1] - prefix[k - 1] + j - k
+        s, a, b = _split(m, p)
+        if s == 0:
+            # The run of simple roots from k to j is simple[k - 1 : j - 1].
+            if k == i + 1:
+                yield m, s, a, b, simple[k - 1], simple[k : j - 1]
+            else:
+                yield m, s, a, b, simple[j - 2], simple[k - 1 : j - 2]
+            continue
+        # The fences after k end at j, or at j - 1 before the shift when both
+        # special slots are inside (the next would be p^s > 1 slots on).  The
+        # shift never moves k, which is then at most i.
+        unit = p ** (s - 1)
+        step = unit * p
+        first = k + a * unit
+        if k <= i < j - 1:
+            kept = range(first, i + 1, step)
+            fences = (*kept, *range(first + len(kept) * step + 1, j + 2, step))
+        else:
+            fences = range(first, j + 1, step)
+        yield m, s, a, b, (k, fences[0]), tuple(zip(fences, fences[1:]))
 
 
 def check_block_simplicity(ctx: BlockContext) -> dict:
     """Certify every (block index, positive root) pairing, both routes.
 
-    For each nu_i, the search runs once per distinct pairing m in nu_i's
-    pairing table, for the lex-first root pairing to m (a searched witness
-    (m, s, a, b, beta0, betas) depends on its root only through m), and
-    that witness is re-verified once.  Each root's pairing is then read
-    from the lattice's table of nu_i's pairings (`lattice._pair_table`,
-    built once per nu_i), never from the search's table: its searched
-    certificate holds when that pairing is its witness's m, and its
-    closed-form certificate, built without re-checking i and the root, is
+    For each nu_i the search runs once (`witness_search`), for every
+    distinct pairing m in nu_i's pairing table at once (a searched witness
+    depends on its root only through m), and each witness is re-verified
+    once.  Each root's pairing is then read from the lattice's table of
+    nu_i's pairings (`lattice._pair_table`, built once per nu_i), never
+    from the search's table: its searched certificate holds when that
+    pairing is its witness's m.  The closed forms of all roots are built
+    in one pass per nu_i, without re-checking i and the roots, and each is
     re-verified whole against the same table.
     Reports any failures (expected: none), and the searched certificates as
     rows (i, root, m, s, a, b, beta0, betas) in (i, root) order.
@@ -271,26 +299,23 @@ def check_block_simplicity(ctx: BlockContext) -> dict:
     failures, replay_failures = [], []
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
-        lam = ctx.lambdas[i]
+        found = witness_search(nu, p)
         by_root, _ = _pairing_table(nu)
         pairing = _pair_table(nu)
         # m -> the searched witness for m, or None when none was found or it
         # failed re-verification.
-        witnesses: dict[int, tuple | None] = {}
-        for root in roots:
-            m = by_root[root]
-            if m not in witnesses:
-                found = witness_search(nu, root, p)
-                ok = found is not None and _witness_ok(pairing, found[1:], p)
-                witnesses[m] = found[1:] if ok else None
-            witness = witnesses[m]
+        witnesses = {
+            m: witness if witness is not None and _witness_ok(pairing, witness, p) else None
+            for m, witness in found.items()
+        }
+        for root, replayed in zip(roots, _closed_forms(p, i, ctx.lambdas[i], roots)):
+            witness = witnesses.get(by_root[root])
             paired = pairing.get(root)
             if witness is not None and witness[0] == paired:
                 certificates.append((i, root, *witness))
             else:
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            built = _closed_form(p, i, lam, root)
-            if built[1] != paired or not _witness_ok(pairing, built[1:], p):
+            if replayed[0] != paired or not _witness_ok(pairing, replayed, p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )

@@ -11,7 +11,7 @@ eps-coefficients accordingly.
 
 from __future__ import annotations
 
-from .lattice import _check_rank, eps_coords, from_eps, fundamental
+from .lattice import _check_rank, check_weight, eps_coords, from_eps, fundamental
 
 __all__ = ["longest", "longest_fixing_last", "act"]
 
@@ -35,12 +35,14 @@ def longest_fixing_last(rank: int) -> tuple[int, ...]:
 def act(w: tuple[int, ...], lam: tuple[int, ...]) -> tuple[int, ...]:
     """The linear action: eps-coefficient of slot k moves to slot w(k).
 
-    Raises ValueError if w is not a permutation of 1..len(w), or if it
-    permutes other than the n + 1 slots of lam.
+    Raises TypeError unless lam is a weight (`lattice.check_weight`), and
+    ValueError if w is not a permutation of 1..len(w), or if it permutes
+    other than the n + 1 slots of lam.
 
     >>> act(longest(2), fundamental(2, 1))
     (0, -1)
     """
+    check_weight(lam)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
     if len(w) != len(lam) + 1:

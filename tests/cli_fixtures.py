@@ -82,7 +82,8 @@ def cli_large():
     with coordinates beyond ±9, an `--eps`) and all three formats (text,
     text --full, JSON); the untwisted middle listings at n = 12 in JSON and
     two `proj --n 6` listings close the set.  Then the largest `jantzen`
-    report admitted, n = 31 at p = 3, whole and restricted by `--i`.  Last,
+    report admitted, n = 31 at p = 3, whole and restricted by `--i`, and one
+    report each at n = 18, p = 7 (JSON) and n = 22, p = 5 (text, full).  Last,
     `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
     twisted in JSON and in text, and untwisted at i = 0 in full.
     """
@@ -104,6 +105,9 @@ def cli_large():
     for rest in (["--format", "json"], ["--format", "text"], ["--format", "text", "--full"],
                  ["--i", "17", "--format", "text"], ["--i", "17", "--format", "json"]):
         yield jantzen + rest
+    # The s >= 1 fences at p = 7 and p = 5, where the p = 3 reports reach few.
+    yield ["jantzen", "--n", "18", "--p", "7", "--format", "json"]
+    yield ["jantzen", "--n", "22", "--p", "5", "--format", "text", "--full"]
     nu = "--nu=" + ",".join(str(k % 7 - 3) for k in range(300))
     ext = ["ext", "--n", "300", "--p", "5"]
     for rest in (["--i", "150", nu, "--format", "json"], ["--i", "150", nu, "--format", "text"],

@@ -6,7 +6,7 @@ import pytest
 import loewylab.chardim
 from loewylab.block import make_context, nu_weight
 from loewylab.chardim import (
-    _closed_form,
+    _closed_forms,
     _witness_ok,
     check_block_simplicity,
     dim_parabolic_verma,
@@ -41,25 +41,30 @@ def test_superfactorial():
 
 def test_rank_and_root_arguments_must_be_ints():
     # A bool or float compares equal to an int: unchecked, positive_roots(True)
-    # would be [(1, 2)], superfactorial(True) 1, and witness_search would
-    # return a certificate whose root is (True, 2) or (1.0, 2).
+    # would be [(1, 2)] and superfactorial(True) 1.
     assert positive_roots(0) == [] and superfactorial(0) == 1
     for bad in (True, 1.0, 2.5):
         with pytest.raises(TypeError, match=rf"^rank must be an int \(got {bad!r}\)$"):
             positive_roots(bad)
         with pytest.raises(TypeError, match=rf"^m must be an int \(got {bad!r}\)$"):
             superfactorial(bad)
-    nu = (3, 2)
-    assert witness_search(nu, (1, 2), 5) is not None
-    for root, bad in (((True, 2), True), ((1.0, 2), 1.0), ([1, 2.0], 2.0)):
-        with pytest.raises(TypeError, match=rf"^root index must be an int \(got {bad!r}\)$"):
-            witness_search(nu, root, 5)
-    # A nonpositive pairing has no witness, but p is still checked: it
-    # returned None for any p.
-    assert witness_search((-1, 2), (1, 2), 5) is None
+
+
+def test_witness_search_checks_p_before_anything_else():
+    # (-1, 2) pairs to -1 at (1, 2), which has no witness, so no split
+    # would meet p there: p is checked once, first, for every nu.
+    assert witness_search((-1, 2), 5) == {
+        -1: None, 1: (1, 0, 1, 0, (1, 3), ()), 2: (2, 0, 2, 0, (2, 3), ())
+    }
+    for bad in (-7, 1):
+        with pytest.raises(ValueError, match=rf"^p must be >= 2 \(got {bad}\)$"):
+            witness_search((-1, 2), bad)
     for bad in (5.0, True):
         with pytest.raises(TypeError, match=rf"^p must be an int \(got {bad!r}\)$"):
-            witness_search((-1, 2), (1, 2), bad)
+            witness_search((-1, 2), bad)
+        # Before nu: a bad p is named even when nu is no weight.
+        with pytest.raises(TypeError, match=r"^p must be an int"):
+            witness_search([-1, 2], bad)
 
 
 def test_weyl_dim_small_cases():
@@ -130,17 +135,35 @@ def test_jantzen_decompose_reconstructs():
 
 def test_witness_search_frozen_examples():
     ctx = make_context(2, 5)
-    # (root, m, s, a, b, beta0, betas)
-    assert witness_search(nu_weight(ctx, 0), (1, 3), 5) == ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),))
-    assert witness_search(nu_weight(ctx, 2), (1, 3), 5) == ((1, 3), 9, 0, 4, 1, (2, 3), ((1, 2),))
-    # A root given as a list comes back as a tuple.
-    cert = witness_search(nu_weight(ctx, 0), [1, 3], 5)
-    assert cert == ((1, 3), 6, 0, 1, 1, (1, 2), ((2, 3),)) and type(cert[0]) is tuple
+    # m -> (m, s, a, b, beta0, betas), one entry per distinct pairing.
+    assert witness_search(nu_weight(ctx, 0), 5) == {
+        1: (1, 0, 1, 0, (1, 2), ()),
+        6: (6, 0, 1, 1, (1, 2), ((2, 3),)),
+        5: (5, 1, 1, 0, (2, 3), ()),
+    }
+    assert witness_search(nu_weight(ctx, 2), 5)[9] == (9, 0, 4, 1, (2, 3), ((1, 2),))
 
 
 def test_witness_search_nonpositive_pairing():
-    assert witness_search((0, 0), (1, 2), 5) is None
-    assert witness_search((-3, 1), (1, 2), 5) is None
+    assert witness_search((0, 0), 5) == {0: None}
+    assert witness_search((-3, 1), 5) == {-3: None, -2: None, 1: (1, 0, 1, 0, (2, 3), ())}
+
+
+def searched(nu, p):
+    """Each positive root's searched certificate (root, m, s, a, b, beta0,
+    betas) at nu, or None: its pairing's witness from one search."""
+    found = witness_search(nu, p)
+    certs = {}
+    for root in positive_roots(len(nu)):
+        witness = found[pair(nu, *root)]
+        certs[root] = None if witness is None else (root, *witness)
+    return certs
+
+
+def closed_forms(p, i, lam):
+    """Each positive root's closed-form certificate at lam = lam_i."""
+    roots = positive_roots(len(lam))
+    return {root: (root, *w) for root, w in zip(roots, _closed_forms(p, i, lam, roots))}
 
 
 def sweep_check(nu, cert, p):
@@ -155,7 +178,7 @@ def test_verify_certificate_rejects_tampering():
     # certificate.
     ctx = make_context(2, 5)
     nu = nu_weight(ctx, 0)
-    cert = witness_search(nu, (1, 3), 5)
+    cert = searched(nu, 5)[1, 3]
     assert certificate_ok(pairings(nu), cert, 5) and sweep_check(nu, cert, 5)
     root, m, s, a, b, beta0, betas = cert
     for bad in [
@@ -174,7 +197,7 @@ def test_verify_certificate_rejects_tampering():
 
 
 def closed_form_rule(i, cert):
-    """Which rule of `_closed_form` built the certificate: the 1 on
+    """Which rule of `_closed_forms` built the certificate: the 1 on
     alpha_{i+1} opens the interval or the p - 1 on alpha_i closes it
     (s = 0), or the fences are plain or shifted past both special slots
     (s = 1 or s >= 2)."""
@@ -195,7 +218,7 @@ def test_closed_form_certificates_verify_everywhere():
         (13, 3, 1, (1, 14)): ((1, 14), 36, 2, 1, 1, (1, 5), ((5, 14),)),
     }
     for (n, p, i, root), cert in frozen.items():
-        assert _closed_form(p, i, make_context(n, p).lambdas[i], root) == cert
+        assert list(_closed_forms(p, i, make_context(n, p).lambdas[i], [root])) == [cert[1:]]
     # Each rule builds tails (b > 0) somewhere in this grid; at p = 3,
     # n = 13 is the first size with s >= 2 and b > 0.
     sizes = {3: (1, 3, 4, 6, 7, 13), 5: range(1, 8), 7: range(1, 10), 11: range(1, 7), 13: range(1, 7)}
@@ -207,8 +230,7 @@ def test_closed_form_certificates_verify_everywhere():
             ctx = make_context(n, p)
             for i in range(n + 1):
                 table = pairings(nu_weight(ctx, i))
-                for root in positive_roots(n):
-                    cert = _closed_form(p, i, ctx.lambdas[i], root)
+                for root, cert in closed_forms(p, i, ctx.lambdas[i]).items():
                     assert certificate_ok(table, cert, p), (n, p, i, root)
                     if cert[4]:
                         with_tails.add(closed_form_rule(i, cert))
@@ -224,8 +246,7 @@ def test_search_finds_certificates_everywhere():
             for i in range(n + 1):
                 nu = nu_weight(ctx, i)
                 table = pairings(nu)
-                for root in positive_roots(n):
-                    cert = witness_search(nu, root, p)
+                for root, cert in searched(nu, p).items():
                     assert cert is not None, (n, p, i, root)
                     assert certificate_ok(table, cert, p)
 
@@ -268,8 +289,8 @@ def test_witness_search_matches_the_scan_over_pair():
             ctx = make_context(n, p)
             for i in range(n + 1):
                 nu = nu_weight(ctx, i)
-                for root in positive_roots(n):
-                    assert witness_search(nu, root, p) == greedy_by_pair(nu, root, p), (n, p, i, root)
+                for root, cert in searched(nu, p).items():
+                    assert cert == greedy_by_pair(nu, root, p), (n, p, i, root)
     # Random weights, zero and negative coordinates included, reach the
     # nonpositive and the unrealisable pairings as well as b = 0.
     rng = random.Random(8128)
@@ -278,8 +299,7 @@ def test_witness_search_matches_the_scan_over_pair():
         rank = rng.randint(1, 7)
         nu = tuple(rng.choice((-4, -1, 0, 0, 1, 1, 2, 3, 5, 9)) for _ in range(rank))
         p = rng.choice((3, 5, 7))
-        for root in positive_roots(rank):
-            cert = witness_search(nu, root, p)
+        for root, cert in searched(nu, p).items():
             assert cert == greedy_by_pair(nu, root, p), (nu, root, p)
             found.append(cert)
     assert any(cert is None for cert in found)
@@ -288,10 +308,16 @@ def test_witness_search_matches_the_scan_over_pair():
 
 
 def test_witness_search_rejects_invalid_roots():
+    # The search takes no root: its entries are the pairings of the positive
+    # roots only, and a certificate on a pair that is not a positive root
+    # index fails both checks, whatever witness it carries.
     nu = rho(3)
+    found = witness_search(nu, 5)
+    assert sorted(found) == [1, 2, 3]
     for root in [(0, 1), (2, 2), (3, 5), (4, 3)]:
-        with pytest.raises(ValueError, match=r"is not a positive root index"):
-            witness_search(nu, root, 5)
+        for witness in found.values():
+            assert not certificate_ok(pairings(nu), (root, *witness), 5), (root, witness)
+            assert not sweep_check(nu, (root, *witness), 5), (root, witness)
 
 
 def test_searched_certificates_are_verified_without_the_table(monkeypatch):
@@ -317,9 +343,9 @@ def test_searched_certificates_are_verified_without_the_table(monkeypatch):
 
 def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
     # Re-verification reads one lattice pairing table per nu_i
-    # (`lattice._pair_table`), and the closed form pairs lam_i through the
-    # lattice (`lattice._pair`) once per root.  A search that scans every
-    # root with the lattice pairing (632,433 calls here) fails this bound.
+    # (`lattice._pair_table`), and the closed forms pair lam_i through one
+    # list of its prefix sums, never through `lattice._pair`.  A search that
+    # scans every root with the lattice pairing (632,433 calls here) fails.
     tables, pairs = [0], [0]
 
     def counting_table(coords):
@@ -336,7 +362,7 @@ def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
     report = check_block_simplicity(make_context(n, 7))
     assert report["ok"]
     assert tables[0] == n + 1
-    assert 0 < pairs[0] <= report["checked"] == (n + 1) * n * (n + 1) // 2
+    assert pairs[0] == 0 and report["checked"] == (n + 1) * n * (n + 1) // 2
 
 
 def unshared_sweep(ctx):
@@ -348,11 +374,11 @@ def unshared_sweep(ctx):
     for i in range(n + 1):
         nu = nu_weight(ctx, i)
         table = loewylab.chardim._pair_table(nu)
-        for root in positive_roots(n):
-            found = witness_search(nu, root, p)
+        built = closed_forms(p, i, ctx.lambdas[i])
+        for root, found in searched(nu, p).items():
             if found is None or not certificate_ok(table, found, p):
                 failures.append({"i": i, "root": list(root), "reason": "search failed"})
-            if not certificate_ok(table, _closed_form(p, i, ctx.lambdas[i], root), p):
+            if not certificate_ok(table, built[root], p):
                 replay_failures.append(
                     {"i": i, "root": list(root), "reason": "closed-form certificate invalid"}
                 )
@@ -430,24 +456,45 @@ def test_jantzen_decompose_refuses_floats_and_bools():
     assert check_block_simplicity(make_context(2, 5))["ok"]
 
 
-def test_block_sweep_searches_once_per_distinct_pairing(monkeypatch):
+def test_block_sweep_searches_once_per_distinct_pairing():
     # A searched witness depends on its root only through the pairing m, so
-    # the sweep searches once per (i, m) and still reports every root.
-    calls = [0]
-    search = loewylab.chardim.witness_search
-
-    def counting(nu, root, p):
-        calls[0] += 1
-        return search(nu, root, p)
-
-    monkeypatch.setattr(loewylab.chardim, "witness_search", counting)
+    # the sweep's 665 distinct (i, m) serve all 3,249 roots, and every root
+    # is still reported, in (i, root) order.
     n = 18
     report = check_block_simplicity(make_context(n, 7))
     assert report["ok"]
     rows = report["certificates"]
     assert len(rows) == report["checked"] == (n + 1) * n * (n + 1) // 2 == 3249
-    assert calls[0] == len({(i, m) for i, _, m, *_ in rows}) == 665
+    assert len({(i, m) for i, _, m, *_ in rows}) == 665
     assert [row[:2] for row in rows] == [(i, root) for i in range(n + 1) for root in positive_roots(n)]
+
+
+def test_block_sweep_checks_arguments_once_per_nu(monkeypatch):
+    # The sweep checks its arguments once per nu_i, not once per root or
+    # per pairing: one search per nu_i returns every distinct pairing's
+    # witness, and neither the search's splits nor the closed forms pass
+    # the exact-int check.
+    checks, calls, entries = [0], [0], [0]
+    check_int, search = loewylab.chardim._check_int, loewylab.chardim.witness_search
+
+    def counting_check(what, value):
+        checks[0] += 1
+        return check_int(what, value)
+
+    def counting_search(nu, p):
+        found = search(nu, p)
+        calls[0] += 1
+        entries[0] += len(found)
+        return found
+
+    monkeypatch.setattr(loewylab.chardim, "_check_int", counting_check)
+    monkeypatch.setattr(loewylab.chardim, "witness_search", counting_search)
+    n = 18
+    report = check_block_simplicity(make_context(n, 7))
+    assert report["ok"] and report["checked"] == 3249
+    assert checks[0] < report["checked"]
+    assert calls[0] == n + 1 == 19
+    assert entries[0] == len({(i, m) for i, _, m, *_ in report["certificates"]}) == 665
 
 
 def test_closed_form_replay_fails_exactly_where_per_root_checks_fail(monkeypatch):
@@ -458,7 +505,7 @@ def test_closed_form_replay_fails_exactly_where_per_root_checks_fail(monkeypatch
     # Pairing 15 = 2 * 3 + 1 * 9 at nu_3: the tail beta (3, 7) straddles
     # both special slots.
     i, root = 3, (1, 7)
-    assert _closed_form(3, i, ctx.lambdas[i], root) == (root, 15, 1, 2, 1, (1, 3), ((3, 7),))
+    assert list(_closed_forms(3, i, ctx.lambdas[i], [root])) == [(15, 1, 2, 1, (1, 3), ((3, 7),))]
     nu = nu_weight(ctx, i)
     monkeypatch.setattr(loewylab.chardim, "_pair_table", lying_table(nu, (3, 7)))
     report = check_block_simplicity(ctx)

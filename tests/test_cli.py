@@ -564,18 +564,19 @@ def test_jantzen_reports_failures(capsys, monkeypatch):
     # A search that finds no witness for m = 5 fails the three roots that
     # pair to 5, and a closed form with a wrong m fails its root's replay:
     # each is one FAIL line after the certificates, and the exit code is 1.
-    search, closed_form = loewylab.chardim.witness_search, loewylab.chardim._closed_form
+    search, closed_forms = loewylab.chardim.witness_search, loewylab.chardim._closed_forms
 
-    def no_witness_for_5(nu, root, p):
-        found = search(nu, root, p)
-        return None if found[1] == 5 else found
+    def no_witness_for_5(nu, p):
+        return {m: None if m == 5 else witness for m, witness in search(nu, p).items()}
 
-    def wrong_m_at_1_23(p, i, lam, root):
-        built = closed_form(p, i, lam, root)
-        return (built[0], built[1] + 1, *built[2:]) if (i, root) == (1, (2, 3)) else built
+    def wrong_m_at_1_23(p, i, lam, roots):
+        built = closed_forms(p, i, lam, roots)
+        return [
+            (w[0] + 1, *w[1:]) if (i, root) == (1, (2, 3)) else w for root, w in zip(roots, built)
+        ]
 
     monkeypatch.setattr(loewylab.chardim, "witness_search", no_witness_for_5)
-    monkeypatch.setattr(loewylab.chardim, "_closed_form", wrong_m_at_1_23)
+    monkeypatch.setattr(loewylab.chardim, "_closed_forms", wrong_m_at_1_23)
     argv = ["jantzen", "--n", "2", "--p", "5"]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and err == ""

@@ -301,26 +301,26 @@ WEIGHT_APIS = {
     "restricted_decompose": lambda w: restricted_decompose(w, 5),
     "block.classify": lambda w: classify(make_context(2, 5), w),
     "chardim.weyl_dim": weyl_dim,
-    "chardim.witness_search": lambda w: witness_search(w, (1, 3), 5),
+    "chardim.witness_search": lambda w: witness_search(w, 5),
     "weyl.act": lambda w: act(longest(2), w),
 }
 RANK_FREE = {
     "check_weight", "neg", "scale", "eps_coords", "in_root_lattice", "restricted_decompose",
-    "chardim.weyl_dim",
+    "chardim.weyl_dim", "chardim.witness_search",
 }
 
 
 @pytest.mark.parametrize(
     "coords, error",
-    [([1, 2], TypeError), ((1, 2.0), TypeError), ((1, True), TypeError),
+    [([1, 2], TypeError), ((1, 2.0), TypeError), ((1, True), TypeError), (5, TypeError),
      ((), ValueError), ((1,), ValueError)],
-    ids=["list", "float", "bool", "empty", "wrong rank"],
+    ids=["list", "float", "bool", "int", "empty", "wrong rank"],
 )
 def test_every_weight_api_refuses_what_is_not_a_weight_of_its_rank(coords, error):
     # A weight is a nonempty tuple of exact ints: a list, a float or a bool
     # (an int subclass, which would print as True) is refused with
-    # TypeError before any arithmetic, and an empty or wrong-rank weight
-    # with ValueError.
+    # TypeError before any arithmetic, a bare int before its rank is read,
+    # and an empty or wrong-rank weight with ValueError.
     accepted = []
     for name, api in WEIGHT_APIS.items():
         api((1, 2))
