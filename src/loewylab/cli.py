@@ -22,14 +22,20 @@ reruns are byte-identical; factor lists and a `jantzen` report's
 certificate rows are written from %-format templates (one per list, one
 per certificate row, whose text around the root is formatted once per
 witness and block index) instead of by json.dumps, which is slow with
-`indent`.  The JSON is built as a list of pieces (the skeleton's text
-between lists and each list's text) and written in those pieces with one
-`writelines`, never joined into one str: every piece is built before the
-first write, so an error leaves stdout empty.  Text output is written by
-the same call, as one piece.  A text view formats only the entries it
-prints: without --full, the first TRUNCATE_AT of each listing, its other
-counts read from lengths.  Sizes are closed forms, `_BUDGETS` rows per
-subcommand, checked after the (n, p) hypotheses and `--i` and before any
+`indent`.  The JSON is written in two stages.  Before the first write runs
+everything that can raise, so an error leaves stdout empty: the payload,
+the skeleton's json.dumps (the text between lists) and its slot count,
+each list's templates and each Verma block's tail texts, and the whole
+text of a list written twice (a cover layer equal to its mirror).  During
+the one `sys.stdout.writelines` that writes the document, only the
+payload's ints are put into those templates and joined, a Verma layer one
+piece per head, factor rows and certificates 64 objects to a piece; no
+other list is held whole, and the document is never joined into one str.
+A text view returns its lines, built before the first write, and the same
+call writes each line and its newline.  A text view formats only the
+entries it prints: without --full, the first TRUNCATE_AT of each listing,
+its other counts read from lengths.  Sizes are closed forms, `_BUDGETS`
+rows per subcommand, checked after the (n, p) hypotheses and `--i` and before any
 other work, the weight table's (n+1)·n ints included: a layer listing
 (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
 multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels,
@@ -52,15 +58,18 @@ few ms per run.  Any other, help included, imports argparse and goes to
 the parser built from the same table (`_build_parser`), which alone
 writes help, usage and argument errors.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
-oversized input (the message names the violated hypothesis or the size).
+oversized input (the message names the violated hypothesis or the size),
+141 (128 + SIGPIPE, as shells report it) when the reader of stdout closes
+it before the output ends; nothing is written to stderr then.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
-from functools import lru_cache
-from itertools import islice
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from math import comb, log10
 from types import SimpleNamespace
 
@@ -77,12 +86,12 @@ __all__ = ["main"]
 TRUNCATE_AT = 200
 # Layer listings are refused above this many labels, counted with
 # multiplicity.  The largest one admitted, `verma --n 16 --p 5 --i 8 --format
-# json` (22 MB of JSON), took about 0.18 s and 35 MB peak RSS, the median of
+# json` (22 MB of JSON), took about 0.07 s and 15 MB peak RSS, the median of
 # fresh processes on a 2-core VM.
 LAYER_BUDGET = 1 << 16
 # `jantzen` is refused above this many (block index, positive root) pairs,
 # (n+1)·n(n+1)/2 at rank n.  The largest one admitted, n = 31 at p = 3, took
-# about 0.36 s and 34 MB and wrote 6 MB of JSON, the median of fresh
+# about 0.15 s and 17 MB and wrote 6 MB of JSON, the median of fresh
 # processes on a 2-core VM.
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels with
@@ -113,8 +122,8 @@ EXT_BUDGET = 1 << 19
 # Every subcommand is refused above this many ints in the weight table,
 # (n+1)·n at rank n, before its own row is read: so no size below is
 # computed at a rank where it would be too large to compute or print.  Only
-# `ext --i` reaches it: at n = 1023, p = 3, i = 511 it took about 0.31 s and
-# 39 MB, and 0.59 s and 83 MB with --format json (23 MB of JSON), the median
+# `ext --i` reaches it: at n = 1023, p = 3, i = 511 it took about 0.18 s and
+# 39 MB, and 0.32 s and 40 MB with --format json (23 MB of JSON), the median
 # of fresh processes on a 2-core VM.
 WEIGHT_BUDGET = 1 << 20
 # `dim` is refused above this many digits in the largest number it prints,
@@ -217,11 +226,19 @@ def main(argv: list[str] | None = None) -> None:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
     if args.format == "json":
-        pieces = _dump_json({"n": ctx.n, "p": ctx.p, **payload}, getattr(args, "factors_json", None))
+        doc = {"n": ctx.n, "p": ctx.p, **payload}
+        pieces = chain(_dump_json(doc, getattr(args, "factors_json", None)), ["\n"])
     else:
-        pieces = [args.render(ctx, payload, getattr(args, "full", False))]
-    pieces.append("\n")
-    sys.stdout.writelines(pieces)
+        lines = args.render(ctx, payload, getattr(args, "full", False))
+        pieces = (piece for line in lines for piece in (line, "\n"))
+    try:
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed early.  Point fd 1 at the null device, so the
+        # interpreter's last flush of what is still buffered is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(141) from None
     raise SystemExit(code)
 
 
@@ -408,11 +425,13 @@ def _object_str(kind: str, i: int, nu: tuple[int, ...]) -> str:
 # which cannot occur in the encoded skeleton otherwise (json.dumps escapes NUL).
 _SLOT = "\x00rows"
 _SLOT_JSON = '"\\u0000rows"'
+# Factor rows and certificates are written this many objects to a piece.
+_CHUNK = 64
 
 
-def _dump_json(doc: dict, factors_json=None) -> list[str]:
-    """`json.dumps(doc, sort_keys=True, indent=2)` as a list of str pieces
-    whose concatenation is that text, byte for byte, where the factor rows
+def _dump_json(doc: dict, factors_json=None) -> Iterable[str]:
+    """`json.dumps(doc, sort_keys=True, indent=2)` as str pieces whose
+    concatenation is that text, byte for byte, where the factor rows
     of a layer listing or of `ext --i` stand for the objects
     {"i": i, "mult": mult, "nu": nu}, and a jantzen report's certificate
     rows (i, root, m, s, a, b, beta0, betas) for the objects with those keys.
@@ -424,23 +443,33 @@ def _dump_json(doc: dict, factors_json=None) -> list[str]:
     most of a long document's time on its rows.  So each factor list and a
     jantzen report's certificate list are dumped as slots, and each slot is
     filled from %-format templates: one factor object per list for its
-    rank, one per certificate for its number of betas.  A factor list
-    equal to its mirror's (layer j and layer L - 1 - j of L, as in a
-    palindromic cover) reuses the mirror's text.  The pieces are the
-    skeleton's text between slots and each list's own pieces, never joined:
-    `main` writes them as they are, so a long document is never copied
-    whole into one str, nor encoded whole into one bytes object.
+    rank, one per certificate for its number of betas.
+
+    The work is split in two stages.  This call runs everything that can
+    raise, before `main`'s first write, so an error leaves stdout empty:
+    the skeleton's json.dumps and its slot count, and each list's writer,
+    which builds its templates (and a Verma block's tail texts) and returns
+    its pieces as an iterator.  Only putting the payload's ints into those
+    templates and joining is left for the iteration, which runs while
+    `main` writes: a Verma layer is one piece per head, factor rows and
+    certificates are _CHUNK objects to a piece.  A factor list equal to its
+    mirror's (layer j and layer L - 1 - j of L, as in a palindromic cover)
+    is written twice, so it is formatted once, into a list, in this call.
+    No other list is held whole, and the document is never joined into one
+    str nor encoded whole into one bytes object.
     """
     if "layers" in doc:
         factors_json = factors_json or _factors_json
         factors = [layer["factors"] for layer in doc["layers"]]
+        last = len(factors) - 1
+        twice = [j < last - j and rows == factors[last - j] for j, rows in enumerate(factors)]
         lists = []
         for j, rows in enumerate(factors):
-            mirror = len(factors) - 1 - j
-            if mirror < j and rows == factors[mirror]:
-                lists.append(lists[mirror])
+            if twice[last - j]:
+                lists.append(lists[last - j])
             else:
-                lists.append(factors_json(rows))
+                text = factors_json(rows)
+                lists.append(list(text) if twice[j] else text)
         doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
     elif "rad1_cover" in doc:
         lists = [_factors_json(doc["rad1_cover"], 2)]
@@ -450,14 +479,31 @@ def _dump_json(doc: dict, factors_json=None) -> list[str]:
         doc = {**doc, "report": {**doc["report"], "certificates": _SLOT}}
     else:
         return [json.dumps(doc, sort_keys=True, indent=2)]
-    pieces = json.dumps(doc, sort_keys=True, indent=2).split(_SLOT_JSON)
-    if len(pieces) != len(lists) + 1:
-        raise RuntimeError(f"{len(pieces) - 1} slots in the JSON of {len(lists)} template-written lists")
-    out = [pieces[0]]
-    for text, piece in zip(lists, pieces[1:]):
-        out += text
-        out.append(piece)
-    return out
+    skeleton = json.dumps(doc, sort_keys=True, indent=2).split(_SLOT_JSON)
+    if len(skeleton) != len(lists) + 1:
+        raise RuntimeError(f"{len(skeleton) - 1} slots in the JSON of {len(lists)} template-written lists")
+    return _filled(skeleton, lists)
+
+
+def _filled(skeleton: list[str], lists: list[Iterable[str]]) -> Iterator[str]:
+    """The skeleton's text between slots, each slot replaced by its list's
+    pieces."""
+    yield skeleton[0]
+    for text, piece in zip(lists, skeleton[1:]):
+        yield from text
+        yield piece
+
+
+def _chunked(rows: list, format_chunk, close: str) -> Iterator[str]:
+    """A JSON list's text in pieces, formatted as they are taken: "[\n",
+    `format_chunk` of each _CHUNK rows in turn, with the ",\n" between two
+    chunks a piece of its own, and `close`.  `rows` is never empty."""
+    yield "[\n"
+    yield format_chunk(rows[:_CHUNK])
+    for k in range(_CHUNK, len(rows), _CHUNK):
+        yield ",\n"
+        yield format_chunk(rows[k:k + _CHUNK])
+    yield close
 
 
 def _factor_template(indent: int) -> tuple[str, str, str]:
@@ -469,53 +515,56 @@ def _factor_template(indent: int) -> tuple[str, str, str]:
     return opening, " " * (indent + 6) + "%d", f"\n{key}]\n{obj}}}"
 
 
-def _factors_json(rows: list[Row], indent: int = 6) -> list[str]:
+def _factors_json(rows: list[Row], indent: int = 6) -> Iterator[str]:
     """The indent=2 text of one factor list whose brackets sit `indent`
-    spaces in, in pieces: each row (i, nu, mult) is written as a factor object.
+    spaces in, as an iterator of pieces: each row (i, nu, mult) is written
+    as a factor object, formatted as the pieces are taken.
 
     Factor lists are never empty and ranks are at least 1 (`make_context`).
     """
     opening, coord, close = _factor_template(indent)
     template = opening + ",\n".join([coord] * len(rows[0][1])) + close
-    body = ",\n".join([template % (u, m, *c) for u, c, m in rows])
-    return ["[\n", body, "\n" + " " * indent + "]"]
+
+    def format_chunk(chunk):
+        return ",\n".join([template % (u, m, *c) for u, c, m in chunk])
+
+    return _chunked(rows, format_chunk, "\n" + " " * indent + "]")
 
 
-def _blocks_json(blocks: list[Block]) -> list[str]:
-    """The indent=2 text of one Verma layer's `factors` list, in pieces: each
-    label (t, head + tail) of each block (t, heads, tails) is written as a
-    factor object with multiplicity one.
+def _blocks_json(blocks: list[Block]) -> Iterator[str]:
+    """The indent=2 text of one Verma layer's `factors` list, as an iterator
+    of pieces: each label (t, head + tail) of each block (t, heads, tails)
+    is written as a factor object with multiplicity one.
 
     Each object is a head text (the opening and the head's coordinates)
-    followed by a tail text (the tail's coordinates and the close), so each
-    head and tail is formatted once per block, and all objects of one head
-    are one join, one piece: each object preceded by the ",\n" between
-    objects, which the layer's first object drops.  The pieces are never
-    joined into the layer's text.  The head text ends in the coordinates'
-    ",\n" separator unless heads or tails are () (i = 0 or i = n).  Layers
-    are never empty; blocks without heads or tails add nothing.
+    followed by a tail text (the tail's coordinates and the close).  Each
+    block's head template and tail texts are built in this call, so each
+    tail is formatted once per block; each head is formatted as the pieces
+    are taken, and all objects of one head are one join, one piece: each
+    object preceded by the ",\n" between objects, which the layer's first
+    object drops.  The head text ends in the coordinates' ",\n" separator
+    unless heads or tails are () (i = 0 or i = n).  Layers are never empty;
+    blocks without heads or tails add nothing.
     """
     opening, coord, close = _factor_template(6)
-    pieces = ["[\n"]
+    parts = []
     for t, heads, tails in blocks:
         if not (heads and tails):
             continue
-        open_t = ",\n" + opening % (t, 1)
         sep = ",\n" if heads[0] and tails[0] else ""
-        head = ",\n".join([coord] * len(heads[0])) + sep
+        head = ",\n" + opening % (t, 1) + ",\n".join([coord] * len(heads[0])) + sep
         tail = ",\n".join([coord] * len(tails[0])) + close
-        tail_texts = ["", *(tail % c for c in tails)]
-        for h in heads:
-            pieces.append((open_t + head % h).join(tail_texts))
-    pieces[1] = pieces[1][2:]
-    pieces.append("\n      ]")
-    return pieces
+        parts.append((head, heads, ["", *(tail % c for c in tails)]))
+    pieces = ((head % h).join(tail_texts) for head, heads, tail_texts in parts for h in heads)
+    return chain(["[\n", next(pieces)[2:]], pieces, ["\n      ]"])
 
 
-def _certificates_json(rows: list[CertificateRow]) -> list[str]:
-    """The indent=2 text of a jantzen report's `certificates` list, in
+def _certificates_json(rows: list[CertificateRow]) -> Iterable[str]:
+    """The indent=2 text of a jantzen report's `certificates` list, as
     pieces: each row (i, root, m, s, a, b, beta0, betas) is written as the
-    object {"a", "b", "beta0", "betas", "i", "m", "root", "s"}.
+    object {"a", "b", "beta0", "betas", "i", "m", "root", "s"}, formatted
+    as the pieces are taken, from templates built in this call, one per
+    number of betas.
 
     Only the root varies between the rows of one witness at one block
     index, so the text before and after the root is formatted once per
@@ -523,23 +572,28 @@ def _certificates_json(rows: list[CertificateRow]) -> list[str]:
     """
     if not rows:
         return ["[]"]
-    texts = []
+    templates = {b: _certificate_template(b) for b in {row[5] for row in rows}}
     at, around = None, {}
-    for i, root, m, s, a, b, beta0, betas in rows:
-        if i != at:
-            at, around = i, {}
-        witness = (m, s, a, b, beta0, betas)
-        parts = around.get(witness)
-        if parts is None:
-            head, tail = _certificate_template(b)
-            parts = around[witness] = (
-                head % (a, b, *beta0, *[k for beta in betas for k in beta], i, m), tail % s
-            )
-        texts.append(f"{parts[0]}{root[0]},\n          {root[1]}{parts[1]}")
-    return ["[\n", ",\n".join(texts), "\n    ]"]
+
+    def format_chunk(chunk):
+        nonlocal at, around
+        texts = []
+        for i, root, m, s, a, b, beta0, betas in chunk:
+            if i != at:
+                at, around = i, {}
+            witness = (m, s, a, b, beta0, betas)
+            parts = around.get(witness)
+            if parts is None:
+                head, tail = templates[b]
+                parts = around[witness] = (
+                    head % (a, b, *beta0, *[k for beta in betas for k in beta], i, m), tail % s
+                )
+            texts.append(f"{parts[0]}{root[0]},\n          {root[1]}{parts[1]}")
+        return ",\n".join(texts)
+
+    return _chunked(rows, format_chunk, "\n    ]")
 
 
-@lru_cache(maxsize=64)
 def _certificate_template(b: int) -> tuple[str, str]:
     """One certificate object with b betas, its keys in sorted order: the
     text before its root's two coordinates and the text after them."""
@@ -581,14 +635,14 @@ def cmd_block(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "block", "weights": rows}, 0
 
 
-def _block_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _block_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     lines = [f"singular block for SL({ctx.n + 1}), p = {ctx.p}: {ctx.n + 1} restricted weights"]
     for row in payload["weights"]:
         lines.append(
             f"  i={row['i']}: lambda={_fmt_coords(row['lambda'])}  mu={_fmt_coords(row['mu'])}"
             f"  lambda+rho={_fmt_coords(row['rho_shifted'])}"
         )
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_layers(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -601,7 +655,7 @@ def cmd_layers(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     }, 0
 
 
-def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     """The text of a Verma listing, read off its blocks (t, heads, tails):
     a block has |heads|·|tails| labels (t, head + tail), each once."""
     layers = []
@@ -615,7 +669,7 @@ def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return _listing_text(ctx, payload, layers)
 
 
-def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     """The text of a cover listing, from its rows (i, nu, mult)."""
     layers = []
     for layer in payload["layers"]:
@@ -625,7 +679,7 @@ def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     return _listing_text(ctx, payload, layers)
 
 
-def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list[str]]]) -> str:
+def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list[str]]]) -> list[str]:
     """A layer listing's text, given each layer's (total multiplicity,
     printed entries)."""
     lines = [f"{payload['object']} radical layers, n={ctx.n}, p={ctx.p}"]
@@ -633,7 +687,7 @@ def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list
         lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
     for layer, (total, parts) in zip(payload["layers"], layers):
         lines.append(f"  rad_{layer['j']} ({total}): {'  '.join(parts)}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_ext(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -651,20 +705,20 @@ def cmd_ext(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     }, 0
 
 
-def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     if payload["object"] == "ext-table":
         lines = [f"Ext^1 kinds between block simples, n={ctx.n}, p={ctx.p} (rows i, columns j)"]
         for i, row in enumerate(payload["kinds"]):
             lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
-        return "\n".join(lines)
+        return lines
     cover = payload["rad1_cover"]
     parts = (_fmt_factor(u, c) for u, c, _ in cover)
-    return "\n".join([
+    return [
         f"{payload['object']}, n={ctx.n}, p={ctx.p}",
         "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),
         f"  Ext^1-neighbour labels (= rad_1 of the projective cover, {len(cover)} labels):",
         "    " + "  ".join(_truncate(parts, len(cover), full)),
-    ])
+    ]
 
 
 def cmd_dim(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -673,7 +727,7 @@ def cmd_dim(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "dim", **table}, 0 if ok else 1
 
 
-def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     lines = [
         f"dimensions in the block, n={ctx.n}, p={ctx.p} "
         f"(baby Verma dimension {payload['verma_dimension']})"
@@ -685,7 +739,7 @@ def _dim_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         lines.append(f"  i={row['i']}: dim L={row['dim_simple']}  {cover_i}  {cover_j}")
     conservation = "ok" if payload["conservation_ok"] else "FAIL"
     lines.append(f"  per-Verma dimension conservation: {conservation}")
-    return "\n".join(lines)
+    return lines
 
 
 def cmd_jantzen(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -698,7 +752,7 @@ def cmd_jantzen(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "jantzen", "report": report}, 0 if report["ok"] else 1
 
 
-def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     report = payload["report"]
     status = "OK" if report["ok"] else "FAILURES"
     lines = [
@@ -709,7 +763,7 @@ def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> str:
     lines.extend(_truncate((_certificate_text(ctx.p, row) for row in rows), len(rows), full))
     for f in report["failures"] + report["replay_failures"]:
         lines.append(f"  FAIL i={f['i']} root={f['root']}: {f['reason']}")
-    return "\n".join(lines)
+    return lines
 
 
 def _certificate_text(p: int, row: CertificateRow) -> str:
@@ -727,7 +781,7 @@ def cmd_verify(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "verify", "checks": checks, "ok": ok}, 0 if ok else 1
 
 
-def _verify_text(ctx: BlockContext, payload: dict, full: bool) -> str:
+def _verify_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
     lines = []
     for c in payload["checks"]:
         tag = "PASS" if c["ok"] else "FAIL"
@@ -738,4 +792,4 @@ def _verify_text(ctx: BlockContext, payload: dict, full: bool) -> str:
         f"{'all checks passed' if payload['ok'] else 'CHECKS FAILED'} at n={ctx.n}, p={ctx.p} "
         f"({len(payload['checks'])} checks)"
     )
-    return "\n".join(lines)
+    return lines

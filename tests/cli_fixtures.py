@@ -85,7 +85,9 @@ def cli_large():
     report admitted, n = 31 at p = 3, whole and restricted by `--i`, and one
     report each at n = 18, p = 7 (JSON) and n = 22, p = 5 (text, full).  Last,
     `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
-    twisted in JSON and in text, and untwisted at i = 0 in full.
+    twisted in JSON and in text, and untwisted at i = 0 in full.  Then three
+    JSON lists that span many chunks of rows: `proj --n 8 --i 2`, `ext --i`
+    at n = 60 and `jantzen --n 12 --i 0`.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -113,6 +115,12 @@ def cli_large():
     for rest in (["--i", "150", nu, "--format", "json"], ["--i", "150", nu, "--format", "text"],
                  ["--i", "0", "--format", "text", "--full"]):
         yield ext + rest
+    # Lists written in several chunks: the largest cover admitted at n = 8,
+    # palindromic, whose middle layer of 3631 rows is its own mirror, a
+    # longer `ext --i` cover and a report restricted by `--i`.
+    yield ["proj", "--n", "8", "--p", "5", "--i", "2", "--format", "json"]
+    yield ["ext", "--n", "60", "--p", "7", "--i", "30", "--format", "json"]
+    yield ["jantzen", "--n", "12", "--p", "3", "--i", "0", "--format", "json"]
 
 
 def fixtures():

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 from time import perf_counter
@@ -1120,6 +1121,68 @@ def test_a_failing_json_writer_leaves_stdout_empty(monkeypatch, command, writer,
     with contextlib.redirect_stdout(stream), pytest.raises(WriterFailed):
         main(command.split() + ["--format", "json"])
     assert len(calls) == fail_at and stream.writes == [] and stream.getvalue() == ""
+
+
+class CountingStream(io.TextIOBase):
+    """A text stream that counts the characters written to it and drops them."""
+
+    def __init__(self):
+        super().__init__()
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("command, ratio", [
+    ("verma --n 13 --p 3 --i 6", 1 / 4),
+    ("jantzen --n 18 --p 7", 3 / 4),
+    ("ext --n 300 --p 5 --i 150", 2),
+], ids=["verma", "jantzen", "ext"])
+def test_json_is_formatted_while_it_is_written(command, ratio):
+    # The traced peak of a run stays under `ratio` times the document's
+    # length: a Verma layer is formatted one head at a time, certificates
+    # and factor rows _CHUNK at a time, as `main` writes them.  Holding
+    # the document whole, as one str or as its pieces, peaks at about 1x
+    # (verma), 2.5x (jantzen, with its rows) and 3x (ext) its length.
+    stream = CountingStream()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(stream), pytest.raises(SystemExit) as exc:
+            main(command.split() + ["--format", "json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 0 and stream.written > 900_000
+    assert peak < ratio * stream.written, (peak, stream.written)
+
+
+def test_text_is_written_line_by_line():
+    # A text view is written as its lines and their newlines, in one
+    # `writelines`: no write holds two lines.
+    for command in ("verma --n 8 --p 5 --i 4 --full", "jantzen --n 6 --p 5", "verify --n 2 --p 5"):
+        stream = RecordingStream()
+        with contextlib.redirect_stdout(stream), pytest.raises(SystemExit):
+            main(command.split())
+        text = stream.getvalue()
+        assert stream.writes == [piece for line in text.splitlines() for piece in (line, "\n")], command
+
+
+def test_an_early_closing_reader_ends_the_run_quietly():
+    # A reader that closes stdout after one byte ends a run with exit code
+    # 141 (128 + SIGPIPE, as shells report it) and nothing on stderr.
+    src = str(Path(loewylab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["verma", "--n", "13", "--p", "3", "--i", "6", "--format", "json"]
+    with subprocess.Popen([sys.executable, "-m", "loewylab", *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (first, code, err) == (b"{", 141, b"")
 
 
 # ------------------------------------------------------- size budget
