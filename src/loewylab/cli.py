@@ -76,7 +76,7 @@ from types import SimpleNamespace
 from .block import BlockContext, check_hypotheses, check_index, make_context, mu_weight, nu_weight
 from .chardim import CertificateRow, check_block_simplicity
 from .checks import dimension_table, identities_hold, verify_checks
-from .ext import ext1_g1, rad1_qhat
+from .ext import ext1_g1_row, rad1_qhat
 from .lattice import from_eps
 from .loewy import Block, Row, verma_blocks
 from .projective import CONDITIONAL_FLAG_KEY, cover_rows
@@ -116,8 +116,8 @@ BLOCK_BUDGET = 1 << 19
 # 1.3 s on a 2-core VM; n = 200 ran for more than a minute.
 DIM_BUDGET = 1 << 19
 # The `ext` table is refused above this many Ext^1 kinds, (n+1)^2 at rank n.
-# The largest one admitted, n = 723, took about 1 s and 66 MB with
-# --format json on a 2-core VM.
+# The largest one admitted, n = 723, took about 0.3 s and 65 MB with
+# --format json, the median of fresh processes on a 2-core VM.
 EXT_BUDGET = 1 << 19
 # Every subcommand is refused above this many ints in the weight table,
 # (n+1)·n at rank n, before its own row is read: so no size below is
@@ -691,16 +691,15 @@ def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list
 
 
 def cmd_ext(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
-    n = ctx.n
     if args.i is None:
         if args.nu is not None or args.eps is not None:
             raise ValueError("--nu and --eps need --i: the Ext^1 kind table takes no twist")
-        table = [[ext1_g1(ctx, i, j).value for j in range(n + 1)] for i in range(n + 1)]
+        table = [ext1_g1_row(ctx, i) for i in range(ctx.n + 1)]
         return {"object": "ext-table", "kinds": table}, 0
     nu = _twist(args, ctx.n)
     return {
         "object": _object_str("ext", args.i, nu),
-        "kinds": [ext1_g1(ctx, args.i, j).value for j in range(n + 1)],
+        "kinds": ext1_g1_row(ctx, args.i),
         "rad1_cover": rad1_qhat(ctx, (args.i, nu)),
     }, 0
 

@@ -2,7 +2,8 @@
 
 Between simples of the block, Ext^1 over the Frobenius kernel vanishes
 unless the block indices are adjacent, in which case (after untwisting)
-it is the standard (n+1)-dimensional representation or its dual.  The
+it is the standard (n+1)-dimensional representation or its dual: one row
+per block index, `ext1_g1_row`, names every kind.  The
 standard representation has the n + 1 pairwise-distinct weights
 eps_1, ..., eps_{n+1}, each with multiplicity one, which is what turns the
 Ext rule into exact label arithmetic: the twist-graded Ext dimension reads
@@ -17,27 +18,16 @@ two coordinates; no table of the eps_k is kept.  The layer leaves as rows
 
 from __future__ import annotations
 
-from enum import Enum
 from operator import sub
 
 from .block import BlockContext, Label, check_index, check_label
 from .loewy import Row
 
 __all__ = [
-    "ExtKind",
-    "ext1_g1",
+    "ext1_g1_row",
     "ext1_g1t_dim",
     "rad1_qhat",
 ]
-
-
-class ExtKind(Enum):
-    """Untwisted Ext^1 between two block simples, as a representation:
-    zero, the standard representation, or its dual."""
-
-    STANDARD = "standard"
-    DUAL = "dual"
-    ZERO = "zero"
 
 
 def _is_eps(d: tuple[int, ...]) -> bool:
@@ -55,19 +45,19 @@ def _is_eps(d: tuple[int, ...]) -> bool:
     return False
 
 
-def ext1_g1(ctx: BlockContext, i: int, j: int) -> ExtKind:
-    """Untwisted Ext^1 from the i-th to the j-th block simple.
+def ext1_g1_row(ctx: BlockContext, i: int) -> list[str]:
+    """Untwisted Ext^1 from the i-th block simple to each j-th, j = 0..n.
 
-    Standard representation when j = i - 1, its dual when j = i + 1, zero
-    otherwise (in particular on the diagonal).
+    "standard" (the standard representation) at j = i - 1, "dual" (its
+    dual) at j = i + 1, "zero" elsewhere, in particular at j = i.
     """
     check_index(ctx.n, i)
-    check_index(ctx.n, j)
-    if j == i - 1:
-        return ExtKind.STANDARD
-    if j == i + 1:
-        return ExtKind.DUAL
-    return ExtKind.ZERO
+    row = ["zero"] * (ctx.n + 1)
+    if i > 0:
+        row[i - 1] = "standard"
+    if i < ctx.n:
+        row[i + 1] = "dual"
+    return row
 
 
 def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
@@ -75,8 +65,8 @@ def ext1_g1t_dim(ctx: BlockContext, a: Label, b: Label) -> int:
     and b = (j, y).
 
     Equals the multiplicity of x - y in the untwisted Ext representation
-    (`ext1_g1`: standard toward j = i - 1, its dual toward j = i + 1, zero
-    otherwise), so it is 0 or 1, and it is symmetric in (a, b).
+    (`ext1_g1_row`: standard toward j = i - 1, its dual toward j = i + 1,
+    zero otherwise), so it is 0 or 1, and it is symmetric in (a, b).
     """
     check_label(ctx, a)
     check_label(ctx, b)

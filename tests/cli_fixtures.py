@@ -87,7 +87,8 @@ def cli_large():
     `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
     twisted in JSON and in text, and untwisted at i = 0 in full.  Then three
     JSON lists that span many chunks of rows: `proj --n 8 --i 2`, `ext --i`
-    at n = 60 and `jantzen --n 12 --i 0`.
+    at n = 60 and `jantzen --n 12 --i 0`.  Finally the whole `ext` table at
+    n = 60, in text and in JSON.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -121,6 +122,9 @@ def cli_large():
     yield ["proj", "--n", "8", "--p", "5", "--i", "2", "--format", "json"]
     yield ["ext", "--n", "60", "--p", "7", "--i", "30", "--format", "json"]
     yield ["jantzen", "--n", "12", "--p", "3", "--i", "0", "--format", "json"]
+    # The whole Ext^1 table past the grid's n = 3, in both formats.
+    for fmt in ("text", "json"):
+        yield ["ext", "--n", "60", "--p", "7", "--format", fmt]
 
 
 def fixtures():

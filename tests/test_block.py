@@ -18,7 +18,7 @@ from loewylab.block import (
     nu_weight,
 )
 from loewylab.chardim import dim_parabolic_verma
-from loewylab.ext import ext1_g1, ext1_g1t_dim, rad1_qhat
+from loewylab.ext import ext1_g1_row, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import add, fundamental, neg, rho, scale, sub, zero
 from loewylab.loewy import (
     composition_class_z_g1,
@@ -96,8 +96,7 @@ def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
         "rad_layers_z_g1": lambda i: rad_layers_z_g1(ctx, i),
         "composition_class_z_g1": lambda i: composition_class_z_g1(ctx, i),
         "rad1_qhat": lambda i: rad1_qhat(ctx, (i, (0, 0))),
-        "ext1_g1 i": lambda i: ext1_g1(ctx, i, 1),
-        "ext1_g1 j": lambda i: ext1_g1(ctx, 1, i),
+        "ext1_g1_row": lambda i: ext1_g1_row(ctx, i),
         "q_composition_mult_g1 i": lambda i: q_composition_mult_g1(ctx, i, 1),
         "q_composition_mult_g1 j": lambda i: q_composition_mult_g1(ctx, 1, i),
         "dim_parabolic_verma": lambda i: dim_parabolic_verma(ctx, i, "I"),

@@ -20,6 +20,7 @@ import loewylab
 import loewylab.chardim
 import loewylab.checks
 import loewylab.cli
+import loewylab.ext
 import loewylab.loewy
 import loewylab.projective
 from loewylab.cli import (
@@ -442,6 +443,30 @@ def test_ext_single_index_json(capsys):
         {"i": 1, "mult": 1, "nu": [0, -1]},
         {"i": 1, "mult": 1, "nu": [1, 0]},
     ]
+
+
+@pytest.mark.parametrize(
+    ("argv", "checked_indices"),
+    [
+        (["ext", "--n", "20", "--p", "5", "--format", "json"], list(range(21))),
+        (["ext", "--n", "20", "--p", "5", "--i", "3"], [3]),
+    ],
+    ids=["table", "one-index"],
+)
+def test_ext_checks_each_block_index_once(argv, checked_indices, capsys, monkeypatch):
+    # The table checks each of its n + 1 row indices once, and `--i` its one
+    # index, rather than both indices of every one of the (n+1)^2 entries.
+    checked = []
+    check = loewylab.ext.check_index
+
+    def counting(n, i):
+        checked.append(i)
+        check(n, i)
+
+    monkeypatch.setattr(loewylab.ext, "check_index", counting)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert checked == checked_indices
 
 
 EXT_2_5_1_NU_TEXT = """\

@@ -4,7 +4,7 @@ import pytest
 from oracles import as_labels, twists
 
 from loewylab.block import make_context
-from loewylab.ext import ExtKind, ext1_g1, ext1_g1t_dim, rad1_qhat
+from loewylab.ext import ext1_g1_row, ext1_g1t_dim, rad1_qhat
 from loewylab.lattice import add, eps_basis, fundamental, neg, scale, sub, zero
 from loewylab.loewy import verma_rows
 from loewylab.projective import cover_rows
@@ -12,11 +12,14 @@ from loewylab.projective import cover_rows
 
 def test_kind_matrix_rank_two():
     ctx = make_context(2, 5)
-    kinds = [[ext1_g1(ctx, i, j) for j in range(3)] for i in range(3)]
-    Z, S, D = ExtKind.ZERO, ExtKind.STANDARD, ExtKind.DUAL
-    assert kinds == [[Z, D, Z], [S, Z, D], [Z, S, Z]]
-    with pytest.raises(ValueError):
-        ext1_g1(ctx, 0, 3)
+    assert [ext1_g1_row(ctx, i) for i in range(3)] == [
+        ["zero", "dual", "zero"],
+        ["standard", "zero", "dual"],
+        ["zero", "standard", "zero"],
+    ]
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^block index i must be in \[0, 2\] \(got {i}\)$"):
+            ext1_g1_row(ctx, i)
 
 
 def test_descriptor_weights_and_dims():
@@ -99,9 +102,12 @@ def test_g1t_dim_refuses_labels_of_the_wrong_rank():
 
 def test_vanishing_off_adjacent_indices():
     ctx = make_context(3, 5)
-    for i, j in product(range(4), repeat=2):
-        if abs(i - j) != 1:
-            assert ext1_g1(ctx, i, j) is ExtKind.ZERO
+    for i in range(4):
+        row = ext1_g1_row(ctx, i)
+        assert len(row) == 4
+        for j, kind in enumerate(row):
+            if abs(i - j) != 1:
+                assert kind == "zero"
 
 
 def test_rad1_qhat_frozen_rank_one():

@@ -167,8 +167,8 @@ def test_layer_modules_build_no_labels_or_dataclasses():
     # A label is the pair (i, coords), a weight its coordinate tuple and a
     # Weyl element its image tuple, so there is no record module, no record
     # class and no `Weight`.  Certificates are tuples and Ext^1 kinds are
-    # `ExtKind` members.  No library module imports `dataclasses` or
-    # `typing`, whose imports cost more than the library's own modules.
+    # strings.  No library module imports `dataclasses`, `enum` or `typing`,
+    # whose imports cost more than the library's own modules.
     assert sorted(path.stem for path in SOURCES if path.stem == "record") == []
     found, imported = [], {}
     for path in SOURCES:
@@ -197,7 +197,7 @@ def test_layer_modules_build_no_labels_or_dataclasses():
     assert sorted(
         f"{stem}: {module}"
         for stem, modules in imported.items()
-        for module in modules & {"dataclasses", "typing"}
+        for module in modules & {"dataclasses", "enum", "typing"}
     ) == []
 
 
