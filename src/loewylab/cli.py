@@ -22,19 +22,21 @@ reruns are byte-identical; factor lists and a `jantzen` report's
 certificate rows are written from %-format templates (one per list, one
 per certificate row, whose text around the root is formatted once per
 witness and block index) instead of by json.dumps, which is slow with
-`indent`.  The JSON is written in two stages.  Before the first write runs
-everything that can raise, so an error leaves stdout empty: the payload,
-the skeleton's json.dumps (the text between lists) and its slot count,
-each list's templates and each Verma block's tail texts, and the whole
-text of a list written twice (a cover layer equal to its mirror).  During
-the one `sys.stdout.writelines` that writes the document, only the
-payload's ints are put into those templates and joined, a Verma layer one
-piece per head, factor rows and certificates 64 objects to a piece; no
-other list is held whole, and the document is never joined into one str.
-A text view returns its lines, built before the first write, and the same
-call writes each line and its newline.  A text view formats only the
-entries it prints: without --full, the first TRUNCATE_AT of each listing,
-its other counts read from lengths.  Sizes are closed forms, `_BUDGETS`
+`indent`.  Text labels, one template per rank `(%d; [%d,...,%d])`, and
+`block`'s text rows come from %-format templates too.  Both formats are
+written in two stages by one `sys.stdout.writelines`.  Before the first
+write runs everything that can raise, so an error leaves stdout empty:
+the payload, each list's templates and, for JSON, the skeleton's
+json.dumps (the text between lists) and its slot count, each Verma
+block's tail texts and the whole text of a list written twice (a cover
+layer equal to its mirror).  During the write, only the payload's ints
+are put into those templates and joined: a JSON Verma layer one piece per
+head, factor rows and certificates 64 objects to a piece, a text
+listing's layer and a `block` row one line each (other text views build
+their lines before); no other list is held whole, and the document is
+never joined into one str.  A text view formats only the entries it
+prints: without --full, the first TRUNCATE_AT of each listing, its other
+counts read from lengths.  Sizes are closed forms, `_BUDGETS`
 rows per subcommand, checked after the (n, p) hypotheses and `--i` and before any
 other work, the weight table's (n+1)·n ints included: a layer listing
 (2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
@@ -413,12 +415,8 @@ def _twist(args: SimpleNamespace, n: int) -> tuple[int, ...]:
     return (0,) * n
 
 
-def _fmt_coords(coords: tuple[int, ...] | list[int]) -> str:
-    return "[" + ",".join(str(c) for c in coords) + "]"
-
-
 def _object_str(kind: str, i: int, nu: tuple[int, ...]) -> str:
-    return f"{kind}(i={i}, nu={_fmt_coords(nu)})"
+    return f"{kind}(i={i}, nu=[{','.join(map(str, nu))}])"
 
 
 # A document's template-written lists go through json.dumps as this slot,
@@ -610,17 +608,18 @@ def _certificate_template(b: int) -> tuple[str, str]:
     )
 
 
-def _fmt_factor(i: int, coords: tuple[int, ...]) -> str:
-    return f"({i}; {_fmt_coords(coords)})"
+def _label_template(n: int) -> str:
+    """One label (i; [c_1,...,c_n]) of rank n >= 1 as a %-format template."""
+    return "(%d; [" + ",".join(["%d"] * n) + "])"
 
 
-def _truncate(parts, count: int, full: bool) -> list[str]:
-    """The `count` parts that the iterable `parts` yields, or without `full`
-    only the first TRUNCATE_AT of them and a "... (k more)" entry: the rest
-    are never taken, so never formatted."""
+def _truncate(parts: Iterator[str], count: int, full: bool) -> Iterator[str]:
+    """The `count` parts of the iterator `parts`, or without `full` only the
+    first TRUNCATE_AT of them and a "... (k more)" entry: the rest are never
+    taken, so never formatted."""
     if full or count <= TRUNCATE_AT:
-        return list(parts)
-    return [*islice(parts, TRUNCATE_AT), f"... ({count - TRUNCATE_AT} more)"]
+        return parts
+    return chain(islice(parts, TRUNCATE_AT), [f"... ({count - TRUNCATE_AT} more)"])
 
 
 # ---------------------------------------------------------------- commands
@@ -635,14 +634,12 @@ def cmd_block(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "block", "weights": rows}, 0
 
 
-def _block_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
-    lines = [f"singular block for SL({ctx.n + 1}), p = {ctx.p}: {ctx.n + 1} restricted weights"]
-    for row in payload["weights"]:
-        lines.append(
-            f"  i={row['i']}: lambda={_fmt_coords(row['lambda'])}  mu={_fmt_coords(row['mu'])}"
-            f"  lambda+rho={_fmt_coords(row['rho_shifted'])}"
-        )
-    return lines
+def _block_text(ctx: BlockContext, payload: dict, full: bool) -> Iterator[str]:
+    coords = ",".join(["%d"] * ctx.n)
+    row = f"  i=%d: lambda=[{coords}]  mu=[{coords}]  lambda+rho=[{coords}]"
+    head = f"singular block for SL({ctx.n + 1}), p = {ctx.p}: {ctx.n + 1} restricted weights"
+    rows = (row % (w["i"], *w["lambda"], *w["mu"], *w["rho_shifted"]) for w in payload["weights"])
+    return chain([head], rows)
 
 
 def cmd_layers(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -655,39 +652,41 @@ def cmd_layers(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     }, 0
 
 
-def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
+def _blocks_text(ctx: BlockContext, payload: dict, full: bool) -> Iterator[str]:
     """The text of a Verma listing, read off its blocks (t, heads, tails):
     a block has |heads|·|tails| labels (t, head + tail), each once."""
+    label = _label_template(ctx.n)
     layers = []
     for layer in payload["layers"]:
         blocks = layer["factors"]
         total = sum(len(heads) * len(tails) for _, heads, tails in blocks)
         parts = (
-            _fmt_factor(t, h + tail) for t, heads, tails in blocks for h in heads for tail in tails
+            label % (t, *h, *tail) for t, heads, tails in blocks for h in heads for tail in tails
         )
         layers.append((total, _truncate(parts, total, full)))
     return _listing_text(ctx, payload, layers)
 
 
-def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
+def _layers_text(ctx: BlockContext, payload: dict, full: bool) -> Iterator[str]:
     """The text of a cover listing, from its rows (i, nu, mult)."""
+    label = _label_template(ctx.n)
+    mult = "%d*" + label
     layers = []
     for layer in payload["layers"]:
         rows = layer["factors"]
-        parts = (_fmt_factor(u, c) if m == 1 else f"{m}*{_fmt_factor(u, c)}" for u, c, m in rows)
+        parts = (label % (u, *c) if m == 1 else mult % (m, u, *c) for u, c, m in rows)
         layers.append((sum(m for _, _, m in rows), _truncate(parts, len(rows), full)))
     return _listing_text(ctx, payload, layers)
 
 
-def _listing_text(ctx: BlockContext, payload: dict, layers: list[tuple[int, list[str]]]) -> list[str]:
-    """A layer listing's text, given each layer's (total multiplicity,
-    printed entries)."""
-    lines = [f"{payload['object']} radical layers, n={ctx.n}, p={ctx.p}"]
+def _listing_text(ctx: BlockContext, payload: dict, layers: list) -> Iterator[str]:
+    """A layer listing's lines, given each layer's (total multiplicity,
+    printed entries), each line formatted as it is taken."""
+    yield f"{payload['object']} radical layers, n={ctx.n}, p={ctx.p}"
     if payload[CONDITIONAL_FLAG_KEY]:
-        lines.append(f"note: {CONDITIONAL_FLAG_KEY} = true")
+        yield f"note: {CONDITIONAL_FLAG_KEY} = true"
     for layer, (total, parts) in zip(payload["layers"], layers):
-        lines.append(f"  rad_{layer['j']} ({total}): {'  '.join(parts)}")
-    return lines
+        yield f"  rad_{layer['j']} ({total}): {'  '.join(parts)}"
 
 
 def cmd_ext(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
@@ -710,8 +709,8 @@ def _ext_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
         for i, row in enumerate(payload["kinds"]):
             lines.append(f"  i={i}: " + "  ".join(f"{v:8s}" for v in row))
         return lines
-    cover = payload["rad1_cover"]
-    parts = (_fmt_factor(u, c) for u, c, _ in cover)
+    cover, label = payload["rad1_cover"], _label_template(ctx.n)
+    parts = (label % (u, *c) for u, c, _ in cover)
     return [
         f"{payload['object']}, n={ctx.n}, p={ctx.p}",
         "  Ext^1 kind toward each j: " + "  ".join(f"j={j}:{v}" for j, v in enumerate(payload["kinds"])),

@@ -87,8 +87,10 @@ def cli_large():
     `ext --i` at n = 300, whose 2n + 2 first-layer labels pass TRUNCATE_AT:
     twisted in JSON and in text, and untwisted at i = 0 in full.  Then three
     JSON lists that span many chunks of rows: `proj --n 8 --i 2`, `ext --i`
-    at n = 60 and `jantzen --n 12 --i 0`.  Finally the whole `ext` table at
-    n = 60, in text and in JSON.
+    at n = 60 and `jantzen --n 12 --i 0`.  Then the whole `ext` table at
+    n = 60, in text and in JSON.  Last, text past the grid: `proj --n 8 --i 2`
+    and `verma --n 14 --p 7 --i 7` in full, `block --n 40 --p 7` in text and
+    JSON, and the whole `jantzen --n 18 --p 7` report in full text.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -125,6 +127,14 @@ def cli_large():
     # The whole Ext^1 table past the grid's n = 3, in both formats.
     for fmt in ("text", "json"):
         yield ["ext", "--n", "60", "--p", "7", "--format", fmt]
+    # Text past the grid: a cover's multiplicity prefixes at scale, a whole
+    # Verma listing at p = 7 and a whole p = 7 report; block rows in both
+    # formats.
+    yield ["proj", "--n", "8", "--p", "5", "--i", "2", "--format", "text", "--full"]
+    yield ["verma", "--n", "14", "--p", "7", "--i", "7", "--format", "text", "--full"]
+    for fmt in ("text", "json"):
+        yield ["block", "--n", "40", "--p", "7", "--format", fmt]
+    yield ["jantzen", "--n", "18", "--p", "7", "--format", "text", "--full"]
 
 
 def fixtures():

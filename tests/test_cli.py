@@ -517,13 +517,14 @@ def test_text_listing_formats_only_the_labels_it_prints(capsys, monkeypatch):
     # Without --full, rad_j of the Verma at n=12 prints min(C(12, j),
     # TRUNCATE_AT) of its C(12, j) labels, and formats no others.
     formatted = []
-    fmt = loewylab.cli._fmt_factor
+    template = loewylab.cli._label_template
 
-    def recording(i, coords):
-        formatted.append(fmt(i, coords))
-        return formatted[-1]
+    class Recording(str):
+        def __mod__(self, values):
+            formatted.append(str.__mod__(self, values))
+            return formatted[-1]
 
-    monkeypatch.setattr(loewylab.cli, "_fmt_factor", recording)
+    monkeypatch.setattr(loewylab.cli, "_label_template", lambda n: Recording(template(n)))
     code, out, err = run_cli(["verma", "--n", "12", "--p", "5", "--i", "6"], capsys)
     assert code == 0 and err == ""
     layers = [line.split(": ", 1)[1].split("  ") for line in out.splitlines()[1:]]
@@ -1161,21 +1162,24 @@ class CountingStream(io.TextIOBase):
 
 
 @pytest.mark.parametrize("command, ratio", [
-    ("verma --n 13 --p 3 --i 6", 1 / 4),
-    ("jantzen --n 18 --p 7", 3 / 4),
-    ("ext --n 300 --p 5 --i 150", 2),
-], ids=["verma", "jantzen", "ext"])
+    ("verma --n 13 --p 3 --i 6 --format json", 1 / 4),
+    ("jantzen --n 18 --p 7 --format json", 3 / 4),
+    ("ext --n 300 --p 5 --i 150 --format json", 2),
+    ("verma --n 15 --p 3 --i 7 --full", 2),
+], ids=["verma", "jantzen", "ext", "verma-text"])
 def test_json_is_formatted_while_it_is_written(command, ratio):
     # The traced peak of a run stays under `ratio` times the document's
     # length: a Verma layer is formatted one head at a time, certificates
-    # and factor rows _CHUNK at a time, as `main` writes them.  Holding
-    # the document whole, as one str or as its pieces, peaks at about 1x
-    # (verma), 2.5x (jantzen, with its rows) and 3x (ext) its length.
+    # and factor rows _CHUNK at a time, as `main` writes them, and a text
+    # listing one layer's line at a time.  Holding the document whole, as
+    # one str or as its pieces, peaks at about 1x (verma), 2.5x (jantzen,
+    # with its rows) and 3x (ext) its length, and building every text line
+    # first at about 3.4x (verma-text, with each line's labels).
     stream = CountingStream()
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(stream), pytest.raises(SystemExit) as exc:
-            main(command.split() + ["--format", "json"])
+            main(command.split())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
