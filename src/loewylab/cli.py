@@ -32,8 +32,9 @@ block's tail texts and the whole text of a list written twice (a cover
 layer equal to its mirror).  During the write, only the payload's ints
 are put into those templates and joined: a JSON Verma layer one piece per
 head, factor rows and certificates 64 objects to a piece, a text
-listing's layer and a `block` row one line each (other text views build
-their lines before); no other list is held whole, and the document is
+listing's layer, a `block` row and a `jantzen` certificate or failure one
+line each (the `dim`, `verify` and `ext` text views build their lines
+before); no other list is held whole, and the document is
 never joined into one str.  A text view formats only the entries it
 prints: without --full, the first TRUNCATE_AT of each listing, its other
 counts read from lengths.  Sizes are closed forms, `_BUDGETS`
@@ -67,6 +68,7 @@ it before the output ends; nothing is written to stderr then.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -98,8 +100,9 @@ LAYER_BUDGET = 1 << 16
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels with
 # multiplicity of the n+1 covers it sums at nu = 0.  The largest one
-# admitted, n = 8, took about 1 s on a 2-core VM; the battery at n = 9, run
-# through the library, took about 4 s and 90 MB.
+# admitted, n = 8 at p = 7, took about 0.26 s and 30 MB, the median of fresh
+# processes on a 2-core VM; the battery at n = 9, run through the library,
+# took about 0.8 s and 65 MB.
 VERIFY_BUDGET = 1 << 20
 # `verify` is also refused above this many block weights, the (n+1)·(p-1)
 # weights of every block index at every twist parameter a in 1..p-1 that
@@ -204,6 +207,25 @@ _BUDGETS = {
 
 
 def main(argv: list[str] | None = None) -> None:
+    """Run one command line; exits by SystemExit with the command's code.
+
+    The cyclic garbage collector is off while the command runs, and on every
+    way out the caller's setting is put back.  A command's data are tuples,
+    lists and dicts of ints and strs, none of them in a cycle, so each pass
+    would traverse them and free nothing.  The one cycle a JSON command
+    makes, the closures of json.dumps' indenting encoder, is left to the
+    first pass after `main`.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> None:
     if argv is None:
         argv = sys.argv[1:]
     commands = _commands()
@@ -750,18 +772,22 @@ def cmd_jantzen(ctx: BlockContext, args: SimpleNamespace) -> tuple[dict, int]:
     return {"object": "jantzen", "report": report}, 0 if report["ok"] else 1
 
 
-def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> list[str]:
+def _jantzen_text(ctx: BlockContext, payload: dict, full: bool) -> Iterator[str]:
+    """A report's lines, each certificate and failure line formatted as it
+    is taken."""
     report = payload["report"]
     status = "OK" if report["ok"] else "FAILURES"
-    lines = [
+    head = (
         f"simplicity certificates, n={ctx.n}, p={ctx.p}: checked {report['checked']} pairs, "
         f"replayed {report['replayed']} closed forms: {status}"
-    ]
+    )
     rows = report["certificates"]
-    lines.extend(_truncate((_certificate_text(ctx.p, row) for row in rows), len(rows), full))
-    for f in report["failures"] + report["replay_failures"]:
-        lines.append(f"  FAIL i={f['i']} root={f['root']}: {f['reason']}")
-    return lines
+    failures = (
+        f"  FAIL i={f['i']} root={f['root']}: {f['reason']}"
+        for f in chain(report["failures"], report["replay_failures"])
+    )
+    certificates = (_certificate_text(ctx.p, row) for row in rows)
+    return chain([head], _truncate(certificates, len(rows), full), failures)
 
 
 def _certificate_text(p: int, row: CertificateRow) -> str:

@@ -238,10 +238,20 @@ def _scaled_root_coords(coords: Iterable[int]) -> list[int]:
 
 
 def in_root_lattice(w: tuple[int, ...]) -> bool:
-    """Whether `w` lies in the root lattice (integral root coordinates)."""
+    """Whether `w` lies in the root lattice (integral root coordinates).
+
+    With fundamental coordinates a, eps coefficients e_k = a_k + ... +
+    a_rank, P_k = e_1 + ... + e_k and S = e_1 + ... + e_(rank+1) =
+    sum_k k a_k, the k-th of rank + 1 times the root coordinates is
+    (rank + 1) P_k - k S (`_scaled_root_coords`).  So every one is
+    divisible by rank + 1 iff S is (k = 1): w's class in
+    P/Q = Z/(rank + 1) is S mod (rank + 1).
+
+    >>> in_root_lattice((1, 0)), in_root_lattice((1, 1))
+    (False, True)
+    """
     check_weight(w)
-    d = len(w) + 1
-    return all(num % d == 0 for num in _scaled_root_coords(w))
+    return sum(map(operator.mul, w, count(1))) % (len(w) + 1) == 0
 
 
 def leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:

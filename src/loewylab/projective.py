@@ -73,21 +73,26 @@ __all__ = [
 CONDITIONAL_FLAG_KEY = "conditional_on_loewy_length_conjecture"
 
 
+def _support_at(n: int, i: int, t: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """The filtration entries (t, eta, depth) of the cover of (i, 0) at one
+    t: the Verma lam_t + p eta, eta = -(head shift + tail shift) for each
+    label (i, shift) in layer `depth` of the Verma pattern at t."""
+    heads, tails, layers = _verma_pattern(n, t)
+    for depth, blocks in enumerate(layers):
+        for u, k, l in blocks:
+            if u != i:
+                continue
+            neg_tails = [tuple(map(neg, tail)) for tail in tails[l]]
+            for head in heads[k]:
+                neg_head = tuple(map(neg, head))
+                for neg_tail in neg_tails:
+                    yield t, neg_head + neg_tail, depth
+
+
 def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The filtration of the cover of (i, 0) as (t, eta, depth): the Verma
-    lam_t + p eta, eta = -(head shift + tail shift) for each label
-    (i, shift) in layer `depth` of the Verma pattern at t."""
-    for t in range(n + 1):
-        heads, tails, layers = _verma_pattern(n, t)
-        for depth, blocks in enumerate(layers):
-            for u, k, l in blocks:
-                if u != i:
-                    continue
-                neg_tails = [tuple(map(neg, tail)) for tail in tails[l]]
-                for head in heads[k]:
-                    neg_head = tuple(map(neg, head))
-                    for neg_tail in neg_tails:
-                        yield t, neg_head + neg_tail, depth
+    """The whole filtration of the cover of (i, 0) as (t, eta, depth), t
+    from 0 to n."""
+    return chain.from_iterable(_support_at(n, i, t) for t in range(n + 1))
 
 
 def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
@@ -97,9 +102,12 @@ def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     Row (t, eta, k) records that the simple sits in radical layer k of the
     baby Verma lam_t + p eta; the eta are nu minus the Verma layer formula's
     twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
-    finite and multiplicity-free.
+    finite and multiplicity-free.  At nu = 0 the filtration's rows are
+    returned untranslated.
     """
     i, v = check_label(ctx, label)
+    if not any(v):
+        return list(_support(ctx.n, i))
     return [(t, tuple(map(add, v, eta)), k) for t, eta, k in _support(ctx.n, i)]
 
 
@@ -233,13 +241,14 @@ def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     """Multiplicity of the baby Verma `verma` = (t, eta) in the cover of
     `target` = (i, nu coordinates) (0 or 1 here).
 
-    Counts the filtration entries at t whose shift is eta - nu, without
-    building the twisted `verma_support` rows.
+    Counts the filtration entries at t whose shift is eta - nu, reading
+    only Verma t's pattern and without building the twisted
+    `verma_support` rows.
     """
     t, eta = check_label(ctx, verma)
     i, v = check_label(ctx, target)
     shift = tuple(map(sub, eta, v))
-    return sum(1 for u, s, _ in _support(ctx.n, i) if u == t and s == shift)
+    return sum(1 for _, s, _ in _support_at(ctx.n, i, t) if s == shift)
 
 
 def q_composition_mult_g1(ctx: BlockContext, i: int, j: int) -> int:

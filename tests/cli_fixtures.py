@@ -90,7 +90,9 @@ def cli_large():
     at n = 60 and `jantzen --n 12 --i 0`.  Then the whole `ext` table at
     n = 60, in text and in JSON.  Last, text past the grid: `proj --n 8 --i 2`
     and `verma --n 14 --p 7 --i 7` in full, `block --n 40 --p 7` in text and
-    JSON, and the whole `jantzen --n 18 --p 7` report in full text.
+    JSON, and the whole `jantzen --n 18 --p 7` report in full text.  Last, the
+    `verify` battery at the benchmark's (n, p) = (4, 3), (5, 5), (5, 7),
+    (5, 11) and (6, 5), in text and JSON.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -135,6 +137,10 @@ def cli_large():
     for fmt in ("text", "json"):
         yield ["block", "--n", "40", "--p", "7", "--format", fmt]
     yield ["jantzen", "--n", "18", "--p", "7", "--format", "text", "--full"]
+    # The `verify` battery at the benchmark's sizes, in both formats.
+    for n, p in ((4, 3), (5, 5), (5, 7), (5, 11), (6, 5)):
+        for fmt in ("text", "json"):
+            yield ["verify", "--n", str(n), "--p", str(p), "--format", fmt]
 
 
 def fixtures():

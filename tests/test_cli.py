@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -1212,6 +1213,90 @@ def test_an_early_closing_reader_ends_the_run_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (first, code, err) == (b"{", 141, b"")
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its fd is a scratch file's, so `main`'s redirect of that fd to the null
+    device touches nothing else."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def collector_passes(argv):
+    """The exit code of `main(argv)` and the generations of the collector
+    passes run under it, with the collector enabled when it starts.
+
+    A pass counts when it runs in a library frame other than `main`'s own:
+    the first allocation after `main` puts the collector back may start one,
+    in `main` or in its caller, over what the command left.
+    """
+    passes = []
+
+    def hook(phase, info):
+        frame = sys._getframe(1) if phase == "start" else None
+        while frame is not None:
+            if frame.f_globals.get("__name__", "").startswith("loewylab.") \
+                    and frame.f_code is not main.__code__:
+                passes.append(info["generation"])
+                return
+            frame = frame.f_back
+
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+    finally:
+        gc.callbacks.remove(hook)
+    return exc.value.code or 0, passes
+
+
+def test_a_command_runs_no_collector_pass():
+    # A command builds no reference cycle, so the cyclic collector is off
+    # while it runs: a battery that allocates far past the collector's
+    # thresholds, and a refused input, run no pass.
+    assert collector_passes(["verify", "--n", "5", "--p", "7"]) == (0, [])
+    assert collector_passes(["verify", "--n", "5", "--p", "3"]) == (2, [])
+
+
+def test_main_puts_back_the_collector_setting_on_every_exit(monkeypatch, tmp_path):
+    # Exit 0, 1 (one check broken), 2 (p divides n + 1) and 141 (the reader
+    # of stdout has gone), each with the collector enabled and disabled
+    # before `main`: after it, the collector is as it was.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    was_enabled = gc.isenabled()
+    runs = [
+        (0, ["verify", "--n", "2", "--p", "5"], io.StringIO),
+        (1, ["verify", "--n", "2", "--p", "7"], io.StringIO),
+        (2, ["verify", "--n", "2", "--p", "3"], io.StringIO),
+        (141, ["verify", "--n", "2", "--p", "5"], lambda: ClosedPipe(fd)),
+    ]
+    try:
+        for enabled in (True, False):
+            for want, argv, stream in runs:
+                gc.enable() if enabled else gc.disable()
+                with monkeypatch.context() as patch:
+                    if want == 1:
+                        patch.setattr(loewylab.checks, "in_root_lattice", lambda w: True)
+                    with contextlib.redirect_stdout(stream()), \
+                            contextlib.redirect_stderr(io.StringIO()):
+                        with pytest.raises(SystemExit) as exc:
+                            main(argv)
+                assert exc.value.code == want
+                assert gc.isenabled() is enabled, (enabled, want)
+    finally:
+        os.close(fd)
+        gc.enable() if was_enabled else gc.disable()
 
 
 # ------------------------------------------------------- size budget

@@ -257,6 +257,15 @@ def test_leq_and_root_lattice_match_inverse_cartan():
             seen.add((n, member, below))
     assert {(n, below) for n, _, below in seen} == {(n, v) for n in range(1, 8) for v in (False, True)}
     assert {member for _, member, _ in seen} == {False, True}
+    # Every weight with coordinates in -3..3 up to rank 4: the class in P/Q
+    # against the inverse Cartan matrix, each class met at every rank.
+    for n in range(1, 5):
+        classes = set()
+        for a in product(range(-3, 4), repeat=n):
+            member = all(c % (n + 1) == 0 for c in scaled_root_coords(a))
+            assert in_root_lattice(a) == member, a
+            classes.add(member)
+        assert classes == {False, True}, n
     with pytest.raises(ValueError):
         leq(zero(2), zero(3))
 

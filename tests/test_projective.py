@@ -12,7 +12,7 @@ from loewylab.cli import main
 from loewylab.chardim import weyl_dim
 from loewylab.ext import rad1_qhat
 from loewylab.lattice import add, eps_basis, fundamental, neg, scale, sub, zero
-from loewylab.loewy import layer_sizes, verma_rows
+from loewylab.loewy import _verma_pattern, layer_sizes, verma_rows
 from loewylab.projective import (
     CONDITIONAL_FLAG_KEY,
     _decode,
@@ -208,6 +208,25 @@ def test_bgg_multiplicity():
                     if mult:
                         found.add((t, eta))
             assert found == support
+
+
+def test_bgg_multiplicity_reads_only_the_verma_patterns_own_t(monkeypatch):
+    # The multiplicity of (t, eta) reads the filtration at t alone: only
+    # Verma t's pattern is asked for, never the cover's other n of them.
+    ctx = make_context(3, 5)
+    asked = []
+
+    def recorder(n, t):
+        asked.append((n, t))
+        return _verma_pattern(n, t)
+
+    monkeypatch.setattr(loewylab.projective, "_verma_pattern", recorder)
+    for i in range(4):
+        for t in range(4):
+            for eta in ((0, 0, 0), (1, -1, 0)):
+                asked.clear()
+                bgg_multiplicity(ctx, (i, (0, 1, 0)), (t, eta))
+                assert asked == [(3, t)], (i, t, eta)
 
 
 def test_bgg_multiplicity_refuses_labels_of_the_wrong_rank():
