@@ -35,7 +35,7 @@ rho's pairing j - k, and yields every root's witness in turn.  Both split m
 unchecked (`_split`, which `jantzen_decompose` wraps in its checks).  Both
 kinds of certificate are re-verified from scratch against nu_i through the
 lattice's own table of nu_i's pairings (`lattice._pair_table`, running sums
-along each k, unchecked like `_pair`), never through the search's table:
+along each k, unchecked), never through the search's table:
 each root, beta0 and beta is one lookup in it, and a pair that is not a
 positive root has no entry and fails.  A searched certificate depends on
 its root only through the pairing m, and many roots share one witness: the
@@ -53,7 +53,7 @@ from itertools import accumulate
 from math import factorial, prod
 
 from .block import BlockContext, check_index, nu_weight
-from .lattice import _check_int, _pair, _pair_table, check_weight, fundamental, zero
+from .lattice import _check_int, _pair_table, check_weight, fundamental, zero
 
 __all__ = [
     "positive_roots",
@@ -91,8 +91,10 @@ def superfactorial(m: int) -> int:
 
 def _weyl_quotient(coords: tuple[int, ...], rank: int, shift: int, factor: int) -> int:
     """factor times the product of coords' pairings with the positive roots
-    of rank `rank` moved `shift` slots right, over 1! 2! ... rank!, exactly."""
-    num = prod(_pair(coords, k + shift, j + shift) for k, j in positive_roots(rank))
+    of rank `rank` moved `shift` slots right, over 1! 2! ... rank!, exactly.
+    The pairings are read from one table of coords' (`lattice._pair_table`)."""
+    pairing = _pair_table(coords)
+    num = prod(pairing[k + shift, j + shift] for k, j in positive_roots(rank))
     q, r = divmod(factor * num, superfactorial(rank))
     if r:
         raise RuntimeError(f"Weyl numerator must divide exactly (remainder {r} at {coords})")

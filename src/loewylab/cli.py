@@ -37,21 +37,10 @@ line each (the `dim`, `verify` and `ext` text views build their lines
 before); no other list is held whole, and the document is
 never joined into one str.  A text view formats only the entries it
 prints: without --full, the first TRUNCATE_AT of each listing, its other
-counts read from lengths.  Sizes are closed forms, `_BUDGETS`
-rows per subcommand, checked after the (n, p) hypotheses and `--i` and before any
-other work, the weight table's (n+1)·n ints included: a layer listing
-(2^n labels for `verma` and `verma-dual`, (n+1)·C(n,i)·2^n with
-multiplicity for `proj`) is refused above LAYER_BUDGET = 2^16 labels,
-`jantzen`, which checks (n+1)·n(n+1)/2 pairs, above PAIR_BUDGET = 2^14,
-`verify`, which sums the n+1 covers at nu = 0, (n+1)·4^n labels, above
-VERIFY_BUDGET = 2^20 or when it would check over TWIST_BUDGET = 2^17 block
-weights, (n+1)·(p-1), `block`, which writes 3n(n+1) weight coordinates,
-above BLOCK_BUDGET = 2^19, `dim`, which evaluates n(3n^2+1)/2 root
-pairings, above DIM_BUDGET = 2^19 or when the largest number it prints,
-p^(n(n+1)/2), has over DIGIT_BUDGET = 4300 digits (or the interpreter's
-lower limit on int-to-str conversion), and the `ext` table of
-(n+1)^2 Ext^1 kinds above EXT_BUDGET = 2^19; every subcommand is refused
-first when its weight table would hold over WEIGHT_BUDGET = 2^20 ints.
+counts read from lengths.  Work is refused up front by closed-form sizes,
+the weight table's row and then the subcommand's `_BUDGETS` rows, checked
+after the (n, p) hypotheses and `--i` and before any other work; each
+budget constant's comment says what it counts.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
 declared once in `_commands` (flags and the values set on the parsed
 arguments).  A plainly well-formed command line is parsed from that table
@@ -117,8 +106,8 @@ TWIST_BUDGET = 1 << 17
 BLOCK_BUDGET = 1 << 19
 # `dim` is refused above this many root pairings: n(n+1)/2 for each of the
 # n+1 simples' Weyl dimensions and n(n-1)/2 for each of the 2n parabolic
-# covers, n(3n^2+1)/2 in all.  The largest one admitted, n = 70, took about
-# 1.3 s on a 2-core VM; n = 200 ran for more than a minute.
+# covers, n(3n^2+1)/2 in all.  The largest one admitted, n = 70 at p = 7,
+# took about 0.47 s, the median of fresh processes on a 2-core VM.
 DIM_BUDGET = 1 << 19
 # The `ext` table is refused above this many Ext^1 kinds, (n+1)^2 at rank n.
 # The largest one admitted, n = 723, took about 0.3 s and 65 MB with
@@ -261,7 +250,9 @@ def _run(argv: list[str] | None) -> None:
     except BrokenPipeError:
         # The reader closed early.  Point fd 1 at the null device, so the
         # interpreter's last flush of what is still buffered is silent.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         raise SystemExit(141) from None
     raise SystemExit(code)
 
@@ -563,14 +554,12 @@ def _blocks_json(blocks: list[Block]) -> Iterator[str]:
     are taken, and all objects of one head are one join, one piece: each
     object preceded by the ",\n" between objects, which the layer's first
     object drops.  The head text ends in the coordinates' ",\n" separator
-    unless heads or tails are () (i = 0 or i = n).  Layers are never empty;
-    blocks without heads or tails add nothing.
+    unless heads or tails are () (i = 0 or i = n).  Layers are never empty,
+    and neither are a block's heads and tails.
     """
     opening, coord, close = _factor_template(6)
     parts = []
     for t, heads, tails in blocks:
-        if not (heads and tails):
-            continue
         sep = ",\n" if heads[0] and tails[0] else ""
         head = ",\n" + opening % (t, 1) + ",\n".join([coord] * len(heads[0])) + sep
         tail = ",\n".join([coord] * len(tails[0])) + close

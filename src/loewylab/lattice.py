@@ -15,10 +15,10 @@ conventions are the usual type-A ones:
 
 Everything here is exact integer arithmetic; no floats.  A weight from a
 caller is checked by `check_weight` (a nonempty tuple of exact ints), which
-every function here that takes one calls; `_pair` pairs a weight the
-library built itself, unchecked, and `_pair_table` pairs it with every
-positive root at once.  Every scalar from a caller (a rank, an index, a
-prime) is checked by `_check_int`, the library's one exact-int check.
+every function here that takes one calls; `_pair_table` pairs a weight
+the library built itself with every positive root at once, unchecked.
+Every scalar from a caller (a rank, an index, a prime) is checked by
+`_check_int`, the library's one exact-int check.
 
 >>> pair(rho(3), 1, 4)
 3
@@ -203,17 +203,11 @@ def pair(w: tuple[int, ...], k: int, j: int) -> int:
     _check_int("j", j)
     if not 1 <= k < j <= len(w) + 1:
         raise ValueError(f"(k, j) = ({k}, {j}) is not a positive root index")
-    return _pair(w, k, j)
-
-
-def _pair(coords: tuple[int, ...], k: int, j: int) -> int:
-    """`pair` of a weight and a positive root index the library built,
-    unchecked."""
-    return sum(coords[k - 1 : j - 1])
+    return sum(w[k - 1 : j - 1])
 
 
 def _pair_table(coords: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    """`_pair` of a weight the library built against every positive root,
+    """`pair` of a weight the library built against every positive root,
     as root (k, j) -> pairing, unchecked.
 
     Row k is the running sum of a_k, a_{k+1}, ..., so (k, j) reads
@@ -226,26 +220,14 @@ def _pair_table(coords: tuple[int, ...]) -> dict[tuple[int, int], int]:
     return table
 
 
-def _scaled_root_coords(coords: Iterable[int]) -> list[int]:
-    # (rank + 1) times the simple-root coordinates of the weight with these
-    # fundamental coordinates, exact integers: with e its eps coefficients,
-    # P_k = e_1 + ... + e_k and S = P_{rank+1}, the k-th is
-    # (rank + 1) P_k - k S.
-    eps = list(accumulate(reversed(tuple(coords))))[::-1]
-    d = len(eps) + 1
-    total = sum(eps)
-    return [d * prefix - k * total for k, prefix in enumerate(accumulate(eps), start=1)]
-
-
 def in_root_lattice(w: tuple[int, ...]) -> bool:
     """Whether `w` lies in the root lattice (integral root coordinates).
 
     With fundamental coordinates a, eps coefficients e_k = a_k + ... +
     a_rank, P_k = e_1 + ... + e_k and S = e_1 + ... + e_(rank+1) =
     sum_k k a_k, the k-th of rank + 1 times the root coordinates is
-    (rank + 1) P_k - k S (`_scaled_root_coords`).  So every one is
-    divisible by rank + 1 iff S is (k = 1): w's class in
-    P/Q = Z/(rank + 1) is S mod (rank + 1).
+    (rank + 1) P_k - k S.  So every one is divisible by rank + 1 iff S is
+    (k = 1): w's class in P/Q = Z/(rank + 1) is S mod (rank + 1).
 
     >>> in_root_lattice((1, 0)), in_root_lattice((1, 1))
     (False, True)
@@ -264,9 +246,15 @@ def leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     False
     """
     _check_same_rank(a, b)
-    d = len(a) + 1
-    diff = map(operator.sub, b, a)
-    return all(num >= 0 and num % d == 0 for num in _scaled_root_coords(diff))
+    # rank + 1 times the k-th root coordinate of b - a is (rank + 1) P_k - k S
+    # over its eps coefficients, as in `in_root_lattice`: all are divisible
+    # by rank + 1 iff S is, and each is nonnegative iff (rank + 1) P_k >= k S.
+    eps = list(accumulate(map(operator.sub, b[::-1], a[::-1])))[::-1]
+    d = len(eps) + 1
+    total = sum(eps)
+    return total % d == 0 and all(
+        d * prefix >= k * total for k, prefix in enumerate(accumulate(eps), start=1)
+    )
 
 
 def restricted_decompose(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

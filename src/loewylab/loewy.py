@@ -21,12 +21,11 @@ the triples pick the translated lists by index.  `verma_blocks` returns the
 layers, index 0 = head for radical series, in that product form: blocks
 (t, heads, tails) whose labels are (t, head + tail).  The command line
 writes a listing from the blocks, so it formats each head and tail once
-and never builds the 2^n labels.  `verma_rows` is their flattening
-(`flatten_blocks`), each layer as rows (block index, twist coordinates,
-multiplicity) in (block index, twist) order, and `dual_verma_rows` the
-same rows reversed; the `verify` battery reads those.  The two-layer
-parabolic covers are rows too (`parabolic_m_structure`), so no layer
-leaves the module as labels.
+and never builds the 2^n labels.  `verma_rows` is their flattening, each
+layer as rows (block index, twist coordinates, multiplicity) in (block
+index, twist) order, and `dual_verma_rows` the same rows reversed; the
+`verify` battery reads those.  The two-layer parabolic covers are rows
+too (`parabolic_m_structure`), so no layer leaves the module as labels.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .block import BlockContext, Label, check_index, check_label
 __all__ = [
     "rad_layers_z_g1",
     "verma_blocks",
-    "flatten_blocks",
     "verma_rows",
     "dual_verma_rows",
     "composition_class_z_g1",
@@ -106,22 +104,17 @@ def _verma_pattern(n: int, i: int) -> tuple[tuple, tuple, tuple]:
     """The radical layers of the baby Verma lam_i at nu = 0, as
     (heads, tails, layers).
 
-    heads[k] lists the head shifts -eps_X with |X| = k and tails[l] the tail
-    shifts +eps_Y with |Y| = l, each sorted and duplicate-free.  Layer j
-    holds one triple (t, k, j - k) per k with t = i + j - 2k <= n, in
-    increasing t: its labels are (t, head + tail) for every head in
-    heads[k] and tail in tails[j - k], distinct and, triple by triple, in
-    lexicographic order.  A layer may ask for more tail slots than the
-    n - i there are; that triple's tails are empty.
+    heads[k] lists the head shifts -eps_X with |X| = k <= i and tails[l]
+    the tail shifts +eps_Y with |Y| = l <= n - i, each sorted,
+    duplicate-free and nonempty.  Layer j holds one triple (t, k, j - k)
+    per k with j - k <= n - i, in increasing t = i + j - 2k (at most n):
+    its labels are (t, head + tail) for every head in heads[k] and tail in
+    tails[j - k], distinct and, triple by triple, in lexicographic order.
     """
     heads = tuple(_half_shifts(i, k, True) for k in range(i + 1))
-    tails = tuple(_half_shifts(n - i, k, False) for k in range(n + 1))
+    tails = tuple(_half_shifts(n - i, l, False) for l in range(n - i + 1))
     layers = tuple(
-        tuple(
-            (i + j - 2 * k, k, j - k)
-            for k in range(min(i, j), -1, -1)
-            if i + j - 2 * k <= n
-        )
+        tuple((i + j - 2 * k, k, j - k) for k in range(min(i, j), -1, -1) if j - k <= n - i)
         for j in range(n + 1)
     )
     return heads, tails, layers
@@ -151,20 +144,18 @@ def verma_blocks(ctx: BlockContext, label: Label) -> list[list[Block]]:
     return [[(t, heads[k], tails[l]) for t, k, l in layer] for layer in layers]
 
 
-def flatten_blocks(blocks: list[Block]) -> list[Row]:
-    """The rows (t, head + tail, 1) of one layer's blocks, in block order and
-    head-major within a block."""
-    return [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
-
-
 def verma_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:
     """Radical layers of the baby Verma with label (i, nu coordinates), as
     rows (block index, twist coordinates, multiplicity).
 
-    Each layer's rows are in (block index, twist coordinates) order, and
-    every multiplicity is one.
+    Each layer's rows are its blocks' labels (t, head + tail), in block
+    order and head-major within a block, so in (block index, twist
+    coordinates) order, and every multiplicity is one.
     """
-    return [flatten_blocks(blocks) for blocks in verma_blocks(ctx, label)]
+    return [
+        [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
+        for blocks in verma_blocks(ctx, label)
+    ]
 
 
 def dual_verma_rows(ctx: BlockContext, label: Label) -> list[list[Row]]:

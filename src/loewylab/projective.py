@@ -89,12 +89,6 @@ def _support_at(n: int, i: int, t: int) -> Iterator[tuple[int, tuple[int, ...], 
                     yield t, neg_head + neg_tail, depth
 
 
-def _support(n: int, i: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The whole filtration of the cover of (i, 0) as (t, eta, depth), t
-    from 0 to n."""
-    return chain.from_iterable(_support_at(n, i, t) for t in range(n + 1))
-
-
 def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     """All baby Vermas whose layers contain the simple with label
     (i, nu coordinates), as rows (t, eta coordinates, depth).
@@ -102,13 +96,14 @@ def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     Row (t, eta, k) records that the simple sits in radical layer k of the
     baby Verma lam_t + p eta; the eta are nu minus the Verma layer formula's
     twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
-    finite and multiplicity-free.  At nu = 0 the filtration's rows are
-    returned untranslated.
+    finite and multiplicity-free.  The rows come t by t (`_support_at`),
+    t from 0 to n, and at nu = 0 they are returned untranslated.
     """
     i, v = check_label(ctx, label)
+    support = chain.from_iterable(_support_at(ctx.n, i, t) for t in range(ctx.n + 1))
     if not any(v):
-        return list(_support(ctx.n, i))
-    return [(t, tuple(map(add, v, eta)), k) for t, eta, k in _support(ctx.n, i)]
+        return list(support)
+    return [(t, tuple(map(add, v, eta)), k) for t, eta, k in support]
 
 
 _BASE = 256

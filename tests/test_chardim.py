@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 import loewylab.chardim
+import loewylab.lattice
 from loewylab.block import make_context, nu_weight
 from loewylab.chardim import (
     _closed_forms,
@@ -16,7 +17,8 @@ from loewylab.chardim import (
     weyl_dim,
     witness_search,
 )
-from loewylab.lattice import _pair, _pair_table, fundamental, pair, rho, zero
+from loewylab.checks import dimension_table, identities_hold
+from loewylab.lattice import _pair_table, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
 from oracles import certificate_ok, pairings
 
@@ -341,28 +343,48 @@ def test_searched_certificates_are_verified_without_the_table(monkeypatch):
     assert report["certificates"] == [] and report["replay_failures"] == []
 
 
-def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
-    # Re-verification reads one lattice pairing table per nu_i
-    # (`lattice._pair_table`), and the closed forms pair lam_i through one
-    # list of its prefix sums, never through `lattice._pair`.  A search that
-    # scans every root with the lattice pairing (632,433 calls here) fails.
-    tables, pairs = [0], [0]
+def count_pair_tables(monkeypatch):
+    """Patch `chardim._pair_table` and `lattice.pair`, in `lattice` and as
+    `chardim.pair`, to count their calls; returns [tables, pairs]."""
+    calls = [0, 0]
+    real_pair = loewylab.lattice.pair
 
     def counting_table(coords):
-        tables[0] += 1
+        calls[0] += 1
         return _pair_table(coords)
 
     def counting_pair(w, k, j):
-        pairs[0] += 1
-        return _pair(w, k, j)
+        calls[1] += 1
+        return real_pair(w, k, j)
 
     monkeypatch.setattr(loewylab.chardim, "_pair_table", counting_table)
-    monkeypatch.setattr(loewylab.chardim, "_pair", counting_pair)
+    monkeypatch.setattr(loewylab.lattice, "pair", counting_pair)
+    monkeypatch.setattr(loewylab.chardim, "pair", counting_pair, raising=False)
+    return calls
+
+
+def test_block_sweep_pair_calls_are_linear_in_roots(monkeypatch):
+    # Re-verification reads one lattice pairing table per nu_i
+    # (`lattice._pair_table`), and the closed forms pair lam_i through one
+    # list of its prefix sums, never root by root through `lattice.pair`.
+    # A search that scans every root with the lattice pairing (632,433
+    # calls here) fails.
+    calls = count_pair_tables(monkeypatch)
     n = 18
     report = check_block_simplicity(make_context(n, 7))
     assert report["ok"]
-    assert tables[0] == n + 1
-    assert pairs[0] == 0 and report["checked"] == (n + 1) * n * (n + 1) // 2
+    assert calls == [n + 1, 0] and report["checked"] == (n + 1) * n * (n + 1) // 2
+
+
+def test_dimension_table_reads_one_pair_table_per_weight(monkeypatch):
+    # Each of the n + 1 Weyl dimensions and the 2n parabolic cover
+    # dimensions reads its pairings from one table of its weight, never
+    # root by root.
+    calls = count_pair_tables(monkeypatch)
+    n = 5
+    table = dimension_table(make_context(n, 7))
+    assert identities_hold(table) and table["conservation_ok"]
+    assert calls == [(n + 1) + 2 * n, 0]
 
 
 def unshared_sweep(ctx):

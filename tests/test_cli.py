@@ -1299,6 +1299,38 @@ def test_main_puts_back_the_collector_setting_on_every_exit(monkeypatch, tmp_pat
         gc.enable() if was_enabled else gc.disable()
 
 
+def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path):
+    # On exit 141 `main` points stdout's fd at the null device through a
+    # descriptor of its own, and closes that descriptor again: runs in one
+    # process leave no descriptor open.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    real_open, opened = os.open, []
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(loewylab.cli.os, "open", recording_open)
+    try:
+        for _ in range(3):
+            with contextlib.redirect_stdout(ClosedPipe(fd)), contextlib.redirect_stderr(io.StringIO()):
+                with pytest.raises(SystemExit) as exc:
+                    main(["block", "--n", "2", "--p", "5"])
+            assert exc.value.code == 141
+    finally:
+        monkeypatch.undo()
+        os.close(fd)
+    left_open = []
+    for opened_fd in opened:
+        try:
+            os.fstat(opened_fd)
+        except OSError:
+            continue
+        left_open.append(opened_fd)
+        os.close(opened_fd)
+    assert len(opened) == 3 and left_open == []
+
+
 # ------------------------------------------------------- size budget
 
 LAYER_SIZES = {

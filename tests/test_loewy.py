@@ -10,7 +10,6 @@ from loewylab.lattice import add, check_weight, eps_basis, fundamental, neg, rho
 from loewylab.loewy import (
     composition_class_z_g1,
     dual_verma_rows,
-    flatten_blocks,
     layer_sizes,
     parabolic_m_structure,
     rad_layers_z_g1,
@@ -296,7 +295,7 @@ def test_verma_rows_flatten_verma_blocks():
                     [(t, head + tail, 1) for t, heads, tails in blocks for head in heads for tail in tails]
                     for blocks in layers
                 ]
-                assert verma_rows(ctx, (i, nu)) == flat == [flatten_blocks(b) for b in layers]
+                assert verma_rows(ctx, (i, nu)) == flat
                 for blocks in layers:
                     ts = [t for t, _, _ in blocks]
                     assert all(a < b for a, b in zip(ts, ts[1:]))
@@ -306,6 +305,22 @@ def test_verma_rows_flatten_verma_blocks():
                 for rows in flat:
                     keys = [(u, c) for u, c, _ in rows]
                     assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_verma_pattern_blocks_are_never_empty():
+    # Layer j's triples (t, k, l) are the pairs |X| = k <= i, |Y| = l <= n - i
+    # of the layer formula: each names a nonempty head list and a nonempty
+    # tail list, and there are tails for l = 0..n - i only.
+    for n in range(1, 8):
+        for i in range(n + 1):
+            heads, tails, layers = loewylab.loewy._verma_pattern(n, i)
+            assert len(heads) == i + 1 and len(tails) == n - i + 1, (n, i)
+            for j, layer in enumerate(layers):
+                assert layer, (n, i, j)
+                for t, k, l in layer:
+                    assert k + l == j and t == i + j - 2 * k, (n, i, j)
+                    assert 0 <= k < len(heads) and heads[k], (n, i, j, k)
+                    assert 0 <= l < len(tails) and tails[l], (n, i, j, l)
 
 
 def test_g1t_labels_behave_like_validated_ones():

@@ -361,7 +361,7 @@ def test_cover_rows_need_no_verma_and_no_support(monkeypatch):
 
     monkeypatch.setattr(loewylab.loewy, "_verma_pattern", refuse)
     monkeypatch.setattr(loewylab.projective, "_verma_pattern", refuse)
-    monkeypatch.setattr(loewylab.projective, "_support", refuse)
+    monkeypatch.setattr(loewylab.projective, "_support_at", refuse)
     loewylab.projective._sign_class.cache_clear()
     for (n, i, nu), rows in expected.items():
         assert cover_rows(make_context(n, 7), (i, nu)) == rows
