@@ -146,9 +146,8 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
 
     For 1 <= a <= p - 1 the family at fixed a is a block of its own; the
     canonical table stored in the context is a = 1.  All coordinates are
-    p - 1 except: coordinate 1 is a - 1 when i = 0; coordinate n is
-    p - a - 1 when i = n; otherwise coordinate i is p - a - 1 and
-    coordinate i + 1 is a - 1.  Raises TypeError unless i and a are exact
+    p - 1 except: coordinate i is p - a - 1 when i > 0, and coordinate
+    i + 1 is a - 1 when i < n.  Raises TypeError unless i and a are exact
     ints.
     """
     n, p = ctx.n, ctx.p
@@ -157,12 +156,9 @@ def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
     if not 1 <= a <= p - 1:
         raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
     coords = [p - 1] * n
-    if i == 0:
-        coords[0] = a - 1
-    elif i == n:
-        coords[n - 1] = p - a - 1
-    else:
+    if i > 0:
         coords[i - 1] = p - a - 1
+    if i < n:
         coords[i] = a - 1
     return tuple(coords)
 

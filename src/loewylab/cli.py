@@ -22,9 +22,11 @@ reruns are byte-identical; factor lists and a `jantzen` report's
 certificate rows are written from %-format templates (one per list, one
 per certificate row, whose text around the root is formatted once per
 witness and block index) instead of by json.dumps, which is slow with
-`indent`.  Text labels, one template per rank `(%d; [%d,...,%d])`, and
-`block`'s text rows come from %-format templates too.  Both formats are
-written in two stages by one `sys.stdout.writelines`.  Before the first
+`indent`, into the slots of one json.dumps skeleton, which has none for a
+document with no such list.  Text labels, one template per rank
+`(%d; [%d,...,%d])`, and `block`'s text rows come from %-format
+templates too.  Both formats are written in two stages by one
+`sys.stdout.writelines`.  Before the first
 write runs everything that can raise, so an error leaves stdout empty:
 the payload, each list's templates and, for JSON, the skeleton's
 json.dumps (the text between lists) and its slot count, each Verma
@@ -40,7 +42,8 @@ prints: without --full, the first TRUNCATE_AT of each listing, its other
 counts read from lengths.  Work is refused up front by closed-form sizes,
 the weight table's row and then the subcommand's `_BUDGETS` rows, checked
 after the (n, p) hypotheses and `--i` and before any other work; each
-budget constant's comment says what it counts.
+budget constant's comment says what it counts.  So is a twist that could
+put a label coordinate past the digit budget (`_twist`).
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
 declared once in `_commands` (flags and the values set on the parsed
 arguments).  A plainly well-formed command line is parsed from that table
@@ -287,10 +290,11 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
     cover's are rows (i, nu, mult), which carry multiplicities and have no
     product form) and whether the result is conditional on the Loewy length
     conjecture; a Verma also sets its factor writer, `_blocks_json`
-    (`_dump_json` writes rows by default).
+    (`_dump_json` writes rows by default).  A twisted command sets how far
+    its labels reach from the twist in a coordinate: 2 for a cover, else 1.
     """
     verma = {"func": cmd_layers, "render": _blocks_text, "factors_json": _blocks_json,
-             "conditional": False}
+             "conditional": False, "reach": 1}
     return {
         "block": ("the block's weight table", _BASIC, {"func": cmd_block, "render": _block_text}),
         "verma": ("radical layers of a baby Verma module", _LISTING,
@@ -300,10 +304,10 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
                         "layers_of": lambda ctx, label: verma_blocks(ctx, label)[::-1]}),
         "proj": ("radical layers of a projective cover (conditional)", _LISTING,
                  {"func": cmd_layers, "render": _layers_text, "conditional": True, "kind": "Qhat",
-                  "layers_of": cover_rows}),
+                  "layers_of": cover_rows, "reach": 2}),
         "ext": ("Ext^1 table, or one simple's Ext neighbourhood",
                 (*_LISTING[:-1], ("i", int, False, "block index; omit for the full table", None)),
-                {"func": cmd_ext, "render": _ext_text}),
+                {"func": cmd_ext, "render": _ext_text, "reach": 1}),
         "dim": ("dimensions of simples and parabolic covers", _BASIC,
                 {"func": cmd_dim, "render": _dim_text}),
         "jantzen": ("witness certificates for block simplicity",
@@ -421,11 +425,19 @@ def _csv_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
 
 
 def _twist(args: SimpleNamespace, n: int) -> tuple[int, ...]:
+    """The twist of --eps or --nu, else 0: refused if a label within its
+    command's reach could have a coordinate past `_digit_budget()` digits."""
+    nu = (0,) * n
     if args.eps is not None:
-        return from_eps(_csv_ints(args.eps, n + 1, "eps"))
-    if args.nu is not None:
-        return _csv_ints(args.nu, n, "nu")
-    return (0,) * n
+        nu = from_eps(_csv_ints(args.eps, n + 1, "eps"))
+    elif args.nu is not None:
+        nu = _csv_ints(args.nu, n, "nu")
+    top, limit = max(map(abs, nu)) + args.reach, _digit_budget()
+    # top < 2^(3 limit) < 10^limit passes without computing 10^limit.
+    if top.bit_length() > 3 * limit and top >= 10**limit:
+        raise ValueError(f"{args.command} with this twist would print a label coordinate "
+                         f"over the budget of {limit} digits")
+    return nu
 
 
 def _object_str(kind: str, i: int, nu: tuple[int, ...]) -> str:
@@ -440,7 +452,7 @@ _SLOT_JSON = '"\\u0000rows"'
 _CHUNK = 64
 
 
-def _dump_json(doc: dict, factors_json=None) -> Iterable[str]:
+def _dump_json(doc: dict, factors_json=None) -> Iterator[str]:
     """`json.dumps(doc, sort_keys=True, indent=2)` as str pieces whose
     concatenation is that text, byte for byte, where the factor rows
     of a layer listing or of `ext --i` stand for the objects
@@ -451,10 +463,11 @@ def _dump_json(doc: dict, factors_json=None) -> Iterable[str]:
     (the default) for rows, `_blocks_json` for a Verma's blocks.
 
     With `indent` set, json.dumps runs its pure-Python encoder, which spends
-    most of a long document's time on its rows.  So each factor list and a
-    jantzen report's certificate list are dumped as slots, and each slot is
-    filled from %-format templates: one factor object per list for its
-    rank, one per certificate for its number of betas.
+    most of a long document's time on its rows.  So each such list is a
+    slot of the skeleton json.dumps writes, and one loop fills every slot
+    from %-format templates: one factor object per list for its rank, one
+    per certificate for its number of betas.  A document with no such list
+    (`block`, `dim`, `verify`, the `ext` table) is a skeleton of no slots.
 
     The work is split in two stages.  This call runs everything that can
     raise, before `main`'s first write, so an error leaves stdout empty:
@@ -469,40 +482,29 @@ def _dump_json(doc: dict, factors_json=None) -> Iterable[str]:
     No other list is held whole, and the document is never joined into one
     str nor encoded whole into one bytes object.
     """
+    lists, write = [], factors_json or _factors_json
     if "layers" in doc:
-        factors_json = factors_json or _factors_json
-        factors = [layer["factors"] for layer in doc["layers"]]
-        last = len(factors) - 1
-        twice = [j < last - j and rows == factors[last - j] for j, rows in enumerate(factors)]
-        lists = []
-        for j, rows in enumerate(factors):
-            if twice[last - j]:
-                lists.append(lists[last - j])
-            else:
-                text = factors_json(rows)
-                lists.append(list(text) if twice[j] else text)
+        lists = [layer["factors"] for layer in doc["layers"]]
         doc = {**doc, "layers": [{**layer, "factors": _SLOT} for layer in doc["layers"]]}
     elif "rad1_cover" in doc:
-        lists = [_factors_json(doc["rad1_cover"], 2)]
+        lists, write = [doc["rad1_cover"]], lambda rows: _factors_json(rows, 2)
         doc = {**doc, "rad1_cover": _SLOT}
     elif "report" in doc:
-        lists = [_certificates_json(doc["report"]["certificates"])]
+        lists, write = [doc["report"]["certificates"]], _certificates_json
         doc = {**doc, "report": {**doc["report"], "certificates": _SLOT}}
-    else:
-        return [json.dumps(doc, sort_keys=True, indent=2)]
     skeleton = json.dumps(doc, sort_keys=True, indent=2).split(_SLOT_JSON)
     if len(skeleton) != len(lists) + 1:
         raise RuntimeError(f"{len(skeleton) - 1} slots in the JSON of {len(lists)} template-written lists")
-    return _filled(skeleton, lists)
-
-
-def _filled(skeleton: list[str], lists: list[Iterable[str]]) -> Iterator[str]:
-    """The skeleton's text between slots, each slot replaced by its list's
-    pieces."""
-    yield skeleton[0]
-    for text, piece in zip(lists, skeleton[1:]):
-        yield from text
-        yield piece
+    # A list equal to its mirror's is formatted once and held for it.
+    pieces, held, last = [skeleton[:1]], {}, len(lists) - 1
+    for j, (rows, after) in enumerate(zip(lists, skeleton[1:])):
+        text = held.pop(j, None)
+        if text is None:
+            text = write(rows)
+            if j < last - j and rows == lists[last - j]:
+                text = held[last - j] = list(text)
+        pieces += [text, [after]]
+    return chain.from_iterable(pieces)
 
 
 def _chunked(rows: list, format_chunk, close: str) -> Iterator[str]:

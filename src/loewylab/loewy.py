@@ -62,7 +62,8 @@ def rad_layers_z_g1(ctx: BlockContext, i: int) -> list[dict[int, int]]:
         for k in range(0, min(i, j) + 1):
             t = i + j - 2 * k
             mult = comb(i, k) * comb(n - i, j - k)
-            if 0 <= t <= n and mult:
+            # mult > 0 forces j - k <= n - i, so t = (i - k) + (j - k) is in [0, n].
+            if mult:
                 layer[t] = mult
         layers.append(layer)
     return layers

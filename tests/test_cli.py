@@ -1582,6 +1582,37 @@ def test_dim_digit_budget_reads_the_limit_when_it_runs(capsys):
     assert code == 0 and err == "" and len(str(json.loads(out)["verma_dimension"])) == 693
 
 
+def test_twists_past_the_digit_limit_are_refused_before_any_output(capsys):
+    # A label lies at most its command's reach (1 for a Verma and `ext --i`,
+    # 2 for a cover) from the twist in each coordinate.  A twist, by --nu or
+    # by --eps, that could put a label coordinate past the int-to-str limit
+    # as it stands when `main` runs is refused in either format with one
+    # error line and nothing written, not met by a ValueError mid-write;
+    # the largest coordinates admitted print.
+    default = sys.get_int_max_str_digits()
+    top = 10**640
+    sys.set_int_max_str_digits(640)
+    try:
+        for command, reach in (("verma", 1), ("verma-dual", 1), ("proj", 2), ("ext", 1)):
+            argv = [command, "--n", "2", "--p", "5", "--i", "1", "--full"]
+            refused = (
+                f"--nu={top - reach},0", f"--nu=0,{reach - top}", f"--eps={top - reach},0,0",
+                f"--eps={top // 2},{-top // 2},0",
+            )
+            admitted = (f"--nu={top - reach - 1},{reach + 1 - top}", f"--eps={top - reach - 1},0,0")
+            for fmt in ("text", "json"):
+                for twist in refused:
+                    assert run_cli(argv + [twist, "--format", fmt], capsys) == (
+                        2, "", f"error: {command} with this twist would print a label "
+                        "coordinate over the budget of 640 digits\n"
+                    ), (command, fmt, twist[:8])
+                for twist in admitted:
+                    code, out, err = run_cli(argv + [twist, "--format", fmt], capsys)
+                    assert code == 0 and err == "" and out, (command, fmt, twist[:8])
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
 # The largest prime below `block._PRIME_TEST_BOUND`, where the primality
 # test stops being exact.
 LARGEST_PRIME = 3317044064679887385961813
