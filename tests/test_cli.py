@@ -803,16 +803,21 @@ def test_verify_cover_check_reads_the_rows(capsys, monkeypatch, corrupt):
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["projective.structure"]
 
 
-def test_python_m_loewylab(capsys):
-    argv = ["block", "--n", "2", "--p", "5", "--format", "json"]
+def module_env() -> dict[str, str]:
+    """This environment, with the library's sources first on PYTHONPATH."""
     src = str(Path(loewylab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_loewylab(capsys):
+    argv = ["block", "--n", "2", "--p", "5", "--format", "json"]
     proc = subprocess.run(
         [sys.executable, "-m", "loewylab", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=module_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -1188,31 +1193,69 @@ def test_json_is_formatted_while_it_is_written(command, ratio):
     assert peak < ratio * stream.written, (peak, stream.written)
 
 
-def test_text_is_written_line_by_line():
-    # A text view is written as its lines and their newlines, in one
-    # `writelines`: no write holds two lines.
-    for command in ("verma --n 8 --p 5 --i 4 --full", "jantzen --n 6 --p 5", "verify --n 2 --p 5"):
-        stream = RecordingStream()
-        with contextlib.redirect_stdout(stream), pytest.raises(SystemExit):
-            main(command.split())
-        text = stream.getvalue()
-        assert stream.writes == [piece for line in text.splitlines() for piece in (line, "\n")], command
+def recorded_writes(command: str) -> tuple[int, list[str]]:
+    """The exit code of an in-process run and the text of each of its writes."""
+    stream = RecordingStream()
+    with contextlib.redirect_stdout(stream), pytest.raises(SystemExit) as exc:
+        main(command.split())
+    return exc.value.code or 0, stream.writes
+
+
+def test_stdout_is_written_in_bounded_batches(monkeypatch):
+    # JSON and text go through one write loop, which gathers the writer's
+    # pieces into batches of _BATCH characters.  The pieces are the writes of
+    # a run with a batch of one character.  The writes join to the recorded
+    # bytes; every write but the last holds at least one batch, and none
+    # more than a batch and the longest piece; a short document is one write.
+    batch = loewylab.cli._BATCH
+    fixture = json.loads(LARGE_FIXTURE.read_text())
+    for command in (
+        "verma --n 12 --p 7 --i 6 --format json",
+        "verma --n 14 --p 7 --i 7 --format text --full",
+        "jantzen --n 31 --p 3 --format text --full",
+    ):
+        code, writes = recorded_writes(command)
+        text = "".join(writes)
+        assert [code, hashlib.sha256(text.encode()).hexdigest()] == fixture[command][:2], command
+        with monkeypatch.context() as patch:
+            patch.setattr(loewylab.cli, "_BATCH", 1)
+            pieces = recorded_writes(command)[1]
+        assert "".join(pieces) == text and len(pieces) > len(writes) > 2, command
+        assert min(map(len, writes[:-1])) >= batch, command
+        assert max(map(len, writes)) < batch + max(map(len, pieces)), command
+    assert recorded_writes("block --n 2 --p 5") == (0, [BLOCK_2_5_TEXT])
 
 
 def test_an_early_closing_reader_ends_the_run_quietly():
     # A reader that closes stdout after one byte ends a run with exit code
     # 141 (128 + SIGPIPE, as shells report it) and nothing on stderr.
-    src = str(Path(loewylab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     argv = ["verma", "--n", "13", "--p", "3", "--i", "6", "--format", "json"]
     with subprocess.Popen([sys.executable, "-m", "loewylab", *argv], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, env=env) as proc:
+                          stderr=subprocess.PIPE, env=module_env()) as proc:
         first = proc.stdout.read(1)
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (first, code, err) == (b"{", 141, b"")
+
+
+def test_output_through_a_real_pipe_is_byte_identical():
+    # `python -m loewylab` writes through the interpreter's own text stream
+    # over a pipe, buffered and under -u (unbuffered, each write one
+    # syscall), where the in-process runs write into a StringIO: exit code,
+    # stdout and stderr match the recorded digests.
+    fixture, env = json.loads(LARGE_FIXTURE.read_text()), module_env()
+    for command in (
+        "verma --n 12 --p 7 --i 6 --format json",
+        "verma --n 14 --p 7 --i 7 --format text --full",
+        "proj --n 8 --p 5 --i 2 --format json",
+        "jantzen --n 31 --p 3 --format json",
+    ):
+        for flags in ([], ["-u"]):
+            run = subprocess.run([sys.executable, *flags, "-m", "loewylab", *command.split()],
+                                 capture_output=True, env=env, timeout=60)
+            digests = [hashlib.sha256(out).hexdigest() for out in (run.stdout, run.stderr)]
+            assert [run.returncode, *digests] == fixture[command], (command, flags)
 
 
 class ClosedPipe(io.StringIO):
@@ -1543,10 +1586,7 @@ def test_dim_digit_budget_follows_a_lower_interpreter_limit():
     # An interpreter started with a lower int-to-str limit (640 is the least
     # CPython accepts) refuses past that limit instead of raising: p^820 at
     # n = 40, p = 7 has 693 digits, and p^465 at n = 30 has 393 and prints.
-    env = {
-        **os.environ, "PYTHONPATH": str(Path(loewylab.__file__).parents[1]),
-        "PYTHONINTMAXSTRDIGITS": "640",
-    }
+    env = {**module_env(), "PYTHONINTMAXSTRDIGITS": "640"}
     for n, code, err in [
         (40, 2, "error: dim at n=40, p=7 would print a 693-digit dimension, "
                 "over the budget of 640 digits\n"),
@@ -1584,31 +1624,35 @@ def test_dim_digit_budget_reads_the_limit_when_it_runs(capsys):
 
 def test_twists_past_the_digit_limit_are_refused_before_any_output(capsys):
     # A label lies at most its command's reach (1 for a Verma and `ext --i`,
-    # 2 for a cover) from the twist in each coordinate.  A twist, by --nu or
-    # by --eps, that could put a label coordinate past the int-to-str limit
-    # as it stands when `main` runs is refused in either format with one
-    # error line and nothing written, not met by a ValueError mid-write;
-    # the largest coordinates admitted print.
+    # 2 for a cover, 1 for a cover at rank 1) from the twist in each
+    # coordinate.  A twist, by --nu or by --eps, that could put a label
+    # coordinate past the int-to-str limit as it stands when `main` runs is
+    # refused in either format with one error line and nothing written, not
+    # met by a ValueError mid-write; the largest coordinates admitted print.
     default = sys.get_int_max_str_digits()
     top = 10**640
     sys.set_int_max_str_digits(640)
+    runs = [
+        (command, "2", "1", (
+            f"--nu={top - reach},0", f"--nu=0,{reach - top}", f"--eps={top - reach},0,0",
+            f"--eps={top // 2},{-top // 2},0",
+        ), (f"--nu={top - reach - 1},{reach + 1 - top}", f"--eps={top - reach - 1},0,0"))
+        for command, reach in (("verma", 1), ("verma-dual", 1), ("proj", 2), ("ext", 1))
+    ]
+    runs.append(("proj", "1", "0", (f"--nu={top - 1}", f"--nu={1 - top}", f"--eps={top - 1},0"),
+                 (f"--nu={top - 2}", f"--nu={2 - top}", f"--eps=0,{top - 2}")))
     try:
-        for command, reach in (("verma", 1), ("verma-dual", 1), ("proj", 2), ("ext", 1)):
-            argv = [command, "--n", "2", "--p", "5", "--i", "1", "--full"]
-            refused = (
-                f"--nu={top - reach},0", f"--nu=0,{reach - top}", f"--eps={top - reach},0,0",
-                f"--eps={top // 2},{-top // 2},0",
-            )
-            admitted = (f"--nu={top - reach - 1},{reach + 1 - top}", f"--eps={top - reach - 1},0,0")
+        for command, n, i, refused, admitted in runs:
+            argv = [command, "--n", n, "--p", "5", "--i", i, "--full"]
             for fmt in ("text", "json"):
                 for twist in refused:
                     assert run_cli(argv + [twist, "--format", fmt], capsys) == (
                         2, "", f"error: {command} with this twist would print a label "
                         "coordinate over the budget of 640 digits\n"
-                    ), (command, fmt, twist[:8])
+                    ), (command, n, fmt, twist[:8])
                 for twist in admitted:
                     code, out, err = run_cli(argv + [twist, "--format", fmt], capsys)
-                    assert code == 0 and err == "" and out, (command, fmt, twist[:8])
+                    assert code == 0 and err == "" and out, (command, n, fmt, twist[:8])
     finally:
         sys.set_int_max_str_digits(default)
 
