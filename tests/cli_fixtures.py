@@ -92,7 +92,9 @@ def cli_large():
     and `verma --n 14 --p 7 --i 7` in full, `block --n 40 --p 7` in text and
     JSON, and the whole `jantzen --n 18 --p 7` report in full text.  Last, the
     `verify` battery at the benchmark's (n, p) = (4, 3), (5, 5), (5, 7),
-    (5, 11) and (6, 5), in text and JSON.
+    (5, 11) and (6, 5), in text and JSON.  Last, the three largest JSON
+    listings admitted: `proj --n 12 --p 5` at i = 0 and 12 and `verma --n 16
+    --p 5 --i 8`.
     """
     formats = [["--format", "text"], ["--format", "text", "--full"], ["--format", "json"]]
     for n, p in ((11, 5), (12, 7)):
@@ -141,6 +143,11 @@ def cli_large():
     for n, p in ((4, 3), (5, 5), (5, 7), (5, 11), (6, 5)):
         for fmt in ("text", "json"):
             yield ["verify", "--n", str(n), "--p", str(p), "--format", fmt]
+    # The largest listings LAYER_BUDGET admits: the covers at n = 12 whose
+    # rows reach the widest label packing, and the middle Verma at n = 16.
+    for i in ("0", "12"):
+        yield ["proj", "--n", "12", "--p", "5", "--i", i, "--format", "json"]
+    yield ["verma", "--n", "16", "--p", "5", "--i", "8", "--format", "json"]
 
 
 def fixtures():
