@@ -3,62 +3,30 @@
 The library computes and checks; `main` builds the block context (and
 checks `--i`) once. Each subcommand returns one JSON payload, which `main`
 writes with --format json or else renders as text from that payload, n and
-p alone: the text is a view of the JSON. A Verma listing's payload holds
-the layer formula's blocks (t, heads, tails) from `verma_blocks` (reversed
-for `verma-dual`), and its JSON writes each block's labels (t, head + tail)
-as factor objects, formatting each head and tail once; a cover's payload
-holds `cover_rows`' rows (i, nu, mult), which carry multiplicities and
-have no product form, and its JSON writes each row as a factor object; a
-layer's factor list that equals its mirror layer's (as in a palindromic
-cover) reuses the mirror's text.
-Each layer listing names its factor writer, and both build one factor
-object template. `ext --i`'s payload holds `rad1_qhat`'s rows, written
-like a cover layer's, and a `jantzen` report holds the certificate rows
-(i, root, m, s, a, b, beta0, betas) of `check_block_simplicity`, each
-written as a certificate object. So no label object is built, nothing is
-sorted, and no Verma rows are built. The JSON is exactly
-`json.dumps(payload, sort_keys=True, indent=2)` of those objects, so
-reruns are byte-identical; factor lists and a `jantzen` report's
-certificate rows are written from %-format templates (one per list, one
-per certificate row, whose text around the root is formatted once per
-witness and block index) instead of by json.dumps, which is slow with
-`indent`, into the slots of one json.dumps skeleton, which has none for a
-document with no such list.  Text labels, one template per rank
-`(%d; [%d,...,%d])`, and `block`'s text rows come from %-format
-templates too.  Both formats are written in two stages by one batching
-write loop (`_write_batched`).  Before the first write runs everything
-that can raise, so an error leaves stdout empty: the payload, each list's
-templates and, for JSON, the skeleton's json.dumps (the text between
-lists) and its slot count, each Verma block's tail texts and the whole
-text of a list written twice (a cover layer equal to its mirror).  During
-the write, only the payload's ints are put into those templates and
-joined: a JSON Verma layer one piece per head, factor rows and
-certificates 64 objects to a piece, a text listing's layer, a `block` row
-and a `jantzen` certificate or failure one line each (the `dim`, `verify`
-and `ext` text views build their lines before).  The loop gathers these
-pieces into batches of _BATCH characters and writes each batch with one
-`write`, so a long document leaves in pipe-sized write(2) calls, not one
-per 8 KiB buffer.  No other list is held whole, no write holds more than
-one batch and one piece, and a document longer than a batch is never
-joined into one str.  A text view formats only the entries it prints:
-without --full, the first TRUNCATE_AT of each listing, its other
-counts read from lengths.  Work is refused up front by closed-form sizes,
-the weight table's row and then the subcommand's `_BUDGETS` rows, checked
-after the (n, p) hypotheses and `--i` and before any other work; each
-budget constant's comment says what it counts.  So is a twist that could
-put a label coordinate past the digit budget (`_twist`).
+p alone: the text is a view of the JSON.  `_dump_json` writes the JSON
+exactly as `json.dumps(payload, sort_keys=True, indent=2)` would, its long
+lists from %-format templates, and the text views format labels from
+templates too, without --full only the first TRUNCATE_AT of each listing.
+Both formats leave through one batching write loop, `_write_batched`, and
+everything that can raise runs before its first write, so an error leaves
+stdout empty.
 Subcommands: block, verma, verma-dual, proj, ext, dim, jantzen, verify,
-declared once in `_commands` (flags and the values set on the parsed
-arguments).  A plainly well-formed command line is parsed from that table
-without argparse (`_parse_plain`), which is then never imported: its
-import with gettext, its parsers and its lazily imported `locale` cost a
-few ms per run.  Any other, help included, imports argparse and goes to
-the parser built from the same table (`_build_parser`), which alone
-writes help, usage and argument errors.
+declared once in `_commands` (flags, and the values set on the parsed
+arguments: among them the `budgets` by which work is refused up front,
+after the (n, p) hypotheses, `--i` and the weight table's row).  So is a
+twist that could put a label coordinate past the digit budget (`_twist`).
+A plainly well-formed command line is parsed from that table without
+argparse (`_parse_plain`), which is then never imported: its import with
+gettext, its parsers and its lazily imported `locale` cost a few ms per
+run.  Any other, help included, imports argparse and goes to the parser
+built from the same table (`_build_parser`), which alone writes help,
+usage and argument errors.
 Exit codes: 0 on success, 1 when a verification fails, 2 on invalid or
 oversized input (the message names the violated hypothesis or the size),
 141 (128 + SIGPIPE, as shells report it) when the reader of stdout closes
-it before the output ends; nothing is written to stderr then.
+it before the output ends; nothing is written to stderr then.  A run
+whose stdout is closed before it starts writes nothing and exits with the
+command's own code.
 """
 
 from __future__ import annotations
@@ -142,9 +110,8 @@ def _digit_budget() -> int:
     return min(DIGIT_BUDGET, limit) if limit else DIGIT_BUDGET
 
 
-# Work refused up front, per subcommand: rows (closed-form size at (n, p, i),
-# budget or a function read when the row is checked, the error message naming
-# both).  A layer listing's size counts its labels with multiplicity.
+# The layer listings' refusal message, and the weight table's budget row,
+# which every subcommand checks before its own `budgets` (`_commands`).
 _LISTS = (
     "{command} at n={n}, i={i} would list {size} labels with multiplicity, "
     "over the budget of {budget} labels"
@@ -154,51 +121,6 @@ _WEIGHTS = (
     "{command} at n={n} would build a weight table of {size} ints, "
     "over the budget of {budget} ints",
 )
-_BUDGETS = {
-    "block": ((
-        lambda n, p, i: 3 * n * (n + 1), BLOCK_BUDGET,
-        "block at n={n} would write {size} weight coordinates, "
-        "over the budget of {budget} coordinates",
-    ),),
-    "verma": ((lambda n, p, i: 2**n, LAYER_BUDGET, _LISTS),),
-    "verma-dual": ((lambda n, p, i: 2**n, LAYER_BUDGET, _LISTS),),
-    "proj": ((lambda n, p, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),),
-    # `ext --i` finds the n+1 kinds from block index i.
-    "ext": ((
-        lambda n, p, i: (n + 1) ** 2 if i is None else n + 1, EXT_BUDGET,
-        "ext at n={n} would tabulate {size} Ext^1 kinds, over the budget of {budget} kinds",
-    ),),
-    "dim": (
-        (
-            lambda n, p, i: n * (3 * n * n + 1) // 2, DIM_BUDGET,
-            "dim at n={n} would evaluate {size} root pairings, "
-            "over the budget of {budget} pairings",
-        ),
-        (
-            # The digits of p^(n(n+1)/2); p is never a power of 10.
-            lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, _digit_budget,
-            "dim at n={n}, p={p} would print a {size}-digit dimension, "
-            "over the budget of {budget} digits",
-        ),
-    ),
-    "jantzen": ((
-        lambda n, p, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
-        "jantzen at n={n} would check {size} (block index, root) pairs, "
-        "over the budget of {budget} pairs",
-    ),),
-    "verify": (
-        (
-            lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
-            "verify at n={n} would stack {size} cover labels with multiplicity, "
-            "over the budget of {budget} labels",
-        ),
-        (
-            lambda n, p, i: (n + 1) * (p - 1), TWIST_BUDGET,
-            "verify at n={n}, p={p} would check {size} block weights, "
-            "over the budget of {budget} weights",
-        ),
-    ),
-}
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -225,7 +147,9 @@ def _run(argv: list[str] | None) -> None:
 
     Everything that can raise runs before `_write_batched`'s first write,
     so an error exits 2 with stdout empty.  A reader that closes stdout
-    early ends the run with exit 141 and nothing on stderr.
+    early ends the run with exit 141 and nothing on stderr; with no stdout
+    at all (`sys.stdout` is None) nothing is written and the command's own
+    code stands.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -238,9 +162,8 @@ def _run(argv: list[str] | None) -> None:
         check_hypotheses(n, args.p)
         if i is not None:
             check_index(n, i)
-        for size_of, budget, message in (_WEIGHTS, *_BUDGETS[args.command]):
+        for size_of, budget, message in (_WEIGHTS, *args.budgets):
             size = size_of(n, args.p, i)
-            budget = budget() if callable(budget) else budget
             if size > budget:
                 raise ValueError(
                     message.format(command=args.command, n=n, p=args.p, i=i, size=size, budget=budget)
@@ -250,6 +173,9 @@ def _run(argv: list[str] | None) -> None:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         raise SystemExit(2) from None
+    if sys.stdout is None:
+        # Stdout was closed before the run: nothing to write, the code stands.
+        raise SystemExit(code)
     if args.format == "json":
         doc = {"n": ctx.n, "p": ctx.p, **payload}
         pieces = chain(_dump_json(doc, getattr(args, "factors_json", None)), ["\n"])
@@ -311,7 +237,11 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
 
     Built per call, so each function in it is the one this module's
     namespace holds when `main` runs (a wrapper patched in there, as
-    `bench/spans.py` and the tests do, sees the call).  A layer command
+    `bench/spans.py` and the tests do, sees the call), and the digit budget
+    is the interpreter's limit as it stands then.  Each command's `budgets`
+    are the work it refuses up front, after `_WEIGHTS`: rows (closed-form
+    size at (n, p, i), budget, the error message naming both), where a layer
+    listing's size counts its labels with multiplicity.  A layer command
     sets the object kind, its layers function (a Verma's layers are blocks
     (t, heads, tails), and the dual Verma's are the Verma's, reversed; a
     cover's are rows (i, nu, mult), which carry multiplicities and have no
@@ -323,9 +253,15 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
     min(reach, n)).
     """
     verma = {"func": cmd_layers, "render": _blocks_text, "factors_json": _blocks_json,
-             "conditional": False, "reach": 1}
+             "conditional": False, "reach": 1,
+             "budgets": ((lambda n, p, i: 2**n, LAYER_BUDGET, _LISTS),)}
     return {
-        "block": ("the block's weight table", _BASIC, {"func": cmd_block, "render": _block_text}),
+        "block": ("the block's weight table", _BASIC,
+                  {"func": cmd_block, "render": _block_text, "budgets": ((
+                      lambda n, p, i: 3 * n * (n + 1), BLOCK_BUDGET,
+                      "block at n={n} would write {size} weight coordinates, "
+                      "over the budget of {budget} coordinates",
+                  ),)}),
         "verma": ("radical layers of a baby Verma module", _LISTING,
                   {**verma, "kind": "Zhat", "layers_of": verma_blocks}),
         "verma-dual": ("radical layers of the dual baby Verma", _LISTING,
@@ -333,17 +269,49 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
                         "layers_of": lambda ctx, label: verma_blocks(ctx, label)[::-1]}),
         "proj": ("radical layers of a projective cover (conditional)", _LISTING,
                  {"func": cmd_layers, "render": _layers_text, "conditional": True, "kind": "Qhat",
-                  "layers_of": cover_rows, "reach": 2}),
+                  "layers_of": cover_rows, "reach": 2,
+                  "budgets": ((lambda n, p, i: (n + 1) * comb(n, i) * 2**n, LAYER_BUDGET, _LISTS),)}),
         "ext": ("Ext^1 table, or one simple's Ext neighbourhood",
                 (*_LISTING[:-1], ("i", int, False, "block index; omit for the full table", None)),
-                {"func": cmd_ext, "render": _ext_text, "reach": 1}),
+                {"func": cmd_ext, "render": _ext_text, "reach": 1, "budgets": ((
+                    # `ext --i` finds the n+1 kinds from block index i.
+                    lambda n, p, i: (n + 1) ** 2 if i is None else n + 1, EXT_BUDGET,
+                    "ext at n={n} would tabulate {size} Ext^1 kinds, over the budget of {budget} kinds",
+                ),)}),
         "dim": ("dimensions of simples and parabolic covers", _BASIC,
-                {"func": cmd_dim, "render": _dim_text}),
+                {"func": cmd_dim, "render": _dim_text, "budgets": (
+                    (
+                        lambda n, p, i: n * (3 * n * n + 1) // 2, DIM_BUDGET,
+                        "dim at n={n} would evaluate {size} root pairings, "
+                        "over the budget of {budget} pairings",
+                    ),
+                    (
+                        # The digits of p^(n(n+1)/2); p is never a power of 10.
+                        lambda n, p, i: int(n * (n + 1) // 2 * log10(p)) + 1, _digit_budget(),
+                        "dim at n={n}, p={p} would print a {size}-digit dimension, "
+                        "over the budget of {budget} digits",
+                    ),
+                )}),
         "jantzen": ("witness certificates for block simplicity",
                     (*_BASIC, _FULL, ("i", int, False, "restrict the listing to one block index", None)),
-                    {"func": cmd_jantzen, "render": _jantzen_text}),
+                    {"func": cmd_jantzen, "render": _jantzen_text, "budgets": ((
+                        lambda n, p, i: (n + 1) * n * (n + 1) // 2, PAIR_BUDGET,
+                        "jantzen at n={n} would check {size} (block index, root) pairs, "
+                        "over the budget of {budget} pairs",
+                    ),)}),
         "verify": ("machine-check every library invariant at (n, p)", _BASIC,
-                   {"func": cmd_verify, "render": _verify_text}),
+                   {"func": cmd_verify, "render": _verify_text, "budgets": (
+                       (
+                           lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
+                           "verify at n={n} would stack {size} cover labels with multiplicity, "
+                           "over the budget of {budget} labels",
+                       ),
+                       (
+                           lambda n, p, i: (n + 1) * (p - 1), TWIST_BUDGET,
+                           "verify at n={n}, p={p} would check {size} block weights, "
+                           "over the budget of {budget} weights",
+                       ),
+                   )}),
     }
 
 
@@ -476,7 +444,7 @@ def _object_str(kind: str, i: int, nu: tuple[int, ...]) -> str:
 # A document's template-written lists go through json.dumps as this slot,
 # which cannot occur in the encoded skeleton otherwise (json.dumps escapes NUL).
 _SLOT = "\x00rows"
-_SLOT_JSON = '"\\u0000rows"'
+_SLOT_JSON = json.dumps(_SLOT)
 # Factor rows and certificates are written this many objects to a piece.
 _CHUNK = 64
 # Stdout is written in batches of at least this many characters (the output

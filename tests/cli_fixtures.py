@@ -7,9 +7,10 @@ truncation.  `tests/test_cli.py` compares both under pytest; without pytest,
 
     PYTHONPATH=src python tests/cli_fixtures.py --check
 
-replays every run, prints each command line whose digests differ, and exits
-1 if any does.  With no argument the script records both fixtures; run that
-only on a reference commit.
+replays every run, prints each command line whose digests differ, with
+which of its exit code, stdout and stderr differ and both exit codes, and
+exits 1 if any does.  With no argument the script records both fixtures;
+run that only on a reference commit.
 """
 
 import hashlib
@@ -164,18 +165,26 @@ def record_fixtures() -> None:
 
 
 def mismatches(fixture: Path, runs) -> list[str]:
-    """The command lines whose digests differ from the fixture's, including
-    any that only one of `runs` and the fixture has."""
+    """Each command line whose digests differ from the fixture's, including
+    any that only one of `runs` and the fixture has, with what differs: the
+    exit code, stdout or stderr, and both exit codes."""
     expected = json.loads(fixture.read_text())
     got = {" ".join(argv): grid_digest(argv) for argv in runs}
-    argvs = got.keys() | expected.keys()
-    return sorted(argv for argv in argvs if got.get(argv) != expected.get(argv))
+    lines = []
+    for argv in sorted(got.keys() | expected.keys()):
+        now, then = got.get(argv), expected.get(argv)
+        if now is None or then is None:
+            lines.append(f"{argv}: {'not run' if now is None else 'not in ' + fixture.name}")
+        elif now != then:
+            parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), now, then) if a != b]
+            lines.append(f"{argv}: differs in {', '.join(parts)} (exit {then[0]} recorded, {now[0]} now)")
+    return lines
 
 
 def assert_digests_match(fixture: Path, runs) -> None:
     bad = mismatches(fixture, runs)
     if bad:
-        raise AssertionError(f"{len(bad)} runs differ from {fixture.name}: {bad}")
+        raise AssertionError(f"{len(bad)} runs differ from {fixture.name}:\n" + "\n".join(bad))
 
 
 if __name__ == "__main__":

@@ -266,6 +266,27 @@ def test_plain_parse_matches_argparse(capsys):
     assert capsys.readouterr() == ("", "")
 
 
+def test_every_subcommand_declares_its_budgets():
+    # Each subcommand's values in the one table hold its up-front refusals:
+    # a nonempty tuple of rows (size, budget, message) whose budgets are ints
+    # and whose sizes are ints at n = 1..3 for every index it takes.  The
+    # two Verma listings share one row.
+    commands = loewylab.cli._commands()
+    assert list(commands) == COMMANDS
+    assert commands["verma"][2]["budgets"] is commands["verma-dual"][2]["budgets"]
+    for command, (_, flags, values) in commands.items():
+        budgets = values["budgets"]
+        assert type(budgets) is tuple and budgets, command
+        required = {flag[0]: flag[2] for flag in flags}
+        for size_of, budget, message in budgets:
+            assert type(budget) is int and type(message) is str, command
+            for n in (1, 2, 3):
+                indices = [] if required.get("i", False) else [None]
+                indices += range(n + 1) if "i" in required else []
+                for i in indices:
+                    assert type(size_of(n, 5, i)) is int, (command, n, i)
+
+
 def test_plain_command_line_loads_no_argparse_machinery():
     # Without site (-S), nothing but the library decides what a run loads:
     # a well-formed command line constructs no ArgumentParser, so argparse
@@ -1374,6 +1395,29 @@ def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path
     assert len(opened) == 3 and left_open == []
 
 
+def test_a_run_without_stdout_writes_nothing_and_keeps_its_code(capsys, monkeypatch):
+    # With stdout closed before the run, `sys.stdout` is None: a command
+    # writes nothing and exits with its own code, 0, 1 when a check is
+    # broken, or 2 with its error line on stderr, never a traceback.
+    def code_of(argv):
+        with contextlib.redirect_stdout(None), pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    for fmt in ("text", "json"):
+        assert code_of(["verify", "--n", "2", "--p", "5", "--format", fmt]) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(loewylab.checks, "in_root_lattice", lambda w: True)
+            assert code_of(["verify", "--n", "2", "--p", "5", "--format", fmt]) == 1
+        assert capsys.readouterr() == ("", "")
+    assert code_of(["verify", "--n", "2", "--p", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: p must be an odd prime, p > 2 (got 4)\n")
+    # The same from a shell that closes fd 1 before the interpreter starts.
+    run = subprocess.run(["sh", "-c", 'exec "$0" -m loewylab verify --n 2 --p 5 >&-', sys.executable],
+                         env=module_env(), capture_output=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+
+
 # ------------------------------------------------------- size budget
 
 LAYER_SIZES = {
@@ -1620,6 +1664,33 @@ def test_dim_digit_budget_reads_the_limit_when_it_runs(capsys):
         sys.set_int_max_str_digits(default)
     code, out, err = run_cli(argv + ["--format", "json"], capsys)
     assert code == 0 and err == "" and len(str(json.loads(out)["verma_dimension"])) == 693
+
+
+def test_digit_budget_is_its_constant_without_an_interpreter_limit(capsys, monkeypatch):
+    # An interpreter with no int-to-str limit, set to 0 or without
+    # `sys.get_int_max_str_digits` at all (CPython 3.10.0 to 3.10.6), refuses
+    # past DIGIT_BUDGET digits: a 4631-digit dimension and a twist of 4300
+    # nines are refused, and the 4194-digit dimension at n = 18 prints.
+    default = sys.get_int_max_str_digits()
+    twist = ["verma", "--n", "1", "--p", "5", "--i", "0", "--nu", "9" * DIGIT_BUDGET]
+    sys.set_int_max_str_digits(0)
+    try:
+        for has_limit_getter in (True, False):
+            with monkeypatch.context() as patch:
+                if not has_limit_getter:
+                    patch.delattr(sys, "get_int_max_str_digits")
+                assert run_cli(["dim", "--n", "70", "--p", "73"], capsys) == (
+                    2, "", "error: dim at n=70, p=73 would print a 4631-digit dimension, "
+                    f"over the budget of {DIGIT_BUDGET} digits\n"
+                ), has_limit_getter
+                code, out, err = run_cli(["dim", "--n", "18", "--p", str(LARGEST_PRIME)], capsys)
+                assert code == 0 and err == "" and out.startswith("dimensions in the block, n=18")
+                assert run_cli(twist, capsys) == (
+                    2, "", "error: verma with this twist would print a label coordinate "
+                    f"over the budget of {DIGIT_BUDGET} digits\n"
+                ), has_limit_getter
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def test_twists_past_the_digit_limit_are_refused_before_any_output(capsys):
