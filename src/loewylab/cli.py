@@ -185,10 +185,14 @@ def _run(argv: list[str] | None) -> None:
     try:
         _write_batched(pieces)
     except BrokenPipeError:
-        # The reader closed early.  Point fd 1 at the null device, so the
-        # interpreter's last flush of what is still buffered is silent.
+        # The reader closed early.  Point stdout's fd, if any, at the null device,
+        # so the interpreter's last flush of what is still buffered is silent.
+        try:
+            fd = sys.stdout.fileno()
+        except ValueError:  # io.UnsupportedOperation, or a closed stream
+            raise SystemExit(141) from None
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, fd)
         os.close(devnull)
         raise SystemExit(141) from None
     raise SystemExit(code)

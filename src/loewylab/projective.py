@@ -7,10 +7,10 @@ exactly: the baby Verma with label (t, eta) contains the target simple
 (i, nu) in its layer k for at most one (k, X, Y), which pins down both the
 depth and the BGG multiplicity.  Like the Verma layers, the support depends
 on nu only by translation, and it reads the Vermas' cached nu = 0
-patterns (`loewy._verma_pattern`): the support is the labels of block
-index i in them, negated, and `verma_support` returns it as rows (t, eta
-coordinates, depth).  Every API here takes its simples and Vermas as labels
-(block index, twist coordinates).
+patterns (`loewy._verma_pattern`): the support at t is nu minus the shifts
+of the index-i labels of Verma t's pattern, and `verma_support` returns it
+as rows (t, eta coordinates, depth).  Every API here takes its simples and
+Vermas as labels (block index, twist coordinates).
 
 The cover's layers are not stacked Verma by Verma but summed in closed
 form, and share no code with the support, so the `verify` battery compares
@@ -56,7 +56,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import add, neg, sub
+from operator import add, sub
 from struct import Struct
 
 from .block import BlockContext, Label, check_index, check_label
@@ -74,19 +74,15 @@ CONDITIONAL_FLAG_KEY = "conditional_on_loewy_length_conjecture"
 
 
 def _support_at(n: int, i: int, t: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
-    """The filtration entries (t, eta, depth) of the cover of (i, 0) at one
-    t: the Verma lam_t + p eta, eta = -(head shift + tail shift) for each
-    label (i, shift) in layer `depth` of the Verma pattern at t."""
+    """The labels (i, shift) of Verma t's pattern as (t, shift, depth): the
+    shift is head shift + tail shift, and `depth` the pattern's layer."""
     heads, tails, layers = _verma_pattern(n, t)
     for depth, blocks in enumerate(layers):
         for u, k, l in blocks:
-            if u != i:
-                continue
-            neg_tails = [tuple(map(neg, tail)) for tail in tails[l]]
-            for head in heads[k]:
-                neg_head = tuple(map(neg, head))
-                for neg_tail in neg_tails:
-                    yield t, neg_head + neg_tail, depth
+            if u == i:
+                for head in heads[k]:
+                    for tail in tails[l]:
+                        yield t, head + tail, depth
 
 
 def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
@@ -94,16 +90,14 @@ def verma_support(ctx: BlockContext, label: Label) -> list[Row]:
     (i, nu coordinates), as rows (t, eta coordinates, depth).
 
     Row (t, eta, k) records that the simple sits in radical layer k of the
-    baby Verma lam_t + p eta; the eta are nu minus the Verma layer formula's
-    twist shifts (the blocks of `loewy._verma_pattern` at t), so the list is
-    finite and multiplicity-free.  The rows come t by t (`_support_at`),
-    t from 0 to n, and at nu = 0 they are returned untranslated.
+    baby Verma lam_t + p eta; eta is nu minus the twist shift of a label
+    (i, shift) in layer k of Verma t's pattern (`loewy._verma_pattern`), so
+    the list is finite and multiplicity-free.  The rows come t by t
+    (`_support_at`), t from 0 to n.
     """
     i, v = check_label(ctx, label)
     support = chain.from_iterable(_support_at(ctx.n, i, t) for t in range(ctx.n + 1))
-    if not any(v):
-        return list(support)
-    return [(t, tuple(map(add, v, eta)), k) for t, eta, k in support]
+    return [(t, tuple(map(sub, v, shift)), k) for t, shift, k in support]
 
 
 _BASE = 256
@@ -236,13 +230,13 @@ def bgg_multiplicity(ctx: BlockContext, target: Label, verma: Label) -> int:
     """Multiplicity of the baby Verma `verma` = (t, eta) in the cover of
     `target` = (i, nu coordinates) (0 or 1 here).
 
-    Counts the filtration entries at t whose shift is eta - nu, reading
-    only Verma t's pattern and without building the twisted
-    `verma_support` rows.
+    Counts the labels of block index i in Verma t's pattern whose shift is
+    nu - eta (`_support_at`), reading only that pattern and without
+    building the `verma_support` rows.
     """
     t, eta = check_label(ctx, verma)
     i, v = check_label(ctx, target)
-    shift = tuple(map(sub, eta, v))
+    shift = tuple(map(sub, v, eta))
     return sum(1 for _, s, _ in _support_at(ctx.n, i, t) if s == shift)
 
 

@@ -8,9 +8,10 @@ truncation.  `tests/test_cli.py` compares both under pytest; without pytest,
     PYTHONPATH=src python tests/cli_fixtures.py --check
 
 replays every run, prints each command line whose digests differ, with
-which of its exit code, stdout and stderr differ and both exit codes, and
-exits 1 if any does.  With no argument the script records both fixtures;
-run that only on a reference commit.
+which of its exit code, stdout and stderr differ and both exit codes, or
+with the exception it raised, and exits 1 if any does.  With no argument
+the script records both fixtures, stopping at a run that raises; run that
+only on a reference commit.
 """
 
 import hashlib
@@ -167,13 +168,21 @@ def record_fixtures() -> None:
 def mismatches(fixture: Path, runs) -> list[str]:
     """Each command line whose digests differ from the fixture's, including
     any that only one of `runs` and the fixture has, with what differs: the
-    exit code, stdout or stderr, and both exit codes."""
+    exit code, stdout or stderr, and both exit codes.  A run that raises is
+    listed with the exception's type and message, and the rest still run."""
     expected = json.loads(fixture.read_text())
-    got = {" ".join(argv): grid_digest(argv) for argv in runs}
+    got = {}
+    for argv in runs:
+        try:
+            got[" ".join(argv)] = grid_digest(argv)
+        except Exception as exc:
+            got[" ".join(argv)] = f"raised {type(exc).__name__}: {exc}"
     lines = []
     for argv in sorted(got.keys() | expected.keys()):
         now, then = got.get(argv), expected.get(argv)
-        if now is None or then is None:
+        if isinstance(now, str):
+            lines.append(f"{argv}: {now}")
+        elif now is None or then is None:
             lines.append(f"{argv}: {'not run' if now is None else 'not in ' + fixture.name}")
         elif now != then:
             parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), now, then) if a != b]

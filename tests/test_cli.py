@@ -42,7 +42,16 @@ from loewylab.block import _PRIME_TEST_BOUND, is_odd_prime, make_context
 from loewylab.loewy import verma_blocks, verma_rows
 from loewylab.projective import CONDITIONAL_FLAG_KEY
 
-from cli_fixtures import GRID_FIXTURE, LARGE_FIXTURE, assert_digests_match, cli_grid, cli_large
+import cli_fixtures
+from cli_fixtures import (
+    GRID_FIXTURE,
+    LARGE_FIXTURE,
+    assert_digests_match,
+    cli_grid,
+    cli_large,
+    grid_digest,
+    mismatches,
+)
 
 
 def run_cli(argv, capsys):
@@ -1395,6 +1404,38 @@ def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path
     assert len(opened) == 3 and left_open == []
 
 
+class UnfiledClosedPipe(io.TextIOBase):
+    """A stdout with no file descriptor whose reader has gone: `fileno`
+    raises io.UnsupportedOperation and every write BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError
+
+
+def test_an_early_closing_reader_without_a_descriptor_exits_141(monkeypatch):
+    # A stdout with no fd has nothing to point at the null device: the run
+    # exits 141 with nothing on stderr and opens no descriptor.
+    real_open, opened = os.open, []
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(loewylab.cli.os, "open", recording_open)
+    try:
+        for _ in range(3):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(UnfiledClosedPipe()), contextlib.redirect_stderr(err):
+                with pytest.raises(SystemExit) as exc:
+                    main(["block", "--n", "2", "--p", "5"])
+            assert (exc.value.code, err.getvalue()) == (141, "")
+    finally:
+        monkeypatch.undo()
+        for opened_fd in opened:
+            os.close(opened_fd)
+    assert opened == []
+
+
 def test_a_run_without_stdout_writes_nothing_and_keeps_its_code(capsys, monkeypatch):
     # With stdout closed before the run, `sys.stdout` is None: a command
     # writes nothing and exits with its own code, 0, 1 when a check is
@@ -1772,6 +1813,32 @@ def test_cli_output_byte_identical_on_grid(monkeypatch):
     # reference (record with `PYTHONPATH=src python tests/cli_fixtures.py`).
     monkeypatch.setenv("COLUMNS", "100")
     assert_digests_match(GRID_FIXTURE, cli_grid())
+
+
+def test_fixture_replay_lists_a_raising_run_and_replays_the_rest(monkeypatch, tmp_path):
+    # A run that raises is listed with its exception, and the runs after it
+    # still replay: the `block` run matches, so only the `dim` run is listed.
+    monkeypatch.setenv("COLUMNS", "100")
+    runs = [["dim", "--n", "1", "--p", "5"], ["block", "--n", "1", "--p", "5"]]
+    fixture = tmp_path / "two_runs.json"
+    fixture.write_text(json.dumps({" ".join(argv): grid_digest(argv) for argv in runs}))
+
+    def broken(ctx):
+        raise KeyError(None)
+
+    monkeypatch.setattr(loewylab.cli, "dimension_table", broken)
+    replayed = []
+
+    def recording_main(argv):
+        replayed.append(argv)
+        main(argv)
+
+    monkeypatch.setattr(cli_fixtures, "main", recording_main)
+    assert mismatches(fixture, runs) == ["dim --n 1 --p 5: raised KeyError: None"]
+    assert replayed == runs
+    with pytest.raises(AssertionError, match="1 runs differ from two_runs.json:\ndim --n 1 --p 5: "
+                       "raised KeyError: None$"):
+        assert_digests_match(fixture, runs)
 
 
 def test_cli_output_byte_identical_on_large_listings(monkeypatch):

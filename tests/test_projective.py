@@ -107,6 +107,31 @@ def test_verma_support_count_is_closed_form():
             assert len(set(rows)) == len(rows)
 
 
+def test_verma_support_moves_with_its_target_row_for_row():
+    # The support of (i, nu) is the support of (i, 0) translated by nu, in
+    # the same order and at the same depths, up to twists far past any
+    # digit; each row is a Verma of multiplicity one.  At nu = 0 the rows
+    # are the negated shifts of the index-i labels of the Vermas' own rows.
+    for n in range(1, 5):
+        ctx = make_context(n, 7)
+        huge = tuple((-1) ** k * 10**40 for k in range(n))
+        for i in range(n + 1):
+            rows = verma_support(ctx, (i, zero(n)))
+            for nu in (zero(n), fundamental(n, 1), huge):
+                moved = verma_support(ctx, (i, nu))
+                assert moved == [(t, add(nu, eta), k) for t, eta, k in rows], (n, i, nu)
+                for t, eta, _ in moved:
+                    assert bgg_multiplicity(ctx, (i, nu), (t, eta)) == 1, (n, i, nu, t, eta)
+            labels = [
+                (t, neg(x), depth)
+                for t in range(n + 1)
+                for depth, layer in enumerate(verma_rows(ctx, (t, zero(n))))
+                for u, x, _ in layer
+                if u == i
+            ]
+            assert sorted(rows) == sorted(labels), (n, i)
+
+
 def test_rad_layers_qhat_frozen_rank_one():
     ctx = make_context(1, 5)
     assert as_labels(cover_rows(ctx, (0, (0,)))) == [
