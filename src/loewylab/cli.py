@@ -110,6 +110,19 @@ def _digit_budget() -> int:
     return min(DIGIT_BUDGET, limit) if limit else DIGIT_BUDGET
 
 
+def _digits(x: int) -> int:
+    """The decimal digits of x > 0, without converting x to a string."""
+    digits = int(x.bit_length() * log10(2))  # the digit count, or one less
+    return digits + (x >= 10**digits)
+
+
+def _size_text(size: int) -> str:
+    """`size` in decimal for a refusal message, or its digit count when it
+    has more than `_digit_budget()` digits, too many to print."""
+    digits = _digits(size)
+    return str(size) if digits <= _digit_budget() else f"<{digits} digits>"
+
+
 # The layer listings' refusal message, and the weight table's budget row,
 # which every subcommand checks before its own `budgets` (`_commands`).
 _LISTS = (
@@ -165,9 +178,9 @@ def _run(argv: list[str] | None) -> None:
         for size_of, budget, message in (_WEIGHTS, *args.budgets):
             size = size_of(n, args.p, i)
             if size > budget:
-                raise ValueError(
-                    message.format(command=args.command, n=n, p=args.p, i=i, size=size, budget=budget)
-                )
+                raise ValueError(message.format(
+                    command=args.command, n=n, p=args.p, i=i, size=_size_text(size), budget=budget
+                ))
         ctx = make_context(n, args.p)
         payload, code = args.func(ctx, args)
     except ValueError as err:
@@ -415,9 +428,8 @@ def _build_parser(commands: dict):
 
 
 def _csv_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
-    parts = [s.strip() for s in text.split(",")]
     try:
-        vals = tuple(int(s) for s in parts)
+        vals = tuple(int(s) for s in text.split(","))
     except ValueError:
         raise ValueError(f"--{flag} must be comma-separated integers (got {text!r})")
     if len(vals) != want:
@@ -434,8 +446,7 @@ def _twist(args: SimpleNamespace, n: int) -> tuple[int, ...]:
     elif args.nu is not None:
         nu = _csv_ints(args.nu, n, "nu")
     top, limit = max(map(abs, nu)) + min(args.reach, n), _digit_budget()
-    # top < 2^(3 limit) < 10^limit passes without computing 10^limit.
-    if top.bit_length() > 3 * limit and top >= 10**limit:
+    if _digits(top) > limit:
         raise ValueError(f"{args.command} with this twist would print a label coordinate "
                          f"over the budget of {limit} digits")
     return nu

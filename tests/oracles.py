@@ -11,13 +11,75 @@ module, as the library's layer APIs do.
 `certificate_ok` checks a Jantzen witness certificate on its own, against
 a table of pairings that `pairings` builds with `lattice.pair`, so the
 certificate tests need neither the sweep's table nor its witness check.
+
+The expectations and helpers more than one test file reads live here
+once: `very_good_primes` finds primes by trial division, not by the
+library's primality test; `g1_layer` and `first_layer` state a baby
+Verma's Frobenius-kernel layer and first radical layer from their
+formulas; `simple_root` builds a simple root from eps vectors, and
+`root_coords` writes a weight over the simple roots by the inverse Cartan
+matrix, not by the library's dominance order.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
 from loewylab.lattice import add, eps_basis, fundamental, neg, pair, sub, zero
 from loewylab.projective import verma_support
+
+
+def very_good_primes(n, count):
+    """The `count` least odd primes that do not divide n + 1."""
+    out, p = [], 3
+    while len(out) < count:
+        if all(p % d for d in range(2, p)) and (n + 1) % p:
+            out.append(p)
+        p += 2
+    return out
+
+
+def simple_root(rank, t):
+    """alpha_t = eps_t - eps_{t+1}."""
+    return sub(eps_basis(rank, t), eps_basis(rank, t + 1))
+
+
+def root_coords(w):
+    """Coordinates of `w` over the simple roots, as exact Fractions.
+
+    Row s of (n + 1) times the inverse type-A Cartan matrix has entries
+    min(s, t) (n + 1 - max(s, t)).
+    """
+    d = len(w) + 1
+    return tuple(
+        Fraction(sum(min(s, t) * (d - max(s, t)) * a for t, a in enumerate(w, 1)), d)
+        for s in range(1, d)
+    )
+
+
+def g1_layer(n, i, j):
+    """Block index -> multiplicity in radical layer j of the untwisted baby
+    Verma of block index i: C(i, k) C(n - i, j - k) at index i + j - 2k."""
+    layer = {}
+    for k in range(0, min(i, j) + 1):
+        t = i + j - 2 * k
+        m = comb(i, k) * comb(n - i, j - k)
+        if 0 <= t <= n and m:
+            layer[t] = m
+    return layer
+
+
+def first_layer(n, label):
+    """The first radical layer of the baby Verma with label (i, t), as a
+    dict {label: 1}: (i - 1, t - eps_x) for x in [1, i] and (i + 1,
+    t + eps_y) for y in [i + 2, n + 1]."""
+    i, t = label
+    layer = {}
+    for x in range(1, i + 1):
+        layer[(i - 1, sub(t, eps_basis(n, x)))] = 1
+    for y in range(i + 2, n + 2):
+        layer[(i + 1, add(t, eps_basis(n, y)))] = 1
+    return layer
 
 
 def twists(n):

@@ -10,9 +10,9 @@ from math import comb
 from time import perf_counter
 
 from conftest import record
-from oracles import as_labels
+from oracles import as_labels, first_layer, g1_layer, very_good_primes
 
-from loewylab.block import is_odd_prime, make_context
+from loewylab.block import make_context
 from loewylab.chardim import (
     check_block_simplicity,
     dim_parabolic_verma,
@@ -48,20 +48,8 @@ from loewylab.projective import (
 
 
 def good_prime(n: int) -> int:
-    q = 5
-    while (n + 1) % q == 0 or not is_odd_prime(q):
-        q += 2
-    return q
-
-
-def very_good_primes(n: int, count: int) -> list[int]:
-    out = []
-    q = 3
-    while len(out) < count:
-        if is_odd_prime(q) and (n + 1) % q != 0:
-            out.append(q)
-        q += 2
-    return out
+    # The least very good prime above 3; one of the least two very good primes.
+    return next(q for q in very_good_primes(n, 2) if q > 3)
 
 
 def finish(name: str, ok: bool, start: float, cap: float) -> None:
@@ -80,13 +68,7 @@ def test_criterion_01_frobenius_multiplicities_are_binomial():
         for i in range(n + 1):
             layers = rad_layers_z_g1(ctx, i)
             for j, layer in enumerate(layers):
-                expected = {}
-                for k in range(0, min(i, j) + 1):
-                    t = i + j - 2 * k
-                    m = comb(i, k) * comb(n - i, j - k)
-                    if 0 <= t <= n and m:
-                        expected[t] = m
-                ok = ok and layer == expected
+                ok = ok and layer == g1_layer(n, i, j)
             totals = composition_class_z_g1(ctx, i)
             ok = ok and all(
                 totals.get(t, 0)
@@ -166,12 +148,8 @@ def test_criterion_06_first_layer_matches_parabolic_forms():
         ctx = make_context(n, good_prime(n))
         for i in range(n + 1):
             for t in (zero(n), fundamental(n, 1), neg(fundamental(n, n))):
-                expected = {}
-                for x in range(1, i + 1):
-                    expected[(i - 1, sub(t, eps_basis(n, x)))] = 1
-                for y in range(i + 2, n + 2):
-                    expected[(i + 1, add(t, eps_basis(n, y)))] = 1
                 head = (i, t)
+                expected = first_layer(n, head)
                 ok = ok and as_labels(verma_rows(ctx, head))[1] == expected
                 if i < n:
                     (label,) = as_labels(parabolic_m_structure(ctx, head, "I"))[1]

@@ -20,16 +20,7 @@ from loewylab.chardim import (
 from loewylab.checks import dimension_table, identities_hold
 from loewylab.lattice import _pair_table, fundamental, pair, rho, zero
 from loewylab.loewy import composition_class_z_g1
-from oracles import certificate_ok, pairings
-
-
-def very_good_primes(n, count):
-    out, p = [], 3
-    while len(out) < count:
-        if all(p % d for d in range(2, p)) and (n + 1) % p:
-            out.append(p)
-        p += 2
-    return out
+from oracles import certificate_ok, pairings, very_good_primes
 
 
 def test_positive_roots_lex_order():

@@ -456,6 +456,28 @@ def test_twist_flags_agree(capsys):
     assert via_nu == via_eps
 
 
+def test_twist_values_may_carry_whitespace(capsys):
+    # Whitespace around a comma-separated twist coordinate changes nothing,
+    # given after "=" or as the next argument; an empty coordinate is still
+    # refused, its message quoting the value as given.
+    for command in ("verma", "ext"):
+        base = [command, "--n", "2", "--p", "5", "--i", "1"]
+        for fmt in ([], ["--format", "json"]):
+            plain = run_cli(base + ["--nu=1,0"] + fmt, capsys)
+            assert plain[0] == 0 and plain[2] == ""
+            for spaced in (["--nu= 1, 0"], ["--nu", " 1, 0"], ["--nu=\t1,0\n"],
+                           ["--eps=1 ,0,0 "], ["--eps", " 1,0 ,0"]):
+                assert run_cli(base + spaced + fmt, capsys) == plain, spaced
+        for flag, value, message in [
+            ("nu", " ,1", "--nu must be comma-separated integers (got ' ,1')"),
+            ("eps", "1, ,0", "--eps must be comma-separated integers (got '1, ,0')"),
+            ("nu", "1 0", "--nu must be comma-separated integers (got '1 0')"),
+            ("eps", "1,0,0,", "--eps must be comma-separated integers (got '1,0,0,')"),
+            ("nu", " 1", "--nu needs exactly 2 comma-separated integers (got 1)"),
+        ]:
+            assert run_cli(base + [f"--{flag}={value}"], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_ext_table_json(capsys):
     payload = run_json(["ext", "--n", "2", "--p", "5"], capsys)
     assert payload["object"] == "ext-table"
@@ -831,6 +853,50 @@ def test_verify_cover_check_reads_the_rows(capsys, monkeypatch, corrupt):
     payload = json.loads(out)
     assert payload["ok"] is False
     assert [c["name"] for c in payload["checks"] if not c["ok"]] == ["projective.structure"]
+
+
+def _bump_a_second_layer(monkeypatch):
+    # One multiplicity in each Verma's layer 2 goes up by one, in its dual too.
+    def bumped(ctx, label):
+        layers = verma_rows(ctx, label)
+        (u, c, m), *rest = layers[2]
+        layers[2] = [(u, c, m + 1), *rest]
+        return layers
+
+    monkeypatch.setattr(loewylab.checks, "verma_rows", bumped)
+    monkeypatch.setattr(loewylab.checks, "dual_verma_rows", lambda ctx, label: bumped(ctx, label)[::-1])
+
+
+def _skew_one_ext_pair(monkeypatch):
+    # Ext^1 from (0, 0) to (1, 0) one more than from (1, 0) to (0, 0).
+    ext1_dim = loewylab.checks._ext1_dim
+
+    def skewed(a, b):
+        return ext1_dim(a, b) + (a[0] == 0 and b[0] == 1 and not any(a[1] + b[1]))
+
+    monkeypatch.setattr(loewylab.checks, "_ext1_dim", skewed)
+
+
+def _shift_parabolic_second_layers(monkeypatch):
+    # Each parabolic cover's second layer moves by 5 in every coordinate.
+    def shifted(ctx, label, side):
+        layers = loewylab.loewy.parabolic_m_structure(ctx, label, side)
+        layers[1] = [(u, tuple(x + 5 for x in c), m) for u, c, m in layers[1]]
+        return layers
+
+    monkeypatch.setattr(loewylab.checks, "parabolic_m_structure", shifted)
+
+
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 7)])
+@pytest.mark.parametrize("corrupt, name", [
+    (_bump_a_second_layer, "loewy.layer_counts"),
+    (_shift_parabolic_second_layers, "loewy.rad1_parabolic_forms"),
+    (_skew_one_ext_pair, "ext.rules"),
+])
+def test_each_layer_and_ext_check_fails_alone(monkeypatch, n, p, corrupt, name):
+    corrupt(monkeypatch)
+    checks = loewylab.checks.verify_checks(make_context(n, p))
+    assert [check["name"] for check in checks if not check["ok"]] == [name]
 
 
 def module_env() -> dict[str, str]:
@@ -1372,11 +1438,9 @@ def test_main_puts_back_the_collector_setting_on_every_exit(monkeypatch, tmp_pat
         gc.enable() if was_enabled else gc.disable()
 
 
-def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path):
-    # On exit 141 `main` points stdout's fd at the null device through a
-    # descriptor of its own, and closes that descriptor again: runs in one
-    # process leave no descriptor open.
-    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+def record_opens(monkeypatch) -> list[int]:
+    """Record every descriptor `loewylab.cli` opens with os.open, in the
+    list returned, until `monkeypatch` is undone."""
     real_open, opened = os.open, []
 
     def recording_open(*args, **kwargs):
@@ -1384,6 +1448,15 @@ def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path
         return opened[-1]
 
     monkeypatch.setattr(loewylab.cli.os, "open", recording_open)
+    return opened
+
+
+def test_an_early_closing_reader_leaves_no_descriptor_open(monkeypatch, tmp_path):
+    # On exit 141 `main` points stdout's fd at the null device through a
+    # descriptor of its own, and closes that descriptor again: runs in one
+    # process leave no descriptor open.
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    opened = record_opens(monkeypatch)
     try:
         for _ in range(3):
             with contextlib.redirect_stdout(ClosedPipe(fd)), contextlib.redirect_stderr(io.StringIO()):
@@ -1415,13 +1488,7 @@ class UnfiledClosedPipe(io.TextIOBase):
 def test_an_early_closing_reader_without_a_descriptor_exits_141(monkeypatch):
     # A stdout with no fd has nothing to point at the null device: the run
     # exits 141 with nothing on stderr and opens no descriptor.
-    real_open, opened = os.open, []
-
-    def recording_open(*args, **kwargs):
-        opened.append(real_open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(loewylab.cli.os, "open", recording_open)
+    opened = record_opens(monkeypatch)
     try:
         for _ in range(3):
             err = io.StringIO()
@@ -1473,11 +1540,18 @@ def layer_argv(command: str, n: int, i: int) -> list[str]:
     return [command, "--n", str(n), "--p", str(p), "--i", str(i)]
 
 
-def assert_refused(argv: list[str], size: int, capsys) -> None:
+def refused_at_once(argv: list[str], capsys) -> str:
+    """The stderr of a run of `argv` that exits 2 within 0.5 s with nothing
+    on stdout."""
     start = perf_counter()
     code, out, err = run_cli(argv, capsys)
     assert perf_counter() - start < 0.5, argv
     assert code == 2 and out == "", argv
+    return err
+
+
+def assert_refused(argv: list[str], size: int, capsys) -> None:
+    err = refused_at_once(argv, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1, argv
     assert f" {size} labels" in err and f"budget of {LAYER_BUDGET} labels" in err, argv
 
@@ -1516,11 +1590,8 @@ def test_jantzen_pair_budget_edges(capsys):
     assert code == 0 and err == ""
     assert "checked 15872 pairs" in out
     for n, pairs in ((32, 17424), (200, 4040100)):
-        start = perf_counter()
-        code, out, err = run_cli(["jantzen", "--n", str(n), "--p", "5", "--format", "json"], capsys)
-        assert perf_counter() - start < 0.5
-        assert code == 2 and out == ""
-        assert err == (
+        argv = ["jantzen", "--n", str(n), "--p", "5", "--format", "json"]
+        assert refused_at_once(argv, capsys) == (
             f"error: jantzen at n={n} would check {pairs} (block index, root) pairs, "
             f"over the budget of {PAIR_BUDGET} pairs\n"
         )
@@ -1533,11 +1604,7 @@ def test_verify_budget_edges(capsys):
     for n in (9, 40):
         for argv in (["verify", "--n", str(n), "--p", "11"],
                      ["verify", "--n", str(n), "--p", "11", "--format", "json"]):
-            start = perf_counter()
-            code, out, err = run_cli(argv, capsys)
-            assert perf_counter() - start < 0.5
-            assert code == 2 and out == ""
-            assert err == (
+            assert refused_at_once(argv, capsys) == (
                 f"error: verify at n={n} would stack {(n + 1) * 4**n} cover labels with "
                 f"multiplicity, over the budget of {VERIFY_BUDGET} labels\n"
             )
@@ -1552,11 +1619,8 @@ def test_verify_refuses_primes_past_its_twist_budget(capsys):
     assert TWIST_BUDGET == 2 * (65537 - 1)
     for n, p in ((1, 3317044064679887385961813), (1, 65539), (8, 3317044064679887385961813)):
         for fmt in ("text", "json"):
-            start = perf_counter()
-            code, out, err = run_cli(["verify", "--n", str(n), "--p", str(p), "--format", fmt], capsys)
-            assert perf_counter() - start < 0.5
-            assert code == 2 and out == ""
-            assert err == (
+            argv = ["verify", "--n", str(n), "--p", str(p), "--format", fmt]
+            assert refused_at_once(argv, capsys) == (
                 f"error: verify at n={n}, p={p} would check {(n + 1) * (p - 1)} block weights, "
                 f"over the budget of {TWIST_BUDGET} weights\n"
             )
@@ -1575,21 +1639,30 @@ def refuse_weight_table(monkeypatch):
 def test_huge_ranks_are_refused_before_the_weight_table(capsys, monkeypatch):
     # Every subcommand checks the (n, p) hypotheses and --i, then the weight
     # table's size, before it builds the table: at n = 20000 it would hold
-    # 4 * 10^8 ints, and the sizes of the listings could not be printed.
+    # 4 * 10^8 ints, and the sizes of the listings could not be printed.  A
+    # table size with more digits than the digit budget is given by its digit
+    # count: 8001 at n = 10^4000 under the default budget of 4300 digits, and
+    # 801 at n = 10^400 under the least int-to-str limit, 640.
     refuse_weight_table(monkeypatch)
-    for n in (20000, 10**12):
-        p = next(q for q in (3, 5, 7) if (n + 1) % q)
-        runs = [[command, *(["--i", "0"] if command in LAYER_SIZES else [])] for command in COMMANDS]
-        for command, *index in runs + [["ext", "--i", "0"]]:
-            argv = [command, "--n", str(n), "--p", str(p), *index]
-            start = perf_counter()
-            code, out, err = run_cli(argv, capsys)
-            assert perf_counter() - start < 0.5, argv
-            assert (code, out) == (2, ""), argv
-            assert err == (
-                f"error: {command} at n={n} would build a weight table of {(n + 1) * n} ints, "
-                f"over the budget of {WEIGHT_BUDGET} ints\n"
-            )
+    default = sys.get_int_max_str_digits()
+    runs = [[command, *(["--i", "0"] if command in LAYER_SIZES else [])] for command in COMMANDS]
+    try:
+        for n, limit, size in [
+            (20000, default, str(20001 * 20000)),
+            (10**12, default, str((10**12 + 1) * 10**12)),
+            (10**4000, 4300, "<8001 digits>"),
+            (10**400, 640, "<801 digits>"),
+        ]:
+            sys.set_int_max_str_digits(limit)
+            p = next(q for q in (3, 5, 7) if (n + 1) % q)
+            for command, *index in runs + [["ext", "--i", "0"]]:
+                argv = [command, "--n", str(n), "--p", str(p), *index]
+                assert refused_at_once(argv, capsys) == (
+                    f"error: {command} at n={n} would build a weight table of {size} ints, "
+                    f"over the budget of {WEIGHT_BUDGET} ints\n"
+                )
+    finally:
+        sys.set_int_max_str_digits(default)
     for argv, message in [
         (["verma", "--n", "20000", "--p", "9", "--i", "0"], "p must be an odd prime"),
         (["proj", "--n", "20000", "--p", "3", "--i", "0"], "p must not divide n + 1"),
@@ -1652,12 +1725,10 @@ def test_dim_refuses_numbers_too_long_to_print(capsys):
     ]:
         p = argv[-1]
         for fmt in ([], ["--format", "json"]):
-            start = perf_counter()
-            assert run_cli(argv + fmt, capsys) == (
-                2, "", f"error: dim at n={argv[2]}, p={p} would print a {digits}-digit dimension, "
+            assert refused_at_once(argv + fmt, capsys) == (
+                f"error: dim at n={argv[2]}, p={p} would print a {digits}-digit dimension, "
                 f"over the budget of {DIGIT_BUDGET} digits\n"
             ), argv + fmt
-            assert perf_counter() - start < 0.5
     # At the largest prime the primality test admits, n = 18 prints 4194 digits.
     argv = ["dim", "--n", "18", "--p", "3317044064679887385961813"]
     code, out, err = run_cli(argv + ["--format", "json"], capsys)

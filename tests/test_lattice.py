@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from oracles import root_coords, simple_root
 
 from loewylab.block import classify, make_context
 from loewylab.chardim import positive_roots, weyl_dim, witness_search
@@ -24,11 +25,6 @@ from loewylab.lattice import (
     zero,
 )
 from loewylab.weyl import act, longest, longest_fixing_last
-
-
-def simple_root(rank, t):
-    # alpha_t = eps_t - eps_{t+1}
-    return sub(eps_basis(rank, t), eps_basis(rank, t + 1))
 
 
 def test_weight_arithmetic():
@@ -223,21 +219,10 @@ def test_leq_respects_scaling_by_p():
                 assert leq(scale(p, a), scale(p, b)) == leq(a, b)
 
 
-def scaled_root_coords(coords):
-    # (n + 1) times the simple-root coordinates, by the inverse Cartan
-    # matrix: entry (s, t) of (n + 1) C^-1 is min(s, t) (n + 1 - max(s, t)).
-    d = len(coords) + 1
-    return [
-        sum(min(s, t) * (d - max(s, t)) * a for t, a in enumerate(coords, start=1))
-        for s in range(1, d)
-    ]
-
-
 def test_leq_and_root_lattice_match_inverse_cartan():
     rng = random.Random(23)
     seen = set()
     for n in range(1, 8):
-        d = n + 1
         for _ in range(300):
             a = tuple(rng.randint(-6, 6) for _ in range(n))
             # Half the pairs step up by a random nonnegative root combination,
@@ -249,10 +234,10 @@ def test_leq_and_root_lattice_match_inverse_cartan():
                 b = add(a, step)
             else:
                 b = tuple(rng.randint(-6, 6) for _ in range(n))
-            member = all(c % d == 0 for c in scaled_root_coords(a))
+            member = all(c.denominator == 1 for c in root_coords(a))
             assert in_root_lattice(a) == member
             diff = [y - x for x, y in zip(a, b)]
-            below = all(c >= 0 and c % d == 0 for c in scaled_root_coords(diff))
+            below = all(c >= 0 and c.denominator == 1 for c in root_coords(diff))
             assert leq(a, b) == below
             seen.add((n, member, below))
     assert {(n, below) for n, _, below in seen} == {(n, v) for n in range(1, 8) for v in (False, True)}
@@ -262,7 +247,7 @@ def test_leq_and_root_lattice_match_inverse_cartan():
     for n in range(1, 5):
         classes = set()
         for a in product(range(-3, 4), repeat=n):
-            member = all(c % (n + 1) == 0 for c in scaled_root_coords(a))
+            member = all(c.denominator == 1 for c in root_coords(a))
             assert in_root_lattice(a) == member, a
             classes.add(member)
         assert classes == {False, True}, n
