@@ -2,8 +2,9 @@
 
 For an odd prime p not dividing n + 1, the block under study contains
 exactly n + 1 restricted highest weights lam_0, ..., lam_n.  This module
-builds that table exactly, exposes the companion weights mu_i and
-nu_i = lam_i + rho, and classifies arbitrary weights into the block.
+builds that table exactly, (n+1)·n ints whatever the size of p, exposes
+the companion weights mu_i and nu_i = lam_i + rho, and classifies
+arbitrary weights into the block.
 
 A simple module in the ambient category is labelled by the pair
 (i, coords) (`Label`): the restricted class lam_i twisted by the p-fold
@@ -30,7 +31,6 @@ __all__ = [
     "check_index",
     "check_label",
     "make_context",
-    "block_weight",
     "mu_weight",
     "nu_weight",
     "classify",
@@ -134,33 +134,21 @@ def check_hypotheses(n: int, p: int) -> None:
 
 def make_context(n: int, p: int) -> BlockContext:
     """Build the block for SL(n+1) in characteristic p, checking the
-    hypotheses first (`check_hypotheses`).  The table holds (n+1)·n ints."""
-    check_hypotheses(n, p)
-    ctx = BlockContext(n, p, ())
-    lambdas = tuple(block_weight(ctx, i, 1) for i in range(n + 1))
-    return BlockContext(n, p, lambdas)
-
-
-def block_weight(ctx: BlockContext, i: int, a: int = 1) -> tuple[int, ...]:
-    """The i-th restricted weight of the block family, twist parameter a.
-
-    For 1 <= a <= p - 1 the family at fixed a is a block of its own; the
-    canonical table stored in the context is a = 1.  All coordinates are
-    p - 1 except: coordinate i is p - a - 1 when i > 0, and coordinate
-    i + 1 is a - 1 when i < n.  Raises TypeError unless i and a are exact
-    ints.
+    hypotheses first (`check_hypotheses`).  The table holds (n+1)·n ints:
+    lam_i has every coordinate p - 1, except p - 2 at coordinate i when
+    i > 0 and 0 at coordinate i + 1 when i < n.  (With p - a - 1 and a - 1
+    there, each a in 1..p-1 gives a block of its own; this is a = 1.)
     """
-    n, p = ctx.n, ctx.p
-    check_index(n, i)
-    _check_int("twist parameter a", a)
-    if not 1 <= a <= p - 1:
-        raise ValueError(f"twist parameter a must be in [1, {p - 1}] (got {a})")
-    coords = [p - 1] * n
-    if i > 0:
-        coords[i - 1] = p - a - 1
-    if i < n:
-        coords[i] = a - 1
-    return tuple(coords)
+    check_hypotheses(n, p)
+    lambdas = []
+    for i in range(n + 1):
+        coords = [p - 1] * n
+        if i > 0:
+            coords[i - 1] = p - 2
+        if i < n:
+            coords[i] = 0
+        lambdas.append(tuple(coords))
+    return BlockContext(n, p, tuple(lambdas))
 
 
 def mu_weight(ctx: BlockContext, i: int) -> tuple[int, ...]:

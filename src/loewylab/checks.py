@@ -13,7 +13,7 @@ them.  Weights and twists are coordinate tuples throughout, added and
 scaled by the `lattice` helpers.
 `dimension_table` tabulates the simple and parabolic cover dimensions with
 their additivity identities and the per-Verma dimension conservation,
-which `loewylab dim` renders and two of the checks read; `identities_hold`
+which `loewylab dim` renders and three of the checks read; `identities_hold`
 says whether every identity holds, for both.
 """
 
@@ -24,7 +24,7 @@ from itertools import chain, combinations_with_replacement, groupby, product
 from math import comb
 from operator import itemgetter
 
-from .block import BlockContext, block_weight, check_label, classify, label_weight, mu_weight
+from .block import BlockContext, check_label, classify, label_weight, mu_weight
 from .chardim import (
     check_block_simplicity, dim_parabolic_verma, positive_roots, weyl_dim,
 )
@@ -141,11 +141,6 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         for i in range(n)
     )
     ok = ok and ctx.lambdas[n] == add(mu_weight(ctx, n), p_rho)
-    ok = ok and all(
-        all(0 <= c < p for c in block_weight(ctx, i, a))
-        for i in range(n + 1)
-        for a in range(1, p)
-    )
     ok = ok and all(classify(ctx, label_weight(ctx, label)) == label for label in labels)
     note("block.weight_table", ok, "lambda/mu/classification identities broke")
 
@@ -231,8 +226,11 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         ok = ok and set(vermas[head][1]) <= set(layer)
     note("ext.rules", ok, "symmetry/vanishing/first-layer rules broke")
 
-    # Projective covers: shape, palindromy, first layer, and aggregates.
+    # Projective covers: shape, palindromy, first layer, and aggregates.  A
+    # cover is filtered by the baby Vermas of its support, so its factors'
+    # dimensions add up to one baby Verma dimension per support entry.
     ok = True
+    simple = [row["dim_simple"] for row in dims["rows"]]
     # The covers of the untwisted labels (i, 0): labels are i-major, twists[0] = 0.
     for i, head in enumerate(labels[:: len(twists)]):
         layers = cover_rows(ctx, head)
@@ -245,6 +243,9 @@ def verify_checks(ctx: BlockContext) -> list[dict]:
         ok = ok and bgg_multiplicity(ctx, head, head) == 1
         support = verma_support(ctx, head)
         ok = ok and len({(t, eta) for t, eta, _ in support}) == len(support)
+        ok = ok and (
+            sum(m * simple[j] for j, m in totals.items()) == len(support) * dims["verma_dimension"]
+        )
     note("projective.structure", ok, "cover layer shape or aggregates broke", conditional=True)
 
     return checks

@@ -62,17 +62,12 @@ LAYER_BUDGET = 1 << 16
 # processes on a 2-core VM.
 PAIR_BUDGET = 1 << 14
 # `verify` is refused above this many labels, the (n+1)·4^n labels with
-# multiplicity of the n+1 covers it sums at nu = 0.  The largest one
-# admitted, n = 8 at p = 7, took about 0.26 s and 30 MB, the median of fresh
-# processes on a 2-core VM; the battery at n = 9, run through the library,
-# took about 0.8 s and 65 MB.
+# multiplicity of the n+1 covers it sums at nu = 0; no check grows with p.
+# The largest one admitted, n = 8, took about 0.27 s and 30 MB at p = 7 and
+# at 3317044064679887385961813, the largest prime `is_odd_prime` decides,
+# the median of fresh processes on a 2-core VM; the battery at n = 9, run
+# through the library, took about 0.8 s and 65 MB.
 VERIFY_BUDGET = 1 << 20
-# `verify` is also refused above this many block weights, the (n+1)·(p-1)
-# weights of every block index at every twist parameter a in 1..p-1 that
-# its weight table check builds.  At n = 2, p = 100003 (300006 weights) the
-# command took about 0.6 s on a 2-core VM, and at n = 8, p = 30011 (270090)
-# about 1.4 s.
-TWIST_BUDGET = 1 << 17
 # `block` is refused above this many weight coordinates, three weights of n
 # coordinates per block index, 3n(n+1) at rank n.  The largest one admitted,
 # n = 417 at p = 3, took about 0.75 s and 62 MB with --format json, the
@@ -81,7 +76,8 @@ BLOCK_BUDGET = 1 << 19
 # `dim` is refused above this many root pairings: n(n+1)/2 for each of the
 # n+1 simples' Weyl dimensions and n(n-1)/2 for each of the 2n parabolic
 # covers, n(3n^2+1)/2 in all.  The largest one admitted, n = 70 at p = 7,
-# took about 0.47 s, the median of fresh processes on a 2-core VM.
+# took 0.40-0.65 s, the medians of fresh processes on a 2-core VM on
+# different days.
 DIM_BUDGET = 1 << 19
 # The `ext` table is refused above this many Ext^1 kinds, (n+1)^2 at rank n.
 # The largest one admitted, n = 723, took about 0.3 s and 65 MB with
@@ -317,18 +313,11 @@ def _commands() -> dict[str, tuple[str, tuple, dict]]:
                         "over the budget of {budget} pairs",
                     ),)}),
         "verify": ("machine-check every library invariant at (n, p)", _BASIC,
-                   {"func": cmd_verify, "render": _verify_text, "budgets": (
-                       (
-                           lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
-                           "verify at n={n} would stack {size} cover labels with multiplicity, "
-                           "over the budget of {budget} labels",
-                       ),
-                       (
-                           lambda n, p, i: (n + 1) * (p - 1), TWIST_BUDGET,
-                           "verify at n={n}, p={p} would check {size} block weights, "
-                           "over the budget of {budget} weights",
-                       ),
-                   )}),
+                   {"func": cmd_verify, "render": _verify_text, "budgets": ((
+                       lambda n, p, i: (n + 1) * 4**n, VERIFY_BUDGET,
+                       "verify at n={n} would stack {size} cover labels with multiplicity, "
+                       "over the budget of {budget} labels",
+                   ),)}),
     }
 
 

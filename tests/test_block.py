@@ -6,7 +6,6 @@ import pytest
 
 from loewylab.block import (
     BlockContext,
-    block_weight,
     check_hypotheses,
     check_index,
     check_label,
@@ -91,7 +90,6 @@ def test_every_block_index_api_refuses_an_index_that_is_not_an_int(i):
         "check_index": lambda i: check_index(2, i),
         "check_label": lambda i: check_label(ctx, (i, (0, 0))),
         "label_weight": lambda i: label_weight(ctx, (i, (0, 0))),
-        "block_weight": lambda i: block_weight(ctx, i),
         "mu_weight": lambda i: mu_weight(ctx, i),
         "rad_layers_z_g1": lambda i: rad_layers_z_g1(ctx, i),
         "composition_class_z_g1": lambda i: composition_class_z_g1(ctx, i),
@@ -122,15 +120,6 @@ def test_nu_weight_refuses_an_index_out_of_range():
     for i in (-1, 3):
         with pytest.raises(ValueError, match=rf"^block index i must be in \[0, 2\] \(got {i}\)$"):
             nu_weight(ctx, i)
-
-
-def test_block_weight_refuses_a_twist_parameter_that_is_not_an_int():
-    # block_weight(ctx, 0, 2.0) returned the float weight (1.0, 4).
-    ctx = make_context(2, 5)
-    assert block_weight(ctx, 0, 2) == (1, 4)
-    for a in (2.0, True):
-        with pytest.raises(TypeError, match=r"^twist parameter a must be an int"):
-            block_weight(ctx, 0, a)
 
 
 def test_weight_table_frozen_rank_one():
@@ -178,21 +167,16 @@ def test_lowest_weight_identity():
             assert value == scale(-p, fundamental(n, n))
 
 
-def test_general_twist_table():
-    ctx = make_context(2, 5)
-    assert block_weight(ctx, 0, 2) == (1, 4)
-    assert block_weight(ctx, 1, 2) == (2, 1)
-    assert block_weight(ctx, 2, 2) == (4, 2)
-    for n, p in [(1, 5), (2, 5), (3, 7)]:
-        ctx = make_context(n, p)
-        for i in range(n + 1):
-            assert block_weight(ctx, i, 1) == ctx.lambdas[i]
-            for a in range(1, p):
-                assert all(0 <= c < p for c in block_weight(ctx, i, a))
-    with pytest.raises(ValueError):
-        block_weight(ctx, 0, 0)
-    with pytest.raises(ValueError):
-        block_weight(ctx, 0, 7)
+def test_weight_table_closed_form():
+    # Every coordinate of lam_i is p - 1, except p - 2 at coordinate i when
+    # i > 0 and 0 at coordinate i + 1 when i < n; so each lam_i is restricted.
+    for n, p in [(1, 5), (2, 5), (3, 7), (4, 3317044064679887385961813)]:
+        ctx, top = make_context(n, p), p - 1
+        assert ctx.lambdas[0] == (0,) + (top,) * (n - 1)
+        for i in range(1, n):
+            assert ctx.lambdas[i] == (top,) * (i - 1) + (p - 2, 0) + (top,) * (n - i - 1)
+        assert ctx.lambdas[n] == (top,) * (n - 1) + (p - 2,)
+        assert all(0 <= c < p for lam in ctx.lambdas for c in lam)
 
 
 def test_classify_round_trip():

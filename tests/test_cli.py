@@ -32,7 +32,6 @@ from loewylab.cli import (
     LAYER_BUDGET,
     PAIR_BUDGET,
     TRUNCATE_AT,
-    TWIST_BUDGET,
     VERIFY_BUDGET,
     WEIGHT_BUDGET,
     _dump_json,
@@ -887,11 +886,35 @@ def _shift_parabolic_second_layers(monkeypatch):
     monkeypatch.setattr(loewylab.checks, "parabolic_m_structure", shifted)
 
 
+def _mislabel_one_twist(monkeypatch):
+    # The weight of (1, w_1) classifies as (0, w_1).
+    classify = loewylab.checks.classify
+
+    def mislabelled(ctx, w):
+        i, nu = classify(ctx, w)
+        return (0 if (i, nu) == (1, (1,) + (0,) * (ctx.n - 1)) else i), nu
+
+    monkeypatch.setattr(loewylab.checks, "classify", mislabelled)
+
+
+def _drop_one_support_entry(monkeypatch):
+    # The cover of (0, 0) loses one baby Verma of its support.
+    support = loewylab.projective.verma_support
+
+    def dropped(ctx, label):
+        rows = support(ctx, label)
+        return rows[1:] if label[0] == 0 else rows
+
+    monkeypatch.setattr(loewylab.checks, "verma_support", dropped)
+
+
 @pytest.mark.parametrize("n, p", [(2, 5), (3, 7)])
 @pytest.mark.parametrize("corrupt, name", [
+    (_mislabel_one_twist, "block.weight_table"),
     (_bump_a_second_layer, "loewy.layer_counts"),
     (_shift_parabolic_second_layers, "loewy.rad1_parabolic_forms"),
     (_skew_one_ext_pair, "ext.rules"),
+    (_drop_one_support_entry, "projective.structure"),
 ])
 def test_each_layer_and_ext_check_fails_alone(monkeypatch, n, p, corrupt, name):
     corrupt(monkeypatch)
@@ -1610,22 +1633,24 @@ def test_verify_budget_edges(capsys):
             )
 
 
-def test_verify_refuses_primes_past_its_twist_budget(capsys):
-    # verify's weight table check builds a block weight for each of the n+1
-    # block indices at each twist parameter a in 1..p-1, so its work grows
-    # with p: at the largest prime the primality test admits it is refused
-    # at once.  At n = 1 the Fermat prime 65537 is the last one admitted
-    # (2 * 65536 = 2^17 weights) and the next prime, 65539, is refused.
-    assert TWIST_BUDGET == 2 * (65537 - 1)
-    for n, p in ((1, 3317044064679887385961813), (1, 65539), (8, 3317044064679887385961813)):
-        for fmt in ("text", "json"):
-            argv = ["verify", "--n", str(n), "--p", str(p), "--format", fmt]
-            assert refused_at_once(argv, capsys) == (
-                f"error: verify at n={n}, p={p} would check {(n + 1) * (p - 1)} block weights, "
-                f"over the budget of {TWIST_BUDGET} weights\n"
-            )
-    code, out, err = run_cli(["verify", "--n", "1", "--p", "65537"], capsys)
-    assert code == 0 and err == "" and out.endswith("all checks passed at n=1, p=65537 (13 checks)\n")
+# The largest prime below `block._PRIME_TEST_BOUND`, where the primality
+# test stops being exact.
+LARGEST_PRIME = 3317044064679887385961813
+
+
+def test_verify_runs_at_every_prime(capsys):
+    # verify's work does not grow with p: at n = 1 it passes on both sides of
+    # the Fermat prime 65537, and at n = 1 and 8 at the largest prime the
+    # primality test admits, in both formats.
+    start = perf_counter()
+    for n, p in ((1, 65537), (1, 65539), (1, LARGEST_PRIME), (8, LARGEST_PRIME)):
+        code, out, err = run_cli(["verify", "--n", str(n), "--p", str(p)], capsys)
+        assert code == 0 and err == "", (n, p)
+        assert out.endswith(f"all checks passed at n={n}, p={p} (13 checks)\n"), (n, p)
+        payload = run_json(["verify", "--n", str(n), "--p", str(p)], capsys)
+        assert payload["ok"] is True and len(payload["checks"]) == 13, (n, p)
+        assert all(check["ok"] for check in payload["checks"]), (n, p)
+    assert perf_counter() - start < 5
 
 
 def refuse_weight_table(monkeypatch):
@@ -1840,21 +1865,14 @@ def test_twists_past_the_digit_limit_are_refused_before_any_output(capsys):
         sys.set_int_max_str_digits(default)
 
 
-# The largest prime below `block._PRIME_TEST_BOUND`, where the primality
-# test stops being exact.
-LARGEST_PRIME = 3317044064679887385961813
-
-
 def test_every_subcommand_runs_or_refuses_at_the_largest_prime(capsys):
     # At n = 1 and 2 every subcommand, at every block index it takes, ends
-    # with a result (exit 0) or a one-line refusal (exit 2), never an
-    # exception; only `verify` is refused, by its twist budget.  At the first
+    # with a result (exit 0), never a refusal or an exception.  At the first
     # odd p past the largest prime, the bound itself, every one is refused.
     bound = _PRIME_TEST_BOUND
     assert is_odd_prime(LARGEST_PRIME) and bound % 2 == 1
     assert [q for q in range(LARGEST_PRIME + 2, bound, 2) if is_odd_prime(q)] == []
     start = perf_counter()
-    refused = set()
     for n in (1, 2):
         runs = [[command] for command in COMMANDS if command not in LAYER_SIZES]
         runs += [[command, "--i", str(i)] for command in [*LAYER_SIZES, "ext"] for i in range(n + 1)]
@@ -1862,17 +1880,11 @@ def test_every_subcommand_runs_or_refuses_at_the_largest_prime(capsys):
             for fmt in ("text", "json"):
                 argv = [run[0], "--n", str(n), "--p", str(LARGEST_PRIME), *run[1:], "--format", fmt]
                 code, out, err = run_cli(argv, capsys)
-                if code == 0:
-                    assert err == "" and out, argv
-                else:
-                    assert code == 2 and out == "" and err.startswith("error: "), argv
-                    assert err.count("\n") == 1, argv
-                    refused.add(run[0])
+                assert code == 0 and err == "" and out, argv
             argv = [run[0], "--n", str(n), "--p", str(bound), *run[1:]]
             assert run_cli(argv, capsys) == (
                 2, "", f"error: p must be below {bound} for an exact primality test (got {bound})\n"
             ), argv
-    assert refused == {"verify"}
     assert perf_counter() - start < 3
 
 
